@@ -78,15 +78,11 @@ LookupRuntime::LookupRuntime(const trie::BinaryTrie& fib,
   indexing_.store(new engine::IndexingLogic(boundaries_, identity),
                   std::memory_order_seq_cst);
 
-  if (config.chip_capacity > 0) {
-    chip_capacity_ = config.chip_capacity;
-  } else {
-    const double headroom = std::max(config.chip_headroom, 0.0);
-    const std::size_t per_chip = table.size() / config.worker_count + 1;
-    chip_capacity_ = static_cast<std::size_t>(
-                         static_cast<double>(per_chip) * (1.0 + headroom)) +
-                     8192;
-  }
+  chip_capacity_ = config.chip_capacity > 0
+                       ? config.chip_capacity
+                       : update::auto_capacity(
+                             table.size() / config.worker_count + 1,
+                             config.chip_headroom);
   if (partitions.max_bucket() > chip_capacity_) {
     throw std::invalid_argument(
         "LookupRuntime: chip_capacity smaller than the initial even share");
@@ -593,9 +589,19 @@ NextHop LookupRuntime::lookup(Ipv4Address address) {
 
 // ---------------------------------------------------------------- control
 
-void LookupRuntime::publish_table(std::size_t chip, ChipTable* next) {
+double LookupRuntime::publish_work(std::size_t chip,
+                                   const update::ChipWork& work) {
   Worker& worker = *workers_[chip];
+  // The control thread is the only writer of the active versions.
   ChipTable* old = worker.active.load(std::memory_order_relaxed);
+  auto* next = new ChipTable{old->table, old->version + 1, nullptr};
+  std::vector<Prefix> dirty = work.erases;
+  for (const auto& prefix : work.erases) next->table.erase(prefix);
+  for (const auto& route : work.writes) {
+    next->table.insert(route.prefix, route.next_hop);
+    dirty.push_back(route.prefix);
+  }
+  const double flat_ns = attach_flat(*next, old, dirty);
   worker.active.store(next, std::memory_order_seq_cst);
   worker.published_version.store(next->version, std::memory_order_seq_cst);
   worker.occupancy.store(next->table.size(), std::memory_order_release);
@@ -603,6 +609,7 @@ void LookupRuntime::publish_table(std::size_t chip, ChipTable* next) {
                           std::memory_order_relaxed);
   epoch_.retire(old);
   tables_published_.fetch_add(1, std::memory_order_relaxed);
+  return flat_ns;
 }
 
 double LookupRuntime::attach_flat(ChipTable& next, const ChipTable* prev,
@@ -686,7 +693,7 @@ void LookupRuntime::wait_control_ack(std::size_t chip) {
   }
 }
 
-std::vector<std::size_t> LookupRuntime::occupancy_snapshot() const {
+std::vector<std::size_t> LookupRuntime::chip_occupancy() const {
   std::vector<std::size_t> occupancy(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     occupancy[i] = workers_[i]->occupancy.load(std::memory_order_acquire);
@@ -694,60 +701,39 @@ std::vector<std::size_t> LookupRuntime::occupancy_snapshot() const {
   return occupancy;
 }
 
-std::vector<std::size_t> LookupRuntime::chip_occupancy() const {
-  return occupancy_snapshot();
-}
-
 double LookupRuntime::skew() const {
-  const auto occupancy = occupancy_snapshot();
-  return RebalancePlanner::skew(occupancy);
+  return RebalancePlanner::skew(chip_occupancy());
 }
 
 std::size_t LookupRuntime::migrate(const MigrationStep& step) {
-  Worker& donor = *workers_[step.donor];
-  ChipTable* donor_old = donor.active.load(std::memory_order_relaxed);
-  const std::vector<Route> donor_routes = donor_old->table.routes();
-  if (donor_routes.empty()) return 0;
-  const bool rightward = step.receiver == step.donor + 1;
-  std::size_t count = std::min(step.count, donor_routes.size());
-  // A leftward donor keeps its top entry so its upper boundary stays at
-  // a real stored address (the planner enforces this too; re-clamp in
-  // case occupancy moved between planning and execution).
-  if (!rightward) count = std::min(count, donor_routes.size() - 1);
-  if (count == 0) return 0;
-
-  // routes() is address-sorted, so the boundary-adjacent run is the top
-  // `count` routes for a rightward move, the bottom `count` leftward.
-  const std::size_t first = rightward ? donor_routes.size() - count : 0;
-  const std::span<const Route> migrated(donor_routes.data() + first, count);
-  // The migrated prefixes are the dirty set for both chips' flat-image
-  // rebuilds: everything else in either table is untouched.
-  std::vector<Prefix> dirty;
-  dirty.reserve(count);
-  for (const auto& route : migrated) dirty.push_back(route.prefix);
+  const std::vector<Route> donor_routes =
+      workers_[step.donor]->active.load(std::memory_order_relaxed)
+          ->table.routes();
+  const std::size_t receiver_occupancy =
+      workers_[step.receiver]->occupancy.load(std::memory_order_relaxed);
+  const MigrationRun run = plan_migration_run(
+      step, donor_routes,
+      chip_capacity_ - std::min(receiver_occupancy, chip_capacity_));
+  if (run.count == 0) return 0;
+  const std::span<const Route> migrated(donor_routes.data() + run.first,
+                                        run.count);
+  update::ChipWork gain;  // the receiver's side of the move
+  update::ChipWork loss;  // the donor's
+  for (const auto& route : migrated) {
+    gain.writes.push_back(route);
+    loss.erases.push_back(route.prefix);
+  }
 
   // 1. Publish the receiver's table with the migrated routes added.
   //    Both chips now store them, but the indexing still homes their
   //    addresses to the donor, whose table is untouched — every lookup
   //    answer is unchanged.
-  {
-    Worker& receiver = *workers_[step.receiver];
-    ChipTable* old = receiver.active.load(std::memory_order_relaxed);
-    auto* next = new ChipTable{old->table, old->version + 1, nullptr};
-    for (const auto& route : migrated) {
-      next->table.insert(route.prefix, route.next_hop);
-    }
-    attach_flat(*next, old, dirty);
-    publish_table(step.receiver, next);
-  }
+  publish_work(step.receiver, gain);
 
   // 2. Move the shared boundary and wait out the grace period: after
   //    this, every dispatch routes migrated addresses to the receiver
   //    (whose table already answers them).
-  const std::size_t boundary = rightward ? step.donor : step.receiver;
-  boundaries_[boundary] =
-      rightward ? migrated.front().prefix.range_low()
-                : donor_routes[count].prefix.range_low();
+  boundaries_[run.boundary] = run.new_boundary;
   publish_indexing();
 
   // 3. Fence the donor: jobs that reached its ring under the old
@@ -760,13 +746,7 @@ std::size_t LookupRuntime::migrate(const MigrationStep& step) {
   // 4. Shrink the donor. The version bump also staleness-kills every
   //    in-flight DRed fill the donor produced for a migrated route, so
   //    none can sneak into the receiver's DRed after step 5's sweep.
-  {
-    ChipTable* old = donor.active.load(std::memory_order_relaxed);
-    auto* next = new ChipTable{old->table, old->version + 1, nullptr};
-    for (const auto& route : migrated) next->table.erase(route.prefix);
-    attach_flat(*next, old, dirty);
-    publish_table(step.donor, next);
-  }
+  publish_work(step.donor, loss);
 
   // 5. Re-home DRed state: the migrated prefixes are now the receiver's
   //    *own*, so its DRed must drop them or the exclusion invariant
@@ -785,26 +765,33 @@ std::size_t LookupRuntime::migrate(const MigrationStep& step) {
     wait_control_ack(step.receiver);
   }
   epoch_.reclaim();
-  return count;
+  return run.count;
 }
 
-std::size_t LookupRuntime::rebalance_pass() {
+std::size_t LookupRuntime::rebalance_pass(obs::TtfTraceEntry* trace) {
   const auto t0 = Clock::now();
   std::size_t steps = 0;
+  std::size_t entries = 0;
   while (steps < planner_.config().max_steps_per_pass &&
          !stop_.load(std::memory_order_acquire)) {
-    const auto occupancy = occupancy_snapshot();
-    const auto step = planner_.plan_step(occupancy);
+    const auto step = planner_.plan_step(chip_occupancy());
     if (!step) break;
     const std::size_t moved = migrate(*step);
     if (moved == 0) break;  // nothing executable despite the plan
+    entries += moved;
     entries_migrated_.fetch_add(moved, std::memory_order_relaxed);
     rebalance_steps_.fetch_add(1, std::memory_order_relaxed);
     ++steps;
   }
+  const double ns = elapsed_ns(t0);
+  if (trace) {
+    trace->rebalance_steps += static_cast<std::uint32_t>(steps);
+    trace->entries_migrated += static_cast<std::uint32_t>(entries);
+    trace->rebalance_ns += ns;
+  }
   if (steps > 0) {
     rebalance_passes_.fetch_add(1, std::memory_order_relaxed);
-    rebalance_hist_.record(elapsed_ns(t0));
+    rebalance_hist_.record(ns);
   }
   return steps;
 }
@@ -894,25 +881,10 @@ void LookupRuntime::updater_main() {
   }
 }
 
-void LookupRuntime::rollback_update(const workload::UpdateMsg& message,
-                                    const std::optional<NextHop>& prior) {
-  // Invert the ground-truth mutation so trie, chips, and DReds agree
-  // again: none of the data plane saw the rejected diff.
-  if (prior) {
-    fib_.announce(message.prefix, *prior);
-  } else if (message.kind == workload::UpdateKind::kAnnounce) {
-    fib_.withdraw(message.prefix);
-  }
-  // A withdraw of an absent prefix yields an empty diff and never
-  // reaches admission, so there is no fourth case.
-}
-
 update::TtfSample LookupRuntime::apply(const workload::UpdateMsg& message) {
   // Exactly a group commit of one: same admission, same publish path,
   // same trace — plus the historical throwing contract on rejection.
-  const workload::UpdateMsg one[1] = {message};
-  const update::BatchTtfSample batch =
-      apply_batch(std::span<const workload::UpdateMsg>(one, 1));
+  const update::BatchTtfSample batch = apply_batch({&message, 1});
   if (batch.rejected > 0) {
     throw tcam::TcamFullError("LookupRuntime::apply", chip_capacity_);
   }
@@ -921,29 +893,14 @@ update::TtfSample LookupRuntime::apply(const workload::UpdateMsg& message) {
 
 update::BatchTtfSample LookupRuntime::apply_batch(
     std::span<const workload::UpdateMsg> messages) {
-  update::BatchTtfSample batch;
-  if (messages.empty()) return batch;
+  if (messages.empty()) return {};
   const auto t0 = Clock::now();
 
   // --- TTF1: every message's ONRTC diff, in submission order. --------
-  // per_msg[k] keeps message k's raw ops separable so a suffix rollback
-  // can drop them without re-running the kept prefix; priors[k] is its
-  // exact prior ground-truth route — the rollback token.
-  std::vector<std::vector<onrtc::FibOp>> per_msg;
-  std::vector<std::optional<NextHop>> priors;
-  per_msg.reserve(messages.size());
-  priors.reserve(messages.size());
-  for (const auto& message : messages) {
-    priors.push_back(fib_.ground_truth().find(message.prefix));
-    per_msg.push_back(
-        message.kind == workload::UpdateKind::kAnnounce
-            ? fib_.announce(message.prefix, message.next_hop)
-            : fib_.withdraw(message.prefix));
-  }
-  batch.ttf.ttf1_ns = elapsed_ns(t0);
+  update::BatchTxn txn(fib_, messages);
 
   obs::TtfTraceEntry trace;
-  trace.ttf1_ns = batch.ttf.ttf1_ns;
+  trace.ttf1_ns = txn.sample().ttf.ttf1_ns;
   trace.batch_size = static_cast<std::uint32_t>(messages.size());
   // Queue-depth sample: how hard the data plane was running when this
   // commit cut in (correlates TTF tails with lookup pressure).
@@ -959,147 +916,27 @@ update::BatchTtfSample LookupRuntime::apply_batch(
 
   // --- TTF2: coalesce, admit, shadow once per chip, publish once. ----
   const auto t1 = Clock::now();
-  std::vector<ChipTable*> shadows(workers_.size(), nullptr);
-  std::vector<ControlMsg> broadcast;
-  // Per-chip dirty regions for the flat-image rebuild: insert pieces
-  // plus each delete/modify op's covering prefix (its stored shapes all
-  // lie within it).
-  std::vector<std::vector<Prefix>> dirty(workers_.size());
-
-  // Builds every affected chip's shadow at the *current* boundaries from
-  // the already-coalesced net ops — one trie copy, one flat rebuild, one
-  // publish per chip however many messages touched it. Inserts split
-  // fresh; deletes/modifies instead range-query the chip for its
-  // *stored* shapes — after a boundary migration the pieces stored at
-  // insert time no longer match a fresh split, and an exact-prefix erase
-  // of recomputed pieces would strand entries. The DRed broadcast uses
-  // the same stored shapes, because DRed fills only ever carry stored
-  // shapes.
-  const auto build_shadows = [&](const std::vector<onrtc::FibOp>& ops) {
-    for (auto& d : dirty) d.clear();  // admission retries rebuild these
-    std::vector<std::vector<std::pair<onrtc::FibOpKind, Route>>> per_chip(
-        workers_.size());
-    for (const auto& op : ops) {
-      if (op.kind == onrtc::FibOpKind::kInsert) {
-        for (const auto& [chip, piece] :
-             engine::split_at_boundaries(op.route.prefix, boundaries_)) {
-          per_chip[chip].emplace_back(op.kind,
-                                      Route{piece, op.route.next_hop});
-          dirty[chip].push_back(piece);
-        }
-      } else {
-        // Every stored shape of the region lies on a chip whose current
-        // range intersects it; split only enumerates those chips.
-        std::size_t last_chip = ~std::size_t{0};
-        for (const auto& [chip, piece] :
-             engine::split_at_boundaries(op.route.prefix, boundaries_)) {
-          if (chip == last_chip) continue;
-          last_chip = chip;
-          per_chip[chip].emplace_back(op.kind, op.route);
-          dirty[chip].push_back(op.route.prefix);
-        }
-      }
-    }
-    for (std::size_t chip = 0; chip < workers_.size(); ++chip) {
-      if (per_chip[chip].empty()) continue;
-      // The control thread is the only writer, so reading the active
-      // version without a guard is safe; workers only ever read it.
-      ChipTable* old = workers_[chip]->active.load(std::memory_order_relaxed);
-      auto* next = new ChipTable{old->table, old->version + 1, nullptr};
-      for (const auto& [kind, route] : per_chip[chip]) {
-        switch (kind) {
-          case onrtc::FibOpKind::kInsert:
-            next->table.insert(route.prefix, route.next_hop);
-            break;
-          case onrtc::FibOpKind::kDelete:
-            for (const auto& stored :
-                 next->table.routes_within(route.prefix)) {
-              next->table.erase(stored.prefix);
-              broadcast.push_back(
-                  ControlMsg{ControlMsg::Kind::kErase, stored});
-            }
-            break;
-          case onrtc::FibOpKind::kModify:
-            for (const auto& stored :
-                 next->table.routes_within(route.prefix)) {
-              next->table.insert(stored.prefix, route.next_hop);
-              broadcast.push_back(
-                  ControlMsg{ControlMsg::Kind::kFix,
-                             Route{stored.prefix, route.next_hop}});
-            }
-            break;
-        }
-      }
-      shadows[chip] = next;
-    }
-  };
-  const auto discard_shadows = [&] {
-    for (auto*& shadow : shadows) {
-      delete shadow;
-      shadow = nullptr;
-    }
-    broadcast.clear();
-  };
-
-  // Admission loop with exact suffix rollback. The merged ops are the
-  // burst's net table transition; a shadow exceeding the chip capacity
-  // first triggers one emergency rebalance (frees headroom by evening
-  // out occupancy, moves boundaries — hence the full re-plan), then
-  // messages are un-applied from the end of the batch (reverse order, so
-  // each inversion sees exactly the trie state its message saw) until
-  // the remainder fits. Nothing touches a chip or DRed until admission
-  // has passed, so trie, chips, and DReds stay mutually consistent.
-  std::size_t keep = messages.size();
-  std::vector<onrtc::FibOp> raw;
-  std::vector<onrtc::FibOp> merged;
-  update::CoalesceStats stats;
-  bool rebalanced = !planner_.config().enabled;
-  for (;;) {
-    raw.clear();
-    for (std::size_t k = 0; k < keep; ++k) {
-      raw.insert(raw.end(), per_msg[k].begin(), per_msg[k].end());
-    }
-    merged = update::coalesce_ops(raw, &stats);
-    build_shadows(merged);
-    bool fits = true;
-    for (const auto* shadow : shadows) {
-      if (shadow && shadow->table.size() > chip_capacity_) {
-        fits = false;
-        break;
-      }
-    }
-    if (fits) break;
-    discard_shadows();
-    if (!rebalanced) {
-      rebalanced = true;
-      const auto rb0 = Clock::now();
-      const std::uint64_t entries_before =
-          entries_migrated_.load(std::memory_order_relaxed);
-      const std::size_t moved_steps = rebalance_pass();
-      trace.rebalance_steps += static_cast<std::uint32_t>(moved_steps);
-      trace.entries_migrated += static_cast<std::uint32_t>(
-          entries_migrated_.load(std::memory_order_relaxed) - entries_before);
-      trace.rebalance_ns += elapsed_ns(rb0);
-      if (moved_steps > 0) continue;
-    }
-    --keep;
-    rollback_update(messages[keep], priors[keep]);
-    updates_rejected_.fetch_add(1, std::memory_order_seq_cst);
-  }
-  batch.applied = keep;
-  batch.rejected = messages.size() - keep;
-  batch.raw_ops = stats.raw_ops;
-  batch.merged_ops = stats.merged_ops;
-  trace.ops_raw = static_cast<std::uint32_t>(stats.raw_ops);
-  trace.ops_merged = static_cast<std::uint32_t>(stats.merged_ops);
+  // The control thread is the only writer of the active versions, so the
+  // planner reads them without a guard; workers only ever read them.
+  const update::CommitPlan& plan = txn.admit(update::CommitHost{
+      boundaries_, chip_capacity_,
+      [this](std::size_t chip) {
+        return workers_[chip]->occupancy.load(std::memory_order_relaxed);
+      },
+      [this](std::size_t chip, const Prefix& region) {
+        return workers_[chip]
+            ->active.load(std::memory_order_relaxed)
+            ->table.routes_within(region);
+      },
+      [&] { return planner_.config().enabled ? rebalance_pass(&trace) : 0; }});
+  update::BatchTtfSample batch = txn.sample();
+  updates_rejected_.fetch_add(batch.rejected, std::memory_order_seq_cst);
+  trace.ops_raw = static_cast<std::uint32_t>(batch.raw_ops);
+  trace.ops_merged = static_cast<std::uint32_t>(batch.merged_ops);
 
   // Messages the data plane can observe: kept ones with a non-empty
-  // diff. No-op messages never bump the oracle counters — exactly the
-  // sequential path's empty-diff early return.
-  std::size_t effective = 0;
-  for (std::size_t k = 0; k < keep; ++k) {
-    if (!per_msg[k].empty()) ++effective;
-  }
+  // diff. No-op messages never bump the oracle counters.
+  const std::size_t effective = txn.effective();
   if (effective == 0) {
     batch.ttf.ttf2_ns = elapsed_ns(t1);
     return batch;
@@ -1116,17 +953,12 @@ update::BatchTtfSample LookupRuntime::apply_batch(
                                          std::memory_order_seq_cst) +
               effective;
   for (std::size_t chip = 0; chip < workers_.size(); ++chip) {
-    if (!shadows[chip]) continue;
+    const update::ChipWork& work = plan.chips[chip];
+    if (work.empty()) continue;
     ++trace.chips_touched;
-    // The flat rebuild is part of the publish (and so of TTF2): the new
-    // image copy-on-writes from the still-active version's image over
-    // this batch's dirty prefixes, so its cost tracks the net diff size
-    // — each dirty chunk is rewritten once per batch, not per message.
-    const ChipTable* old =
-        workers_[chip]->active.load(std::memory_order_relaxed);
-    trace.flat_ns += attach_flat(*shadows[chip], old, dirty[chip]);
-    publish_table(chip, shadows[chip]);
-    shadows[chip] = nullptr;
+    // One trie copy, one flat rebuild and one publish per chip however
+    // many messages touched it.
+    trace.flat_ns += publish_work(chip, work);
   }
   // One grace barrier closes the whole batch: after it every worker has
   // left the retired tables, so the reclaim below frees them all — the
@@ -1137,7 +969,16 @@ update::BatchTtfSample LookupRuntime::apply_batch(
 
   // --- TTF3: one batched DRed erase/fix sweep, wait for worker acks. --
   const auto t2 = Clock::now();
-  if (dred_enabled_ && !broadcast.empty()) {
+  if (dred_enabled_ && !(plan.dred_erase.empty() && plan.dred_fix.empty())) {
+    std::vector<ControlMsg> broadcast;
+    broadcast.reserve(plan.dred_erase.size() + plan.dred_fix.size());
+    for (const auto& prefix : plan.dred_erase) {
+      broadcast.push_back(ControlMsg{ControlMsg::Kind::kErase,
+                                     Route{prefix, netbase::kNoRoute}});
+    }
+    for (const auto& route : plan.dred_fix) {
+      broadcast.push_back(ControlMsg{ControlMsg::Kind::kFix, route});
+    }
     trace.control_msgs =
         static_cast<std::uint32_t>(broadcast.size() * workers_.size());
     for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -1151,22 +992,15 @@ update::BatchTtfSample LookupRuntime::apply_batch(
   epoch_.reclaim();
 
   batches_applied_.fetch_add(1, std::memory_order_relaxed);
-  batch_ops_raw_.fetch_add(stats.raw_ops, std::memory_order_relaxed);
-  batch_ops_merged_.fetch_add(stats.merged_ops, std::memory_order_relaxed);
+  batch_ops_raw_.fetch_add(batch.raw_ops, std::memory_order_relaxed);
+  batch_ops_merged_.fetch_add(batch.merged_ops, std::memory_order_relaxed);
   batch_publishes_.fetch_add(trace.chips_touched, std::memory_order_relaxed);
 
   // Drift watch (the rebalancer's steady-state trigger): occupancy just
   // changed, so re-check the watermarks and even out while the skew is
   // still small — many cheap migrations beat one giant one.
-  if (planner_.should_rebalance(occupancy_snapshot(), chip_capacity_)) {
-    const auto rb0 = Clock::now();
-    const std::uint64_t entries_before =
-        entries_migrated_.load(std::memory_order_relaxed);
-    trace.rebalance_steps +=
-        static_cast<std::uint32_t>(rebalance_pass());
-    trace.entries_migrated += static_cast<std::uint32_t>(
-        entries_migrated_.load(std::memory_order_relaxed) - entries_before);
-    trace.rebalance_ns += elapsed_ns(rb0);
+  if (planner_.should_rebalance(chip_occupancy(), chip_capacity_)) {
+    rebalance_pass(&trace);
   }
 
   trace.ttf2_ns = batch.ttf.ttf2_ns;
@@ -1216,7 +1050,7 @@ RuntimeMetrics LookupRuntime::metrics() const {
   m.rebalance_passes = rebalance_passes_.load(std::memory_order_relaxed);
   m.rebalance_steps = rebalance_steps_.load(std::memory_order_relaxed);
   m.entries_migrated = entries_migrated_.load(std::memory_order_relaxed);
-  m.chip_occupancy = occupancy_snapshot();
+  m.chip_occupancy = chip_occupancy();
   m.skew = RebalancePlanner::skew(m.chip_occupancy);
   return m;
 }

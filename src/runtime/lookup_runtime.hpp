@@ -253,9 +253,11 @@ class LookupRuntime {
   /// single grace barrier — and all DRed erase/fix messages go out as
   /// one batched sweep per worker ring (TTF3).
   ///
-  /// Admission stays exact at batch granularity: on overflow one
-  /// emergency rebalance runs, then messages roll back from the *end* of
-  /// the batch until the remainder fits. Never throws: the rejected
+  /// Admission (update::BatchTxn, shared with the serial hosts) is exact
+  /// and decided before any shadow is built: per chip, occupancy minus
+  /// the stored shapes erased plus the insert pieces added. On overflow
+  /// one emergency rebalance runs, then messages roll back from the *end*
+  /// of the batch until the remainder fits. Never throws: the rejected
   /// suffix is reported in the returned sample (and updates_rejected)
   /// and trie/chips/DReds stay mutually consistent. apply() is exactly
   /// apply_batch() of one message plus a throw when that message was
@@ -449,9 +451,11 @@ class LookupRuntime {
 
   // ---- control-role internals (single control thread at a time) ----
 
-  /// Swaps chip `chip` to `next` (version already bumped), retires the
-  /// old version, refreshes occupancy/published_version.
-  void publish_table(std::size_t chip, ChipTable* next);
+  /// Publishes chip `chip`'s next version: the active table with
+  /// `work`'s erases then writes applied, its flat image copy-on-written
+  /// over exactly those shapes. Retires the old version, refreshes
+  /// occupancy/published_version, and returns the flat rebuild time (ns).
+  double publish_work(std::size_t chip, const update::ChipWork& work);
   /// Publishes a new IndexingLogic for `boundaries` and waits out a
   /// grace period so no reader still uses the old one.
   void publish_indexing();
@@ -465,12 +469,9 @@ class LookupRuntime {
   /// Executes one planned migration; returns entries moved.
   std::size_t migrate(const MigrationStep& step);
   /// Runs plan_step/migrate until even or bounded; returns steps run.
-  std::size_t rebalance_pass();
-  std::vector<std::size_t> occupancy_snapshot() const;
-  /// Inverse of the `message` diff against the pre-update ground truth
-  /// (`prior` = the exact route stored at message.prefix beforehand).
-  void rollback_update(const workload::UpdateMsg& message,
-                       const std::optional<NextHop>& prior);
+  /// Adds the pass's steps, migrated entries and wall time to `trace`
+  /// when given.
+  std::size_t rebalance_pass(obs::TtfTraceEntry* trace = nullptr);
 
   /// Builds the flat image for `next` (copy-on-write from `prev`'s image
   /// over the `dirty` prefixes when available, full build otherwise),

@@ -6,6 +6,25 @@
 
 namespace clue::runtime {
 
+MigrationRun plan_migration_run(const MigrationStep& step,
+                                std::span<const netbase::Route> donor_routes,
+                                std::size_t receiver_free) {
+  MigrationRun run;
+  const bool rightward = step.receiver == step.donor + 1;
+  run.boundary = rightward ? step.donor : step.receiver;
+  std::size_t count = std::min(step.count, donor_routes.size());
+  if (!rightward && count > 0) {
+    count = std::min(count, donor_routes.size() - 1);
+  }
+  count = std::min(count, receiver_free);
+  if (count == 0) return run;
+  run.count = count;
+  run.first = rightward ? donor_routes.size() - count : 0;
+  run.new_boundary = rightward ? donor_routes[run.first].prefix.range_low()
+                               : donor_routes[count].prefix.range_low();
+  return run;
+}
+
 RebalancePlanner::RebalancePlanner(RebalanceConfig config)
     : config_(config) {
   if (config_.skew_watermark < 1.0) config_.skew_watermark = 1.0;

@@ -25,6 +25,8 @@
 #include <span>
 #include <vector>
 
+#include "netbase/prefix.hpp"
+
 namespace clue::runtime {
 
 struct RebalanceConfig {
@@ -57,6 +59,27 @@ struct MigrationStep {
   std::size_t receiver = 0;
   std::size_t count = 0;
 };
+
+/// The concrete run one MigrationStep moves, shared by both hosts'
+/// migration protocols.
+struct MigrationRun {
+  std::size_t first = 0;  ///< index of the first moved route
+  std::size_t count = 0;  ///< routes moved; 0 = nothing executable
+  std::size_t boundary = 0;  ///< index of the shared boundary that moves
+  netbase::Ipv4Address new_boundary{};  ///< that boundary's new address
+};
+
+/// Selects the boundary-adjacent run for `step` from the donor's stored
+/// routes (address-sorted): the top `count` moving right, the bottom
+/// `count` moving left. The count is clamped to what the donor holds, to
+/// keep at least one route on a leftward donor (so its upper boundary
+/// stays at a real stored address), and to `receiver_free` so every
+/// migrated entry finds a slot. The new boundary is where the receiver's
+/// range now ends or begins: the first moved route's low address moving
+/// right, the first kept route's moving left.
+MigrationRun plan_migration_run(const MigrationStep& step,
+                                std::span<const netbase::Route> donor_routes,
+                                std::size_t receiver_free);
 
 class RebalancePlanner {
  public:

@@ -1,8 +1,6 @@
 #include "system/clue_system.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <optional>
 #include <string>
 
 #include "partition/partition.hpp"
@@ -11,12 +9,8 @@ namespace clue::system {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double elapsed_ns(Clock::time_point start) {
-  return std::chrono::duration<double, std::nano>(Clock::now() - start)
-      .count();
-}
+/// Auto-sized capacity: room for a chip to grow to 2x its initial share.
+constexpr double kAutoHeadroom = 1.0;
 
 }  // namespace
 
@@ -30,15 +24,11 @@ ClueSystem::ClueSystem(const trie::BinaryTrie& fib,
       partition::even_partition_boundaries(table, config.tcam_count);
   refresh_indexing();
 
-  if (config.tcam_capacity > 0) {
-    tcam_capacity_ = config.tcam_capacity;
-  } else {
-    const double headroom = std::max(config.tcam_headroom, 0.0);
-    const std::size_t per_chip = table.size() / config.tcam_count + 1;
-    tcam_capacity_ = static_cast<std::size_t>(
-                         static_cast<double>(per_chip) * (1.0 + headroom)) +
-                     8192;
-  }
+  tcam_capacity_ =
+      config.tcam_capacity > 0
+          ? config.tcam_capacity
+          : update::auto_capacity(table.size() / config.tcam_count + 1,
+                                  kAutoHeadroom);
   chips_.reserve(config.tcam_count);
   dreds_.reserve(config.tcam_count);
   for (std::size_t i = 0; i < config.tcam_count; ++i) {
@@ -62,216 +52,28 @@ std::size_t ClueSystem::chip_of(Ipv4Address address) const {
   return indexing_->tcam_of(address);
 }
 
-std::vector<std::pair<std::size_t, Prefix>> ClueSystem::pieces_of(
-    const Prefix& prefix) const {
-  // Chips are the identity mapping of range buckets, so the shared
-  // boundary splitter's bucket indices are chip indices.
-  return engine::split_at_boundaries(prefix, boundaries_);
-}
-
 NextHop ClueSystem::lookup(Ipv4Address address) {
   const auto result = chips_[chip_of(address)]->chip().search(address);
   return result.hit ? result.next_hop : netbase::kNoRoute;
 }
 
-// One (kind, region-or-piece, chip) work item per chip touched.
-// Inserts split fresh at the current boundaries; deletes/modifies
-// carry the whole region and expand to the chip's *stored* shapes at
-// execution time — after a boundary migration the stored shapes no
-// longer match a fresh split, so an exact-prefix erase of recomputed
-// pieces would strand entries.
-std::vector<ClueSystem::WorkItem> ClueSystem::plan_work(
-    std::span<const onrtc::FibOp> ops) const {
-  std::vector<WorkItem> work;
-  for (const auto& op : ops) {
-    if (op.kind == onrtc::FibOpKind::kInsert) {
-      for (const auto& [chip, piece] : pieces_of(op.route.prefix)) {
-        work.push_back(
-            WorkItem{op.kind, chip, Route{piece, op.route.next_hop}});
-      }
-    } else {
-      std::size_t last_chip = ~std::size_t{0};
-      for (const auto& [chip, piece] : pieces_of(op.route.prefix)) {
-        if (chip == last_chip) continue;
-        last_chip = chip;
-        work.push_back(WorkItem{op.kind, chip, op.route});
-      }
-    }
-  }
-  return work;
-}
-
-// Worst-case growth precheck (admission control). Counting every
-// absent insert piece and crediting no delete is a true upper bound on
-// any transient occupancy during the op sequence, so a passing update
-// can never hit TcamFullError mid-flight and leave a chip half
-// written. The price is a rare spurious rejection of a delete+insert
-// update against a brim-full chip.
-bool ClueSystem::fits(const std::vector<WorkItem>& work) const {
-  std::vector<std::size_t> projected(chips_.size());
-  for (std::size_t i = 0; i < chips_.size(); ++i) {
-    projected[i] = chips_[i]->size();
-  }
-  for (const auto& item : work) {
-    if (item.kind != onrtc::FibOpKind::kInsert) continue;
-    if (!chips_[item.chip]->chip().slot_of(item.route.prefix)) {
-      ++projected[item.chip];
-    }
-  }
-  for (const auto& p : projected) {
-    if (p > tcam_capacity_) return false;
-  }
-  return true;
-}
-
-// Chips update independently, so TTF2 is the slowest chip's share.
-void ClueSystem::execute_work(const std::vector<WorkItem>& work,
-                              update::TtfSample& sample) {
-  std::vector<std::size_t> per_chip_ops(chips_.size(), 0);
-  std::size_t dred_ops = 0;
-  for (const auto& item : work) {
-    switch (item.kind) {
-      case onrtc::FibOpKind::kInsert:
-        per_chip_ops[item.chip] += chips_[item.chip]->insert(
-            tcam::TcamEntry{item.route.prefix, item.route.next_hop});
-        break;
-      case onrtc::FibOpKind::kDelete:
-        for (const auto& stored :
-             chips_[item.chip]->chip().entries_within(item.route.prefix)) {
-          per_chip_ops[item.chip] += chips_[item.chip]->erase(stored.prefix);
-          // DRed synchronisation (§IV-C): one parallel probe per stored
-          // shape to all DReds (DReds only ever cache stored shapes).
-          for (auto& dred : dreds_) dred->erase(stored.prefix);
-          ++dred_ops;
-        }
-        break;
-      case onrtc::FibOpKind::kModify:
-        for (const auto& stored :
-             chips_[item.chip]->chip().entries_within(item.route.prefix)) {
-          per_chip_ops[item.chip] += chips_[item.chip]->insert(
-              tcam::TcamEntry{stored.prefix, item.route.next_hop});
-          for (auto& dred : dreds_) {
-            // fix(): rewrite in place; a sync message must not promote
-            // the entry in LRU order.
-            dred->fix(Route{stored.prefix, item.route.next_hop});
-          }
-          ++dred_ops;
-        }
-        break;
-    }
-  }
-  sample.ttf2_ns +=
-      static_cast<double>(
-          *std::max_element(per_chip_ops.begin(), per_chip_ops.end())) *
-      update::CostModel::kTcamOpNs;
-  sample.ttf3_ns +=
-      static_cast<double>(dred_ops) * update::CostModel::kTcamOpNs;
-}
-
 update::TtfSample ClueSystem::apply(const workload::UpdateMsg& message) {
-  update::TtfSample sample;
-
-  const auto start = Clock::now();
-  // Rollback token for a rejected admission: the exact prior route.
-  const std::optional<NextHop> prior =
-      fib_.ground_truth().find(message.prefix);
-  const auto ops =
-      message.kind == workload::UpdateKind::kAnnounce
-          ? fib_.announce(message.prefix, message.next_hop)
-          : fib_.withdraw(message.prefix);
-  sample.ttf1_ns = elapsed_ns(start);
-  if (ops.empty()) return sample;
-
-  auto work = plan_work(ops);
-  if (!fits(work)) {
-    // Emergency rebalance: even out occupancy, then re-plan at the new
-    // boundaries. If even the balanced layout cannot absorb the update,
-    // reject it cleanly: undo the trie diff so trie, chips, and DReds
-    // all still agree, and surface a typed, recoverable error.
-    std::size_t moved = planner_.config().enabled ? rebalance_pass() : 0;
-    if (moved > 0) work = plan_work(ops);
-    if (moved == 0 || !fits(work)) {
-      if (prior) {
-        fib_.announce(message.prefix, *prior);
-      } else if (message.kind == workload::UpdateKind::kAnnounce) {
-        fib_.withdraw(message.prefix);
-      }
-      ++updates_rejected_;
-      throw tcam::TcamFullError("ClueSystem::apply", tcam_capacity_);
-    }
+  const update::BatchTtfSample batch = apply_batch({&message, 1});
+  if (batch.rejected > 0) {
+    throw tcam::TcamFullError("ClueSystem::apply", tcam_capacity_);
   }
-
-  execute_work(work, sample);
-
-  // Drift watch: even out while the skew is still small.
-  if (planner_.should_rebalance(chip_occupancy(), tcam_capacity_)) {
-    rebalance_pass();
-  }
-  return sample;
+  return batch.ttf;
 }
 
 update::BatchTtfSample ClueSystem::apply_batch(
     std::span<const workload::UpdateMsg> messages) {
-  update::BatchTtfSample batch;
-  if (messages.empty()) return batch;
+  const update::BatchTtfSample batch = update::commit_to_updaters(
+      fib_, messages, chips_, dreds_, boundaries_, [this] {
+        return planner_.config().enabled ? rebalance_pass() : 0;
+      });
+  updates_rejected_ += batch.rejected;
 
-  // --- TTF1: every message's incremental ONRTC diff, in order. --------
-  // per_msg[k] keeps message k's raw ops separable for suffix rollback;
-  // priors[k] is its exact prior ground-truth route (rollback token).
-  const auto start = Clock::now();
-  std::vector<std::vector<onrtc::FibOp>> per_msg;
-  std::vector<std::optional<NextHop>> priors;
-  per_msg.reserve(messages.size());
-  priors.reserve(messages.size());
-  for (const auto& message : messages) {
-    priors.push_back(fib_.ground_truth().find(message.prefix));
-    per_msg.push_back(
-        message.kind == workload::UpdateKind::kAnnounce
-            ? fib_.announce(message.prefix, message.next_hop)
-            : fib_.withdraw(message.prefix));
-  }
-  batch.ttf.ttf1_ns = elapsed_ns(start);
-
-  // --- Coalesce + admission with exact suffix rollback. ---------------
-  // Re-planning inside the loop is required even when `merged` shrinks:
-  // an emergency rebalance moves boundaries, which changes every piece.
-  std::size_t keep = messages.size();
-  std::vector<onrtc::FibOp> raw;
-  std::vector<onrtc::FibOp> merged;
-  update::CoalesceStats stats;
-  std::vector<WorkItem> work;
-  bool rebalanced = !planner_.config().enabled;
-  for (;;) {
-    raw.clear();
-    for (std::size_t k = 0; k < keep; ++k) {
-      raw.insert(raw.end(), per_msg[k].begin(), per_msg[k].end());
-    }
-    merged = update::coalesce_ops(raw, &stats);
-    work = plan_work(merged);
-    if (fits(work) || keep == 0) break;
-    // One emergency rebalance per batch before shedding any message —
-    // mirrors apply()'s order (rebalance first, reject second).
-    if (!rebalanced) {
-      rebalanced = true;
-      if (rebalance_pass() > 0) continue;
-    }
-    --keep;
-    const auto& message = messages[keep];
-    if (priors[keep]) {
-      fib_.announce(message.prefix, *priors[keep]);
-    } else if (message.kind == workload::UpdateKind::kAnnounce) {
-      fib_.withdraw(message.prefix);
-    }
-    ++updates_rejected_;
-  }
-  batch.applied = keep;
-  batch.rejected = messages.size() - keep;
-  batch.raw_ops = stats.raw_ops;
-  batch.merged_ops = stats.merged_ops;
-
-  // --- TTF2 + TTF3: one chip pass and one DRed sweep over net ops. ----
-  execute_work(work, batch.ttf);
-
+  // Drift watch: even out while the skew is still small.
   if (planner_.should_rebalance(chip_occupancy(), tcam_capacity_)) {
     rebalance_pass();
   }
@@ -297,18 +99,10 @@ std::size_t ClueSystem::migrate(const runtime::MigrationStep& step) {
   // Prefix() is 0.0.0.0/0: all stored routes, address-sorted.
   const std::vector<Route> donor_routes =
       donor.chip().entries_within(Prefix());
-  if (donor_routes.empty()) return 0;
-  const bool rightward = step.receiver == step.donor + 1;
-  std::size_t count = std::min(step.count, donor_routes.size());
-  // A leftward donor keeps its top entry so its upper boundary stays at
-  // a real stored address.
-  if (!rightward) count = std::min(count, donor_routes.size() - 1);
-  // Never migrate into overflow: each migrated entry must find a slot.
-  count = std::min(count, receiver.chip().capacity() - receiver.size());
-  if (count == 0) return 0;
-
-  const std::size_t first = rightward ? donor_routes.size() - count : 0;
-  for (std::size_t i = first; i < first + count; ++i) {
+  const runtime::MigrationRun run = runtime::plan_migration_run(
+      step, donor_routes, receiver.chip().capacity() - receiver.size());
+  if (run.count == 0) return 0;
+  for (std::size_t i = run.first; i < run.first + run.count; ++i) {
     const Route& route = donor_routes[i];
     receiver.insert(tcam::TcamEntry{route.prefix, route.next_hop});
     donor.erase(route.prefix);
@@ -317,12 +111,9 @@ std::size_t ClueSystem::migrate(const runtime::MigrationStep& step) {
     // route itself did not change.
     dreds_[step.receiver]->erase(route.prefix);
   }
-  const std::size_t boundary = rightward ? step.donor : step.receiver;
-  boundaries_[boundary] =
-      rightward ? donor_routes[first].prefix.range_low()
-                : donor_routes[count].prefix.range_low();
+  boundaries_[run.boundary] = run.new_boundary;
   refresh_indexing();
-  return count;
+  return run.count;
 }
 
 std::size_t ClueSystem::rebalance_pass() {

@@ -42,14 +42,9 @@ using netbase::Route;
 
 struct SystemConfig {
   std::size_t tcam_count = 4;
-  /// Per-chip capacity; 0 = auto-size from the initial even share with
-  /// `tcam_headroom` growth headroom (see below).
+  /// Per-chip capacity; 0 = auto-size to 2x the initial even share plus
+  /// 8192 slack (update::auto_capacity).
   std::size_t tcam_capacity = 0;
-  /// Fraction of growth headroom the auto-sized capacity reserves above
-  /// the initial per-chip share: capacity = share * (1 + tcam_headroom)
-  /// + 8192 slack. The default 1.0 (i.e. +100%) keeps the historical
-  /// "2x initial partition" sizing. Ignored when tcam_capacity is set.
-  double tcam_headroom = 1.0;
   std::size_t dred_capacity = 1024;
   /// Online boundary-rebalancer knobs (shared with the runtime, so the
   /// serial and concurrent planes balance identically).
@@ -63,30 +58,27 @@ class ClueSystem {
   /// Data-plane lookup on the home chip (LPM; kNoRoute when unrouted).
   NextHop lookup(Ipv4Address address);
 
-  /// Whole-path update: trie -> affected chips -> DReds. TTF2 charges
-  /// the *critical path* (chips update in parallel): max ops on any one
-  /// chip x 24 ns.
-  ///
-  /// Admission control mirrors the runtime: an update whose (worst-case)
-  /// growth would overflow a chip triggers an emergency rebalance, and
-  /// if even the balanced layout cannot absorb it the trie diff is
-  /// rolled back and tcam::TcamFullError is thrown — no chip or DRed is
-  /// touched on the rejected path, so all three stay consistent. After
-  /// a successful apply a watermark crossing runs a rebalance pass.
+  /// Whole-path update: trie -> affected chips -> DReds. Exactly
+  /// apply_batch() of one message, plus tcam::TcamFullError when it was
+  /// rejected (after rollback: no chip or DRed is touched on the rejected
+  /// path, so trie, chips and DReds stay consistent).
   update::TtfSample apply(const workload::UpdateMsg& message);
 
-  /// Group commit: applies a whole burst as one table transition per
-  /// chip. All trie diffs run first, their ops coalesce to the burst's
-  /// net effect (update::coalesce_ops), and each affected chip plus the
-  /// DReds are written once per net op. TTF2 remains the critical path
-  /// (max net ops on any one chip x 24 ns); TTF3 is one probe sweep per
-  /// net delete/modify shape.
+  /// Group commit (update::BatchTxn): applies a whole burst as one table
+  /// transition per chip. All trie diffs run first, their ops coalesce to
+  /// the burst's net effect (update::coalesce_ops), and each affected
+  /// chip plus the DReds are written once per net op. TTF2 is the
+  /// critical path (chips update in parallel: max net ops on any one chip
+  /// x 24 ns); TTF3 is one probe sweep per net delete/modify shape.
   ///
-  /// Admission is exact at batch granularity: overflow first triggers an
-  /// emergency rebalance, then messages roll back from the *end* of the
-  /// batch until the remainder fits. The committed prefix stays
-  /// consistent across trie, chips, and DReds; the rejected suffix is
-  /// counted (updates_rejected()) instead of throwing.
+  /// Admission is exact, per chip: occupancy minus the stored shapes the
+  /// net ops erase plus the insert pieces they add. Each chip's erases
+  /// run before its writes, so no transient state exceeds the larger of
+  /// the two. On overflow one emergency rebalance runs, then messages
+  /// roll back from the *end* of the batch until the remainder fits. The
+  /// committed prefix stays consistent across trie, chips, and DReds; the
+  /// rejected suffix is counted (updates_rejected()) instead of throwing.
+  /// After the commit a watermark crossing runs a rebalance pass.
   update::BatchTtfSample apply_batch(
       std::span<const workload::UpdateMsg> messages);
 
@@ -133,28 +125,8 @@ class ClueSystem {
   void export_metrics(obs::MetricsRegistry& registry) const;
 
  private:
-  /// One (kind, region-or-piece) chip work item; deletes/modifies carry
-  /// the whole region and expand to the chip's stored shapes at
-  /// execution time (see apply()).
-  struct WorkItem {
-    onrtc::FibOpKind kind;
-    std::size_t chip;
-    Route route;
-  };
-
   /// The chip index owning `address`.
   std::size_t chip_of(Ipv4Address address) const;
-  /// Splits `prefix` at partition boundaries into per-chip pieces.
-  std::vector<std::pair<std::size_t, Prefix>> pieces_of(
-      const Prefix& prefix) const;
-  /// Expands diff ops into per-chip work items at current boundaries.
-  std::vector<WorkItem> plan_work(std::span<const onrtc::FibOp> ops) const;
-  /// Worst-case growth admission check for `work` (see apply()).
-  bool fits(const std::vector<WorkItem>& work) const;
-  /// Executes planned work on chips + DReds, filling TTF2/TTF3 of
-  /// `sample` (critical-path chip ops, one probe sweep per shape).
-  void execute_work(const std::vector<WorkItem>& work,
-                    update::TtfSample& sample);
   /// Rebuilds indexing_ from boundaries_ after a migration.
   void refresh_indexing();
   /// Executes one planned migration; returns entries moved.

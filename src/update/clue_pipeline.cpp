@@ -1,8 +1,5 @@
 #include "update/clue_pipeline.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <optional>
 #include <string>
 
 #include "engine/dispatch_policy.hpp"
@@ -11,25 +8,18 @@ namespace clue::update {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double elapsed_ns(Clock::time_point start) {
-  return std::chrono::duration<double, std::nano>(Clock::now() - start)
-      .count();
-}
+/// Auto-sized capacity: room for the table to grow to 4x its initial
+/// compressed size.
+constexpr double kAutoHeadroom = 3.0;
 
 }  // namespace
 
 CluePipeline::CluePipeline(const trie::BinaryTrie& fib,
                            const PipelineConfig& config)
     : fib_(fib) {
-  std::size_t capacity = config.tcam_capacity;
-  if (capacity == 0) {
-    const double headroom = std::max(config.update_headroom, 0.0);
-    capacity = static_cast<std::size_t>(
-                   static_cast<double>(fib_.size()) * (1.0 + headroom)) +
-               8192;
-  }
+  const std::size_t capacity =
+      config.tcam_capacity > 0 ? config.tcam_capacity
+                               : auto_capacity(fib_.size(), kAutoHeadroom);
   tcam_ = std::make_unique<tcam::ClueUpdater>(capacity);
   for (const auto& route : fib_.compressed().routes()) {
     tcam_->insert(tcam::TcamEntry{route.prefix, route.next_hop});
@@ -42,176 +32,19 @@ CluePipeline::CluePipeline(const trie::BinaryTrie& fib,
 }
 
 TtfSample CluePipeline::apply(const workload::UpdateMsg& message) {
-  TtfSample sample;
-
-  // --- TTF1: incremental ONRTC trie update (measured). -------------------
-  const auto start = Clock::now();
-  // Rollback token for a rejected admission: the exact prior route.
-  const std::optional<NextHop> prior =
-      fib_.ground_truth().find(message.prefix);
-  const auto ops =
-      message.kind == workload::UpdateKind::kAnnounce
-          ? fib_.announce(message.prefix, message.next_hop)
-          : fib_.withdraw(message.prefix);
-  sample.ttf1_ns = elapsed_ns(start);
-
-  // --- Admission control: reject before any chip write. ------------------
-  // Counting every absent insert and crediting no delete is a true upper
-  // bound on transient occupancy, so a passing update can never hit
-  // TcamFullError mid-sequence and leave the chip half written.
-  std::size_t projected = tcam_->size();
-  for (const auto& op : ops) {
-    if (op.kind == onrtc::FibOpKind::kInsert &&
-        !tcam_->chip().slot_of(op.route.prefix)) {
-      ++projected;
-    }
+  const BatchTtfSample batch = apply_batch({&message, 1});
+  if (batch.rejected > 0) {
+    throw tcam::TcamFullError("CluePipeline::apply", tcam_capacity());
   }
-  if (projected > tcam_->chip().capacity()) {
-    if (prior) {
-      fib_.announce(message.prefix, *prior);
-    } else if (message.kind == workload::UpdateKind::kAnnounce) {
-      fib_.withdraw(message.prefix);
-    }
-    ++updates_rejected_;
-    throw tcam::TcamFullError("CluePipeline::apply",
-                              tcam_->chip().capacity());
-  }
-
-  // --- TTF2: order-free TCAM update, ≤1 shift per diff op. ---------------
-  for (const auto& op : ops) {
-    std::size_t tcam_ops = 0;
-    switch (op.kind) {
-      case onrtc::FibOpKind::kInsert:
-      case onrtc::FibOpKind::kModify:
-        tcam_ops = tcam_->insert(
-            tcam::TcamEntry{op.route.prefix, op.route.next_hop});
-        break;
-      case onrtc::FibOpKind::kDelete:
-        tcam_ops = tcam_->erase(op.route.prefix);
-        break;
-    }
-    sample.ttf2_ns += static_cast<double>(tcam_ops) * CostModel::kTcamOpNs;
-  }
-
-  // --- TTF3: DRed synchronisation (§IV-C). --------------------------------
-  // Insert: nothing to do. Delete/modify: one probe issued to all DReds
-  // in parallel (they are independent chips), so each diff op costs one
-  // TCAM operation of wall time regardless of how many chips held it.
-  for (const auto& op : ops) {
-    switch (op.kind) {
-      case onrtc::FibOpKind::kInsert:
-        break;
-      case onrtc::FibOpKind::kDelete:
-        for (auto& dred : dreds_) dred->erase(op.route.prefix);
-        sample.ttf3_ns += CostModel::kTcamOpNs;
-        break;
-      case onrtc::FibOpKind::kModify:
-        for (auto& dred : dreds_) {
-          if (dred->contains(op.route.prefix)) dred->insert(op.route);
-        }
-        sample.ttf3_ns += CostModel::kTcamOpNs;
-        break;
-    }
-  }
-  return sample;
+  return batch.ttf;
 }
 
 BatchTtfSample CluePipeline::apply_batch(
     std::span<const workload::UpdateMsg> messages) {
-  BatchTtfSample batch;
-  if (messages.empty()) return batch;
-
-  // --- TTF1: every message's incremental ONRTC diff, in order. --------
-  // per_msg[k] holds message k's raw diff ops so a suffix rollback can
-  // drop them without re-running the kept prefix; priors[k] is the exact
-  // ground-truth route before message k — the rollback token.
-  const auto start = Clock::now();
-  std::vector<std::vector<onrtc::FibOp>> per_msg;
-  std::vector<std::optional<NextHop>> priors;
-  per_msg.reserve(messages.size());
-  priors.reserve(messages.size());
-  for (const auto& message : messages) {
-    priors.push_back(fib_.ground_truth().find(message.prefix));
-    per_msg.push_back(
-        message.kind == workload::UpdateKind::kAnnounce
-            ? fib_.announce(message.prefix, message.next_hop)
-            : fib_.withdraw(message.prefix));
-  }
-  batch.ttf.ttf1_ns = elapsed_ns(start);
-
-  // --- Coalesce + admission with exact suffix rollback. ---------------
-  // The merged ops are the burst's net table transition. If they would
-  // overflow the TCAM, un-apply messages from the end (announce back the
-  // prior route / withdraw the fresh one, in reverse order so each
-  // inversion sees exactly the state its message saw) until the
-  // remaining prefix fits. The committed prefix never touches a chip or
-  // DRed until admission has passed, so the three stay consistent.
-  std::size_t keep = messages.size();
-  std::vector<onrtc::FibOp> raw;
-  std::vector<onrtc::FibOp> merged;
-  CoalesceStats stats;
-  for (;;) {
-    raw.clear();
-    for (std::size_t k = 0; k < keep; ++k) {
-      raw.insert(raw.end(), per_msg[k].begin(), per_msg[k].end());
-    }
-    merged = coalesce_ops(raw, &stats);
-    std::size_t projected = tcam_->size();
-    for (const auto& op : merged) {
-      if (op.kind == onrtc::FibOpKind::kInsert &&
-          !tcam_->chip().slot_of(op.route.prefix)) {
-        ++projected;
-      }
-    }
-    if (projected <= tcam_->chip().capacity() || keep == 0) break;
-    --keep;
-    const auto& message = messages[keep];
-    if (priors[keep]) {
-      fib_.announce(message.prefix, *priors[keep]);
-    } else if (message.kind == workload::UpdateKind::kAnnounce) {
-      fib_.withdraw(message.prefix);
-    }
-    ++updates_rejected_;
-  }
-  batch.applied = keep;
-  batch.rejected = messages.size() - keep;
-  batch.raw_ops = stats.raw_ops;
-  batch.merged_ops = stats.merged_ops;
-
-  // --- TTF2: one TCAM pass over the net ops. --------------------------
-  for (const auto& op : merged) {
-    std::size_t tcam_ops = 0;
-    switch (op.kind) {
-      case onrtc::FibOpKind::kInsert:
-      case onrtc::FibOpKind::kModify:
-        tcam_ops = tcam_->insert(
-            tcam::TcamEntry{op.route.prefix, op.route.next_hop});
-        break;
-      case onrtc::FibOpKind::kDelete:
-        tcam_ops = tcam_->erase(op.route.prefix);
-        break;
-    }
-    batch.ttf.ttf2_ns +=
-        static_cast<double>(tcam_ops) * CostModel::kTcamOpNs;
-  }
-
-  // --- TTF3: one DRed sweep over the net ops. -------------------------
-  for (const auto& op : merged) {
-    switch (op.kind) {
-      case onrtc::FibOpKind::kInsert:
-        break;
-      case onrtc::FibOpKind::kDelete:
-        for (auto& dred : dreds_) dred->erase(op.route.prefix);
-        batch.ttf.ttf3_ns += CostModel::kTcamOpNs;
-        break;
-      case onrtc::FibOpKind::kModify:
-        for (auto& dred : dreds_) {
-          if (dred->contains(op.route.prefix)) dred->insert(op.route);
-        }
-        batch.ttf.ttf3_ns += CostModel::kTcamOpNs;
-        break;
-    }
-  }
+  const std::vector<Ipv4Address> no_boundaries;
+  const BatchTtfSample batch =
+      commit_to_updaters(fib_, messages, {&tcam_, 1}, dreds_, no_boundaries);
+  updates_rejected_ += batch.rejected;
   return batch;
 }
 

@@ -28,15 +28,9 @@ using netbase::NextHop;
 using netbase::Prefix;
 
 struct PipelineConfig {
-  /// Explicit TCAM capacity; 0 = auto-size from the compressed table
-  /// with `update_headroom` growth headroom (see below).
+  /// Explicit TCAM capacity; 0 = auto-size to 4x the initial compressed
+  /// table plus 8192 slack (update::auto_capacity).
   std::size_t tcam_capacity = 0;
-  /// Fraction of growth headroom the auto-sized capacity reserves above
-  /// the initial compressed-table size: capacity = size * (1 +
-  /// update_headroom) + 8192 slack. The default 3.0 (i.e. +300%) keeps
-  /// the historical "4x table" sizing. Ignored when tcam_capacity is
-  /// set.
-  double update_headroom = 3.0;
   std::size_t dred_count = 4;
   std::size_t dred_capacity = 1024;
 };
@@ -45,27 +39,30 @@ class CluePipeline {
  public:
   CluePipeline(const trie::BinaryTrie& fib, const PipelineConfig& config);
 
-  /// Applies one update message through trie, TCAM and DRed.
+  /// Applies one update message through trie, TCAM and DRed: exactly
+  /// apply_batch() of one message, plus a throw when it was rejected.
   ///
-  /// An update whose worst-case growth would overflow the TCAM is
-  /// rejected *before* any chip or DRed write: the trie diff is rolled
-  /// back and tcam::TcamFullError is thrown, leaving trie, TCAM and
-  /// DReds mutually consistent (the caller can drop the update, resize,
-  /// or shed load — the pipeline object stays usable).
+  /// An update the TCAM cannot hold is rejected *before* any chip or
+  /// DRed write: the trie diff is rolled back and tcam::TcamFullError is
+  /// thrown, leaving trie, TCAM and DReds mutually consistent (the
+  /// caller can drop the update, resize, or shed load — the pipeline
+  /// object stays usable).
   TtfSample apply(const workload::UpdateMsg& message);
 
-  /// Group commit: applies a whole burst as one table transition. All
-  /// trie diffs run first (TTF1), their diff ops are coalesced to the
-  /// burst's net effect (insert+delete pairs cancel, modifies
-  /// last-writer-win), and the TCAM plus DReds are written once per net
-  /// op — TTF2/TTF3 are paid per net change, not per message.
+  /// Group commit (update::BatchTxn): applies a whole burst as one table
+  /// transition. All trie diffs run first (TTF1), their diff ops are
+  /// coalesced to the burst's net effect (insert+delete pairs cancel,
+  /// modifies last-writer-win), and the TCAM plus DReds are written once
+  /// per net op — TTF2/TTF3 are paid per net change, not per message.
   ///
-  /// Admission is exact at batch granularity: if the merged ops would
-  /// overflow the TCAM, messages are rolled back from the *end* of the
-  /// batch (trie restored message by message) until the remainder fits;
-  /// the committed prefix stays consistent across trie, TCAM, and DReds,
-  /// and the rejected suffix is counted in `rejected` (and in
-  /// updates_rejected()) instead of throwing.
+  /// Admission is exact: the projected occupancy is the current one,
+  /// minus the entries the net ops erase, plus the entries they add. The
+  /// erases run before the writes, so no transient state exceeds the
+  /// larger of the two. If the projection overflows, messages are rolled
+  /// back from the *end* of the batch (trie restored message by message)
+  /// until the remainder fits; the committed prefix stays consistent
+  /// across trie, TCAM, and DReds, and the rejected suffix is counted in
+  /// `rejected` (and in updates_rejected()) instead of throwing.
   BatchTtfSample apply_batch(std::span<const workload::UpdateMsg> messages);
 
   /// Simulates lookup traffic to populate the DReds the way a running

@@ -1,11 +1,17 @@
 #include "update/group_commit.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <unordered_map>
+#include <utility>
+
+#include "engine/indexing_logic.hpp"
 
 namespace clue::update {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
 using netbase::NextHop;
 using netbase::Prefix;
 using netbase::Route;
@@ -27,6 +33,57 @@ struct Fold {
   /// delete after a modify-then-delete sequence.
   NextHop deleted_hop{};
 };
+
+/// Expands `merged` into `plan` at the host's current boundaries and
+/// returns whether every chip's exact projected occupancy fits.
+bool plan_fits(std::span<const FibOp> merged, const CommitHost& host,
+               CommitPlan& plan) {
+  const std::size_t chips = host.boundaries.size() + 1;
+  plan.chips.assign(chips, ChipWork{});
+  plan.dred_erase.clear();
+  plan.dred_fix.clear();
+  // An insert's prefix is new to the compressed table, so a stored shape
+  // one of its pieces coincides with belongs to a region the same plan
+  // deletes: every insert piece adds exactly one entry.
+  std::vector<std::size_t> added(chips, 0);
+
+  for (const auto& op : merged) {
+    const auto pieces =
+        engine::split_at_boundaries(op.route.prefix, host.boundaries);
+    if (op.kind == FibOpKind::kInsert) {
+      for (const auto& [chip, piece] : pieces) {
+        plan.chips[chip].writes.push_back(Route{piece, op.route.next_hop});
+        ++added[chip];
+      }
+      continue;
+    }
+    // Every stored shape of the region lies on a chip whose current
+    // range intersects it; the split enumerates exactly those chips, in
+    // order.
+    std::size_t last_chip = ~std::size_t{0};
+    for (const auto& [chip, piece] : pieces) {
+      if (chip == last_chip) continue;
+      last_chip = chip;
+      for (const Route& stored : host.stored_within(chip, op.route.prefix)) {
+        if (op.kind == FibOpKind::kDelete) {
+          plan.chips[chip].erases.push_back(stored.prefix);
+          plan.dred_erase.push_back(stored.prefix);
+        } else {
+          const Route fixed{stored.prefix, op.route.next_hop};
+          plan.chips[chip].writes.push_back(fixed);
+          plan.dred_fix.push_back(fixed);
+        }
+      }
+    }
+  }
+  for (std::size_t chip = 0; chip < chips; ++chip) {
+    const std::size_t projected = host.occupancy(chip) -
+                                  plan.chips[chip].erases.size() +
+                                  added[chip];
+    if (projected > host.capacity) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -99,6 +156,114 @@ std::vector<FibOp> coalesce_ops(std::span<const FibOp> raw,
     stats->merged_ops = merged.size();
   }
   return merged;
+}
+
+std::size_t auto_capacity(std::size_t share, double headroom) {
+  return static_cast<std::size_t>(static_cast<double>(share) *
+                                  (1.0 + std::max(headroom, 0.0))) +
+         8192;
+}
+
+BatchTxn::BatchTxn(onrtc::CompressedFib& fib,
+                   std::span<const workload::UpdateMsg> messages)
+    : fib_(fib), messages_(messages) {
+  const auto start = Clock::now();
+  per_msg_.reserve(messages.size());
+  priors_.reserve(messages.size());
+  for (const auto& message : messages) {
+    priors_.push_back(fib_.ground_truth().find(message.prefix));
+    per_msg_.push_back(message.kind == workload::UpdateKind::kAnnounce
+                           ? fib_.announce(message.prefix, message.next_hop)
+                           : fib_.withdraw(message.prefix));
+  }
+  sample_.ttf.ttf1_ns =
+      std::chrono::duration<double, std::nano>(Clock::now() - start).count();
+}
+
+const CommitPlan& BatchTxn::admit(const CommitHost& host) {
+  std::size_t keep = messages_.size();
+  std::vector<FibOp> raw;
+  CoalesceStats stats;
+  bool rebalanced = false;
+  for (;;) {
+    raw.clear();
+    for (std::size_t k = 0; k < keep; ++k) {
+      raw.insert(raw.end(), per_msg_[k].begin(), per_msg_[k].end());
+    }
+    // Re-plan on every pass: a rebalance moves boundaries, which changes
+    // every piece.
+    const auto merged = coalesce_ops(raw, &stats);
+    if (plan_fits(merged, host, plan_) || keep == 0) break;
+    if (!rebalanced) {
+      rebalanced = true;
+      if (host.emergency_rebalance && host.emergency_rebalance() > 0) {
+        continue;
+      }
+    }
+    --keep;
+    const auto& message = messages_[keep];
+    if (priors_[keep]) {
+      fib_.announce(message.prefix, *priors_[keep]);
+    } else if (message.kind == workload::UpdateKind::kAnnounce) {
+      fib_.withdraw(message.prefix);
+    }
+    // A withdraw of an absent prefix has an empty diff: nothing to undo.
+  }
+  sample_.applied = keep;
+  sample_.rejected = messages_.size() - keep;
+  sample_.raw_ops = stats.raw_ops;
+  sample_.merged_ops = stats.merged_ops;
+  return plan_;
+}
+
+std::size_t BatchTxn::effective() const {
+  std::size_t count = 0;
+  for (std::size_t k = 0; k < sample_.applied; ++k) {
+    if (!per_msg_[k].empty()) ++count;
+  }
+  return count;
+}
+
+BatchTtfSample commit_to_updaters(
+    onrtc::CompressedFib& fib, std::span<const workload::UpdateMsg> messages,
+    std::span<const std::unique_ptr<tcam::ClueUpdater>> chips,
+    std::span<const std::unique_ptr<engine::DredStore>> dreds,
+    const std::vector<netbase::Ipv4Address>& boundaries,
+    std::function<std::size_t()> emergency_rebalance) {
+  BatchTxn txn(fib, messages);
+  const CommitPlan& plan = txn.admit(CommitHost{
+      boundaries, chips.front()->chip().capacity(),
+      [&](std::size_t chip) { return chips[chip]->size(); },
+      [&](std::size_t chip, const Prefix& region) {
+        return chips[chip]->chip().entries_within(region);
+      },
+      std::move(emergency_rebalance)});
+  BatchTtfSample batch = txn.sample();
+
+  std::size_t critical_ops = 0;
+  for (std::size_t chip = 0; chip < chips.size(); ++chip) {
+    tcam::ClueUpdater& updater = *chips[chip];
+    std::size_t ops = 0;
+    for (const auto& prefix : plan.chips[chip].erases) {
+      ops += updater.erase(prefix);
+    }
+    for (const auto& route : plan.chips[chip].writes) {
+      ops += updater.insert(tcam::TcamEntry{route.prefix, route.next_hop});
+    }
+    critical_ops = std::max(critical_ops, ops);
+  }
+  batch.ttf.ttf2_ns = static_cast<double>(critical_ops) * CostModel::kTcamOpNs;
+
+  for (const auto& dred : dreds) {
+    for (const auto& prefix : plan.dred_erase) dred->erase(prefix);
+    // fix(): rewrite in place; a sync message must not promote the entry
+    // in LRU order.
+    for (const auto& route : plan.dred_fix) dred->fix(route);
+  }
+  batch.ttf.ttf3_ns =
+      static_cast<double>(plan.dred_erase.size() + plan.dred_fix.size()) *
+      CostModel::kTcamOpNs;
+  return batch;
 }
 
 }  // namespace clue::update

@@ -1,5 +1,13 @@
-// Group-commit primitives shared by every batched update path
+// Group commit: the one update-commit transaction every host runs
 // (CluePipeline, ClueSystem, runtime::LookupRuntime).
+//
+// The paper's update path (§IV, Fig. 6) is one sequence: ONRTC diff
+// (TTF1), order-free TCAM writes (TTF2), DRed sync (TTF3). BatchTxn owns
+// the part of it that does not depend on how a host stores its chips:
+// it journals every message's diff with its prior route (the rollback
+// token), coalesces the ops to the batch's net effect, expands them into
+// per-chip work, admits that work under one exact rule, and on overflow
+// runs one emergency rebalance and then rolls back the batch suffix.
 //
 // A BGP burst delivers many messages back to back; running each one's
 // ONRTC diff is unavoidable (TTF1), but everything downstream — TCAM
@@ -18,14 +26,31 @@
 // transitions: each op either creates, rewrites, or removes one disjoint
 // region, so the net transition (initial state -> final state) is all
 // the data plane ever needs to install.
+//
+// Inserts split at the host's current boundaries; deletes and modifies
+// expand to the chip's *stored* shapes, which after a boundary migration
+// no longer match a fresh split. The exact admission rule, per chip:
+//
+//   projected = occupancy − stored shapes erased + insert pieces
+//            <= capacity
+//
+// The host executes each chip's erases before its writes. The TCAM is
+// order-free (§IV-B), so every transient occupancy stays at or below
+// max(before, after): an admitted plan never meets a full chip mid-write.
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "engine/dred.hpp"
 #include "onrtc/compressed_fib.hpp"
+#include "tcam/updater.hpp"
 #include "update/cost_model.hpp"
+#include "workload/update_gen.hpp"
 
 namespace clue::update {
 
@@ -53,5 +78,86 @@ struct BatchTtfSample {
   std::size_t raw_ops = 0;     ///< diff ops before coalescing
   std::size_t merged_ops = 0;  ///< diff ops actually installed
 };
+
+/// Auto-sized per-chip capacity: a chip's initial `share` of entries plus
+/// `headroom` (a fraction, clamped at 0) of growth room, plus 8192 slack.
+std::size_t auto_capacity(std::size_t share, double headroom);
+
+/// A host's data plane as the commit transaction sees it: range-
+/// partitioned chips (chip i owns the addresses from boundaries[i-1] up
+/// to boundaries[i]; a single-chip host has no boundaries).
+struct CommitHost {
+  const std::vector<netbase::Ipv4Address>& boundaries;
+  std::size_t capacity;  ///< per chip, in entries
+  std::function<std::size_t(std::size_t chip)> occupancy;
+  /// The routes stored on `chip` whose prefix lies within `region`.
+  std::function<std::vector<netbase::Route>(std::size_t chip,
+                                            const netbase::Prefix& region)>
+      stored_within;
+  /// Makes room before admission sheds anything; returns the number of
+  /// migrations run. Empty when the host does not rebalance.
+  std::function<std::size_t()> emergency_rebalance;
+};
+
+/// One chip's share of a commit: erase `erases` first, then write
+/// `writes` (insert pieces and rewritten stored shapes).
+struct ChipWork {
+  std::vector<netbase::Prefix> erases;
+  std::vector<netbase::Route> writes;
+
+  bool empty() const { return erases.empty() && writes.empty(); }
+};
+
+/// The admitted batch's data-plane work.
+struct CommitPlan {
+  std::vector<ChipWork> chips;  ///< indexed by chip
+  /// DRed sync (§IV-C): DReds only ever cache stored shapes, so every
+  /// erased shape is erased and every rewritten one fixed in place.
+  std::vector<netbase::Prefix> dred_erase;
+  std::vector<netbase::Route> dred_fix;
+};
+
+class BatchTxn {
+ public:
+  /// TTF1: runs every message's ONRTC diff against `fib`, in order,
+  /// journaling the ops and prior route of each. `fib` and `messages`
+  /// must outlive the transaction.
+  BatchTxn(onrtc::CompressedFib& fib,
+           std::span<const workload::UpdateMsg> messages);
+
+  /// Coalesces, plans at the host's current boundaries and admits under
+  /// the exact rule. On overflow, one emergency rebalance runs first;
+  /// then messages roll back from the end of the batch, in reverse order
+  /// so each inversion sees the trie state its message saw, until the
+  /// rest fits. Returns the plan of the kept prefix; call once.
+  const CommitPlan& admit(const CommitHost& host);
+
+  /// TTF1 plus the admission and coalescing counts of admit().
+  const BatchTtfSample& sample() const { return sample_; }
+  /// Kept messages with a non-empty diff: the updates the data plane can
+  /// observe.
+  std::size_t effective() const;
+
+ private:
+  onrtc::CompressedFib& fib_;
+  std::span<const workload::UpdateMsg> messages_;
+  std::vector<std::vector<onrtc::FibOp>> per_msg_;
+  std::vector<std::optional<netbase::NextHop>> priors_;
+  BatchTtfSample sample_;
+  CommitPlan plan_;
+};
+
+/// The whole commit on ClueUpdater chips and their DReds — the
+/// serial hosts' data plane (CluePipeline: one chip, no boundaries;
+/// ClueSystem: one chip per range partition). Runs BatchTxn, then each
+/// chip's erases before its writes and one DRed erase/fix sweep. TTF2 is
+/// the critical path (chips update in parallel: most ops on one chip x
+/// 24 ns); TTF3 is one parallel probe per synced shape x 24 ns.
+BatchTtfSample commit_to_updaters(
+    onrtc::CompressedFib& fib, std::span<const workload::UpdateMsg> messages,
+    std::span<const std::unique_ptr<tcam::ClueUpdater>> chips,
+    std::span<const std::unique_ptr<engine::DredStore>> dreds,
+    const std::vector<netbase::Ipv4Address>& boundaries,
+    std::function<std::size_t()> emergency_rebalance = {});
 
 }  // namespace clue::update

@@ -165,6 +165,72 @@ TEST(RebalancePlannerTest, PlanStepHonorsEntryCap) {
   EXPECT_EQ(step->count, 10u);
 }
 
+// plan_migration_run: the run both hosts' migrate() execute.
+
+std::vector<clue::netbase::Route> four_routes() {
+  std::vector<clue::netbase::Route> routes;
+  for (const char* text : {"10.0.0.0/8", "20.0.0.0/8", "30.0.0.0/8",
+                           "40.0.0.0/8"}) {
+    routes.push_back({*Prefix::parse(text), make_next_hop(1)});
+  }
+  return routes;
+}
+
+TEST(RebalancePlannerTest, MigrationRunRightwardTakesTopRoutes) {
+  const auto routes = four_routes();
+  const auto run = clue::runtime::plan_migration_run(
+      MigrationStep{.donor = 1, .receiver = 2, .count = 2}, routes, 100);
+  EXPECT_EQ(run.first, 2u);
+  EXPECT_EQ(run.count, 2u);
+  EXPECT_EQ(run.boundary, 1u);  // between donor 1 and receiver 2
+  // The receiver's range now begins at the first route to cross.
+  EXPECT_EQ(run.new_boundary, routes[2].prefix.range_low());
+}
+
+TEST(RebalancePlannerTest, MigrationRunLeftwardTakesBottomRoutes) {
+  const auto routes = four_routes();
+  const auto run = clue::runtime::plan_migration_run(
+      MigrationStep{.donor = 2, .receiver = 1, .count = 2}, routes, 100);
+  EXPECT_EQ(run.first, 0u);
+  EXPECT_EQ(run.count, 2u);
+  EXPECT_EQ(run.boundary, 1u);
+  // The donor's range now begins at the first route that stays.
+  EXPECT_EQ(run.new_boundary, routes[2].prefix.range_low());
+}
+
+TEST(RebalancePlannerTest, MigrationRunLeftwardDonorKeepsOneRoute) {
+  const auto routes = four_routes();
+  const auto run = clue::runtime::plan_migration_run(
+      MigrationStep{.donor = 1, .receiver = 0, .count = 10}, routes, 100);
+  EXPECT_EQ(run.first, 0u);
+  EXPECT_EQ(run.count, 3u);
+  EXPECT_EQ(run.new_boundary, routes[3].prefix.range_low());
+  // A rightward donor may give everything it holds.
+  const auto all = clue::runtime::plan_migration_run(
+      MigrationStep{.donor = 0, .receiver = 1, .count = 10}, routes, 100);
+  EXPECT_EQ(all.first, 0u);
+  EXPECT_EQ(all.count, 4u);
+  EXPECT_EQ(all.new_boundary, routes[0].prefix.range_low());
+}
+
+TEST(RebalancePlannerTest, MigrationRunClampsToReceiverFreeCapacity) {
+  const auto routes = four_routes();
+  const auto run = clue::runtime::plan_migration_run(
+      MigrationStep{.donor = 0, .receiver = 1, .count = 3}, routes, 1);
+  EXPECT_EQ(run.first, 3u);
+  EXPECT_EQ(run.count, 1u);
+  EXPECT_EQ(run.new_boundary, routes[3].prefix.range_low());
+  EXPECT_EQ(clue::runtime::plan_migration_run(
+                MigrationStep{.donor = 0, .receiver = 1, .count = 3},
+                routes, 0)
+                .count,
+            0u);
+  EXPECT_EQ(clue::runtime::plan_migration_run(
+                MigrationStep{.donor = 1, .receiver = 0, .count = 3}, {}, 9)
+                .count,
+            0u);
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent runtime: migrations keep lookups exact, shed skew, and
 // preserve the DRed exclusion invariant.
