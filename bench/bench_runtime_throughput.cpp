@@ -52,9 +52,8 @@ struct RunResult {
 RunResult run_once(const clue::trie::BinaryTrie& fib,
                    const RuntimeConfig& config, std::size_t lookups,
                    std::size_t updates_in_flight,
-                   clue::obs::MetricsRegistry* registry,
-                   const std::string& run_tag,
-                   bool record_latency = true) {
+                   clue::obs::MetricsRegistry& registry,
+                   const std::string& run_tag) {
   LookupRuntime runtime(fib, config);
 
   // Optional concurrent churn from a control thread.
@@ -84,13 +83,8 @@ RunResult run_once(const clue::trie::BinaryTrie& fib,
     batch.clear();
     const std::size_t n = std::min(kBatch, lookups - done);
     for (std::size_t i = 0; i < n; ++i) batch.emplace_back(rng.next());
-    // Latency sampling costs a clock read per sub-batch; the pure
-    // throughput A/B runs pass record_latency=false so neither side
-    // pays it.
-    runtime.lookup_batch(batch, record_latency ? &latency_ns : nullptr);
-    if (record_latency) {
-      for (const double ns : latency_ns) latency.add(ns / 1000.0);
-    }
+    runtime.lookup_batch(batch, &latency_ns);
+    for (const double ns : latency_ns) latency.add(ns / 1000.0);
     done += n;
   }
   const auto elapsed = std::chrono::duration<double>(
@@ -104,35 +98,31 @@ RunResult run_once(const clue::trie::BinaryTrie& fib,
   RunResult result;
   result.mlookups_per_s =
       static_cast<double>(done) / elapsed / 1e6;
-  if (record_latency) {
-    result.p50_us = latency.quantile(0.50);
-    result.p99_us = latency.quantile(0.99);
-    result.p999_us = latency.quantile(0.999);
-  }
+  result.p50_us = latency.quantile(0.50);
+  result.p99_us = latency.quantile(0.99);
+  result.p999_us = latency.quantile(0.999);
   result.dred_hit_rate = metrics.dred_hit_rate();
   result.diverted = metrics.diverted;
 
-  if (registry) {
-    registry->set_gauge(run_tag + ".mlookups_per_s", result.mlookups_per_s);
-    registry->set_counter(run_tag + ".diverted", metrics.diverted);
-    registry->set_counter(run_tag + ".backpressure_waits",
-                          metrics.backpressure_waits);
-    registry->set_counter(run_tag + ".client_stalls", metrics.client_stalls);
-    registry->set_counter(run_tag + ".updates_applied",
-                          metrics.updates_applied);
-    registry->set_gauge(run_tag + ".dred_hit_rate", result.dred_hit_rate);
-    // Per-worker service-time histograms + client latency histogram.
-    for (std::size_t w = 0; w < runtime.worker_count(); ++w) {
-      registry->add_histogram(
-          run_tag + ".worker" + std::to_string(w) + ".service_ns",
-          runtime.worker_service_histogram(w));
-    }
-    registry->add_histogram(run_tag + ".client.latency_ns",
-                            runtime.client_latency_histogram());
-    // TTF stage traces from the churn thread's updates (empty when the
-    // run had no churn).
-    registry->add_ttf_trace(run_tag + ".ttf", runtime.ttf_trace());
+  registry.set_gauge(run_tag + ".mlookups_per_s", result.mlookups_per_s);
+  registry.set_counter(run_tag + ".diverted", metrics.diverted);
+  registry.set_counter(run_tag + ".backpressure_waits",
+                       metrics.backpressure_waits);
+  registry.set_counter(run_tag + ".client_stalls", metrics.client_stalls);
+  registry.set_counter(run_tag + ".updates_applied",
+                       metrics.updates_applied);
+  registry.set_gauge(run_tag + ".dred_hit_rate", result.dred_hit_rate);
+  // Per-worker service-time histograms + client latency histogram.
+  for (std::size_t w = 0; w < runtime.worker_count(); ++w) {
+    registry.add_histogram(
+        run_tag + ".worker" + std::to_string(w) + ".service_ns",
+        runtime.worker_service_histogram(w));
   }
+  registry.add_histogram(run_tag + ".client.latency_ns",
+                         runtime.client_latency_histogram());
+  // TTF stage traces from the churn thread's updates (empty when the
+  // run had no churn).
+  registry.add_ttf_trace(run_tag + ".ttf", runtime.ttf_trace());
   return result;
 }
 
@@ -245,7 +235,7 @@ int main() {
       RuntimeConfig config;
       config.worker_count = workers;
       const auto r = run_once(fib, config, kLookups, churn ? 1 : 0,
-                              &registry, tag);
+                              registry, tag);
       if (workers == 1 && !churn) base = r.mlookups_per_s;
       const double scaling = base > 0.0 ? r.mlookups_per_s / base : 0.0;
       out.add_row({std::to_string(workers), churn ? "yes" : "no",
@@ -270,17 +260,13 @@ int main() {
       {"workers", "churn", "mlookups_per_s", "p50_us", "p99_us", "p999_us"},
       csv_rows);
 
-  // Flat-path A/B, the tentpole claim. Two measurements over the same
-  // matched-traffic pool (addresses inside routed ranges — the packets
-  // a router actually resolves), best of N per side so scheduler noise
-  // can only understate the win:
-  //
-  //   single-chip: one chip's resolution loop in isolation — the flat
-  //     direct-index image vs the trie walk, transport-free. This is
-  //     the structure the paper's non-overlap property pays for.
-  //   end-to-end: the full threaded runtime (client thread, SPSC rings,
-  //     reorder) with config.flat_lookup toggled; on few-core hosts the
-  //     transport dominates, so this ratio is a floor, not the claim.
+  // Flat-path A/B over a matched-traffic pool (addresses inside routed
+  // ranges — the packets a router actually resolves), best of N per side
+  // so scheduler noise can only understate the win: one chip's
+  // resolution loop in isolation — the flat direct-index image vs the
+  // trie walk, transport-free. This is the structure the paper's
+  // non-overlap property pays for. (The runtime itself serves only from
+  // flat images; its end-to-end rate is the table above.)
   constexpr int kAbReps = 3;
   const clue::onrtc::CompressedFib compressed(fib);
   const auto& chip_table = compressed.compressed();
@@ -300,29 +286,12 @@ int main() {
   }
   const double chip_speedup = chip_trie > 0.0 ? chip_flat / chip_trie : 0.0;
 
-  double rt_flat = 0.0;
-  double rt_trie = 0.0;
-  for (const bool flat : {true, false}) {
-    for (int rep = 0; rep < kAbReps; ++rep) {
-      RuntimeConfig config;
-      config.worker_count = 1;
-      config.flat_lookup = flat;
-      const auto r = run_once(fib, config, kLookups, 0, nullptr, "",
-                              /*record_latency=*/false);
-      double& best = flat ? rt_flat : rt_trie;
-      if (r.mlookups_per_s > best) best = r.mlookups_per_s;
-    }
-  }
-  const double rt_speedup = rt_trie > 0.0 ? rt_flat / rt_trie : 0.0;
 
   clue::stats::TablePrinter ab_out(
       {"Scope", "Path", "Mlookups/s", "Speedup"});
   ab_out.add_row({"single-chip", "trie", fixed(chip_trie, 3), "1.00x"});
   ab_out.add_row({"single-chip", "flat", fixed(chip_flat, 3),
                   fixed(chip_speedup, 2) + "x"});
-  ab_out.add_row({"end-to-end", "trie", fixed(rt_trie, 3), "1.00x"});
-  ab_out.add_row({"end-to-end", "flat", fixed(rt_flat, 3),
-                  fixed(rt_speedup, 2) + "x"});
   ab_out.print(std::cout);
   std::cout << "\nFlat image: " << flat_image.memory_bytes() / 1024 / 1024
             << " MiB across " << flat_image.chunk_count() << " chunks, "
@@ -331,17 +300,12 @@ int main() {
   registry.set_gauge("flat_ab.trie_mlookups_per_s", chip_trie);
   registry.set_gauge("flat_ab.flat_mlookups_per_s", chip_flat);
   registry.set_gauge("flat_ab.speedup", chip_speedup);
-  registry.set_gauge("flat_ab.runtime_trie_mlookups_per_s", rt_trie);
-  registry.set_gauge("flat_ab.runtime_flat_mlookups_per_s", rt_flat);
-  registry.set_gauge("flat_ab.runtime_speedup", rt_speedup);
   registry.set_gauge("flat_ab.flat_bytes",
                      static_cast<double>(flat_image.memory_bytes()));
   registry.add_table(
       "flat_ab", {"scope", "path", "mlookups_per_s", "speedup"},
       {{"single-chip", "trie", fixed(chip_trie, 4), "1.0"},
-       {"single-chip", "flat", fixed(chip_flat, 4), fixed(chip_speedup, 4)},
-       {"end-to-end", "trie", fixed(rt_trie, 4), "1.0"},
-       {"end-to-end", "flat", fixed(rt_flat, 4), fixed(rt_speedup, 4)}});
+       {"single-chip", "flat", fixed(chip_flat, 4), fixed(chip_speedup, 4)}});
 
   clue::bench::export_run("runtime_throughput", registry);
   // Machine-readable perf trajectory: the same registry under the

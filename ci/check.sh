@@ -89,7 +89,7 @@ assert any(".service_ns" in k for k in doc["histograms"]), "no worker histograms
 assert "ttf_traces" in doc, "no TTF trace section"
 gauges = doc["gauges"]
 for key in ("flat_ab.speedup", "flat_ab.flat_mlookups_per_s",
-            "flat_ab.trie_mlookups_per_s", "flat_ab.runtime_speedup"):
+            "flat_ab.trie_mlookups_per_s"):
     assert key in gauges, f"missing {key} gauge"
 assert gauges["flat_ab.speedup"] > 0, "flat A/B did not run"
 EOF

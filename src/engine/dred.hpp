@@ -79,6 +79,10 @@ class DredStore {
   /// Cached prefixes (LRU order, most recent first) — RRC-ME's
   /// invalidation scan needs the full contents.
   std::vector<Prefix> contents() const;
+  /// Cached routes with their hops, same order as contents().
+  std::vector<Route> routes() const {
+    return {entries_.begin(), entries_.end()};
+  }
 
   /// Cached prefixes whose range intersects `prefix` (ancestors and
   /// descendants). What a TCAM-style invalidation probe would flag.

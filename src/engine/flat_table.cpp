@@ -40,8 +40,10 @@ FlatLookupTable::FlatLookupTable(const trie::BinaryTrie& table,
     throw std::invalid_argument(
         "FlatLookupTable: route set must be non-overlapping");
   }
-  Builder b{std::vector<bool>(chunks_.size(), false)};
+  Builder b{std::vector<bool>(chunks_.size(), false),
+            std::make_shared<HopDict>()};
   repaint(table, Prefix{}, b);  // /0 = paint the whole space
+  finish(b);
 }
 
 FlatLookupTable::FlatLookupTable(const FlatLookupTable& prev,
@@ -56,18 +58,36 @@ FlatLookupTable::FlatLookupTable(const FlatLookupTable& prev,
       chunk_entries_(prev.chunk_entries_),
       chunks_(prev.chunks_),
       l2_(prev.l2_),
-      l2_free_(prev.l2_free_) {
-  Builder b{std::vector<bool>(chunks_.size(), false)};
+      l2_free_(prev.l2_free_),
+      dict_(prev.dict_) {
+  Builder b{std::vector<bool>(chunks_.size(), false), nullptr};
   for (const Prefix& prefix : dirty) repaint(table, prefix, b);
+  finish(b);
 }
 
-std::uint32_t FlatLookupTable::encode_hop(NextHop hop) {
-  const std::uint32_t value = netbase::to_index(hop);
-  if (value & kL2Flag) {
-    throw std::invalid_argument(
-        "FlatLookupTable: next hop does not fit in 31 bits");
+std::uint32_t FlatLookupTable::encode(const Route& route, Builder& b) {
+  const std::uint32_t hop = netbase::to_index(route.next_hop);
+  const HopDict& current = b.dict ? *b.dict : *dict_;
+  std::uint32_t id = 0;
+  if (const auto it = current.ids.find(hop); it != current.ids.end()) {
+    id = it->second;
+  } else {
+    // First sight of this hop: append to a private copy of the shared
+    // dictionary (earlier snapshots keep reading theirs unchanged).
+    if (!b.dict) b.dict = std::make_shared<HopDict>(*dict_);
+    if (b.dict->hops.size() > kIdMask) {
+      throw std::length_error("FlatLookupTable: next-hop id overflow");
+    }
+    id = static_cast<std::uint32_t>(b.dict->hops.size());
+    b.dict->hops.push_back(route.next_hop);
+    b.dict->ids.emplace(hop, id);
   }
-  return value;
+  return (route.prefix.length() << kLenShift) | id;
+}
+
+void FlatLookupTable::finish(Builder& b) {
+  if (b.dict) dict_ = std::move(b.dict);
+  hops_ = dict_->hops.data();
 }
 
 std::uint32_t* FlatLookupTable::writable_chunk(std::size_t slot_chunk,
@@ -150,12 +170,12 @@ void FlatLookupTable::fill_direct(std::uint32_t lo, std::uint32_t hi,
   }
 }
 
-void FlatLookupTable::paint(const netbase::Route& route, Builder& b) {
-  const std::uint32_t hop = encode_hop(route.next_hop);
+void FlatLookupTable::paint(const Route& route, Builder& b) {
+  const std::uint32_t value = encode(route, b);
   const std::uint32_t lo = route.prefix.range_low().value();
   const std::uint32_t hi = route.prefix.range_high().value();
   if (route.prefix.length() <= stride_) {
-    fill_direct(lo >> l2_bits_, hi >> l2_bits_, hop, b);
+    fill_direct(lo >> l2_bits_, hi >> l2_bits_, value, b);
     return;
   }
   // Longer than the stride: the route lives inside one level-1 slot.
@@ -173,7 +193,7 @@ void FlatLookupTable::paint(const netbase::Route& route, Builder& b) {
     if (entry != 0) std::fill(block, block + l2_entries_, entry);
     entry = kL2Flag | alloc_l2(std::move(fresh));
   }
-  std::fill(block + (lo & l2_mask_), block + (hi & l2_mask_) + 1, hop);
+  std::fill(block + (lo & l2_mask_), block + (hi & l2_mask_) + 1, value);
 }
 
 void FlatLookupTable::recompute_slot(const trie::BinaryTrie& table,
@@ -183,7 +203,7 @@ void FlatLookupTable::recompute_slot(const trie::BinaryTrie& table,
   // address covers the whole block (non-overlap: nothing else can).
   const auto cover = table.lookup_route(block_prefix.range_low());
   if (cover && cover->prefix.length() <= stride_) {
-    fill_direct(slot, slot, encode_hop(cover->next_hop), b);
+    fill_direct(slot, slot, encode(*cover, b), b);
     return;
   }
   const auto inside = table.routes_within(block_prefix);
@@ -194,13 +214,15 @@ void FlatLookupTable::recompute_slot(const trie::BinaryTrie& table,
   ChunkPtr fresh = make_block(l2_entries_);
   std::uint32_t* block = fresh.get();
   for (const auto& route : inside) {
-    const std::uint32_t hop = encode_hop(route.next_hop);
+    const std::uint32_t value = encode(route, b);
     const std::uint32_t lo = route.prefix.range_low().value() & l2_mask_;
     const std::uint32_t hi = route.prefix.range_high().value() & l2_mask_;
-    std::fill(block + lo, block + hi + 1, hop);
+    std::fill(block + lo, block + hi + 1, value);
   }
   // Uniform blocks (e.g. after deletes merged the survivors) collapse
   // back to a direct entry — keeps level-2 memory from ratcheting up.
+  // Shape survives the collapse: a uniform block is tiled by same-length
+  // same-hop routes, so Prefix(address, length) still names each one.
   const bool uniform =
       std::all_of(block, block + l2_entries_,
                   [&](std::uint32_t v) { return v == block[0]; });
@@ -226,7 +248,7 @@ void FlatLookupTable::repaint(const trie::BinaryTrie& table,
   // (non-overlap again): paint it directly and stop.
   const auto cover = table.lookup_route(dirty.range_low());
   if (cover && cover->prefix.length() <= dirty.length()) {
-    fill_direct(lo, hi, encode_hop(cover->next_hop), b);
+    fill_direct(lo, hi, encode(*cover, b), b);
     return;
   }
   fill_direct(lo, hi, 0, b);
@@ -239,6 +261,10 @@ std::size_t FlatLookupTable::memory_bytes() const {
                       l2_free_.capacity() * sizeof(std::uint32_t);
   bytes += chunk_count() * chunk_entries_ * sizeof(std::uint32_t);
   bytes += l2_block_count() * l2_entries_ * sizeof(std::uint32_t);
+  // The dictionary: hop array plus a node and a bucket per interned hop.
+  bytes += dict_->hops.capacity() * sizeof(NextHop) +
+           dict_->ids.bucket_count() * sizeof(void*) +
+           dict_->ids.size() * 4 * sizeof(void*);
   return bytes;
 }
 

@@ -9,20 +9,29 @@
 //
 //   level 1  one 32-bit entry per 2^(32-stride) addresses (stride 24 by
 //            default, the classic Gupta/Lin/McKeown layout). An entry is
-//            either a next hop directly (prefixes no longer than the
+//            either a route entry directly (prefixes no longer than the
 //            stride) or, top bit set, the id of a level-2 block.
-//   level 2  one 32-bit next hop per address suffix, only for level-1
-//            slots that contain prefixes longer than the stride.
+//   level 2  one 32-bit route entry per address suffix, only for
+//            level-1 slots that contain prefixes longer than the stride.
+//
+// A route entry carries the stored route's *shape*, not just its hop:
+// the prefix length (6 bits) and an interned next-hop id (25 bits) into
+// a small per-table hop dictionary (a FIB has tens of distinct next
+// hops, so a FIB is a label array over a tiny alphabet). Non-overlap
+// makes Prefix(address, length) the exact stored prefix, so the image
+// answers lookup_route() on its own — the runtime publishes chip
+// versions with no trie at all. Entry 0 (id 0) is "no route".
 //
 // Snapshots are immutable — the runtime publishes one per chip-table
-// version behind the same epoch-swapped pointer as the trie — but a
-// full repaint per BGP update would move megabytes per publish. Instead
-// the level-1 array is split into fixed chunks held by shared_ptr:
-// rebuilding for an update copies the chunk pointer vector (structural
-// sharing) and copy-on-writes only the chunks under the update's dirty
-// prefixes, so rebuild cost tracks the size of the diff, not of the
-// address space. A null chunk means "all no-route", which also keeps
-// empty address space free.
+// version behind an epoch-swapped pointer — but a full repaint per BGP
+// update would move megabytes per publish. Instead the level-1 array is
+// split into fixed chunks held by shared_ptr: rebuilding for an update
+// copies the chunk pointer vector (structural sharing) and copy-on-
+// writes only the chunks under the update's dirty prefixes, so rebuild
+// cost tracks the size of the diff, not of the address space. A null
+// chunk means "all no-route", which also keeps empty address space free.
+// The hop dictionary is append-only and shared the same way: a rebuild
+// that meets a new next hop copies it once and appends.
 //
 // Thread-safety: const after construction; safe to read from any number
 // of threads once publication of the owning pointer synchronises with
@@ -31,7 +40,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "netbase/prefix.hpp"
@@ -55,10 +66,12 @@ class FlatLookupTable {
   using Ipv4Address = netbase::Ipv4Address;
   using NextHop = netbase::NextHop;
   using Prefix = netbase::Prefix;
+  using Route = netbase::Route;
 
   /// Full build from a non-overlapping table. Throws
-  /// std::invalid_argument on a bad config, an overlapping route set, or
-  /// a next hop the entry encoding cannot hold (see hop_encodable).
+  /// std::invalid_argument on a bad config or an overlapping route set.
+  /// Every next hop value is encodable; only a table with more than
+  /// 2^25 - 1 distinct next hops throws (std::length_error).
   explicit FlatLookupTable(const trie::BinaryTrie& table,
                            const FlatTableConfig& config = {});
 
@@ -73,14 +86,19 @@ class FlatLookupTable {
   FlatLookupTable(const FlatLookupTable&) = delete;
   FlatLookupTable& operator=(const FlatLookupTable&) = delete;
 
-  /// The 1-2 load hot path. kNoRoute when no prefix covers `address`.
+  /// The hot path: 1-2 image loads plus one hop-dictionary load.
+  /// kNoRoute when no prefix covers `address`.
   NextHop lookup(Ipv4Address address) const {
-    const std::uint32_t slot = address.value() >> l2_bits_;
-    const std::uint32_t* chunk = chunks_[slot >> chunk_bits_].get();
-    if (!chunk) return netbase::kNoRoute;
-    const std::uint32_t entry = chunk[slot & chunk_mask_];
-    if (!(entry & kL2Flag)) return NextHop{entry};
-    return NextHop{l2_[entry & ~kL2Flag].get()[address.value() & l2_mask_]};
+    return hops_[entry(address) & kIdMask];
+  }
+
+  /// The stored route covering `address`, in its exact stored shape
+  /// (prefix, length and hop), or nullopt. Non-overlap makes the covering
+  /// route unique, so this equals the source trie's lookup_route().
+  std::optional<Route> lookup_route(Ipv4Address address) const {
+    const std::uint32_t e = entry(address);
+    if (e == 0) return std::nullopt;
+    return Route{Prefix(address, e >> kLenShift), hops_[e & kIdMask]};
   }
 
   /// Requests the level-1 entry's cache line ahead of lookup(); the
@@ -92,12 +110,6 @@ class FlatLookupTable {
     if (chunk) __builtin_prefetch(&chunk[slot & chunk_mask_], 0, 1);
   }
 
-  /// Entries hold next hops in 31 bits; the top bit flags a level-2
-  /// block id. Hops with the top bit set cannot be stored.
-  static bool hop_encodable(NextHop hop) {
-    return (netbase::to_index(hop) & kL2Flag) == 0;
-  }
-
   unsigned stride() const { return stride_; }
   /// Heap bytes held by this snapshot (chunks it references, shared or
   /// not, plus level-2 blocks and the pointer vectors).
@@ -107,15 +119,37 @@ class FlatLookupTable {
   std::size_t l2_block_count() const;
 
  private:
+  // Entry layout: L2 flag | 6-bit prefix length | 25-bit hop id; with
+  // the flag set, the low 31 bits are a level-2 block id instead.
   static constexpr std::uint32_t kL2Flag = 0x8000'0000u;
+  static constexpr unsigned kLenShift = 25;
+  static constexpr std::uint32_t kIdMask = (1u << kLenShift) - 1;
 
   using ChunkPtr = std::shared_ptr<std::uint32_t[]>;
 
+  /// Interned next hops: hops[id] for id >= 1, hops[0] = kNoRoute.
+  struct HopDict {
+    std::vector<NextHop> hops{netbase::kNoRoute};
+    std::unordered_map<std::uint32_t, std::uint32_t> ids;  ///< hop -> id
+  };
+
   /// Rebuild-time state: which chunks this rebuild already owns (may
-  /// mutate) vs. still shares with the previous snapshot.
+  /// mutate) vs. still shares with the previous snapshot, and the
+  /// dictionary copy it appends to once it meets a new hop.
   struct Builder {
     std::vector<bool> owned;
+    std::shared_ptr<HopDict> dict;
   };
+
+  /// The route entry (or 0) covering `address`, level 2 resolved.
+  std::uint32_t entry(Ipv4Address address) const {
+    const std::uint32_t slot = address.value() >> l2_bits_;
+    const std::uint32_t* chunk = chunks_[slot >> chunk_bits_].get();
+    if (!chunk) return 0;
+    const std::uint32_t e = chunk[slot & chunk_mask_];
+    if (!(e & kL2Flag)) return e;
+    return l2_[e & ~kL2Flag].get()[address.value() & l2_mask_];
+  }
 
   void validate_config(const FlatTableConfig& config);
   /// Chunk writable by this rebuild; allocates (zero or copy) on first
@@ -134,10 +168,13 @@ class FlatLookupTable {
   void fill_direct(std::uint32_t lo, std::uint32_t hi, std::uint32_t entry,
                    Builder& b);
   /// Paints one route (already validated) over its slots.
-  void paint(const netbase::Route& route, Builder& b);
+  void paint(const Route& route, Builder& b);
   void release_l2(std::uint32_t entry);
   std::uint32_t alloc_l2(ChunkPtr block);
-  static std::uint32_t encode_hop(NextHop hop);
+  /// The route entry for `route`, interning its hop on first sight.
+  std::uint32_t encode(const Route& route, Builder& b);
+  /// Publishes the builder's dictionary (if it grew) to this snapshot.
+  void finish(Builder& b);
 
   unsigned stride_ = 0;
   unsigned l2_bits_ = 0;       // 32 - stride
@@ -153,6 +190,9 @@ class FlatLookupTable {
   /// Level-2 blocks by id; freed slots are null and listed in l2_free_.
   std::vector<ChunkPtr> l2_;
   std::vector<std::uint32_t> l2_free_;
+  /// Shared with COW predecessors/successors until one of them grows it.
+  std::shared_ptr<const HopDict> dict_;
+  const NextHop* hops_ = nullptr;  ///< dict_->hops.data(), for lookup()
 };
 
 }  // namespace clue::engine

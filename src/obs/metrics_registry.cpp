@@ -90,8 +90,13 @@ void json_ttf_entry(std::ostream& os, const TtfTraceEntry& e) {
   os << ",\"rebalance_ns\":";
   json_number(os, e.rebalance_ns);
   os << ",\"rebalance_steps\":" << e.rebalance_steps
-     << ",\"entries_migrated\":" << e.entries_migrated << ",\"flat_ns\":";
+     << ",\"entries_migrated\":" << e.entries_migrated
+     << ",\"mutate_ns\":";
+  json_number(os, e.mutate_ns);
+  os << ",\"flat_ns\":";
   json_number(os, e.flat_ns);
+  os << ",\"grace_ns\":";
+  json_number(os, e.grace_ns);
   os << ",\"batch_size\":" << e.batch_size << ",\"ops_raw\":" << e.ops_raw
      << ",\"ops_merged\":" << e.ops_merged << '}';
 }

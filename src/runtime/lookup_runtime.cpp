@@ -15,9 +15,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+double ns_between(Clock::time_point start, Clock::time_point end) {
+  return std::chrono::duration<double, std::nano>(end - start).count();
+}
+
 double elapsed_ns(Clock::time_point start) {
-  return std::chrono::duration<double, std::nano>(Clock::now() - start)
-      .count();
+  return ns_between(start, Clock::now());
 }
 
 // Batch sizes for the ring drains: large enough to amortise the cursor
@@ -89,6 +92,7 @@ LookupRuntime::LookupRuntime(const trie::BinaryTrie& fib,
   }
 
   control_pushed_.assign(config.worker_count, 0);
+  chip_tries_.resize(config.worker_count);
   workers_.reserve(config.worker_count);
   for (std::size_t i = 0; i < config.worker_count; ++i) {
     auto worker = std::make_unique<Worker>();
@@ -107,16 +111,17 @@ LookupRuntime::LookupRuntime(const trie::BinaryTrie& fib,
       worker->dred =
           std::make_unique<engine::DredStore>(config.dred_capacity);
     }
-    auto* initial = new ChipTable{};
+    trie::BinaryTrie& chip = chip_tries_[i];
     for (const auto& route : partitions.buckets[i].routes) {
-      initial->table.insert(route.prefix, route.next_hop);
+      chip.insert(route.prefix, route.next_hop);
     }
-    attach_flat(*initial, nullptr, {});
-    worker->flat_bytes.store(
-        initial->flat ? initial->flat->memory_bytes() : 0,
-        std::memory_order_relaxed);
-    worker->occupancy.store(initial->table.size(),
-                            std::memory_order_relaxed);
+    const auto t0 = Clock::now();
+    auto* initial =
+        new ChipTable{0, engine::FlatLookupTable(chip, config.flat_table)};
+    flat_rebuild_hist_.record(elapsed_ns(t0));
+    worker->flat_bytes.store(initial->flat.memory_bytes(),
+                             std::memory_order_relaxed);
+    worker->occupancy.store(chip.size(), std::memory_order_relaxed);
     worker->active.store(initial, std::memory_order_seq_cst);
     workers_.push_back(std::move(worker));
   }
@@ -222,13 +227,11 @@ void LookupRuntime::process_batch(std::size_t w, const Job* jobs,
   // stretches a grace period meaningfully.
   EpochDomain::Guard guard(epoch_, w);
   const ChipTable* table = me.active.load(std::memory_order_seq_cst);
-  if (const auto* flat = table->flat.get()) {
-    // Request every job's level-1 line before resolving any: the flat
-    // array is tens of MB and cache-cold per batch, so the loads overlap
-    // instead of serialising one miss per job.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!jobs[i].dred_only) flat->prefetch(jobs[i].address);
-    }
+  // Request every job's level-1 line before resolving any: the flat
+  // array is tens of MB and cache-cold per batch, so the loads overlap
+  // instead of serialising one miss per job.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!jobs[i].dred_only) table->flat.prefetch(jobs[i].address);
   }
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(resolve_timed(w, jobs[i], *table));
@@ -277,31 +280,16 @@ LookupRuntime::Completion LookupRuntime::resolve_job(std::size_t w,
     return Completion{job.index, netbase::kNoRoute, true, job.gen};
   }
   me.counters.add(WorkerCounter::kHomeLookups);
-  NextHop hop = netbase::kNoRoute;
-  std::optional<Route> harvest;
-  if (table.flat) {
-    // The flat image answers with the hop alone; a DRed fill needs the
-    // stored route shape, so one in every fill_sample_every hits pays
-    // one trie walk to harvest it. The trie path samples identically —
-    // flat on/off A/B then compares lookup cost, not fill policy.
-    me.counters.add(WorkerCounter::kFlatLookups);
-    hop = table.flat->lookup(job.address);
-    if (hop != netbase::kNoRoute && dred_enabled_ && fill_sample_enabled_ &&
-        (me.hits_seen++ & fill_mask_) == 0) {
-      harvest = table.table.lookup_route(job.address);
-    }
-  } else {
-    me.counters.add(WorkerCounter::kTrieLookups);
-    const auto matched = table.table.lookup_route(job.address);
-    if (matched) {
-      hop = matched->next_hop;
-      if (dred_enabled_ && fill_sample_enabled_ &&
-          (me.hits_seen++ & fill_mask_) == 0) {
-        harvest = matched;
-      }
+  const NextHop hop = table.flat.lookup(job.address);
+  // One in every fill_sample_every hits offers the stored route to the
+  // peer DReds; the flat image carries its exact shape, so the sampled
+  // hit costs one more cached image read.
+  if (hop != netbase::kNoRoute && dred_enabled_ && fill_sample_enabled_ &&
+      (me.hits_seen++ & fill_mask_) == 0) {
+    if (const auto matched = table.flat.lookup_route(job.address)) {
+      send_fills(w, *matched, table.version);
     }
   }
-  if (harvest) send_fills(w, *harvest, table.version);
   return Completion{job.index, hop, false, job.gen};
 }
 
@@ -589,49 +577,38 @@ NextHop LookupRuntime::lookup(Ipv4Address address) {
 
 // ---------------------------------------------------------------- control
 
-double LookupRuntime::publish_work(std::size_t chip,
-                                   const update::ChipWork& work) {
+void LookupRuntime::publish_work(std::size_t chip,
+                                 const update::ChipWork& work,
+                                 obs::TtfTraceEntry* trace) {
   Worker& worker = *workers_[chip];
-  // The control thread is the only writer of the active versions.
-  ChipTable* old = worker.active.load(std::memory_order_relaxed);
-  auto* next = new ChipTable{old->table, old->version + 1, nullptr};
+  trie::BinaryTrie& table = chip_tries_[chip];
+  // Workers never read the trie, so the control role edits it in place;
+  // only the flat image is versioned.
+  const auto t0 = Clock::now();
   std::vector<Prefix> dirty = work.erases;
-  for (const auto& prefix : work.erases) next->table.erase(prefix);
+  for (const auto& prefix : work.erases) table.erase(prefix);
   for (const auto& route : work.writes) {
-    next->table.insert(route.prefix, route.next_hop);
+    table.insert(route.prefix, route.next_hop);
     dirty.push_back(route.prefix);
   }
-  const double flat_ns = attach_flat(*next, old, dirty);
+  const auto t1 = Clock::now();
+  // The control thread is the only writer of the active versions.
+  ChipTable* old = worker.active.load(std::memory_order_relaxed);
+  auto* next = new ChipTable{old->version + 1,
+                             engine::FlatLookupTable(old->flat, table, dirty)};
+  const double flat_ns = elapsed_ns(t1);
+  flat_rebuild_hist_.record(flat_ns);
   worker.active.store(next, std::memory_order_seq_cst);
   worker.published_version.store(next->version, std::memory_order_seq_cst);
-  worker.occupancy.store(next->table.size(), std::memory_order_release);
-  worker.flat_bytes.store(next->flat ? next->flat->memory_bytes() : 0,
+  worker.occupancy.store(table.size(), std::memory_order_release);
+  worker.flat_bytes.store(next->flat.memory_bytes(),
                           std::memory_order_relaxed);
   epoch_.retire(old);
   tables_published_.fetch_add(1, std::memory_order_relaxed);
-  return flat_ns;
-}
-
-double LookupRuntime::attach_flat(ChipTable& next, const ChipTable* prev,
-                                  std::span<const Prefix> dirty) {
-  if (!config_.flat_lookup) return 0.0;
-  const auto t0 = Clock::now();
-  try {
-    if (prev && prev->flat) {
-      next.flat = std::make_unique<engine::FlatLookupTable>(
-          *prev->flat, next.table, dirty);
-    } else {
-      next.flat = std::make_unique<engine::FlatLookupTable>(
-          next.table, config_.flat_table);
-    }
-  } catch (const std::exception&) {
-    // A next hop the 31-bit entry encoding cannot hold (or a bad
-    // config): this version answers from the trie instead.
-    next.flat = nullptr;
+  if (trace) {
+    trace->mutate_ns += ns_between(t0, t1);
+    trace->flat_ns += flat_ns;
   }
-  const double ns = elapsed_ns(t0);
-  flat_rebuild_hist_.record(ns);
-  return ns;
 }
 
 void LookupRuntime::publish_indexing() {
@@ -706,9 +683,7 @@ double LookupRuntime::skew() const {
 }
 
 std::size_t LookupRuntime::migrate(const MigrationStep& step) {
-  const std::vector<Route> donor_routes =
-      workers_[step.donor]->active.load(std::memory_order_relaxed)
-          ->table.routes();
+  const std::vector<Route> donor_routes = chip_tries_[step.donor].routes();
   const std::size_t receiver_occupancy =
       workers_[step.receiver]->occupancy.load(std::memory_order_relaxed);
   const MigrationRun run = plan_migration_run(
@@ -914,19 +889,14 @@ update::BatchTtfSample LookupRuntime::apply_batch(
   trace.queue_depth_mean = static_cast<double>(depth_sum) /
                            static_cast<double>(workers_.size());
 
-  // --- TTF2: coalesce, admit, shadow once per chip, publish once. ----
+  // --- TTF2: coalesce, admit, edit + rebuild + publish once per chip. -
   const auto t1 = Clock::now();
-  // The control thread is the only writer of the active versions, so the
-  // planner reads them without a guard; workers only ever read them.
+  // Admission reads the control role's private chip tries.
   const update::CommitPlan& plan = txn.admit(update::CommitHost{
       boundaries_, chip_capacity_,
-      [this](std::size_t chip) {
-        return workers_[chip]->occupancy.load(std::memory_order_relaxed);
-      },
+      [this](std::size_t chip) { return chip_tries_[chip].size(); },
       [this](std::size_t chip, const Prefix& region) {
-        return workers_[chip]
-            ->active.load(std::memory_order_relaxed)
-            ->table.routes_within(region);
+        return chip_tries_[chip].routes_within(region);
       },
       [&] { return planner_.config().enabled ? rebalance_pass(&trace) : 0; }});
   update::BatchTtfSample batch = txn.sample();
@@ -956,15 +926,19 @@ update::BatchTtfSample LookupRuntime::apply_batch(
     const update::ChipWork& work = plan.chips[chip];
     if (work.empty()) continue;
     ++trace.chips_touched;
-    // One trie copy, one flat rebuild and one publish per chip however
+    // One trie edit, one flat rebuild and one publish per chip however
     // many messages touched it.
-    trace.flat_ns += publish_work(chip, work);
+    publish_work(chip, work, &trace);
   }
   // One grace barrier closes the whole batch: after it every worker has
-  // left the retired tables, so the reclaim below frees them all — the
-  // batch holds at most one shadow per chip however many messages it
+  // left the retired versions, so the reclaim below frees them all — the
+  // batch retires at most one version per chip however many messages it
   // carried.
-  if (trace.chips_touched > 0) epoch_.synchronize();
+  if (trace.chips_touched > 0) {
+    const auto tg = Clock::now();
+    epoch_.synchronize();
+    trace.grace_ns = elapsed_ns(tg);
+  }
   batch.ttf.ttf2_ns = elapsed_ns(t1);
 
   // --- TTF3: one batched DRed erase/fix sweep, wait for worker acks. --
@@ -1019,8 +993,6 @@ RuntimeMetrics LookupRuntime::metrics() const {
     const auto& c = worker->counters;
     m.per_worker_jobs.push_back(c.get(WorkerCounter::kJobs));
     m.home_lookups += c.get(WorkerCounter::kHomeLookups);
-    m.flat_lookups += c.get(WorkerCounter::kFlatLookups);
-    m.trie_lookups += c.get(WorkerCounter::kTrieLookups);
     m.flat_bytes += worker->flat_bytes.load(std::memory_order_relaxed);
     m.dred_lookups += c.get(WorkerCounter::kDredLookups);
     m.dred_hits += c.get(WorkerCounter::kDredHits);
@@ -1072,8 +1044,6 @@ void LookupRuntime::export_metrics(obs::MetricsRegistry& registry) const {
   const RuntimeMetrics m = metrics();
   registry.set_counter("runtime.lookups_completed", m.lookups_completed);
   registry.set_counter("runtime.home_lookups", m.home_lookups);
-  registry.set_counter("runtime.flat_lookups", m.flat_lookups);
-  registry.set_counter("runtime.trie_lookups", m.trie_lookups);
   registry.set_gauge("runtime.flat_bytes",
                      static_cast<double>(m.flat_bytes));
   registry.set_counter("runtime.dred_lookups", m.dred_lookups);

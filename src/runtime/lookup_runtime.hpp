@@ -15,11 +15,14 @@
 //                   chip for a DRed-only lookup), drains completion
 //                   rings, re-enqueues DRed misses to the home ring,
 //                   and reorders results back into submission order.
-//   control thread  apply() — runs the ONRTC diff, builds a shadow
-//                   copy of each affected chip's table, publishes it
-//                   with one atomic pointer swap, broadcasts DRed
-//                   erase/fix messages, and waits for the workers to
-//                   ack them (so TTF2/TTF3 are measured end to end).
+//   control thread  apply() — runs the ONRTC diff, edits its private
+//                   trie of each affected chip in place, copy-on-write
+//                   rebuilds that chip's flat image from it, publishes
+//                   the image with one atomic pointer swap, broadcasts
+//                   DRed erase/fix messages, and waits for the workers
+//                   to ack them (so TTF2/TTF3 are measured end to end).
+//                   The per-chip tries never leave the control role:
+//                   they answer admission, migration and occupancy.
 //                   It also owns the boundary rebalancer: per-chip
 //                   occupancy is re-checked after every apply(), and
 //                   when skew or headroom pressure crosses the
@@ -29,10 +32,11 @@
 //                   first, then the boundary swap (epoch-
 //                   synchronized), then a donor fence and shrink — so
 //                   lookups stay correct at every intermediate epoch.
-//   chip workers    pop jobs, look up against the current table
+//   chip workers    pop jobs, look up against the current flat-image
 //                   snapshot under an epoch guard, serve DRed-only
 //                   lookups from their private DRed, exchange DRed
-//                   fills over per-pair SPSC rings.
+//                   fills (route shapes read off the flat image) over
+//                   per-pair SPSC rings. No worker ever reads a trie.
 //
 // Snapshot/epoch invariant: a worker never dereferences a chip table
 // without pinning its epoch slot first, and the control plane never
@@ -51,7 +55,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -105,18 +108,13 @@ struct RuntimeConfig {
   /// disables sampling). The default costs two clock reads per 64
   /// lookups — noise.
   std::size_t latency_sample_every = 64;
-  /// Publish a FlatLookupTable image beside every chip-table version and
-  /// answer home lookups from it (the trie stays authoritative for
-  /// updates, range queries, and as the fallback when a next hop cannot
-  /// be encoded). Off = the pre-flat trie-walk hot path, kept for A/B.
-  bool flat_lookup = true;
-  /// Stride / chunk geometry of the published flat images.
+  /// Stride / chunk geometry of the published flat images (the only
+  /// table representation workers read). A bad geometry makes the
+  /// constructor throw std::invalid_argument.
   engine::FlatTableConfig flat_table;
-  /// The flat path yields a bare next hop, not the stored route shape a
-  /// DRed fill needs, so workers harvest fills by re-walking the trie on
-  /// one in every `fill_sample_every` home hits (power of two; 0
-  /// disables fills). Applied on the trie path too, so flat on/off A/B
-  /// compares lookup cost, not fill policy.
+  /// Workers offer a DRed fill (the stored route shape, read off the
+  /// flat image) on one in every `fill_sample_every` home hits (power of
+  /// two; 0 disables fills) — bounds the fill-ring traffic per lookup.
   std::size_t fill_sample_every = 8;
   /// Async control-plane ingress: > 0 starts an updater thread fed by a
   /// bounded SPSC ring of this depth; submit() enqueues update messages
@@ -140,8 +138,6 @@ struct RuntimeConfig {
 enum class WorkerCounter : std::size_t {
   kJobs,
   kHomeLookups,
-  kFlatLookups,  ///< home lookups answered from the flat image
-  kTrieLookups,  ///< home lookups that walked the trie (flat off/fallback)
   kDredLookups,
   kDredHits,
   kMissReturns,
@@ -165,9 +161,7 @@ enum class ClientCounter : std::size_t {
 /// Aggregated counters; a consistent-enough snapshot (relaxed reads).
 struct RuntimeMetrics {
   std::uint64_t lookups_completed = 0;
-  std::uint64_t home_lookups = 0;
-  std::uint64_t flat_lookups = 0;  ///< home lookups served by the flat image
-  std::uint64_t trie_lookups = 0;  ///< home lookups that walked the trie
+  std::uint64_t home_lookups = 0;  ///< all answered from the flat images
   std::uint64_t flat_bytes = 0;    ///< heap bytes of the active flat images
   std::uint64_t dred_lookups = 0;
   std::uint64_t dred_hits = 0;
@@ -231,9 +225,10 @@ class LookupRuntime {
   NextHop lookup(Ipv4Address address);
 
   /// Control role. Applies one BGP update end to end: ONRTC diff
-  /// (TTF1), shadow-copy + atomic publish of affected chip tables
-  /// (TTF2), DRed erase/fix broadcast + worker ack (TTF3). Returns wall
-  /// -clock nanoseconds per stage; lookups proceed concurrently.
+  /// (TTF1), in-place chip-trie edit + flat-image COW rebuild + atomic
+  /// publish of affected chips (TTF2), DRed erase/fix broadcast + worker
+  /// ack (TTF3). Returns wall-clock nanoseconds per stage; lookups
+  /// proceed concurrently.
   ///
   /// Admission control: an update that would push a chip past
   /// chip_capacity() first triggers an emergency rebalance; if even a
@@ -248,13 +243,13 @@ class LookupRuntime {
   /// table transition per affected chip. All ONRTC diffs run first
   /// (TTF1), the combined diff-op stream is coalesced to its net effect
   /// (insert+delete pairs cancel, modifies last-writer-win), each
-  /// affected chip's shadow is built and published *once* — one flat
-  /// image rebuild and one epoch retire per chip per batch, closed by a
-  /// single grace barrier — and all DRed erase/fix messages go out as
-  /// one batched sweep per worker ring (TTF3).
+  /// affected chip's next version is built and published *once* — one
+  /// trie edit, one flat image rebuild and one epoch retire per chip per
+  /// batch, closed by a single grace barrier — and all DRed erase/fix
+  /// messages go out as one batched sweep per worker ring (TTF3).
   ///
   /// Admission (update::BatchTxn, shared with the serial hosts) is exact
-  /// and decided before any shadow is built: per chip, occupancy minus
+  /// and decided before any chip is touched: per chip, occupancy minus
   /// the stored shapes erased plus the insert pieces added. On overflow
   /// one emergency rebalance runs, then messages roll back from the *end*
   /// of the batch until the remainder fits. Never throws: the rejected
@@ -325,6 +320,12 @@ class LookupRuntime {
   /// Control-role state: rebalancing rewrites it, so read only from the
   /// control thread or while updates are quiescent.
   const std::vector<Ipv4Address>& boundaries() const { return boundaries_; }
+  /// The routes chip `chip` stores, in address order. Control-role
+  /// state: read only from the control thread or while updates are
+  /// quiescent.
+  std::vector<Route> chip_routes(std::size_t chip) const {
+    return chip_tries_[chip].routes();
+  }
   std::size_t worker_count() const { return workers_.size(); }
   const RuntimeConfig& config() const { return config_; }
 
@@ -386,14 +387,13 @@ class LookupRuntime {
     std::uint32_t home = 0;
   };
 
-  /// One immutable published FIB version for one chip. `flat` is the
-  /// direct-index image workers answer from when present; null means
-  /// this version falls back to the trie (flat path disabled, or a next
-  /// hop the flat encoding cannot hold).
+  /// One immutable published FIB version for one chip: a version number
+  /// and the direct-index image workers answer from — hops and stored
+  /// route shapes alike. No trie: publishing costs a COW flat rebuild,
+  /// not a copy of the chip's table.
   struct ChipTable {
-    trie::BinaryTrie table;
     std::uint64_t version = 0;
-    std::unique_ptr<const engine::FlatLookupTable> flat;
+    engine::FlatLookupTable flat;
   };
 
   struct Worker {
@@ -405,12 +405,13 @@ class LookupRuntime {
     std::atomic<ChipTable*> active{nullptr};
     std::atomic<std::uint64_t> published_version{0};
     std::atomic<std::uint64_t> control_applied{0};
-    /// Entries in the active table; written by the control role at every
-    /// publish, read by metrics/rebalance planning from any thread.
+    /// Entries in the active version (the size of the control role's
+    /// chip trie); written at every publish, read by metrics/rebalance
+    /// planning from any thread.
     std::atomic<std::size_t> occupancy{0};
     std::unique_ptr<engine::DredStore> dred;
-    /// memory_bytes() of the active flat image (0 when null); written by
-    /// the control role at publish, read by the metrics exporter.
+    /// memory_bytes() of the active flat image; written by the control
+    /// role at publish, read by the metrics exporter.
     std::atomic<std::size_t> flat_bytes{0};
     obs::CounterBlock<WorkerCounter> counters;
     obs::LatencyHistogram service_hist;
@@ -451,11 +452,13 @@ class LookupRuntime {
 
   // ---- control-role internals (single control thread at a time) ----
 
-  /// Publishes chip `chip`'s next version: the active table with
-  /// `work`'s erases then writes applied, its flat image copy-on-written
-  /// over exactly those shapes. Retires the old version, refreshes
-  /// occupancy/published_version, and returns the flat rebuild time (ns).
-  double publish_work(std::size_t chip, const update::ChipWork& work);
+  /// Publishes chip `chip`'s next version: applies `work`'s erases then
+  /// writes to the chip's private trie in place, copy-on-writes the flat
+  /// image over exactly those shapes, swaps it in and retires the old
+  /// version, and refreshes occupancy/published_version. Adds the trie
+  /// edit and flat rebuild spans to `trace` when given.
+  void publish_work(std::size_t chip, const update::ChipWork& work,
+                    obs::TtfTraceEntry* trace = nullptr);
   /// Publishes a new IndexingLogic for `boundaries` and waits out a
   /// grace period so no reader still uses the old one.
   void publish_indexing();
@@ -473,14 +476,6 @@ class LookupRuntime {
   /// when given.
   std::size_t rebalance_pass(obs::TtfTraceEntry* trace = nullptr);
 
-  /// Builds the flat image for `next` (copy-on-write from `prev`'s image
-  /// over the `dirty` prefixes when available, full build otherwise),
-  /// records the build time, and returns it in nanoseconds. A table the
-  /// flat encoding cannot hold leaves next.flat null (trie fallback).
-  /// Control role only; 0 and no-op when flat_lookup is off.
-  double attach_flat(ChipTable& next, const ChipTable* prev,
-                     std::span<const Prefix> dirty);
-
   /// Updater-thread main loop: pops submitted updates in adaptive
   /// windows and runs them through apply_batch().
   void updater_main();
@@ -488,6 +483,9 @@ class LookupRuntime {
   RuntimeConfig config_;
   onrtc::CompressedFib fib_;
   std::vector<Ipv4Address> boundaries_;  // control-role state
+  /// Each chip's stored routes, authoritative and control-role private:
+  /// edited in place by publish_work, never read by a worker.
+  std::vector<trie::BinaryTrie> chip_tries_;
   std::atomic<engine::IndexingLogic*> indexing_{nullptr};
   EpochDomain epoch_;
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -551,7 +549,7 @@ class LookupRuntime {
   /// Wall time of each rebalance pass (control thread is the single
   /// writer; exported as "runtime.rebalance_ns").
   obs::LatencyHistogram rebalance_hist_;
-  /// Wall time of each flat-image rebuild (control thread is the single
+  /// Wall time of each flat-image build (control thread is the single
   /// writer; exported as "runtime.flat_rebuild_ns").
   obs::LatencyHistogram flat_rebuild_hist_;
 

@@ -1,8 +1,9 @@
 // FlatLookupTable differential fuzz: the flat direct-index image must
-// agree with the authoritative BinaryTrie and with TcamChip's honest
-// O(capacity) search_linear scan over randomized non-overlapping
-// tables — including copy-on-write rebuilds after inserts, deletes,
-// modifies, and simulated boundary migrations.
+// agree with the authoritative BinaryTrie — next hop *and* stored route
+// shape (prefix, length, hop) — and with TcamChip's honest O(capacity)
+// search_linear scan over randomized non-overlapping tables, including
+// copy-on-write rebuilds after inserts, deletes, modifies, and simulated
+// boundary migrations.
 #include "engine/flat_table.hpp"
 
 #include <gtest/gtest.h>
@@ -73,11 +74,27 @@ std::vector<Ipv4Address> probe_addresses(const BinaryTrie& table,
   return probes;
 }
 
+// The flat image's stored-shape answer must be the trie's, exactly.
+void expect_same_route(const FlatLookupTable& flat, const BinaryTrie& table,
+                       Ipv4Address address) {
+  const auto expected = table.lookup_route(address);
+  const auto got = flat.lookup_route(address);
+  ASSERT_EQ(got.has_value(), expected.has_value())
+      << "address " << address.to_string();
+  if (!expected) return;
+  ASSERT_EQ(got->prefix, expected->prefix)
+      << "address " << address.to_string();
+  ASSERT_EQ(got->prefix.length(), expected->prefix.length());
+  ASSERT_EQ(got->next_hop, expected->next_hop)
+      << "address " << address.to_string();
+}
+
 void expect_matches_trie(const FlatLookupTable& flat, const BinaryTrie& table,
                          const std::vector<Ipv4Address>& probes) {
   for (const auto address : probes) {
     ASSERT_EQ(flat.lookup(address), table.lookup(address))
         << "address " << address.to_string();
+    expect_same_route(flat, table, address);
   }
 }
 
@@ -97,6 +114,7 @@ TEST(FlatTableTest, MatchesTrieAndLinearTcamScan) {
       const NextHop expected = table.lookup(address);
       ASSERT_EQ(flat.lookup(address), expected)
           << "flat vs trie at " << address.to_string();
+      expect_same_route(flat, table, address);
       const auto linear = chip.search_linear(address);
       const NextHop tcam_hop =
           linear.hit ? linear.next_hop : clue::netbase::kNoRoute;
@@ -207,11 +225,15 @@ TEST(FlatTableTest, RejectsOverlapsBadHopsAndBadConfigs) {
   overlapping.insert(Prefix(Ipv4Address(0x0A010000u), 16), make_next_hop(2));
   EXPECT_THROW(FlatLookupTable{overlapping}, std::invalid_argument);
 
-  BinaryTrie bad_hop;
-  bad_hop.insert(Prefix(Ipv4Address(0x0A000000u), 8),
-                 NextHop{0x8000'0001u});
-  EXPECT_FALSE(FlatLookupTable::hop_encodable(NextHop{0x8000'0001u}));
-  EXPECT_THROW(FlatLookupTable{bad_hop}, std::invalid_argument);
+  // Hops are interned, so every 32-bit value round-trips — including
+  // those with the top bit set, the bit entries use as the level-2 flag.
+  BinaryTrie high_hop;
+  high_hop.insert(Prefix(Ipv4Address(0x0A000000u), 8),
+                  NextHop{0x8000'0001u});
+  const FlatLookupTable high(high_hop);
+  EXPECT_EQ(high.lookup(Ipv4Address(0x0A123456u)), NextHop{0x8000'0001u});
+  expect_same_route(high, high_hop, Ipv4Address(0x0A123456u));
+  EXPECT_EQ(high.lookup(Ipv4Address(0x0B000000u)), clue::netbase::kNoRoute);
 
   BinaryTrie ok;
   EXPECT_THROW(FlatLookupTable(ok, FlatTableConfig{4, 4}),
@@ -281,6 +303,47 @@ TEST(FlatTableTest, SharesUntouchedChunksWithPreviousSnapshot) {
   // two must be far below one full rebuild's worth of chunks.
   EXPECT_LT(after, before + (before / 4) + 64 * 1024);
   expect_matches_trie(next, table, probe_addresses(table, 2'000, 555));
+}
+
+TEST(FlatTableTest, HighHopsAndDictionaryGrowthKeepOldSnapshotsIntact) {
+  // Hops at and above 2^31 (top bit = the entries' level-2 flag bit),
+  // prefixes up to /32, and COW rebuilds that intern hops the
+  // predecessor never saw: the predecessor must keep answering from its
+  // own dictionary.
+  Pcg32 rng(0xB16);
+  const auto high_hop = [&rng] {
+    return NextHop{0x8000'0000u | (rng.next() % 1'000)};
+  };
+  BinaryTrie table;
+  while (table.size() < 800) {
+    const Prefix candidate = random_prefix(rng, 8, 32);
+    if (overlaps_any(table, candidate)) continue;
+    table.insert(candidate, high_hop());
+  }
+  auto flat = std::make_unique<FlatLookupTable>(table);
+  expect_matches_trie(*flat, table, probe_addresses(table, 2'000, 1));
+
+  for (int round = 0; round < 20; ++round) {
+    const BinaryTrie before = table;
+    std::vector<Prefix> dirty;
+    const auto routes = table.routes();
+    for (int op = 0; op < 20; ++op) {
+      const auto& victim = routes[rng.next() % routes.size()];
+      if (!table.find(victim.prefix)) continue;
+      if (op % 2 == 0) {
+        table.erase(victim.prefix);
+      } else {  // a never-seen hop: the dictionary must grow
+        table.insert(victim.prefix,
+                     NextHop{0xFFFF'0000u + static_cast<std::uint32_t>(
+                                                round * 20 + op)});
+      }
+      dirty.push_back(victim.prefix);
+    }
+    auto next = std::make_unique<FlatLookupTable>(*flat, table, dirty);
+    expect_matches_trie(*flat, before, probe_addresses(before, 500, round));
+    expect_matches_trie(*next, table, probe_addresses(table, 500, round));
+    flat = std::move(next);
+  }
 }
 
 }  // namespace

@@ -239,6 +239,10 @@ TEST(MetricsRegistryTest, JsonContainsEverySection) {
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);
   EXPECT_NE(json.find("\"runtime.ttf\""), std::string::npos);
   EXPECT_NE(json.find("\"ttf1_ns\""), std::string::npos);
+  // TTF2 sub-spans travel with every trace entry.
+  EXPECT_NE(json.find("\"mutate_ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"flat_ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"grace_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"fig\""), std::string::npos);
   // Balanced braces/brackets — a cheap structural sanity check; the CI
   // smoke stage runs a real JSON parser over exporter output.

@@ -198,7 +198,8 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
   EXPECT_TRUE(client_hist_seen);
 
   // The TTF trace retains the most recent applies, oldest first, each
-  // with non-negative stage spans.
+  // with non-negative stage spans; a commit that republished chips
+  // splits TTF2 into trie edit, flat rebuild and grace sub-spans.
   bool trace_seen = false;
   for (const auto& [name, entries] : registry.ttf_traces()) {
     if (name != "runtime.ttf") continue;
@@ -211,6 +212,12 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
       EXPECT_GE(e.ttf2_ns, 0.0);
       EXPECT_GE(e.ttf3_ns, 0.0);
       EXPECT_LE(e.chips_touched, runtime.worker_count());
+      if (e.chips_touched > 0) {
+        EXPECT_GT(e.mutate_ns, 0.0);
+        EXPECT_GT(e.flat_ns, 0.0);
+        EXPECT_GT(e.grace_ns, 0.0);
+        EXPECT_LE(e.mutate_ns + e.flat_ns + e.grace_ns, e.ttf2_ns);
+      }
     }
   }
   EXPECT_TRUE(trace_seen);

@@ -1,19 +1,23 @@
 // LookupRuntime end-to-end correctness: batched lookups against the
 // reference BinaryTrie, diversion under skew, 10k interleaved updates
-// with exact answers, a concurrent update+lookup hammer with a
-// version-window oracle, and epoch-reclamation accounting.
+// with exact answers, next hops at and above 2^31 served with DRed on,
+// DRed contents equal to foreign stored shapes after a diverting Zipf
+// run, a concurrent update+lookup hammer with a version-window oracle,
+// and epoch-reclamation accounting.
 #include "runtime/lookup_runtime.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <thread>
 #include <vector>
 
 #include "netbase/rng.hpp"
 #include "system/clue_system.hpp"
 #include "workload/rib_gen.hpp"
+#include "workload/traffic_gen.hpp"
 #include "workload/update_gen.hpp"
 
 namespace {
@@ -344,6 +348,106 @@ TEST(LookupRuntimeTest, SkewedChurnWindowedOracleAcrossRebalances) {
           << entry.g1 << "]";
     }
   }
+}
+
+// Every 32-bit next hop is servable: the flat images intern hops, so a
+// table whose hops all have the top bit set is answered exactly — home
+// lookups, DRed lookups and the fills that carry those routes between
+// chips.
+TEST(LookupRuntimeTest, HopsAtAndAbove2To31ServedExactlyWithDred) {
+  constexpr std::uint32_t kHigh = 0x8000'0000u;
+  const auto base = make_fib(20'000, 1701);
+  clue::trie::BinaryTrie fib;
+  for (const auto& route : base.routes()) {
+    fib.insert(route.prefix,
+               NextHop{kHigh | clue::netbase::to_index(route.next_hop)});
+  }
+  RuntimeConfig config;
+  config.worker_count = 4;
+  config.fifo_depth = 16;  // the hot chip overflows -> diversions
+  LookupRuntime runtime(fib, config);
+
+  clue::workload::UpdateConfig update_config;
+  update_config.seed = 1702;
+  clue::workload::UpdateGenerator updates(fib, update_config);
+  const std::uint32_t bound = runtime.boundaries().front().value();
+  Pcg32 rng(1703);
+  for (int round = 0; round < 12; ++round) {
+    for (int i = 0; i < 20; ++i) {
+      auto msg = updates.next();
+      msg.next_hop = NextHop{kHigh | clue::netbase::to_index(msg.next_hop)};
+      runtime.apply(msg);
+    }
+    const auto& truth = runtime.fib().ground_truth();
+    std::vector<Ipv4Address> batch;
+    for (int i = 0; i < 4096; ++i) {
+      batch.emplace_back(rng.next_below(bound));
+    }
+    const auto hops = runtime.lookup_batch(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(hops[i], truth.lookup(batch[i]))
+          << "address " << batch[i].to_string();
+    }
+  }
+  const auto m = runtime.metrics();
+  EXPECT_GT(m.diverted, 0u);
+  EXPECT_GT(m.fills_applied, 0u);
+}
+
+// The flat image hands DRed fills the exact stored shape: after a
+// diverting Zipf run with interleaved updates, every route DRed i holds
+// is a route some chip j != i stores — same prefix, same hop.
+TEST(LookupRuntimeTest, DredHoldsOnlyForeignStoredShapes) {
+  const auto fib = make_fib(20'000, 1801);
+  RuntimeConfig config;
+  config.worker_count = 4;
+  config.fifo_depth = 16;
+  LookupRuntime runtime(fib, config);
+
+  // Zipf traffic over chip 0's own prefixes: chip 0 runs hot, overflow
+  // diverts to the peers' DReds, and chip 0's hits fill them.
+  std::vector<clue::netbase::Prefix> hot;
+  for (const auto& route : runtime.chip_routes(0)) hot.push_back(route.prefix);
+  clue::workload::TrafficConfig traffic_config;
+  traffic_config.seed = 1802;
+  clue::workload::TrafficGenerator traffic(hot, traffic_config);
+  clue::workload::UpdateConfig update_config;
+  update_config.seed = 1803;
+  clue::workload::UpdateGenerator updates(fib, update_config);
+  for (int round = 0; round < 16; ++round) {
+    runtime.lookup_batch(traffic.generate(4096));
+    for (int i = 0; i < 16; ++i) runtime.apply(updates.next());
+  }
+  runtime.stop();
+
+  const auto m = runtime.metrics();
+  EXPECT_GT(m.diverted, 0u);
+  EXPECT_GT(m.fills_applied, 0u);
+  std::vector<std::map<clue::netbase::Prefix, NextHop>> stored(
+      runtime.worker_count());
+  for (std::size_t j = 0; j < runtime.worker_count(); ++j) {
+    for (const auto& route : runtime.chip_routes(j)) {
+      stored[j].emplace(route.prefix, route.next_hop);
+    }
+  }
+  std::size_t cached = 0;
+  for (std::size_t i = 0; i < runtime.worker_count(); ++i) {
+    for (const auto& route : runtime.dred(i)->routes()) {
+      ++cached;
+      EXPECT_FALSE(stored[i].contains(route.prefix))
+          << "DRed " << i << " caches its own " << route.prefix.to_string();
+      bool found = false;
+      for (std::size_t j = 0; j < runtime.worker_count() && !found; ++j) {
+        if (j == i) continue;
+        const auto it = stored[j].find(route.prefix);
+        found = it != stored[j].end() && it->second == route.next_hop;
+      }
+      EXPECT_TRUE(found) << "DRed " << i << " holds "
+                         << route.prefix.to_string()
+                         << ", not a stored shape of any other chip";
+    }
+  }
+  EXPECT_GT(cached, 0u);
 }
 
 TEST(LookupRuntimeTest, ClueSystemRuntimeEntryPointAgrees) {
