@@ -29,8 +29,10 @@
 #include "metrics_out.hpp"
 #include "netbase/rng.hpp"
 #include "obs/metrics_registry.hpp"
+#include "onrtc/compressed_fib.hpp"
 #include "runtime/lookup_runtime.hpp"
 #include "stats/stats.hpp"
+#include "update/group_commit.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/update_gen.hpp"
 
@@ -42,6 +44,8 @@ using clue::netbase::Pcg32;
 using clue::netbase::Prefix;
 using clue::runtime::LookupRuntime;
 using clue::runtime::RuntimeConfig;
+
+constexpr std::size_t kWorkers = 4;
 
 struct RunResult {
   double updates_per_s = 0.0;
@@ -56,12 +60,13 @@ struct RunResult {
 };
 
 RunResult run_once(const clue::trie::BinaryTrie& fib, bool rebalance_on,
-                   std::size_t updates, clue::obs::MetricsRegistry* registry,
+                   std::size_t chip_capacity, std::size_t updates,
+                   clue::obs::MetricsRegistry* registry,
                    const std::string& run_tag) {
   RuntimeConfig config;
-  config.worker_count = 4;
-  config.chip_headroom = 4.0;  // same padding both modes: drift never overflows
-  config.rebalance.enabled = rebalance_on;
+  config.worker_count = kWorkers;
+  config.chip_capacity = chip_capacity;
+  config.rebalance = rebalance_on;
   LookupRuntime runtime(fib, config);
   const std::uint32_t bound = runtime.boundaries().front().value();
 
@@ -154,6 +159,7 @@ RunResult run_once(const clue::trie::BinaryTrie& fib, bool rebalance_on,
     registry->set_counter(run_tag + ".rebalance_passes", result.passes);
     registry->set_counter(run_tag + ".entries_migrated", result.migrated);
     registry->set_gauge(run_tag + ".recovery_ms", result.recovery_ms);
+    registry->set_counter(run_tag + ".chip_capacity", runtime.chip_capacity());
     registry->add_ttf_trace(run_tag + ".ttf", runtime.ttf_trace());
   }
   return result;
@@ -177,9 +183,14 @@ int main() {
   rib_config.table_size = 20'000;
   rib_config.seed = 7201;
   const auto fib = clue::workload::generate_rib(rib_config);
+  // Same padding both modes, so drift never overflows: room for each chip
+  // to grow to 5x its initial even share of the compressed table.
+  const std::size_t chip_capacity = clue::update::auto_capacity(
+      clue::onrtc::CompressedFib(fib).size() / kWorkers + 1, 4.0);
 
   std::cout << "=== Boundary rebalancer under hot-/8 churn (" << fib.size()
-            << " routes, " << kUpdates << " updates, 4 workers) ===\n\n";
+            << " routes, " << kUpdates << " updates, " << kWorkers
+            << " workers, chip capacity " << chip_capacity << ") ===\n\n";
 
   clue::obs::MetricsRegistry registry;
   std::vector<std::vector<std::string>> csv_rows;
@@ -189,7 +200,7 @@ int main() {
                                  "Recovery(ms)"});
   for (const bool on : {false, true}) {
     const std::string tag = on ? "rebalance_on" : "rebalance_off";
-    const auto r = run_once(fib, on, kUpdates, &registry, tag);
+    const auto r = run_once(fib, on, chip_capacity, kUpdates, &registry, tag);
     out.add_row({on ? "on" : "off", fixed(r.updates_per_s, 0),
                  fixed(r.mlookups_per_s, 3), fixed(r.drift_skew, 2),
                  fixed(r.final_skew, 2), std::to_string(r.passes),

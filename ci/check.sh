@@ -9,16 +9,20 @@
 # the churn-soak: the rebalancer soak test rerun at CLUE_SOAK_UPDATES
 # updates (default 500000) of sustained hot-/8 churn, and the
 # burst-soak: the async group-commit ingress hammered under TSan at
-# CLUE_SOAK_UPDATES bursty updates with concurrent lookups. Any data
-# race, leak, UB, or test failure fails the script.
+# CLUE_SOAK_UPDATES bursty updates with concurrent lookups, then the
+# bench-check: perfbench/check.py, which builds the benchmark of record
+# (perfbench/ compiles src/ through its own CMake project) and runs each
+# BENCHMARK.json workload on small inputs. Any data race, leak, UB,
+# build break or test failure fails the script.
 #
-#   $ ci/check.sh            # all six stages
+#   $ ci/check.sh            # all seven stages
 #   $ ci/check.sh plain      # just the plain tier-1 run
 #   $ ci/check.sh asan       # just ASan+UBSan
 #   $ ci/check.sh tsan       # just TSan concurrency stage
 #   $ ci/check.sh smoke      # just the metrics-exporter smoke run
 #   $ ci/check.sh soak       # just the churn-soak
 #   $ ci/check.sh burst-soak # just the group-commit burst soak (TSan)
+#   $ ci/check.sh bench-check # just the perfbench build + self-check
 #   $ CLUE_SOAK_UPDATES=100000 ci/check.sh soak   # bounded soak
 set -euo pipefail
 
@@ -135,6 +139,11 @@ run_burst_soak() {
       -R 'BurstSoakTest'
 }
 
+run_bench_check() {
+  echo "=== stage: bench-check (perfbench build + self-check) ==="
+  python3 perfbench/check.py
+}
+
 case "$STAGE" in
   plain) run_plain ;;
   asan) run_asan ;;
@@ -142,6 +151,7 @@ case "$STAGE" in
   smoke) run_smoke ;;
   soak) run_soak ;;
   burst-soak) run_burst_soak ;;
+  bench-check) run_bench_check ;;
   all)
     run_plain
     run_asan
@@ -149,9 +159,10 @@ case "$STAGE" in
     run_smoke
     run_soak
     run_burst_soak
+    run_bench_check
     ;;
   *)
-    echo "usage: $0 [plain|asan|tsan|smoke|soak|burst-soak|all]" >&2
+    echo "usage: $0 [plain|asan|tsan|smoke|soak|burst-soak|bench-check|all]" >&2
     exit 2
     ;;
 esac

@@ -15,27 +15,7 @@ std::shared_ptr<std::uint32_t[]> make_block(std::size_t entries) {
 
 }  // namespace
 
-void FlatLookupTable::validate_config(const FlatTableConfig& config) {
-  if (config.stride < 8 || config.stride > 28) {
-    throw std::invalid_argument("FlatLookupTable: stride must be in [8, 28]");
-  }
-  if (config.chunk_bits < 4 || config.chunk_bits > config.stride) {
-    throw std::invalid_argument(
-        "FlatLookupTable: chunk_bits must be in [4, stride]");
-  }
-  stride_ = config.stride;
-  l2_bits_ = 32u - stride_;
-  chunk_bits_ = config.chunk_bits;
-  chunk_entries_ = std::size_t{1} << chunk_bits_;
-  chunk_mask_ = static_cast<std::uint32_t>(chunk_entries_ - 1);
-  l2_entries_ = std::size_t{1} << l2_bits_;
-  l2_mask_ = static_cast<std::uint32_t>(l2_entries_ - 1);
-  chunks_.assign(std::size_t{1} << (stride_ - chunk_bits_), nullptr);
-}
-
-FlatLookupTable::FlatLookupTable(const trie::BinaryTrie& table,
-                                 const FlatTableConfig& config) {
-  validate_config(config);
+FlatLookupTable::FlatLookupTable(const trie::BinaryTrie& table) {
   if (!table.is_disjoint()) {
     throw std::invalid_argument(
         "FlatLookupTable: route set must be non-overlapping");
@@ -49,14 +29,7 @@ FlatLookupTable::FlatLookupTable(const trie::BinaryTrie& table,
 FlatLookupTable::FlatLookupTable(const FlatLookupTable& prev,
                                  const trie::BinaryTrie& table,
                                  std::span<const Prefix> dirty)
-    : stride_(prev.stride_),
-      l2_bits_(prev.l2_bits_),
-      chunk_bits_(prev.chunk_bits_),
-      chunk_mask_(prev.chunk_mask_),
-      l2_mask_(prev.l2_mask_),
-      l2_entries_(prev.l2_entries_),
-      chunk_entries_(prev.chunk_entries_),
-      chunks_(prev.chunks_),
+    : chunks_(prev.chunks_),
       l2_(prev.l2_),
       l2_free_(prev.l2_free_),
       dict_(prev.dict_) {
@@ -93,10 +66,10 @@ void FlatLookupTable::finish(Builder& b) {
 std::uint32_t* FlatLookupTable::writable_chunk(std::size_t slot_chunk,
                                                Builder& b) {
   if (b.owned[slot_chunk]) return chunks_[slot_chunk].get();
-  ChunkPtr fresh = make_block(chunk_entries_);
+  ChunkPtr fresh = make_block(kChunkEntries);
   if (chunks_[slot_chunk]) {
     std::memcpy(fresh.get(), chunks_[slot_chunk].get(),
-                chunk_entries_ * sizeof(std::uint32_t));
+                kChunkEntries * sizeof(std::uint32_t));
   }
   chunks_[slot_chunk] = std::move(fresh);
   b.owned[slot_chunk] = true;
@@ -127,11 +100,11 @@ void FlatLookupTable::fill_direct(std::uint32_t lo, std::uint32_t hi,
                                   std::uint32_t entry, Builder& b) {
   std::uint32_t slot = lo;
   while (slot <= hi) {
-    const std::size_t chunk = slot >> chunk_bits_;
-    const std::uint32_t in_lo = slot & chunk_mask_;
+    const std::size_t chunk = slot >> kChunkBits;
+    const std::uint32_t in_lo = slot & kChunkMask;
     const std::uint32_t chunk_last =
-        static_cast<std::uint32_t>((chunk << chunk_bits_) | chunk_mask_);
-    const std::uint32_t in_hi = std::min(hi, chunk_last) & chunk_mask_;
+        static_cast<std::uint32_t>((chunk << kChunkBits) | kChunkMask);
+    const std::uint32_t in_hi = std::min(hi, chunk_last) & kChunkMask;
     if (!chunks_[chunk]) {
       if (entry != 0) {
         std::uint32_t* p = writable_chunk(chunk, b);
@@ -147,13 +120,13 @@ void FlatLookupTable::fill_direct(std::uint32_t lo, std::uint32_t hi,
       }
       // A chunk that ends up all-zero drops back to the null
       // representation, so cleared address space costs nothing again.
-      const bool whole = in_lo == 0 && in_hi == chunk_mask_;
+      const bool whole = in_lo == 0 && in_hi == kChunkMask;
       const bool rest_zero =
           whole ||
           (entry == 0 &&
            std::all_of(read, read + in_lo,
                        [](std::uint32_t v) { return v == 0; }) &&
-           std::all_of(read + in_hi + 1, read + chunk_entries_,
+           std::all_of(read + in_hi + 1, read + kChunkEntries,
                        [](std::uint32_t v) { return v == 0; }));
       if (entry == 0 && rest_zero) {
         chunks_[chunk] = nullptr;
@@ -163,7 +136,7 @@ void FlatLookupTable::fill_direct(std::uint32_t lo, std::uint32_t hi,
         std::fill(p + in_lo, p + in_hi + 1, entry);
       }
     }
-    if (chunk_last == hi || chunk_last >= (std::uint32_t{1} << stride_) - 1) {
+    if (chunk_last == hi || chunk_last >= (std::uint32_t{1} << kStride) - 1) {
       break;
     }
     slot = chunk_last + 1;
@@ -174,35 +147,35 @@ void FlatLookupTable::paint(const Route& route, Builder& b) {
   const std::uint32_t value = encode(route, b);
   const std::uint32_t lo = route.prefix.range_low().value();
   const std::uint32_t hi = route.prefix.range_high().value();
-  if (route.prefix.length() <= stride_) {
-    fill_direct(lo >> l2_bits_, hi >> l2_bits_, value, b);
+  if (route.prefix.length() <= kStride) {
+    fill_direct(lo >> kL2Bits, hi >> kL2Bits, value, b);
     return;
   }
   // Longer than the stride: the route lives inside one level-1 slot.
-  const std::uint32_t slot = lo >> l2_bits_;
-  std::uint32_t* p = writable_chunk(slot >> chunk_bits_, b);
-  std::uint32_t& entry = p[slot & chunk_mask_];
+  const std::uint32_t slot = lo >> kL2Bits;
+  std::uint32_t* p = writable_chunk(slot >> kChunkBits, b);
+  std::uint32_t& entry = p[slot & kChunkMask];
   std::uint32_t* block = nullptr;
   if (entry & kL2Flag) {
     // Only blocks created by this repaint pass can be seen here (the
     // region was cleared first), so in-place mutation is safe.
     block = l2_[entry & ~kL2Flag].get();
   } else {
-    ChunkPtr fresh = make_block(l2_entries_);
+    ChunkPtr fresh = make_block(kL2Entries);
     block = fresh.get();
-    if (entry != 0) std::fill(block, block + l2_entries_, entry);
+    if (entry != 0) std::fill(block, block + kL2Entries, entry);
     entry = kL2Flag | alloc_l2(std::move(fresh));
   }
-  std::fill(block + (lo & l2_mask_), block + (hi & l2_mask_) + 1, value);
+  std::fill(block + (lo & kL2Mask), block + (hi & kL2Mask) + 1, value);
 }
 
 void FlatLookupTable::recompute_slot(const trie::BinaryTrie& table,
                                      std::uint32_t slot, Builder& b) {
-  const Prefix block_prefix(Ipv4Address(slot << l2_bits_), stride_);
+  const Prefix block_prefix(Ipv4Address(slot << kL2Bits), kStride);
   // A route no longer than the stride that matches the block's first
   // address covers the whole block (non-overlap: nothing else can).
   const auto cover = table.lookup_route(block_prefix.range_low());
-  if (cover && cover->prefix.length() <= stride_) {
+  if (cover && cover->prefix.length() <= kStride) {
     fill_direct(slot, slot, encode(*cover, b), b);
     return;
   }
@@ -211,12 +184,12 @@ void FlatLookupTable::recompute_slot(const trie::BinaryTrie& table,
     fill_direct(slot, slot, 0, b);
     return;
   }
-  ChunkPtr fresh = make_block(l2_entries_);
+  ChunkPtr fresh = make_block(kL2Entries);
   std::uint32_t* block = fresh.get();
   for (const auto& route : inside) {
     const std::uint32_t value = encode(route, b);
-    const std::uint32_t lo = route.prefix.range_low().value() & l2_mask_;
-    const std::uint32_t hi = route.prefix.range_high().value() & l2_mask_;
+    const std::uint32_t lo = route.prefix.range_low().value() & kL2Mask;
+    const std::uint32_t hi = route.prefix.range_high().value() & kL2Mask;
     std::fill(block + lo, block + hi + 1, value);
   }
   // Uniform blocks (e.g. after deletes merged the survivors) collapse
@@ -224,26 +197,26 @@ void FlatLookupTable::recompute_slot(const trie::BinaryTrie& table,
   // Shape survives the collapse: a uniform block is tiled by same-length
   // same-hop routes, so Prefix(address, length) still names each one.
   const bool uniform =
-      std::all_of(block, block + l2_entries_,
+      std::all_of(block, block + kL2Entries,
                   [&](std::uint32_t v) { return v == block[0]; });
   if (uniform) {
     fill_direct(slot, slot, block[0], b);
     return;
   }
-  std::uint32_t* p = writable_chunk(slot >> chunk_bits_, b);
-  std::uint32_t& entry = p[slot & chunk_mask_];
+  std::uint32_t* p = writable_chunk(slot >> kChunkBits, b);
+  std::uint32_t& entry = p[slot & kChunkMask];
   if (entry & kL2Flag) release_l2(entry);
   entry = kL2Flag | alloc_l2(std::move(fresh));
 }
 
 void FlatLookupTable::repaint(const trie::BinaryTrie& table,
                               const Prefix& dirty, Builder& b) {
-  if (dirty.length() > stride_) {
-    recompute_slot(table, dirty.range_low().value() >> l2_bits_, b);
+  if (dirty.length() > kStride) {
+    recompute_slot(table, dirty.range_low().value() >> kL2Bits, b);
     return;
   }
-  const std::uint32_t lo = dirty.range_low().value() >> l2_bits_;
-  const std::uint32_t hi = dirty.range_high().value() >> l2_bits_;
+  const std::uint32_t lo = dirty.range_low().value() >> kL2Bits;
+  const std::uint32_t hi = dirty.range_high().value() >> kL2Bits;
   // A stored route at or above the dirty prefix covers the whole region
   // (non-overlap again): paint it directly and stop.
   const auto cover = table.lookup_route(dirty.range_low());
@@ -259,8 +232,8 @@ std::size_t FlatLookupTable::memory_bytes() const {
   std::size_t bytes = chunks_.capacity() * sizeof(ChunkPtr) +
                       l2_.capacity() * sizeof(ChunkPtr) +
                       l2_free_.capacity() * sizeof(std::uint32_t);
-  bytes += chunk_count() * chunk_entries_ * sizeof(std::uint32_t);
-  bytes += l2_block_count() * l2_entries_ * sizeof(std::uint32_t);
+  bytes += chunk_count() * kChunkEntries * sizeof(std::uint32_t);
+  bytes += l2_block_count() * kL2Entries * sizeof(std::uint32_t);
   // The dictionary: hop array plus a node and a bucket per interned hop.
   bytes += dict_->hops.capacity() * sizeof(NextHop) +
            dict_->ids.bucket_count() * sizeof(void*) +

@@ -7,12 +7,12 @@
 // it covers. Lookup collapses the trie's ~32 dependent node loads into
 // one or two array loads:
 //
-//   level 1  one 32-bit entry per 2^(32-stride) addresses (stride 24 by
-//            default, the classic Gupta/Lin/McKeown layout). An entry is
-//            either a route entry directly (prefixes no longer than the
-//            stride) or, top bit set, the id of a level-2 block.
-//   level 2  one 32-bit route entry per address suffix, only for
-//            level-1 slots that contain prefixes longer than the stride.
+//   level 1  one 32-bit entry per /24 (DIR-24-8, the classic
+//            Gupta/Lin/McKeown layout). An entry is either a route entry
+//            directly (prefixes of length 24 or less) or, top bit set,
+//            the id of a level-2 block.
+//   level 2  one 32-bit route entry per address of a /24, only for
+//            level-1 slots that contain prefixes longer than /24.
 //
 // A route entry carries the stored route's *shape*, not just its hop:
 // the prefix length (6 bits) and an interned next-hop id (25 bits) into
@@ -25,7 +25,7 @@
 // Snapshots are immutable — the runtime publishes one per chip-table
 // version behind an epoch-swapped pointer — but a full repaint per BGP
 // update would move megabytes per publish. Instead the level-1 array is
-// split into fixed chunks held by shared_ptr: rebuilding for an update
+// split into 4096-entry chunks held by shared_ptr: rebuilding for an update
 // copies the chunk pointer vector (structural sharing) and copy-on-
 // writes only the chunks under the update's dirty prefixes, so rebuild
 // cost tracks the size of the diff, not of the address space. A null
@@ -50,17 +50,6 @@
 
 namespace clue::engine {
 
-struct FlatTableConfig {
-  /// Level-1 index bits (8..28). 24 = DIR-24-8: 16M /24 slots, 256-wide
-  /// level-2 blocks. Smaller strides trade memory for more level-2
-  /// indirections.
-  unsigned stride = 24;
-  /// log2 of level-1 entries per copy-on-write chunk (4..stride). The
-  /// default 4096-entry chunk (16 KiB) keeps the per-rebuild pointer
-  /// copy at 2^(stride-chunk_bits) shared_ptrs.
-  unsigned chunk_bits = 12;
-};
-
 class FlatLookupTable {
  public:
   using Ipv4Address = netbase::Ipv4Address;
@@ -69,11 +58,10 @@ class FlatLookupTable {
   using Route = netbase::Route;
 
   /// Full build from a non-overlapping table. Throws
-  /// std::invalid_argument on a bad config or an overlapping route set.
-  /// Every next hop value is encodable; only a table with more than
-  /// 2^25 - 1 distinct next hops throws (std::length_error).
-  explicit FlatLookupTable(const trie::BinaryTrie& table,
-                           const FlatTableConfig& config = {});
+  /// std::invalid_argument on an overlapping route set. Every next hop
+  /// value is encodable; only a table with more than 2^25 - 1 distinct
+  /// next hops throws (std::length_error).
+  explicit FlatLookupTable(const trie::BinaryTrie& table);
 
   /// Copy-on-write rebuild: semantically a full build from `table`, but
   /// every level-1 chunk outside the `dirty` prefixes is shared with
@@ -105,12 +93,11 @@ class FlatLookupTable {
   /// worker loop issues this across a whole job batch before resolving
   /// so the (tens of MB, cache-cold) array loads overlap.
   void prefetch(Ipv4Address address) const {
-    const std::uint32_t slot = address.value() >> l2_bits_;
-    const std::uint32_t* chunk = chunks_[slot >> chunk_bits_].get();
-    if (chunk) __builtin_prefetch(&chunk[slot & chunk_mask_], 0, 1);
+    const std::uint32_t slot = address.value() >> kL2Bits;
+    const std::uint32_t* chunk = chunks_[slot >> kChunkBits].get();
+    if (chunk) __builtin_prefetch(&chunk[slot & kChunkMask], 0, 1);
   }
 
-  unsigned stride() const { return stride_; }
   /// Heap bytes held by this snapshot (chunks it references, shared or
   /// not, plus level-2 blocks and the pointer vectors).
   std::size_t memory_bytes() const;
@@ -124,6 +111,19 @@ class FlatLookupTable {
   static constexpr std::uint32_t kL2Flag = 0x8000'0000u;
   static constexpr unsigned kLenShift = 25;
   static constexpr std::uint32_t kIdMask = (1u << kLenShift) - 1;
+
+  // Geometry: level-1 index bits (DIR-24-8), level-2 bits per block,
+  // and log2 of level-1 entries per copy-on-write chunk (16 KiB), so a
+  // rebuild copies 2^(kStride - kChunkBits) chunk pointers.
+  static constexpr unsigned kStride = 24;
+  static constexpr unsigned kL2Bits = 32 - kStride;
+  static constexpr unsigned kChunkBits = 12;
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
+  static constexpr std::uint32_t kL2Mask = (1u << kL2Bits) - 1;
+  static constexpr std::size_t kChunkEntries = std::size_t{1} << kChunkBits;
+  static constexpr std::size_t kL2Entries = std::size_t{1} << kL2Bits;
+  static constexpr std::size_t kChunkCount = std::size_t{1}
+                                             << (kStride - kChunkBits);
 
   using ChunkPtr = std::shared_ptr<std::uint32_t[]>;
 
@@ -143,22 +143,21 @@ class FlatLookupTable {
 
   /// The route entry (or 0) covering `address`, level 2 resolved.
   std::uint32_t entry(Ipv4Address address) const {
-    const std::uint32_t slot = address.value() >> l2_bits_;
-    const std::uint32_t* chunk = chunks_[slot >> chunk_bits_].get();
+    const std::uint32_t slot = address.value() >> kL2Bits;
+    const std::uint32_t* chunk = chunks_[slot >> kChunkBits].get();
     if (!chunk) return 0;
-    const std::uint32_t e = chunk[slot & chunk_mask_];
+    const std::uint32_t e = chunk[slot & kChunkMask];
     if (!(e & kL2Flag)) return e;
-    return l2_[e & ~kL2Flag].get()[address.value() & l2_mask_];
+    return l2_[e & ~kL2Flag].get()[address.value() & kL2Mask];
   }
 
-  void validate_config(const FlatTableConfig& config);
   /// Chunk writable by this rebuild; allocates (zero or copy) on first
   /// touch. `slot_chunk` is the chunk index.
   std::uint32_t* writable_chunk(std::size_t slot_chunk, Builder& b);
   /// Repaints everything under `dirty` from `table` (clears first).
   void repaint(const trie::BinaryTrie& table, const Prefix& dirty,
                Builder& b);
-  /// Recomputes the single level-1 slot `slot` (a /stride block) from
+  /// Recomputes the single level-1 slot `slot` (a /24 block) from
   /// `table`, collapsing uniform level-2 blocks back to direct entries.
   void recompute_slot(const trie::BinaryTrie& table, std::uint32_t slot,
                       Builder& b);
@@ -176,17 +175,9 @@ class FlatLookupTable {
   /// Publishes the builder's dictionary (if it grew) to this snapshot.
   void finish(Builder& b);
 
-  unsigned stride_ = 0;
-  unsigned l2_bits_ = 0;       // 32 - stride
-  unsigned chunk_bits_ = 0;
-  std::uint32_t chunk_mask_ = 0;
-  std::uint32_t l2_mask_ = 0;
-  std::size_t l2_entries_ = 0;  // 2^l2_bits
-  std::size_t chunk_entries_ = 0;
-
-  /// Level 1, chunked: chunks_[slot >> chunk_bits][slot & chunk_mask].
+  /// Level 1, chunked: chunks_[slot >> kChunkBits][slot & kChunkMask].
   /// Null chunk = every slot kNoRoute.
-  std::vector<ChunkPtr> chunks_;
+  std::vector<ChunkPtr> chunks_ = std::vector<ChunkPtr>(kChunkCount);
   /// Level-2 blocks by id; freed slots are null and listed in l2_free_.
   std::vector<ChunkPtr> l2_;
   std::vector<std::uint32_t> l2_free_;

@@ -30,6 +30,27 @@ constexpr std::size_t kWorkerBatch = 32;   // jobs popped per worker pass
 constexpr std::size_t kDrainBatch = 64;    // completions popped per pass
 constexpr std::size_t kClientStage = 256;  // addresses staged per pass
 
+// Ring depths besides the home FIFO: per-worker completions, control
+// messages (DRed erase/fix, fences) and per-pair DRed fills.
+constexpr std::size_t kCompletionDepth = 1024;
+constexpr std::size_t kControlDepth = 4096;
+constexpr std::size_t kFillDepth = 256;
+// Retained apply() traces (TTF spans + queue depths).
+constexpr std::size_t kTtfTraceDepth = 1024;
+// Workers time one in every 64 jobs into their service-time histogram
+// and the client records one in every 64 completion latencies: two
+// clock reads per 64 lookups, noise.
+constexpr std::uint64_t kLatencySampleMask = 64 - 1;
+// Workers offer a DRed fill on one in every 8 home hits, which bounds
+// the fill-ring traffic per lookup.
+constexpr std::uint64_t kFillSampleMask = 8 - 1;
+// Async ingress: the largest batch one updater pass hands to
+// apply_batch(), and the upper bound of its adaptive batch window.
+constexpr std::size_t kUpdateBatchMax = 256;
+constexpr double kUpdateWindowUs = 128.0;
+// Auto-sized capacity: room for a chip to grow to 2x its initial share.
+constexpr double kAutoHeadroom = 1.0;
+
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -47,49 +68,35 @@ LookupRuntime::LookupRuntime(const trie::BinaryTrie& fib,
       // One slot per worker plus one for the client role, which pins the
       // IndexingLogic snapshot during each dispatch pass.
       epoch_(config.worker_count + 1),
-      planner_(config.rebalance),
       client_slot_(config.worker_count),
-      ttf_ring_(config.ttf_trace_depth) {
+      ttf_ring_(kTtfTraceDepth) {
   if (config.worker_count == 0) {
     throw std::invalid_argument("LookupRuntime: need at least one worker");
   }
   if (config.fifo_depth == 0) {
     throw std::invalid_argument("LookupRuntime: fifo_depth must be positive");
   }
-  if (config.latency_sample_every &
-      (config.latency_sample_every - 1)) {
-    throw std::invalid_argument(
-        "LookupRuntime: latency_sample_every must be a power of two or 0");
-  }
-  sample_enabled_ = config.latency_sample_every > 0;
-  sample_mask_ = sample_enabled_ ? config.latency_sample_every - 1 : 0;
-  if (config.fill_sample_every & (config.fill_sample_every - 1)) {
-    throw std::invalid_argument(
-        "LookupRuntime: fill_sample_every must be a power of two or 0");
-  }
-  fill_sample_enabled_ = config.fill_sample_every > 0;
-  fill_mask_ = fill_sample_enabled_ ? config.fill_sample_every - 1 : 0;
   dred_enabled_ = config.dred_capacity > 0 && config.worker_count > 1;
 
   const auto table = fib_.compressed().routes();
   const auto partitions =
       partition::even_partition(table, config.worker_count);
+  // Checked before anything is allocated: a throwing constructor runs no
+  // destructor to free it.
+  chip_capacity_ = config.chip_capacity > 0
+                       ? config.chip_capacity
+                       : update::auto_capacity(
+                             table.size() / config.worker_count + 1,
+                             kAutoHeadroom);
+  update::require_capacity("LookupRuntime", chip_capacity_,
+                           partitions.max_bucket());
+
   boundaries_ =
       partition::even_partition_boundaries(table, config.worker_count);
   std::vector<std::size_t> identity(config.worker_count);
   for (std::size_t i = 0; i < config.worker_count; ++i) identity[i] = i;
   indexing_.store(new engine::IndexingLogic(boundaries_, identity),
                   std::memory_order_seq_cst);
-
-  chip_capacity_ = config.chip_capacity > 0
-                       ? config.chip_capacity
-                       : update::auto_capacity(
-                             table.size() / config.worker_count + 1,
-                             config.chip_headroom);
-  if (partitions.max_bucket() > chip_capacity_) {
-    throw std::invalid_argument(
-        "LookupRuntime: chip_capacity smaller than the initial even share");
-  }
 
   control_pushed_.assign(config.worker_count, 0);
   chip_tries_.resize(config.worker_count);
@@ -98,15 +105,14 @@ LookupRuntime::LookupRuntime(const trie::BinaryTrie& fib,
     auto worker = std::make_unique<Worker>();
     worker->jobs = std::make_unique<SpscRing<Job>>(config.fifo_depth);
     worker->completions =
-        std::make_unique<SpscRing<Completion>>(config.completion_depth);
-    worker->control =
-        std::make_unique<SpscRing<ControlMsg>>(config.control_depth);
+        std::make_unique<SpscRing<Completion>>(kCompletionDepth);
+    worker->control = std::make_unique<SpscRing<ControlMsg>>(kControlDepth);
     if (dred_enabled_) {
       worker->fills.resize(config.worker_count);
       for (std::size_t peer = 0; peer < config.worker_count; ++peer) {
         if (peer == i) continue;
         worker->fills[peer] =
-            std::make_unique<SpscRing<FillMsg>>(config.fill_depth);
+            std::make_unique<SpscRing<FillMsg>>(kFillDepth);
       }
       worker->dred =
           std::make_unique<engine::DredStore>(config.dred_capacity);
@@ -116,8 +122,7 @@ LookupRuntime::LookupRuntime(const trie::BinaryTrie& fib,
       chip.insert(route.prefix, route.next_hop);
     }
     const auto t0 = Clock::now();
-    auto* initial =
-        new ChipTable{0, engine::FlatLookupTable(chip, config.flat_table)};
+    auto* initial = new ChipTable{0, engine::FlatLookupTable(chip)};
     flat_rebuild_hist_.record(elapsed_ns(t0));
     worker->flat_bytes.store(initial->flat.memory_bytes(),
                              std::memory_order_relaxed);
@@ -131,7 +136,6 @@ LookupRuntime::LookupRuntime(const trie::BinaryTrie& fib,
     workers_[i]->thread = std::thread([this, i] { worker_main(i); });
   }
   if (config.update_ring_depth > 0) {
-    if (config_.update_batch_max == 0) config_.update_batch_max = 1;
     update_ring_ = std::make_unique<SpscRing<workload::UpdateMsg>>(
         config.update_ring_depth);
     updater_thread_ = std::thread([this] { updater_main(); });
@@ -249,11 +253,11 @@ LookupRuntime::Completion LookupRuntime::process(std::size_t w,
 LookupRuntime::Completion LookupRuntime::resolve_timed(
     std::size_t w, const Job& job, const ChipTable& table) {
   Worker& me = *workers_[w];
-  // Service-time sampling: time one in every latency_sample_every jobs
-  // so the histogram costs two clock reads per sample, not per lookup.
-  // jobs_seen is worker-private, so the per-job cost is a plain
-  // increment + mask rather than an atomic load.
-  if (sample_enabled_ && (me.jobs_seen++ & sample_mask_) == 0) {
+  // Service-time sampling: time one in every 64 jobs so the histogram
+  // costs two clock reads per sample, not per lookup. jobs_seen is
+  // worker-private, so the per-job cost is a plain increment + mask
+  // rather than an atomic load.
+  if ((me.jobs_seen++ & kLatencySampleMask) == 0) {
     const auto t0 = Clock::now();
     const Completion done = resolve_job(w, job, table);
     me.service_hist.record(elapsed_ns(t0));
@@ -281,11 +285,11 @@ LookupRuntime::Completion LookupRuntime::resolve_job(std::size_t w,
   }
   me.counters.add(WorkerCounter::kHomeLookups);
   const NextHop hop = table.flat.lookup(job.address);
-  // One in every fill_sample_every hits offers the stored route to the
-  // peer DReds; the flat image carries its exact shape, so the sampled
-  // hit costs one more cached image read.
-  if (hop != netbase::kNoRoute && dred_enabled_ && fill_sample_enabled_ &&
-      (me.hits_seen++ & fill_mask_) == 0) {
+  // One in every 8 hits offers the stored route to the peer DReds; the
+  // flat image carries its exact shape, so the sampled hit costs one
+  // more cached image read.
+  if (hop != netbase::kNoRoute && dred_enabled_ &&
+      (me.hits_seen++ & kFillSampleMask) == 0) {
     if (const auto matched = table.flat.lookup_route(job.address)) {
       send_fills(w, *matched, table.version);
     }
@@ -533,8 +537,7 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
               // Same 1-in-N sampling as worker service timing: on a
               // loaded host the client shares cycles with the workers,
               // so per-completion recording taxes lookup throughput.
-              if (sample_enabled_ &&
-                  (client_samples_seen_++ & sample_mask_) == 0) {
+              if ((client_samples_seen_++ & kLatencySampleMask) == 0) {
                 client_hist_.record(ns);
               }
             }
@@ -679,7 +682,7 @@ std::vector<std::size_t> LookupRuntime::chip_occupancy() const {
 }
 
 double LookupRuntime::skew() const {
-  return RebalancePlanner::skew(chip_occupancy());
+  return occupancy_skew(chip_occupancy());
 }
 
 std::size_t LookupRuntime::migrate(const MigrationStep& step) {
@@ -745,30 +748,24 @@ std::size_t LookupRuntime::migrate(const MigrationStep& step) {
 
 std::size_t LookupRuntime::rebalance_pass(obs::TtfTraceEntry* trace) {
   const auto t0 = Clock::now();
-  std::size_t steps = 0;
-  std::size_t entries = 0;
-  while (steps < planner_.config().max_steps_per_pass &&
-         !stop_.load(std::memory_order_acquire)) {
-    const auto step = planner_.plan_step(chip_occupancy());
-    if (!step) break;
-    const std::size_t moved = migrate(*step);
-    if (moved == 0) break;  // nothing executable despite the plan
-    entries += moved;
-    entries_migrated_.fetch_add(moved, std::memory_order_relaxed);
-    rebalance_steps_.fetch_add(1, std::memory_order_relaxed);
-    ++steps;
-  }
+  const RebalancePass pass = run_rebalance_pass(
+      [this] { return chip_occupancy(); },
+      [this](const MigrationStep& step) -> std::size_t {
+        return stop_.load(std::memory_order_acquire) ? 0 : migrate(step);
+      });
+  entries_migrated_.fetch_add(pass.entries, std::memory_order_relaxed);
+  rebalance_steps_.fetch_add(pass.steps, std::memory_order_relaxed);
   const double ns = elapsed_ns(t0);
   if (trace) {
-    trace->rebalance_steps += static_cast<std::uint32_t>(steps);
-    trace->entries_migrated += static_cast<std::uint32_t>(entries);
+    trace->rebalance_steps += static_cast<std::uint32_t>(pass.steps);
+    trace->entries_migrated += static_cast<std::uint32_t>(pass.entries);
     trace->rebalance_ns += ns;
   }
-  if (steps > 0) {
+  if (pass.steps > 0) {
     rebalance_passes_.fetch_add(1, std::memory_order_relaxed);
     rebalance_hist_.record(ns);
   }
-  return steps;
+  return pass.steps;
 }
 
 std::size_t LookupRuntime::rebalance_now() { return rebalance_pass(); }
@@ -800,8 +797,7 @@ void LookupRuntime::flush_updates() {
 }
 
 void LookupRuntime::updater_main() {
-  std::vector<workload::UpdateMsg> batch(config_.update_batch_max);
-  const double window_max_us = std::max(config_.update_window_us, 1.0);
+  std::vector<workload::UpdateMsg> batch(kUpdateBatchMax);
   double window_us = 1.0;
   unsigned idle = 0;
   for (;;) {
@@ -851,7 +847,7 @@ void LookupRuntime::updater_main() {
     if (!waited) {
       window_us = std::max(1.0, window_us * 0.5);
     } else if (n < batch.size() / 4) {
-      window_us = std::min(window_max_us, window_us * 2.0);
+      window_us = std::min(kUpdateWindowUs, window_us * 2.0);
     }
   }
 }
@@ -898,7 +894,7 @@ update::BatchTtfSample LookupRuntime::apply_batch(
       [this](std::size_t chip, const Prefix& region) {
         return chip_tries_[chip].routes_within(region);
       },
-      [&] { return planner_.config().enabled ? rebalance_pass(&trace) : 0; }});
+      [&] { return config_.rebalance ? rebalance_pass(&trace) : 0; }});
   update::BatchTtfSample batch = txn.sample();
   updates_rejected_.fetch_add(batch.rejected, std::memory_order_seq_cst);
   trace.ops_raw = static_cast<std::uint32_t>(batch.raw_ops);
@@ -973,7 +969,8 @@ update::BatchTtfSample LookupRuntime::apply_batch(
   // Drift watch (the rebalancer's steady-state trigger): occupancy just
   // changed, so re-check the watermarks and even out while the skew is
   // still small — many cheap migrations beat one giant one.
-  if (planner_.should_rebalance(chip_occupancy(), chip_capacity_)) {
+  if (config_.rebalance &&
+      should_rebalance(chip_occupancy(), chip_capacity_)) {
     rebalance_pass(&trace);
   }
 
@@ -1023,7 +1020,7 @@ RuntimeMetrics LookupRuntime::metrics() const {
   m.rebalance_steps = rebalance_steps_.load(std::memory_order_relaxed);
   m.entries_migrated = entries_migrated_.load(std::memory_order_relaxed);
   m.chip_occupancy = chip_occupancy();
-  m.skew = RebalancePlanner::skew(m.chip_occupancy);
+  m.skew = occupancy_skew(m.chip_occupancy);
   return m;
 }
 

@@ -25,8 +25,8 @@
 //                   they answer admission, migration and occupancy.
 //                   It also owns the boundary rebalancer: per-chip
 //                   occupancy is re-checked after every apply(), and
-//                   when skew or headroom pressure crosses the
-//                   configured watermark (RebalanceConfig), runs of
+//                   when skew or headroom pressure crosses a
+//                   watermark (runtime/rebalancer.hpp), runs of
 //                   boundary-adjacent entries migrate between
 //                   neighboring chips — receiver table published
 //                   first, then the boundary swap (epoch-
@@ -83,55 +83,34 @@ using netbase::NextHop;
 using netbase::Prefix;
 using netbase::Route;
 
+/// The runtime's settable values. Everything else — ring depths, the
+/// 1-in-64 latency and 1-in-8 fill sampling strides, the update batch
+/// bound and window, the rebalancer's watermarks and the flat-image
+/// geometry — is a fixed constant of the implementation.
 struct RuntimeConfig {
   std::size_t worker_count = 4;    ///< one thread per simulated chip
   std::size_t fifo_depth = 256;    ///< per-chip job ring (the home FIFO)
   std::size_t dred_capacity = 1024;  ///< per chip; 0 disables DRed+diversion
-  std::size_t completion_depth = 1024;
-  std::size_t control_depth = 4096;
-  std::size_t fill_depth = 256;
-  /// Retained apply() traces (TTF spans + queue depths); 0 disables.
-  std::size_t ttf_trace_depth = 1024;
   /// Modeled per-chip TCAM capacity enforced by apply(): an update whose
   /// admission would push a chip past it triggers an emergency rebalance
   /// and, failing that, a clean TcamFullError rejection. 0 auto-sizes to
-  /// (initial table / worker_count + 1) * (1 + chip_headroom) + 8192.
+  /// (initial table / worker_count + 1) * 2 + 8192. A capacity below the
+  /// initial even share makes the constructor throw
+  /// std::invalid_argument.
   std::size_t chip_capacity = 0;
-  /// Fraction of growth headroom the auto-sized chip capacity reserves
-  /// above the initial even share (ignored when chip_capacity is set).
-  double chip_headroom = 1.0;
-  /// Online boundary-rebalancer knobs (watermarks, step bounds).
-  RebalanceConfig rebalance;
-  /// Workers time one in every `latency_sample_every` jobs into their
-  /// service-time histogram, and the client records one in every
-  /// `latency_sample_every` completion latencies (power of two; 0
-  /// disables sampling). The default costs two clock reads per 64
-  /// lookups — noise.
-  std::size_t latency_sample_every = 64;
-  /// Stride / chunk geometry of the published flat images (the only
-  /// table representation workers read). A bad geometry makes the
-  /// constructor throw std::invalid_argument.
-  engine::FlatTableConfig flat_table;
-  /// Workers offer a DRed fill (the stored route shape, read off the
-  /// flat image) on one in every `fill_sample_every` home hits (power of
-  /// two; 0 disables fills) — bounds the fill-ring traffic per lookup.
-  std::size_t fill_sample_every = 8;
+  /// Online boundary rebalancer on/off. Off, occupancies drift freely and
+  /// a full chip is a hard TcamFullError instead of an emergency
+  /// migration.
+  bool rebalance = true;
   /// Async control-plane ingress: > 0 starts an updater thread fed by a
   /// bounded SPSC ring of this depth; submit() enqueues update messages
   /// and the updater drains them through apply_batch() in adaptive
-  /// windows. 0 (the default) disables the thread — apply()/apply_batch()
+  /// windows (batches of at most 256 messages, topped up for at most
+  /// 128 us). 0 (the default) disables the thread — apply()/apply_batch()
   /// stay direct calls from the external control role. While the ingress
   /// is enabled it *is* the control role: do not call apply(),
   /// apply_batch(), or rebalance_now() from outside.
   std::size_t update_ring_depth = 0;
-  /// Largest batch one updater pass hands to apply_batch().
-  std::size_t update_batch_max = 256;
-  /// Upper bound of the adaptive batch window: after a partial pop the
-  /// updater keeps topping the batch up for at most this long before
-  /// committing. The live window halves whenever a batch fills without
-  /// waiting (arrival rate is high; commit early, stay low-latency) and
-  /// doubles after a mostly-empty batch, clamped to [1us, this bound].
-  double update_window_us = 128.0;
 };
 
 /// Per-worker counter names; one obs::CounterBlock per chip worker.
@@ -339,12 +318,10 @@ class LookupRuntime {
   /// is called with latency sampling), and the TTF trace ("runtime.ttf").
   void export_metrics(obs::MetricsRegistry& registry) const;
 
-  /// Per-worker service-time histogram (sampled 1-in-
-  /// `latency_sample_every` jobs).
+  /// Per-worker service-time histogram (sampled 1-in-64 jobs).
   obs::HistogramSnapshot worker_service_histogram(std::size_t worker) const;
   /// Submit-to-completion latencies recorded by lookup_batch when the
-  /// caller asks for latency samples (sampled 1-in-
-  /// `latency_sample_every` completions).
+  /// caller asks for latency samples (sampled 1-in-64 completions).
   obs::HistogramSnapshot client_latency_histogram() const;
   /// The most recent apply() traces, oldest first.
   std::vector<obs::TtfTraceEntry> ttf_trace() const;
@@ -471,9 +448,9 @@ class LookupRuntime {
   void wait_control_ack(std::size_t chip);
   /// Executes one planned migration; returns entries moved.
   std::size_t migrate(const MigrationStep& step);
-  /// Runs plan_step/migrate until even or bounded; returns steps run.
-  /// Adds the pass's steps, migrated entries and wall time to `trace`
-  /// when given.
+  /// One run_rebalance_pass over the chips, cut short by stop(); returns
+  /// steps run. Adds the pass's steps, migrated entries and wall time to
+  /// `trace` when given.
   std::size_t rebalance_pass(obs::TtfTraceEntry* trace = nullptr);
 
   /// Updater-thread main loop: pops submitted updates in adaptive
@@ -492,7 +469,6 @@ class LookupRuntime {
   std::atomic<bool> stop_{false};
   bool dred_enabled_ = false;
   std::size_t chip_capacity_ = 0;
-  RebalancePlanner planner_;
   /// The client role's epoch slot (slot worker_count); pins the
   /// IndexingLogic snapshot for one dispatch pass.
   std::size_t client_slot_ = 0;
@@ -552,13 +528,6 @@ class LookupRuntime {
   /// Wall time of each flat-image build (control thread is the single
   /// writer; exported as "runtime.flat_rebuild_ns").
   obs::LatencyHistogram flat_rebuild_hist_;
-
-  // Service-time sampling: jobs & sample_mask_ == 0 gets timed.
-  bool sample_enabled_ = false;
-  std::uint64_t sample_mask_ = 0;
-  // Fill-harvest sampling: home hits & fill_mask_ == 0 send DRed fills.
-  bool fill_sample_enabled_ = false;
-  std::uint64_t fill_mask_ = 0;
 
   std::mutex stop_mutex_;  // serialises the join in stop()
 };

@@ -6,6 +6,13 @@
 
 namespace clue::runtime {
 
+namespace {
+
+/// Upper bound on migrations per rebalance pass.
+constexpr std::size_t kMaxStepsPerPass = 64;
+
+}  // namespace
+
 MigrationRun plan_migration_run(const MigrationStep& step,
                                 std::span<const netbase::Route> donor_routes,
                                 std::size_t receiver_free) {
@@ -25,14 +32,7 @@ MigrationRun plan_migration_run(const MigrationStep& step,
   return run;
 }
 
-RebalancePlanner::RebalancePlanner(RebalanceConfig config)
-    : config_(config) {
-  if (config_.skew_watermark < 1.0) config_.skew_watermark = 1.0;
-  if (config_.headroom_watermark <= 0.0) config_.headroom_watermark = 1.0;
-  if (config_.max_steps_per_pass == 0) config_.max_steps_per_pass = 1;
-}
-
-double RebalancePlanner::skew(std::span<const std::size_t> occupancy) {
+double occupancy_skew(std::span<const std::size_t> occupancy) {
   if (occupancy.size() < 2) return 1.0;
   std::size_t lo = *std::min_element(occupancy.begin(), occupancy.end());
   std::size_t hi = *std::max_element(occupancy.begin(), occupancy.end());
@@ -41,8 +41,7 @@ double RebalancePlanner::skew(std::span<const std::size_t> occupancy) {
   return static_cast<double>(hi) / static_cast<double>(lo);
 }
 
-std::vector<std::size_t> RebalancePlanner::even_targets(
-    std::span<const std::size_t> occupancy) {
+std::vector<std::size_t> even_targets(std::span<const std::size_t> occupancy) {
   const std::size_t n = occupancy.size();
   std::vector<std::size_t> targets(n, 0);
   if (n == 0) return targets;
@@ -64,24 +63,24 @@ std::vector<std::size_t> RebalancePlanner::even_targets(
   return targets;
 }
 
-bool RebalancePlanner::should_rebalance(
-    std::span<const std::size_t> occupancy, std::size_t chip_capacity) const {
-  if (!config_.enabled || occupancy.size() < 2) return false;
+bool should_rebalance(std::span<const std::size_t> occupancy,
+                      std::size_t chip_capacity) {
+  if (occupancy.size() < 2) return false;
   if (chip_capacity > 0) {
-    const double limit = config_.headroom_watermark *
-                         static_cast<double>(chip_capacity);
+    const double limit =
+        kHeadroomWatermark * static_cast<double>(chip_capacity);
     for (std::size_t occ : occupancy) {
       if (static_cast<double>(occ) > limit) return true;
     }
   }
   const std::size_t total =
       std::accumulate(occupancy.begin(), occupancy.end(), std::size_t{0});
-  if (total < config_.min_total_entries) return false;
-  return skew(occupancy) > config_.skew_watermark;
+  if (total < kMinTotalEntries) return false;
+  return occupancy_skew(occupancy) > kSkewWatermark;
 }
 
-std::optional<MigrationStep> RebalancePlanner::plan_step(
-    std::span<const std::size_t> occupancy) const {
+std::optional<MigrationStep> plan_step(
+    std::span<const std::size_t> occupancy) {
   const std::size_t n = occupancy.size();
   if (n < 2) return std::nullopt;
   const std::vector<std::size_t> targets = even_targets(occupancy);
@@ -116,14 +115,26 @@ std::optional<MigrationStep> RebalancePlanner::plan_step(
       movable = occupancy[i + 1] > 0 ? occupancy[i + 1] - 1 : 0;
     }
     step.count = std::min<std::size_t>(static_cast<std::size_t>(mag), movable);
-    if (config_.max_entries_per_step > 0) {
-      step.count = std::min(step.count, config_.max_entries_per_step);
-    }
     if (step.count == 0) continue;
     best = step;
     best_mag = mag;
   }
   return best;
+}
+
+RebalancePass run_rebalance_pass(
+    const std::function<std::vector<std::size_t>()>& occupancy,
+    const std::function<std::size_t(const MigrationStep&)>& migrate) {
+  RebalancePass pass;
+  while (pass.steps < kMaxStepsPerPass) {
+    const auto step = plan_step(occupancy());
+    if (!step) break;
+    const std::size_t moved = migrate(*step);
+    if (moved == 0) break;  // nothing executable despite the plan
+    pass.entries += moved;
+    ++pass.steps;
+  }
+  return pass;
 }
 
 }  // namespace clue::runtime

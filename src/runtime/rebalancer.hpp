@@ -13,14 +13,16 @@
 // boundary move — every migrated entry is a plain append on the
 // receiver and a one-shift delete on the donor (§IV-B).
 //
-// This header is pure planning: occupancies in, one executable
-// MigrationStep out. The execution protocols live with the hosts —
-// runtime::LookupRuntime runs the epoch-ordered concurrent protocol,
-// system::ClueSystem the serial one — so the same planner drives both
-// planes and they balance identically.
+// This header is the planning side: occupancies in, one executable
+// MigrationStep out, and the pass loop that repeats plan and execute.
+// The execution protocols live with the hosts — runtime::LookupRuntime
+// runs the epoch-ordered concurrent protocol, system::ClueSystem the
+// serial one — so the same planner drives both planes and they balance
+// identically.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -29,27 +31,16 @@
 
 namespace clue::runtime {
 
-struct RebalanceConfig {
-  /// Master switch; disabled means occupancies drift freely (and a full
-  /// chip is a hard TcamFullError instead of an emergency migration).
-  bool enabled = true;
-  /// Rebalance when max/min chip occupancy exceeds this ratio (empty
-  /// chips count as occupancy 1 for the ratio). Must be >= 1.
-  double skew_watermark = 1.25;
-  /// With a known per-chip capacity, rebalance when any chip's
-  /// occupancy/capacity fraction exceeds this — the headroom-remaining
-  /// trigger that front-runs overflow.
-  double headroom_watermark = 0.85;
-  /// Skew on tiny tables is noise; below this total occupancy the skew
-  /// trigger stays quiet (the headroom trigger still fires).
-  std::size_t min_total_entries = 256;
-  /// Upper bound on migrations per rebalance pass (safety valve; a pass
-  /// normally converges in at most chips-1 steps).
-  std::size_t max_steps_per_pass = 64;
-  /// Cap on entries moved by one migration; 0 = move the full planned
-  /// run in one step.
-  std::size_t max_entries_per_step = 0;
-};
+/// Rebalance when max/min chip occupancy exceeds this ratio (empty chips
+/// count as occupancy 1 for the ratio).
+inline constexpr double kSkewWatermark = 1.25;
+/// With a known per-chip capacity, rebalance when any chip's
+/// occupancy/capacity fraction exceeds this — the headroom-remaining
+/// trigger that front-runs overflow.
+inline constexpr double kHeadroomWatermark = 0.85;
+/// Skew on tiny tables is noise; below this total occupancy the skew
+/// trigger stays quiet (the headroom trigger still fires).
+inline constexpr std::size_t kMinTotalEntries = 256;
 
 /// One planned migration between two *adjacent* chips: move `count`
 /// boundary-adjacent entries from `donor` to `receiver`
@@ -81,40 +72,44 @@ MigrationRun plan_migration_run(const MigrationStep& step,
                                 std::span<const netbase::Route> donor_routes,
                                 std::size_t receiver_free);
 
-class RebalancePlanner {
- public:
-  explicit RebalancePlanner(RebalanceConfig config = {});
+/// max/min occupancy ratio, with empty chips counted as 1 so the ratio
+/// stays finite. 1.0 for perfectly even (or <2 chips).
+double occupancy_skew(std::span<const std::size_t> occupancy);
 
-  const RebalanceConfig& config() const { return config_; }
+/// The per-chip entry counts an exactly even split would give
+/// (ceil/floor of total/n; when total < n the occupied chips sit at the
+/// *end*, matching partition::even_partition's degenerate layout).
+std::vector<std::size_t> even_targets(std::span<const std::size_t> occupancy);
 
-  /// max/min occupancy ratio, with empty chips counted as 1 so the
-  /// ratio stays finite. 1.0 for perfectly even (or <2 chips).
-  static double skew(std::span<const std::size_t> occupancy);
+/// True when either watermark is crossed: skew above kSkewWatermark (and
+/// total >= kMinTotalEntries), or — when `chip_capacity` > 0 — any chip
+/// above kHeadroomWatermark of capacity. Hosts with the rebalancer
+/// switched off never ask.
+bool should_rebalance(std::span<const std::size_t> occupancy,
+                      std::size_t chip_capacity = 0);
 
-  /// The per-chip entry counts an exactly even split would give
-  /// (ceil/floor of total/n; when total < n the occupied chips sit at
-  /// the *end*, matching partition::even_partition's degenerate layout).
-  static std::vector<std::size_t> even_targets(
-      std::span<const std::size_t> occupancy);
+/// The next executable migration toward the even targets, or nullopt
+/// when balanced (or no executable step exists). Executable means the
+/// donor actually has the entries: a donor giving entries *leftward*
+/// always keeps at least one, so its boundary stays representable (the
+/// top chip must keep owning the top of the address space). Iterating
+/// plan_step + execute strictly decreases total imbalance, so a pass
+/// converges.
+std::optional<MigrationStep> plan_step(std::span<const std::size_t> occupancy);
 
-  /// True when either watermark is crossed: skew above skew_watermark
-  /// (and total >= min_total_entries), or — when `chip_capacity` > 0 —
-  /// any chip above headroom_watermark of capacity.
-  bool should_rebalance(std::span<const std::size_t> occupancy,
-                        std::size_t chip_capacity = 0) const;
-
-  /// The next executable migration toward the even targets, or nullopt
-  /// when balanced (or no executable step exists). Executable means the
-  /// donor actually has the entries: a donor giving entries *leftward*
-  /// always keeps at least one, so its boundary stays representable
-  /// (the top chip must keep owning the top of the address space).
-  /// Iterating plan_step + execute strictly decreases total imbalance,
-  /// so a pass converges; steps honor max_entries_per_step.
-  std::optional<MigrationStep> plan_step(
-      std::span<const std::size_t> occupancy) const;
-
- private:
-  RebalanceConfig config_;
+/// What one rebalance pass did.
+struct RebalancePass {
+  std::size_t steps = 0;    ///< migrations executed
+  std::size_t entries = 0;  ///< entries they moved
 };
+
+/// One rebalance pass, shared by both hosts: plan_step on `occupancy()`,
+/// execute it with `migrate` (which returns the entries it moved), and
+/// repeat until balanced, until a migration moves nothing, or for at
+/// most 64 steps (a safety valve: a pass normally converges in at most
+/// chips-1 steps).
+RebalancePass run_rebalance_pass(
+    const std::function<std::vector<std::size_t>()>& occupancy,
+    const std::function<std::size_t(const MigrationStep&)>& migrate);
 
 }  // namespace clue::runtime

@@ -16,7 +16,7 @@ constexpr double kAutoHeadroom = 1.0;
 
 ClueSystem::ClueSystem(const trie::BinaryTrie& fib,
                        const SystemConfig& config)
-    : fib_(fib), planner_(config.rebalance) {
+    : fib_(fib), rebalance_(config.rebalance) {
   const auto table = fib_.compressed().routes();
   const auto partitions =
       partition::even_partition(table, config.tcam_count);
@@ -29,6 +29,8 @@ ClueSystem::ClueSystem(const trie::BinaryTrie& fib,
           ? config.tcam_capacity
           : update::auto_capacity(table.size() / config.tcam_count + 1,
                                   kAutoHeadroom);
+  update::require_capacity("ClueSystem", tcam_capacity_,
+                           partitions.max_bucket());
   chips_.reserve(config.tcam_count);
   dreds_.reserve(config.tcam_count);
   for (std::size_t i = 0; i < config.tcam_count; ++i) {
@@ -68,13 +70,13 @@ update::TtfSample ClueSystem::apply(const workload::UpdateMsg& message) {
 update::BatchTtfSample ClueSystem::apply_batch(
     std::span<const workload::UpdateMsg> messages) {
   const update::BatchTtfSample batch = update::commit_to_updaters(
-      fib_, messages, chips_, dreds_, boundaries_, [this] {
-        return planner_.config().enabled ? rebalance_pass() : 0;
-      });
+      fib_, messages, chips_, dreds_, boundaries_,
+      [this] { return rebalance_ ? rebalance_pass() : 0; });
   updates_rejected_ += batch.rejected;
 
   // Drift watch: even out while the skew is still small.
-  if (planner_.should_rebalance(chip_occupancy(), tcam_capacity_)) {
+  if (rebalance_ &&
+      runtime::should_rebalance(chip_occupancy(), tcam_capacity_)) {
     rebalance_pass();
   }
   return batch;
@@ -89,8 +91,7 @@ std::vector<std::size_t> ClueSystem::chip_occupancy() const {
 }
 
 double ClueSystem::skew() const {
-  const auto occupancy = chip_occupancy();
-  return runtime::RebalancePlanner::skew(occupancy);
+  return runtime::occupancy_skew(chip_occupancy());
 }
 
 std::size_t ClueSystem::migrate(const runtime::MigrationStep& step) {
@@ -117,19 +118,13 @@ std::size_t ClueSystem::migrate(const runtime::MigrationStep& step) {
 }
 
 std::size_t ClueSystem::rebalance_pass() {
-  std::size_t steps = 0;
-  while (steps < planner_.config().max_steps_per_pass) {
-    const auto occupancy = chip_occupancy();
-    const auto step = planner_.plan_step(occupancy);
-    if (!step) break;
-    const std::size_t moved = migrate(*step);
-    if (moved == 0) break;
-    entries_migrated_ += moved;
-    ++rebalance_steps_;
-    ++steps;
-  }
-  if (steps > 0) ++rebalance_passes_;
-  return steps;
+  const runtime::RebalancePass pass = runtime::run_rebalance_pass(
+      [this] { return chip_occupancy(); },
+      [this](const runtime::MigrationStep& step) { return migrate(step); });
+  entries_migrated_ += pass.entries;
+  rebalance_steps_ += pass.steps;
+  if (pass.steps > 0) ++rebalance_passes_;
+  return pass.steps;
 }
 
 std::size_t ClueSystem::rebalance_now() { return rebalance_pass(); }

@@ -43,12 +43,15 @@ using netbase::Route;
 struct SystemConfig {
   std::size_t tcam_count = 4;
   /// Per-chip capacity; 0 = auto-size to 2x the initial even share plus
-  /// 8192 slack (update::auto_capacity).
+  /// 8192 slack (update::auto_capacity). A capacity below the initial
+  /// even share makes the constructor throw std::invalid_argument.
   std::size_t tcam_capacity = 0;
   std::size_t dred_capacity = 1024;
-  /// Online boundary-rebalancer knobs (shared with the runtime, so the
-  /// serial and concurrent planes balance identically).
-  runtime::RebalanceConfig rebalance;
+  /// Online boundary rebalancer on/off (the planner is shared with the
+  /// runtime, so the serial and concurrent planes balance identically).
+  /// Off, occupancies drift freely and a full chip is a plain rejection
+  /// instead of an emergency migration.
+  bool rebalance = true;
 };
 
 class ClueSystem {
@@ -131,7 +134,8 @@ class ClueSystem {
   void refresh_indexing();
   /// Executes one planned migration; returns entries moved.
   std::size_t migrate(const runtime::MigrationStep& step);
-  /// Runs plan_step/migrate until even or bounded; returns steps run.
+  /// One runtime::run_rebalance_pass over this system's chips; returns
+  /// steps run.
   std::size_t rebalance_pass();
 
   onrtc::CompressedFib fib_;
@@ -139,7 +143,7 @@ class ClueSystem {
   std::unique_ptr<engine::IndexingLogic> indexing_;
   std::vector<std::unique_ptr<tcam::ClueUpdater>> chips_;
   std::vector<std::unique_ptr<engine::DredStore>> dreds_;
-  runtime::RebalancePlanner planner_;
+  bool rebalance_ = true;
   std::size_t tcam_capacity_ = 0;
   std::uint64_t updates_rejected_ = 0;
   std::uint64_t rebalance_passes_ = 0;

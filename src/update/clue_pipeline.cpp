@@ -20,6 +20,7 @@ CluePipeline::CluePipeline(const trie::BinaryTrie& fib,
   const std::size_t capacity =
       config.tcam_capacity > 0 ? config.tcam_capacity
                                : auto_capacity(fib_.size(), kAutoHeadroom);
+  require_capacity("CluePipeline", capacity, fib_.compressed().size());
   tcam_ = std::make_unique<tcam::ClueUpdater>(capacity);
   for (const auto& route : fib_.compressed().routes()) {
     tcam_->insert(tcam::TcamEntry{route.prefix, route.next_hop});

@@ -29,7 +29,9 @@ using netbase::Prefix;
 
 struct PipelineConfig {
   /// Explicit TCAM capacity; 0 = auto-size to 4x the initial compressed
-  /// table plus 8192 slack (update::auto_capacity).
+  /// table plus 8192 slack (update::auto_capacity). A capacity below the
+  /// initial compressed table makes the constructor throw
+  /// std::invalid_argument.
   std::size_t tcam_capacity = 0;
   std::size_t dred_count = 4;
   std::size_t dred_capacity = 1024;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -162,6 +164,16 @@ std::size_t auto_capacity(std::size_t share, double headroom) {
   return static_cast<std::size_t>(static_cast<double>(share) *
                                   (1.0 + std::max(headroom, 0.0))) +
          8192;
+}
+
+void require_capacity(const char* host, std::size_t capacity,
+                      std::size_t share) {
+  if (share > capacity) {
+    throw std::invalid_argument(std::string(host) + ": capacity " +
+                                std::to_string(capacity) +
+                                " is below the initial share " +
+                                std::to_string(share));
+  }
 }
 
 BatchTxn::BatchTxn(onrtc::CompressedFib& fib,

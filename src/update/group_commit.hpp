@@ -83,6 +83,12 @@ struct BatchTtfSample {
 /// `headroom` (a fraction, clamped at 0) of growth room, plus 8192 slack.
 std::size_t auto_capacity(std::size_t share, double headroom);
 
+/// The up-front check every host runs before it builds a chip: throws
+/// std::invalid_argument, naming `host` and both sizes, when `capacity`
+/// cannot hold the largest initial `share` one chip must store.
+void require_capacity(const char* host, std::size_t capacity,
+                      std::size_t share);
+
 /// A host's data plane as the commit transaction sees it: range-
 /// partitioned chips (chip i owns the addresses from boundaries[i-1] up
 /// to boundaries[i]; a single-chip host has no boundaries).

@@ -25,8 +25,15 @@
 #include "workload/rib_gen.hpp"
 #include "workload/update_gen.hpp"
 
+#include "test_support.hpp"
+
 namespace clue::update {
 namespace {
+
+using test_support::announce;
+using test_support::make_fib;
+using test_support::random_addresses;
+using test_support::withdraw;
 
 using netbase::Ipv4Address;
 using netbase::make_next_hop;
@@ -39,23 +46,6 @@ using onrtc::FibOpKind;
 using workload::UpdateKind;
 using workload::UpdateMsg;
 
-trie::BinaryTrie test_fib(std::size_t size, std::uint64_t seed) {
-  workload::RibConfig config;
-  config.table_size = size;
-  config.seed = seed;
-  return workload::generate_rib(config);
-}
-
-UpdateMsg announce(const char* prefix, std::uint32_t hop) {
-  return UpdateMsg{UpdateKind::kAnnounce, *Prefix::parse(prefix),
-                   make_next_hop(hop)};
-}
-
-UpdateMsg withdraw(const char* prefix) {
-  return UpdateMsg{UpdateKind::kWithdraw, *Prefix::parse(prefix),
-                   netbase::kNoRoute};
-}
-
 FibOp op(FibOpKind kind, const char* prefix, std::uint32_t hop) {
   return FibOp{kind, Route{*Prefix::parse(prefix), make_next_hop(hop)}};
 }
@@ -66,15 +56,6 @@ std::vector<UpdateMsg> update_stream(const trie::BinaryTrie& fib,
   config.seed = seed;
   workload::UpdateGenerator generator(fib, config);
   return generator.generate(count);
-}
-
-std::vector<Ipv4Address> random_addresses(std::size_t count,
-                                          std::uint64_t seed) {
-  Pcg32 rng(seed);
-  std::vector<Ipv4Address> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.emplace_back(rng.next());
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -152,7 +133,7 @@ TEST(CoalesceOps, DistinctPrefixesKeepFirstTouchOrder) {
 // CluePipeline: apply_batch ≡ sequential apply
 
 TEST(BatchUpdate, PipelineBatchMatchesSequential) {
-  const auto fib = test_fib(5'000, 61);
+  const auto fib = make_fib(5'000, 61);
   CluePipeline sequential(fib, PipelineConfig{});
   CluePipeline batched(fib, PipelineConfig{});
   const auto warm = random_addresses(2'000, 62);
@@ -196,7 +177,7 @@ TEST(BatchUpdate, PipelineBatchMatchesSequential) {
 }
 
 TEST(BatchUpdate, AnnounceAndWithdrawOfSamePrefixInOneBatch) {
-  const auto fib = test_fib(2'000, 71);
+  const auto fib = make_fib(2'000, 71);
   CluePipeline pipeline(fib, PipelineConfig{});
   const auto before_occupied = pipeline.chip().occupied();
   const auto truth_before = [&] {
@@ -256,7 +237,7 @@ TEST(BatchUpdate, WithdrawThenReannounceInOneBatchIsAModify) {
 // Overflow: rollback is exact at batch granularity
 
 TEST(BatchUpdate, OverflowRejectsSuffixAndStaysConsistent) {
-  const auto fib = test_fib(2'000, 81);
+  const auto fib = make_fib(2'000, 81);
   PipelineConfig config;
   // Barely above the compressed size, so a 600-announce burst must hit
   // the ceiling partway through.
@@ -322,7 +303,7 @@ TEST(BatchUpdate, OverflowRejectsSuffixAndStaysConsistent) {
 // ClueSystem: apply_batch ≡ sequential apply across partitioned chips
 
 TEST(BatchUpdate, SystemBatchMatchesSequential) {
-  const auto fib = test_fib(8'000, 91);
+  const auto fib = make_fib(8'000, 91);
   system::SystemConfig config;
   system::ClueSystem sequential(fib, config);
   system::ClueSystem batched(fib, config);
@@ -354,7 +335,7 @@ TEST(BatchUpdate, SystemBatchMatchesSequential) {
 // LookupRuntime: batch ≡ sequential, publish accounting, async ingress
 
 TEST(BatchUpdate, RuntimeBatchMatchesSequential) {
-  const auto fib = test_fib(8'000, 101);
+  const auto fib = make_fib(8'000, 101);
   runtime::RuntimeConfig config;
   config.worker_count = 4;
   runtime::LookupRuntime sequential(fib, config);
@@ -397,7 +378,7 @@ TEST(BatchUpdate, RuntimeBatchMatchesSequential) {
 }
 
 TEST(BatchUpdate, OneEpochPublishPerAffectedChipPerBatch) {
-  const auto fib = test_fib(8'000, 111);
+  const auto fib = make_fib(8'000, 111);
   runtime::RuntimeConfig config;
   config.worker_count = 4;
   runtime::LookupRuntime runtime(fib, config);
@@ -429,11 +410,11 @@ TEST(BatchUpdate, OneEpochPublishPerAffectedChipPerBatch) {
 }
 
 TEST(BatchUpdate, AsyncSubmitIngressDrainsExactly) {
-  const auto fib = test_fib(8'000, 121);
+  const auto fib = make_fib(8'000, 121);
   runtime::RuntimeConfig async_config;
   async_config.worker_count = 4;
-  async_config.update_ring_depth = 256;  // smaller than the stream: the
-  async_config.update_batch_max = 64;    // submitter must block on room
+  // Smaller than the stream: the submitter must block on room.
+  async_config.update_ring_depth = 256;
   runtime::LookupRuntime async_runtime(fib, async_config);
 
   runtime::RuntimeConfig sync_config;
@@ -470,7 +451,7 @@ TEST(BatchUpdate, AsyncSubmitIngressDrainsExactly) {
 // boundary* state — an oracle snapshot taken at some completed-update
 // count inside [updates_completed() before, updates_started() after].
 TEST(BatchUpdate, ConcurrentBurstsWindowedOracle) {
-  const auto fib = test_fib(8'000, 131);
+  const auto fib = make_fib(8'000, 131);
   runtime::RuntimeConfig config;
   config.worker_count = 4;
   runtime::LookupRuntime runtime(fib, config);
@@ -563,11 +544,10 @@ TEST(BatchUpdate, ConcurrentBurstsWindowedOracle) {
 // lookup client runs. Exercises the updater thread's adaptive windows
 // under contention; exactness is checked at the flush barrier.
 TEST(BatchUpdate, ConcurrentAsyncSubmitUnderTraffic) {
-  const auto fib = test_fib(8'000, 141);
+  const auto fib = make_fib(8'000, 141);
   runtime::RuntimeConfig config;
   config.worker_count = 4;
   config.update_ring_depth = 512;
-  config.update_batch_max = 32;
   runtime::LookupRuntime runtime(fib, config);
 
   constexpr std::size_t kUpdates = 2'000;
@@ -624,11 +604,10 @@ std::size_t soak_updates() {
 
 TEST(BurstSoakTest, SustainedBurstsUnderTrafficStayExact) {
   const std::size_t kUpdates = soak_updates();
-  const auto fib = test_fib(8'000, 151);
+  const auto fib = make_fib(8'000, 151);
   runtime::RuntimeConfig config;
   config.worker_count = 4;
   config.update_ring_depth = 1024;
-  config.update_batch_max = 128;
   runtime::LookupRuntime runtime(fib, config);
 
   const auto pool = random_addresses(2'048, 152);

@@ -7,8 +7,12 @@
 #include "workload/rib_gen.hpp"
 #include "workload/update_gen.hpp"
 
+#include "test_support.hpp"
+
 namespace clue::system {
 namespace {
+
+using test_support::make_fib;
 
 using netbase::Ipv4Address;
 using netbase::make_next_hop;
@@ -17,15 +21,8 @@ using netbase::Prefix;
 using workload::UpdateKind;
 using workload::UpdateMsg;
 
-trie::BinaryTrie test_fib(std::size_t size, std::uint64_t seed) {
-  workload::RibConfig config;
-  config.table_size = size;
-  config.seed = seed;
-  return workload::generate_rib(config);
-}
-
 TEST(ClplSystem, InitialLookupsMatchGroundTruth) {
-  const auto fib = test_fib(3'000, 901);
+  const auto fib = make_fib(3'000, 901);
   ClplSystem system(fib, ClplSystemConfig{});
   Pcg32 rng(902);
   for (int probe = 0; probe < 4'000; ++probe) {
@@ -36,13 +33,13 @@ TEST(ClplSystem, InitialLookupsMatchGroundTruth) {
 }
 
 TEST(ClplSystem, TotalEntriesIncludeReplicas) {
-  const auto fib = test_fib(3'000, 903);
+  const auto fib = make_fib(3'000, 903);
   ClplSystem system(fib, ClplSystemConfig{});
   EXPECT_GE(system.total_tcam_entries(), fib.size());
 }
 
 TEST(ClplSystem, LookupsStayCorrectUnderUpdateStream) {
-  const auto fib = test_fib(2'500, 905);
+  const auto fib = make_fib(2'500, 905);
   ClplSystem system(fib, ClplSystemConfig{});
   workload::UpdateConfig update_config;
   update_config.seed = 906;
@@ -61,7 +58,7 @@ TEST(ClplSystem, LookupsStayCorrectUnderUpdateStream) {
 }
 
 TEST(ClplSystem, CoveringAnnounceTouchesMultipleChips) {
-  const auto fib = test_fib(4'000, 909);
+  const auto fib = make_fib(4'000, 909);
   ClplSystem system(fib, ClplSystemConfig{});
   // A short covering route must be replicated into every bucket whose
   // carve roots it contains — the multi-chip update cost CLUE avoids.
@@ -89,7 +86,7 @@ TEST(ClplSystem, CoveringAnnounceTouchesMultipleChips) {
 }
 
 TEST(ClplSystem, WithdrawRemovesAllReplicas) {
-  const auto fib = test_fib(3'000, 911);
+  const auto fib = make_fib(3'000, 911);
   ClplSystem system(fib, ClplSystemConfig{});
   const Prefix wide(Ipv4Address(0x50000000u), 5);
   const auto announce = system.apply(
@@ -106,7 +103,7 @@ TEST(ClplSystem, UpdateImpactComparedToClueSystem) {
   // The §IV-B story, quantified: on the same update stream the CLPL
   // system touches more chip entries per update than the CLUE system's
   // compressed diff (for the common announce/withdraw mix).
-  const auto fib = test_fib(4'000, 913);
+  const auto fib = make_fib(4'000, 913);
   ClplSystem clpl(fib, ClplSystemConfig{});
   ClueSystem clue(fib, SystemConfig{});
   workload::UpdateConfig update_config;
@@ -123,7 +120,7 @@ TEST(ClplSystem, UpdateImpactComparedToClueSystem) {
 }
 
 TEST(ClplSystem, WarmedCachesPayInvalidationCosts) {
-  const auto fib = test_fib(2'000, 915);
+  const auto fib = make_fib(2'000, 915);
   ClplSystem system(fib, ClplSystemConfig{});
   Pcg32 rng(916);
   std::vector<Ipv4Address> warm;

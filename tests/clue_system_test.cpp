@@ -8,8 +8,12 @@
 #include "workload/rib_gen.hpp"
 #include "workload/update_gen.hpp"
 
+#include "test_support.hpp"
+
 namespace clue::system {
 namespace {
+
+using test_support::make_fib;
 
 using netbase::cidr_cover;
 using netbase::make_next_hop;
@@ -77,22 +81,15 @@ TEST(CidrCover, PropertyExactDisjointCover) {
 // ---------------------------------------------------------------------------
 // ClueSystem
 
-trie::BinaryTrie test_fib(std::size_t size, std::uint64_t seed) {
-  workload::RibConfig config;
-  config.table_size = size;
-  config.seed = seed;
-  return workload::generate_rib(config);
-}
-
 TEST(ClueSystem, InitialChipsHoldWholeCompressedTable) {
-  const auto fib = test_fib(3'000, 411);
+  const auto fib = make_fib(3'000, 411);
   ClueSystem system(fib, SystemConfig{});
   EXPECT_EQ(system.total_tcam_entries(), system.fib().size());
   EXPECT_EQ(system.tcam_count(), 4u);
 }
 
 TEST(ClueSystem, LookupMatchesGroundTruth) {
-  const auto fib = test_fib(3'000, 413);
+  const auto fib = make_fib(3'000, 413);
   ClueSystem system(fib, SystemConfig{});
   Pcg32 rng(414);
   for (int probe = 0; probe < 3'000; ++probe) {
@@ -103,7 +100,7 @@ TEST(ClueSystem, LookupMatchesGroundTruth) {
 }
 
 TEST(ClueSystem, LookupMatchesGroundTruthAfterUpdateStream) {
-  const auto fib = test_fib(3'000, 415);
+  const auto fib = make_fib(3'000, 415);
   ClueSystem system(fib, SystemConfig{});
   workload::UpdateConfig update_config;
   update_config.seed = 416;
@@ -123,7 +120,7 @@ TEST(ClueSystem, LookupMatchesGroundTruthAfterUpdateStream) {
 }
 
 TEST(ClueSystem, BoundarySpanningRegionsAreSplitNotLost) {
-  const auto fib = test_fib(3'000, 419);
+  const auto fib = make_fib(3'000, 419);
   ClueSystem system(fib, SystemConfig{});
   // Force boundary-spanning regions: announce short prefixes until one
   // covers a partition boundary, then verify lookups on both sides.
@@ -158,7 +155,7 @@ TEST(ClueSystem, WithdrawingEverythingEmptiesChips) {
 }
 
 TEST(ClueSystem, TtfAccountingUsesCriticalPath) {
-  const auto fib = test_fib(2'000, 421);
+  const auto fib = make_fib(2'000, 421);
   ClueSystem system(fib, SystemConfig{});
   workload::UpdateConfig update_config;
   update_config.seed = 422;
@@ -173,7 +170,7 @@ TEST(ClueSystem, TtfAccountingUsesCriticalPath) {
 }
 
 TEST(ClueSystem, EngineSetupSnapshotIsRunnable) {
-  const auto fib = test_fib(2'000, 423);
+  const auto fib = make_fib(2'000, 423);
   ClueSystem system(fib, SystemConfig{});
   const auto setup = system.engine_setup();
   engine::EngineConfig config;

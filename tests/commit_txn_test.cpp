@@ -1,8 +1,9 @@
 // The shared commit transaction at the capacity edge: one input through
 // CluePipeline, a 2-chip ClueSystem and a 2-worker LookupRuntime must be
 // admitted, shed and installed identically — the hosts run one exact
-// admission rule — and the pipeline's DRed modify sync must not promote
-// the entry in LRU order.
+// admission rule — every host must reject a capacity below its initial
+// share before building anything, and the pipeline's DRed modify sync
+// must not promote the entry in LRU order.
 #include "update/group_commit.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "netbase/rng.hpp"
@@ -17,8 +20,13 @@
 #include "system/clue_system.hpp"
 #include "update/clue_pipeline.hpp"
 
+#include "test_support.hpp"
+
 namespace clue::update {
 namespace {
+
+using test_support::announce;
+using test_support::withdraw;
 
 using netbase::Ipv4Address;
 using netbase::make_next_hop;
@@ -27,16 +35,6 @@ using netbase::Prefix;
 using netbase::Route;
 using workload::UpdateKind;
 using workload::UpdateMsg;
-
-UpdateMsg announce(const char* prefix, std::uint32_t hop) {
-  return UpdateMsg{UpdateKind::kAnnounce, *Prefix::parse(prefix),
-                   make_next_hop(hop)};
-}
-
-UpdateMsg withdraw(const char* prefix) {
-  return UpdateMsg{UpdateKind::kWithdraw, *Prefix::parse(prefix),
-                   netbase::kNoRoute};
-}
 
 // Eight disjoint routes. The even partition gives each chip four:
 // chip 0 everything below 100.0.0.0, chip 1 the rest.
@@ -70,14 +68,14 @@ struct Hosts {
     system::SystemConfig config;
     config.tcam_count = 2;
     config.tcam_capacity = kPerChip + slack;
-    config.rebalance.enabled = false;
+    config.rebalance = false;
     return config;
   }
   static runtime::RuntimeConfig runtime_config(std::size_t slack) {
     runtime::RuntimeConfig config;
     config.worker_count = 2;
     config.chip_capacity = kPerChip + slack;
-    config.rebalance.enabled = false;
+    config.rebalance = false;
     return config;
   }
 
@@ -206,6 +204,47 @@ TEST(CommitTxn, OverflowShedsTheSameSuffixOnEveryHost) {
   EXPECT_EQ(hosts.last.applied + hosts.last.rejected, batch.size());
   EXPECT_LE(hosts.pipeline.chip().occupied(), kRoutes + 64);
   hosts.expect_identical();
+}
+
+// A capacity below the share one chip must hold from the start: every
+// host rejects it before building any chip, with the same exception
+// naming both sizes.
+template <typename Build>
+void expect_rejected_up_front(Build build, std::size_t capacity,
+                              std::size_t share) {
+  try {
+    build();
+    ADD_FAILURE() << "capacity " << capacity << " was accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string expected = "capacity " + std::to_string(capacity) +
+                                 " is below the initial share " +
+                                 std::to_string(share);
+    EXPECT_NE(std::string(error.what()).find(expected), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(CommitTxn, PipelineRejectsUndersizedCapacityUpFront) {
+  expect_rejected_up_front(
+      [] {
+        CluePipeline(edge_fib(), PipelineConfig{.tcam_capacity = kRoutes - 1});
+      },
+      kRoutes - 1, kRoutes);
+}
+
+TEST(CommitTxn, SystemRejectsUndersizedCapacityUpFront) {
+  auto config = Hosts::system_config(0);
+  config.tcam_capacity = kPerChip - 1;
+  expect_rejected_up_front([&] { system::ClueSystem(edge_fib(), config); },
+                           kPerChip - 1, kPerChip);
+}
+
+TEST(CommitTxn, RuntimeRejectsUndersizedCapacityUpFront) {
+  auto config = Hosts::runtime_config(0);
+  config.chip_capacity = kPerChip - 1;
+  expect_rejected_up_front(
+      [&] { runtime::LookupRuntime(edge_fib(), config); }, kPerChip - 1,
+      kPerChip);
 }
 
 TEST(CommitTxn, PipelineModifySyncDoesNotPromoteDredEntry) {

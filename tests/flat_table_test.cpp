@@ -20,7 +20,6 @@
 namespace {
 
 using clue::engine::FlatLookupTable;
-using clue::engine::FlatTableConfig;
 using clue::netbase::Ipv4Address;
 using clue::netbase::make_next_hop;
 using clue::netbase::NextHop;
@@ -42,7 +41,7 @@ Prefix random_prefix(Pcg32& rng, unsigned min_len, unsigned max_len) {
 }
 
 // Builds a random non-overlapping table with lengths spanning both
-// sides of the stride so level-2 blocks get real coverage.
+// sides of /24 so level-2 blocks get real coverage.
 BinaryTrie make_disjoint_table(std::size_t target, std::uint64_t seed) {
   BinaryTrie table;
   Pcg32 rng(seed);
@@ -121,16 +120,6 @@ TEST(FlatTableTest, MatchesTrieAndLinearTcamScan) {
       ASSERT_EQ(tcam_hop, expected)
           << "tcam linear vs trie at " << address.to_string();
     }
-  }
-}
-
-TEST(FlatTableTest, NonDefaultStridesMatchTrie) {
-  const auto table = make_disjoint_table(1'000, 44);
-  for (const FlatTableConfig config :
-       {FlatTableConfig{16, 8}, FlatTableConfig{20, 10},
-        FlatTableConfig{28, 12}}) {
-    const FlatLookupTable flat(table, config);
-    expect_matches_trie(flat, table, probe_addresses(table, 2'000, 55));
   }
 }
 
@@ -219,7 +208,7 @@ TEST(FlatTableTest, MigrationRebuildMovesRangesBetweenSnapshots) {
   expect_matches_trie(*donor_flat, donor, probe_addresses(donor, 4'000, 111));
 }
 
-TEST(FlatTableTest, RejectsOverlapsBadHopsAndBadConfigs) {
+TEST(FlatTableTest, RejectsOverlapsAndRoundTripsHighHops) {
   BinaryTrie overlapping;
   overlapping.insert(Prefix(Ipv4Address(0x0A000000u), 8), make_next_hop(1));
   overlapping.insert(Prefix(Ipv4Address(0x0A010000u), 16), make_next_hop(2));
@@ -234,16 +223,6 @@ TEST(FlatTableTest, RejectsOverlapsBadHopsAndBadConfigs) {
   EXPECT_EQ(high.lookup(Ipv4Address(0x0A123456u)), NextHop{0x8000'0001u});
   expect_same_route(high, high_hop, Ipv4Address(0x0A123456u));
   EXPECT_EQ(high.lookup(Ipv4Address(0x0B000000u)), clue::netbase::kNoRoute);
-
-  BinaryTrie ok;
-  EXPECT_THROW(FlatLookupTable(ok, FlatTableConfig{4, 4}),
-               std::invalid_argument);
-  EXPECT_THROW(FlatLookupTable(ok, FlatTableConfig{30, 12}),
-               std::invalid_argument);
-  EXPECT_THROW(FlatLookupTable(ok, FlatTableConfig{24, 2}),
-               std::invalid_argument);
-  EXPECT_THROW(FlatLookupTable(ok, FlatTableConfig{16, 20}),
-               std::invalid_argument);
 }
 
 TEST(FlatTableTest, EmptyTableAnswersNoRouteWithNoMemory) {

@@ -22,7 +22,12 @@
 #include "workload/rib_gen.hpp"
 #include "workload/update_gen.hpp"
 
+#include "test_support.hpp"
+
 namespace {
+
+using clue::test_support::make_fib;
+using clue::test_support::random_addresses;
 
 using clue::netbase::Ipv4Address;
 using clue::netbase::make_next_hop;
@@ -31,27 +36,13 @@ using clue::netbase::Pcg32;
 using clue::netbase::Prefix;
 using clue::runtime::LookupRuntime;
 using clue::runtime::MigrationStep;
-using clue::runtime::RebalanceConfig;
-using clue::runtime::RebalancePlanner;
+using clue::runtime::even_targets;
+using clue::runtime::occupancy_skew;
+using clue::runtime::plan_step;
+using clue::runtime::should_rebalance;
 using clue::runtime::RuntimeConfig;
 using clue::workload::UpdateKind;
 using clue::workload::UpdateMsg;
-
-clue::trie::BinaryTrie make_fib(std::size_t routes, std::uint64_t seed) {
-  clue::workload::RibConfig config;
-  config.table_size = routes;
-  config.seed = seed;
-  return clue::workload::generate_rib(config);
-}
-
-std::vector<Ipv4Address> random_addresses(std::size_t count,
-                                          std::uint64_t seed) {
-  Pcg32 rng(seed);
-  std::vector<Ipv4Address> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.emplace_back(rng.next());
-  return out;
-}
 
 /// A fresh announce below `bound` (chip 0's range): the hot-churn shape
 /// that drives occupancy skew.
@@ -68,19 +59,19 @@ UpdateMsg hot_announce(Pcg32& rng, std::uint32_t bound) {
 
 TEST(RebalancePlannerTest, SkewRatioCountsEmptyChipsAsOne) {
   const std::vector<std::size_t> even{100, 100, 100};
-  EXPECT_DOUBLE_EQ(RebalancePlanner::skew(even), 1.0);
+  EXPECT_DOUBLE_EQ(occupancy_skew(even), 1.0);
   const std::vector<std::size_t> two{200, 100};
-  EXPECT_DOUBLE_EQ(RebalancePlanner::skew(two), 2.0);
+  EXPECT_DOUBLE_EQ(occupancy_skew(two), 2.0);
   const std::vector<std::size_t> with_empty{0, 50};
-  EXPECT_DOUBLE_EQ(RebalancePlanner::skew(with_empty), 50.0);
+  EXPECT_DOUBLE_EQ(occupancy_skew(with_empty), 50.0);
   const std::vector<std::size_t> single{123};
-  EXPECT_DOUBLE_EQ(RebalancePlanner::skew(single), 1.0);
-  EXPECT_DOUBLE_EQ(RebalancePlanner::skew({}), 1.0);
+  EXPECT_DOUBLE_EQ(occupancy_skew(single), 1.0);
+  EXPECT_DOUBLE_EQ(occupancy_skew({}), 1.0);
 }
 
 TEST(RebalancePlannerTest, EvenTargetsFrontLoadRemainder) {
   const std::vector<std::size_t> occupancy{14, 0, 0, 0};
-  const auto targets = RebalancePlanner::even_targets(occupancy);
+  const auto targets = even_targets(occupancy);
   EXPECT_EQ(targets, (std::vector<std::size_t>{4, 4, 3, 3}));
 }
 
@@ -89,43 +80,52 @@ TEST(RebalancePlannerTest, EvenTargetsDegeneratePutsSingletonsAtEnd) {
   // buckets at the end so the top chip keeps owning the address-space
   // top (a trailing empty bucket has no representable boundary).
   const std::vector<std::size_t> occupancy{2, 0, 0, 0};
-  const auto targets = RebalancePlanner::even_targets(occupancy);
+  const auto targets = even_targets(occupancy);
   EXPECT_EQ(targets, (std::vector<std::size_t>{0, 0, 1, 1}));
 }
 
 TEST(RebalancePlannerTest, ShouldRebalanceRespectsWatermarksAndSwitch) {
-  RebalanceConfig config;
-  config.skew_watermark = 1.25;
-  config.min_total_entries = 100;
-  RebalancePlanner planner(config);
-
   const std::vector<std::size_t> skewed{300, 100};
-  EXPECT_TRUE(planner.should_rebalance(skewed));
+  EXPECT_TRUE(should_rebalance(skewed));
   const std::vector<std::size_t> even{200, 200};
-  EXPECT_FALSE(planner.should_rebalance(even));
-  // Below min_total_entries the skew trigger stays quiet...
+  EXPECT_FALSE(should_rebalance(even));
+  // Below kMinTotalEntries the skew trigger stays quiet...
   const std::vector<std::size_t> tiny{30, 10};
-  EXPECT_FALSE(planner.should_rebalance(tiny));
+  EXPECT_FALSE(should_rebalance(tiny));
   // ...but the headroom trigger still fires when capacity says so.
-  EXPECT_TRUE(planner.should_rebalance(tiny, 32));
+  EXPECT_TRUE(should_rebalance(tiny, 32));
 
-  RebalanceConfig off = config;
-  off.enabled = false;
-  RebalancePlanner disabled(off);
-  EXPECT_FALSE(disabled.should_rebalance(skewed));
-  EXPECT_FALSE(disabled.should_rebalance(tiny, 32));
+  // The switch belongs to the hosts: switched off, neither runs a pass
+  // when hot churn crosses the skew watermark.
+  const auto fib = make_fib(2'000, 2001);
+  RuntimeConfig runtime_config;
+  runtime_config.worker_count = 4;
+  runtime_config.rebalance = false;
+  LookupRuntime runtime(fib, runtime_config);
+  clue::system::SystemConfig system_config;
+  system_config.rebalance = false;
+  clue::system::ClueSystem system(fib, system_config);
+  const std::uint32_t bound = runtime.boundaries().front().value();
+  Pcg32 rng(2002);
+  for (int u = 0; u < 600; ++u) {
+    const UpdateMsg msg = hot_announce(rng, bound);
+    runtime.apply(msg);
+    system.apply(msg);
+  }
+  EXPECT_TRUE(should_rebalance(runtime.chip_occupancy()));
+  EXPECT_TRUE(should_rebalance(system.chip_occupancy()));
+  EXPECT_EQ(runtime.metrics().rebalance_passes, 0u);
+  EXPECT_GT(system.skew(), clue::runtime::kSkewWatermark);
 }
 
 TEST(RebalancePlannerTest, PlanStepNulloptWhenBalanced) {
-  RebalancePlanner planner;
   const std::vector<std::size_t> even{100, 100, 100, 100};
-  EXPECT_FALSE(planner.plan_step(even).has_value());
+  EXPECT_FALSE(plan_step(even).has_value());
   const std::vector<std::size_t> off_by_remainder{101, 100, 100};
-  EXPECT_FALSE(planner.plan_step(off_by_remainder).has_value());
+  EXPECT_FALSE(plan_step(off_by_remainder).has_value());
 }
 
 TEST(RebalancePlannerTest, PlanStepConvergesToEvenFromAnySkew) {
-  RebalancePlanner planner;
   Pcg32 rng(77);
   for (int trial = 0; trial < 50; ++trial) {
     const std::size_t n = 2 + rng.next_below(6);
@@ -134,7 +134,7 @@ TEST(RebalancePlannerTest, PlanStepConvergesToEvenFromAnySkew) {
     // Simulate: every planned step must be executable as stated and the
     // loop must terminate at the even targets.
     for (int steps = 0; steps < 1000; ++steps) {
-      const auto step = planner.plan_step(occupancy);
+      const auto step = plan_step(occupancy);
       if (!step) break;
       ASSERT_TRUE(step->receiver == step->donor + 1 ||
                   step->donor == step->receiver + 1);
@@ -147,22 +147,10 @@ TEST(RebalancePlannerTest, PlanStepConvergesToEvenFromAnySkew) {
       occupancy[step->donor] -= step->count;
       occupancy[step->receiver] += step->count;
     }
-    EXPECT_FALSE(planner.plan_step(occupancy).has_value());
-    const auto targets = RebalancePlanner::even_targets(occupancy);
+    EXPECT_FALSE(plan_step(occupancy).has_value());
+    const auto targets = even_targets(occupancy);
     EXPECT_EQ(occupancy, targets) << "trial " << trial;
   }
-}
-
-TEST(RebalancePlannerTest, PlanStepHonorsEntryCap) {
-  RebalanceConfig config;
-  config.max_entries_per_step = 10;
-  RebalancePlanner planner(config);
-  const std::vector<std::size_t> occupancy{500, 100};
-  const auto step = planner.plan_step(occupancy);
-  ASSERT_TRUE(step.has_value());
-  EXPECT_EQ(step->donor, 0u);
-  EXPECT_EQ(step->receiver, 1u);
-  EXPECT_EQ(step->count, 10u);
 }
 
 // plan_migration_run: the run both hosts' migrate() execute.

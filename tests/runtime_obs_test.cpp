@@ -12,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -22,28 +21,17 @@
 #include "workload/rib_gen.hpp"
 #include "workload/update_gen.hpp"
 
+#include "test_support.hpp"
+
 namespace {
+
+using clue::test_support::make_fib;
+using clue::test_support::random_addresses;
 
 using clue::netbase::Ipv4Address;
 using clue::netbase::Pcg32;
 using clue::runtime::LookupRuntime;
 using clue::runtime::RuntimeConfig;
-
-clue::trie::BinaryTrie make_fib(std::size_t routes, std::uint64_t seed) {
-  clue::workload::RibConfig config;
-  config.table_size = routes;
-  config.seed = seed;
-  return clue::workload::generate_rib(config);
-}
-
-std::vector<Ipv4Address> random_addresses(std::size_t count,
-                                          std::uint64_t seed) {
-  Pcg32 rng(seed);
-  std::vector<Ipv4Address> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.emplace_back(rng.next());
-  return out;
-}
 
 TEST(LookupRuntimeTest, StopUnblocksBatchInFlight) {
   const auto fib = make_fib(10'000, 7001);
@@ -91,7 +79,6 @@ TEST(LookupRuntimeTest, NoStaleDredRouteAfterChurnQuiesces) {
   config.worker_count = 4;
   config.fifo_depth = 16;      // force diversions -> DRed traffic
   config.dred_capacity = 256;  // force evictions too
-  config.fill_depth = 32;      // keep fill rings small
   LookupRuntime runtime(fib, config);
 
   // Churn thread: a steady update stream racing the lookups below, so
@@ -151,7 +138,6 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
   const auto fib = make_fib(10'000, 7301);
   RuntimeConfig config;
   config.worker_count = 2;
-  config.latency_sample_every = 1;  // sample every job
   LookupRuntime runtime(fib, config);
 
   const auto addresses = random_addresses(8'192, 7302);
@@ -182,19 +168,28 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
   EXPECT_EQ(counter("runtime.lookups_completed"), addresses.size());
   EXPECT_EQ(counter("runtime.updates_applied"), runtime.updates_completed());
 
-  // Per-worker service histograms: with 1-in-1 sampling, the merged
-  // totals equal the jobs processed (>= lookups; misses re-enqueue).
-  std::uint64_t sampled = 0;
+  // The runtime samples one in every 64 events: each worker times the
+  // first of every 64 jobs it runs (lookups, miss re-enqueues and fence
+  // drains alike), and the client records the first of every 64
+  // completion latencies.
+  const auto samples = [](std::uint64_t events) { return (events + 63) / 64; };
+  const auto per_worker_jobs = runtime.metrics().per_worker_jobs;
+  std::size_t service_hists = 0;
   bool client_hist_seen = false;
   for (const auto& [name, snap] : registry.histograms()) {
-    if (name.find(".service_ns") != std::string::npos) sampled += snap.total;
+    for (std::size_t w = 0; w < per_worker_jobs.size(); ++w) {
+      if (name == "runtime.worker" + std::to_string(w) + ".service_ns") {
+        ++service_hists;
+        EXPECT_EQ(snap.total, samples(per_worker_jobs[w])) << name;
+      }
+    }
     if (name == "runtime.client.latency_ns") {
       client_hist_seen = true;
-      EXPECT_EQ(snap.total, addresses.size());
+      EXPECT_EQ(snap.total, samples(addresses.size()));
       EXPECT_GT(snap.quantile_ns(0.5), 0.0);
     }
   }
-  EXPECT_GE(sampled, addresses.size());
+  EXPECT_EQ(service_hists, per_worker_jobs.size());
   EXPECT_TRUE(client_hist_seen);
 
   // The TTF trace retains the most recent applies, oldest first, each
@@ -205,7 +200,7 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
     if (name != "runtime.ttf") continue;
     trace_seen = true;
     ASSERT_FALSE(entries.empty());
-    EXPECT_LE(entries.size(), config.ttf_trace_depth);
+    EXPECT_LE(entries.size(), 1024u);  // the retained trace depth
     EXPECT_EQ(entries.back().seq, runtime.updates_started());
     for (const auto& e : entries) {
       EXPECT_GE(e.ttf1_ns, 0.0);
@@ -225,28 +220,6 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
   // A second export overwrites in place instead of duplicating names.
   runtime.export_metrics(registry);
   EXPECT_EQ(counter("runtime.lookups_completed"), addresses.size());
-}
-
-TEST(LookupRuntimeTest, RejectsBadSampleStride) {
-  const auto fib = make_fib(1'000, 7401);
-  RuntimeConfig config;
-  config.latency_sample_every = 48;  // not a power of two
-  EXPECT_THROW(LookupRuntime(fib, config), std::invalid_argument);
-}
-
-TEST(LookupRuntimeTest, TtfTraceDepthZeroDisablesTracing) {
-  const auto fib = make_fib(2'000, 7501);
-  RuntimeConfig config;
-  config.worker_count = 1;
-  config.ttf_trace_depth = 0;
-  LookupRuntime runtime(fib, config);
-  clue::workload::UpdateConfig update_config;
-  update_config.seed = 7502;
-  clue::workload::UpdateGenerator updates(fib, update_config);
-  for (int i = 0; i < 50; ++i) runtime.apply(updates.next());
-  EXPECT_TRUE(runtime.ttf_trace().empty());
-  EXPECT_EQ(runtime.metrics().updates_applied, runtime.updates_completed());
-  EXPECT_GT(runtime.updates_completed(), 0u);
 }
 
 }  // namespace

@@ -20,29 +20,18 @@
 #include "workload/traffic_gen.hpp"
 #include "workload/update_gen.hpp"
 
+#include "test_support.hpp"
+
 namespace {
+
+using clue::test_support::make_fib;
+using clue::test_support::random_addresses;
 
 using clue::netbase::Ipv4Address;
 using clue::netbase::NextHop;
 using clue::netbase::Pcg32;
 using clue::runtime::LookupRuntime;
 using clue::runtime::RuntimeConfig;
-
-clue::trie::BinaryTrie make_fib(std::size_t routes, std::uint64_t seed) {
-  clue::workload::RibConfig config;
-  config.table_size = routes;
-  config.seed = seed;
-  return clue::workload::generate_rib(config);
-}
-
-std::vector<Ipv4Address> random_addresses(std::size_t count,
-                                          std::uint64_t seed) {
-  Pcg32 rng(seed);
-  std::vector<Ipv4Address> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.emplace_back(rng.next());
-  return out;
-}
 
 TEST(LookupRuntimeTest, BatchLookupsMatchReferenceTrie) {
   const auto fib = make_fib(20'000, 101);

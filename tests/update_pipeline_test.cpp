@@ -10,8 +10,14 @@
 #include "workload/traffic_gen.hpp"
 #include "workload/update_gen.hpp"
 
+#include "test_support.hpp"
+
 namespace clue::update {
 namespace {
+
+using test_support::announce;
+using test_support::make_fib;
+using test_support::withdraw;
 
 using netbase::Ipv4Address;
 using netbase::make_next_hop;
@@ -20,34 +26,17 @@ using netbase::Prefix;
 using workload::UpdateKind;
 using workload::UpdateMsg;
 
-trie::BinaryTrie test_fib(std::size_t size, std::uint64_t seed) {
-  workload::RibConfig config;
-  config.table_size = size;
-  config.seed = seed;
-  return workload::generate_rib(config);
-}
-
-UpdateMsg announce(const char* prefix, std::uint32_t hop) {
-  return UpdateMsg{UpdateKind::kAnnounce, *Prefix::parse(prefix),
-                   make_next_hop(hop)};
-}
-
-UpdateMsg withdraw(const char* prefix) {
-  return UpdateMsg{UpdateKind::kWithdraw, *Prefix::parse(prefix),
-                   netbase::kNoRoute};
-}
-
 // ---------------------------------------------------------------------------
 // CluePipeline
 
 TEST(CluePipeline, TcamMirrorsCompressedTableInitially) {
-  const auto fib = test_fib(2'000, 31);
+  const auto fib = make_fib(2'000, 31);
   CluePipeline pipeline(fib, PipelineConfig{});
   EXPECT_EQ(pipeline.chip().occupied(), pipeline.fib().size());
 }
 
 TEST(CluePipeline, LookupMatchesGroundTruthAfterUpdates) {
-  const auto fib = test_fib(2'000, 33);
+  const auto fib = make_fib(2'000, 33);
   CluePipeline pipeline(fib, PipelineConfig{});
   workload::UpdateConfig update_config;
   update_config.seed = 35;
@@ -67,7 +56,7 @@ TEST(CluePipeline, LookupMatchesGroundTruthAfterUpdates) {
 }
 
 TEST(CluePipeline, Ttf2IsOneTcamOpPerDiffOp) {
-  const auto fib = test_fib(2'000, 39);
+  const auto fib = make_fib(2'000, 39);
   CluePipeline pipeline(fib, PipelineConfig{});
   workload::UpdateConfig update_config;
   update_config.seed = 41;
@@ -85,7 +74,7 @@ TEST(CluePipeline, Ttf2IsOneTcamOpPerDiffOp) {
 }
 
 TEST(CluePipeline, NoopUpdateCostsNoDataPlaneTime) {
-  const auto fib = test_fib(500, 43);
+  const auto fib = make_fib(500, 43);
   CluePipeline pipeline(fib, PipelineConfig{});
   // Withdrawing a prefix that does not exist leaves the data plane alone.
   const auto sample = pipeline.apply(withdraw("203.0.113.0/24"));
@@ -121,7 +110,7 @@ TEST(CluePipeline, DeleteErasesFromWarmDreds) {
 }
 
 TEST(CluePipeline, WarmRespectsExclusionRule) {
-  const auto fib = test_fib(1'000, 45);
+  const auto fib = make_fib(1'000, 45);
   CluePipeline pipeline(fib, PipelineConfig{});
   workload::TrafficConfig traffic_config;
   std::vector<Prefix> prefixes;
@@ -141,13 +130,13 @@ TEST(CluePipeline, WarmRespectsExclusionRule) {
 // ClplPipeline
 
 TEST(ClplPipeline, TcamMirrorsFibInitially) {
-  const auto fib = test_fib(2'000, 47);
+  const auto fib = make_fib(2'000, 47);
   ClplPipeline pipeline(fib, PipelineConfig{});
   EXPECT_EQ(pipeline.chip().occupied(), fib.size());
 }
 
 TEST(ClplPipeline, LookupMatchesGroundTruthAfterUpdates) {
-  const auto fib = test_fib(1'500, 49);
+  const auto fib = make_fib(1'500, 49);
   ClplPipeline pipeline(fib, PipelineConfig{});
   workload::UpdateConfig update_config;
   update_config.seed = 51;
@@ -208,7 +197,7 @@ struct TtfAccumulator {
 };
 
 TEST(TtfComparison, ClueDataPlaneUpdateIsFractionOfClpl) {
-  const auto fib = test_fib(6'000, 55);
+  const auto fib = make_fib(6'000, 55);
   CluePipeline clue(fib, PipelineConfig{});
   ClplPipeline clpl(fib, PipelineConfig{});
 
@@ -242,7 +231,7 @@ TEST(TtfComparison, ClueDataPlaneUpdateIsFractionOfClpl) {
 }
 
 TEST(TtfComparison, SameUpdatesSameForwardingBehaviour) {
-  const auto fib = test_fib(2'000, 59);
+  const auto fib = make_fib(2'000, 59);
   CluePipeline clue(fib, PipelineConfig{});
   ClplPipeline clpl(fib, PipelineConfig{});
   workload::UpdateConfig update_config;
