@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 suite in a plain build, then the same suite under
-# ASan+UBSan, then the concurrency tests (SPSC ring, epoch domain,
-# runtime stress, rebalancer, group-commit batches, the cross-host
-# commit transaction, observability counters/histograms) under TSan,
-# then a metrics-exporter smoke run
+# ASan+UBSan, then the concurrency tests (SPSC ring, doorbell parking,
+# epoch domain, runtime stress, rebalancer, group-commit batches, the
+# cross-host commit transaction, observability counters/histograms)
+# under TSan, then a metrics-exporter smoke run
 # (bench_runtime_throughput + bench_update_burst, whose JSON exports
 # must parse and whose batched throughput must beat sequential), then
 # the churn-soak: the rebalancer soak test rerun at CLUE_SOAK_UPDATES
@@ -57,7 +57,7 @@ run_tsan() {
   CLUE_SOAK_UPDATES="${CLUE_TSAN_SOAK_UPDATES:-5000}" \
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure \
-      -R 'SpscRingTest|EpochTest|LookupRuntimeTest|FlatTableTest|CounterBlockTest|LatencyHistogramTest|TtfTraceRingTest|RebalancePlannerTest|RebalanceTest|RebalanceSoakTest|CoalesceOps|BatchUpdate|CommitTxn|BurstSoakTest'
+      -R 'SpscRingTest|DoorbellTest|EpochTest|LookupRuntimeTest|FlatTableTest|CounterBlockTest|LatencyHistogramTest|TtfTraceRingTest|RebalancePlannerTest|RebalanceTest|RebalanceSoakTest|CoalesceOps|BatchUpdate|CommitTxn|BurstSoakTest'
 }
 
 run_smoke() {

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
+
+#include "runtime/backoff.hpp"
 
 namespace clue::runtime {
 
@@ -71,10 +72,9 @@ void EpochDomain::synchronize() {
     // A slot pinned below `target` was pinned before the advance and may
     // still be reading pre-advance state; wait it out. Slots re-pinned at
     // >= target can only see post-advance pointers, so they don't block.
-    while (true) {
+    for (Backoff backoff;; backoff.pause()) {
       const std::uint64_t e = slot.epoch.load(std::memory_order_seq_cst);
       if (e == kIdle || e >= target) break;
-      std::this_thread::yield();
     }
   }
 }

@@ -1,6 +1,7 @@
 #include "runtime/lookup_runtime.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -51,15 +52,15 @@ constexpr double kUpdateWindowUs = 128.0;
 // Auto-sized capacity: room for a chip to grow to 2x its initial share.
 constexpr double kAutoHeadroom = 1.0;
 
-inline void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
-
 }  // namespace
+
+template <typename Ready>
+bool LookupRuntime::wait_until(Ready&& ready) {
+  for (Backoff backoff; !ready(); backoff.pause()) {
+    if (stop_.load(std::memory_order_acquire)) return false;
+  }
+  return true;
+}
 
 LookupRuntime::LookupRuntime(const trie::BinaryTrie& fib,
                              const RuntimeConfig& config)
@@ -144,6 +145,9 @@ LookupRuntime::LookupRuntime(const trie::BinaryTrie& fib,
 
 void LookupRuntime::stop() {
   stop_.store(true, std::memory_order_seq_cst);
+  // Parked threads see stop_ only once rung.
+  update_bell_.ring();
+  for (auto& worker : workers_) worker->bell.ring();
   std::lock_guard<std::mutex> lock(stop_mutex_);
   // Updater first: its in-flight apply_batch needs live workers to ack
   // (both sides also bail on stop_, so either order terminates — this
@@ -167,103 +171,74 @@ LookupRuntime::~LookupRuntime() {
 
 void LookupRuntime::worker_main(std::size_t w) {
   Worker& me = *workers_[w];
-  std::vector<Job> batch(kWorkerBatch);
-  std::vector<Completion> done;
-  done.reserve(kWorkerBatch);
-  // Completions the full ring would not take, drained before new jobs.
-  std::vector<Completion> pending;
-  std::size_t pending_at = 0;
-  unsigned idle = 0;
+  // Park condition: a message in any ring this worker consumes, or stop.
+  const auto ready = [&] {
+    if (stop_.load(std::memory_order_acquire) || !me.jobs->empty_approx() ||
+        !me.control->empty_approx()) {
+      return true;
+    }
+    for (const auto& fills : me.fills) {
+      if (fills && !fills->empty_approx()) return true;
+    }
+    return false;
+  };
+  Backoff backoff;
   for (;;) {
     bool progress = drain_control(w);
     if (dred_enabled_) progress |= drain_fills(w);
-    if (pending_at < pending.size()) {
-      const std::size_t pushed = me.completions->try_push_n(
-          pending.data() + pending_at, pending.size() - pending_at);
-      if (pushed > 0) {
-        pending_at += pushed;
-        progress = true;
-        if (pending_at == pending.size()) {
-          pending.clear();
-          pending_at = 0;
-        }
-      }
-    }
-    if (pending.empty()) {
-      const std::size_t n = me.jobs->try_pop_n(batch.data(), kWorkerBatch);
-      if (n > 0) {
-        progress = true;
-        process_batch(w, batch.data(), n, done);
-        const std::size_t pushed = me.completions->try_push_n(done.data(), n);
-        if (pushed < n) {
-          pending.assign(done.begin() + static_cast<std::ptrdiff_t>(pushed),
-                         done.end());
-          pending_at = 0;
-        }
-      }
-    }
+    progress |= serve_jobs(w, kWorkerBatch) > 0;
     if (progress) {
-      idle = 0;
-      continue;
-    }
-    if (stop_.load(std::memory_order_acquire)) break;
-    ++idle;
-    if (idle < 64) {
-      cpu_relax();
-    } else if (idle < 256) {
-      std::this_thread::yield();
+      backoff.reset();
+    } else if (stop_.load(std::memory_order_acquire)) {
+      break;
     } else {
-      // Fully idle: back off so a single-core host can run the client.
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-      idle = 256;
+      idle_step(backoff, me.bell, ready);
     }
   }
 }
 
-void LookupRuntime::process_batch(std::size_t w, const Job* jobs,
-                                  std::size_t n,
-                                  std::vector<Completion>& out) {
+std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
   Worker& me = *workers_[w];
-  out.clear();
-  // Snapshot discipline: pin the epoch once for the whole batch, then
-  // load the pointer. The table stays alive until this guard's slot
-  // passes the retire epoch; batches are tens of jobs, so the pin never
-  // stretches a grace period meaningfully.
-  EpochDomain::Guard guard(epoch_, w);
-  const ChipTable* table = me.active.load(std::memory_order_seq_cst);
-  // Request every job's level-1 line before resolving any: the flat
-  // array is tens of MB and cache-cold per batch, so the loads overlap
-  // instead of serialising one miss per job.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!jobs[i].dred_only) table->flat.prefetch(jobs[i].address);
+  std::array<Job, kWorkerBatch> jobs;
+  const std::size_t n =
+      me.jobs->try_pop_n(jobs.data(), std::min(max, kWorkerBatch));
+  if (n == 0) return 0;
+  std::array<Completion, kWorkerBatch> done;
+  {
+    // Snapshot discipline: pin the epoch once for the whole batch, then
+    // load the pointer. The table stays alive until this guard's slot
+    // passes the retire epoch; batches are tens of jobs, so the pin never
+    // stretches a grace period meaningfully.
+    EpochDomain::Guard guard(epoch_, w);
+    const ChipTable* table = me.active.load(std::memory_order_seq_cst);
+    // Request every job's level-1 line before resolving any: the flat
+    // array is tens of MB and cache-cold per batch, so the loads overlap
+    // instead of serialising one miss per job.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!jobs[i].dred_only) table->flat.prefetch(jobs[i].address);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      // Service-time sampling: time one in every 64 jobs so the histogram
+      // costs two clock reads per sample, not per lookup. jobs_seen is
+      // worker-private, so the per-job cost is a plain increment + mask
+      // rather than an atomic load.
+      if ((me.jobs_seen++ & kLatencySampleMask) == 0) {
+        const auto t0 = Clock::now();
+        done[i] = resolve_job(w, jobs[i], *table);
+        me.service_hist.record(elapsed_ns(t0));
+      } else {
+        done[i] = resolve_job(w, jobs[i], *table);
+      }
+    }
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(resolve_timed(w, jobs[i], *table));
-  }
-}
-
-LookupRuntime::Completion LookupRuntime::process(std::size_t w,
-                                                 const Job& job) {
-  Worker& me = *workers_[w];
-  EpochDomain::Guard guard(epoch_, w);
-  const ChipTable* table = me.active.load(std::memory_order_seq_cst);
-  return resolve_timed(w, job, *table);
-}
-
-LookupRuntime::Completion LookupRuntime::resolve_timed(
-    std::size_t w, const Job& job, const ChipTable& table) {
-  Worker& me = *workers_[w];
-  // Service-time sampling: time one in every 64 jobs so the histogram
-  // costs two clock reads per sample, not per lookup. jobs_seen is
-  // worker-private, so the per-job cost is a plain increment + mask
-  // rather than an atomic load.
-  if ((me.jobs_seen++ & kLatencySampleMask) == 0) {
-    const auto t0 = Clock::now();
-    const Completion done = resolve_job(w, job, table);
-    me.service_hist.record(elapsed_ns(t0));
-    return done;
-  }
-  return resolve_job(w, job, table);
+  // Completions exist only for the client's in-flight batch, which
+  // drains them on every pass, so this wait is bounded; stop() ends it.
+  std::size_t pushed = 0;
+  wait_until([&] {
+    pushed += me.completions->try_push_n(done.data() + pushed, n - pushed);
+    return pushed == n;
+  });
+  return n;
 }
 
 LookupRuntime::Completion LookupRuntime::resolve_job(std::size_t w,
@@ -304,7 +279,17 @@ bool LookupRuntime::drain_control(std::size_t w) {
   while (me.control->try_pop(msg)) {
     any = true;
     if (msg.kind == ControlMsg::Kind::kFence) {
-      drain_own_jobs(w);
+      // Capacity-bounded: the jobs the fence must flush were enqueued
+      // before the indexing republish and number at most one ring's worth
+      // (fifo_depth rounded up to a power of two); anything pushed behind
+      // them was routed by the new indexing and is safe against any table
+      // version, so there is no need to chase the ring while the client
+      // keeps refilling it.
+      const std::size_t capacity = me.jobs->capacity();
+      for (std::size_t served = 0, n = 1; served < capacity && n > 0;
+           served += n) {
+        n = serve_jobs(w, capacity - served);
+      }
     } else if (me.dred) {
       if (msg.kind == ControlMsg::Kind::kErase) {
         me.dred->erase(msg.route.prefix);
@@ -317,25 +302,6 @@ bool LookupRuntime::drain_control(std::size_t w) {
     me.control_applied.fetch_add(1, std::memory_order_release);
   }
   return any;
-}
-
-void LookupRuntime::drain_own_jobs(std::size_t w) {
-  Worker& me = *workers_[w];
-  Job job;
-  std::size_t drained = 0;
-  // Capacity-bounded: the jobs the fence must flush were enqueued before
-  // the indexing republish and number at most one ring's worth; anything
-  // pushed behind them was routed by the new indexing and is safe
-  // against any table version, so there is no need to chase the ring
-  // while the client keeps refilling it.
-  while (drained < config_.fifo_depth && me.jobs->try_pop(job)) {
-    ++drained;
-    const Completion done = process(w, job);
-    while (!me.completions->try_push(done)) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      cpu_relax();
-    }
-  }
 }
 
 bool LookupRuntime::drain_fills(std::size_t w) {
@@ -371,6 +337,7 @@ void LookupRuntime::send_fills(std::size_t w, const Route& matched,
   for (std::size_t peer = 0; peer < workers_.size(); ++peer) {
     if (!engine::dred_may_cache(peer, w)) continue;  // exclusion rule
     if (workers_[peer]->fills[w]->try_push(msg)) {
+      workers_[peer]->bell.ring();
       me.counters.add(WorkerCounter::kFillsSent);
     } else {
       me.counters.add(WorkerCounter::kFillsDroppedFull);
@@ -380,14 +347,20 @@ void LookupRuntime::send_fills(std::size_t w, const Route& matched,
 
 // ----------------------------------------------------------------- client
 
-bool LookupRuntime::try_submit(const engine::IndexingLogic& indexing,
-                               const Job& job) {
-  const std::size_t home = indexing.tcam_of(job.address);
-  if (workers_[home]->jobs->try_push(job)) return true;
-  return try_divert(home, job);
+std::size_t LookupRuntime::push_jobs(std::size_t w, Job* jobs,
+                                     std::size_t count) {
+  const std::size_t pushed = workers_[w]->jobs->try_push_n(jobs, count);
+  if (pushed > 0) workers_[w]->bell.ring();
+  return pushed;
 }
 
-bool LookupRuntime::try_divert(std::size_t home, const Job& job) {
+bool LookupRuntime::try_submit(const engine::IndexingLogic& indexing,
+                               Job job) {
+  const std::size_t home = indexing.tcam_of(job.address);
+  return push_jobs(home, &job, 1) == 1 || try_divert(home, job);
+}
+
+bool LookupRuntime::try_divert(std::size_t home, Job job) {
   if (!dred_enabled_) return false;  // nowhere useful to divert
   occupancy_scratch_.resize(workers_.size());
   for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -398,16 +371,14 @@ bool LookupRuntime::try_divert(std::size_t home, const Job& job) {
   switch (decision.action) {
     case engine::DispatchDecision::Action::kHome:
       // The home ring drained between our push and the scan; retry it.
-      return workers_[home]->jobs->try_push(job);
-    case engine::DispatchDecision::Action::kDivert: {
-      Job diverted = job;
-      diverted.dred_only = true;
-      if (workers_[decision.chip]->jobs->try_push(diverted)) {
+      return push_jobs(home, &job, 1) == 1;
+    case engine::DispatchDecision::Action::kDivert:
+      job.dred_only = true;
+      if (push_jobs(decision.chip, &job, 1) == 1) {
         client_counters_.add(ClientCounter::kDiverted);
         return true;
       }
       return false;
-    }
     case engine::DispatchDecision::Action::kReject:
       return false;
   }
@@ -432,11 +403,11 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
   for (auto& staged : stage_) staged.clear();
   std::size_t next = 0;
   std::size_t outstanding = 0;
-  unsigned idle = 0;
-  // No-progress episodes longer than this many spins count as a stall in
+  Backoff backoff;
+  std::uint64_t idle = 0;
+  // No-progress episodes longer than this many polls count as a stall in
   // the metrics (workers wedged, descheduled, or the runtime stopping).
-  constexpr unsigned kStallSpins = 10'000;
-  bool stall_recorded = false;
+  constexpr std::uint64_t kStallSpins = 10'000;
   while (next < addresses.size() || outstanding > 0 || !backlog_.empty()) {
     bool progress = false;
     {
@@ -450,7 +421,7 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
       // Returned misses first: they are the oldest jobs in flight.
       for (std::size_t i = 0; i < returns_.size();) {
         const std::size_t home = indexing.tcam_of(returns_[i].address);
-        if (workers_[home]->jobs->try_push(returns_[i])) {
+        if (push_jobs(home, &returns_[i], 1) == 1) {
           returns_[i] = returns_.back();
           returns_.pop_back();
           progress = true;
@@ -487,7 +458,7 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
           auto& staged = stage_[w];
           if (staged.empty()) continue;
           const std::size_t pushed =
-              workers_[w]->jobs->try_push_n(staged.data(), staged.size());
+              push_jobs(w, staged.data(), staged.size());
           if (pushed > 0) {
             progress = true;
             if (latency_ns) {
@@ -547,8 +518,8 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
       }
     }
     if (progress) {
+      backoff.reset();
       idle = 0;
-      stall_recorded = false;
       continue;
     }
     // Bounded spin: a stopping runtime (workers joined, rings wedged)
@@ -558,16 +529,8 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
       client_counters_.add(ClientCounter::kBatchesAborted);
       break;
     }
-    ++idle;
-    if (idle >= kStallSpins && !stall_recorded) {
-      client_counters_.add(ClientCounter::kStalls);
-      stall_recorded = true;
-    }
-    if (idle < 64) {
-      cpu_relax();
-    } else {
-      std::this_thread::yield();
-    }
+    if (++idle == kStallSpins) client_counters_.add(ClientCounter::kStalls);
+    backoff.pause();
   }
   client_counters_.add(ClientCounter::kLookupsCompleted, addresses.size());
   return results;
@@ -631,29 +594,17 @@ void LookupRuntime::publish_indexing() {
   epoch_.synchronize();
 }
 
-void LookupRuntime::push_control(std::size_t chip, const ControlMsg& msg) {
-  Worker& worker = *workers_[chip];
-  while (!worker.control->try_push(msg)) {
-    if (stop_.load(std::memory_order_acquire)) return;
-    std::this_thread::yield();
-  }
-  ++control_pushed_[chip];
-}
-
 void LookupRuntime::push_control_n(std::size_t chip, ControlMsg* msgs,
                                    std::size_t count) {
   Worker& worker = *workers_[chip];
   std::size_t pushed = 0;
-  while (pushed < count) {
+  wait_until([&] {
     const std::size_t n =
         worker.control->try_push_n(msgs + pushed, count - pushed);
-    if (n == 0) {
-      if (stop_.load(std::memory_order_acquire)) break;
-      std::this_thread::yield();
-      continue;
-    }
+    if (n > 0) worker.bell.ring();
     pushed += n;
-  }
+    return pushed == count;
+  });
   // Only what actually landed counts toward the ack target (a stopping
   // runtime bails mid-push).
   control_pushed_[chip] += pushed;
@@ -661,16 +612,10 @@ void LookupRuntime::push_control_n(std::size_t chip, ControlMsg* msgs,
 
 void LookupRuntime::wait_control_ack(std::size_t chip) {
   Worker& worker = *workers_[chip];
-  unsigned spins = 0;
-  while (worker.control_applied.load(std::memory_order_acquire) <
-         control_pushed_[chip]) {
-    if (stop_.load(std::memory_order_acquire)) return;
-    if (++spins < 64) {
-      cpu_relax();
-    } else {
-      std::this_thread::yield();
-    }
-  }
+  wait_until([&] {
+    return worker.control_applied.load(std::memory_order_acquire) >=
+           control_pushed_[chip];
+  });
 }
 
 std::vector<std::size_t> LookupRuntime::chip_occupancy() const {
@@ -718,7 +663,8 @@ std::size_t LookupRuntime::migrate(const MigrationStep& step) {
   //    indexing are answered from its still-fat table before it shrinks
   //    (the fat table is a superset, so post-swap donor jobs drained
   //    alongside them get identical answers).
-  push_control(step.donor, ControlMsg{ControlMsg::Kind::kFence, Route{}});
+  ControlMsg fence{ControlMsg::Kind::kFence, Route{}};
+  push_control_n(step.donor, &fence, 1);
   wait_control_ack(step.donor);
 
   // 4. Shrink the donor. The version bump also staleness-kills every
@@ -773,33 +719,27 @@ std::size_t LookupRuntime::rebalance_now() { return rebalance_pass(); }
 // ----------------------------------------------------------- async ingress
 
 bool LookupRuntime::submit(const workload::UpdateMsg& message) {
-  if (!update_ring_) return false;
-  while (!update_ring_->try_push(message)) {
-    if (stop_.load(std::memory_order_acquire)) return false;
-    std::this_thread::yield();
+  if (!update_ring_ ||
+      !wait_until([&] { return update_ring_->try_push(message); })) {
+    return false;
   }
   updates_submitted_.fetch_add(1, std::memory_order_release);
+  update_bell_.ring();
   return true;
 }
 
 void LookupRuntime::flush_updates() {
   if (!update_ring_) return;
-  unsigned spins = 0;
-  while (updates_ingested_.load(std::memory_order_acquire) <
-         updates_submitted_.load(std::memory_order_acquire)) {
-    if (stop_.load(std::memory_order_acquire)) return;
-    if (++spins < 64) {
-      cpu_relax();
-    } else {
-      std::this_thread::yield();
-    }
-  }
+  wait_until([this] {
+    return updates_ingested_.load(std::memory_order_acquire) >=
+           updates_submitted_.load(std::memory_order_acquire);
+  });
 }
 
 void LookupRuntime::updater_main() {
   std::vector<workload::UpdateMsg> batch(kUpdateBatchMax);
   double window_us = 1.0;
-  unsigned idle = 0;
+  Backoff backoff;
   for (;;) {
     std::size_t n = update_ring_->try_pop_n(batch.data(), batch.size());
     if (n == 0) {
@@ -807,18 +747,13 @@ void LookupRuntime::updater_main() {
       // keeps applying below even while stopping, so submitted work is
       // never silently dropped.)
       if (stop_.load(std::memory_order_acquire)) break;
-      ++idle;
-      if (idle < 64) {
-        cpu_relax();
-      } else if (idle < 256) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(20));
-        idle = 256;
-      }
+      idle_step(backoff, update_bell_, [this] {
+        return stop_.load(std::memory_order_acquire) ||
+               !update_ring_->empty_approx();
+      });
       continue;
     }
-    idle = 0;
+    backoff.reset();
     // Adaptive batch window: a partial pop waits up to window_us for the
     // burst's stragglers so one commit covers them all.
     const bool waited = n < batch.size();
@@ -827,16 +762,10 @@ void LookupRuntime::updater_main() {
           Clock::now() + std::chrono::duration_cast<Clock::duration>(
                              std::chrono::duration<double, std::micro>(
                                  window_us));
-      while (n < batch.size() && Clock::now() < deadline) {
-        const std::size_t got =
-            update_ring_->try_pop_n(batch.data() + n, batch.size() - n);
-        if (got > 0) {
-          n += got;
-        } else {
-          if (stop_.load(std::memory_order_acquire)) break;
-          cpu_relax();
-        }
-      }
+      wait_until([&] {
+        n += update_ring_->try_pop_n(batch.data() + n, batch.size() - n);
+        return n == batch.size() || Clock::now() >= deadline;
+      });
     }
     apply_batch(std::span<const workload::UpdateMsg>(batch.data(), n));
     updates_ingested_.fetch_add(n, std::memory_order_release);

@@ -46,8 +46,14 @@
 // All cross-thread rings are strictly single-producer single-consumer:
 //   client  -> worker i   job ring
 //   worker i-> client     completion ring
-//   control -> worker i   control ring (DRed erase/fix)
+//   control -> worker i   control ring (DRed erase/fix, fences)
 //   worker i-> worker j   fill ring (DRed cache fills, i != j)
+//   submit() -> updater   update ring (async ingress only)
+//
+// Waiting (runtime/backoff.hpp): idle workers and the updater park on
+// their Doorbell, and the producer of every ring they consume rings it
+// after a successful push; stop() rings them all. The client and the
+// control role never park: they only wait on hand-offs they started.
 #pragma once
 
 #include <atomic>
@@ -68,6 +74,7 @@
 #include "obs/metrics_registry.hpp"
 #include "obs/ttf_trace.hpp"
 #include "onrtc/compressed_fib.hpp"
+#include "runtime/backoff.hpp"
 #include "runtime/epoch.hpp"
 #include "runtime/rebalancer.hpp"
 #include "runtime/spsc_ring.hpp"
@@ -89,7 +96,9 @@ using netbase::Route;
 /// geometry — is a fixed constant of the implementation.
 struct RuntimeConfig {
   std::size_t worker_count = 4;    ///< one thread per simulated chip
-  std::size_t fifo_depth = 256;    ///< per-chip job ring (the home FIFO)
+  /// Per-chip job ring (the home FIFO). The ring rounds its capacity up
+  /// to a power of two, so it holds fifo_depth rounded up that way.
+  std::size_t fifo_depth = 256;
   std::size_t dred_capacity = 1024;  ///< per chip; 0 disables DRed+diversion
   /// Modeled per-chip TCAM capacity enforced by apply(): an update whose
   /// admission would push a chip past it triggers an emergency rebalance
@@ -240,9 +249,10 @@ class LookupRuntime {
       std::span<const workload::UpdateMsg> messages);
 
   /// Async ingress (enabled by RuntimeConfig::update_ring_depth > 0).
-  /// Enqueues one update for the updater thread; single producer. Blocks
-  /// (spins) while the ring is full; returns false only when the ingress
-  /// is disabled or the runtime stopped before the message was accepted.
+  /// Enqueues one update for the updater thread; single producer. Waits
+  /// (runtime::Backoff) while the ring is full; returns false only when
+  /// the ingress is disabled or the runtime stopped before the message
+  /// was accepted.
   bool submit(const workload::UpdateMsg& message);
   /// Waits until every submit()-accepted update has been applied by the
   /// updater thread (or the runtime stopped). Call from the submitting
@@ -390,6 +400,8 @@ class LookupRuntime {
     /// memory_bytes() of the active flat image; written by the control
     /// role at publish, read by the metrics exporter.
     std::atomic<std::size_t> flat_bytes{0};
+    /// Rung by every producer into jobs, control and fills.
+    Doorbell bell;
     obs::CounterBlock<WorkerCounter> counters;
     obs::LatencyHistogram service_hist;
     /// Worker-private job count for the sampling decision — plain (not
@@ -400,32 +412,33 @@ class LookupRuntime {
     std::thread thread;
   };
 
+  /// Backoff-waits until `ready()` holds or the runtime stops; returns
+  /// whether it holds. Every bounded hand-off waits through this.
+  template <typename Ready>
+  bool wait_until(Ready&& ready);
+
   void worker_main(std::size_t w);
-  /// Pops up to kWorkerBatch jobs, pins the epoch once, prefetches the
-  /// flat-table lines across the whole batch, then resolves in order.
-  void process_batch(std::size_t w, const Job* jobs, std::size_t n,
-                     std::vector<Completion>& out);
-  /// Single-job path (fence drains): pins the epoch itself.
-  Completion process(std::size_t w, const Job& job);
-  /// Resolves one job against the already-pinned `table`, with 1-in-N
-  /// service-time sampling.
-  Completion resolve_timed(std::size_t w, const Job& job,
-                           const ChipTable& table);
+  /// The one job path, for the worker loop and the kFence drain alike:
+  /// pops up to min(max, kWorkerBatch) jobs, pins the epoch once,
+  /// prefetches the flat-table lines across the batch, resolves in order
+  /// (timing 1 in 64) and pushes every completion, waiting while the
+  /// completion ring is full. Returns the jobs served.
+  std::size_t serve_jobs(std::size_t w, std::size_t max);
   Completion resolve_job(std::size_t w, const Job& job,
                          const ChipTable& table);
   bool drain_control(std::size_t w);
   bool drain_fills(std::size_t w);
   void send_fills(std::size_t w, const Route& matched, std::uint64_t version);
-  /// kFence handler: answers every job currently in worker w's ring
-  /// (bounded by ring capacity) against the active table.
-  void drain_own_jobs(std::size_t w);
 
+  /// Client-side push into worker w's job ring (rings it when anything
+  /// landed); returns the jobs accepted.
+  std::size_t push_jobs(std::size_t w, Job* jobs, std::size_t count);
   /// Client-side dispatch of one job; false = all queues full.
   /// `indexing` is the epoch-pinned snapshot the caller loaded.
-  bool try_submit(const engine::IndexingLogic& indexing, const Job& job);
+  bool try_submit(const engine::IndexingLogic& indexing, Job job);
   /// Home ring was full: §III-B fallback — retry home or divert to the
   /// idlest chip as a DRed-only job. Uses occupancy_scratch_.
-  bool try_divert(std::size_t home, const Job& job);
+  bool try_divert(std::size_t home, Job job);
 
   // ---- control-role internals (single control thread at a time) ----
 
@@ -439,10 +452,9 @@ class LookupRuntime {
   /// Publishes a new IndexingLogic for `boundaries` and waits out a
   /// grace period so no reader still uses the old one.
   void publish_indexing();
-  /// Pushes one control message to worker `chip` (spin on a full ring).
-  void push_control(std::size_t chip, const ControlMsg& msg);
-  /// Batched variant: lands `count` messages with as few ring-cursor
-  /// updates as the free space allows (spins between partial pushes).
+  /// Lands `count` control messages on worker `chip` with as few
+  /// ring-cursor updates as the free space allows, ringing it after each
+  /// partial push and waiting (wait_until) while the ring is full.
   void push_control_n(std::size_t chip, ControlMsg* msgs, std::size_t count);
   /// Waits until worker `chip` acked everything pushed to it.
   void wait_control_ack(std::size_t chip);
@@ -501,6 +513,7 @@ class LookupRuntime {
 
   // Async ingress (null/absent unless config.update_ring_depth > 0).
   std::unique_ptr<SpscRing<workload::UpdateMsg>> update_ring_;
+  Doorbell update_bell_;  ///< rung by submit(); the updater parks on it
   std::thread updater_thread_;
   std::atomic<std::uint64_t> updates_submitted_{0};
   std::atomic<std::uint64_t> updates_ingested_{0};

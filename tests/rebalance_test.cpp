@@ -468,12 +468,12 @@ std::size_t soak_updates() {
   return 20'000;
 }
 
-TEST(RebalanceSoakTest, ChurnSoakKeepsSkewBoundedAndAnswersInWindow) {
+void run_churn_soak(std::size_t fifo_depth) {
   const std::size_t kUpdates = soak_updates();
   const auto fib = make_fib(4'000, 2701);
   RuntimeConfig config;
   config.worker_count = 4;
-  config.fifo_depth = 64;
+  config.fifo_depth = fifo_depth;
   LookupRuntime runtime(fib, config);
   ASSERT_FALSE(runtime.boundaries().empty());
   const std::uint32_t bound = runtime.boundaries().front().value();
@@ -628,6 +628,16 @@ TEST(RebalanceSoakTest, ChurnSoakKeepsSkewBoundedAndAnswersInWindow) {
           << "worker " << w << " caches its own " << prefix.to_string();
     }
   }
+}
+
+TEST(RebalanceSoakTest, ChurnSoakKeepsSkewBoundedAndAnswersInWindow) {
+  run_churn_soak(64);
+}
+
+// The home FIFO holds fifo_depth rounded up to a power of two (8 here),
+// and a migration fence must drain all of it before the donor shrinks.
+TEST(RebalanceSoakTest, ChurnSoakAtNonPowerOfTwoFifoDepth) {
+  run_churn_soak(5);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // LookupRuntime observability and shutdown-safety tests:
 //  - stop() unblocks a lookup_batch in flight on another thread (the
 //    backpressure-spin regression), counted in batches_aborted;
+//  - an idle runtime parks every thread instead of polling;
 //  - after churn quiesces, no DRed holds a stale route (the mid-fill
 //    publish race) and every store's structural invariants hold;
 //  - export_metrics() carries counters, per-worker service histograms,
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <thread>
 #include <vector>
 
@@ -71,6 +73,33 @@ TEST(LookupRuntimeTest, StopIsIdempotentAndDestructorSafe) {
   runtime.stop();
   runtime.stop();  // second call is a no-op
   EXPECT_TRUE(runtime.stopped());
+}
+
+double process_cpu_seconds() {
+  timespec now{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         static_cast<double>(now.tv_nsec) * 1e-9;
+}
+
+// Workers and the updater park on their doorbells once idle: a settled
+// runtime with every thread started (DRed on, async ingress on) uses at
+// most 1% of one core.
+TEST(LookupRuntimeTest, IdleRuntimeParks) {
+  const auto fib = make_fib(10'000, 7151);
+  RuntimeConfig config;
+  config.worker_count = 4;
+  config.update_ring_depth = 64;
+  LookupRuntime runtime(fib, config);
+  runtime.lookup_batch(random_addresses(4'096, 7152));
+  ASSERT_TRUE(runtime.submit(clue::test_support::announce("10.1.0.0/16", 7)));
+  runtime.flush_updates();
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  const double before = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const double used = process_cpu_seconds() - before;
+  EXPECT_LE(used, 0.01) << "idle runtime used " << used << " core-s in 1 s";
 }
 
 TEST(LookupRuntimeTest, NoStaleDredRouteAfterChurnQuiesces) {

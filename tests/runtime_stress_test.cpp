@@ -3,18 +3,21 @@
 // with exact answers, next hops at and above 2^31 served with DRed on,
 // DRed contents equal to foreign stored shapes after a diverting Zipf
 // run, a concurrent update+lookup hammer with a version-window oracle,
-// and epoch-reclamation accounting.
+// epoch-reclamation accounting, and wake-ups of parked threads by every
+// producer.
 #include "runtime/lookup_runtime.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <thread>
 #include <vector>
 
 #include "netbase/rng.hpp"
+#include "runtime/rebalancer.hpp"
 #include "system/clue_system.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/traffic_gen.hpp"
@@ -453,6 +456,63 @@ TEST(LookupRuntimeTest, ClueSystemRuntimeEntryPointAgrees) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ASSERT_EQ(hops[i], system.lookup(batch[i]));
   }
+}
+
+// Every producer rings the thread it feeds. Before each step the runtime
+// idles long enough for every worker and the updater to park, so a
+// missed ring() hangs the step that needed it.
+TEST(LookupRuntimeTest, ParkedThreadsWakeForEveryProducer) {
+  const auto fib = make_fib(8'000, 1717);
+  RuntimeConfig config;
+  config.worker_count = 4;
+  config.rebalance = false;
+  config.update_ring_depth = 64;
+  LookupRuntime runtime(fib, config);
+  const auto park = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  };
+
+  // Skew chip 0 with hot announces; nothing rebalances them away. Until
+  // the first submit() the updater has nothing to apply, so this thread
+  // may act as the control role.
+  const std::uint32_t bound = runtime.boundaries().front().value();
+  Pcg32 rng(1818);
+  clue::workload::UpdateMsg hot;
+  while (runtime.skew() < clue::runtime::kSkewWatermark) {
+    hot.kind = clue::workload::UpdateKind::kAnnounce;
+    hot.prefix = clue::netbase::Prefix(Ipv4Address(rng.next_below(bound)), 24);
+    hot.next_hop = clue::netbase::make_next_hop(1 + rng.next_below(250));
+    runtime.apply(hot);
+  }
+
+  // Client -> job rings (and worker -> peer fill rings).
+  park();
+  const auto addresses = random_addresses(4'096, 1919);
+  const auto hops = runtime.lookup_batch(addresses);
+  for (std::size_t i = 0; i < addresses.size(); ++i) {
+    ASSERT_EQ(hops[i], runtime.fib().ground_truth().lookup(addresses[i]));
+  }
+
+  // Control -> control rings: a withdraw sends a DRed erase sweep.
+  park();
+  hot.kind = clue::workload::UpdateKind::kWithdraw;
+  runtime.apply(hot);
+  EXPECT_GT(runtime.ttf_trace().back().control_msgs, 0u);
+
+  // Control -> the donor's fence.
+  park();
+  EXPECT_GT(runtime.rebalance_now(), 0u);
+
+  // submit() -> the updater.
+  park();
+  ASSERT_TRUE(runtime.submit(clue::test_support::announce("10.9.0.0/16", 9)));
+  runtime.flush_updates();
+  EXPECT_EQ(runtime.metrics().updates_ingested, 1u);
+
+  // stop() -> everyone.
+  park();
+  runtime.stop();
+  EXPECT_TRUE(runtime.stopped());
 }
 
 }  // namespace
