@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 suite in a plain build, then the same suite under
-# ASan+UBSan, then the concurrency tests (SPSC ring, doorbell parking,
+# ASan+UBSan (its soak tests at CLUE_ASAN_SOAK_UPDATES updates, default
+# 100000), then the concurrency tests (SPSC ring, doorbell parking,
 # epoch domain, runtime stress, rebalancer, group-commit batches, the
 # cross-host commit transaction, observability counters/histograms)
 # under TSan, then a metrics-exporter smoke run
@@ -24,6 +25,7 @@
 #   $ ci/check.sh burst-soak # just the group-commit burst soak (TSan)
 #   $ ci/check.sh bench-check # just the perfbench build + self-check
 #   $ CLUE_SOAK_UPDATES=100000 ci/check.sh soak   # bounded soak
+#   $ CLUE_ASAN_SOAK_UPDATES=20000 ci/check.sh asan  # shorter ASan soak
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -45,6 +47,10 @@ run_plain() {
 run_asan() {
   echo "=== stage: ASan+UBSan tier-1 ==="
   configure_and_build build-asan address
+  # The soak tests run here at soak scale, so migration-sized COW flat
+  # rebuilds (level-2 id reuse, chunks dropping back to null) get leak and
+  # use-after-free checking too.
+  CLUE_SOAK_UPDATES="${CLUE_ASAN_SOAK_UPDATES:-100000}" \
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 }

@@ -8,9 +8,9 @@ namespace clue::engine {
 
 namespace {
 
-std::shared_ptr<std::uint32_t[]> make_block(std::size_t entries) {
+std::unique_ptr<std::uint32_t[]> zeroed_block(std::size_t entries) {
   // Value-initialised: every slot starts as kNoRoute (0).
-  return std::shared_ptr<std::uint32_t[]>(new std::uint32_t[entries]());
+  return std::unique_ptr<std::uint32_t[]>(new std::uint32_t[entries]());
 }
 
 }  // namespace
@@ -20,10 +20,10 @@ FlatLookupTable::FlatLookupTable(const trie::BinaryTrie& table) {
     throw std::invalid_argument(
         "FlatLookupTable: route set must be non-overlapping");
   }
-  Builder b{std::vector<bool>(chunks_.size(), false),
-            std::make_shared<HopDict>()};
-  repaint(table, Prefix{}, b);  // /0 = paint the whole space
-  finish(b);
+  build(nullptr, [&](Builder& b) {
+    dict_ = new HopDict();
+    repaint(table, Prefix{}, b);  // /0 = paint the whole space
+  });
 }
 
 FlatLookupTable::FlatLookupTable(const FlatLookupTable& prev,
@@ -32,68 +32,123 @@ FlatLookupTable::FlatLookupTable(const FlatLookupTable& prev,
     : chunks_(prev.chunks_),
       l2_(prev.l2_),
       l2_free_(prev.l2_free_),
-      dict_(prev.dict_) {
-  Builder b{std::vector<bool>(chunks_.size(), false), nullptr};
-  for (const Prefix& prefix : dirty) repaint(table, prefix, b);
-  finish(b);
+      dict_(prev.dict_),
+      chunk_count_(prev.chunk_count_),
+      l2_count_(prev.l2_count_) {
+  if (prev.replaced_.has_successor) {
+    throw std::logic_error(
+        "FlatLookupTable: predecessor already has a successor");
+  }
+  build(&prev, [&](Builder& b) {
+    for (const Prefix& prefix : dirty) repaint(table, prefix, b);
+  });
+}
+
+FlatLookupTable::~FlatLookupTable() {
+  if (!replaced_.has_successor) {
+    free_unshared(nullptr);
+    return;
+  }
+  for (std::uint32_t* block : replaced_.blocks) delete[] block;
+  delete replaced_.dict;
+}
+
+template <typename PaintAll>
+void FlatLookupTable::build(const FlatLookupTable* prev,
+                            PaintAll&& paint_all) {
+  Builder b{prev, {}};
+  try {
+    paint_all(b);
+    finish(b);
+  } catch (...) {
+    free_unshared(prev);
+    throw;
+  }
+}
+
+void FlatLookupTable::free_unshared(const FlatLookupTable* prev) noexcept {
+  for (std::size_t i = 0; i < kChunkCount; ++i) {
+    if (owns_chunk(i, prev)) delete[] chunks_[i];
+  }
+  for (std::uint32_t id = 0; id < l2_.size(); ++id) {
+    if (owns_l2(id, prev)) delete[] l2_[id];
+  }
+  if (owns_dict(prev)) delete dict_;
+}
+
+void FlatLookupTable::finish(Builder& b) noexcept {
+  hops_ = dict_->hops.data();
+  if (!b.prev) return;
+  Replaced& handover = b.prev->replaced_;
+  handover.blocks = std::move(b.replaced);
+  if (owns_dict(b.prev)) handover.dict = b.prev->dict_;
+  handover.has_successor = true;
 }
 
 std::uint32_t FlatLookupTable::encode(const Route& route, Builder& b) {
   const std::uint32_t hop = netbase::to_index(route.next_hop);
-  const HopDict& current = b.dict ? *b.dict : *dict_;
   std::uint32_t id = 0;
-  if (const auto it = current.ids.find(hop); it != current.ids.end()) {
+  if (const auto it = dict_->ids.find(hop); it != dict_->ids.end()) {
     id = it->second;
   } else {
     // First sight of this hop: append to a private copy of the shared
     // dictionary (earlier snapshots keep reading theirs unchanged).
-    if (!b.dict) b.dict = std::make_shared<HopDict>(*dict_);
-    if (b.dict->hops.size() > kIdMask) {
+    if (dict_->hops.size() > kIdMask) {
       throw std::length_error("FlatLookupTable: next-hop id overflow");
     }
-    id = static_cast<std::uint32_t>(b.dict->hops.size());
-    b.dict->hops.push_back(route.next_hop);
-    b.dict->ids.emplace(hop, id);
+    if (!owns_dict(b.prev)) dict_ = new HopDict(*dict_);
+    id = static_cast<std::uint32_t>(dict_->hops.size());
+    dict_->hops.push_back(route.next_hop);
+    dict_->ids.emplace(hop, id);
   }
   return (route.prefix.length() << kLenShift) | id;
 }
 
-void FlatLookupTable::finish(Builder& b) {
-  if (b.dict) dict_ = std::move(b.dict);
-  hops_ = dict_->hops.data();
-}
-
 std::uint32_t* FlatLookupTable::writable_chunk(std::size_t slot_chunk,
                                                Builder& b) {
-  if (b.owned[slot_chunk]) return chunks_[slot_chunk].get();
-  ChunkPtr fresh = make_block(kChunkEntries);
-  if (chunks_[slot_chunk]) {
-    std::memcpy(fresh.get(), chunks_[slot_chunk].get(),
-                kChunkEntries * sizeof(std::uint32_t));
+  std::uint32_t*& chunk = chunks_[slot_chunk];
+  if (!chunk) {
+    chunk = new std::uint32_t[kChunkEntries]();
+    ++chunk_count_;
+  } else if (!owns_chunk(slot_chunk, b.prev)) {
+    // Copy-on-write: every entry is overwritten, so skip the zero-fill.
+    b.replaced.push_back(chunk);
+    auto* copy = new std::uint32_t[kChunkEntries];
+    std::memcpy(copy, chunk, kChunkEntries * sizeof(std::uint32_t));
+    chunk = copy;
   }
-  chunks_[slot_chunk] = std::move(fresh);
-  b.owned[slot_chunk] = true;
-  return chunks_[slot_chunk].get();
+  return chunk;
 }
 
-void FlatLookupTable::release_l2(std::uint32_t entry) {
+void FlatLookupTable::release_l2(std::uint32_t entry, Builder& b) {
   const std::uint32_t id = entry & ~kL2Flag;
-  l2_[id].reset();
   l2_free_.push_back(id);
+  // A block this build made is freed now; a predecessor's stays with it.
+  if (owns_l2(id, b.prev)) {
+    delete[] l2_[id];
+  } else {
+    b.replaced.push_back(l2_[id]);
+  }
+  l2_[id] = nullptr;
+  --l2_count_;
 }
 
-std::uint32_t FlatLookupTable::alloc_l2(ChunkPtr block) {
+std::uint32_t FlatLookupTable::alloc_l2(
+    std::unique_ptr<std::uint32_t[]> block) {
+  std::uint32_t id = 0;
   if (!l2_free_.empty()) {
-    const std::uint32_t id = l2_free_.back();
+    id = l2_free_.back();
     l2_free_.pop_back();
-    l2_[id] = std::move(block);
-    return id;
+  } else {
+    if (l2_.size() >= kL2Flag) {
+      throw std::length_error("FlatLookupTable: level-2 block id overflow");
+    }
+    id = static_cast<std::uint32_t>(l2_.size());
+    l2_.push_back(nullptr);
   }
-  if (l2_.size() >= kL2Flag) {
-    throw std::length_error("FlatLookupTable: level-2 block id overflow");
-  }
-  l2_.push_back(std::move(block));
-  return static_cast<std::uint32_t>(l2_.size() - 1);
+  l2_[id] = block.release();
+  ++l2_count_;
+  return id;
 }
 
 void FlatLookupTable::fill_direct(std::uint32_t lo, std::uint32_t hi,
@@ -114,9 +169,9 @@ void FlatLookupTable::fill_direct(std::uint32_t lo, std::uint32_t hi,
     } else {
       // Free any level-2 blocks this fill overwrites (readable through
       // the shared pointer even before copy-on-write).
-      const std::uint32_t* read = chunks_[chunk].get();
+      const std::uint32_t* read = chunks_[chunk];
       for (std::uint32_t i = in_lo; i <= in_hi; ++i) {
-        if (read[i] & kL2Flag) release_l2(read[i]);
+        if (read[i] & kL2Flag) release_l2(read[i], b);
       }
       // A chunk that ends up all-zero drops back to the null
       // representation, so cleared address space costs nothing again.
@@ -129,8 +184,13 @@ void FlatLookupTable::fill_direct(std::uint32_t lo, std::uint32_t hi,
            std::all_of(read + in_hi + 1, read + kChunkEntries,
                        [](std::uint32_t v) { return v == 0; }));
       if (entry == 0 && rest_zero) {
+        if (owns_chunk(chunk, b.prev)) {
+          delete[] chunks_[chunk];
+        } else {
+          b.replaced.push_back(chunks_[chunk]);
+        }
         chunks_[chunk] = nullptr;
-        b.owned[chunk] = false;
+        --chunk_count_;
       } else {
         std::uint32_t* p = writable_chunk(chunk, b);
         std::fill(p + in_lo, p + in_hi + 1, entry);
@@ -159,9 +219,9 @@ void FlatLookupTable::paint(const Route& route, Builder& b) {
   if (entry & kL2Flag) {
     // Only blocks created by this repaint pass can be seen here (the
     // region was cleared first), so in-place mutation is safe.
-    block = l2_[entry & ~kL2Flag].get();
+    block = l2_[entry & ~kL2Flag];
   } else {
-    ChunkPtr fresh = make_block(kL2Entries);
+    auto fresh = zeroed_block(kL2Entries);
     block = fresh.get();
     if (entry != 0) std::fill(block, block + kL2Entries, entry);
     entry = kL2Flag | alloc_l2(std::move(fresh));
@@ -184,7 +244,7 @@ void FlatLookupTable::recompute_slot(const trie::BinaryTrie& table,
     fill_direct(slot, slot, 0, b);
     return;
   }
-  ChunkPtr fresh = make_block(kL2Entries);
+  auto fresh = zeroed_block(kL2Entries);
   std::uint32_t* block = fresh.get();
   for (const auto& route : inside) {
     const std::uint32_t value = encode(route, b);
@@ -205,7 +265,7 @@ void FlatLookupTable::recompute_slot(const trie::BinaryTrie& table,
   }
   std::uint32_t* p = writable_chunk(slot >> kChunkBits, b);
   std::uint32_t& entry = p[slot & kChunkMask];
-  if (entry & kL2Flag) release_l2(entry);
+  if (entry & kL2Flag) release_l2(entry, b);
   entry = kL2Flag | alloc_l2(std::move(fresh));
 }
 
@@ -229,28 +289,16 @@ void FlatLookupTable::repaint(const trie::BinaryTrie& table,
 }
 
 std::size_t FlatLookupTable::memory_bytes() const {
-  std::size_t bytes = chunks_.capacity() * sizeof(ChunkPtr) +
-                      l2_.capacity() * sizeof(ChunkPtr) +
+  std::size_t bytes = chunks_.size() * sizeof(std::uint32_t*) +
+                      l2_.capacity() * sizeof(std::uint32_t*) +
                       l2_free_.capacity() * sizeof(std::uint32_t);
-  bytes += chunk_count() * kChunkEntries * sizeof(std::uint32_t);
-  bytes += l2_block_count() * kL2Entries * sizeof(std::uint32_t);
+  bytes += chunk_count_ * kChunkEntries * sizeof(std::uint32_t);
+  bytes += l2_count_ * kL2Entries * sizeof(std::uint32_t);
   // The dictionary: hop array plus a node and a bucket per interned hop.
   bytes += dict_->hops.capacity() * sizeof(NextHop) +
            dict_->ids.bucket_count() * sizeof(void*) +
            dict_->ids.size() * 4 * sizeof(void*);
   return bytes;
-}
-
-std::size_t FlatLookupTable::chunk_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(chunks_.begin(), chunks_.end(),
-                    [](const ChunkPtr& c) { return c != nullptr; }));
-}
-
-std::size_t FlatLookupTable::l2_block_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(l2_.begin(), l2_.end(),
-                    [](const ChunkPtr& c) { return c != nullptr; }));
 }
 
 }  // namespace clue::engine

@@ -25,19 +25,32 @@
 // Snapshots are immutable — the runtime publishes one per chip-table
 // version behind an epoch-swapped pointer — but a full repaint per BGP
 // update would move megabytes per publish. Instead the level-1 array is
-// split into 4096-entry chunks held by shared_ptr: rebuilding for an update
-// copies the chunk pointer vector (structural sharing) and copy-on-
-// writes only the chunks under the update's dirty prefixes, so rebuild
-// cost tracks the size of the diff, not of the address space. A null
-// chunk means "all no-route", which also keeps empty address space free.
-// The hop dictionary is append-only and shared the same way: a rebuild
-// that meets a new next hop copies it once and appends.
+// split into 4096-entry chunks held by raw pointer: a copy-on-write
+// rebuild memcpys the 4096-slot pointer array (32 KiB, no reference
+// counts) and copies only the chunks under the update's dirty prefixes,
+// so rebuild cost tracks the size of the diff, not of the address space.
+// A null chunk means "all no-route", which also keeps empty address
+// space free. The hop dictionary is append-only and shared the same way:
+// a rebuild that meets a new next hop copies it once and appends.
+//
+// Ownership is by version, not by reference count. A pointer belongs to
+// a rebuild iff it differs from its predecessor's pointer at the same
+// index (chunk index, level-2 block id, the one dictionary). When the
+// rebuild completes, the successor takes over the whole live set and the
+// predecessor keeps only what the successor replaced, so dropping a
+// retired version frees exactly what one commit replaced and dropping
+// the newest version frees its live set. Hence each image has at most
+// one successor (a second throws std::logic_error), and a predecessor
+// stays readable only while its successor lives. The runtime keeps both
+// rules: it builds each version from the active one, and its epoch
+// domain never reclaims a version before an older one.
 //
 // Thread-safety: const after construction; safe to read from any number
 // of threads once publication of the owning pointer synchronises with
 // the readers (the runtime's epoch swap does).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -67,9 +80,17 @@ class FlatLookupTable {
   /// every level-1 chunk outside the `dirty` prefixes is shared with
   /// `prev`. Precondition: `prev` was built from a table that agrees
   /// with `table` everywhere outside `dirty` (the runtime passes the
-  /// previous snapshot plus the update's own diff regions).
+  /// previous snapshot plus the update's own diff regions). On success
+  /// this image owns the live set and `prev` keeps only what this build
+  /// replaced: `prev` stays readable only while this image lives. Throws
+  /// std::logic_error if `prev` already has a successor; on any throw
+  /// `prev` is left untouched.
   FlatLookupTable(const FlatLookupTable& prev, const trie::BinaryTrie& table,
                   std::span<const Prefix> dirty);
+
+  /// Frees what this image owns: its live set if it has no successor,
+  /// otherwise only what the successor replaced.
+  ~FlatLookupTable();
 
   FlatLookupTable(const FlatLookupTable&) = delete;
   FlatLookupTable& operator=(const FlatLookupTable&) = delete;
@@ -94,16 +115,17 @@ class FlatLookupTable {
   /// so the (tens of MB, cache-cold) array loads overlap.
   void prefetch(Ipv4Address address) const {
     const std::uint32_t slot = address.value() >> kL2Bits;
-    const std::uint32_t* chunk = chunks_[slot >> kChunkBits].get();
+    const std::uint32_t* chunk = chunks_[slot >> kChunkBits];
     if (chunk) __builtin_prefetch(&chunk[slot & kChunkMask], 0, 1);
   }
 
-  /// Heap bytes held by this snapshot (chunks it references, shared or
-  /// not, plus level-2 blocks and the pointer vectors).
+  /// Bytes of the image this snapshot answers from (chunks it
+  /// references, shared or not, plus level-2 blocks, the pointer arrays
+  /// and the dictionary). O(1).
   std::size_t memory_bytes() const;
-  /// Allocated (non-null) level-1 chunks / live level-2 blocks.
-  std::size_t chunk_count() const;
-  std::size_t l2_block_count() const;
+  /// Allocated (non-null) level-1 chunks / live level-2 blocks. O(1).
+  std::size_t chunk_count() const { return chunk_count_; }
+  std::size_t l2_block_count() const { return l2_count_; }
 
  private:
   // Entry layout: L2 flag | 6-bit prefix length | 25-bit hop id; with
@@ -125,31 +147,50 @@ class FlatLookupTable {
   static constexpr std::size_t kChunkCount = std::size_t{1}
                                              << (kStride - kChunkBits);
 
-  using ChunkPtr = std::shared_ptr<std::uint32_t[]>;
-
   /// Interned next hops: hops[id] for id >= 1, hops[0] = kNoRoute.
   struct HopDict {
     std::vector<NextHop> hops{netbase::kNoRoute};
     std::unordered_map<std::uint32_t, std::uint32_t> ids;  ///< hop -> id
   };
 
-  /// Rebuild-time state: which chunks this rebuild already owns (may
-  /// mutate) vs. still shares with the previous snapshot, and the
-  /// dictionary copy it appends to once it meets a new hop.
+  /// Rebuild-time state: the predecessor whose pointers this build
+  /// shares (null for a full build, which owns everything it holds), and
+  /// the predecessor's blocks this build replaced so far — each is
+  /// recorded once, when its slot stops holding it.
   struct Builder {
-    std::vector<bool> owned;
-    std::shared_ptr<HopDict> dict;
+    const FlatLookupTable* prev = nullptr;
+    std::vector<std::uint32_t*> replaced;
   };
 
   /// The route entry (or 0) covering `address`, level 2 resolved.
   std::uint32_t entry(Ipv4Address address) const {
     const std::uint32_t slot = address.value() >> kL2Bits;
-    const std::uint32_t* chunk = chunks_[slot >> kChunkBits].get();
+    const std::uint32_t* chunk = chunks_[slot >> kChunkBits];
     if (!chunk) return 0;
     const std::uint32_t e = chunk[slot & kChunkMask];
     if (!(e & kL2Flag)) return e;
-    return l2_[e & ~kL2Flag].get()[address.value() & kL2Mask];
+    return l2_[e & ~kL2Flag][address.value() & kL2Mask];
   }
+
+  /// Whether this image (not its predecessor `prev`, null for a full
+  /// build) owns chunk `i` / level-2 block `id` / the dictionary: the
+  /// pointer differs from the predecessor's at the same index.
+  bool owns_chunk(std::size_t i, const FlatLookupTable* prev) const {
+    return !prev || chunks_[i] != prev->chunks_[i];
+  }
+  bool owns_l2(std::uint32_t id, const FlatLookupTable* prev) const {
+    return !prev || id >= prev->l2_.size() || l2_[id] != prev->l2_[id];
+  }
+  bool owns_dict(const FlatLookupTable* prev) const {
+    return !prev || dict_ != prev->dict_;
+  }
+  /// Frees every block and the dictionary this image holds that `prev`
+  /// does not (everything when `prev` is null).
+  void free_unshared(const FlatLookupTable* prev) noexcept;
+  /// Runs `paint_all(builder)`; on a throw frees this build's own blocks
+  /// (the predecessor keeps owning its set) and rethrows.
+  template <typename PaintAll>
+  void build(const FlatLookupTable* prev, PaintAll&& paint_all);
 
   /// Chunk writable by this rebuild; allocates (zero or copy) on first
   /// touch. `slot_chunk` is the chunk index.
@@ -168,22 +209,36 @@ class FlatLookupTable {
                    Builder& b);
   /// Paints one route (already validated) over its slots.
   void paint(const Route& route, Builder& b);
-  void release_l2(std::uint32_t entry);
-  std::uint32_t alloc_l2(ChunkPtr block);
+  void release_l2(std::uint32_t entry, Builder& b);
+  std::uint32_t alloc_l2(std::unique_ptr<std::uint32_t[]> block);
   /// The route entry for `route`, interning its hop on first sight.
   std::uint32_t encode(const Route& route, Builder& b);
-  /// Publishes the builder's dictionary (if it grew) to this snapshot.
-  void finish(Builder& b);
+  /// Completes a build: hands the predecessor the set this build
+  /// replaced (the only write to the predecessor) and publishes the
+  /// dictionary to lookup().
+  void finish(Builder& b) noexcept;
 
   /// Level 1, chunked: chunks_[slot >> kChunkBits][slot & kChunkMask].
   /// Null chunk = every slot kNoRoute.
-  std::vector<ChunkPtr> chunks_ = std::vector<ChunkPtr>(kChunkCount);
+  std::array<std::uint32_t*, kChunkCount> chunks_{};
   /// Level-2 blocks by id; freed slots are null and listed in l2_free_.
-  std::vector<ChunkPtr> l2_;
+  std::vector<std::uint32_t*> l2_;
   std::vector<std::uint32_t> l2_free_;
-  /// Shared with COW predecessors/successors until one of them grows it.
-  std::shared_ptr<const HopDict> dict_;
+  /// Shared with the predecessor until a rebuild meets a new hop.
+  HopDict* dict_ = nullptr;
   const NextHop* hops_ = nullptr;  ///< dict_->hops.data(), for lookup()
+  std::size_t chunk_count_ = 0;
+  std::size_t l2_count_ = 0;
+
+  /// Set once, by the successor's finish(): from then on this image owns
+  /// only the blocks and dictionary the successor replaced. Readers never
+  /// touch these fields.
+  struct Replaced {
+    bool has_successor = false;
+    std::vector<std::uint32_t*> blocks;  ///< chunks and level-2 blocks
+    HopDict* dict = nullptr;
+  };
+  mutable Replaced replaced_;
 };
 
 }  // namespace clue::engine

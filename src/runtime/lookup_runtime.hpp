@@ -377,7 +377,9 @@ class LookupRuntime {
   /// One immutable published FIB version for one chip: a version number
   /// and the direct-index image workers answer from — hops and stored
   /// route shapes alike. No trie: publishing costs a COW flat rebuild,
-  /// not a copy of the chip's table.
+  /// not a copy of the chip's table. Each version is its predecessor's
+  /// only successor, so reclaiming a retired version frees just the
+  /// chunks its successor replaced.
   struct ChipTable {
     std::uint64_t version = 0;
     engine::FlatLookupTable flat;

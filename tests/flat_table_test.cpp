@@ -3,13 +3,18 @@
 // shape (prefix, length, hop) — and with TcamChip's honest O(capacity)
 // search_linear scan over randomized non-overlapping tables, including
 // copy-on-write rebuilds after inserts, deletes, modifies, and simulated
-// boundary migrations.
+// boundary migrations — plus the version-ownership contract: one
+// successor per image, a predecessor readable while its successor lives,
+// and either drop order freeing each block exactly once (the ASan stage
+// runs this file with LeakSanitizer on).
 #include "engine/flat_table.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "netbase/prefix.hpp"
@@ -165,6 +170,12 @@ TEST(FlatTableTest, CowRebuildTracksInsertsDeletesAndModifies) {
     }
     for (int i = 0; i < 512; ++i) probes.emplace_back(rng.next());
     expect_matches_trie(*flat, table, probes);
+
+    // The incrementally kept counts must equal a fresh build's.
+    const FlatLookupTable rebuilt(table);
+    ASSERT_EQ(flat->chunk_count(), rebuilt.chunk_count()) << "round " << round;
+    ASSERT_EQ(flat->l2_block_count(), rebuilt.l2_block_count())
+        << "round " << round;
   }
   // After 40 rounds of drift, a final full sweep against a fresh build.
   const FlatLookupTable fresh(table);
@@ -322,6 +333,120 @@ TEST(FlatTableTest, HighHopsAndDictionaryGrowthKeepOldSnapshotsIntact) {
     expect_matches_trie(*flat, before, probe_addresses(before, 500, round));
     expect_matches_trie(*next, table, probe_addresses(table, 500, round));
     flat = std::move(next);
+  }
+}
+
+TEST(FlatTableTest, SecondSuccessorThrowsAndBothImagesStayExact) {
+  const auto before = make_disjoint_table(1'000, 515);
+  auto table = before;
+  const FlatLookupTable base(before);
+  const auto routes = table.routes();
+  const Prefix touched = routes[routes.size() / 3].prefix;
+  table.insert(touched, make_next_hop(250));
+  const std::vector<Prefix> dirty{touched};
+
+  const FlatLookupTable next(base, table, dirty);
+  EXPECT_THROW(FlatLookupTable(base, table, dirty), std::logic_error);
+
+  expect_matches_trie(base, before, probe_addresses(before, 1'000, 616));
+  expect_matches_trie(next, table, probe_addresses(table, 1'000, 717));
+  // The successor itself may still be succeeded.
+  const FlatLookupTable after(next, table, dirty);
+  expect_matches_trie(after, table, probe_addresses(table, 1'000, 818));
+}
+
+TEST(FlatTableTest, PredecessorsStayExactAcrossDictionaryGrowthAndL2Reuse) {
+  // One /24 slot with long routes (a level-2 block) and one wide route.
+  const Prefix a(Ipv4Address(0xC0A80100u), 26);
+  const Prefix b(Ipv4Address(0xC0A80140u), 26);
+  const Prefix wide(Ipv4Address(0x0B000000u), 16);
+  std::vector<BinaryTrie> tables(1);
+  tables[0].insert(a, make_next_hop(1));
+  tables[0].insert(b, make_next_hop(2));
+  tables[0].insert(wide, make_next_hop(3));
+  std::vector<std::unique_ptr<FlatLookupTable>> versions;
+  versions.push_back(std::make_unique<FlatLookupTable>(tables[0]));
+
+  // Each round releases the previous round's level-2 block (its /26s
+  // are erased) and allocates a fresh one in another slot — the freed
+  // id is reused — under a next hop no earlier version interned.
+  Prefix long_route = a;
+  for (std::uint32_t round = 1; round <= 12; ++round) {
+    BinaryTrie table = tables.back();
+    std::vector<Prefix> dirty;
+    for (const Prefix& gone : {long_route, b}) {
+      if (table.erase(gone)) dirty.push_back(gone);
+    }
+    long_route = Prefix(Ipv4Address(0xC0A90000u + (round << 8) + 0x80u), 25);
+    table.insert(long_route, NextHop{0x9000'0000u + round});
+    dirty.push_back(long_route);
+    table.insert(wide, NextHop{0xA000'0000u + round});  // modify
+    dirty.push_back(wide);
+    versions.push_back(
+        std::make_unique<FlatLookupTable>(*versions.back(), table, dirty));
+    tables.push_back(std::move(table));
+    EXPECT_EQ(versions.back()->l2_block_count(), 1u);
+
+    // Every version in the chain still answers from its own image.
+    for (std::size_t v = 0; v < versions.size(); ++v) {
+      expect_matches_trie(*versions[v], tables[v],
+                          probe_addresses(tables[v], 64, v));
+    }
+  }
+}
+
+// A chain of COW versions over random churn, and the head's table.
+struct VersionChain {
+  std::vector<std::unique_ptr<FlatLookupTable>> versions;
+  BinaryTrie head_table;
+};
+
+VersionChain make_version_chain(std::size_t length, std::uint64_t seed) {
+  Pcg32 rng(seed);
+  VersionChain chain{{}, make_disjoint_table(600, seed)};
+  BinaryTrie& table = chain.head_table;
+  auto& versions = chain.versions;
+  versions.push_back(std::make_unique<FlatLookupTable>(table));
+  while (versions.size() < length) {
+    std::vector<Prefix> dirty;
+    const auto routes = table.routes();
+    for (int op = 0; op < 30; ++op) {
+      const auto& victim = routes[rng.next() % routes.size()];
+      if (table.find(victim.prefix)) {
+        if (op % 3 == 0) {
+          table.erase(victim.prefix);
+        } else {
+          table.insert(victim.prefix, make_next_hop(1 + rng.next() % 4'000));
+        }
+        dirty.push_back(victim.prefix);
+      }
+      const Prefix candidate = random_prefix(rng, 8, 30);
+      if (overlaps_any(table, candidate)) continue;
+      table.insert(candidate, make_next_hop(1 + rng.next() % 4'000));
+      dirty.push_back(candidate);
+    }
+    versions.push_back(
+        std::make_unique<FlatLookupTable>(*versions.back(), table, dirty));
+  }
+  return chain;
+}
+
+TEST(FlatTableTest, DroppingVersionsInEitherOrderFreesEachBlockOnce) {
+  // Successor first: the head frees its live set, then each predecessor
+  // frees only what its successor replaced.
+  auto newest_first = make_version_chain(8, 901);
+  expect_matches_trie(*newest_first.versions.back(), newest_first.head_table,
+                      probe_addresses(newest_first.head_table, 1'000, 1));
+  while (!newest_first.versions.empty()) newest_first.versions.pop_back();
+
+  // Predecessor first — the runtime's order — with the head answering
+  // exactly after every drop.
+  auto oldest_first = make_version_chain(8, 902);
+  auto& versions = oldest_first.versions;
+  const auto probes = probe_addresses(oldest_first.head_table, 1'000, 2);
+  while (!versions.empty()) {
+    expect_matches_trie(*versions.back(), oldest_first.head_table, probes);
+    versions.erase(versions.begin());
   }
 }
 
