@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): the software costs behind TTF1 and
 // the offline compression pass — trie update, incremental ONRTC update,
-// full compression, and LPM lookup throughput.
+// full compression, and LPM lookup throughput — plus the DRed store's
+// probe and fill costs.
 #include <benchmark/benchmark.h>
 
 #include "netbase/rng.hpp"
@@ -10,6 +11,7 @@
 #include "rrcme/rrc_me.hpp"
 #include "trie/multibit_trie.hpp"
 #include "workload/rib_gen.hpp"
+#include "workload/traffic_gen.hpp"
 #include "workload/update_gen.hpp"
 
 namespace {
@@ -122,6 +124,35 @@ void BM_DredLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DredLookup)->Arg(1024)->Arg(16384);
+
+// Overlapping /8-/32 routes probed by a hit-heavy Zipf stream over the
+// cached prefixes: exercises the level-2/3 paint blocks and the LRU
+// promotion on every hit, which BM_DredLookup's random misses do not.
+void BM_DredLookupMixed(benchmark::State& state) {
+  const auto capacity = static_cast<std::size_t>(state.range(0));
+  clue::engine::DredStore dred(capacity);
+  clue::netbase::Pcg32 rng(19);
+  while (dred.size() < capacity) {
+    // Four /8s, so short routes cover longer ones.
+    const std::uint32_t bits =
+        ((10u + rng.next_below(4)) << 24) | (rng.next() & 0x00FFFFFFu);
+    dred.insert(clue::netbase::Route{
+        clue::netbase::Prefix(clue::netbase::Ipv4Address(bits),
+                              8 + rng.next_below(25)),
+        clue::netbase::make_next_hop(1 + rng.next_below(16))});
+  }
+  clue::workload::TrafficConfig traffic_config;
+  traffic_config.seed = 23;
+  clue::workload::TrafficGenerator traffic(dred.contents(), traffic_config);
+  const auto addresses = traffic.generate(std::size_t{1} << 16);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dred.lookup(addresses[next]));
+    next = (next + 1) & (addresses.size() - 1);
+  }
+  state.counters["hit_rate"] = dred.stats().hit_rate();
+}
+BENCHMARK(BM_DredLookupMixed)->Arg(1024)->Arg(16384);
 
 void BM_DredInsertEvict(benchmark::State& state) {
   clue::engine::DredStore dred(1024);

@@ -93,6 +93,9 @@ RunResult run_once(const clue::trie::BinaryTrie& fib,
 
   stop.store(true, std::memory_order_release);
   if (control.joinable()) control.join();
+  // Quiescent counters: stopping drains every fill ring, so the fill
+  // counts below are final (applied + stale == sent).
+  runtime.stop();
 
   const auto metrics = runtime.metrics();
   RunResult result;
@@ -112,6 +115,8 @@ RunResult run_once(const clue::trie::BinaryTrie& fib,
   registry.set_counter(run_tag + ".updates_applied",
                        metrics.updates_applied);
   registry.set_gauge(run_tag + ".dred_hit_rate", result.dred_hit_rate);
+  registry.set_counter(run_tag + ".fills_sent", metrics.fills_sent);
+  registry.set_counter(run_tag + ".fills_applied", metrics.fills_applied);
   // Per-worker service-time histograms + client latency histogram.
   for (std::size_t w = 0; w < runtime.worker_count(); ++w) {
     registry.add_histogram(

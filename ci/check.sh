@@ -6,7 +6,8 @@
 # cross-host commit transaction, observability counters/histograms)
 # under TSan, then a metrics-exporter smoke run
 # (bench_runtime_throughput + bench_update_burst, whose JSON exports
-# must parse and whose batched throughput must beat sequential), then
+# must parse, whose multi-worker runs must apply DRed fills, and whose
+# batched throughput must beat sequential), then
 # the churn-soak: the rebalancer soak test rerun at CLUE_SOAK_UPDATES
 # updates (default 500000) of sustained hot-/8 churn, and the
 # burst-soak: the async group-commit ingress hammered under TSan at
@@ -102,6 +103,14 @@ for key in ("flat_ab.speedup", "flat_ab.flat_mlookups_per_s",
             "flat_ab.trie_mlookups_per_s"):
     assert key in gauges, f"missing {key} gauge"
 assert gauges["flat_ab.speedup"] > 0, "flat A/B did not run"
+# Every multi-worker run (tags "w<N>.<churn>") must have landed DRed
+# fills: fill batching that silently drops them all fails here.
+counters = doc["counters"]
+runs = [k[:-len(".fills_sent")] for k in counters if k.endswith(".fills_sent")]
+multi = [t for t in runs if int(t.split(".")[0][1:]) > 1]
+assert multi, "no multi-worker run exported fill counters"
+for tag in multi:
+    assert counters[tag + ".fills_applied"] > 0, f"{tag}: no DRed fill applied"
 EOF
   else
     echo "smoke: python3 not found, skipping JSON parse check"

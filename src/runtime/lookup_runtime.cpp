@@ -204,18 +204,50 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
       me.jobs->try_pop_n(jobs.data(), std::min(max, kWorkerBatch));
   if (n == 0) return 0;
   std::array<Completion, kWorkerBatch> done;
+  // The batch's sampled fills and its counts stay worker-private until
+  // the batch is resolved: one ring push per peer and one counter add
+  // per counter per batch, instead of one of each per job.
+  std::array<FillMsg, kWorkerBatch> fills;
+  std::size_t fill_count = 0;
+  std::uint64_t home_lookups = 0;
+  std::uint64_t dred_hits = 0;
+  std::uint64_t miss_returns = 0;
   {
     // Snapshot discipline: pin the epoch once for the whole batch, then
     // load the pointer. The table stays alive until this guard's slot
     // passes the retire epoch; batches are tens of jobs, so the pin never
     // stretches a grace period meaningfully.
     EpochDomain::Guard guard(epoch_, w);
-    const ChipTable* table = me.active.load(std::memory_order_seq_cst);
+    const ChipTable& table = *me.active.load(std::memory_order_seq_cst);
+    const auto resolve = [&](const Job& job) -> Completion {
+      if (job.dred_only) {
+        if (const auto hop = me.dred->lookup(job.address)) {
+          ++dred_hits;
+          return Completion{job.index, *hop, false, job.gen};
+        }
+        // Miss: the client re-enqueues at the home chip (the runtime's
+        // version of the engine's beyond-FIFO-bound return acceptance).
+        ++miss_returns;
+        return Completion{job.index, netbase::kNoRoute, true, job.gen};
+      }
+      ++home_lookups;
+      const NextHop hop = table.flat.lookup(job.address);
+      // One in every 8 hits offers the stored route to the peer DReds;
+      // the flat image carries its exact shape, so the sampled hit costs
+      // one more cached image read.
+      if (hop != netbase::kNoRoute && dred_enabled_ &&
+          (me.hits_seen++ & kFillSampleMask) == 0) {
+        if (const auto matched = table.flat.lookup_route(job.address)) {
+          fills[fill_count++] = FillMsg{*matched, table.version};
+        }
+      }
+      return Completion{job.index, hop, false, job.gen};
+    };
     // Request every job's level-1 line before resolving any: the flat
     // array is tens of MB and cache-cold per batch, so the loads overlap
     // instead of serialising one miss per job.
     for (std::size_t i = 0; i < n; ++i) {
-      if (!jobs[i].dred_only) table->flat.prefetch(jobs[i].address);
+      if (!jobs[i].dred_only) table.flat.prefetch(jobs[i].address);
     }
     for (std::size_t i = 0; i < n; ++i) {
       // Service-time sampling: time one in every 64 jobs so the histogram
@@ -224,13 +256,28 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
       // rather than an atomic load.
       if ((me.jobs_seen++ & kLatencySampleMask) == 0) {
         const auto t0 = Clock::now();
-        done[i] = resolve_job(w, jobs[i], *table);
+        done[i] = resolve(jobs[i]);
         me.service_hist.record(elapsed_ns(t0));
       } else {
-        done[i] = resolve_job(w, jobs[i], *table);
+        done[i] = resolve(jobs[i]);
       }
     }
   }
+  const std::uint64_t dred_lookups = n - home_lookups;
+  me.counters.add(WorkerCounter::kJobs, n);
+  if (home_lookups > 0) {
+    me.counters.add(WorkerCounter::kHomeLookups, home_lookups);
+  }
+  if (dred_lookups > 0) {
+    me.counters.add(WorkerCounter::kDredLookups, dred_lookups);
+    if (dred_hits > 0) me.counters.add(WorkerCounter::kDredHits, dred_hits);
+    if (miss_returns > 0) {
+      me.counters.add(WorkerCounter::kMissReturns, miss_returns);
+    }
+  }
+  // Fills leave before the completions, so once a batch is answered every
+  // fill it produced is already in a peer's ring.
+  send_fills(w, fills.data(), fill_count);
   // Completions exist only for the client's in-flight batch, which
   // drains them on every pass, so this wait is bounded; stop() ends it.
   std::size_t pushed = 0;
@@ -239,37 +286,6 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
     return pushed == n;
   });
   return n;
-}
-
-LookupRuntime::Completion LookupRuntime::resolve_job(std::size_t w,
-                                                     const Job& job,
-                                                     const ChipTable& table) {
-  Worker& me = *workers_[w];
-  me.counters.add(WorkerCounter::kJobs);
-  if (job.dred_only) {
-    me.counters.add(WorkerCounter::kDredLookups);
-    const auto hop = me.dred->lookup(job.address);
-    if (hop) {
-      me.counters.add(WorkerCounter::kDredHits);
-      return Completion{job.index, *hop, false, job.gen};
-    }
-    // Miss: the client re-enqueues at the home chip (the runtime's
-    // version of the engine's beyond-FIFO-bound return acceptance).
-    me.counters.add(WorkerCounter::kMissReturns);
-    return Completion{job.index, netbase::kNoRoute, true, job.gen};
-  }
-  me.counters.add(WorkerCounter::kHomeLookups);
-  const NextHop hop = table.flat.lookup(job.address);
-  // One in every 8 hits offers the stored route to the peer DReds; the
-  // flat image carries its exact shape, so the sampled hit costs one
-  // more cached image read.
-  if (hop != netbase::kNoRoute && dred_enabled_ &&
-      (me.hits_seen++ & kFillSampleMask) == 0) {
-    if (const auto matched = table.flat.lookup_route(job.address)) {
-      send_fills(w, *matched, table.version);
-    }
-  }
-  return Completion{job.index, hop, false, job.gen};
 }
 
 bool LookupRuntime::drain_control(std::size_t w) {
@@ -306,43 +322,50 @@ bool LookupRuntime::drain_control(std::size_t w) {
 
 bool LookupRuntime::drain_fills(std::size_t w) {
   Worker& me = *workers_[w];
-  bool any = false;
-  FillMsg msg;
+  std::array<FillMsg, kWorkerBatch> msgs;
+  std::uint64_t applied = 0;
+  std::uint64_t stale = 0;
   for (std::size_t peer = 0; peer < workers_.size(); ++peer) {
     if (peer == w) continue;
-    while (me.fills[peer]->try_pop(msg)) {
-      any = true;
-      // Staleness guard: if the home chip republished since this fill
-      // was produced, the route may no longer exist (updates, or a
-      // migration that moved it off that chip) — drop rather than
+    std::size_t n;
+    while ((n = me.fills[peer]->try_pop_n(msgs.data(), msgs.size())) > 0) {
+      // Staleness guard: if the home chip (the ring's producer) republished
+      // since a fill was produced, the route may no longer exist (updates,
+      // or a migration that moved it off that chip) — drop rather than
       // poison the cache (a fresh hit will re-fill).
       const std::uint64_t current =
-          workers_[msg.home]->published_version.load(
-              std::memory_order_acquire);
-      if (msg.version < current) {
-        me.counters.add(WorkerCounter::kFillsDroppedStale);
-        continue;
+          workers_[peer]->published_version.load(std::memory_order_acquire);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (msgs[i].version < current) {
+          ++stale;
+        } else {
+          me.dred->insert(msgs[i].route);
+          ++applied;
+        }
       }
-      me.dred->insert(msg.route);
-      me.counters.add(WorkerCounter::kFillsApplied);
     }
   }
-  return any;
+  if (applied > 0) me.counters.add(WorkerCounter::kFillsApplied, applied);
+  if (stale > 0) me.counters.add(WorkerCounter::kFillsDroppedStale, stale);
+  return applied + stale > 0;
 }
 
-void LookupRuntime::send_fills(std::size_t w, const Route& matched,
-                               std::uint64_t version) {
+void LookupRuntime::send_fills(std::size_t w, FillMsg* fills,
+                               std::size_t count) {
+  if (count == 0) return;
   Worker& me = *workers_[w];
-  const FillMsg msg{matched, version, static_cast<std::uint32_t>(w)};
+  std::uint64_t sent = 0;
+  std::uint64_t dropped = 0;  // best effort: a full ring's share is lost
   for (std::size_t peer = 0; peer < workers_.size(); ++peer) {
     if (!engine::dred_may_cache(peer, w)) continue;  // exclusion rule
-    if (workers_[peer]->fills[w]->try_push(msg)) {
-      workers_[peer]->bell.ring();
-      me.counters.add(WorkerCounter::kFillsSent);
-    } else {
-      me.counters.add(WorkerCounter::kFillsDroppedFull);
-    }
+    const std::size_t pushed =
+        workers_[peer]->fills[w]->try_push_n(fills, count);
+    if (pushed > 0) workers_[peer]->bell.ring();
+    sent += pushed;
+    dropped += count - pushed;
   }
+  if (sent > 0) me.counters.add(WorkerCounter::kFillsSent, sent);
+  if (dropped > 0) me.counters.add(WorkerCounter::kFillsDroppedFull, dropped);
 }
 
 // ----------------------------------------------------------------- client

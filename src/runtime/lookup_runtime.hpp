@@ -368,10 +368,10 @@ class LookupRuntime {
     Kind kind = Kind::kErase;
     Route route;
   };
+  /// A DRed fill; its home chip is the producer of the ring it travels.
   struct FillMsg {
     Route route;
     std::uint64_t version = 0;
-    std::uint32_t home = 0;
   };
 
   /// One immutable published FIB version for one chip: a version number
@@ -423,14 +423,17 @@ class LookupRuntime {
   /// The one job path, for the worker loop and the kFence drain alike:
   /// pops up to min(max, kWorkerBatch) jobs, pins the epoch once,
   /// prefetches the flat-table lines across the batch, resolves in order
-  /// (timing 1 in 64) and pushes every completion, waiting while the
-  /// completion ring is full. Returns the jobs served.
+  /// (timing 1 in 64), adds the batch's counts, sends its sampled fills
+  /// and pushes every completion, waiting while the completion ring is
+  /// full. Returns the jobs served.
   std::size_t serve_jobs(std::size_t w, std::size_t max);
-  Completion resolve_job(std::size_t w, const Job& job,
-                         const ChipTable& table);
   bool drain_control(std::size_t w);
+  /// Pops every peer's fill ring in batches into this worker's DRed,
+  /// dropping fills older than their home chip's published version.
   bool drain_fills(std::size_t w);
-  void send_fills(std::size_t w, const Route& matched, std::uint64_t version);
+  /// Offers one batch's `count` fills to every peer DRed that may cache
+  /// worker w's routes: one push and one ring per peer.
+  void send_fills(std::size_t w, FillMsg* fills, std::size_t count);
 
   /// Client-side push into worker w's job ring (rings it when anything
   /// landed); returns the jobs accepted.

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <string>
+
 #include "netbase/rng.hpp"
+#include "trie/binary_trie.hpp"
 
 namespace clue::engine {
 namespace {
@@ -312,6 +317,229 @@ TEST(DredStore, EvictionKeepsMatchIndexConsistent) {
       ASSERT_TRUE(hop.has_value());
     }
   }
+}
+
+// Reference model for the differential test: the straightforward store
+// the flat DredStore must be indistinguishable from — a BinaryTrie for
+// LPM and a std::list for exact LRU order, with the same stats rules.
+class ModelDred {
+ public:
+  explicit ModelDred(std::size_t capacity) : capacity_(capacity) {}
+
+  std::optional<NextHop> lookup(Ipv4Address address) {
+    ++stats_.lookups;
+    const auto route = match_.lookup_route(address);
+    if (!route) return std::nullopt;
+    ++stats_.hits;
+    const auto it = find(route->prefix);
+    lru_.splice(lru_.begin(), lru_, it);
+    return it->next_hop;
+  }
+
+  void insert(const Route& route) {
+    if (const auto it = find(route.prefix); it != lru_.end()) {
+      it->next_hop = route.next_hop;
+      match_.insert(route.prefix, route.next_hop);
+      lru_.splice(lru_.begin(), lru_, it);
+      ++stats_.updates;
+      return;
+    }
+    if (lru_.size() == capacity_) {
+      match_.erase(lru_.back().prefix);
+      lru_.pop_back();
+      ++stats_.evictions;
+    }
+    lru_.push_front(route);
+    match_.insert(route.prefix, route.next_hop);
+    ++stats_.insertions;
+  }
+
+  bool fix(const Route& route) {
+    const auto it = find(route.prefix);
+    if (it == lru_.end()) return false;
+    it->next_hop = route.next_hop;
+    match_.insert(route.prefix, route.next_hop);
+    ++stats_.updates;
+    return true;
+  }
+
+  bool erase(const Prefix& prefix) {
+    const auto it = find(prefix);
+    if (it == lru_.end()) return false;
+    lru_.erase(it);
+    match_.erase(prefix);
+    ++stats_.erasures;
+    return true;
+  }
+
+  std::vector<Prefix> contents() const {
+    std::vector<Prefix> out;
+    for (const auto& route : lru_) out.push_back(route.prefix);
+    return out;
+  }
+  std::vector<Route> routes() const { return {lru_.begin(), lru_.end()}; }
+
+  std::vector<Prefix> overlapping(const Prefix& prefix) const {
+    std::vector<Prefix> out;
+    match_.for_each_match(prefix.range_low(), [&](const Route& route) {
+      if (route.prefix.length() <= prefix.length()) {
+        out.push_back(route.prefix);
+      }
+    });
+    for (const auto& route : match_.routes_within(prefix)) {
+      if (route.prefix.length() > prefix.length()) {
+        out.push_back(route.prefix);
+      }
+    }
+    return out;
+  }
+
+  const DredStore::Stats& stats() const { return stats_; }
+
+ private:
+  std::list<Route>::iterator find(const Prefix& prefix) {
+    return std::find_if(lru_.begin(), lru_.end(), [&](const Route& route) {
+      return route.prefix == prefix;
+    });
+  }
+
+  std::size_t capacity_;
+  std::list<Route> lru_;  // front = most recently used
+  trie::BinaryTrie match_;
+  DredStore::Stats stats_;
+};
+
+void expect_same_stats(const DredStore::Stats& got,
+                       const DredStore::Stats& want) {
+  EXPECT_EQ(got.lookups, want.lookups);
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.insertions, want.insertions);
+  EXPECT_EQ(got.updates, want.updates);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.erasures, want.erasures);
+}
+
+// Overlapping prefixes of every length, concentrated at the paint
+// table's block edges (/16, /17, /24, /25, /32) and packed into a few
+// neighbouring /16s so covers, nested blocks and collapses all occur.
+Prefix random_prefix(Pcg32& rng) {
+  static constexpr std::uint32_t kBases[] = {0x0A010000u, 0x0A01FF00u,
+                                             0x0A020000u, 0xC0A80000u};
+  static constexpr unsigned kEdges[] = {16, 17, 24, 25, 32};
+  const std::uint32_t spread = rng.next_below(2) == 0 ? 0x3FFFFu : 0x3FFu;
+  const std::uint32_t bits = kBases[rng.next_below(4)] ^ (rng.next() & spread);
+  const unsigned length = rng.next_below(2) == 0
+                              ? kEdges[rng.next_below(5)]
+                              : rng.next_below(33);
+  return Prefix(Ipv4Address(bits), length);
+}
+
+void run_differential(std::size_t capacity, std::uint64_t seed) {
+  SCOPED_TRACE("capacity " + std::to_string(capacity));
+  Pcg32 rng(seed);
+  DredStore dred(capacity);
+  ModelDred model(capacity);
+  std::vector<Prefix> seen;
+  const auto pick_seen = [&] {
+    return seen[rng.next_below(static_cast<std::uint32_t>(seen.size()))];
+  };
+  // Long enough for the largest store to fill up and start evicting.
+  const std::size_t ops = 8000 + 8 * capacity;
+  for (std::size_t op = 0; op < ops; ++op) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    const auto dice = rng.next_below(100);
+    Prefix probe_prefix = seen.empty() ? random_prefix(rng) : pick_seen();
+    if (dice < 30 || seen.empty()) {
+      // Fresh or re-offered route (a re-offer may change the hop).
+      const Prefix prefix =
+          seen.empty() || rng.next_below(4) != 0 ? random_prefix(rng)
+                                                 : pick_seen();
+      const Route route{prefix, make_next_hop(1 + rng.next_below(6))};
+      dred.insert(route);
+      model.insert(route);
+      seen.push_back(prefix);
+      probe_prefix = prefix;
+    } else if (dice < 40) {
+      const Route route{pick_seen(), make_next_hop(1 + rng.next_below(6))};
+      ASSERT_EQ(dred.fix(route), model.fix(route));
+      probe_prefix = route.prefix;
+    } else if (dice < 50) {
+      probe_prefix = pick_seen();
+      ASSERT_EQ(dred.erase(probe_prefix), model.erase(probe_prefix));
+    } else {
+      // Addresses inside a known prefix, or anywhere near the bases.
+      const Prefix around = rng.next_below(4) == 0 ? random_prefix(rng)
+                                                   : pick_seen();
+      const std::uint64_t span = around.size() < 4096 ? around.size() : 4096;
+      const Ipv4Address address(
+          around.bits() +
+          static_cast<std::uint32_t>(rng.next() % span));
+      const auto got = dred.lookup(address);
+      const auto want = model.lookup(address);
+      ASSERT_EQ(got, want) << address.to_string();
+    }
+    ASSERT_TRUE(dred.invariants_ok());
+    ASSERT_EQ(dred.size(), model.contents().size());
+    ASSERT_EQ(dred.contents(), model.contents());
+    ASSERT_EQ(dred.routes(), model.routes());
+    ASSERT_EQ(dred.overlapping(probe_prefix), model.overlapping(probe_prefix))
+        << probe_prefix.to_string();
+    const Prefix wide(probe_prefix.address(), rng.next_below(17));
+    ASSERT_EQ(dred.overlapping(wide), model.overlapping(wide))
+        << wide.to_string();
+    expect_same_stats(dred.stats(), model.stats());
+  }
+
+  // The stream reached the paths that matter: full-store eviction and
+  // erase-driven block collapse.
+  EXPECT_GT(dred.stats().evictions, 0u);
+  EXPECT_GT(dred.stats().erasures, 0u);
+
+  // Erasing every entry longer than /16 returns every block to the pool.
+  for (const auto& prefix : dred.contents()) {
+    if (prefix.length() > 16) {
+      ASSERT_TRUE(dred.erase(prefix));
+      ASSERT_TRUE(model.erase(prefix));
+      ASSERT_TRUE(dred.invariants_ok());
+    }
+  }
+  EXPECT_EQ(dred.blocks_in_use(), 0u);
+  EXPECT_EQ(dred.contents(), model.contents());
+  for (const auto& prefix : model.contents()) {
+    EXPECT_EQ(dred.lookup(prefix.range_low()),
+              model.lookup(prefix.range_low()));
+  }
+  expect_same_stats(dred.stats(), model.stats());
+}
+
+TEST(DredStore, DifferentialAgainstTrieAndListModel) {
+  std::uint64_t seed = 907;
+  for (const std::size_t capacity : {1, 2, 7, 64, 1024}) {
+    run_differential(capacity, seed++);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(DredStore, RejectsCapacityAboveMaximum) {
+  EXPECT_THROW(DredStore(DredStore::kMaxCapacity + 1), std::invalid_argument);
+}
+
+TEST(DredStore, BlocksCollapseWhenLongPrefixesLeave) {
+  DredStore dred(8);
+  dred.insert(Route{p("10.0.0.0/8"), make_next_hop(1)});
+  EXPECT_EQ(dred.blocks_in_use(), 0u);
+  dred.insert(Route{p("10.1.2.0/25"), make_next_hop(2)});  // level 2 + 3
+  dred.insert(Route{p("10.1.3.0/24"), make_next_hop(3)});  // same level 2
+  EXPECT_EQ(dred.blocks_in_use(), 2u);
+  EXPECT_EQ(dred.lookup(a("10.1.2.200")), make_next_hop(1));
+  EXPECT_EQ(dred.lookup(a("10.1.2.100")), make_next_hop(2));
+  EXPECT_TRUE(dred.erase(p("10.1.2.0/25")));
+  EXPECT_EQ(dred.blocks_in_use(), 1u);
+  EXPECT_EQ(dred.lookup(a("10.1.2.100")), make_next_hop(1));
+  EXPECT_TRUE(dred.erase(p("10.1.3.0/24")));
+  EXPECT_EQ(dred.blocks_in_use(), 0u);
+  EXPECT_EQ(dred.lookup(a("10.1.3.1")), make_next_hop(1));
+  EXPECT_TRUE(dred.invariants_ok());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -440,6 +441,55 @@ TEST(LookupRuntimeTest, DredHoldsOnlyForeignStoredShapes) {
     }
   }
   EXPECT_GT(cached, 0u);
+}
+
+// Fills travel in per-batch hand-offs: every fill a worker counts as
+// sent must land in a peer's DRed once the data plane is quiescent, and
+// the exclusion rule must hold for whole batches as it did per fill.
+TEST(LookupRuntimeTest, FillAccountingBalancesWhenQuiescent) {
+  const auto fib = make_fib(20'000, 1901);
+  RuntimeConfig config;
+  config.worker_count = 4;
+  config.fifo_depth = 16;  // small FIFOs so lookups divert
+  LookupRuntime runtime(fib, config);
+
+  // Zipf traffic over every stored prefix: all chips take hits, so every
+  // worker produces fills for its three peers.
+  std::vector<clue::netbase::Prefix> all;
+  for (std::size_t chip = 0; chip < runtime.worker_count(); ++chip) {
+    for (const auto& route : runtime.chip_routes(chip)) {
+      all.push_back(route.prefix);
+    }
+  }
+  clue::workload::TrafficConfig traffic_config;
+  traffic_config.seed = 1902;
+  clue::workload::TrafficGenerator traffic(all, traffic_config);
+  for (int round = 0; round < 8; ++round) {
+    const auto batch = traffic.generate(4096);
+    const auto hops = runtime.lookup_batch(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(hops[i], fib.lookup(batch[i]));
+    }
+  }
+  // Every batch sent its fills before its completions, so after the
+  // last lookup_batch returns, stop() drains each fill ring.
+  runtime.stop();
+
+  const auto m = runtime.metrics();
+  EXPECT_GT(m.fills_sent, 0u);
+  EXPECT_GT(m.diverted, 0u);
+  EXPECT_EQ(m.fills_applied + m.fills_dropped_stale, m.fills_sent);
+  // No commits ran, so no chip's version moved and nothing went stale.
+  EXPECT_EQ(m.fills_dropped_stale, 0u);
+  for (std::size_t w = 0; w < runtime.worker_count(); ++w) {
+    const auto own = runtime.chip_routes(w);
+    for (const auto& route : runtime.dred(w)->routes()) {
+      EXPECT_FALSE(std::binary_search(
+          own.begin(), own.end(), route,
+          [](const auto& a, const auto& b) { return a.prefix < b.prefix; }))
+          << "DRed " << w << " caches its own " << route.prefix.to_string();
+    }
+  }
 }
 
 TEST(LookupRuntimeTest, ClueSystemRuntimeEntryPointAgrees) {
