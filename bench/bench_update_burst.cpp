@@ -17,6 +17,9 @@
 //   update_burst.batched_updates_per_sec      (burst = 1024)
 //   update_burst.speedup                      (batched / sequential)
 //   update_burst.async_updates_per_sec
+//   update_burst.sequential_flat_blocks_recycled / _allocated (counters:
+//   flat-image blocks the sequential phase took from the block pools /
+//   from new)
 // CLUE_BENCH_UPDATES scales the per-phase update quota (default 4096).
 #include <atomic>
 #include <chrono>
@@ -127,6 +130,10 @@ struct PhaseResult {
   std::uint64_t ops_merged = 0;
   std::uint64_t publishes = 0;
   std::uint64_t batches = 0;
+  /// Flat-image blocks the phase's rebuilds took from the chips' block
+  /// pools / from new.
+  std::uint64_t blocks_recycled = 0;
+  std::uint64_t blocks_allocated = 0;
 };
 
 clue::runtime::RuntimeConfig runtime_config(std::size_t ring_depth) {
@@ -179,6 +186,10 @@ PhaseResult run_phase(const clue::trie::BinaryTrie& fib,
   result.ops_merged = after.batch_ops_merged - before.batch_ops_merged;
   result.publishes = after.batch_publishes - before.batch_publishes;
   result.batches = after.batches_applied - before.batches_applied;
+  result.blocks_recycled =
+      after.flat_blocks_recycled - before.flat_blocks_recycled;
+  result.blocks_allocated =
+      after.flat_blocks_allocated - before.flat_blocks_allocated;
   result.updates_per_sec =
       seconds > 0 ? static_cast<double>(stream.size()) / seconds : 0;
   result.p99_lookup_us = load.latency_us.quantile(0.99);
@@ -299,6 +310,10 @@ int main() {
                      async_r.updates_per_sec);
   registry.set_gauge("update_burst.p99_lookup_us_sequential",
                      seq.p99_lookup_us);
+  registry.set_counter("update_burst.sequential_flat_blocks_recycled",
+                       seq.blocks_recycled);
+  registry.set_counter("update_burst.sequential_flat_blocks_allocated",
+                       seq.blocks_allocated);
   registry.set_gauge("update_burst.p99_lookup_us_batched_1024", p99_1024);
   clue::bench::export_run("update_burst", registry);
   clue::bench::export_bench_section("BENCH_update", "update_burst", registry);

@@ -115,8 +115,9 @@ EOF
   else
     echo "smoke: python3 not found, skipping JSON parse check"
   fi
-  # Group-commit smoke: a small burst replay must export BENCH_update.json
-  # and show the batched path at least matching the sequential one.
+  # Group-commit smoke: a small burst replay must export BENCH_update.json,
+  # show the batched path at least matching the sequential one, and show
+  # the sequential phase recycling flat-image blocks.
   CLUE_METRICS_DIR="$out" CLUE_BENCH_UPDATES=1536 \
     ./build/bench/bench_update_burst >/dev/null
   [ -s "$out/BENCH_update.json" ] || {
@@ -132,6 +133,11 @@ seq = gauges["update_burst.sequential_updates_per_sec"]
 bat = gauges["update_burst.batched_updates_per_sec"]
 assert seq > 0, "sequential phase did not run"
 assert bat >= seq, f"batched {bat:.0f}/s slower than sequential {seq:.0f}/s"
+# Steady-state commits must reuse replaced flat blocks: a silently
+# bypassed block pool fails here.
+counters = doc["sections"]["update_burst"]["counters"]
+recycled = counters["update_burst.sequential_flat_blocks_recycled"]
+assert recycled > 0, "sequential phase recycled no flat-image block"
 EOF
   fi
   echo "smoke: exporter output OK"

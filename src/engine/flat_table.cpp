@@ -4,22 +4,95 @@
 #include <cstring>
 #include <stdexcept>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace clue::engine {
 
 namespace {
 
-std::unique_ptr<std::uint32_t[]> zeroed_block(std::size_t entries) {
-  // Value-initialised: every slot starts as kNoRoute (0).
-  return std::unique_ptr<std::uint32_t[]>(new std::uint32_t[entries]());
+// A parked block stays poisoned until it is taken again, so ASan reports
+// a read through a stale pointer as a use-after-free.
+void poison(const std::uint32_t* block, std::size_t entries) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_POISON_MEMORY_REGION(block, entries * sizeof(std::uint32_t));
+#else
+  (void)block;
+  (void)entries;
+#endif
+}
+
+void unpoison(const std::uint32_t* block, std::size_t entries) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_UNPOISON_MEMORY_REGION(block, entries * sizeof(std::uint32_t));
+#else
+  (void)block;
+  (void)entries;
+#endif
 }
 
 }  // namespace
+
+FlatLookupTable::BlockPool::BlockPool()
+    : chunks_{kChunkEntries, kMaxChunks, {}},
+      l2_{kL2Entries, kMaxL2Blocks, {}} {
+  // Reserved up front so park() never allocates (it runs in destructors).
+  chunks_.blocks.reserve(chunks_.cap);
+  l2_.blocks.reserve(l2_.cap);
+}
+
+FlatLookupTable::BlockPool::~BlockPool() {
+  for (Shelf* shelf : {&chunks_, &l2_}) {
+    for (std::uint32_t* block : shelf->blocks) {
+      unpoison(block, shelf->entries);
+      delete[] block;
+    }
+  }
+}
+
+FlatLookupTable::BlockPool::Stats FlatLookupTable::BlockPool::stats() const {
+  const std::lock_guard lock(mutex_);
+  return Stats{recycled_, allocated_,
+               (chunks_.blocks.size() * chunks_.entries +
+                l2_.blocks.size() * l2_.entries) *
+                   sizeof(std::uint32_t)};
+}
+
+std::uint32_t* FlatLookupTable::BlockPool::take(Shelf& shelf) {
+  {
+    const std::lock_guard lock(mutex_);
+    if (!shelf.blocks.empty()) {
+      std::uint32_t* block = shelf.blocks.back();
+      shelf.blocks.pop_back();
+      ++recycled_;
+      unpoison(block, shelf.entries);
+      return block;
+    }
+    ++allocated_;
+  }
+  return new std::uint32_t[shelf.entries];
+}
+
+void FlatLookupTable::BlockPool::park(
+    Shelf& shelf, std::span<std::uint32_t* const> blocks) noexcept {
+  const std::lock_guard lock(mutex_);
+  for (std::uint32_t* block : blocks) {
+    if (shelf.blocks.size() < shelf.cap) {
+      poison(block, shelf.entries);
+      shelf.blocks.push_back(block);
+    } else {
+      delete[] block;
+    }
+  }
+}
 
 FlatLookupTable::FlatLookupTable(const trie::BinaryTrie& table) {
   if (!table.is_disjoint()) {
     throw std::invalid_argument(
         "FlatLookupTable: route set must be non-overlapping");
   }
+  pool_ = std::make_shared<BlockPool>();
   build(nullptr, [&](Builder& b) {
     dict_ = new HopDict();
     repaint(table, Prefix{}, b);  // /0 = paint the whole space
@@ -34,7 +107,8 @@ FlatLookupTable::FlatLookupTable(const FlatLookupTable& prev,
       l2_free_(prev.l2_free_),
       dict_(prev.dict_),
       chunk_count_(prev.chunk_count_),
-      l2_count_(prev.l2_count_) {
+      l2_count_(prev.l2_count_),
+      pool_(prev.pool_) {
   if (prev.replaced_.has_successor) {
     throw std::logic_error(
         "FlatLookupTable: predecessor already has a successor");
@@ -49,14 +123,15 @@ FlatLookupTable::~FlatLookupTable() {
     free_unshared(nullptr);
     return;
   }
-  for (std::uint32_t* block : replaced_.blocks) delete[] block;
+  pool_->park(pool_->chunks_, replaced_.chunks);
+  pool_->park(pool_->l2_, replaced_.l2);
   delete replaced_.dict;
 }
 
 template <typename PaintAll>
 void FlatLookupTable::build(const FlatLookupTable* prev,
                             PaintAll&& paint_all) {
-  Builder b{prev, {}};
+  Builder b{prev, {}, {}};
   try {
     paint_all(b);
     finish(b);
@@ -80,7 +155,8 @@ void FlatLookupTable::finish(Builder& b) noexcept {
   hops_ = dict_->hops.data();
   if (!b.prev) return;
   Replaced& handover = b.prev->replaced_;
-  handover.blocks = std::move(b.replaced);
+  handover.chunks = std::move(b.replaced_chunks);
+  handover.l2 = std::move(b.replaced_l2);
   if (owns_dict(b.prev)) handover.dict = b.prev->dict_;
   handover.has_successor = true;
 }
@@ -108,33 +184,44 @@ std::uint32_t* FlatLookupTable::writable_chunk(std::size_t slot_chunk,
                                                Builder& b) {
   std::uint32_t*& chunk = chunks_[slot_chunk];
   if (!chunk) {
-    chunk = new std::uint32_t[kChunkEntries]();
+    chunk = pool_->take(pool_->chunks_);
+    std::fill_n(chunk, kChunkEntries, 0u);
     ++chunk_count_;
   } else if (!owns_chunk(slot_chunk, b.prev)) {
     // Copy-on-write: every entry is overwritten, so skip the zero-fill.
-    b.replaced.push_back(chunk);
-    auto* copy = new std::uint32_t[kChunkEntries];
+    b.replaced_chunks.push_back(chunk);
+    std::uint32_t* copy = pool_->take(pool_->chunks_);
     std::memcpy(copy, chunk, kChunkEntries * sizeof(std::uint32_t));
     chunk = copy;
   }
   return chunk;
 }
 
+void FlatLookupTable::drop_chunk(std::size_t slot_chunk, Builder& b) {
+  std::uint32_t*& chunk = chunks_[slot_chunk];
+  if (owns_chunk(slot_chunk, b.prev)) {
+    pool_->park(pool_->chunks_, {&chunk, 1});
+  } else {
+    b.replaced_chunks.push_back(chunk);
+  }
+  chunk = nullptr;
+  --chunk_count_;
+}
+
 void FlatLookupTable::release_l2(std::uint32_t entry, Builder& b) {
   const std::uint32_t id = entry & ~kL2Flag;
   l2_free_.push_back(id);
-  // A block this build made is freed now; a predecessor's stays with it.
+  // A block this build made is parked now; a predecessor's stays with it.
   if (owns_l2(id, b.prev)) {
-    delete[] l2_[id];
+    pool_->park(pool_->l2_, {&l2_[id], 1});
   } else {
-    b.replaced.push_back(l2_[id]);
+    b.replaced_l2.push_back(l2_[id]);
   }
   l2_[id] = nullptr;
   --l2_count_;
 }
 
-std::uint32_t FlatLookupTable::alloc_l2(
-    std::unique_ptr<std::uint32_t[]> block) {
+std::uint32_t FlatLookupTable::alloc_l2() {
   std::uint32_t id = 0;
   if (!l2_free_.empty()) {
     id = l2_free_.back();
@@ -146,7 +233,7 @@ std::uint32_t FlatLookupTable::alloc_l2(
     id = static_cast<std::uint32_t>(l2_.size());
     l2_.push_back(nullptr);
   }
-  l2_[id] = block.release();
+  l2_[id] = pool_->take(pool_->l2_);
   ++l2_count_;
   return id;
 }
@@ -184,13 +271,7 @@ void FlatLookupTable::fill_direct(std::uint32_t lo, std::uint32_t hi,
            std::all_of(read + in_hi + 1, read + kChunkEntries,
                        [](std::uint32_t v) { return v == 0; }));
       if (entry == 0 && rest_zero) {
-        if (owns_chunk(chunk, b.prev)) {
-          delete[] chunks_[chunk];
-        } else {
-          b.replaced.push_back(chunks_[chunk]);
-        }
-        chunks_[chunk] = nullptr;
-        --chunk_count_;
+        drop_chunk(chunk, b);
       } else {
         std::uint32_t* p = writable_chunk(chunk, b);
         std::fill(p + in_lo, p + in_hi + 1, entry);
@@ -221,10 +302,10 @@ void FlatLookupTable::paint(const Route& route, Builder& b) {
     // region was cleared first), so in-place mutation is safe.
     block = l2_[entry & ~kL2Flag];
   } else {
-    auto fresh = zeroed_block(kL2Entries);
-    block = fresh.get();
-    if (entry != 0) std::fill(block, block + kL2Entries, entry);
-    entry = kL2Flag | alloc_l2(std::move(fresh));
+    const std::uint32_t id = alloc_l2();
+    block = l2_[id];
+    std::fill_n(block, kL2Entries, entry);
+    entry = kL2Flag | id;
   }
   std::fill(block + (lo & kL2Mask), block + (hi & kL2Mask) + 1, value);
 }
@@ -244,20 +325,20 @@ void FlatLookupTable::recompute_slot(const trie::BinaryTrie& table,
     fill_direct(slot, slot, 0, b);
     return;
   }
-  auto fresh = zeroed_block(kL2Entries);
-  std::uint32_t* block = fresh.get();
+  // Painted on the stack first: a uniform result never takes a block.
+  std::array<std::uint32_t, kL2Entries> block{};
   for (const auto& route : inside) {
     const std::uint32_t value = encode(route, b);
     const std::uint32_t lo = route.prefix.range_low().value() & kL2Mask;
     const std::uint32_t hi = route.prefix.range_high().value() & kL2Mask;
-    std::fill(block + lo, block + hi + 1, value);
+    std::fill(block.begin() + lo, block.begin() + hi + 1, value);
   }
   // Uniform blocks (e.g. after deletes merged the survivors) collapse
   // back to a direct entry — keeps level-2 memory from ratcheting up.
   // Shape survives the collapse: a uniform block is tiled by same-length
   // same-hop routes, so Prefix(address, length) still names each one.
   const bool uniform =
-      std::all_of(block, block + kL2Entries,
+      std::all_of(block.begin(), block.end(),
                   [&](std::uint32_t v) { return v == block[0]; });
   if (uniform) {
     fill_direct(slot, slot, block[0], b);
@@ -266,7 +347,9 @@ void FlatLookupTable::recompute_slot(const trie::BinaryTrie& table,
   std::uint32_t* p = writable_chunk(slot >> kChunkBits, b);
   std::uint32_t& entry = p[slot & kChunkMask];
   if (entry & kL2Flag) release_l2(entry, b);
-  entry = kL2Flag | alloc_l2(std::move(fresh));
+  const std::uint32_t id = alloc_l2();
+  std::memcpy(l2_[id], block.data(), sizeof(block));
+  entry = kL2Flag | id;
 }
 
 void FlatLookupTable::repaint(const trie::BinaryTrie& table,

@@ -38,12 +38,22 @@
 // index (chunk index, level-2 block id, the one dictionary). When the
 // rebuild completes, the successor takes over the whole live set and the
 // predecessor keeps only what the successor replaced, so dropping a
-// retired version frees exactly what one commit replaced and dropping
+// retired version releases exactly what one commit replaced and dropping
 // the newest version frees its live set. Hence each image has at most
 // one successor (a second throws std::logic_error), and a predecessor
 // stays readable only while its successor lives. The runtime keeps both
 // rules: it builds each version from the active one, and its epoch
 // domain never reclaims a version before an older one.
+//
+// Ownership ends in the lineage's block pool. A lineage is a full build
+// plus its COW successors (in the runtime, one chip), and every version
+// holds the lineage's BlockPool by shared_ptr. A retired version that is
+// dropped parks the blocks its successor replaced there instead of
+// freeing them, and every build takes blocks from the pool before it
+// calls new, so a steady-state commit reuses memory that is already
+// resident. The pool is bounded (BlockPool::kMaxChunks,
+// BlockPool::kMaxL2Blocks; blocks beyond the cap are freed) and frees
+// its contents when the lineage's last version goes.
 //
 // Thread-safety: const after construction; safe to read from any number
 // of threads once publication of the owning pointer synchronises with
@@ -53,6 +63,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -69,6 +80,8 @@ class FlatLookupTable {
   using NextHop = netbase::NextHop;
   using Prefix = netbase::Prefix;
   using Route = netbase::Route;
+
+  class BlockPool;
 
   /// Full build from a non-overlapping table. Throws
   /// std::invalid_argument on an overlapping route set. Every next hop
@@ -88,8 +101,10 @@ class FlatLookupTable {
   FlatLookupTable(const FlatLookupTable& prev, const trie::BinaryTrie& table,
                   std::span<const Prefix> dirty);
 
-  /// Frees what this image owns: its live set if it has no successor,
-  /// otherwise only what the successor replaced.
+  /// Releases what this image owns: frees its live set if it has no
+  /// successor, otherwise parks what the successor replaced in the
+  /// lineage's pool. Any version may be dropped from any thread, but a
+  /// version must not be dropped while its successor is being built.
   ~FlatLookupTable();
 
   FlatLookupTable(const FlatLookupTable&) = delete;
@@ -121,11 +136,14 @@ class FlatLookupTable {
 
   /// Bytes of the image this snapshot answers from (chunks it
   /// references, shared or not, plus level-2 blocks, the pointer arrays
-  /// and the dictionary). O(1).
+  /// and the dictionary). Blocks parked in the lineage's pool are not
+  /// counted (see BlockPool::Stats::bytes). O(1).
   std::size_t memory_bytes() const;
   /// Allocated (non-null) level-1 chunks / live level-2 blocks. O(1).
   std::size_t chunk_count() const { return chunk_count_; }
   std::size_t l2_block_count() const { return l2_count_; }
+  /// The block pool this image's lineage shares.
+  std::shared_ptr<const BlockPool> pool() const { return pool_; }
 
  private:
   // Entry layout: L2 flag | 6-bit prefix length | 25-bit hop id; with
@@ -155,11 +173,12 @@ class FlatLookupTable {
 
   /// Rebuild-time state: the predecessor whose pointers this build
   /// shares (null for a full build, which owns everything it holds), and
-  /// the predecessor's blocks this build replaced so far — each is
-  /// recorded once, when its slot stops holding it.
+  /// the predecessor's chunks and level-2 blocks this build replaced so
+  /// far — each is recorded once, when its slot stops holding it.
   struct Builder {
     const FlatLookupTable* prev = nullptr;
-    std::vector<std::uint32_t*> replaced;
+    std::vector<std::uint32_t*> replaced_chunks;
+    std::vector<std::uint32_t*> replaced_l2;
   };
 
   /// The route entry (or 0) covering `address`, level 2 resolved.
@@ -192,8 +211,8 @@ class FlatLookupTable {
   template <typename PaintAll>
   void build(const FlatLookupTable* prev, PaintAll&& paint_all);
 
-  /// Chunk writable by this rebuild; allocates (zero or copy) on first
-  /// touch. `slot_chunk` is the chunk index.
+  /// Chunk writable by this rebuild; takes a block from the pool (zero
+  /// or copy) on first touch. `slot_chunk` is the chunk index.
   std::uint32_t* writable_chunk(std::size_t slot_chunk, Builder& b);
   /// Repaints everything under `dirty` from `table` (clears first).
   void repaint(const trie::BinaryTrie& table, const Prefix& dirty,
@@ -209,8 +228,12 @@ class FlatLookupTable {
                    Builder& b);
   /// Paints one route (already validated) over its slots.
   void paint(const Route& route, Builder& b);
+  /// Drops chunk `slot_chunk` back to null: parks it now if this build
+  /// made it, else records it as replaced.
+  void drop_chunk(std::size_t slot_chunk, Builder& b);
   void release_l2(std::uint32_t entry, Builder& b);
-  std::uint32_t alloc_l2(std::unique_ptr<std::uint32_t[]> block);
+  /// A level-2 id holding an uninitialised block from the pool.
+  std::uint32_t alloc_l2();
   /// The route entry for `route`, interning its hop on first sight.
   std::uint32_t encode(const Route& route, Builder& b);
   /// Completes a build: hands the predecessor the set this build
@@ -229,16 +252,69 @@ class FlatLookupTable {
   const NextHop* hops_ = nullptr;  ///< dict_->hops.data(), for lookup()
   std::size_t chunk_count_ = 0;
   std::size_t l2_count_ = 0;
+  /// The lineage's pool: made by the full build, shared by successors.
+  std::shared_ptr<BlockPool> pool_;
 
   /// Set once, by the successor's finish(): from then on this image owns
   /// only the blocks and dictionary the successor replaced. Readers never
   /// touch these fields.
   struct Replaced {
     bool has_successor = false;
-    std::vector<std::uint32_t*> blocks;  ///< chunks and level-2 blocks
+    std::vector<std::uint32_t*> chunks;
+    std::vector<std::uint32_t*> l2;
     HopDict* dict = nullptr;
   };
   mutable Replaced replaced_;
+};
+
+/// Free lists of the chunks and level-2 blocks one lineage no longer
+/// references. Blocks are parked only once no version can read them: a
+/// retired version parks what its successor replaced when it is dropped
+/// (in the runtime, by epoch reclaim after the grace period), and a build
+/// parks blocks it made and discarded itself. One mutex guards the lists,
+/// because a version may be dropped on one thread while the next version
+/// is being built on another. Under AddressSanitizer a parked block is
+/// poisoned until it is taken again, so reading one still reports as a
+/// use-after-free.
+class FlatLookupTable::BlockPool {
+ public:
+  /// Caps on parked blocks (1 MiB of chunks, 256 KiB of level-2 blocks);
+  /// blocks parked beyond them are freed.
+  static constexpr std::size_t kMaxChunks = 64;
+  static constexpr std::size_t kMaxL2Blocks = 256;
+
+  struct Stats {
+    std::uint64_t recycled = 0;   ///< blocks builds took from the pool
+    std::uint64_t allocated = 0;  ///< blocks builds took from new
+    std::size_t bytes = 0;        ///< bytes parked now
+  };
+
+  BlockPool();
+  ~BlockPool();
+  BlockPool(const BlockPool&) = delete;
+  BlockPool& operator=(const BlockPool&) = delete;
+
+  Stats stats() const;
+
+ private:
+  friend class FlatLookupTable;
+
+  struct Shelf {
+    std::size_t entries = 0;  ///< uint32 entries per block
+    std::size_t cap = 0;
+    std::vector<std::uint32_t*> blocks;
+  };
+
+  /// A parked block if there is one, else a new one; contents undefined.
+  std::uint32_t* take(Shelf& shelf);
+  /// Parks `blocks` (frees those beyond the cap).
+  void park(Shelf& shelf, std::span<std::uint32_t* const> blocks) noexcept;
+
+  mutable std::mutex mutex_;
+  Shelf chunks_;
+  Shelf l2_;
+  std::uint64_t recycled_ = 0;
+  std::uint64_t allocated_ = 0;
 };
 
 }  // namespace clue::engine

@@ -127,6 +127,7 @@ LookupRuntime::LookupRuntime(const trie::BinaryTrie& fib,
     flat_rebuild_hist_.record(elapsed_ns(t0));
     worker->flat_bytes.store(initial->flat.memory_bytes(),
                              std::memory_order_relaxed);
+    worker->flat_pool = initial->flat.pool();
     worker->occupancy.store(chip.size(), std::memory_order_relaxed);
     worker->active.store(initial, std::memory_order_seq_cst);
     workers_.push_back(std::move(worker));
@@ -943,6 +944,10 @@ RuntimeMetrics LookupRuntime::metrics() const {
     m.per_worker_jobs.push_back(c.get(WorkerCounter::kJobs));
     m.home_lookups += c.get(WorkerCounter::kHomeLookups);
     m.flat_bytes += worker->flat_bytes.load(std::memory_order_relaxed);
+    const auto pool = worker->flat_pool->stats();
+    m.flat_blocks_recycled += pool.recycled;
+    m.flat_blocks_allocated += pool.allocated;
+    m.flat_pool_bytes += pool.bytes;
     m.dred_lookups += c.get(WorkerCounter::kDredLookups);
     m.dred_hits += c.get(WorkerCounter::kDredHits);
     m.miss_returns += c.get(WorkerCounter::kMissReturns);
@@ -995,6 +1000,11 @@ void LookupRuntime::export_metrics(obs::MetricsRegistry& registry) const {
   registry.set_counter("runtime.home_lookups", m.home_lookups);
   registry.set_gauge("runtime.flat_bytes",
                      static_cast<double>(m.flat_bytes));
+  registry.set_counter("runtime.flat_blocks_recycled", m.flat_blocks_recycled);
+  registry.set_counter("runtime.flat_blocks_allocated",
+                       m.flat_blocks_allocated);
+  registry.set_gauge("runtime.flat_pool_bytes",
+                     static_cast<double>(m.flat_pool_bytes));
   registry.set_counter("runtime.dred_lookups", m.dred_lookups);
   registry.set_counter("runtime.dred_hits", m.dred_hits);
   registry.set_counter("runtime.miss_returns", m.miss_returns);

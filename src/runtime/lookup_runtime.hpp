@@ -151,6 +151,11 @@ struct RuntimeMetrics {
   std::uint64_t lookups_completed = 0;
   std::uint64_t home_lookups = 0;  ///< all answered from the flat images
   std::uint64_t flat_bytes = 0;    ///< heap bytes of the active flat images
+  /// Flat-image blocks (chunks and level-2 blocks) every build so far
+  /// took from its chip's block pool / from new; pool bytes parked now.
+  std::uint64_t flat_blocks_recycled = 0;
+  std::uint64_t flat_blocks_allocated = 0;
+  std::uint64_t flat_pool_bytes = 0;
   std::uint64_t dred_lookups = 0;
   std::uint64_t dred_hits = 0;
   std::uint64_t miss_returns = 0;  ///< DRed misses re-enqueued home
@@ -402,6 +407,9 @@ class LookupRuntime {
     /// memory_bytes() of the active flat image; written by the control
     /// role at publish, read by the metrics exporter.
     std::atomic<std::size_t> flat_bytes{0};
+    /// The chip's flat-image block pool (one lineage per chip), held so
+    /// the metrics exporter can read it without touching a version.
+    std::shared_ptr<const engine::FlatLookupTable::BlockPool> flat_pool;
     /// Rung by every producer into jobs, control and fills.
     Doorbell bell;
     obs::CounterBlock<WorkerCounter> counters;

@@ -6,12 +6,15 @@
 // boundary migrations — plus the version-ownership contract: one
 // successor per image, a predecessor readable while its successor lives,
 // and either drop order freeing each block exactly once (the ASan stage
-// runs this file with LeakSanitizer on).
+// runs this file with LeakSanitizer on) — and the lineage's block pool:
+// recycled blocks start clean, a parked block is never one a live
+// version still reads, and the pool stops at its cap.
 #include "engine/flat_table.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -47,11 +50,12 @@ Prefix random_prefix(Pcg32& rng, unsigned min_len, unsigned max_len) {
 
 // Builds a random non-overlapping table with lengths spanning both
 // sides of /24 so level-2 blocks get real coverage.
-BinaryTrie make_disjoint_table(std::size_t target, std::uint64_t seed) {
+BinaryTrie make_disjoint_table(std::size_t target, std::uint64_t seed,
+                               unsigned min_len = 8) {
   BinaryTrie table;
   Pcg32 rng(seed);
   while (table.size() < target) {
-    const Prefix candidate = random_prefix(rng, 8, 30);
+    const Prefix candidate = random_prefix(rng, min_len, 30);
     if (overlaps_any(table, candidate)) continue;
     table.insert(candidate, make_next_hop(1 + rng.next() % 255));
   }
@@ -401,6 +405,32 @@ struct VersionChain {
   BinaryTrie head_table;
 };
 
+// One churn step over `table`: `ops` rounds of an erase or modify of a
+// stored route plus a fresh insert of length min_len–30, so chunks drop
+// to null, level-2 blocks come and go, and the dictionary grows.
+// Returns the dirty prefixes.
+std::vector<Prefix> churn_step(BinaryTrie& table, Pcg32& rng, int ops,
+                               unsigned min_len) {
+  std::vector<Prefix> dirty;
+  const auto routes = table.routes();
+  for (int op = 0; op < ops; ++op) {
+    const auto& victim = routes[rng.next() % routes.size()];
+    if (table.find(victim.prefix)) {
+      if (op % 3 == 0) {
+        table.erase(victim.prefix);
+      } else {
+        table.insert(victim.prefix, make_next_hop(1 + rng.next() % 4'000));
+      }
+      dirty.push_back(victim.prefix);
+    }
+    const Prefix candidate = random_prefix(rng, min_len, 30);
+    if (overlaps_any(table, candidate)) continue;
+    table.insert(candidate, make_next_hop(1 + rng.next() % 4'000));
+    dirty.push_back(candidate);
+  }
+  return dirty;
+}
+
 VersionChain make_version_chain(std::size_t length, std::uint64_t seed) {
   Pcg32 rng(seed);
   VersionChain chain{{}, make_disjoint_table(600, seed)};
@@ -408,23 +438,7 @@ VersionChain make_version_chain(std::size_t length, std::uint64_t seed) {
   auto& versions = chain.versions;
   versions.push_back(std::make_unique<FlatLookupTable>(table));
   while (versions.size() < length) {
-    std::vector<Prefix> dirty;
-    const auto routes = table.routes();
-    for (int op = 0; op < 30; ++op) {
-      const auto& victim = routes[rng.next() % routes.size()];
-      if (table.find(victim.prefix)) {
-        if (op % 3 == 0) {
-          table.erase(victim.prefix);
-        } else {
-          table.insert(victim.prefix, make_next_hop(1 + rng.next() % 4'000));
-        }
-        dirty.push_back(victim.prefix);
-      }
-      const Prefix candidate = random_prefix(rng, 8, 30);
-      if (overlaps_any(table, candidate)) continue;
-      table.insert(candidate, make_next_hop(1 + rng.next() % 4'000));
-      dirty.push_back(candidate);
-    }
+    const auto dirty = churn_step(table, rng, 30, 8);
     versions.push_back(
         std::make_unique<FlatLookupTable>(*versions.back(), table, dirty));
   }
@@ -448,6 +462,170 @@ TEST(FlatTableTest, DroppingVersionsInEitherOrderFreesEachBlockOnce) {
     expect_matches_trie(*versions.back(), oldest_first.head_table, probes);
     versions.erase(versions.begin());
   }
+}
+
+// Probes every address of the /24 under `inside` plus random ones across
+// the /12 level-1 chunk around it.
+std::vector<Ipv4Address> chunk_probes(Ipv4Address inside, std::uint64_t seed) {
+  std::vector<Ipv4Address> probes;
+  const std::uint32_t slot = inside.value() & 0xFFFF'FF00u;
+  for (std::uint32_t i = 0; i < 256; ++i) probes.emplace_back(slot | i);
+  Pcg32 rng(seed);
+  const std::uint32_t chunk = inside.value() & 0xFFF0'0000u;
+  for (int i = 0; i < 2'000; ++i) {
+    probes.emplace_back(chunk | (rng.next() & 0x000F'FFFFu));
+  }
+  return probes;
+}
+
+TEST(FlatTableTest, RecycledBlocksReadNoRouteOutsideTheirNewRoute) {
+  // A /12 fills one whole level-1 chunk (4096 /24 slots) with non-zero
+  // entries. Clearing it drops the chunk to null, and dropping the old
+  // version parks it: the pool then holds that chunk alone.
+  const Prefix wide(Ipv4Address(0x0A000000u), 12);
+  BinaryTrie table;
+  table.insert(wide, make_next_hop(1));
+  auto flat = std::make_unique<FlatLookupTable>(table);
+  table.erase(wide);
+  auto next = std::make_unique<FlatLookupTable>(*flat, table,
+                                                std::vector<Prefix>{wide});
+  flat = std::move(next);
+  const auto parked = flat->pool()->stats();
+  EXPECT_EQ(parked.bytes, 4096 * sizeof(std::uint32_t));
+
+  // A /20 in another null chunk takes the parked chunk: it must read
+  // kNoRoute everywhere but the /20, not the /12's stale entries.
+  const Prefix narrow(Ipv4Address(0x2B000000u), 20);
+  table.insert(narrow, make_next_hop(3));
+  next = std::make_unique<FlatLookupTable>(*flat, table,
+                                           std::vector<Prefix>{narrow});
+  flat = std::move(next);
+  EXPECT_EQ(flat->pool()->stats().recycled, parked.recycled + 1);
+  expect_matches_trie(*flat, table, chunk_probes(narrow.range_low(), 5));
+
+  // Three /26s fill 3/4 of one level-2 block; erasing them releases it,
+  // and dropping that version parks it.
+  const std::vector<Prefix> quarters{Prefix(Ipv4Address(0xC0A80100u), 26),
+                                     Prefix(Ipv4Address(0xC0A80140u), 26),
+                                     Prefix(Ipv4Address(0xC0A80180u), 26)};
+  for (const Prefix& p : quarters) table.insert(p, make_next_hop(2));
+  next = std::make_unique<FlatLookupTable>(*flat, table, quarters);
+  flat = std::move(next);
+  for (const Prefix& p : quarters) table.erase(p);
+  next = std::make_unique<FlatLookupTable>(*flat, table, quarters);
+  flat = std::move(next);
+
+  // A /25 painted under a /24 dirty region takes the parked level-2
+  // block: its other half must read kNoRoute, not the /26s' hop.
+  const Prefix half(Ipv4Address(0x2C000100u), 25);
+  table.insert(half, make_next_hop(4));
+  const auto before = flat->pool()->stats();
+  next = std::make_unique<FlatLookupTable>(
+      *flat, table, std::vector<Prefix>{Prefix(half.range_low(), 24)});
+  flat = std::move(next);
+  EXPECT_EQ(flat->l2_block_count(), 1u);
+  EXPECT_GT(flat->pool()->stats().recycled, before.recycled);
+  expect_matches_trie(*flat, table, chunk_probes(half.range_low(), 6));
+}
+
+// A live version of a chain: checked against its trie when built, and
+// against the routes recorded then on every later step (cheaper than a
+// trie walk per probe, and the same answer).
+struct LiveVersion {
+  std::unique_ptr<FlatLookupTable> flat;
+  std::vector<Ipv4Address> probes;
+  std::vector<std::optional<clue::netbase::Route>> expected;
+};
+
+LiveVersion make_live(std::unique_ptr<FlatLookupTable> flat,
+                      const BinaryTrie& table, std::uint64_t seed) {
+  LiveVersion v{std::move(flat), probe_addresses(table, 32, seed), {}};
+  expect_matches_trie(*v.flat, table, v.probes);
+  for (const auto address : v.probes) {
+    v.expected.push_back(table.lookup_route(address));
+  }
+  return v;
+}
+
+void expect_all_live_match(const std::deque<LiveVersion>& live, int step) {
+  for (const auto& v : live) {
+    for (std::size_t i = 0; i < v.probes.size(); ++i) {
+      ASSERT_EQ(v.flat->lookup_route(v.probes[i]), v.expected[i])
+          << "step " << step << " address " << v.probes[i].to_string();
+    }
+  }
+}
+
+// Builds a 200-step chain over churn; after every step every live
+// version answers exactly. `window` > 0 drops the oldest version once
+// more than `window` are alive (the runtime's order); 0 keeps them all
+// and drops the head first at the end (the standalone order). Routes are
+// /16 or longer, so keeping all 200 versions stays small.
+void run_chain(std::size_t window, std::uint64_t seed) {
+  Pcg32 rng(seed);
+  BinaryTrie table = make_disjoint_table(150, seed + 1, 16);
+  std::deque<LiveVersion> live;
+  live.push_back(
+      make_live(std::make_unique<FlatLookupTable>(table), table, 0));
+  for (int step = 1; step <= 200; ++step) {
+    const auto dirty = churn_step(table, rng, 6, 16);
+    live.push_back(make_live(
+        std::make_unique<FlatLookupTable>(*live.back().flat, table, dirty),
+        table, step));
+    if (window > 0 && live.size() > window) live.pop_front();
+    expect_all_live_match(live, step);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(live.back().flat->pool()->stats().recycled, 0u);
+  while (!live.empty()) live.pop_back();
+}
+
+TEST(FlatTableTest, TwoHundredStepChainNeverParksALiveBlock) {
+  // Oldest first: each dropped version parks what its successor
+  // replaced, and the next builds take those blocks.
+  run_chain(4, 1'201);
+  // Newest first: while the chain grows only blocks a build discarded
+  // itself are parked; at the end the head frees its live set and each
+  // predecessor parks its replaced set. ASan/LSan check that every block
+  // is released exactly once.
+  run_chain(0, 1'203);
+}
+
+TEST(FlatTableTest, MigrationSizedRebuildLeavesThePoolAtItsCap) {
+  // Thousands of dirty prefixes, as when a rebalance moves a band of
+  // routes off a chip: far more chunks and level-2 blocks are replaced
+  // than the pool keeps, and the rest must be freed (LSan checks).
+  auto table = make_disjoint_table(3'000, 1'301);
+  auto old = std::make_unique<FlatLookupTable>(table);
+  ASSERT_GT(old->chunk_count(), FlatLookupTable::BlockPool::kMaxChunks);
+  ASSERT_GT(old->l2_block_count(), FlatLookupTable::BlockPool::kMaxL2Blocks);
+  std::vector<Prefix> dirty;
+  const auto routes = table.routes();
+  for (std::size_t i = 0; i < routes.size(); ++i) {
+    if (i % 4 == 0) continue;  // keep a quarter
+    table.erase(routes[i].prefix);
+    dirty.push_back(routes[i].prefix);
+  }
+  auto flat = std::make_unique<FlatLookupTable>(*old, table, dirty);
+  old.reset();
+
+  // 64 chunks of 4096 entries and 256 level-2 blocks of 256 entries.
+  constexpr std::size_t kCapBytes =
+      (FlatLookupTable::BlockPool::kMaxChunks * 4096 +
+       FlatLookupTable::BlockPool::kMaxL2Blocks * 256) *
+      sizeof(std::uint32_t);
+  EXPECT_EQ(flat->pool()->stats().bytes, kCapBytes);
+  expect_matches_trie(*flat, table, probe_addresses(table, 4'000, 1'302));
+
+  // The next build draws on the full pool instead of new.
+  const auto before = flat->pool()->stats();
+  const Prefix back = routes[1].prefix;
+  table.insert(back, routes[1].next_hop);
+  const FlatLookupTable next(*flat, table, std::vector<Prefix>{back});
+  const auto after = next.pool()->stats();
+  EXPECT_GT(after.recycled, before.recycled);
+  EXPECT_EQ(after.allocated, before.allocated);
+  expect_matches_trie(next, table, probe_addresses(table, 2'000, 1'303));
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // with exact answers, next hops at and above 2^31 served with DRed on,
 // DRed contents equal to foreign stored shapes after a diverting Zipf
 // run, a concurrent update+lookup hammer with a version-window oracle,
-// epoch-reclamation accounting, and wake-ups of parked threads by every
-// producer.
+// epoch-reclamation accounting (also with reclaim() racing async
+// commits), and wake-ups of parked threads by every producer.
 #include "runtime/lookup_runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -563,6 +563,115 @@ TEST(LookupRuntimeTest, ParkedThreadsWakeForEveryProducer) {
   park();
   runtime.stop();
   EXPECT_TRUE(runtime.stopped());
+}
+
+// reclaim() is public, so a third thread may reclaim while the async
+// updater commits: each reclaimed version parks the flat blocks its
+// successor replaced in its chip's pool while the updater takes blocks
+// from that pool for the next build. Lookups run throughout, checked by
+// a windowed oracle over message counts: [messages ingested before the
+// batch, messages submitted after it].
+TEST(LookupRuntimeTest, ReclaimRacesAsyncCommits) {
+  const auto fib = make_fib(8'000, 2121);
+  RuntimeConfig config;
+  config.worker_count = 4;
+  config.update_ring_depth = 64;
+  LookupRuntime runtime(fib, config);
+
+  constexpr std::size_t kUpdates = 1'000;
+  constexpr std::size_t kPool = 2048;
+  const auto pool = random_addresses(kPool, 2222);
+  clue::workload::UpdateConfig update_config;
+  update_config.seed = 2323;
+  clue::workload::UpdateGenerator updates(fib, update_config);
+  const auto stream = updates.generate(kUpdates);
+
+  // oracles[k]: ground-truth answers after the stream's first k messages.
+  std::vector<std::vector<NextHop>> oracles;
+  oracles.reserve(kUpdates + 1);
+  auto truth = fib;
+  auto snapshot_answers = [&] {
+    std::vector<NextHop> answers;
+    answers.reserve(pool.size());
+    for (const auto address : pool) answers.push_back(truth.lookup(address));
+    oracles.push_back(std::move(answers));
+  };
+  snapshot_answers();
+  for (const auto& msg : stream) {
+    if (msg.kind == clue::workload::UpdateKind::kAnnounce) {
+      truth.insert(msg.prefix, msg.next_hop);
+    } else {
+      truth.erase(msg.prefix);
+    }
+    snapshot_answers();
+  }
+
+  std::atomic<bool> done{false};
+  std::thread submitter([&] {
+    // Flushing every few messages keeps commits small, so hundreds of
+    // versions retire while the test thread reclaims.
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      if (!runtime.submit(stream[i])) break;
+      if (i % 4 == 3) runtime.flush_updates();
+    }
+    runtime.flush_updates();
+    done.store(true, std::memory_order_release);
+  });
+
+  struct BatchLog {
+    std::uint64_t lo;
+    std::uint64_t hi;
+    std::vector<std::uint32_t> picks;
+    std::vector<NextHop> hops;
+  };
+  std::vector<BatchLog> log;
+  std::thread client([&] {
+    Pcg32 rng(2424);
+    while (!done.load(std::memory_order_acquire) && log.size() < 1500) {
+      BatchLog entry;
+      std::vector<Ipv4Address> batch;
+      for (int i = 0; i < 256; ++i) {
+        const std::uint32_t pick = rng.next_below(kPool);
+        entry.picks.push_back(pick);
+        batch.push_back(pool[pick]);
+      }
+      entry.lo = runtime.metrics().updates_ingested;
+      entry.hops = runtime.lookup_batch(batch);
+      entry.hi = runtime.metrics().updates_submitted;
+      log.push_back(std::move(entry));
+    }
+  });
+
+  while (!done.load(std::memory_order_acquire)) {
+    runtime.reclaim();
+    std::this_thread::yield();
+  }
+  submitter.join();
+  client.join();
+
+  const auto m = runtime.metrics();
+  ASSERT_EQ(m.updates_ingested, kUpdates);
+  ASSERT_EQ(m.updates_rejected, 0u);  // the oracle assumes none
+  EXPECT_GT(m.flat_blocks_recycled, 0u);
+  ASSERT_FALSE(log.empty());
+  for (const auto& entry : log) {
+    for (std::size_t i = 0; i < entry.picks.size(); ++i) {
+      bool matched = false;
+      for (std::uint64_t k = entry.lo; k <= entry.hi && !matched; ++k) {
+        matched = oracles[k][entry.picks[i]] == entry.hops[i];
+      }
+      EXPECT_TRUE(matched)
+          << "address " << pool[entry.picks[i]].to_string()
+          << " answered outside message window [" << entry.lo << ", "
+          << entry.hi << "]";
+    }
+  }
+
+  // Quiesce, then every retired version must be reclaimable.
+  runtime.reclaim();
+  const auto q = runtime.metrics();
+  EXPECT_EQ(q.tables_pending, 0u);
+  EXPECT_EQ(q.tables_reclaimed, q.tables_published);
 }
 
 }  // namespace
