@@ -9,7 +9,8 @@
 # must parse, whose multi-worker runs must apply DRed fills, and whose
 # batched throughput must beat sequential), then
 # the churn-soak: the rebalancer soak test rerun at CLUE_SOAK_UPDATES
-# updates (default 500000) of sustained hot-/8 churn, and the
+# updates (default 500000) of sustained hot-/8 churn, plus the flat
+# image's diff differential test at CLUE_SOAK_UPDATES / 50 steps, and the
 # burst-soak: the async group-commit ingress hammered under TSan at
 # CLUE_SOAK_UPDATES bursty updates with concurrent lookups, then the
 # bench-check: perfbench/check.py, which builds the benchmark of record
@@ -148,7 +149,7 @@ run_soak() {
   configure_and_build build ""
   CLUE_SOAK_UPDATES="${CLUE_SOAK_UPDATES:-500000}" \
     ctest --test-dir build --output-on-failure \
-      -R 'RebalanceSoakTest'
+      -R 'RebalanceSoakTest|FlatTableTest.DiffStreamsMatchFullBuildsOfTheTrie'
 }
 
 run_burst_soak() {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
@@ -87,35 +88,30 @@ void FlatLookupTable::BlockPool::park(
   }
 }
 
-FlatLookupTable::FlatLookupTable(const trie::BinaryTrie& table) {
-  if (!table.is_disjoint()) {
-    throw std::invalid_argument(
-        "FlatLookupTable: route set must be non-overlapping");
-  }
-  pool_ = std::make_shared<BlockPool>();
-  build(nullptr, [&](Builder& b) {
-    dict_ = new HopDict();
-    repaint(table, Prefix{}, b);  // /0 = paint the whole space
-  });
+FlatLookupTable::FlatLookupTable(std::span<const Route> routes)
+    : pool_(std::make_shared<BlockPool>()) {
+  build(nullptr, {}, routes);
 }
 
+FlatLookupTable::FlatLookupTable(const trie::BinaryTrie& table)
+    : FlatLookupTable(std::span<const Route>(table.routes())) {}
+
 FlatLookupTable::FlatLookupTable(const FlatLookupTable& prev,
-                                 const trie::BinaryTrie& table,
-                                 std::span<const Prefix> dirty)
+                                 std::span<const Prefix> erases,
+                                 std::span<const Route> writes)
     : chunks_(prev.chunks_),
       l2_(prev.l2_),
       l2_free_(prev.l2_free_),
       dict_(prev.dict_),
       chunk_count_(prev.chunk_count_),
       l2_count_(prev.l2_count_),
+      route_count_(prev.route_count_),
       pool_(prev.pool_) {
   if (prev.replaced_.has_successor) {
     throw std::logic_error(
         "FlatLookupTable: predecessor already has a successor");
   }
-  build(&prev, [&](Builder& b) {
-    for (const Prefix& prefix : dirty) repaint(table, prefix, b);
-  });
+  build(&prev, erases, writes);
 }
 
 FlatLookupTable::~FlatLookupTable() {
@@ -128,12 +124,16 @@ FlatLookupTable::~FlatLookupTable() {
   delete replaced_.dict;
 }
 
-template <typename PaintAll>
 void FlatLookupTable::build(const FlatLookupTable* prev,
-                            PaintAll&& paint_all) {
+                            std::span<const Prefix> erases,
+                            std::span<const Route> writes) {
   Builder b{prev, {}, {}};
   try {
-    paint_all(b);
+    if (!dict_) dict_ = new HopDict();
+    for (const Prefix& prefix : erases) paint(prefix, 0, b);
+    for (const Route& route : writes) {
+      paint(route.prefix, encode(route, b), b);
+    }
     finish(b);
   } catch (...) {
     free_unshared(prev);
@@ -197,6 +197,29 @@ std::uint32_t* FlatLookupTable::writable_chunk(std::size_t slot_chunk,
   return chunk;
 }
 
+std::uint32_t* FlatLookupTable::writable_block(std::uint32_t slot,
+                                               Builder& b) {
+  const std::uint32_t entry = slot_entry(slot);
+  if (entry & kL2Flag) {
+    const std::uint32_t id = entry & ~kL2Flag;
+    if (!owns_l2(id, b.prev)) {
+      // The id stays; only this image's pointer moves to the copy, so the
+      // level-1 chunk that names the id is still shared.
+      b.replaced_l2.push_back(l2_[id]);
+      std::uint32_t* copy = pool_->take(pool_->l2_);
+      std::memcpy(copy, l2_[id], kL2Entries * sizeof(std::uint32_t));
+      l2_[id] = copy;
+    }
+    return l2_[id];
+  }
+  // A direct entry covers the whole /24: no route, or the tile of a
+  // collapsed block, which stands for 2^(len-24) same-hop routes.
+  const std::uint32_t id = alloc_l2();
+  std::fill_n(l2_[id], kL2Entries, entry);
+  writable_chunk(slot >> kChunkBits, b)[slot & kChunkMask] = kL2Flag | id;
+  return l2_[id];
+}
+
 void FlatLookupTable::drop_chunk(std::size_t slot_chunk, Builder& b) {
   std::uint32_t*& chunk = chunks_[slot_chunk];
   if (owns_chunk(slot_chunk, b.prev)) {
@@ -206,6 +229,14 @@ void FlatLookupTable::drop_chunk(std::size_t slot_chunk, Builder& b) {
   }
   chunk = nullptr;
   --chunk_count_;
+}
+
+void FlatLookupTable::drop_if_empty(std::size_t slot_chunk, Builder& b) {
+  const std::uint32_t* chunk = chunks_[slot_chunk];
+  if (std::all_of(chunk, chunk + kChunkEntries,
+                  [](std::uint32_t v) { return v == 0; })) {
+    drop_chunk(slot_chunk, b);
+  }
 }
 
 void FlatLookupTable::release_l2(std::uint32_t entry, Builder& b) {
@@ -238,137 +269,109 @@ std::uint32_t FlatLookupTable::alloc_l2() {
   return id;
 }
 
-void FlatLookupTable::fill_direct(std::uint32_t lo, std::uint32_t hi,
+bool FlatLookupTable::fill_direct(std::uint32_t lo, std::uint32_t hi,
                                   std::uint32_t entry, Builder& b) {
-  std::uint32_t slot = lo;
-  while (slot <= hi) {
+  for (std::uint64_t slot = lo; slot <= hi; slot = (slot | kChunkMask) + 1) {
     const std::size_t chunk = slot >> kChunkBits;
     const std::uint32_t in_lo = slot & kChunkMask;
-    const std::uint32_t chunk_last =
-        static_cast<std::uint32_t>((chunk << kChunkBits) | kChunkMask);
-    const std::uint32_t in_hi = std::min(hi, chunk_last) & kChunkMask;
-    if (!chunks_[chunk]) {
-      if (entry != 0) {
-        std::uint32_t* p = writable_chunk(chunk, b);
-        std::fill(p + in_lo, p + in_hi + 1, entry);
+    const std::uint32_t in_hi = std::min<std::uint64_t>(hi, slot | kChunkMask) &
+                                kChunkMask;
+    if (entry == 0 && in_lo == 0 && in_hi == kChunkMask) {
+      // A whole-chunk clear drops the chunk back to null, so cleared
+      // address space costs nothing again.
+      if (chunks_[chunk]) drop_chunk(chunk, b);
+    } else if (entry != 0 || chunks_[chunk]) {
+      std::uint32_t* p = writable_chunk(chunk, b);
+      // A write may only land on no-route slots or on its own prefix
+      // (non-overlap: a same-length entry in its range is that prefix).
+      const auto free = [shape = entry >> kLenShift](std::uint32_t v) {
+        return v == 0 || v >> kLenShift == shape;
+      };
+      if (entry != 0 && !std::all_of(p + in_lo, p + in_hi + 1, free)) {
+        return false;
       }
-      // Null chunk overwritten with no-route: already there.
-    } else {
-      // Free any level-2 blocks this fill overwrites (readable through
-      // the shared pointer even before copy-on-write).
-      const std::uint32_t* read = chunks_[chunk];
-      for (std::uint32_t i = in_lo; i <= in_hi; ++i) {
-        if (read[i] & kL2Flag) release_l2(read[i], b);
-      }
-      // A chunk that ends up all-zero drops back to the null
-      // representation, so cleared address space costs nothing again.
-      const bool whole = in_lo == 0 && in_hi == kChunkMask;
-      const bool rest_zero =
-          whole ||
-          (entry == 0 &&
-           std::all_of(read, read + in_lo,
-                       [](std::uint32_t v) { return v == 0; }) &&
-           std::all_of(read + in_hi + 1, read + kChunkEntries,
-                       [](std::uint32_t v) { return v == 0; }));
-      if (entry == 0 && rest_zero) {
-        drop_chunk(chunk, b);
-      } else {
-        std::uint32_t* p = writable_chunk(chunk, b);
-        std::fill(p + in_lo, p + in_hi + 1, entry);
-      }
+      std::fill(p + in_lo, p + in_hi + 1, entry);
+      if (entry == 0) drop_if_empty(chunk, b);
     }
-    if (chunk_last == hi || chunk_last >= (std::uint32_t{1} << kStride) - 1) {
-      break;
-    }
-    slot = chunk_last + 1;
   }
+  return true;
 }
 
-void FlatLookupTable::paint(const Route& route, Builder& b) {
-  const std::uint32_t value = encode(route, b);
-  const std::uint32_t lo = route.prefix.range_low().value();
-  const std::uint32_t hi = route.prefix.range_high().value();
-  if (route.prefix.length() <= kStride) {
-    fill_direct(lo >> kL2Bits, hi >> kL2Bits, value, b);
-    return;
-  }
-  // Longer than the stride: the route lives inside one level-1 slot.
+void FlatLookupTable::paint(const Prefix& prefix, std::uint32_t value,
+                            Builder& b) {
+  const unsigned length = prefix.length();
+  const std::uint32_t lo = prefix.range_low().value();
+  const std::uint32_t hi = prefix.range_high().value();
   const std::uint32_t slot = lo >> kL2Bits;
-  std::uint32_t* p = writable_chunk(slot >> kChunkBits, b);
-  std::uint32_t& entry = p[slot & kChunkMask];
-  std::uint32_t* block = nullptr;
-  if (entry & kL2Flag) {
-    // Only blocks created by this repaint pass can be seen here (the
-    // region was cleared first), so in-place mutation is safe.
-    block = l2_[entry & ~kL2Flag];
-  } else {
-    const std::uint32_t id = alloc_l2();
-    block = l2_[id];
-    std::fill_n(block, kL2Entries, entry);
-    entry = kL2Flag | id;
+  const std::uint32_t entry = slot_entry(slot);
+  const std::uint32_t first =
+      (entry & kL2Flag) ? l2_[entry & ~kL2Flag][lo & kL2Mask] : entry;
+  // Non-overlap: `prefix` is stored iff the entry at its first address
+  // has its length, and then that entry fills its whole range. An erase
+  // must find it; a write must find it or no route anywhere in its range
+  // (checked as it paints).
+  const bool stored = first != 0 && (first >> kLenShift) == length;
+  bool fits = stored || value != 0;
+  if (fits && length <= kStride) {
+    fits = fill_direct(slot, hi >> kL2Bits, value, b);
+  } else if (fits) {
+    std::uint32_t* block = writable_block(slot, b);
+    std::uint32_t* dst = block + (lo & kL2Mask);
+    std::uint32_t* end = dst + (hi - lo) + 1;
+    fits = stored ||
+           std::all_of(dst, end, [](std::uint32_t v) { return v == 0; });
+    std::fill(dst, end, value);
+    // A uniform block (after deletes merged the survivors, or once a
+    // same-hop run tiles the slot) collapses back to a direct entry —
+    // keeps level-2 memory from ratcheting up. Shape survives: a uniform
+    // block is tiled by same-length same-hop routes, so
+    // Prefix(address, length) still names each one.
+    const std::uint32_t uniform = block[0];
+    if (std::all_of(block, block + kL2Entries,
+                    [uniform](std::uint32_t v) { return v == uniform; })) {
+      release_l2(slot_entry(slot), b);
+      writable_chunk(slot >> kChunkBits, b)[slot & kChunkMask] = uniform;
+      if (uniform == 0) drop_if_empty(slot >> kChunkBits, b);
+    }
   }
-  std::fill(block + (lo & kL2Mask), block + (hi & kL2Mask) + 1, value);
+  if (!fits) {
+    throw std::invalid_argument(
+        "FlatLookupTable: " + std::string(value ? "write " : "erase ") +
+        prefix.to_string() +
+        (value ? " overlaps a stored route" : " names no stored route"));
+  }
+  route_count_ = route_count_ - (value == 0) + (value != 0 && !stored);
 }
 
-void FlatLookupTable::recompute_slot(const trie::BinaryTrie& table,
-                                     std::uint32_t slot, Builder& b) {
-  const Prefix block_prefix(Ipv4Address(slot << kL2Bits), kStride);
-  // A route no longer than the stride that matches the block's first
-  // address covers the whole block (non-overlap: nothing else can).
-  const auto cover = table.lookup_route(block_prefix.range_low());
-  if (cover && cover->prefix.length() <= kStride) {
-    fill_direct(slot, slot, encode(*cover, b), b);
-    return;
+std::vector<FlatLookupTable::Route> FlatLookupTable::stored_within(
+    const Prefix& region, std::size_t limit, bool from_high) const {
+  std::vector<Route> out;
+  const std::int64_t lo = region.range_low().value();
+  const std::int64_t hi = region.range_high().value();
+  std::int64_t at = from_high ? hi : lo;
+  while (out.size() < limit && at >= lo && at <= hi) {
+    const auto address = static_cast<std::uint32_t>(at);
+    const std::uint32_t slot = address >> kL2Bits;
+    const std::uint32_t* chunk = chunks_[slot >> kChunkBits];
+    std::uint32_t entry = chunk ? chunk[slot & kChunkMask] : 0;
+    // Steps over one span at a time; `bits` is its log2: a null chunk,
+    // an empty slot, one empty level-2 address, or the stored route here.
+    unsigned bits = chunk ? kL2Bits : kL2Bits + kChunkBits;
+    if (entry & kL2Flag) {
+      entry = l2_[entry & ~kL2Flag][address & kL2Mask];
+      bits = 0;
+    }
+    if (entry != 0) bits = 32 - (entry >> kLenShift);
+    const std::int64_t span_lo = (at >> bits) << bits;
+    const std::int64_t span_hi = span_lo + (std::int64_t{1} << bits) - 1;
+    if (entry != 0 && span_lo >= lo && span_hi <= hi) {
+      out.push_back(Route{Prefix(Ipv4Address(address), entry >> kLenShift),
+                          hops_[entry & kIdMask]});
+    }
+    at = from_high ? span_lo - 1 : span_hi + 1;
   }
-  const auto inside = table.routes_within(block_prefix);
-  if (inside.empty()) {
-    fill_direct(slot, slot, 0, b);
-    return;
-  }
-  // Painted on the stack first: a uniform result never takes a block.
-  std::array<std::uint32_t, kL2Entries> block{};
-  for (const auto& route : inside) {
-    const std::uint32_t value = encode(route, b);
-    const std::uint32_t lo = route.prefix.range_low().value() & kL2Mask;
-    const std::uint32_t hi = route.prefix.range_high().value() & kL2Mask;
-    std::fill(block.begin() + lo, block.begin() + hi + 1, value);
-  }
-  // Uniform blocks (e.g. after deletes merged the survivors) collapse
-  // back to a direct entry — keeps level-2 memory from ratcheting up.
-  // Shape survives the collapse: a uniform block is tiled by same-length
-  // same-hop routes, so Prefix(address, length) still names each one.
-  const bool uniform =
-      std::all_of(block.begin(), block.end(),
-                  [&](std::uint32_t v) { return v == block[0]; });
-  if (uniform) {
-    fill_direct(slot, slot, block[0], b);
-    return;
-  }
-  std::uint32_t* p = writable_chunk(slot >> kChunkBits, b);
-  std::uint32_t& entry = p[slot & kChunkMask];
-  if (entry & kL2Flag) release_l2(entry, b);
-  const std::uint32_t id = alloc_l2();
-  std::memcpy(l2_[id], block.data(), sizeof(block));
-  entry = kL2Flag | id;
-}
-
-void FlatLookupTable::repaint(const trie::BinaryTrie& table,
-                              const Prefix& dirty, Builder& b) {
-  if (dirty.length() > kStride) {
-    recompute_slot(table, dirty.range_low().value() >> kL2Bits, b);
-    return;
-  }
-  const std::uint32_t lo = dirty.range_low().value() >> kL2Bits;
-  const std::uint32_t hi = dirty.range_high().value() >> kL2Bits;
-  // A stored route at or above the dirty prefix covers the whole region
-  // (non-overlap again): paint it directly and stop.
-  const auto cover = table.lookup_route(dirty.range_low());
-  if (cover && cover->prefix.length() <= dirty.length()) {
-    fill_direct(lo, hi, encode(*cover, b), b);
-    return;
-  }
-  fill_direct(lo, hi, 0, b);
-  for (const auto& route : table.routes_within(dirty)) paint(route, b);
+  if (from_high) std::reverse(out.begin(), out.end());
+  return out;
 }
 
 std::size_t FlatLookupTable::memory_bytes() const {

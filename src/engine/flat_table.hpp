@@ -22,16 +22,32 @@
 // answers lookup_route() on its own — the runtime publishes chip
 // versions with no trie at all. Entry 0 (id 0) is "no route".
 //
+// The image is the chip's only representation, and it is built and
+// patched the way the paper's §III-C updates a disjoint TCAM: a full
+// build paints a route list onto an empty image, and a copy-on-write
+// successor applies a diff — erase these stored shapes, then write these
+// routes. Non-overlap means the diff says exactly which slots change: an
+// erased shape's slots become no-route and a written route's slots
+// become its entry, with no cover lookup. Both run through one paint
+// path, which checks the diff as it paints (an erase must name a stored
+// shape; a write may only land on no-route slots or rewrite its own
+// prefix) and collapses the uniform level-2 blocks it touched back into
+// direct entries. Since every entry carries its length, the image also
+// answers what the control role asks of a chip: its stored-route count
+// (kept by every build, O(1)), the stored shapes within a region, and
+// ordered runs from either end.
+//
 // Snapshots are immutable — the runtime publishes one per chip-table
 // version behind an epoch-swapped pointer — but a full repaint per BGP
 // update would move megabytes per publish. Instead the level-1 array is
 // split into 4096-entry chunks held by raw pointer: a copy-on-write
 // rebuild memcpys the 4096-slot pointer array (32 KiB, no reference
-// counts) and copies only the chunks under the update's dirty prefixes,
-// so rebuild cost tracks the size of the diff, not of the address space.
-// A null chunk means "all no-route", which also keeps empty address
-// space free. The hop dictionary is append-only and shared the same way:
-// a rebuild that meets a new next hop copies it once and appends.
+// counts) and copies only the chunks and level-2 blocks the diff
+// touches, so rebuild cost tracks the size of the diff, not of the
+// address space. A null chunk means "all no-route", which also keeps
+// empty address space free. The hop dictionary is append-only and shared
+// the same way: a rebuild that meets a new next hop copies it once and
+// appends.
 //
 // Ownership is by version, not by reference count. A pointer belongs to
 // a rebuild iff it differs from its predecessor's pointer at the same
@@ -83,23 +99,27 @@ class FlatLookupTable {
 
   class BlockPool;
 
-  /// Full build from a non-overlapping table. Throws
-  /// std::invalid_argument on an overlapping route set. Every next hop
-  /// value is encodable; only a table with more than 2^25 - 1 distinct
-  /// next hops throws (std::length_error).
+  /// Full build from a non-overlapping route list, in any order (a
+  /// prefix listed twice is a rewrite: the last hop wins). Throws
+  /// std::invalid_argument on overlapping routes. Every next hop value is
+  /// encodable; only a table with more than 2^25 - 1 distinct next hops
+  /// throws (std::length_error).
+  explicit FlatLookupTable(std::span<const Route> routes);
+  /// Full build from the trie's routes.
   explicit FlatLookupTable(const trie::BinaryTrie& table);
 
-  /// Copy-on-write rebuild: semantically a full build from `table`, but
-  /// every level-1 chunk outside the `dirty` prefixes is shared with
-  /// `prev`. Precondition: `prev` was built from a table that agrees
-  /// with `table` everywhere outside `dirty` (the runtime passes the
-  /// previous snapshot plus the update's own diff regions). On success
-  /// this image owns the live set and `prev` keeps only what this build
-  /// replaced: `prev` stays readable only while this image lives. Throws
-  /// std::logic_error if `prev` already has a successor; on any throw
-  /// `prev` is left untouched.
-  FlatLookupTable(const FlatLookupTable& prev, const trie::BinaryTrie& table,
-                  std::span<const Prefix> dirty);
+  /// Copy-on-write successor: `prev` with the stored shapes `erases`
+  /// removed, then the routes `writes` written. Every level-1 chunk and
+  /// level-2 block the diff does not touch is shared with `prev`. Each
+  /// erase must name a stored shape exactly, and each write may cover
+  /// only no-route slots (after the erases) or rewrite the hop of a
+  /// stored prefix; anything else throws std::invalid_argument. On
+  /// success this image owns the live set and `prev` keeps only what this
+  /// build replaced: `prev` stays readable only while this image lives.
+  /// Throws std::logic_error if `prev` already has a successor; on any
+  /// throw `prev` is left untouched and may still be succeeded.
+  FlatLookupTable(const FlatLookupTable& prev, std::span<const Prefix> erases,
+                  std::span<const Route> writes);
 
   /// Releases what this image owns: frees its live set if it has no
   /// successor, otherwise parks what the successor replaced in the
@@ -133,6 +153,20 @@ class FlatLookupTable {
     const std::uint32_t* chunk = chunks_[slot >> kChunkBits];
     if (chunk) __builtin_prefetch(&chunk[slot & kChunkMask], 0, 1);
   }
+
+  /// Stored routes (a collapsed level-2 block counts each of its tiles).
+  /// O(1): every build keeps the count.
+  std::size_t route_count() const { return route_count_; }
+
+  /// The stored routes lying within `region`, in address order — a
+  /// trie's routes_within() (Prefix() walks the whole image). With
+  /// `limit`, only the `limit` routes nearest the region's low end — or
+  /// its high end when `from_high` — are walked and returned (still in
+  /// address order), so a run at one end costs the run, not the table.
+  /// Steps by each route's length and over null chunks whole.
+  std::vector<Route> stored_within(const Prefix& region,
+                                   std::size_t limit = SIZE_MAX,
+                                   bool from_high = false) const;
 
   /// Bytes of the image this snapshot answers from (chunks it
   /// references, shared or not, plus level-2 blocks, the pointer arrays
@@ -191,6 +225,12 @@ class FlatLookupTable {
     return l2_[e & ~kL2Flag][address.value() & kL2Mask];
   }
 
+  /// The level-1 entry of `slot` (0 under a null chunk).
+  std::uint32_t slot_entry(std::uint32_t slot) const {
+    const std::uint32_t* chunk = chunks_[slot >> kChunkBits];
+    return chunk ? chunk[slot & kChunkMask] : 0;
+  }
+
   /// Whether this image (not its predecessor `prev`, null for a full
   /// build) owns chunk `i` / level-2 block `id` / the dictionary: the
   /// pointer differs from the predecessor's at the same index.
@@ -206,31 +246,36 @@ class FlatLookupTable {
   /// Frees every block and the dictionary this image holds that `prev`
   /// does not (everything when `prev` is null).
   void free_unshared(const FlatLookupTable* prev) noexcept;
-  /// Runs `paint_all(builder)`; on a throw frees this build's own blocks
-  /// (the predecessor keeps owning its set) and rethrows.
-  template <typename PaintAll>
-  void build(const FlatLookupTable* prev, PaintAll&& paint_all);
+  /// The one paint path, for full builds and diffs alike: paint()s the
+  /// erases, then the writes. On a throw frees this build's own blocks (the
+  /// predecessor keeps owning its set) and rethrows.
+  void build(const FlatLookupTable* prev, std::span<const Prefix> erases,
+             std::span<const Route> writes);
+  /// Paints `prefix` with the route entry `value`: 0 erases the stored
+  /// shape `prefix` (throws if it is not stored); otherwise a write over
+  /// no-route slots or a rewrite of the stored `prefix` (throws if it
+  /// would overlap another stored route). A level-2 block it leaves
+  /// uniform collapses back to a direct entry.
+  void paint(const Prefix& prefix, std::uint32_t value, Builder& b);
 
   /// Chunk writable by this rebuild; takes a block from the pool (zero
   /// or copy) on first touch. `slot_chunk` is the chunk index.
   std::uint32_t* writable_chunk(std::size_t slot_chunk, Builder& b);
-  /// Repaints everything under `dirty` from `table` (clears first).
-  void repaint(const trie::BinaryTrie& table, const Prefix& dirty,
-               Builder& b);
-  /// Recomputes the single level-1 slot `slot` (a /24 block) from
-  /// `table`, collapsing uniform level-2 blocks back to direct entries.
-  void recompute_slot(const trie::BinaryTrie& table, std::uint32_t slot,
-                      Builder& b);
-  /// Sets level-1 slots [lo, hi] to the direct value `entry`, freeing
-  /// any level-2 blocks they referenced. Whole-chunk clears to 0 drop
-  /// the chunk back to null.
-  void fill_direct(std::uint32_t lo, std::uint32_t hi, std::uint32_t entry,
+  /// Level-2 block of level-1 slot `slot`, writable by this rebuild: a
+  /// block the predecessor owns is copied first, and a direct entry (no
+  /// route, or a collapsed block's tile) is expanded into a new block.
+  std::uint32_t* writable_block(std::uint32_t slot, Builder& b);
+  /// Sets level-1 slots [lo, hi] to the direct value `entry`. Whole-chunk
+  /// clears to 0 drop the chunk back to null. A route `entry` may only
+  /// overwrite no-route slots or its own prefix: false (stopping midway)
+  /// when another route is in the way.
+  bool fill_direct(std::uint32_t lo, std::uint32_t hi, std::uint32_t entry,
                    Builder& b);
-  /// Paints one route (already validated) over its slots.
-  void paint(const Route& route, Builder& b);
   /// Drops chunk `slot_chunk` back to null: parks it now if this build
   /// made it, else records it as replaced.
   void drop_chunk(std::size_t slot_chunk, Builder& b);
+  /// drop_chunk() if chunk `slot_chunk` holds no route any more.
+  void drop_if_empty(std::size_t slot_chunk, Builder& b);
   void release_l2(std::uint32_t entry, Builder& b);
   /// A level-2 id holding an uninitialised block from the pool.
   std::uint32_t alloc_l2();
@@ -252,6 +297,7 @@ class FlatLookupTable {
   const NextHop* hops_ = nullptr;  ///< dict_->hops.data(), for lookup()
   std::size_t chunk_count_ = 0;
   std::size_t l2_count_ = 0;
+  std::size_t route_count_ = 0;
   /// The lineage's pool: made by the full build, shared by successors.
   std::shared_ptr<BlockPool> pool_;
 

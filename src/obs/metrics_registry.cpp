@@ -91,8 +91,8 @@ void json_ttf_entry(std::ostream& os, const TtfTraceEntry& e) {
   json_number(os, e.rebalance_ns);
   os << ",\"rebalance_steps\":" << e.rebalance_steps
      << ",\"entries_migrated\":" << e.entries_migrated
-     << ",\"mutate_ns\":";
-  json_number(os, e.mutate_ns);
+     << ",\"admit_ns\":";
+  json_number(os, e.admit_ns);
   os << ",\"flat_ns\":";
   json_number(os, e.flat_ns);
   os << ",\"grace_ns\":";

@@ -26,7 +26,7 @@ namespace clue::obs {
 struct TtfTraceEntry {
   std::uint64_t seq = 0;  ///< update sequence number (1-based)
   double ttf1_ns = 0;     ///< control-plane software (trie diff) span
-  /// Chip-table span: trie edit + flat rebuild + publish + grace (the
+  /// Chip-table span: admission + flat rebuild + publish + grace (the
   /// sub-spans below break it down).
   double ttf2_ns = 0;
   double ttf3_ns = 0;     ///< DRed sync broadcast + ack span
@@ -37,10 +37,12 @@ struct TtfTraceEntry {
   double rebalance_ns = 0;            ///< boundary-rebalance span (0 = none)
   std::uint32_t rebalance_steps = 0;  ///< migrations run by this update
   std::uint32_t entries_migrated = 0; ///< entries those migrations moved
-  /// TTF2 sub-spans (0 = no chip republished): the in-place edit of the
-  /// affected chips' control-role tries, their flat-image copy-on-write
-  /// rebuilds, and the epoch grace barrier that closes the commit.
-  double mutate_ns = 0;
+  /// TTF2 sub-spans: admission (coalescing, planning against the
+  /// chips' stored shapes and the capacity check, including any emergency
+  /// rebalance it ran), and — 0 when no chip republished — the affected
+  /// chips' flat-image copy-on-write rebuilds and the epoch grace barrier
+  /// that closes the commit.
+  double admit_ns = 0;
   double flat_ns = 0;
   double grace_ns = 0;
   /// Group commit: update messages this trace covers (1 = the sequential

@@ -16,12 +16,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double ns_between(Clock::time_point start, Clock::time_point end) {
-  return std::chrono::duration<double, std::nano>(end - start).count();
-}
-
 double elapsed_ns(Clock::time_point start) {
-  return ns_between(start, Clock::now());
+  return std::chrono::duration<double, std::nano>(Clock::now() - start)
+      .count();
 }
 
 // Batch sizes for the ring drains: large enough to amortise the cursor
@@ -100,7 +97,6 @@ LookupRuntime::LookupRuntime(const trie::BinaryTrie& fib,
                   std::memory_order_seq_cst);
 
   control_pushed_.assign(config.worker_count, 0);
-  chip_tries_.resize(config.worker_count);
   workers_.reserve(config.worker_count);
   for (std::size_t i = 0; i < config.worker_count; ++i) {
     auto worker = std::make_unique<Worker>();
@@ -118,17 +114,17 @@ LookupRuntime::LookupRuntime(const trie::BinaryTrie& fib,
       worker->dred =
           std::make_unique<engine::DredStore>(config.dred_capacity);
     }
-    trie::BinaryTrie& chip = chip_tries_[i];
-    for (const auto& route : partitions.buckets[i].routes) {
-      chip.insert(route.prefix, route.next_hop);
-    }
+    // The image is painted straight from the chip's sorted, disjoint
+    // bucket; it is the chip's only representation from here on.
     const auto t0 = Clock::now();
-    auto* initial = new ChipTable{0, engine::FlatLookupTable(chip)};
-    flat_rebuild_hist_.record(elapsed_ns(t0));
+    auto* initial = new ChipTable{
+        0, engine::FlatLookupTable(partitions.buckets[i].routes)};
+    flat_build_ns_ += elapsed_ns(t0);
     worker->flat_bytes.store(initial->flat.memory_bytes(),
                              std::memory_order_relaxed);
     worker->flat_pool = initial->flat.pool();
-    worker->occupancy.store(chip.size(), std::memory_order_relaxed);
+    worker->occupancy.store(initial->flat.route_count(),
+                            std::memory_order_relaxed);
     worker->active.store(initial, std::memory_order_seq_cst);
     workers_.push_back(std::move(worker));
   }
@@ -571,34 +567,22 @@ void LookupRuntime::publish_work(std::size_t chip,
                                  const update::ChipWork& work,
                                  obs::TtfTraceEntry* trace) {
   Worker& worker = *workers_[chip];
-  trie::BinaryTrie& table = chip_tries_[chip];
-  // Workers never read the trie, so the control role edits it in place;
-  // only the flat image is versioned.
-  const auto t0 = Clock::now();
-  std::vector<Prefix> dirty = work.erases;
-  for (const auto& prefix : work.erases) table.erase(prefix);
-  for (const auto& route : work.writes) {
-    table.insert(route.prefix, route.next_hop);
-    dirty.push_back(route.prefix);
-  }
-  const auto t1 = Clock::now();
   // The control thread is the only writer of the active versions.
   ChipTable* old = worker.active.load(std::memory_order_relaxed);
-  auto* next = new ChipTable{old->version + 1,
-                             engine::FlatLookupTable(old->flat, table, dirty)};
-  const double flat_ns = elapsed_ns(t1);
+  const auto t0 = Clock::now();
+  auto* next = new ChipTable{
+      old->version + 1,
+      engine::FlatLookupTable(old->flat, work.erases, work.writes)};
+  const double flat_ns = elapsed_ns(t0);
   flat_rebuild_hist_.record(flat_ns);
   worker.active.store(next, std::memory_order_seq_cst);
   worker.published_version.store(next->version, std::memory_order_seq_cst);
-  worker.occupancy.store(table.size(), std::memory_order_release);
+  worker.occupancy.store(next->flat.route_count(), std::memory_order_release);
   worker.flat_bytes.store(next->flat.memory_bytes(),
                           std::memory_order_relaxed);
   epoch_.retire(old);
   tables_published_.fetch_add(1, std::memory_order_relaxed);
-  if (trace) {
-    trace->mutate_ns += ns_between(t0, t1);
-    trace->flat_ns += flat_ns;
-  }
+  if (trace) trace->flat_ns += flat_ns;
 }
 
 void LookupRuntime::publish_indexing() {
@@ -655,15 +639,19 @@ double LookupRuntime::skew() const {
 }
 
 std::size_t LookupRuntime::migrate(const MigrationStep& step) {
-  const std::vector<Route> donor_routes = chip_tries_[step.donor].routes();
   const std::size_t receiver_occupancy =
       workers_[step.receiver]->occupancy.load(std::memory_order_relaxed);
-  const MigrationRun run = plan_migration_run(
-      step, donor_routes,
-      chip_capacity_ - std::min(receiver_occupancy, chip_capacity_));
+  const std::size_t receiver_free =
+      chip_capacity_ - std::min(receiver_occupancy, chip_capacity_);
+  // The run sits at the donor's edge facing the receiver: walk the
+  // donor's image from that end for at most the routes the run can take,
+  // plus, moving left, the first kept route (the new boundary).
+  const bool rightward = step.receiver == step.donor + 1;
+  const std::vector<Route> edge = active_flat(step.donor).stored_within(
+      Prefix(), std::min(step.count, receiver_free) + !rightward, rightward);
+  const MigrationRun run = plan_migration_run(step, edge, receiver_free);
   if (run.count == 0) return 0;
-  const std::span<const Route> migrated(donor_routes.data() + run.first,
-                                        run.count);
+  const std::span<const Route> migrated(edge.data() + run.first, run.count);
   update::ChipWork gain;  // the receiver's side of the move
   update::ChipWork loss;  // the donor's
   for (const auto& route : migrated) {
@@ -838,16 +826,17 @@ update::BatchTtfSample LookupRuntime::apply_batch(
   trace.queue_depth_mean = static_cast<double>(depth_sum) /
                            static_cast<double>(workers_.size());
 
-  // --- TTF2: coalesce, admit, edit + rebuild + publish once per chip. -
+  // --- TTF2: coalesce, admit, rebuild + publish once per chip. --------
   const auto t1 = Clock::now();
-  // Admission reads the control role's private chip tries.
+  // Admission reads the active chip images.
   const update::CommitPlan& plan = txn.admit(update::CommitHost{
       boundaries_, chip_capacity_,
-      [this](std::size_t chip) { return chip_tries_[chip].size(); },
+      [this](std::size_t chip) { return active_flat(chip).route_count(); },
       [this](std::size_t chip, const Prefix& region) {
-        return chip_tries_[chip].routes_within(region);
+        return active_flat(chip).stored_within(region);
       },
       [&] { return config_.rebalance ? rebalance_pass(&trace) : 0; }});
+  trace.admit_ns = elapsed_ns(t1);
   update::BatchTtfSample batch = txn.sample();
   updates_rejected_.fetch_add(batch.rejected, std::memory_order_seq_cst);
   trace.ops_raw = static_cast<std::uint32_t>(batch.raw_ops);
@@ -875,8 +864,8 @@ update::BatchTtfSample LookupRuntime::apply_batch(
     const update::ChipWork& work = plan.chips[chip];
     if (work.empty()) continue;
     ++trace.chips_touched;
-    // One trie edit, one flat rebuild and one publish per chip however
-    // many messages touched it.
+    // One flat rebuild and one publish per chip however many messages
+    // touched it.
     publish_work(chip, work, &trace);
   }
   // One grace barrier closes the whole batch: after it every worker has
@@ -1062,6 +1051,7 @@ void LookupRuntime::export_metrics(obs::MetricsRegistry& registry) const {
   registry.add_histogram("runtime.rebalance_ns", rebalance_hist_.snapshot());
   registry.add_histogram("runtime.flat_rebuild_ns",
                          flat_rebuild_hist_.snapshot());
+  registry.set_gauge("runtime.flat_build_ns", flat_build_ns_);
   registry.add_ttf_trace("runtime.ttf", ttf_ring_.snapshot());
 }
 

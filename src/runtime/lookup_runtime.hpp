@@ -15,14 +15,16 @@
 //                   chip for a DRed-only lookup), drains completion
 //                   rings, re-enqueues DRed misses to the home ring,
 //                   and reorders results back into submission order.
-//   control thread  apply() — runs the ONRTC diff, edits its private
-//                   trie of each affected chip in place, copy-on-write
-//                   rebuilds that chip's flat image from it, publishes
-//                   the image with one atomic pointer swap, broadcasts
-//                   DRed erase/fix messages, and waits for the workers
-//                   to ack them (so TTF2/TTF3 are measured end to end).
-//                   The per-chip tries never leave the control role:
-//                   they answer admission, migration and occupancy.
+//   control thread  apply() — runs the ONRTC diff, paints each
+//                   affected chip's diff (erased shapes, written routes)
+//                   onto a copy-on-write successor of its flat image,
+//                   publishes the image with one atomic pointer swap,
+//                   broadcasts DRed erase/fix messages, and waits for the
+//                   workers to ack them (so TTF2/TTF3 are measured end to
+//                   end). The image is each chip's only representation:
+//                   it also answers admission (route count, stored shapes
+//                   within a region), migration (the run at a chip's
+//                   edge) and occupancy.
 //                   It also owns the boundary rebalancer: per-chip
 //                   occupancy is re-checked after every apply(), and
 //                   when skew or headroom pressure crosses a
@@ -218,7 +220,7 @@ class LookupRuntime {
   NextHop lookup(Ipv4Address address);
 
   /// Control role. Applies one BGP update end to end: ONRTC diff
-  /// (TTF1), in-place chip-trie edit + flat-image COW rebuild + atomic
+  /// (TTF1), admission + flat-image COW rebuild from the diff + atomic
   /// publish of affected chips (TTF2), DRed erase/fix broadcast + worker
   /// ack (TTF3). Returns wall-clock nanoseconds per stage; lookups
   /// proceed concurrently.
@@ -237,8 +239,8 @@ class LookupRuntime {
   /// (TTF1), the combined diff-op stream is coalesced to its net effect
   /// (insert+delete pairs cancel, modifies last-writer-win), each
   /// affected chip's next version is built and published *once* — one
-  /// trie edit, one flat image rebuild and one epoch retire per chip per
-  /// batch, closed by a single grace barrier — and all DRed erase/fix
+  /// flat image rebuild and one epoch retire per chip per batch, closed
+  /// by a single grace barrier — and all DRed erase/fix
   /// messages go out as one batched sweep per worker ring (TTF3).
   ///
   /// Admission (update::BatchTxn, shared with the serial hosts) is exact
@@ -314,11 +316,11 @@ class LookupRuntime {
   /// Control-role state: rebalancing rewrites it, so read only from the
   /// control thread or while updates are quiescent.
   const std::vector<Ipv4Address>& boundaries() const { return boundaries_; }
-  /// The routes chip `chip` stores, in address order. Control-role
-  /// state: read only from the control thread or while updates are
-  /// quiescent.
+  /// The routes chip `chip` stores, in address order (a walk of its
+  /// active image). Control-role state: read only from the control thread
+  /// or while updates are quiescent.
   std::vector<Route> chip_routes(std::size_t chip) const {
-    return chip_tries_[chip].routes();
+    return active_flat(chip).stored_within(Prefix());
   }
   std::size_t worker_count() const { return workers_.size(); }
   const RuntimeConfig& config() const { return config_; }
@@ -399,9 +401,9 @@ class LookupRuntime {
     std::atomic<ChipTable*> active{nullptr};
     std::atomic<std::uint64_t> published_version{0};
     std::atomic<std::uint64_t> control_applied{0};
-    /// Entries in the active version (the size of the control role's
-    /// chip trie); written at every publish, read by metrics/rebalance
-    /// planning from any thread.
+    /// Entries in the active version (its image's route count); written
+    /// at every publish, read by metrics/rebalance planning from any
+    /// thread.
     std::atomic<std::size_t> occupancy{0};
     std::unique_ptr<engine::DredStore> dred;
     /// memory_bytes() of the active flat image; written by the control
@@ -455,11 +457,17 @@ class LookupRuntime {
 
   // ---- control-role internals (single control thread at a time) ----
 
-  /// Publishes chip `chip`'s next version: applies `work`'s erases then
-  /// writes to the chip's private trie in place, copy-on-writes the flat
-  /// image over exactly those shapes, swaps it in and retires the old
-  /// version, and refreshes occupancy/published_version. Adds the trie
-  /// edit and flat rebuild spans to `trace` when given.
+  /// The active image of chip `chip`. The control role is its only
+  /// writer, so it (or a quiescent caller) reads it without a pin.
+  const engine::FlatLookupTable& active_flat(std::size_t chip) const {
+    return workers_[chip]->active.load(std::memory_order_relaxed)->flat;
+  }
+  /// Publishes chip `chip`'s next version: a copy-on-write successor of
+  /// the active image with `work`'s erases then writes painted in, swapped
+  /// in with the old version retired, and occupancy/published_version
+  /// refreshed. Throws (publishing nothing) when `work` does not fit the
+  /// image (see FlatLookupTable). Adds the rebuild span to `trace` when
+  /// given.
   void publish_work(std::size_t chip, const update::ChipWork& work,
                     obs::TtfTraceEntry* trace = nullptr);
   /// Publishes a new IndexingLogic for `boundaries` and waits out a
@@ -485,9 +493,6 @@ class LookupRuntime {
   RuntimeConfig config_;
   onrtc::CompressedFib fib_;
   std::vector<Ipv4Address> boundaries_;  // control-role state
-  /// Each chip's stored routes, authoritative and control-role private:
-  /// edited in place by publish_work, never read by a worker.
-  std::vector<trie::BinaryTrie> chip_tries_;
   std::atomic<engine::IndexingLogic*> indexing_{nullptr};
   EpochDomain epoch_;
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -551,9 +556,13 @@ class LookupRuntime {
   /// Wall time of each rebalance pass (control thread is the single
   /// writer; exported as "runtime.rebalance_ns").
   obs::LatencyHistogram rebalance_hist_;
-  /// Wall time of each flat-image build (control thread is the single
-  /// writer; exported as "runtime.flat_rebuild_ns").
+  /// Wall time of each copy-on-write flat-image rebuild a commit or a
+  /// migration ran (control thread is the single writer; exported as
+  /// "runtime.flat_rebuild_ns").
   obs::LatencyHistogram flat_rebuild_hist_;
+  /// Wall time of the constructor's full builds of every chip image
+  /// (exported as the gauge "runtime.flat_build_ns").
+  double flat_build_ns_ = 0;
 
   std::mutex stop_mutex_;  // serialises the join in stop()
 };

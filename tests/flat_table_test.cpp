@@ -8,15 +8,24 @@
 // and either drop order freeing each block exactly once (the ASan stage
 // runs this file with LeakSanitizer on) — and the lineage's block pool:
 // recycled blocks start clean, a parked block is never one a live
-// version still reads, and the pool stops at its cap.
+// version still reads, and the pool stops at its cap — plus the diff
+// constructor's own contract: random erase/write streams checked step by
+// step against a full build from the ground-truth trie (stream length
+// scales with CLUE_SOAK_UPDATES; see ci/check.sh's soak stage), and
+// violating diffs rejected with the predecessor untouched.
 #include "engine/flat_table.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -33,6 +42,7 @@ using clue::netbase::make_next_hop;
 using clue::netbase::NextHop;
 using clue::netbase::Pcg32;
 using clue::netbase::Prefix;
+using clue::netbase::Route;
 using clue::trie::BinaryTrie;
 
 // A candidate prefix overlaps the stored set iff something at or above
@@ -61,6 +71,56 @@ BinaryTrie make_disjoint_table(std::size_t target, std::uint64_t seed,
   }
   EXPECT_TRUE(table.is_disjoint());
   return table;
+}
+
+// A diff in the successor constructor's terms.
+struct Diff {
+  std::vector<Prefix> erases;
+  std::vector<Route> writes;
+};
+
+// The diff taking `before` to `after`, two tables that differ only within
+// the `dirty` regions: every shape `before` stores there that `after`
+// lacks is erased, and every route `after` holds there that `before`
+// lacks or maps to another hop is written. Read off the ground-truth
+// tries only.
+Diff diff_between(const BinaryTrie& before, const BinaryTrie& after,
+                  const std::vector<Prefix>& dirty) {
+  const auto collect = [&dirty](const BinaryTrie& table) {
+    std::map<Prefix, NextHop> routes;
+    for (const Prefix& region : dirty) {
+      const auto cover = table.lookup_route(region.range_low());
+      if (cover && cover->prefix.length() <= region.length()) {
+        routes.emplace(cover->prefix, cover->next_hop);
+      }
+      for (const auto& route : table.routes_within(region)) {
+        routes.emplace(route.prefix, route.next_hop);
+      }
+    }
+    return routes;
+  };
+  const auto old_routes = collect(before);
+  const auto new_routes = collect(after);
+  Diff diff;
+  for (const auto& [prefix, hop] : old_routes) {
+    if (!new_routes.contains(prefix)) diff.erases.push_back(prefix);
+  }
+  for (const auto& [prefix, hop] : new_routes) {
+    const auto it = old_routes.find(prefix);
+    if (it == old_routes.end() || it->second != hop) {
+      diff.writes.push_back(Route{prefix, hop});
+    }
+  }
+  return diff;
+}
+
+// The successor of `prev` (an image of `before`) that images `after`.
+std::unique_ptr<FlatLookupTable> successor(const FlatLookupTable& prev,
+                                           const BinaryTrie& before,
+                                           const BinaryTrie& after,
+                                           const std::vector<Prefix>& dirty) {
+  const Diff diff = diff_between(before, after, dirty);
+  return std::make_unique<FlatLookupTable>(prev, diff.erases, diff.writes);
 }
 
 // Probe set: every route's range edges (where paint bugs live) plus
@@ -139,6 +199,7 @@ TEST(FlatTableTest, CowRebuildTracksInsertsDeletesAndModifies) {
 
   for (int round = 0; round < 40; ++round) {
     std::vector<Prefix> dirty;
+    const BinaryTrie before = table;
     const auto routes = table.routes();
     for (int op = 0; op < 25; ++op) {
       const unsigned kind = rng.next() % 3;
@@ -158,7 +219,7 @@ TEST(FlatTableTest, CowRebuildTracksInsertsDeletesAndModifies) {
         dirty.push_back(victim.prefix);
       }
     }
-    auto next = std::make_unique<FlatLookupTable>(*flat, table, dirty);
+    auto next = successor(*flat, before, table, dirty);
     flat = std::move(next);
 
     // The incremental snapshot must agree with the trie and with a
@@ -206,6 +267,8 @@ TEST(FlatTableTest, MigrationRebuildMovesRangesBetweenSnapshots) {
   auto donor_flat = std::make_unique<FlatLookupTable>(donor);
   auto receiver_flat = std::make_unique<FlatLookupTable>(receiver);
 
+  const BinaryTrie donor_before = donor;
+  const BinaryTrie receiver_before = receiver;
   std::vector<Prefix> migrated;
   for (std::size_t i = split; i < split + 200 && i < routes.size(); ++i) {
     donor.erase(routes[i].prefix);
@@ -215,8 +278,8 @@ TEST(FlatTableTest, MigrationRebuildMovesRangesBetweenSnapshots) {
   // Receiver publishes fat first, donor shrinks after — both rebuilds
   // take the migrated prefixes as their dirty set.
   receiver_flat =
-      std::make_unique<FlatLookupTable>(*receiver_flat, receiver, migrated);
-  donor_flat = std::make_unique<FlatLookupTable>(*donor_flat, donor, migrated);
+      successor(*receiver_flat, receiver_before, receiver, migrated);
+  donor_flat = successor(*donor_flat, donor_before, donor, migrated);
 
   expect_matches_trie(*receiver_flat, receiver,
                       probe_addresses(receiver, 4'000, 99));
@@ -268,12 +331,13 @@ TEST(FlatTableTest, DeletingLongRoutesReleasesLevel2AndChunks) {
   EXPECT_EQ(flat->l2_block_count(), 1u);
   EXPECT_GT(flat->chunk_count(), 0u);
 
+  const BinaryTrie before = table;
   table.erase(a);
   table.erase(b);
   table.erase(c);
   table.erase(wide);
   const std::vector<Prefix> dirty{a, b, c, wide};
-  flat = std::make_unique<FlatLookupTable>(*flat, table, dirty);
+  flat = successor(*flat, before, table, dirty);
   // Uniform collapse frees the level-2 block; whole-chunk clears drop
   // the chunks back to the null representation.
   EXPECT_EQ(flat->l2_block_count(), 0u);
@@ -286,10 +350,12 @@ TEST(FlatTableTest, SharesUntouchedChunksWithPreviousSnapshot) {
   const FlatLookupTable base(table);
 
   // One surgical modify: the rebuild may copy only chunks under it.
+  const BinaryTrie old_table = table;
   const auto routes = table.routes();
   const Prefix touched = routes[routes.size() / 2].prefix;
   table.insert(touched, make_next_hop(200));
-  const FlatLookupTable next(base, table, std::vector<Prefix>{touched});
+  const Diff diff = diff_between(old_table, table, {touched});
+  const FlatLookupTable next(base, diff.erases, diff.writes);
 
   const std::size_t before = base.memory_bytes();
   const std::size_t after = next.memory_bytes();
@@ -333,7 +399,7 @@ TEST(FlatTableTest, HighHopsAndDictionaryGrowthKeepOldSnapshotsIntact) {
       }
       dirty.push_back(victim.prefix);
     }
-    auto next = std::make_unique<FlatLookupTable>(*flat, table, dirty);
+    auto next = successor(*flat, before, table, dirty);
     expect_matches_trie(*flat, before, probe_addresses(before, 500, round));
     expect_matches_trie(*next, table, probe_addresses(table, 500, round));
     flat = std::move(next);
@@ -347,15 +413,17 @@ TEST(FlatTableTest, SecondSuccessorThrowsAndBothImagesStayExact) {
   const auto routes = table.routes();
   const Prefix touched = routes[routes.size() / 3].prefix;
   table.insert(touched, make_next_hop(250));
-  const std::vector<Prefix> dirty{touched};
+  const Diff diff = diff_between(before, table, {touched});
 
-  const FlatLookupTable next(base, table, dirty);
-  EXPECT_THROW(FlatLookupTable(base, table, dirty), std::logic_error);
+  const FlatLookupTable next(base, diff.erases, diff.writes);
+  EXPECT_THROW(FlatLookupTable(base, diff.erases, diff.writes),
+               std::logic_error);
 
   expect_matches_trie(base, before, probe_addresses(before, 1'000, 616));
   expect_matches_trie(next, table, probe_addresses(table, 1'000, 717));
-  // The successor itself may still be succeeded.
-  const FlatLookupTable after(next, table, dirty);
+  // The successor itself may still be succeeded (here by a rewrite of the
+  // same hop).
+  const FlatLookupTable after(next, {}, diff.writes);
   expect_matches_trie(after, table, probe_addresses(table, 1'000, 818));
 }
 
@@ -386,8 +454,7 @@ TEST(FlatTableTest, PredecessorsStayExactAcrossDictionaryGrowthAndL2Reuse) {
     dirty.push_back(long_route);
     table.insert(wide, NextHop{0xA000'0000u + round});  // modify
     dirty.push_back(wide);
-    versions.push_back(
-        std::make_unique<FlatLookupTable>(*versions.back(), table, dirty));
+    versions.push_back(successor(*versions.back(), tables.back(), table, dirty));
     tables.push_back(std::move(table));
     EXPECT_EQ(versions.back()->l2_block_count(), 1u);
 
@@ -438,9 +505,9 @@ VersionChain make_version_chain(std::size_t length, std::uint64_t seed) {
   auto& versions = chain.versions;
   versions.push_back(std::make_unique<FlatLookupTable>(table));
   while (versions.size() < length) {
+    const BinaryTrie before = table;
     const auto dirty = churn_step(table, rng, 30, 8);
-    versions.push_back(
-        std::make_unique<FlatLookupTable>(*versions.back(), table, dirty));
+    versions.push_back(successor(*versions.back(), before, table, dirty));
   }
   return chain;
 }
@@ -486,9 +553,9 @@ TEST(FlatTableTest, RecycledBlocksReadNoRouteOutsideTheirNewRoute) {
   BinaryTrie table;
   table.insert(wide, make_next_hop(1));
   auto flat = std::make_unique<FlatLookupTable>(table);
+  BinaryTrie before = table;
   table.erase(wide);
-  auto next = std::make_unique<FlatLookupTable>(*flat, table,
-                                                std::vector<Prefix>{wide});
+  auto next = successor(*flat, before, table, {wide});
   flat = std::move(next);
   const auto parked = flat->pool()->stats();
   EXPECT_EQ(parked.bytes, 4096 * sizeof(std::uint32_t));
@@ -496,9 +563,9 @@ TEST(FlatTableTest, RecycledBlocksReadNoRouteOutsideTheirNewRoute) {
   // A /20 in another null chunk takes the parked chunk: it must read
   // kNoRoute everywhere but the /20, not the /12's stale entries.
   const Prefix narrow(Ipv4Address(0x2B000000u), 20);
+  before = table;
   table.insert(narrow, make_next_hop(3));
-  next = std::make_unique<FlatLookupTable>(*flat, table,
-                                           std::vector<Prefix>{narrow});
+  next = successor(*flat, before, table, {narrow});
   flat = std::move(next);
   EXPECT_EQ(flat->pool()->stats().recycled, parked.recycled + 1);
   expect_matches_trie(*flat, table, chunk_probes(narrow.range_low(), 5));
@@ -508,23 +575,25 @@ TEST(FlatTableTest, RecycledBlocksReadNoRouteOutsideTheirNewRoute) {
   const std::vector<Prefix> quarters{Prefix(Ipv4Address(0xC0A80100u), 26),
                                      Prefix(Ipv4Address(0xC0A80140u), 26),
                                      Prefix(Ipv4Address(0xC0A80180u), 26)};
+  before = table;
   for (const Prefix& p : quarters) table.insert(p, make_next_hop(2));
-  next = std::make_unique<FlatLookupTable>(*flat, table, quarters);
+  next = successor(*flat, before, table, quarters);
   flat = std::move(next);
+  before = table;
   for (const Prefix& p : quarters) table.erase(p);
-  next = std::make_unique<FlatLookupTable>(*flat, table, quarters);
+  next = successor(*flat, before, table, quarters);
   flat = std::move(next);
 
   // A /25 painted under a /24 dirty region takes the parked level-2
   // block: its other half must read kNoRoute, not the /26s' hop.
   const Prefix half(Ipv4Address(0x2C000100u), 25);
+  before = table;
   table.insert(half, make_next_hop(4));
-  const auto before = flat->pool()->stats();
-  next = std::make_unique<FlatLookupTable>(
-      *flat, table, std::vector<Prefix>{Prefix(half.range_low(), 24)});
+  const auto pooled = flat->pool()->stats();
+  next = successor(*flat, before, table, {Prefix(half.range_low(), 24)});
   flat = std::move(next);
   EXPECT_EQ(flat->l2_block_count(), 1u);
-  EXPECT_GT(flat->pool()->stats().recycled, before.recycled);
+  EXPECT_GT(flat->pool()->stats().recycled, pooled.recycled);
   expect_matches_trie(*flat, table, chunk_probes(half.range_low(), 6));
 }
 
@@ -568,10 +637,10 @@ void run_chain(std::size_t window, std::uint64_t seed) {
   live.push_back(
       make_live(std::make_unique<FlatLookupTable>(table), table, 0));
   for (int step = 1; step <= 200; ++step) {
+    const BinaryTrie before = table;
     const auto dirty = churn_step(table, rng, 6, 16);
-    live.push_back(make_live(
-        std::make_unique<FlatLookupTable>(*live.back().flat, table, dirty),
-        table, step));
+    live.push_back(make_live(successor(*live.back().flat, before, table, dirty),
+                             table, step));
     if (window > 0 && live.size() > window) live.pop_front();
     expect_all_live_match(live, step);
     if (testing::Test::HasFatalFailure()) return;
@@ -600,13 +669,14 @@ TEST(FlatTableTest, MigrationSizedRebuildLeavesThePoolAtItsCap) {
   ASSERT_GT(old->chunk_count(), FlatLookupTable::BlockPool::kMaxChunks);
   ASSERT_GT(old->l2_block_count(), FlatLookupTable::BlockPool::kMaxL2Blocks);
   std::vector<Prefix> dirty;
+  BinaryTrie old_table = table;
   const auto routes = table.routes();
   for (std::size_t i = 0; i < routes.size(); ++i) {
     if (i % 4 == 0) continue;  // keep a quarter
     table.erase(routes[i].prefix);
     dirty.push_back(routes[i].prefix);
   }
-  auto flat = std::make_unique<FlatLookupTable>(*old, table, dirty);
+  auto flat = successor(*old, old_table, table, dirty);
   old.reset();
 
   // 64 chunks of 4096 entries and 256 level-2 blocks of 256 entries.
@@ -620,12 +690,402 @@ TEST(FlatTableTest, MigrationSizedRebuildLeavesThePoolAtItsCap) {
   // The next build draws on the full pool instead of new.
   const auto before = flat->pool()->stats();
   const Prefix back = routes[1].prefix;
+  old_table = table;
   table.insert(back, routes[1].next_hop);
-  const FlatLookupTable next(*flat, table, std::vector<Prefix>{back});
+  const Diff diff = diff_between(old_table, table, {back});
+  const FlatLookupTable next(*flat, diff.erases, diff.writes);
   const auto after = next.pool()->stats();
   EXPECT_GT(after.recycled, before.recycled);
   EXPECT_EQ(after.allocated, before.allocated);
   expect_matches_trie(next, table, probe_addresses(table, 2'000, 1'303));
+}
+
+// ---------------------------------------------------------------------------
+// The diff constructor against the ground truth.
+
+// Prefixes concentrated in a few /16s and at the lengths where level-1,
+// level-2 and collapsed slots meet, plus an occasional prefix anywhere.
+Prefix hot_prefix(Pcg32& rng) {
+  static constexpr std::uint32_t kBases[] = {0x0A010000u, 0x0A020000u,
+                                             0xAC100000u, 0xC0A80000u};
+  static constexpr unsigned kLengths[] = {8,  12, 16, 20, 23, 24, 24, 24,
+                                          25, 25, 25, 26, 28, 30, 32, 32};
+  const unsigned length = kLengths[rng.next() % std::size(kLengths)];
+  const std::uint32_t bits = rng.next() % 8 == 0
+                                 ? rng.next()
+                                 : kBases[rng.next() % std::size(kBases)] |
+                                       (rng.next() & 0xFFFFu);
+  return Prefix(Ipv4Address(bits), length);
+}
+
+NextHop random_hop(Pcg32& rng) { return make_next_hop(1 + rng.next() % 6); }
+
+// The stored shapes of `table` that a region clear removes: the route
+// covering `region`, if any, else every route within it.
+std::vector<Prefix> shapes_under(const BinaryTrie& table,
+                                 const Prefix& region) {
+  const auto cover = table.lookup_route(region.range_low());
+  if (cover && cover->prefix.length() <= region.length()) {
+    return {cover->prefix};
+  }
+  std::vector<Prefix> out;
+  for (const auto& route : table.routes_within(region)) {
+    out.push_back(route.prefix);
+  }
+  return out;
+}
+
+// One random work item over `table` (edited to match): an erase phase of
+// stored shapes — single routes, /24 slots, /12 chunks, or everything —
+// then a write phase of, on an empty table, /0, and rewrites, fresh
+// inserts, re-inserts of erased shapes and /24 slots tiled by one hop at
+// /25–/32 (a block that collapses). Erases come first, as the
+// constructor applies them.
+Diff random_work(BinaryTrie& table, Pcg32& rng) {
+  Diff diff;
+  const auto erase_shape = [&](const Prefix& prefix) {
+    if (table.erase(prefix)) diff.erases.push_back(prefix);
+  };
+  const unsigned erase_ops = rng.next() % 4;
+  for (unsigned op = 0; op < erase_ops; ++op) {
+    const auto routes = table.routes();
+    if (routes.empty()) break;
+    const Prefix& victim = routes[rng.next() % routes.size()].prefix;
+    switch (rng.next() % 16) {
+      case 0:  // the victim's whole level-1 chunk
+        for (const Prefix& p :
+             shapes_under(table, Prefix(victim.range_low(), 12))) {
+          erase_shape(p);
+        }
+        break;
+      case 1:  // the victim's /24 slot
+        for (const Prefix& p :
+             shapes_under(table, Prefix(victim.range_low(), 24))) {
+          erase_shape(p);
+        }
+        break;
+      case 2:  // everything, now and then
+        if (rng.next() % 8 == 0) {
+          for (const auto& route : routes) erase_shape(route.prefix);
+        }
+        break;
+      default:
+        erase_shape(victim);
+    }
+  }
+  const std::vector<Prefix> erased = diff.erases;
+  const auto write = [&](const Prefix& prefix, NextHop hop) {
+    table.insert(prefix, hop);
+    diff.writes.push_back(Route{prefix, hop});
+  };
+  // An empty table now and then takes the default route (which fills all
+  // 4096 chunks, so not too often).
+  if (table.size() == 0 && rng.next() % 4 == 0) {
+    write(Prefix(Ipv4Address(0), 0), random_hop(rng));
+  }
+  const unsigned write_ops = rng.next() % 5;
+  for (unsigned op = 0; op < write_ops; ++op) {
+    const auto routes = table.routes();
+    switch (rng.next() % 7) {
+      case 0:  // rewrite a stored route's hop (or keep it: still a write)
+        if (!routes.empty()) {
+          write(routes[rng.next() % routes.size()].prefix, random_hop(rng));
+        }
+        break;
+      case 1:  // re-insert a shape this item erased, if still free
+        if (!erased.empty()) {
+          const Prefix& prefix = erased[rng.next() % erased.size()];
+          if (!overlaps_any(table, prefix)) write(prefix, random_hop(rng));
+        }
+        break;
+      case 2: {  // tile a free /24 with one hop: a uniform block
+        const Prefix slot(hot_prefix(rng).range_low(), 24);
+        if (overlaps_any(table, slot)) break;
+        const unsigned length = 25 + rng.next() % 8;
+        const NextHop hop = random_hop(rng);
+        const std::uint32_t step = 1u << (32 - length);
+        for (std::uint32_t i = 0; i < (1u << (length - 24)); ++i) {
+          write(Prefix(Ipv4Address(slot.range_low().value() + i * step),
+                       length),
+                hop);
+        }
+        break;
+      }
+      default: {  // a fresh insert
+        const Prefix candidate = hot_prefix(rng);
+        if (!overlaps_any(table, candidate)) {
+          write(candidate, random_hop(rng));
+        }
+      }
+    }
+  }
+  return diff;
+}
+
+// Everything the image answers, against the trie it must equal and a
+// full build of that trie: hops and shapes at sampled addresses and at
+// every route's edges, the stored shapes within random regions, the
+// route count, the walks from either end, and the canonical layout.
+void expect_image_equals(const FlatLookupTable& flat, const BinaryTrie& table,
+                         const Diff& diff, Pcg32& rng) {
+  const auto routes = table.routes();
+  ASSERT_EQ(flat.route_count(), table.size());
+  std::vector<Ipv4Address> probes = probe_addresses(table, 256, rng.next());
+  for (const Prefix& p : diff.erases) {
+    probes.push_back(p.range_low());
+    probes.push_back(p.range_high());
+  }
+  for (int i = 0; i < 256; ++i) probes.push_back(hot_prefix(rng).range_low());
+  expect_matches_trie(flat, table, probes);
+  if (testing::Test::HasFatalFailure()) return;
+
+  std::vector<Prefix> regions;
+  for (int i = 0; i < 12; ++i) regions.push_back(hot_prefix(rng));
+  regions.push_back(Prefix(Ipv4Address(rng.next()), rng.next() % 9));
+  for (const Prefix& p : diff.erases) regions.push_back(p);
+  for (const Route& r : diff.writes) regions.push_back(r.prefix);
+  for (const Prefix& region : regions) {
+    const auto inside = table.routes_within(region);
+    ASSERT_EQ(flat.stored_within(region), inside)
+        << "region " << region.to_string();
+    // The runs at either end.
+    const std::size_t n = std::min<std::size_t>(1 + rng.next() % 4,
+                                                inside.size());
+    ASSERT_EQ(flat.stored_within(region, n),
+              std::vector<Route>(inside.begin(), inside.begin() + n));
+    ASSERT_EQ(flat.stored_within(region, n, true),
+              std::vector<Route>(inside.end() - n, inside.end()));
+  }
+
+  ASSERT_EQ(flat.stored_within(Prefix()), routes);
+  const std::size_t k = std::min<std::size_t>(1 + rng.next() % 16,
+                                              routes.size());
+  const std::vector<Route> head(routes.begin(), routes.begin() + k);
+  const std::vector<Route> tail(routes.end() - k, routes.end());
+  ASSERT_EQ(flat.stored_within(Prefix(), k), head);
+  ASSERT_EQ(flat.stored_within(Prefix(), k, true), tail);
+
+  const FlatLookupTable full(table);
+  ASSERT_EQ(full.route_count(), table.size());
+  ASSERT_EQ(flat.chunk_count(), full.chunk_count());
+  ASSERT_EQ(flat.l2_block_count(), full.l2_block_count());
+  for (const auto address : probes) {
+    ASSERT_EQ(flat.lookup(address), full.lookup(address))
+        << "address " << address.to_string();
+  }
+}
+
+// How often a stream hit each case the diff paint must handle.
+struct StreamCoverage {
+  std::size_t default_routes = 0;   ///< items writing /0
+  std::size_t erase_rewrites = 0;   ///< items erasing then rewriting a shape
+  std::size_t in_place = 0;         ///< items rewriting a kept shape's hop
+  std::size_t collapsed = 0;        ///< images holding a collapsed slot
+  std::size_t re_expanded = 0;      ///< items erasing or writing inside one
+  std::size_t chunks_dropped = 0;   ///< items that left fewer chunks
+};
+
+// The /24 slots of `table` that hold routes longer than /24, and those
+// of them tiled completely by one length and one hop: the slots a
+// canonical image keeps as collapsed direct entries, not blocks.
+struct LongSlots {
+  std::set<std::uint32_t> all;
+  std::set<std::uint32_t> collapsed;
+};
+
+LongSlots long_slots(const BinaryTrie& table) {
+  LongSlots slots;
+  for (const auto& route : table.routes()) {
+    if (route.prefix.length() > 24) {
+      slots.all.insert(route.prefix.range_low().value() >> 8);
+    }
+  }
+  for (const std::uint32_t slot : slots.all) {
+    const auto inside = table.routes_within(Prefix(Ipv4Address(slot << 8), 24));
+    const unsigned length = inside.front().prefix.length();
+    const bool tiled =
+        inside.size() == (std::size_t{1} << (length - 24)) &&
+        std::all_of(inside.begin(), inside.end(), [&](const Route& r) {
+          return r.prefix.length() == length &&
+                 r.next_hop == inside.front().next_hop;
+        });
+    if (tiled) slots.collapsed.insert(slot);
+  }
+  return slots;
+}
+
+void count_coverage(const FlatLookupTable& prev, const FlatLookupTable& next,
+                    const BinaryTrie& before, const Diff& diff,
+                    StreamCoverage& c) {
+  const std::set<Prefix> erased(diff.erases.begin(), diff.erases.end());
+  const LongSlots slots = long_slots(before);
+  // Every long slot that is not collapsed holds one level-2 block.
+  ASSERT_EQ(prev.l2_block_count(),
+            slots.all.size() - slots.collapsed.size());
+  const auto in_collapsed = [&](const Prefix& p) {
+    return p.length() > 24 &&
+           slots.collapsed.contains(p.range_low().value() >> 8);
+  };
+  bool zero = false, erase_rewrite = false, in_place = false;
+  bool expands = std::any_of(erased.begin(), erased.end(), in_collapsed);
+  for (const Route& r : diff.writes) {
+    zero |= r.prefix.length() == 0;
+    erase_rewrite |= erased.contains(r.prefix);
+    in_place |= !erased.contains(r.prefix) && before.find(r.prefix);
+    expands |= in_collapsed(r.prefix);
+  }
+  c.default_routes += zero;
+  c.erase_rewrites += erase_rewrite;
+  c.in_place += in_place;
+  c.collapsed += !slots.collapsed.empty();
+  c.re_expanded += expands;
+  c.chunks_dropped += next.chunk_count() < prev.chunk_count();
+}
+
+// Differential stream length: 250 steps per run, or CLUE_SOAK_UPDATES /
+// 50 when that is more (the soak stage). The streams are seeded, so a
+// longer run replays the default one first.
+std::size_t diff_steps() {
+  const char* env = std::getenv("CLUE_SOAK_UPDATES");
+  const long long n = env ? std::atoll(env) : 0;
+  return std::max<std::size_t>(250, n > 0 ? n / 50 : 0);
+}
+
+// Drives `steps` random work items through the diff constructor. With
+// `oldest_first`, versions are dropped oldest first once more than four
+// are alive (the runtime's order); otherwise every 32 steps the stream
+// moves to a fresh full build of its table and drops the whole old chain
+// newest first. Every live version keeps answering as it did when built.
+void run_diff_stream(bool oldest_first, std::size_t steps,
+                     std::uint64_t seed, StreamCoverage& coverage) {
+  Pcg32 rng(seed);
+  BinaryTrie table;
+  while (table.size() < 300) {
+    const Prefix candidate = hot_prefix(rng);
+    if (!overlaps_any(table, candidate)) {
+      table.insert(candidate, random_hop(rng));
+    }
+  }
+  std::deque<LiveVersion> live;
+  live.push_back(
+      make_live(std::make_unique<FlatLookupTable>(table), table, seed));
+  for (std::size_t step = 1; step <= steps; ++step) {
+    const BinaryTrie before = table;
+    const Diff diff = random_work(table, rng);
+    auto next = std::make_unique<FlatLookupTable>(*live.back().flat,
+                                                  diff.erases, diff.writes);
+    count_coverage(*live.back().flat, *next, before, diff, coverage);
+    if (testing::Test::HasFatalFailure()) return;
+    expect_image_equals(*next, table, diff, rng);
+    if (testing::Test::HasFatalFailure()) {
+      ADD_FAILURE() << "step " << step << " (seed " << seed << ")";
+      return;
+    }
+    live.push_back(make_live(std::move(next), table, seed + step));
+    if (oldest_first) {
+      if (live.size() > 4) live.pop_front();
+    } else if (step % 32 == 0) {
+      std::deque<LiveVersion> old = std::move(live);
+      live.clear();
+      live.push_back(make_live(std::make_unique<FlatLookupTable>(table),
+                               table, seed + step));
+      while (!old.empty()) old.pop_back();
+    }
+    expect_all_live_match(live, static_cast<int>(step));
+    if (testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(FlatTableTest, DiffStreamsMatchFullBuildsOfTheTrie) {
+  const std::size_t steps = diff_steps();
+  StreamCoverage coverage;
+  run_diff_stream(true, steps, 1'801, coverage);
+  run_diff_stream(false, steps, 1'802, coverage);
+  // The streams reached every case they are meant to cover.
+  EXPECT_GT(coverage.default_routes, 0u);
+  EXPECT_GT(coverage.erase_rewrites, 0u);
+  EXPECT_GT(coverage.in_place, 0u);
+  EXPECT_GT(coverage.collapsed, 0u);
+  EXPECT_GT(coverage.re_expanded, 0u);
+  EXPECT_GT(coverage.chunks_dropped, 0u);
+  std::printf("coverage: /0 %zu, erase+rewrite %zu, in-place %zu, "
+              "collapsed %zu, re-expanded %zu, chunks dropped %zu\n",
+              coverage.default_routes, coverage.erase_rewrites,
+              coverage.in_place, coverage.collapsed, coverage.re_expanded,
+              coverage.chunks_dropped);
+}
+
+TEST(FlatTableTest, ViolatingDiffsThrowAndLeaveThePredecessorUntouched) {
+  BinaryTrie table;
+  const Prefix wide(Ipv4Address(0x0A000000u), 16);     // level-1 run
+  const Prefix quarter(Ipv4Address(0xC0A80100u), 26);  // in a block
+  table.insert(wide, make_next_hop(1));
+  table.insert(quarter, make_next_hop(2));
+  // A /24 tiled by two same-hop /25s: a collapsed level-1 entry.
+  const Prefix half_lo(Ipv4Address(0xC0A80200u), 25);
+  const Prefix half_hi(Ipv4Address(0xC0A80280u), 25);
+  table.insert(half_lo, make_next_hop(3));
+  table.insert(half_hi, make_next_hop(3));
+  const FlatLookupTable prev(table);
+  ASSERT_EQ(prev.l2_block_count(), 1u);  // the /25 pair collapsed
+  const auto probes = probe_addresses(table, 500, 19);
+
+  const Route good{Prefix(Ipv4Address(0x0B000000u), 24), make_next_hop(4)};
+  struct Case {
+    const char* what;
+    std::vector<Prefix> erases;
+    std::vector<Route> writes;
+  };
+  const std::vector<Case> cases = {
+      {"erase of a free prefix", {Prefix(Ipv4Address(0x0C000000u), 24)}, {}},
+      {"erase of a stored route's parent", {Prefix(wide.range_low(), 15)}, {}},
+      {"erase of a stored route's child", {Prefix(wide.range_low(), 17)}, {}},
+      {"erase inside a block at the wrong length",
+       {Prefix(quarter.range_low(), 27)},
+       {}},
+      {"erase of a collapsed tile's /24", {Prefix(half_lo.range_low(), 24)},
+       {}},
+      {"the same erase twice", {quarter, quarter}, {}},
+      {"write under a stored route",
+       {},
+       {Route{Prefix(Ipv4Address(0x0A008000u), 20), make_next_hop(5)}}},
+      {"write over stored routes",
+       {},
+       {Route{Prefix(Ipv4Address(0x0A000000u), 8), make_next_hop(5)}}},
+      {"write whose later slots are taken",
+       {},
+       {Route{Prefix(Ipv4Address(0xC0A80000u), 22), make_next_hop(5)}}},
+      {"write into a block over a stored route",
+       {},
+       {Route{Prefix(Ipv4Address(0xC0A80100u), 25), make_next_hop(5)}}},
+      {"write into a collapsed tile at another length",
+       {},
+       {Route{Prefix(half_hi.range_low(), 26), make_next_hop(5)}}},
+      // Valid work first, so the build has copied and painted blocks
+      // before it meets the violation.
+      {"a violation after valid work",
+       {quarter, half_lo},
+       {good, Route{Prefix(Ipv4Address(0x0A000000u), 12), make_next_hop(5)}}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_THROW(FlatLookupTable(prev, c.erases, c.writes),
+                 std::invalid_argument)
+        << c.what;
+    expect_matches_trie(prev, table, probes);
+    ASSERT_EQ(prev.route_count(), table.size()) << c.what;
+  }
+
+  // Still a valid predecessor: a rewrite, an erase inside the collapsed
+  // tile (re-expanding it) and an insert.
+  const FlatLookupTable next(prev, std::vector<Prefix>{half_hi},
+                             std::vector<Route>{good, {wide, make_next_hop(6)}});
+  const BinaryTrie before = table;
+  table.erase(half_hi);
+  table.insert(good.prefix, good.next_hop);
+  table.insert(wide, make_next_hop(6));
+  expect_matches_trie(next, table, probe_addresses(table, 500, 20));
+  EXPECT_EQ(next.route_count(), table.size());
+  expect_matches_trie(prev, before, probes);
 }
 
 }  // namespace

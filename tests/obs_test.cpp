@@ -240,7 +240,7 @@ TEST(MetricsRegistryTest, JsonContainsEverySection) {
   EXPECT_NE(json.find("\"runtime.ttf\""), std::string::npos);
   EXPECT_NE(json.find("\"ttf1_ns\""), std::string::npos);
   // TTF2 sub-spans travel with every trace entry.
-  EXPECT_NE(json.find("\"mutate_ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"admit_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"flat_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"grace_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"fig\""), std::string::npos);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -330,6 +331,146 @@ TEST(RebalanceTest, RuntimeRejectsOverflowAfterEmergencyRebalance) {
   withdraw.kind = UpdateKind::kWithdraw;
   withdraw.prefix = rejected_prefix;  // absorbed (never made it in)
   runtime.apply(withdraw);
+}
+
+// Quiescent-runtime invariants after migrations: every chip stores a
+// disjoint, address-ordered run inside its own range, as many shapes as
+// its occupancy says; every address (sampled, plus each stored shape's
+// edges) resolves as the compressed table does; and every retired
+// version is reclaimed.
+void expect_chips_consistent(LookupRuntime& runtime, std::uint64_t seed) {
+  const auto& boundaries = runtime.boundaries();
+  const auto occupancy = runtime.chip_occupancy();
+  std::vector<Ipv4Address> probes = random_addresses(4'000, seed);
+  for (std::size_t chip = 0; chip < runtime.worker_count(); ++chip) {
+    const std::uint64_t lo = chip == 0 ? 0 : boundaries[chip - 1].value();
+    const std::uint64_t hi = chip + 1 == runtime.worker_count()
+                                 ? 0xFFFF'FFFFull
+                                 : boundaries[chip].value() - 1ull;
+    const auto routes = runtime.chip_routes(chip);
+    EXPECT_EQ(routes.size(), occupancy[chip]) << "chip " << chip;
+    for (std::size_t i = 0; i < routes.size(); ++i) {
+      const Prefix& prefix = routes[i].prefix;
+      EXPECT_GE(prefix.range_low().value(), lo) << prefix.to_string();
+      EXPECT_LE(prefix.range_high().value(), hi) << prefix.to_string();
+      if (i > 0) {
+        EXPECT_GT(prefix.range_low().value(),
+                  routes[i - 1].prefix.range_high().value())
+            << prefix.to_string() << " overlaps its predecessor";
+      }
+      probes.push_back(prefix.range_low());
+      probes.push_back(prefix.range_high());
+    }
+  }
+  const auto hops = runtime.lookup_batch(probes);
+  const auto& compressed = runtime.fib().compressed();
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    ASSERT_EQ(hops[i], compressed.lookup(probes[i]))
+        << "address " << probes[i].to_string();
+  }
+  runtime.reclaim();
+  const auto m = runtime.metrics();
+  EXPECT_EQ(m.tables_pending, 0u);
+  EXPECT_EQ(m.tables_reclaimed, m.tables_published);
+}
+
+bool stores(const LookupRuntime& runtime, std::size_t chip,
+            const clue::netbase::Route& route) {
+  const auto routes = runtime.chip_routes(chip);
+  return std::find(routes.begin(), routes.end(), route) != routes.end();
+}
+
+// A compressed route that straddles a boundary is stored as two pieces.
+// When a migration moves the boundary past it, the receiver must hold
+// both pieces — its chip state, not a fresh split of the compressed
+// table at the new boundaries, which would give one /24 — and a later
+// withdrawal must find and erase both.
+TEST(RebalanceTest, MigrationKeepsBothPiecesOfASplitRoute) {
+  clue::trie::BinaryTrie fib;
+  for (std::uint32_t i = 0; i < 16; ++i) {  // chip 0: 9.0.{0,2,..,30}.0/24
+    fib.insert(Prefix(Ipv4Address::from_octets(9, 0, 2 * i, 0), 24),
+               make_next_hop(1 + i));
+  }
+  fib.insert(*Prefix::parse("10.0.0.0/25"), make_next_hop(20));
+  fib.insert(*Prefix::parse("10.0.0.128/25"), make_next_hop(21));
+  for (std::uint32_t i = 0; i < 16; ++i) {  // chip 1: 11.0.{0,2,..}.0/24
+    fib.insert(Prefix(Ipv4Address::from_octets(11, 0, 2 * i, 0), 24),
+               make_next_hop(30 + i));
+  }
+  RuntimeConfig config;
+  config.worker_count = 2;
+  config.rebalance = false;  // migrations only when asked
+  LookupRuntime runtime(fib, config);
+  const Ipv4Address boundary = Ipv4Address::from_octets(10, 0, 0, 128);
+  ASSERT_EQ(runtime.boundaries(),
+            std::vector<Ipv4Address>{boundary});
+
+  // The /25s give way to one /24 across the boundary: two pieces.
+  runtime.apply(clue::test_support::announce("10.0.0.0/24", 50));
+  runtime.apply(clue::test_support::withdraw("10.0.0.0/25"));
+  runtime.apply(clue::test_support::withdraw("10.0.0.128/25"));
+  ASSERT_TRUE(runtime.fib().compressed().find(*Prefix::parse("10.0.0.0/24")));
+  const clue::netbase::Route lo{*Prefix::parse("10.0.0.0/25"),
+                                make_next_hop(50)};
+  const clue::netbase::Route hi{*Prefix::parse("10.0.0.128/25"),
+                                make_next_hop(50)};
+  ASSERT_TRUE(stores(runtime, 0, lo));
+  ASSERT_TRUE(stores(runtime, 1, hi));
+
+  // Chip 1 grows, and the forced pass moves its bottom run — the upper
+  // piece first — to chip 0.
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    runtime.apply(UpdateMsg{UpdateKind::kAnnounce,
+                            Prefix(Ipv4Address::from_octets(12, 0, 2 * i, 0),
+                                   24),
+                            make_next_hop(60 + i)});
+  }
+  ASSERT_GT(runtime.rebalance_now(), 0u);
+  ASSERT_GT(runtime.boundaries().front().value(), boundary.value());
+  EXPECT_TRUE(stores(runtime, 0, lo));
+  EXPECT_TRUE(stores(runtime, 0, hi));
+  expect_chips_consistent(runtime, 2501);
+
+  // Both pieces are the /24's stored shapes now, on one chip (where the
+  // same-hop pair may sit as one collapsed /24 slot): withdrawing the
+  // /24 erases both.
+  runtime.apply(clue::test_support::withdraw("10.0.0.0/24"));
+  EXPECT_FALSE(stores(runtime, 0, lo));
+  EXPECT_FALSE(stores(runtime, 0, hi));
+  EXPECT_EQ(runtime.lookup(Ipv4Address::from_octets(10, 0, 0, 200)),
+            clue::netbase::kNoRoute);
+  expect_chips_consistent(runtime, 2502);
+}
+
+TEST(RebalanceTest, ForcedPassesKeepChipsDisjointInRangeAndExact) {
+  const auto fib = make_fib(6'000, 2601);
+  RuntimeConfig config;
+  config.worker_count = 4;
+  config.rebalance = false;  // only the forced passes below migrate
+  LookupRuntime runtime(fib, config);
+  Pcg32 rng(2602);
+  std::size_t steps = 0;
+  for (int round = 0; round < 6; ++round) {
+    // Hot churn into one chip's range (alternating ends), then even out.
+    const auto& boundaries = runtime.boundaries();
+    const bool low_end = round % 2 == 0;
+    const std::uint32_t base = low_end ? 0 : boundaries.back().value();
+    const std::uint32_t span =
+        low_end ? boundaries.front().value()
+                : 0xFFFF'FFFFu - boundaries.back().value();
+    for (int u = 0; u < 400; ++u) {
+      // hot_announce draws below `span`; `base` shifts it into the chip.
+      UpdateMsg msg = hot_announce(rng, span);
+      msg.prefix =
+          Prefix(Ipv4Address(base + msg.prefix.range_low().value()), 24);
+      runtime.apply(msg);
+    }
+    steps += runtime.rebalance_now();
+    EXPECT_LE(runtime.skew(), 1.25) << "round " << round;
+    expect_chips_consistent(runtime, 2603 + round);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(steps, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 //  - after churn quiesces, no DRed holds a stale route (the mid-fill
 //    publish race) and every store's structural invariants hold;
 //  - export_metrics() carries counters, per-worker service histograms,
-//    the client latency histogram, and the TTF trace.
+//    the client latency histogram, and the TTF trace;
+//  - the flat-rebuild histogram holds commit rebuilds only: start-up
+//    builds land in their own gauge.
 #include "runtime/lookup_runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -223,7 +225,7 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
 
   // The TTF trace retains the most recent applies, oldest first, each
   // with non-negative stage spans; a commit that republished chips
-  // splits TTF2 into trie edit, flat rebuild and grace sub-spans.
+  // splits TTF2 into admission, flat rebuild and grace sub-spans.
   bool trace_seen = false;
   for (const auto& [name, entries] : registry.ttf_traces()) {
     if (name != "runtime.ttf") continue;
@@ -237,10 +239,10 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
       EXPECT_GE(e.ttf3_ns, 0.0);
       EXPECT_LE(e.chips_touched, runtime.worker_count());
       if (e.chips_touched > 0) {
-        EXPECT_GT(e.mutate_ns, 0.0);
+        EXPECT_GT(e.admit_ns, 0.0);
         EXPECT_GT(e.flat_ns, 0.0);
         EXPECT_GT(e.grace_ns, 0.0);
-        EXPECT_LE(e.mutate_ns + e.flat_ns + e.grace_ns, e.ttf2_ns);
+        EXPECT_LE(e.admit_ns + e.flat_ns + e.grace_ns, e.ttf2_ns);
       }
     }
   }
@@ -249,6 +251,42 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
   // A second export overwrites in place instead of duplicating names.
   runtime.export_metrics(registry);
   EXPECT_EQ(counter("runtime.lookups_completed"), addresses.size());
+}
+
+TEST(LookupRuntimeTest, FlatRebuildHistogramCountsCommitRebuildsOnly) {
+  const auto fib = make_fib(10'000, 7401);
+  RuntimeConfig config;
+  config.worker_count = 3;
+  config.rebalance = false;  // no migration rebuilds
+  LookupRuntime runtime(fib, config);
+
+  clue::workload::UpdateConfig update_config;
+  update_config.seed = 7402;
+  clue::workload::UpdateGenerator updates(fib, update_config);
+  for (int i = 0; i < 300; ++i) runtime.apply(updates.next());
+  std::vector<clue::workload::UpdateMsg> burst;
+  for (int i = 0; i < 64; ++i) burst.push_back(updates.next());
+  runtime.apply_batch(burst);
+
+  clue::obs::MetricsRegistry registry;
+  runtime.export_metrics(registry);
+  const std::uint64_t publishes = runtime.metrics().batch_publishes;
+  ASSERT_GT(publishes, 0u);
+  bool histogram_seen = false;
+  for (const auto& [name, snap] : registry.histograms()) {
+    if (name != "runtime.flat_rebuild_ns") continue;
+    histogram_seen = true;
+    // One rebuild per chip a commit republished, and nothing else.
+    EXPECT_EQ(snap.total, publishes);
+  }
+  EXPECT_TRUE(histogram_seen);
+  bool gauge_seen = false;
+  for (const auto& [name, value] : registry.gauges()) {
+    if (name != "runtime.flat_build_ns") continue;
+    gauge_seen = true;
+    EXPECT_GT(value, 0.0);
+  }
+  EXPECT_TRUE(gauge_seen);
 }
 
 }  // namespace
