@@ -2,15 +2,16 @@
 // more efficient [than caching destination addresses], and this is also
 // in accord with our experimental results."
 //
-// Same traffic, same capacity budget, three cache granularities:
-//   address   — exact-IP LRU (Shyu / Chiueh / Talbot style);
+// Same traffic, same capacity budget, three cache granularities, each a
+// DredStore (one LRU and one LPM probe), differing only in what it holds:
+//   address   — /32 host routes, an exact-IP cache (Shyu / Chiueh /
+//               Talbot style);
 //   rrc-me    — minimal-expansion prefixes (what CLPL caches);
 //   region    — ONRTC disjoint regions (what CLUE caches).
 // Each entry of a coarser granularity covers more of the address space,
 // so at equal capacity hit rates must order address < rrc-me < region.
 #include <iostream>
 
-#include "engine/address_cache.hpp"
 #include "engine/dred.hpp"
 #include "metrics_out.hpp"
 #include "onrtc/onrtc.hpp"
@@ -42,13 +43,15 @@ int main() {
   clue::stats::TablePrinter out(
       {"Capacity", "address-cache", "rrc-me-prefix", "onrtc-region"});
   for (const std::size_t capacity : {256, 1024, 4096, 16384}) {
-    clue::engine::AddressCache addresses(capacity);
+    clue::engine::DredStore addresses(capacity);
     clue::engine::DredStore expansions(capacity);
     clue::engine::DredStore regions(capacity);
     for (const auto address : trace) {
       // Miss -> fill, the standard demand-filled cache discipline.
       if (!addresses.lookup(address)) {
-        addresses.insert(address, fib.lookup(address));
+        addresses.insert(clue::netbase::Route{
+            clue::netbase::Prefix(address, clue::netbase::Prefix::kMaxLength),
+            fib.lookup(address)});
       }
       if (!expansions.lookup(address)) {
         if (const auto fill = clue::rrcme::minimal_expansion(fib, address)) {

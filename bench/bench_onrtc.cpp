@@ -9,7 +9,6 @@
 #include "engine/dred.hpp"
 #include "onrtc/onrtc.hpp"
 #include "rrcme/rrc_me.hpp"
-#include "trie/multibit_trie.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/traffic_gen.hpp"
 #include "workload/update_gen.hpp"
@@ -75,40 +74,6 @@ void BM_FullCompression(benchmark::State& state) {
 }
 BENCHMARK(BM_FullCompression)->Arg(100'000)->Arg(400'000)
     ->Unit(benchmark::kMillisecond);
-
-void BM_MultibitLookup(benchmark::State& state) {
-  const auto fib = make_fib(static_cast<std::size_t>(state.range(0)));
-  clue::trie::MultibitTrie multibit;
-  fib.for_each_route([&multibit](const clue::netbase::Route& route) {
-    multibit.insert(route.prefix, route.next_hop);
-  });
-  clue::netbase::Pcg32 rng(7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        multibit.lookup(clue::netbase::Ipv4Address(rng.next())));
-  }
-}
-BENCHMARK(BM_MultibitLookup)->Arg(10'000)->Arg(100'000);
-
-void BM_MultibitUpdate(benchmark::State& state) {
-  const auto fib = make_fib(static_cast<std::size_t>(state.range(0)));
-  clue::trie::MultibitTrie multibit;
-  fib.for_each_route([&multibit](const clue::netbase::Route& route) {
-    multibit.insert(route.prefix, route.next_hop);
-  });
-  clue::workload::UpdateConfig config;
-  config.seed = 9;
-  clue::workload::UpdateGenerator updates(fib, config);
-  for (auto _ : state) {
-    const auto msg = updates.next();
-    if (msg.kind == clue::workload::UpdateKind::kAnnounce) {
-      multibit.insert(msg.prefix, msg.next_hop);
-    } else {
-      multibit.erase(msg.prefix);
-    }
-  }
-}
-BENCHMARK(BM_MultibitUpdate)->Arg(100'000);
 
 void BM_DredLookup(benchmark::State& state) {
   clue::engine::DredStore dred(static_cast<std::size_t>(state.range(0)));

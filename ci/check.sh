@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 suite in a plain build, then the same suite under
-# ASan+UBSan (its soak tests at CLUE_ASAN_SOAK_UPDATES updates, default
-# 100000), then the concurrency tests (SPSC ring, doorbell parking,
-# epoch domain, runtime stress, rebalancer, group-commit batches, the
-# cross-host commit transaction, observability counters/histograms)
-# under TSan, then a metrics-exporter smoke run
+# CI gate: every build adds -Werror to the project's -Wall -Wextra, so
+# a warning fails it. Stages: tier-1 suite in a plain build, then the
+# same suite under ASan+UBSan (its soak tests at CLUE_ASAN_SOAK_UPDATES
+# updates, default 100000), then the concurrency tests (SPSC ring,
+# doorbell parking, epoch domain, runtime stress, rebalancer,
+# group-commit batches, the cross-host commit transaction,
+# observability counters/histograms) under TSan, then a
+# metrics-exporter smoke run
 # (bench_runtime_throughput + bench_update_burst, whose JSON exports
 # must parse, whose multi-worker runs must apply DRed fills, and whose
 # batched throughput must beat sequential), then
@@ -36,7 +38,8 @@ STAGE="${1:-all}"
 
 configure_and_build() {
   local dir="$1" sanitize="$2"
-  cmake -B "$dir" -S . -DCLUE_SANITIZE="$sanitize" >/dev/null
+  cmake -B "$dir" -S . -DCLUE_SANITIZE="$sanitize" \
+    -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build "$dir" -j "$JOBS"
 }
 

@@ -220,12 +220,12 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
       if (job.dred_only) {
         if (const auto hop = me.dred->lookup(job.address)) {
           ++dred_hits;
-          return Completion{job.index, *hop, false, job.gen};
+          return Completion{job.index, *hop, false};
         }
         // Miss: the client re-enqueues at the home chip (the runtime's
         // version of the engine's beyond-FIFO-bound return acceptance).
         ++miss_returns;
-        return Completion{job.index, netbase::kNoRoute, true, job.gen};
+        return Completion{job.index, netbase::kNoRoute, true};
       }
       ++home_lookups;
       const NextHop hop = table.flat.lookup(job.address);
@@ -238,7 +238,7 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
           fills[fill_count++] = FillMsg{*matched, table.version};
         }
       }
-      return Completion{job.index, hop, false, job.gen};
+      return Completion{job.index, hop, false};
     };
     // Request every job's level-1 line before resolving any: the flat
     // array is tens of MB and cache-cold per batch, so the loads overlap
@@ -294,10 +294,9 @@ bool LookupRuntime::drain_control(std::size_t w) {
     if (msg.kind == ControlMsg::Kind::kFence) {
       // Capacity-bounded: the jobs the fence must flush were enqueued
       // before the indexing republish and number at most one ring's worth
-      // (fifo_depth rounded up to a power of two); anything pushed behind
-      // them was routed by the new indexing and is safe against any table
-      // version, so there is no need to chase the ring while the client
-      // keeps refilling it.
+      // (fifo_depth); anything pushed behind them was routed by the new
+      // indexing and is safe against any table version, so there is no
+      // need to chase the ring while the client keeps refilling it.
       const std::size_t capacity = me.jobs->capacity();
       for (std::size_t served = 0, n = 1; served < capacity && n > 0;
            served += n) {
@@ -409,18 +408,16 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
     std::span<const Ipv4Address> addresses,
     std::vector<double>* latency_ns) {
   std::vector<NextHop> results(addresses.size(), netbase::kNoRoute);
-  // New generation: completions stranded in the rings by an aborted
-  // earlier batch carry a stale gen and are dropped on drain below
-  // instead of being written through a differently-sized results vector.
-  const std::uint32_t gen = ++batch_gen_;
-  if (latency_ns) {
-    latency_ns->assign(addresses.size(), 0.0);
-    submitted_.resize(addresses.size());
+  if (latency_ns) latency_ns->assign(addresses.size(), 0.0);
+  // Only stop() ends a batch early, and it may leave completions in the
+  // rings. A stop is permanent, so every later batch returns here without
+  // draining them: each completion a batch drains is its own.
+  if (stop_.load(std::memory_order_acquire)) {
+    client_counters_.add(ClientCounter::kBatchesAborted);
+    client_counters_.add(ClientCounter::kLookupsCompleted, addresses.size());
+    return results;
   }
-  // Leftovers of an aborted earlier batch index a dead results vector.
-  returns_.clear();
-  backlog_.clear();
-  for (auto& staged : stage_) staged.clear();
+  if (latency_ns) submitted_.resize(addresses.size());
   std::size_t next = 0;
   std::size_t outstanding = 0;
   Backoff backoff;
@@ -470,9 +467,8 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
             std::min(addresses.size(), next + kClientStage);
         for (; next < stage_end; ++next) {
           const std::size_t home = indexing.tcam_of(addresses[next]);
-          stage_[home].push_back(Job{addresses[next],
-                                     static_cast<std::uint32_t>(next), false,
-                                     gen});
+          stage_[home].push_back(
+              Job{addresses[next], static_cast<std::uint32_t>(next), false});
         }
         for (std::size_t w = 0; w < workers_.size(); ++w) {
           auto& staged = stage_[w];
@@ -516,10 +512,8 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
         progress = true;
         for (std::size_t d = 0; d < got; ++d) {
           const Completion& done = drain_scratch_[d];
-          if (done.gen != gen) continue;  // stranded by an aborted batch
           if (done.miss_return) {
-            returns_.push_back(
-                Job{addresses[done.index], done.index, false, gen});
+            returns_.push_back(Job{addresses[done.index], done.index, false});
           } else {
             results[done.index] = done.hop;
             if (latency_ns) {

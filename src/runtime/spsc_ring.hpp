@@ -16,11 +16,13 @@
 //     bump: the consumer's acquire load of tail_ makes the producer's
 //     slot writes visible, and vice versa for recycled slots.
 //
-// Capacity is rounded up to a power of two so the cursors can be
-// free-running counters masked into slot indices.
+// The ring holds exactly the capacity it was built with. The cursors are
+// free-running counters masked into a slot array sized to the next power
+// of two, of which at most `capacity` slots are in use at once.
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -34,9 +36,9 @@ template <typename T>
 class SpscRing {
  public:
   explicit SpscRing(std::size_t capacity)
-      : capacity_(round_up_pow2(capacity < 2 ? 2 : capacity)),
-        mask_(capacity_ - 1),
-        slots_(capacity_) {}
+      : capacity_(capacity < 1 ? 1 : capacity),
+        mask_(std::bit_ceil(capacity_) - 1),
+        slots_(mask_ + 1) {}
 
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
@@ -119,12 +121,6 @@ class SpscRing {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  static std::size_t round_up_pow2(std::size_t n) {
-    std::size_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
-  }
-
   std::size_t capacity_;
   std::size_t mask_;
   std::vector<T> slots_;

@@ -4,6 +4,7 @@
 // EXPERIMENTS.md).
 #include <gtest/gtest.h>
 
+#include "engine/dred.hpp"
 #include "engine/parallel_engine.hpp"
 #include "netbase/rng.hpp"
 #include "onrtc/onrtc.hpp"
@@ -179,6 +180,55 @@ TEST(PaperClaims, OneShiftPerTcamOperation) {
       EXPECT_LE(updater.chip().stats().moves - before, 1u);
     }
   }
+}
+
+// "Caching prefixes is more efficient [than caching destination
+// addresses]" (§III-C) — at equal capacity, one LRU store holding ONRTC
+// regions hits far more often than the same store holding /32 host
+// routes, both demand-filled from the same Zipf trace. Every hit must
+// also answer as the FIB does.
+TEST(PaperClaims, PrefixCachingBeatsAddressCaching) {
+  workload::RibConfig rib_config;
+  rib_config.table_size = 10'000;
+  rib_config.seed = 114;
+  const auto fib = workload::generate_rib(rib_config);
+  const auto table = onrtc::compress(fib);
+  trie::BinaryTrie disjoint;
+  std::vector<Prefix> prefixes;
+  for (const auto& route : table) {
+    disjoint.insert(route.prefix, route.next_hop);
+    prefixes.push_back(route.prefix);
+  }
+  workload::TrafficConfig traffic_config;
+  traffic_config.seed = 115;
+  traffic_config.zipf_skew = 1.05;
+  workload::TrafficGenerator traffic(prefixes, traffic_config);
+
+  constexpr std::size_t kCapacity = 512;
+  engine::DredStore addresses(kCapacity);
+  engine::DredStore regions(kCapacity);
+  for (const auto address : traffic.generate(50'000)) {
+    const netbase::NextHop truth = fib.lookup(address);
+    if (const auto hop = addresses.lookup(address)) {
+      ASSERT_EQ(*hop, truth);
+    } else {
+      addresses.insert(
+          netbase::Route{Prefix(address, Prefix::kMaxLength), truth});
+    }
+    if (const auto hop = regions.lookup(address)) {
+      ASSERT_EQ(*hop, truth);
+    } else if (const auto matched = disjoint.lookup_route(address)) {
+      regions.insert(*matched);
+    }
+  }
+  EXPECT_TRUE(addresses.invariants_ok());
+  EXPECT_TRUE(regions.invariants_ok());
+  EXPECT_EQ(addresses.size(), kCapacity);
+  const double address_hits = addresses.stats().hit_rate();
+  const double region_hits = regions.stats().hit_rate();
+  EXPECT_GT(region_hits, 0.3);
+  EXPECT_GT(region_hits, 10.0 * address_hits)
+      << "regions " << region_hits << " vs /32 hosts " << address_hits;
 }
 
 // "TTF2+TTF3 of CLUE is [a small fraction] of CLPL" — the data-plane

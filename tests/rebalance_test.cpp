@@ -775,8 +775,9 @@ TEST(RebalanceSoakTest, ChurnSoakKeepsSkewBoundedAndAnswersInWindow) {
   run_churn_soak(64);
 }
 
-// The home FIFO holds fifo_depth rounded up to a power of two (8 here),
-// and a migration fence must drain all of it before the donor shrinks.
+// The home FIFO holds exactly fifo_depth jobs (5 here, not a power of
+// two), and a migration fence must drain all of them before the donor
+// shrinks.
 TEST(RebalanceSoakTest, ChurnSoakAtNonPowerOfTwoFifoDepth) {
   run_churn_soak(5);
 }

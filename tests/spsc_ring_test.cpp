@@ -26,12 +26,29 @@ TEST(SpscRingTest, PushPopPreservesFifoOrder) {
   EXPECT_FALSE(ring.try_pop(out));
 }
 
-TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscRing<int>(1).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(2).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(5).capacity(), 8u);
-  EXPECT_EQ(SpscRing<int>(256).capacity(), 256u);
-  EXPECT_EQ(SpscRing<int>(257).capacity(), 512u);
+// A non-power-of-two capacity is held exactly, not rounded up: the
+// dispatch policy counts a home FIFO of fifo_depth jobs as full.
+TEST(SpscRingTest, HoldsExactlyTheRequestedCapacity) {
+  SpscRing<int> ring(5);
+  EXPECT_EQ(ring.capacity(), 5u);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.try_push(i));
+  EXPECT_FALSE(ring.try_push(5));
+  int more[3] = {5, 6, 7};
+  EXPECT_EQ(ring.try_push_n(more, 3), 0u);
+  EXPECT_EQ(ring.size_approx(), 5u);
+
+  // Across wraparound too: an overflowing batched push takes only what
+  // fits, and order is kept.
+  int out = -1;
+  ASSERT_TRUE(ring.try_pop(out));
+  ASSERT_TRUE(ring.try_pop(out));
+  EXPECT_EQ(ring.try_push_n(more, 3), 2u);
+  EXPECT_FALSE(ring.try_push(99));
+  for (const int expected : {2, 3, 4, 5, 6}) {
+    ASSERT_TRUE(ring.try_pop(out));
+    EXPECT_EQ(out, expected);
+  }
+  EXPECT_FALSE(ring.try_pop(out));
 }
 
 TEST(SpscRingTest, FullRingRejectsPushUntilPopped) {
