@@ -4,6 +4,9 @@
 // probe and fill costs.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "netbase/rng.hpp"
 #include "onrtc/compressed_fib.hpp"
 #include "engine/dred.hpp"
@@ -129,6 +132,47 @@ void BM_DredInsertEvict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DredInsertEvict);
+
+// Per-fill cost of one Zipf(1.0) stream of /24 fills over 131072
+// prefixes into a 1024-entry store, through insert (arg 0) and through
+// the doorkeeper's offer (arg 1): a stream whose tail is offered once
+// evicts on nearly every insert, while offer declines first offers.
+void BM_DredOfferZipf(benchmark::State& state) {
+  constexpr std::size_t kPrefixes = std::size_t{1} << 17;
+  constexpr std::size_t kStream = std::size_t{1} << 20;
+  std::vector<clue::netbase::Route> routes;
+  routes.reserve(kPrefixes);
+  for (std::uint32_t rank = 0; rank < kPrefixes; ++rank) {
+    // An odd multiplier permutes the 24-bit /24 numbers, so the popular
+    // prefixes spread over the address space.
+    const std::uint32_t slash24 = (rank * 0x9E3779B1u) & 0xFFFFFFu;
+    routes.push_back(clue::netbase::Route{
+        clue::netbase::Prefix(clue::netbase::Ipv4Address(slash24 << 8), 24),
+        clue::netbase::make_next_hop(1 + rank % 16)});
+  }
+  const clue::netbase::ZipfSampler zipf(kPrefixes, 1.0);
+  clue::netbase::Pcg32 rng(23);
+  std::vector<std::uint32_t> stream(kStream);
+  for (auto& rank : stream) rank = static_cast<std::uint32_t>(zipf.sample(rng));
+
+  const bool via_offer = state.range(0) != 0;
+  clue::engine::DredStore dred(1024);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& route = routes[stream[i++ & (kStream - 1)]];
+    if (via_offer) {
+      benchmark::DoNotOptimize(dred.offer(route));
+    } else {
+      dred.insert(route);
+    }
+  }
+  const auto fills = static_cast<double>(state.iterations());
+  state.counters["evictions_per_fill"] =
+      static_cast<double>(dred.stats().evictions) / fills;
+  state.counters["declined_per_fill"] =
+      static_cast<double>(dred.stats().declined) / fills;
+}
+BENCHMARK(BM_DredOfferZipf)->ArgName("offer")->Arg(0)->Arg(1);
 
 void BM_RrcMeExpansion(benchmark::State& state) {
   const auto fib = make_fib(100'000);

@@ -117,6 +117,7 @@ RunResult run_once(const clue::trie::BinaryTrie& fib,
   registry.set_gauge(run_tag + ".dred_hit_rate", result.dred_hit_rate);
   registry.set_counter(run_tag + ".fills_sent", metrics.fills_sent);
   registry.set_counter(run_tag + ".fills_applied", metrics.fills_applied);
+  registry.set_counter(run_tag + ".fills_declined", metrics.fills_declined);
   // Per-worker service-time histograms + client latency histogram.
   for (std::size_t w = 0; w < runtime.worker_count(); ++w) {
     registry.add_histogram(

@@ -108,13 +108,15 @@ for key in ("flat_ab.speedup", "flat_ab.flat_mlookups_per_s",
     assert key in gauges, f"missing {key} gauge"
 assert gauges["flat_ab.speedup"] > 0, "flat A/B did not run"
 # Every multi-worker run (tags "w<N>.<churn>") must have landed DRed
-# fills: fill batching that silently drops them all fails here.
+# fills: fill batching that silently drops them all fails here. The
+# doorkeeper's declines must be exported beside them.
 counters = doc["counters"]
 runs = [k[:-len(".fills_sent")] for k in counters if k.endswith(".fills_sent")]
 multi = [t for t in runs if int(t.split(".")[0][1:]) > 1]
 assert multi, "no multi-worker run exported fill counters"
 for tag in multi:
     assert counters[tag + ".fills_applied"] > 0, f"{tag}: no DRed fill applied"
+    assert tag + ".fills_declined" in counters, f"{tag}: fills_declined missing"
 EOF
   else
     echo "smoke: python3 not found, skipping JSON parse check"

@@ -9,6 +9,8 @@ namespace clue::engine {
 namespace {
 
 constexpr std::size_t kLevel1Slots = std::size_t{1} << 16;
+// doorkeeper_slot takes the hash's top 12 bits.
+static_assert(DredStore::kDoorkeeperSlots == std::size_t{1} << 12);
 
 }  // namespace
 
@@ -29,19 +31,48 @@ DredStore::DredStore(std::size_t capacity) : capacity_(capacity) {
   index_mask_ = slots - 1;
   index_shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
   level1_.assign(kLevel1Slots, 0);
+  doorkeeper_.assign(kDoorkeeperSlots, 0);
 }
 
 void DredStore::insert(const Route& route) {
   const Prefix& prefix = route.prefix;
   if (const std::uint32_t id = find(prefix.bits(), prefix.length());
       id != kNil) {
-    // Already cached: an update, not a fresh insertion. The paint names
-    // the entry, not the hop, so only the entry changes.
-    entries_[id].route.next_hop = route.next_hop;
-    touch(id);
-    ++stats_.updates;
-    return;
+    refresh(id, route.next_hop);
+  } else {
+    add(route);
   }
+}
+
+bool DredStore::offer(const Route& route) {
+  const Prefix& prefix = route.prefix;
+  if (const std::uint32_t id = find(prefix.bits(), prefix.length());
+      id != kNil) {
+    refresh(id, route.next_hop);
+    return true;
+  }
+  std::uint32_t& slot = doorkeeper_[doorkeeper_slot(prefix)];
+  const std::uint32_t tag = doorkeeper_tag(prefix);
+  if (slot == tag) {
+    slot = 0;
+    add(route);
+    return true;
+  }
+  slot = tag;
+  ++stats_.declined;
+  return false;
+}
+
+void DredStore::refresh(std::uint32_t id, NextHop next_hop) {
+  // Already cached: an update, not a fresh insertion. The paint names
+  // the entry, not the hop, so only the entry changes.
+  entries_[id].route.next_hop = next_hop;
+  touch(id);
+  ++stats_.updates;
+}
+
+void DredStore::add(const Route& route) {
+  const Prefix& prefix = route.prefix;
   if (size_ == capacity_) {
     remove(tail_);
     ++stats_.evictions;

@@ -48,6 +48,13 @@ using netbase::Route;
 // collapses back into its parent slot. Stats and LRU order are those
 // of a plain list + trie store: a hit counts and promotes, fix does not
 // promote, a re-offered prefix is an update, never an insertion.
+//
+// offer is insert behind an admission filter (a TinyLFU-style
+// doorkeeper, a fixed array of kDoorkeeperSlots 32-bit tags): an
+// uncached route enters on its second offer only. A fill is a write
+// that competes with lookups for the chip, and a full store pays an
+// eviction for every fresh entry, so a route offered once does not get
+// to displace one already cached.
 class DredStore {
  public:
   struct Stats {
@@ -57,6 +64,7 @@ class DredStore {
     std::uint64_t updates = 0;     ///< already-cached prefix re-offered/fixed
     std::uint64_t evictions = 0;
     std::uint64_t erasures = 0;
+    std::uint64_t declined = 0;    ///< offers the doorkeeper turned away
 
     double hit_rate() const {
       return lookups ? static_cast<double>(hits) /
@@ -68,6 +76,15 @@ class DredStore {
   /// Largest supported capacity: entry ids share a 32-bit slot with the
   /// painted length.
   static constexpr std::size_t kMaxCapacity = std::size_t{1} << 25;
+
+  /// Doorkeeper size: one 32-bit tag per slot, whatever the capacity.
+  static constexpr std::size_t kDoorkeeperSlots = 4096;
+
+  /// Doorkeeper slot of `prefix`: two prefixes with the same slot
+  /// overwrite each other's first offer.
+  static constexpr std::size_t doorkeeper_slot(const Prefix& prefix) {
+    return static_cast<std::size_t>(doorkeeper_hash(prefix) >> 52);
+  }
 
   /// Throws std::invalid_argument when capacity is 0 or above
   /// kMaxCapacity.
@@ -94,6 +111,15 @@ class DredStore {
   /// its next hop); evicts the least-recently-used entry when full.
   /// A re-offered prefix counts as an update, never a fresh insertion.
   void insert(const Route& route);
+
+  /// A cache fill behind the doorkeeper. A cached route takes insert's
+  /// update path (hop rewritten, entry promoted). An uncached one is
+  /// admitted only when its doorkeeper slot holds its tag, i.e. on the
+  /// second offer since its slot last changed: the tag is cleared and
+  /// the route inserted. Otherwise the route's tag replaces the slot's
+  /// and the offer is declined (Stats::declined). Returns true when the
+  /// route is cached afterwards.
+  bool offer(const Route& route);
 
   /// Control-plane fix (§IV-C kModify sync): rewrites the next hop of an
   /// already-cached prefix *without* promoting it in LRU order — a sync
@@ -169,6 +195,21 @@ class DredStore {
   static constexpr std::size_t level2_at(std::uint32_t bits) {
     return (bits >> 8) & 0xFF;
   }
+
+  /// Fibonacci hash of (bits, length): the top 12 bits pick the
+  /// doorkeeper slot, the 32 below them the tag (never 0, which marks an
+  /// empty slot).
+  static constexpr std::uint64_t doorkeeper_hash(const Prefix& prefix) {
+    return ((std::uint64_t{prefix.bits()} << 6) | prefix.length()) *
+           0x9E3779B97F4A7C15ull;
+  }
+  static constexpr std::uint32_t doorkeeper_tag(const Prefix& prefix) {
+    return static_cast<std::uint32_t>(doorkeeper_hash(prefix) >> 20) | 1u;
+  }
+
+  /// insert's two halves: re-offer of cached entry `id`, fresh entry.
+  void refresh(std::uint32_t id, NextHop next_hop);
+  void add(const Route& route);
 
   std::size_t index_home(std::uint32_t bits, unsigned length) const;
   /// Entry id stored for (bits, length), or kNil.
@@ -246,6 +287,8 @@ class DredStore {
   std::vector<std::uint32_t> deeper_;
   std::uint32_t free_block_ = kNil;
   std::size_t blocks_in_use_ = 0;
+
+  std::vector<std::uint32_t> doorkeeper_;  // kDoorkeeperSlots tags, 0 = empty
 
   Stats stats_;
 };

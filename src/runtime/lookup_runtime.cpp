@@ -40,7 +40,8 @@ constexpr std::size_t kTtfTraceDepth = 1024;
 // clock reads per 64 lookups, noise.
 constexpr std::uint64_t kLatencySampleMask = 64 - 1;
 // Workers offer a DRed fill on one in every 8 home hits, which bounds
-// the fill-ring traffic per lookup.
+// the fill-ring traffic per lookup; a peer's DRed admits an uncached
+// route on its second offer (engine::DredStore::offer).
 constexpr std::uint64_t kFillSampleMask = 8 - 1;
 // Async ingress: the largest batch one updater pass hands to
 // apply_batch(), and the upper bound of its adaptive batch window.
@@ -321,6 +322,7 @@ bool LookupRuntime::drain_fills(std::size_t w) {
   std::array<FillMsg, kWorkerBatch> msgs;
   std::uint64_t applied = 0;
   std::uint64_t stale = 0;
+  std::uint64_t declined = 0;
   for (std::size_t peer = 0; peer < workers_.size(); ++peer) {
     if (peer == w) continue;
     std::size_t n;
@@ -328,22 +330,26 @@ bool LookupRuntime::drain_fills(std::size_t w) {
       // Staleness guard: if the home chip (the ring's producer) republished
       // since a fill was produced, the route may no longer exist (updates,
       // or a migration that moved it off that chip) — drop rather than
-      // poison the cache (a fresh hit will re-fill).
+      // poison the cache (a fresh hit will re-fill). A current fill is
+      // an offer: an uncached route enters on its second one, so a route
+      // hit once does not cost this worker an eviction.
       const std::uint64_t current =
           workers_[peer]->published_version.load(std::memory_order_acquire);
       for (std::size_t i = 0; i < n; ++i) {
         if (msgs[i].version < current) {
           ++stale;
-        } else {
-          me.dred->insert(msgs[i].route);
+        } else if (me.dred->offer(msgs[i].route)) {
           ++applied;
+        } else {
+          ++declined;
         }
       }
     }
   }
   if (applied > 0) me.counters.add(WorkerCounter::kFillsApplied, applied);
   if (stale > 0) me.counters.add(WorkerCounter::kFillsDroppedStale, stale);
-  return applied + stale > 0;
+  if (declined > 0) me.counters.add(WorkerCounter::kFillsDeclined, declined);
+  return applied + stale + declined > 0;
 }
 
 void LookupRuntime::send_fills(std::size_t w, FillMsg* fills,
@@ -414,12 +420,12 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
   // draining them: each completion a batch drains is its own.
   if (stop_.load(std::memory_order_acquire)) {
     client_counters_.add(ClientCounter::kBatchesAborted);
-    client_counters_.add(ClientCounter::kLookupsCompleted, addresses.size());
     return results;
   }
   if (latency_ns) submitted_.resize(addresses.size());
   std::size_t next = 0;
   std::size_t outstanding = 0;
+  std::size_t answered = 0;
   Backoff backoff;
   std::uint64_t idle = 0;
   // No-progress episodes longer than this many polls count as a stall in
@@ -527,6 +533,7 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
               }
             }
             --outstanding;
+            ++answered;
           }
         }
       }
@@ -546,7 +553,9 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
     if (++idle == kStallSpins) client_counters_.add(ClientCounter::kStalls);
     backoff.pause();
   }
-  client_counters_.add(ClientCounter::kLookupsCompleted, addresses.size());
+  // Only answered addresses count: a stopped batch's kNoRoute tail is
+  // not a completed lookup.
+  client_counters_.add(ClientCounter::kLookupsCompleted, answered);
   return results;
 }
 
@@ -938,6 +947,7 @@ RuntimeMetrics LookupRuntime::metrics() const {
     m.fills_applied += c.get(WorkerCounter::kFillsApplied);
     m.fills_dropped_full += c.get(WorkerCounter::kFillsDroppedFull);
     m.fills_dropped_stale += c.get(WorkerCounter::kFillsDroppedStale);
+    m.fills_declined += c.get(WorkerCounter::kFillsDeclined);
   }
   m.lookups_completed = client_counters_.get(ClientCounter::kLookupsCompleted);
   m.diverted = client_counters_.get(ClientCounter::kDiverted);
@@ -999,6 +1009,7 @@ void LookupRuntime::export_metrics(obs::MetricsRegistry& registry) const {
   registry.set_counter("runtime.fills_applied", m.fills_applied);
   registry.set_counter("runtime.fills_dropped_full", m.fills_dropped_full);
   registry.set_counter("runtime.fills_dropped_stale", m.fills_dropped_stale);
+  registry.set_counter("runtime.fills_declined", m.fills_declined);
   registry.set_counter("runtime.updates_applied", m.updates_applied);
   registry.set_counter("runtime.updates_rejected", m.updates_rejected);
   registry.set_counter("runtime.batches_applied", m.batches_applied);

@@ -93,7 +93,8 @@ using netbase::Prefix;
 using netbase::Route;
 
 /// The runtime's settable values. Everything else — ring depths, the
-/// 1-in-64 latency and 1-in-8 fill sampling strides, the update batch
+/// 1-in-64 latency and 1-in-8 fill sampling strides, the DRed
+/// doorkeeper (engine::DredStore::kDoorkeeperSlots), the update batch
 /// bound and window, the rebalancer's watermarks and the flat-image
 /// geometry — is a fixed constant of the implementation.
 struct RuntimeConfig {
@@ -133,6 +134,7 @@ enum class WorkerCounter : std::size_t {
   kFillsApplied,
   kFillsDroppedFull,
   kFillsDroppedStale,
+  kFillsDeclined,
   kCount,
 };
 
@@ -164,9 +166,10 @@ struct RuntimeMetrics {
   std::uint64_t client_stalls = 0;   ///< spin-bound exceeded with no progress
   std::uint64_t batches_aborted = 0; ///< batches unblocked by stop()
   std::uint64_t fills_sent = 0;
-  std::uint64_t fills_applied = 0;
+  std::uint64_t fills_applied = 0;        ///< cached by the peer's DRed
   std::uint64_t fills_dropped_full = 0;   ///< fill ring full (best effort)
   std::uint64_t fills_dropped_stale = 0;  ///< home table moved on: discarded
+  std::uint64_t fills_declined = 0;  ///< first offer: DRed doorkeeper said no
   std::uint64_t updates_applied = 0;
   std::uint64_t updates_rejected = 0;  ///< TcamFullError after rollback
   std::uint64_t batches_applied = 0;   ///< apply_batch() calls that published

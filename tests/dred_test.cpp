@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <list>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "netbase/rng.hpp"
 #include "trie/binary_trie.hpp"
@@ -321,10 +323,12 @@ TEST(DredStore, EvictionKeepsMatchIndexConsistent) {
 
 // Reference model for the differential test: the straightforward store
 // the flat DredStore must be indistinguishable from — a BinaryTrie for
-// LPM and a std::list for exact LRU order, with the same stats rules.
+// LPM and a std::list for exact LRU order, with the same stats rules,
+// and the doorkeeper as one remembered prefix per slot.
 class ModelDred {
  public:
-  explicit ModelDred(std::size_t capacity) : capacity_(capacity) {}
+  explicit ModelDred(std::size_t capacity)
+      : capacity_(capacity), door_(DredStore::kDoorkeeperSlots) {}
 
   std::optional<NextHop> lookup(Ipv4Address address) {
     ++stats_.lookups;
@@ -352,6 +356,22 @@ class ModelDred {
     lru_.push_front(route);
     match_.insert(route.prefix, route.next_hop);
     ++stats_.insertions;
+  }
+
+  bool offer(const Route& route) {
+    if (find(route.prefix) != lru_.end()) {
+      insert(route);
+      return true;
+    }
+    auto& slot = door_[DredStore::doorkeeper_slot(route.prefix)];
+    if (slot == route.prefix) {
+      slot.reset();
+      insert(route);
+      return true;
+    }
+    slot = route.prefix;
+    ++stats_.declined;
+    return false;
   }
 
   bool fix(const Route& route) {
@@ -405,6 +425,7 @@ class ModelDred {
 
   std::size_t capacity_;
   std::list<Route> lru_;  // front = most recently used
+  std::vector<std::optional<Prefix>> door_;  // first offer per slot
   trie::BinaryTrie match_;
   DredStore::Stats stats_;
 };
@@ -417,6 +438,7 @@ void expect_same_stats(const DredStore::Stats& got,
   EXPECT_EQ(got.updates, want.updates);
   EXPECT_EQ(got.evictions, want.evictions);
   EXPECT_EQ(got.erasures, want.erasures);
+  EXPECT_EQ(got.declined, want.declined);
 }
 
 // Overlapping prefixes of every length, concentrated at the paint
@@ -443,6 +465,13 @@ void run_differential(std::size_t capacity, std::uint64_t seed) {
   const auto pick_seen = [&] {
     return seen[rng.next_below(static_cast<std::uint32_t>(seen.size()))];
   };
+  // One of the last 8 prefixes used, so a fill's second offer is common.
+  const auto pick_recent = [&] {
+    const auto window = static_cast<std::uint32_t>(
+        std::min<std::size_t>(seen.size(), 8));
+    return seen[seen.size() - 1 - rng.next_below(window)];
+  };
+  std::size_t admitted = 0;  // uncached routes an offer let in
   // Long enough for the largest store to fill up and start evicting.
   const std::size_t ops = 8000 + 8 * capacity;
   for (std::size_t op = 0; op < ops; ++op) {
@@ -460,10 +489,21 @@ void run_differential(std::size_t capacity, std::uint64_t seed) {
       seen.push_back(prefix);
       probe_prefix = prefix;
     } else if (dice < 40) {
+      // A fill offer: fresh, or a recent prefix (cached or not).
+      const Prefix prefix =
+          rng.next_below(2) == 0 ? random_prefix(rng) : pick_recent();
+      const Route route{prefix, make_next_hop(1 + rng.next_below(6))};
+      const bool cached = dred.contains(prefix);
+      const bool offered = dred.offer(route);
+      ASSERT_EQ(offered, model.offer(route));
+      if (offered && !cached) ++admitted;
+      seen.push_back(prefix);
+      probe_prefix = prefix;
+    } else if (dice < 50) {
       const Route route{pick_seen(), make_next_hop(1 + rng.next_below(6))};
       ASSERT_EQ(dred.fix(route), model.fix(route));
       probe_prefix = route.prefix;
-    } else if (dice < 50) {
+    } else if (dice < 60) {
       probe_prefix = pick_seen();
       ASSERT_EQ(dred.erase(probe_prefix), model.erase(probe_prefix));
     } else {
@@ -490,10 +530,12 @@ void run_differential(std::size_t capacity, std::uint64_t seed) {
     expect_same_stats(dred.stats(), model.stats());
   }
 
-  // The stream reached the paths that matter: full-store eviction and
-  // erase-driven block collapse.
+  // The stream reached the paths that matter: full-store eviction,
+  // erase-driven block collapse, and both doorkeeper outcomes.
   EXPECT_GT(dred.stats().evictions, 0u);
   EXPECT_GT(dred.stats().erasures, 0u);
+  EXPECT_GT(dred.stats().declined, 0u);
+  EXPECT_GT(admitted, 0u);
 
   // Erasing every entry longer than /16 returns every block to the pool.
   for (const auto& prefix : dred.contents()) {
@@ -518,6 +560,83 @@ TEST(DredStore, DifferentialAgainstTrieAndListModel) {
     run_differential(capacity, seed++);
     if (HasFatalFailure()) return;
   }
+}
+
+TEST(DredStore, FirstOfferIsDeclinedAndLeavesStoreUnchanged) {
+  DredStore dred(4);
+  dred.insert(Route{p("10.0.0.0/8"), make_next_hop(1)});
+  dred.insert(Route{p("11.0.0.0/8"), make_next_hop(2)});
+  const auto routes = dred.routes();
+  auto stats = dred.stats();
+
+  EXPECT_FALSE(dred.offer(Route{p("10.1.0.0/16"), make_next_hop(3)}));
+  EXPECT_FALSE(dred.contains(p("10.1.0.0/16")));
+  EXPECT_EQ(dred.routes(), routes);  // same entries, same LRU order
+  ++stats.declined;
+  expect_same_stats(dred.stats(), stats);
+  EXPECT_EQ(dred.lookup(a("10.1.2.3")), make_next_hop(1));
+  EXPECT_TRUE(dred.invariants_ok());
+}
+
+TEST(DredStore, SecondOfferAdmits) {
+  DredStore dred(4);
+  const Route route{p("10.1.0.0/16"), make_next_hop(3)};
+  EXPECT_FALSE(dred.offer(route));
+  EXPECT_TRUE(dred.offer(route));
+  EXPECT_TRUE(dred.contains(route.prefix));
+  EXPECT_EQ(dred.routes().front(), route);
+  EXPECT_EQ(dred.lookup(a("10.1.2.3")), make_next_hop(3));
+  EXPECT_EQ(dred.stats().insertions, 1u);
+  EXPECT_EQ(dred.stats().declined, 1u);
+  EXPECT_TRUE(dred.invariants_ok());
+
+  // Admission spent the tag: once erased, the route starts over.
+  EXPECT_TRUE(dred.erase(route.prefix));
+  EXPECT_FALSE(dred.offer(route));
+  EXPECT_TRUE(dred.offer(route));
+}
+
+TEST(DredStore, CachedReofferUpdatesLikeInsert) {
+  DredStore via_insert(3);
+  DredStore via_offer(3);
+  for (const char* text : {"10.0.0.0/8", "11.0.0.0/8", "12.0.0.0/8"}) {
+    via_insert.insert(Route{p(text), make_next_hop(1)});
+    via_offer.insert(Route{p(text), make_next_hop(1)});
+  }
+  // 10/8 is the LRU entry; re-offering it rewrites the hop and promotes.
+  const Route reoffer{p("10.0.0.0/8"), make_next_hop(9)};
+  via_insert.insert(reoffer);
+  EXPECT_TRUE(via_offer.offer(reoffer));
+  EXPECT_EQ(via_offer.routes(), via_insert.routes());
+  EXPECT_EQ(via_offer.routes().front(), reoffer);
+  expect_same_stats(via_offer.stats(), via_insert.stats());
+
+  // Same victim next: the promotion moved 11/8 to the LRU end.
+  via_insert.insert(Route{p("13.0.0.0/8"), make_next_hop(1)});
+  via_offer.insert(Route{p("13.0.0.0/8"), make_next_hop(1)});
+  EXPECT_FALSE(via_offer.contains(p("11.0.0.0/8")));
+  EXPECT_EQ(via_offer.routes(), via_insert.routes());
+}
+
+TEST(DredStore, CollidingOfferOverwritesTag) {
+  // Two /24s that share a doorkeeper slot.
+  const Prefix first = p("10.0.0.0/24");
+  Prefix other = first;
+  for (std::uint32_t i = 1; other == first; ++i) {
+    const Prefix candidate(Ipv4Address(first.bits() + (i << 8)), 24);
+    if (DredStore::doorkeeper_slot(candidate) ==
+        DredStore::doorkeeper_slot(first)) {
+      other = candidate;
+    }
+  }
+  DredStore dred(4);
+  EXPECT_FALSE(dred.offer(Route{first, make_next_hop(1)}));
+  EXPECT_FALSE(dred.offer(Route{other, make_next_hop(2)}));  // overwrites
+  EXPECT_FALSE(dred.offer(Route{first, make_next_hop(1)}));  // first again
+  EXPECT_TRUE(dred.offer(Route{first, make_next_hop(1)}));
+  EXPECT_FALSE(dred.contains(other));
+  EXPECT_EQ(dred.stats().declined, 3u);
+  EXPECT_EQ(dred.stats().insertions, 1u);
 }
 
 TEST(DredStore, RejectsCapacityAboveMaximum) {

@@ -55,15 +55,19 @@ TEST(LookupRuntimeTest, StopUnblocksBatchInFlight) {
   runtime.stop();
   client.join();
 
-  // Every address got a slot; the unanswered tail is kNoRoute.
+  // Every address got a slot; the unanswered tail is kNoRoute and is
+  // not counted as completed.
   ASSERT_EQ(hops.size(), addresses.size());
   const auto metrics = runtime.metrics();
   EXPECT_GE(metrics.batches_aborted, 1u);
+  EXPECT_LT(metrics.lookups_completed, addresses.size());
 
-  // After stop(), further batches return immediately instead of hanging.
+  // After stop(), further batches return immediately instead of hanging,
+  // and answer nothing.
   const auto after = runtime.lookup_batch(random_addresses(64, 7003));
   EXPECT_EQ(after.size(), 64u);
   EXPECT_TRUE(runtime.stopped());
+  EXPECT_EQ(runtime.metrics().lookups_completed, metrics.lookups_completed);
 }
 
 TEST(LookupRuntimeTest, StopIsIdempotentAndDestructorSafe) {
@@ -198,6 +202,8 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
   };
   EXPECT_EQ(counter("runtime.lookups_completed"), addresses.size());
   EXPECT_EQ(counter("runtime.updates_applied"), runtime.updates_completed());
+  EXPECT_EQ(counter("runtime.fills_declined"),
+            runtime.metrics().fills_declined);
 
   // The runtime samples one in every 64 events: each worker times the
   // first of every 64 jobs it runs (lookups, miss re-enqueues and fence

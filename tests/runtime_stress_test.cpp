@@ -444,8 +444,10 @@ TEST(LookupRuntimeTest, DredHoldsOnlyForeignStoredShapes) {
 }
 
 // Fills travel in per-batch hand-offs: every fill a worker counts as
-// sent must land in a peer's DRed once the data plane is quiescent, and
-// the exclusion rule must hold for whole batches as it did per fill.
+// sent must reach a peer's DRed once the data plane is quiescent, where
+// it is applied, dropped as stale or declined by the doorkeeper (a
+// first offer), and the exclusion rule must hold for whole batches as
+// it did per fill.
 TEST(LookupRuntimeTest, FillAccountingBalancesWhenQuiescent) {
   const auto fib = make_fib(20'000, 1901);
   RuntimeConfig config;
@@ -478,7 +480,10 @@ TEST(LookupRuntimeTest, FillAccountingBalancesWhenQuiescent) {
   const auto m = runtime.metrics();
   EXPECT_GT(m.fills_sent, 0u);
   EXPECT_GT(m.diverted, 0u);
-  EXPECT_EQ(m.fills_applied + m.fills_dropped_stale, m.fills_sent);
+  EXPECT_EQ(m.fills_applied + m.fills_dropped_stale + m.fills_declined,
+            m.fills_sent);
+  EXPECT_GT(m.fills_applied, 0u);
+  EXPECT_GT(m.fills_declined, 0u);
   // No commits ran, so no chip's version moved and nothing went stale.
   EXPECT_EQ(m.fills_dropped_stale, 0u);
   for (std::size_t w = 0; w < runtime.worker_count(); ++w) {
