@@ -129,6 +129,15 @@ RunResult run_once(const clue::trie::BinaryTrie& fib,
   // TTF stage traces from the churn thread's updates (empty when the
   // run had no churn).
   registry.add_ttf_trace(run_tag + ".ttf", runtime.ttf_trace());
+  // Start-up gauges from the runtime's own export: the control tries'
+  // bytes and the CompressedFib build inside the constructor.
+  clue::obs::MetricsRegistry own;
+  runtime.export_metrics(own);
+  for (const auto& [name, value] : own.gauges()) {
+    if (name == "onrtc.trie_bytes" || name == "runtime.fib_build_ns") {
+      registry.set_gauge(run_tag + "." + name, value);
+    }
+  }
   return result;
 }
 

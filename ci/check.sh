@@ -117,6 +117,13 @@ assert multi, "no multi-worker run exported fill counters"
 for tag in multi:
     assert counters[tag + ".fills_applied"] > 0, f"{tag}: no DRed fill applied"
     assert tag + ".fills_declined" in counters, f"{tag}: fills_declined missing"
+# Every run must carry the runtime's start-up gauges: the control tries'
+# bytes and the CompressedFib build time.
+for tag in runs:
+    for name in ("onrtc.trie_bytes", "runtime.fib_build_ns"):
+        key = f"{tag}.{name}"
+        assert key in gauges, f"missing {key} gauge"
+        assert gauges[key] > 0, f"{key} is not positive"
 EOF
   else
     echo "smoke: python3 not found, skipping JSON parse check"

@@ -12,19 +12,19 @@ using trie::BinaryTrie;
 
 namespace {
 
-void leaf_push_node(const BinaryTrie::Node* node, const Prefix& at,
+void leaf_push_node(BinaryTrie::NodeRef node, const Prefix& at,
                     NextHop inherited, std::vector<Route>& out) {
   if (!node) {
     if (inherited != netbase::kNoRoute) out.push_back(Route{at, inherited});
     return;
   }
-  const NextHop effective = node->next_hop.value_or(inherited);
-  if (node->is_leaf()) {
+  const NextHop effective = node.next_hop_or(inherited);
+  if (node.is_leaf()) {
     if (effective != netbase::kNoRoute) out.push_back(Route{at, effective});
     return;
   }
-  leaf_push_node(node->child[0], at.child(0), effective, out);
-  leaf_push_node(node->child[1], at.child(1), effective, out);
+  leaf_push_node(node.child(0), at.child(0), effective, out);
+  leaf_push_node(node.child(1), at.child(1), effective, out);
 }
 
 }  // namespace
@@ -74,7 +74,7 @@ struct OrtcNode {
 // Pass 1 (bottom-up): build the candidate-set tree over the normalized
 // (conceptually full) trie. Missing subtrees are uniform leaves whose
 // value is the inherited LPM answer.
-std::ptrdiff_t build(const BinaryTrie::Node* node, NextHop inherited,
+std::ptrdiff_t build(BinaryTrie::NodeRef node, NextHop inherited,
                      std::vector<OrtcNode>& pool) {
   OrtcNode result;
   if (!node) {
@@ -82,14 +82,14 @@ std::ptrdiff_t build(const BinaryTrie::Node* node, NextHop inherited,
     pool.push_back(std::move(result));
     return static_cast<std::ptrdiff_t>(pool.size()) - 1;
   }
-  const NextHop effective = node->next_hop.value_or(inherited);
-  if (node->is_leaf()) {
+  const NextHop effective = node.next_hop_or(inherited);
+  if (node.is_leaf()) {
     result.candidates = {effective};
     pool.push_back(std::move(result));
     return static_cast<std::ptrdiff_t>(pool.size()) - 1;
   }
-  result.child[0] = build(node->child[0], effective, pool);
-  result.child[1] = build(node->child[1], effective, pool);
+  result.child[0] = build(node.child(0), effective, pool);
+  result.child[1] = build(node.child(1), effective, pool);
   const auto& left = pool[static_cast<std::size_t>(result.child[0])];
   const auto& right = pool[static_cast<std::size_t>(result.child[1])];
   auto common = intersect(left.candidates, right.candidates);

@@ -34,11 +34,7 @@ std::vector<FibOp> diff_tables(const std::vector<Route>& old_table,
 }  // namespace detail
 
 CompressedFib::CompressedFib(const trie::BinaryTrie& ground_truth)
-    : truth_(ground_truth) {
-  for (const auto& route : compress(truth_)) {
-    compressed_.insert(route.prefix, route.next_hop);
-  }
-}
+    : truth_(ground_truth), compressed_(compress(truth_)) {}
 
 std::vector<FibOp> CompressedFib::announce(const Prefix& prefix,
                                            NextHop next_hop) {
@@ -78,8 +74,6 @@ std::vector<FibOp> CompressedFib::refresh(const Prefix& changed) {
       }
       new_regions.assign(1, Route{at, *constant});
     }
-  } else {
-    std::sort(new_regions.begin(), new_regions.end());
   }
 
   return apply_diff(compressed_.routes_within(at), new_regions);

@@ -53,6 +53,11 @@ class CompressedFib {
   /// Compressed table size (number of disjoint prefixes).
   std::size_t size() const { return compressed_.size(); }
 
+  /// Bytes both tries' arenas hold (ground truth + compressed image).
+  std::size_t memory_bytes() const {
+    return truth_.memory_bytes() + compressed_.memory_bytes();
+  }
+
  private:
   /// Re-derives the compressed image around `changed` and applies+returns
   /// the diff.
@@ -77,7 +82,7 @@ namespace detail {
 
 /// Internal recursion shared with full compression; exposed for tests.
 /// See onrtc.cpp for the contract.
-std::optional<NextHop> compress_subtree(const trie::BinaryTrie::Node* node,
+std::optional<NextHop> compress_subtree(trie::BinaryTrie::NodeRef node,
                                         const Prefix& at, NextHop inherited,
                                         std::vector<Route>& out);
 

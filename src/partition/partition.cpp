@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace clue::partition {
 
@@ -104,20 +103,20 @@ std::vector<Ipv4Address> even_partition_boundaries(
 
 namespace {
 
-using Node = trie::BinaryTrie::Node;
+using NodeRef = trie::BinaryTrie::NodeRef;
 
-std::size_t annotate_counts(const Node* node,
-                            std::unordered_map<const Node*, std::size_t>& counts) {
+// Routes in each node's subtree, indexed by the node's arena slot.
+std::size_t annotate_counts(NodeRef node, std::vector<std::size_t>& counts) {
   if (!node) return 0;
-  std::size_t count = node->next_hop.has_value() ? 1 : 0;
-  count += annotate_counts(node->child[0], counts);
-  count += annotate_counts(node->child[1], counts);
-  counts.emplace(node, count);
+  std::size_t count = node.has_route() ? 1 : 0;
+  count += annotate_counts(node.child(0), counts);
+  count += annotate_counts(node.child(1), counts);
+  counts[node.index()] = count;
   return count;
 }
 
 struct SubtreeCarver {
-  const std::unordered_map<const Node*, std::size_t>& counts;
+  const std::vector<std::size_t>& counts;
   std::size_t capacity;        // primary routes per bucket
   PartitionResult& result;
   std::size_t remaining = 0;   // primary capacity left in current bucket
@@ -152,10 +151,10 @@ struct SubtreeCarver {
     }
   }
 
-  void carve(const Node* node, const Prefix& at,
+  void carve(NodeRef node, const Prefix& at,
              std::vector<Route>& path_routes) {
     if (!node) return;
-    const std::size_t count = counts.at(node);
+    const std::size_t count = counts[node.index()];
     if (count == 0) return;
     open_bucket_if_needed();
     if (count <= remaining) {
@@ -169,22 +168,22 @@ struct SubtreeCarver {
     }
     // Split: the node's own route becomes part of the path cover for the
     // carves below, and is also stored now (in order) as a primary entry.
-    const bool has_own = node->next_hop.has_value();
+    const bool has_own = node.has_route();
     if (has_own) {
-      const Route own{at, *node->next_hop};
+      const Route own{at, node.next_hop()};
       place_route(own);
       path_routes.push_back(own);
     }
-    carve(node->child[0], at.child(0), path_routes);
-    carve(node->child[1], at.child(1), path_routes);
+    carve(node.child(0), at.child(0), path_routes);
+    carve(node.child(1), at.child(1), path_routes);
     if (has_own) path_routes.pop_back();
   }
 
-  void collect(const Node* node, const Prefix& at, Bucket& bucket) {
+  void collect(NodeRef node, const Prefix& at, Bucket& bucket) {
     if (!node) return;
-    if (node->next_hop) bucket.routes.push_back(Route{at, *node->next_hop});
-    collect(node->child[0], at.child(0), bucket);
-    collect(node->child[1], at.child(1), bucket);
+    if (node.has_route()) bucket.routes.push_back(Route{at, node.next_hop()});
+    collect(node.child(0), at.child(0), bucket);
+    collect(node.child(1), at.child(1), bucket);
   }
 };
 
@@ -199,8 +198,7 @@ PartitionResult subtree_partition(const trie::BinaryTrie& fib,
   result.bucket_roots.resize(n);
   if (fib.empty()) return result;
 
-  std::unordered_map<const Node*, std::size_t> counts;
-  counts.reserve(fib.node_count());
+  std::vector<std::size_t> counts(fib.arena_slots());
   annotate_counts(fib.root(), counts);
 
   SubtreeCarver carver{counts, (fib.size() + n - 1) / n, result};

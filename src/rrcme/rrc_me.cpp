@@ -13,18 +13,18 @@ std::optional<CacheFill> minimal_expansion(const trie::BinaryTrie& fib,
   bool found = false;
   unsigned best_depth = 0;
   bool best_is_leaf = false;
-  const trie::BinaryTrie::Node* node = fib.root();
+  trie::BinaryTrie::NodeRef node = fib.root();
   unsigned depth = 0;
   while (node) {
     ++fill.sram_accesses;
-    if (node->next_hop) {
+    if (node.has_route()) {
       found = true;
-      fill.next_hop = *node->next_hop;
+      fill.next_hop = node.next_hop();
       best_depth = depth;
-      best_is_leaf = node->is_leaf();
+      best_is_leaf = node.is_leaf();
     }
     if (depth == Prefix::kMaxLength) break;  // /32 node: always a leaf
-    node = node->child[address.bit(depth)];
+    node = node.child(address.bit(depth));
     ++depth;
   }
   if (!found) return std::nullopt;
@@ -37,7 +37,7 @@ std::optional<CacheFill> minimal_expansion(const trie::BinaryTrie& fib,
   } else {
     // More-specific routes exist below the match; `depth` is now the
     // first level on the address path with no route at or below it
-    // (the loop above exited with node == nullptr, since on-path route
+    // (the loop above exited on a null node, since on-path route
     // nodes deeper than the match would themselves have been the match).
     fill.prefix = Prefix(address, depth);
   }
@@ -49,10 +49,10 @@ Invalidation invalidate_on_update(const trie::BinaryTrie& fib,
                                   const std::vector<Prefix>& cached) {
   Invalidation result;
   // One descent to the changed node (control plane re-reads the path)…
-  const trie::BinaryTrie::Node* node = fib.root();
+  trie::BinaryTrie::NodeRef node = fib.root();
   for (unsigned depth = 0; node && depth < changed_prefix.length(); ++depth) {
     ++result.sram_accesses;
-    node = node->child[changed_prefix.bit(depth)];
+    node = node.child(changed_prefix.bit(depth));
   }
   // …then every cached entry must be screened against the changed range.
   // Entries that overlap the changed prefix may now return a stale next

@@ -60,10 +60,26 @@ bool LookupRuntime::wait_until(Ready&& ready) {
   return true;
 }
 
+template <typename Build>
+LookupRuntime::TimedFib LookupRuntime::TimedFib::of(Build&& build) {
+  const auto t0 = Clock::now();
+  onrtc::CompressedFib fib = build();
+  return TimedFib{std::move(fib), elapsed_ns(t0)};
+}
+
 LookupRuntime::LookupRuntime(const trie::BinaryTrie& fib,
                              const RuntimeConfig& config)
+    : LookupRuntime(
+          TimedFib::of([&fib] { return onrtc::CompressedFib(fib); }),
+          config) {}
+
+LookupRuntime::LookupRuntime(const onrtc::CompressedFib& fib,
+                             const RuntimeConfig& config)
+    : LookupRuntime(TimedFib::of([&fib] { return fib; }), config) {}
+
+LookupRuntime::LookupRuntime(TimedFib fib, const RuntimeConfig& config)
     : config_(config),
-      fib_(fib),
+      fib_(std::move(fib.fib)),
       // One slot per worker plus one for the client role, which pins the
       // IndexingLogic snapshot during each dispatch pass.
       epoch_(config.worker_count + 1),
@@ -77,6 +93,8 @@ LookupRuntime::LookupRuntime(const trie::BinaryTrie& fib,
   }
   dred_enabled_ = config.dred_capacity > 0 && config.worker_count > 1;
 
+  fib_build_ns_ = fib.build_ns;
+  trie_bytes_.store(fib_.memory_bytes(), std::memory_order_relaxed);
   const auto table = fib_.compressed().routes();
   const auto partitions =
       partition::even_partition(table, config.worker_count);
@@ -840,6 +858,7 @@ update::BatchTtfSample LookupRuntime::apply_batch(
       },
       [&] { return config_.rebalance ? rebalance_pass(&trace) : 0; }});
   trace.admit_ns = elapsed_ns(t1);
+  trie_bytes_.store(fib_.memory_bytes(), std::memory_order_relaxed);
   update::BatchTtfSample batch = txn.sample();
   updates_rejected_.fetch_add(batch.rejected, std::memory_order_seq_cst);
   trace.ops_raw = static_cast<std::uint32_t>(batch.raw_ops);
@@ -1057,6 +1076,10 @@ void LookupRuntime::export_metrics(obs::MetricsRegistry& registry) const {
   registry.add_histogram("runtime.flat_rebuild_ns",
                          flat_rebuild_hist_.snapshot());
   registry.set_gauge("runtime.flat_build_ns", flat_build_ns_);
+  registry.set_gauge("runtime.fib_build_ns", fib_build_ns_);
+  registry.set_gauge(
+      "onrtc.trie_bytes",
+      static_cast<double>(trie_bytes_.load(std::memory_order_relaxed)));
   registry.add_ttf_trace("runtime.ttf", ttf_ring_.snapshot());
 }
 

@@ -205,6 +205,9 @@ class LookupRuntime {
   /// Compresses `fib` (ONRTC), splits it into `worker_count` even range
   /// partitions, and starts the worker threads.
   LookupRuntime(const trie::BinaryTrie& fib, const RuntimeConfig& config);
+  /// Same, starting from an already compressed control plane: copies
+  /// `fib` (two array copies) instead of compressing its ground truth.
+  LookupRuntime(const onrtc::CompressedFib& fib, const RuntimeConfig& config);
   ~LookupRuntime();
 
   LookupRuntime(const LookupRuntime&) = delete;
@@ -489,6 +492,17 @@ class LookupRuntime {
   /// windows and runs them through apply_batch().
   void updater_main();
 
+  /// The control plane a constructor starts from, with the wall time it
+  /// took to build (both public constructors delegate through this).
+  struct TimedFib {
+    onrtc::CompressedFib fib;
+    double build_ns = 0;
+
+    template <typename Build>
+    static TimedFib of(Build&& build);
+  };
+  LookupRuntime(TimedFib fib, const RuntimeConfig& config);
+
   RuntimeConfig config_;
   onrtc::CompressedFib fib_;
   std::vector<Ipv4Address> boundaries_;  // control-role state
@@ -559,6 +573,13 @@ class LookupRuntime {
   /// Wall time of the constructor's full builds of every chip image
   /// (exported as the gauge "runtime.flat_build_ns").
   double flat_build_ns_ = 0;
+  /// Wall time of the constructor's CompressedFib build: the ONRTC
+  /// compression, or the copy of a given CompressedFib (exported as the
+  /// gauge "runtime.fib_build_ns").
+  double fib_build_ns_ = 0;
+  /// fib_.memory_bytes(), refreshed by each commit so export_metrics()
+  /// can run beside the control thread (gauge "onrtc.trie_bytes").
+  std::atomic<std::size_t> trie_bytes_{0};
 
   std::mutex stop_mutex_;  // serialises the join in stop()
 };

@@ -128,21 +128,7 @@ ClplUpdateResult ClplSystem::apply(const workload::UpdateMsg& message) {
       update::CostModel::kTcamOpNs;
 
   // TTF3: RRC-ME cache maintenance (same model as ClplPipeline).
-  const trie::BinaryTrie::Node* node = fib_.node_at(message.prefix);
-  std::size_t subtree = 0;
-  // Cheap subtree size: walk is bounded by the affected region.
-  {
-    std::vector<const trie::BinaryTrie::Node*> stack;
-    if (node) stack.push_back(node);
-    while (!stack.empty()) {
-      const auto* current = stack.back();
-      stack.pop_back();
-      ++subtree;
-      for (const auto* child : current->child) {
-        if (child) stack.push_back(child);
-      }
-    }
-  }
+  const std::size_t subtree = fib_.nodes_within(message.prefix);
   result.ttf.ttf3_ns =
       static_cast<double>(message.prefix.length() + subtree) *
       update::CostModel::kSramAccessNs;

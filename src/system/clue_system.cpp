@@ -132,8 +132,7 @@ std::size_t ClueSystem::rebalance_now() { return rebalance_pass(); }
 std::unique_ptr<runtime::LookupRuntime> ClueSystem::runtime(
     runtime::RuntimeConfig config) const {
   if (config.worker_count == 0) config.worker_count = chips_.size();
-  return std::make_unique<runtime::LookupRuntime>(fib_.ground_truth(),
-                                                  config);
+  return std::make_unique<runtime::LookupRuntime>(fib_, config);
 }
 
 engine::EngineSetup ClueSystem::engine_setup() const {
@@ -161,6 +160,8 @@ std::size_t ClueSystem::total_tcam_entries() const {
 void ClueSystem::export_metrics(obs::MetricsRegistry& registry) const {
   registry.set_counter("system.routes", fib_.ground_truth().size());
   registry.set_counter("system.compressed_routes", fib_.compressed().size());
+  registry.set_gauge("onrtc.trie_bytes",
+                     static_cast<double>(fib_.memory_bytes()));
   registry.set_counter("system.tcam_entries", total_tcam_entries());
   registry.set_counter("system.tcam_count", chips_.size());
   registry.set_counter("system.tcam_capacity", tcam_capacity_);

@@ -102,9 +102,10 @@ class ClueSystem {
   /// throughput experiments against the live table.
   engine::EngineSetup engine_setup() const;
 
-  /// Spawns a concurrent data-plane runtime over this system's current
-  /// ground truth: one worker thread per chip, lock-free home FIFOs,
-  /// RCU-style snapshot updates. `config.worker_count == 0` means
+  /// Spawns a concurrent data-plane runtime from a copy of this system's
+  /// CompressedFib (no re-compression): one worker thread per chip,
+  /// lock-free home FIFOs, RCU-style snapshot updates.
+  /// `config.worker_count == 0` means
   /// "match this system's chip count". The runtime owns its own
   /// control plane from the moment of creation; updates applied to it
   /// do not feed back into this (serial) system.

@@ -1,179 +1,202 @@
 #include "trie/binary_trie.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
+#include <utility>
 
 namespace clue::trie {
 
-BinaryTrie::Node* BinaryTrie::allocate() {
-  Node* node;
-  if (free_list_) {
-    node = free_list_;
-    free_list_ = node->child[0];
-  } else {
-    if (blocks_.empty() || blocks_.back().size() == kBlockSize) {
-      blocks_.emplace_back();
-      blocks_.back().reserve(kBlockSize);
+namespace {
+
+// Depth at which the path to `next` leaves the path to `prev`: their
+// common prefix length, capped by both lengths.
+unsigned shared_depth(const Prefix& prev, const Prefix& next) {
+  const unsigned differ =
+      static_cast<unsigned>(std::countl_zero(prev.bits() ^ next.bits()));
+  return std::min({differ, prev.length(), next.length()});
+}
+
+}  // namespace
+
+BinaryTrie::BinaryTrie(std::span<const Route> sorted_routes) {
+  if (sorted_routes.empty()) return;
+  // Exact arena size first (placeholder + root + one node per path step
+  // below the previous route's path), so the build never reallocates.
+  std::size_t nodes = 2;
+  for (std::size_t i = 0; i < sorted_routes.size(); ++i) {
+    const Prefix& prefix = sorted_routes[i].prefix;
+    if (i > 0 && !(sorted_routes[i - 1].prefix < prefix)) {
+      throw std::invalid_argument(
+          "BinaryTrie: bulk routes must be strictly ascending");
     }
-    blocks_.back().emplace_back();
-    node = &blocks_.back().back();
+    nodes += prefix.length() -
+             (i > 0 ? shared_depth(sorted_routes[i - 1].prefix, prefix) : 0);
   }
-  node->child[0] = nullptr;
-  node->child[1] = nullptr;
-  node->next_hop.reset();
-  ++node_count_;
-  return node;
+  nodes_.reserve(nodes + nodes / kSpareDivisor);
+  root_ = allocate();
+
+  // path[d] is the node at depth d on the previous route's path. In
+  // ascending order, everything below the shared depth is new.
+  std::uint32_t path[Prefix::kMaxLength + 1];
+  path[0] = root_;
+  const Prefix* prev = nullptr;
+  for (const Route& route : sorted_routes) {
+    const Prefix& prefix = route.prefix;
+    for (unsigned depth = prev ? shared_depth(*prev, prefix) : 0;
+         depth < prefix.length(); ++depth) {
+      const std::uint32_t fresh = allocate();
+      slot(path[depth]).set_child(prefix.bit(depth), fresh);
+      path[depth + 1] = fresh;
+    }
+    slot(path[prefix.length()]).set_route(route.next_hop);
+    prev = &prefix;
+  }
+  route_count_ = sorted_routes.size();
 }
 
-void BinaryTrie::release(Node* node) {
-  node->child[0] = free_list_;
-  node->child[1] = nullptr;
-  free_list_ = node;
-  --node_count_;
-}
-
-BinaryTrie::Node* BinaryTrie::clone(const Node* node) {
-  if (!node) return nullptr;
-  Node* copy = allocate();
-  copy->next_hop = node->next_hop;
-  copy->child[0] = clone(node->child[0]);
-  copy->child[1] = clone(node->child[1]);
-  return copy;
-}
-
-BinaryTrie::BinaryTrie(const BinaryTrie& other) {
-  root_ = clone(other.root_);
-  route_count_ = other.route_count_;
+BinaryTrie::BinaryTrie(const BinaryTrie& other)
+    : root_(other.root_),
+      free_(other.free_),
+      route_count_(other.route_count_),
+      node_count_(other.node_count_) {
+  const std::size_t slots = other.nodes_.size();
+  nodes_.reserve(slots + slots / kSpareDivisor);
+  nodes_.assign(other.nodes_.begin(), other.nodes_.end());
 }
 
 BinaryTrie& BinaryTrie::operator=(const BinaryTrie& other) {
+  if (this != &other) *this = BinaryTrie(other);
+  return *this;
+}
+
+BinaryTrie::BinaryTrie(BinaryTrie&& other) noexcept
+    : nodes_(std::move(other.nodes_)),
+      root_(std::exchange(other.root_, 0)),
+      free_(std::exchange(other.free_, 0)),
+      route_count_(std::exchange(other.route_count_, 0)),
+      node_count_(std::exchange(other.node_count_, 0)) {
+  other.nodes_.clear();
+}
+
+BinaryTrie& BinaryTrie::operator=(BinaryTrie&& other) noexcept {
   if (this != &other) {
-    clear();
-    root_ = clone(other.root_);
-    route_count_ = other.route_count_;
+    nodes_ = std::move(other.nodes_);
+    other.nodes_.clear();
+    root_ = std::exchange(other.root_, 0);
+    free_ = std::exchange(other.free_, 0);
+    route_count_ = std::exchange(other.route_count_, 0);
+    node_count_ = std::exchange(other.node_count_, 0);
   }
   return *this;
 }
 
+std::uint32_t BinaryTrie::allocate() {
+  std::uint32_t index;
+  if (free_ != 0) {
+    index = free_;
+    free_ = slot(index).child(0);
+    slot(index) = Node{};
+  } else {
+    if (nodes_.empty()) nodes_.emplace_back();  // slot 0: the placeholder
+    if (nodes_.size() > Node::kIndexMask) {
+      throw std::length_error("BinaryTrie: arena index space exhausted");
+    }
+    if (nodes_.size() == nodes_.capacity()) {
+      nodes_.reserve(nodes_.size() + nodes_.size() / 4);
+    }
+    index = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  ++node_count_;
+  return index;
+}
+
+void BinaryTrie::release(std::uint32_t index) {
+  Node& node = slot(index);
+  node = Node{};
+  node.set_child(0, free_);
+  free_ = index;
+  --node_count_;
+}
+
 bool BinaryTrie::insert(const Prefix& prefix, NextHop next_hop) {
-  if (!root_) root_ = allocate();
-  Node* node = root_;
+  if (root_ == 0) root_ = allocate();
+  std::uint32_t index = root_;
   for (unsigned depth = 0; depth < prefix.length(); ++depth) {
     const unsigned bit = prefix.bit(depth);
-    if (!node->child[bit]) node->child[bit] = allocate();
-    node = node->child[bit];
+    std::uint32_t next = slot(index).child(bit);
+    if (next == 0) {
+      next = allocate();
+      slot(index).set_child(bit, next);
+    }
+    index = next;
   }
-  const bool created = !node->next_hop.has_value();
-  node->next_hop = next_hop;
+  Node& node = slot(index);
+  const bool created = !node.has_route();
+  node.set_route(next_hop);
   if (created) ++route_count_;
   return created;
 }
 
 bool BinaryTrie::erase(const Prefix& prefix) {
-  if (!root_) return false;
+  if (root_ == 0) return false;
   // Record the path so we can prune childless, route-less nodes upward.
-  Node* path[Prefix::kMaxLength + 1];
-  unsigned bits[Prefix::kMaxLength];
-  Node* node = root_;
-  path[0] = node;
+  std::uint32_t path[Prefix::kMaxLength + 1];
+  std::uint32_t index = root_;
+  path[0] = index;
   for (unsigned depth = 0; depth < prefix.length(); ++depth) {
-    const unsigned bit = prefix.bit(depth);
-    if (!node->child[bit]) return false;
-    node = node->child[bit];
-    bits[depth] = bit;
-    path[depth + 1] = node;
+    index = slot(index).child(prefix.bit(depth));
+    if (index == 0) return false;
+    path[depth + 1] = index;
   }
-  if (!node->next_hop.has_value()) return false;
-  node->next_hop.reset();
+  if (!slot(index).has_route()) return false;
+  slot(index).clear_route();
   --route_count_;
   for (unsigned depth = prefix.length(); depth > 0; --depth) {
-    Node* current = path[depth];
-    if (current->next_hop.has_value() || !current->is_leaf()) break;
-    path[depth - 1]->child[bits[depth - 1]] = nullptr;
-    release(current);
+    const Node& current = slot(path[depth]);
+    if (current.has_route() || !current.is_leaf()) break;
+    slot(path[depth - 1]).set_child(prefix.bit(depth - 1), 0);
+    release(path[depth]);
   }
-  if (root_ && root_->is_leaf() && !root_->next_hop.has_value()) {
+  const Node& root = slot(root_);
+  if (root.is_leaf() && !root.has_route()) {
     release(root_);
-    root_ = nullptr;
+    root_ = 0;
   }
   return true;
 }
 
 NextHop BinaryTrie::lookup(Ipv4Address address) const {
-  auto route = lookup_route(address);
-  return route ? route->next_hop : netbase::kNoRoute;
-}
-
-std::optional<Route> BinaryTrie::lookup_route(Ipv4Address address) const {
-  const Node* node = root_;
-  std::optional<Route> best;
-  std::uint32_t bits = 0;
-  unsigned depth = 0;
-  while (node) {
-    if (node->next_hop) {
-      best = Route{Prefix(Ipv4Address(bits), depth), *node->next_hop};
-    }
+  NextHop best = netbase::kNoRoute;
+  std::uint32_t index = root_;
+  for (unsigned depth = 0; index != 0; ++depth) {
+    const Node& current = slot(index);
+    best = current.next_hop_or(best);
     if (depth == Prefix::kMaxLength) break;
-    const unsigned bit = address.bit(depth);
-    node = node->child[bit];
-    if (bit) bits |= 1u << (31u - depth);
-    ++depth;
+    index = current.child(address.bit(depth));
   }
   return best;
 }
 
-void BinaryTrie::for_each_match(
-    Ipv4Address address,
-    const std::function<void(const Route&)>& visit) const {
-  const Node* node = root_;
-  std::uint32_t bits = 0;
-  unsigned depth = 0;
-  while (node) {
-    if (node->next_hop) {
-      visit(Route{Prefix(Ipv4Address(bits), depth), *node->next_hop});
-    }
-    if (depth == Prefix::kMaxLength) break;
-    const unsigned bit = address.bit(depth);
-    node = node->child[bit];
-    if (bit) bits |= 1u << (31u - depth);
-    ++depth;
+std::optional<Route> BinaryTrie::lookup_route(Ipv4Address address) const {
+  std::optional<Route> best;
+  for_each_match(address, [&best](const Route& route) { best = route; });
+  return best;
+}
+
+std::uint32_t BinaryTrie::find_index(const Prefix& prefix) const {
+  std::uint32_t index = root_;
+  for (unsigned depth = 0; index != 0 && depth < prefix.length(); ++depth) {
+    index = slot(index).child(prefix.bit(depth));
   }
+  return index;
 }
 
 std::optional<NextHop> BinaryTrie::find(const Prefix& prefix) const {
-  const Node* node = node_at(prefix);
-  if (!node || !node->next_hop) return std::nullopt;
-  return node->next_hop;
-}
-
-namespace {
-
-void visit_routes(const BinaryTrie::Node* node, std::uint32_t bits,
-                  unsigned depth,
-                  const std::function<void(const Route&)>& visit) {
-  if (!node) return;
-  if (node->next_hop) {
-    visit(Route{Prefix(Ipv4Address(bits), depth), *node->next_hop});
-  }
-  visit_routes(node->child[0], bits, depth + 1, visit);
-  if (depth < Prefix::kMaxLength) {
-    visit_routes(node->child[1], bits | (1u << (31u - depth)), depth + 1,
-                 visit);
-  }
-}
-
-bool check_disjoint(const BinaryTrie::Node* node, bool covered) {
-  if (!node) return true;
-  if (node->next_hop && covered) return false;
-  const bool now_covered = covered || node->next_hop.has_value();
-  return check_disjoint(node->child[0], now_covered) &&
-         check_disjoint(node->child[1], now_covered);
-}
-
-}  // namespace
-
-void BinaryTrie::for_each_route(
-    const std::function<void(const Route&)>& visit) const {
-  visit_routes(root_, 0, 0, visit);
+  const std::uint32_t index = find_index(prefix);
+  if (index == 0 || !slot(index).has_route()) return std::nullopt;
+  return slot(index).next_hop();
 }
 
 std::vector<Route> BinaryTrie::routes() const {
@@ -183,40 +206,53 @@ std::vector<Route> BinaryTrie::routes() const {
   return out;
 }
 
-bool BinaryTrie::is_disjoint() const { return check_disjoint(root_, false); }
-
-const BinaryTrie::Node* BinaryTrie::node_at(const Prefix& prefix) const {
-  const Node* node = root_;
-  for (unsigned depth = 0; node && depth < prefix.length(); ++depth) {
-    node = node->child[prefix.bit(depth)];
-  }
-  return node;
-}
-
 std::vector<Route> BinaryTrie::routes_within(const Prefix& within) const {
   std::vector<Route> out;
-  visit_routes(node_at(within), within.bits(), within.length(),
-               [&out](const Route& route) { out.push_back(route); });
+  auto collect = [&out](const Route& route) { out.push_back(route); };
+  walk_routes(find_index(within), within.bits(), within.length(), collect);
   return out;
 }
 
+std::size_t BinaryTrie::nodes_within(const Prefix& prefix) const {
+  std::size_t count = 0;
+  std::uint32_t stack[Prefix::kMaxLength + 2];
+  std::size_t top = 0;
+  if (const std::uint32_t start = find_index(prefix)) stack[top++] = start;
+  // Depth-first with the right child stacked under the left one; the
+  // stack never holds more than one pending node per level.
+  while (top > 0) {
+    const Node& current = slot(stack[--top]);
+    ++count;
+    if (const std::uint32_t right = current.child(1)) stack[top++] = right;
+    if (const std::uint32_t left = current.child(0)) stack[top++] = left;
+  }
+  return count;
+}
+
+bool BinaryTrie::is_disjoint() const {
+  // In in-order, a route nested in an earlier one is first caught nested
+  // in its immediate predecessor.
+  bool disjoint = true;
+  std::optional<Prefix> prev;
+  for_each_route([&](const Route& route) {
+    if (prev && prev->contains(route.prefix)) disjoint = false;
+    prev = route.prefix;
+  });
+  return disjoint;
+}
+
 NextHop BinaryTrie::longest_match_above(const Prefix& prefix) const {
-  const Node* node = root_;
   NextHop best = netbase::kNoRoute;
-  for (unsigned depth = 0; node && depth < prefix.length(); ++depth) {
-    if (node->next_hop) best = *node->next_hop;
-    node = node->child[prefix.bit(depth)];
+  std::uint32_t index = root_;
+  for (unsigned depth = 0; index != 0 && depth < prefix.length(); ++depth) {
+    const Node& current = slot(index);
+    best = current.next_hop_or(best);
+    index = current.child(prefix.bit(depth));
   }
   return best;
 }
 
-void BinaryTrie::clear() {
-  root_ = nullptr;
-  route_count_ = 0;
-  node_count_ = 0;
-  free_list_ = nullptr;
-  blocks_.clear();
-}
+void BinaryTrie::clear() { *this = BinaryTrie(); }
 
 void LinearFib::insert(const Prefix& prefix, NextHop next_hop) {
   for (auto& route : routes_) {

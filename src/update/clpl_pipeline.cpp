@@ -16,12 +16,6 @@ double elapsed_ns(Clock::time_point start) {
       .count();
 }
 
-std::size_t count_nodes(const trie::BinaryTrie::Node* node) {
-  if (!node) return 0;
-  return 1 + count_nodes(node->child[0]) +
-         count_nodes(node->child[1]);
-}
-
 }  // namespace
 
 ClplPipeline::ClplPipeline(const trie::BinaryTrie& fib,
@@ -41,7 +35,7 @@ ClplPipeline::ClplPipeline(const trie::BinaryTrie& fib,
 }
 
 std::size_t ClplPipeline::subtree_nodes(const netbase::Prefix& prefix) const {
-  return count_nodes(fib_.node_at(prefix));
+  return fib_.nodes_within(prefix);
 }
 
 TtfSample ClplPipeline::apply(const workload::UpdateMsg& message) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "netbase/rng.hpp"
+#include "obs/metrics_registry.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/update_gen.hpp"
 
@@ -186,6 +187,28 @@ TEST(ClueSystem, EngineSetupSnapshotIsRunnable) {
       5'000);
   EXPECT_EQ(metrics.packets_completed + metrics.packets_dropped, 5'000u);
   EXPECT_GT(metrics.packets_completed, 4'000u);
+}
+
+TEST(ClueSystem, RuntimeStartsFromTheLiveCompressedFib) {
+  const auto fib = make_fib(5'000, 431);
+  ClueSystem system(fib, SystemConfig{});
+  system.apply(UpdateMsg{UpdateKind::kAnnounce,
+                         *Prefix::parse("10.1.2.0/24"), make_next_hop(7)});
+  const auto runtime = system.runtime();
+  EXPECT_EQ(runtime->fib().compressed().routes(),
+            system.fib().compressed().routes());
+  EXPECT_EQ(runtime->fib().ground_truth().routes(),
+            system.fib().ground_truth().routes());
+
+  obs::MetricsRegistry registry;
+  system.export_metrics(registry);
+  bool seen = false;
+  for (const auto& [name, value] : registry.gauges()) {
+    if (name != "onrtc.trie_bytes") continue;
+    seen = true;
+    EXPECT_EQ(value, static_cast<double>(system.fib().memory_bytes()));
+  }
+  EXPECT_TRUE(seen);
 }
 
 }  // namespace

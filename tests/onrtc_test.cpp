@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "netbase/rng.hpp"
@@ -259,6 +260,42 @@ TEST(Onrtc, NoRouteSpaceStaysUncovered) {
   EXPECT_EQ(image.lookup(Ipv4Address::from_octets(11, 0, 0, 0)), kNoRoute);
   EXPECT_EQ(image.lookup(Ipv4Address::from_octets(9, 255, 255, 255)),
             kNoRoute);
+}
+
+// Reference: post-order emission (both halves walked first, then the
+// node's constant child regions appended), sorted afterwards.
+std::optional<NextHop> post_order_regions(BinaryTrie::NodeRef node,
+                                          const Prefix& at,
+                                          NextHop inherited,
+                                          std::vector<Route>& out) {
+  if (!node) return inherited;
+  const NextHop effective = node.next_hop_or(inherited);
+  if (node.is_leaf()) return effective;
+  const auto left = post_order_regions(node.child(0), at.child(0), effective,
+                                       out);
+  const auto right = post_order_regions(node.child(1), at.child(1),
+                                        effective, out);
+  if (left && right && *left == *right) return left;
+  if (left && *left != kNoRoute) out.push_back(Route{at.child(0), *left});
+  if (right && *right != kNoRoute) out.push_back(Route{at.child(1), *right});
+  return std::nullopt;
+}
+
+TEST(Onrtc, EmitsInOrderAndMatchesSortedPostOrderOnTableIRouters) {
+  for (const auto& router : workload::paper_routers()) {
+    const BinaryTrie fib = workload::generate_rib(router);
+    std::vector<Route> reference;
+    const auto constant =
+        post_order_regions(fib.root(), Prefix(), kNoRoute, reference);
+    if (constant && *constant != kNoRoute) {
+      reference.push_back(Route{Prefix(), *constant});
+    }
+    std::sort(reference.begin(), reference.end());
+
+    const auto table = compress(fib);
+    EXPECT_TRUE(std::is_sorted(table.begin(), table.end())) << router.id;
+    EXPECT_EQ(table, reference) << router.id;
+  }
 }
 
 }  // namespace

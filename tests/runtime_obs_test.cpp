@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <ctime>
 #include <thread>
 #include <vector>
@@ -293,6 +294,34 @@ TEST(LookupRuntimeTest, FlatRebuildHistogramCountsCommitRebuildsOnly) {
     EXPECT_GT(value, 0.0);
   }
   EXPECT_TRUE(gauge_seen);
+}
+
+TEST(LookupRuntimeTest, StartUpGaugesCoverTheControlTries) {
+  const auto fib = make_fib(10'000, 7501);
+  RuntimeConfig config;
+  config.worker_count = 2;
+  const clue::onrtc::CompressedFib compressed(fib);
+  for (const bool from_trie : {true, false}) {
+    const auto runtime = from_trie
+                             ? std::make_unique<LookupRuntime>(fib, config)
+                             : std::make_unique<LookupRuntime>(compressed,
+                                                               config);
+    EXPECT_EQ(runtime->fib().compressed().routes(),
+              compressed.compressed().routes());
+
+    clue::obs::MetricsRegistry registry;
+    runtime->export_metrics(registry);
+    double trie_bytes = -1;
+    double fib_build_ns = -1;
+    for (const auto& [name, value] : registry.gauges()) {
+      if (name == "onrtc.trie_bytes") trie_bytes = value;
+      if (name == "runtime.fib_build_ns") fib_build_ns = value;
+    }
+    EXPECT_EQ(trie_bytes,
+              static_cast<double>(runtime->fib().memory_bytes()));
+    EXPECT_GT(trie_bytes, 0.0);
+    EXPECT_GT(fib_build_ns, 0.0);
+  }
 }
 
 }  // namespace
