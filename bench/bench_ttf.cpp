@@ -13,8 +13,8 @@
 
 #include "metrics_out.hpp"
 #include "stats/stats.hpp"
-#include "update/clpl_pipeline.hpp"
-#include "update/clue_pipeline.hpp"
+#include "system/clpl_system.hpp"
+#include "system/clue_system.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/traffic_gen.hpp"
 #include "workload/update_gen.hpp"
@@ -78,12 +78,14 @@ int main() {
   rib_config.seed = 2011;
   const auto fib = clue::workload::generate_rib(rib_config);
 
-  clue::update::PipelineConfig pipeline_config;
-  clue::update::CluePipeline clue_pipeline(fib, pipeline_config);
-  clue::update::ClplPipeline clpl_pipeline(fib, pipeline_config);
+  // The paper's whole-path update runs on one chip per scheme.
+  clue::system::ClueSystem clue_system(fib, {.tcam_count = 1});
+  clue::system::ClplSystem clpl_system(fib, {.tcam_count = 1});
 
-  // Warm both DRed/cache sets with identical traffic so TTF3 sees
-  // realistic occupancy.
+  // Warm the CLPL caches so TTF3 pays realistic RRC-ME invalidations.
+  // CLUE needs no warm-up: its TTF3 counts the stored shapes it syncs
+  // and never reads DRed contents, and on one chip the exclusion rule
+  // leaves its only DRed empty anyway.
   clue::workload::TrafficConfig traffic_config;
   traffic_config.seed = 77;
   std::vector<clue::netbase::Prefix> prefixes;
@@ -91,9 +93,7 @@ int main() {
     prefixes.push_back(route.prefix);
   });
   clue::workload::TrafficGenerator traffic(prefixes, traffic_config);
-  const auto warm = traffic.generate(8'000);
-  clue_pipeline.warm(warm);
-  clpl_pipeline.warm(warm);
+  clpl_system.warm(traffic.generate(8'000));
 
   clue::workload::UpdateConfig update_config;
   update_config.seed = 2012;
@@ -102,8 +102,8 @@ int main() {
 
   Series clue_series, clpl_series;
   for (std::size_t i = 0; i < kUpdates; ++i) {
-    clue_series.add(clue_pipeline.apply(clue_updates.next()));
-    clpl_series.add(clpl_pipeline.apply(clpl_updates.next()));
+    clue_series.add(clue_system.apply(clue_updates.next()));
+    clpl_series.add(clpl_system.apply(clpl_updates.next()).ttf);
   }
 
   std::cout << "Table: " << kTableSize << " routes; updates: " << kUpdates

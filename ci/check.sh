@@ -15,18 +15,22 @@
 # image's diff differential test at CLUE_SOAK_UPDATES / 50 steps, and the
 # burst-soak: the async group-commit ingress hammered under TSan at
 # CLUE_SOAK_UPDATES bursty updates with concurrent lookups, then the
+# figures guard: bench_ttf's modeled TTF2/TTF3 columns of Figs. 10-14
+# (fig10_14_ttf.csv) must equal ci/golden/fig10_14_modeled.csv byte for
+# byte (TTF1 is measured wall time and is not compared), then the
 # bench-check: perfbench/check.py, which builds the benchmark of record
 # (perfbench/ compiles src/ through its own CMake project) and runs each
 # BENCHMARK.json workload on small inputs. Any data race, leak, UB,
 # build break or test failure fails the script.
 #
-#   $ ci/check.sh            # all seven stages
+#   $ ci/check.sh            # all eight stages
 #   $ ci/check.sh plain      # just the plain tier-1 run
 #   $ ci/check.sh asan       # just ASan+UBSan
 #   $ ci/check.sh tsan       # just TSan concurrency stage
 #   $ ci/check.sh smoke      # just the metrics-exporter smoke run
 #   $ ci/check.sh soak       # just the churn-soak
 #   $ ci/check.sh burst-soak # just the group-commit burst soak (TSan)
+#   $ ci/check.sh figures    # just the Figs. 10-14 modeled-TTF guard
 #   $ ci/check.sh bench-check # just the perfbench build + self-check
 #   $ CLUE_SOAK_UPDATES=100000 ci/check.sh soak   # bounded soak
 #   $ CLUE_ASAN_SOAK_UPDATES=20000 ci/check.sh asan  # shorter ASan soak
@@ -173,6 +177,30 @@ run_burst_soak() {
       -R 'BurstSoakTest'
 }
 
+run_figures() {
+  echo "=== stage: figures (bench_ttf modeled TTF2/TTF3 vs golden) ==="
+  configure_and_build build ""
+  local out
+  out="$(mktemp -d)"
+  trap 'rm -rf "$out"' RETURN
+  CLUE_CSV_DIR="$out" ./build/bench/bench_ttf >/dev/null
+  # Keep the bucket column and every ttf2_*/ttf3_* column, by header name.
+  awk -F, 'NR == 1 {
+             for (i = 1; i <= NF; i++)
+               if ($i == "bucket" || $i ~ /^ttf[23]_/) keep[++n] = i
+           }
+           {
+             line = $(keep[1])
+             for (j = 2; j <= n; j++) line = line "," $(keep[j])
+             print line
+           }' "$out/fig10_14_ttf.csv" >"$out/modeled.csv"
+  if ! diff -u ci/golden/fig10_14_modeled.csv "$out/modeled.csv"; then
+    echo "figures: modeled TTF2/TTF3 of Figs. 10-14 moved off the golden" >&2
+    exit 1
+  fi
+  echo "figures: modeled TTF2/TTF3 match the golden"
+}
+
 run_bench_check() {
   echo "=== stage: bench-check (perfbench build + self-check) ==="
   python3 perfbench/check.py
@@ -185,6 +213,7 @@ case "$STAGE" in
   smoke) run_smoke ;;
   soak) run_soak ;;
   burst-soak) run_burst_soak ;;
+  figures) run_figures ;;
   bench-check) run_bench_check ;;
   all)
     run_plain
@@ -193,10 +222,11 @@ case "$STAGE" in
     run_smoke
     run_soak
     run_burst_soak
+    run_figures
     run_bench_check
     ;;
   *)
-    echo "usage: $0 [plain|asan|tsan|smoke|soak|burst-soak|bench-check|all]" >&2
+    echo "usage: $0 [plain|asan|tsan|smoke|soak|burst-soak|figures|bench-check|all]" >&2
     exit 2
     ;;
 esac

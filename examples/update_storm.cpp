@@ -11,8 +11,8 @@
 #include <iostream>
 
 #include "stats/stats.hpp"
-#include "update/clpl_pipeline.hpp"
-#include "update/clue_pipeline.hpp"
+#include "system/clpl_system.hpp"
+#include "system/clue_system.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/traffic_gen.hpp"
 #include "workload/update_gen.hpp"
@@ -27,11 +27,13 @@ int main() {
   rib_config.seed = 500;
   const auto fib = clue::workload::generate_rib(rib_config);
 
-  clue::update::PipelineConfig pipeline_config;
-  clue::update::CluePipeline clue_pipeline(fib, pipeline_config);
-  clue::update::ClplPipeline clpl_pipeline(fib, pipeline_config);
+  // One chip per scheme: the update path alone, no partitioning.
+  clue::system::ClueSystem clue_system(fib, {.tcam_count = 1});
+  clue::system::ClplSystem clpl_system(fib, {.tcam_count = 1});
 
-  // Warm the caches so invalidation costs are realistic.
+  // Warm the CLPL caches so invalidation costs are realistic. CLUE's
+  // DRed sync cost does not depend on what is cached, and on one chip
+  // the exclusion rule leaves its only DRed empty anyway.
   std::vector<clue::netbase::Prefix> prefixes;
   fib.for_each_route([&prefixes](const clue::netbase::Route& route) {
     prefixes.push_back(route.prefix);
@@ -39,9 +41,7 @@ int main() {
   clue::workload::TrafficConfig traffic_config;
   traffic_config.seed = 501;
   clue::workload::TrafficGenerator traffic(prefixes, traffic_config);
-  const auto warm = traffic.generate(6'000);
-  clue_pipeline.warm(warm);
-  clpl_pipeline.warm(warm);
+  clpl_system.warm(traffic.generate(6'000));
 
   clue::workload::UpdateConfig update_config;
   update_config.seed = 502;
@@ -50,8 +50,8 @@ int main() {
 
   clue::stats::Summary clue_dp, clpl_dp, clue_total, clpl_total;
   for (std::size_t i = 0; i < kUpdates; ++i) {
-    const auto a = clue_pipeline.apply(clue_updates.next());
-    const auto b = clpl_pipeline.apply(clpl_updates.next());
+    const auto a = clue_system.apply(clue_updates.next());
+    const auto b = clpl_system.apply(clpl_updates.next()).ttf;
     clue_dp.add(a.data_plane_ns());
     clpl_dp.add(b.data_plane_ns());
     clue_total.add(a.total_ns());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <unordered_set>
 
 #include "partition/partition.hpp"
 #include "rrcme/rrc_me.hpp"
@@ -127,20 +128,24 @@ ClplUpdateResult ClplSystem::apply(const workload::UpdateMsg& message) {
           *std::max_element(per_chip.begin(), per_chip.end())) *
       update::CostModel::kTcamOpNs;
 
-  // TTF3: RRC-ME cache maintenance (same model as ClplPipeline).
+  // TTF3: RRC-ME cache maintenance. The control plane re-walks the
+  // changed region in SRAM (path down to the prefix plus its subtree —
+  // the expansions RRC-ME may have handed out all live there), then
+  // probes the caches. Probes hit all chips in parallel, so each
+  // distinct stale prefix costs one TCAM operation of wall time.
   const std::size_t subtree = fib_.nodes_within(message.prefix);
   result.ttf.ttf3_ns =
       static_cast<double>(message.prefix.length() + subtree) *
       update::CostModel::kSramAccessNs;
-  std::size_t stale = 0;
+  std::unordered_set<netbase::Prefix> stale;
   for (auto& cache : caches_) {
     for (const auto& victim : cache->overlapping(message.prefix)) {
       cache->erase(victim);
-      ++stale;
+      stale.insert(victim);
     }
   }
   result.ttf.ttf3_ns +=
-      static_cast<double>(stale) * update::CostModel::kTcamOpNs;
+      static_cast<double>(stale.size()) * update::CostModel::kTcamOpNs;
   return result;
 }
 

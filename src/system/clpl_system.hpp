@@ -7,6 +7,12 @@
 // with an overlapping, partitioned table, one BGP update touches
 // *several* chips (the new route plus a replica per bucket it covers)
 // and every touched chip pays the block-cascade cost.
+//
+// With tcam_count = 1 this is the baseline whole-path update Figs. 10-14
+// charge CLPL with: plain trie (TTF1, measured), Shah-Gupta block
+// cascade (TTF2, ≈15 shifts x 24 ns on real mixes), RRC-ME cache
+// maintenance (TTF3: an SRAM walk of the changed region plus one TCAM
+// probe per distinct stale cached prefix).
 #pragma once
 
 #include <cstdint>
@@ -46,13 +52,16 @@ class ClplSystem {
   ClplUpdateResult apply(const workload::UpdateMsg& message);
 
   /// Populates the logical caches through RRC-ME (as lookup traffic
-  /// would) so TTF3 invalidation costs are realistic.
+  /// would) so TTF3 invalidation costs are realistic. Every fill goes to
+  /// all caches: CLPL has no exclusion rule.
   void warm(const std::vector<netbase::Ipv4Address>& addresses);
 
   const trie::BinaryTrie& fib() const { return fib_; }
   const tcam::TcamChip& chip(std::size_t i) const {
     return chips_[i]->chip();
   }
+  /// Chip i's RRC-ME logical cache.
+  const engine::DredStore& cache(std::size_t i) const { return *caches_[i]; }
   std::size_t tcam_count() const { return chips_.size(); }
   std::size_t total_tcam_entries() const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "engine/dispatch_policy.hpp"
 #include "partition/partition.hpp"
 
 namespace clue::system {
@@ -69,10 +70,43 @@ update::TtfSample ClueSystem::apply(const workload::UpdateMsg& message) {
 
 update::BatchTtfSample ClueSystem::apply_batch(
     std::span<const workload::UpdateMsg> messages) {
-  const update::BatchTtfSample batch = update::commit_to_updaters(
-      fib_, messages, chips_, dreds_, boundaries_,
-      [this] { return rebalance_ ? rebalance_pass() : 0; });
+  update::BatchTxn txn(fib_, messages);
+  const update::CommitPlan& plan = txn.admit(update::CommitHost{
+      boundaries_, tcam_capacity_,
+      [this](std::size_t chip) { return chips_[chip]->size(); },
+      [this](std::size_t chip, const Prefix& region) {
+        return chips_[chip]->chip().entries_within(region);
+      },
+      [this] { return rebalance_ ? rebalance_pass() : 0; }});
+  update::BatchTtfSample batch = txn.sample();
   updates_rejected_ += batch.rejected;
+
+  // Chips update in parallel: TTF2 is the busiest chip's op count.
+  std::size_t critical_ops = 0;
+  for (std::size_t chip = 0; chip < chips_.size(); ++chip) {
+    tcam::ClueUpdater& updater = *chips_[chip];
+    std::size_t ops = 0;
+    for (const auto& prefix : plan.chips[chip].erases) {
+      ops += updater.erase(prefix);
+    }
+    for (const auto& route : plan.chips[chip].writes) {
+      ops += updater.insert(tcam::TcamEntry{route.prefix, route.next_hop});
+    }
+    critical_ops = std::max(critical_ops, ops);
+  }
+  batch.ttf.ttf2_ns =
+      static_cast<double>(critical_ops) * update::CostModel::kTcamOpNs;
+
+  // DRed sync (§IV-C): one parallel probe per synced stored shape.
+  for (const auto& dred : dreds_) {
+    for (const auto& prefix : plan.dred_erase) dred->erase(prefix);
+    // fix(): rewrite in place; a sync message must not promote the entry
+    // in LRU order.
+    for (const auto& route : plan.dred_fix) dred->fix(route);
+  }
+  batch.ttf.ttf3_ns =
+      static_cast<double>(plan.dred_erase.size() + plan.dred_fix.size()) *
+      update::CostModel::kTcamOpNs;
 
   // Drift watch: even out while the skew is still small.
   if (rebalance_ &&
@@ -80,6 +114,23 @@ update::BatchTtfSample ClueSystem::apply_batch(
     rebalance_pass();
   }
   return batch;
+}
+
+void ClueSystem::warm(const std::vector<Ipv4Address>& addresses) {
+  for (const auto address : addresses) {
+    const std::size_t home = chip_of(address);
+    tcam::TcamChip& chip = chips_[home]->chip();
+    const auto result = chip.search(address);
+    if (!result.hit) continue;
+    // The stored shape, not the compressed region: a region split at a
+    // boundary is stored as pieces, and the DRed sync erases pieces.
+    const tcam::TcamEntry& stored = *chip.read(result.slot);
+    for (std::size_t i = 0; i < dreds_.size(); ++i) {
+      if (engine::dred_may_cache(i, home)) {
+        dreds_[i]->insert(Route{stored.prefix, stored.next_hop});
+      }
+    }
+  }
 }
 
 std::vector<std::size_t> ClueSystem::chip_occupancy() const {

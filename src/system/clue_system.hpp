@@ -15,6 +15,13 @@
 // chip would make the other chip miss, so the system splits such
 // regions into per-chip CIDR pieces (netbase::cidr_cover) — a few extra
 // entries, each still O(1) to install.
+//
+// With tcam_count = 1 this is the paper's whole-path update on a single
+// chip (Fig. 6), the configuration Figs. 10-14 charge CLUE with:
+//   TTF1 — measured wall time of the incremental ONRTC trie update;
+//   TTF2 — TCAM operations x 24 ns (ClueUpdater: <= 1 shift per diff op);
+//   TTF3 — DRed synchronisation: inserts need nothing, deletes/modifies
+//          are one parallel probe across all DReds per synced shape.
 #pragma once
 
 #include <cstdint>
@@ -85,8 +92,16 @@ class ClueSystem {
   update::BatchTtfSample apply_batch(
       std::span<const workload::UpdateMsg> messages);
 
+  /// Simulates lookup traffic to populate the DReds the way a running
+  /// engine would: each address's home chip is chip_of(address), and
+  /// the stored shape it matches there is cached in every DRed the
+  /// exclusion rule allows (all but the home chip's). A one-chip system
+  /// therefore caches nothing.
+  void warm(const std::vector<Ipv4Address>& addresses);
+
   /// Forces one rebalance pass regardless of watermarks; returns the
-  /// number of migrations executed (0 when already even).
+  /// number of migrations executed (0 when already even, and always 0
+  /// on one chip).
   std::size_t rebalance_now();
 
   /// Entries currently stored per chip.

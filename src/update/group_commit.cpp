@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
-#include <utility>
 
 #include "engine/indexing_logic.hpp"
 
@@ -234,48 +233,6 @@ std::size_t BatchTxn::effective() const {
     if (!per_msg_[k].empty()) ++count;
   }
   return count;
-}
-
-BatchTtfSample commit_to_updaters(
-    onrtc::CompressedFib& fib, std::span<const workload::UpdateMsg> messages,
-    std::span<const std::unique_ptr<tcam::ClueUpdater>> chips,
-    std::span<const std::unique_ptr<engine::DredStore>> dreds,
-    const std::vector<netbase::Ipv4Address>& boundaries,
-    std::function<std::size_t()> emergency_rebalance) {
-  BatchTxn txn(fib, messages);
-  const CommitPlan& plan = txn.admit(CommitHost{
-      boundaries, chips.front()->chip().capacity(),
-      [&](std::size_t chip) { return chips[chip]->size(); },
-      [&](std::size_t chip, const Prefix& region) {
-        return chips[chip]->chip().entries_within(region);
-      },
-      std::move(emergency_rebalance)});
-  BatchTtfSample batch = txn.sample();
-
-  std::size_t critical_ops = 0;
-  for (std::size_t chip = 0; chip < chips.size(); ++chip) {
-    tcam::ClueUpdater& updater = *chips[chip];
-    std::size_t ops = 0;
-    for (const auto& prefix : plan.chips[chip].erases) {
-      ops += updater.erase(prefix);
-    }
-    for (const auto& route : plan.chips[chip].writes) {
-      ops += updater.insert(tcam::TcamEntry{route.prefix, route.next_hop});
-    }
-    critical_ops = std::max(critical_ops, ops);
-  }
-  batch.ttf.ttf2_ns = static_cast<double>(critical_ops) * CostModel::kTcamOpNs;
-
-  for (const auto& dred : dreds) {
-    for (const auto& prefix : plan.dred_erase) dred->erase(prefix);
-    // fix(): rewrite in place; a sync message must not promote the entry
-    // in LRU order.
-    for (const auto& route : plan.dred_fix) dred->fix(route);
-  }
-  batch.ttf.ttf3_ns =
-      static_cast<double>(plan.dred_erase.size() + plan.dred_fix.size()) *
-      CostModel::kTcamOpNs;
-  return batch;
 }
 
 }  // namespace clue::update

@@ -1,5 +1,5 @@
 // Group commit: the one update-commit transaction every host runs
-// (CluePipeline, ClueSystem, runtime::LookupRuntime).
+// (system::ClueSystem, runtime::LookupRuntime).
 //
 // The paper's update path (§IV, Fig. 6) is one sequence: ONRTC diff
 // (TTF1), order-free TCAM writes (TTF2), DRed sync (TTF3). BatchTxn owns
@@ -41,14 +41,11 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "engine/dred.hpp"
 #include "onrtc/compressed_fib.hpp"
-#include "tcam/updater.hpp"
 #include "update/cost_model.hpp"
 #include "workload/update_gen.hpp"
 
@@ -152,18 +149,5 @@ class BatchTxn {
   BatchTtfSample sample_;
   CommitPlan plan_;
 };
-
-/// The whole commit on ClueUpdater chips and their DReds — the
-/// serial hosts' data plane (CluePipeline: one chip, no boundaries;
-/// ClueSystem: one chip per range partition). Runs BatchTxn, then each
-/// chip's erases before its writes and one DRed erase/fix sweep. TTF2 is
-/// the critical path (chips update in parallel: most ops on one chip x
-/// 24 ns); TTF3 is one parallel probe per synced shape x 24 ns.
-BatchTtfSample commit_to_updaters(
-    onrtc::CompressedFib& fib, std::span<const workload::UpdateMsg> messages,
-    std::span<const std::unique_ptr<tcam::ClueUpdater>> chips,
-    std::span<const std::unique_ptr<engine::DredStore>> dreds,
-    const std::vector<netbase::Ipv4Address>& boundaries,
-    std::function<std::size_t()> emergency_rebalance = {});
 
 }  // namespace clue::update

@@ -1,7 +1,7 @@
 // Group-commit correctness: the coalescer's per-prefix fold, and the
 // differential guarantee that apply_batch() lands every host
-// (CluePipeline, ClueSystem, LookupRuntime) in the same state a
-// message-at-a-time replay reaches — plus batch-granular overflow
+// (ClueSystem, on one chip and on four, and LookupRuntime) in the same
+// state a message-at-a-time replay reaches — plus batch-granular overflow
 // rollback, publish accounting (one publish per affected chip per
 // batch), the async submit() ingress, and a burst-under-traffic
 // windowed-oracle stress for TSan.
@@ -21,7 +21,6 @@
 #include "runtime/lookup_runtime.hpp"
 #include "system/clue_system.hpp"
 #include "tcam/updater.hpp"
-#include "update/clue_pipeline.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/update_gen.hpp"
 
@@ -130,12 +129,16 @@ TEST(CoalesceOps, DistinctPrefixesKeepFirstTouchOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// CluePipeline: apply_batch ≡ sequential apply
+// ClueSystem: apply_batch ≡ sequential apply, DReds included
 
-TEST(BatchUpdate, PipelineBatchMatchesSequential) {
+TEST(BatchUpdate, WarmedSystemBatchMatchesSequential) {
   const auto fib = make_fib(5'000, 61);
-  CluePipeline sequential(fib, PipelineConfig{});
-  CluePipeline batched(fib, PipelineConfig{});
+  // Rebalancing off: drift-watch passes fire at different points of a
+  // batched and a sequential replay, and would move different shapes.
+  system::SystemConfig config;
+  config.rebalance = false;
+  system::ClueSystem sequential(fib, config);
+  system::ClueSystem batched(fib, config);
   const auto warm = random_addresses(2'000, 62);
   sequential.warm(warm);
   batched.warm(warm);
@@ -154,7 +157,7 @@ TEST(BatchUpdate, PipelineBatchMatchesSequential) {
 
   EXPECT_EQ(sequential.updates_rejected(), 0u);
   EXPECT_EQ(batched.updates_rejected(), 0u);
-  EXPECT_EQ(sequential.chip().occupied(), batched.chip().occupied());
+  EXPECT_EQ(sequential.chip_occupancy(), batched.chip_occupancy());
   EXPECT_EQ(sequential.fib().size(), batched.fib().size());
   for (const auto address : random_addresses(20'000, 64)) {
     ASSERT_EQ(sequential.lookup(address), batched.lookup(address))
@@ -164,11 +167,15 @@ TEST(BatchUpdate, PipelineBatchMatchesSequential) {
         << address.to_string();
   }
   // DRed agreement on every surviving compressed route.
-  ASSERT_EQ(sequential.dred_count(), batched.dred_count());
+  std::size_t cached = 0;
+  for (std::size_t i = 0; i < batched.tcam_count(); ++i) {
+    cached += batched.dred(i).size();
+  }
+  EXPECT_GT(cached, 0u);
   std::size_t probed = 0;
   for (const auto& route : batched.fib().compressed().routes()) {
     if (++probed > 2'000) break;
-    for (std::size_t i = 0; i < batched.dred_count(); ++i) {
+    for (std::size_t i = 0; i < batched.tcam_count(); ++i) {
       ASSERT_EQ(sequential.dred(i).contains(route.prefix),
                 batched.dred(i).contains(route.prefix))
           << route.prefix.to_string();
@@ -178,12 +185,12 @@ TEST(BatchUpdate, PipelineBatchMatchesSequential) {
 
 TEST(BatchUpdate, AnnounceAndWithdrawOfSamePrefixInOneBatch) {
   const auto fib = make_fib(2'000, 71);
-  CluePipeline pipeline(fib, PipelineConfig{});
-  const auto before_occupied = pipeline.chip().occupied();
+  system::ClueSystem host(fib, system::SystemConfig{.tcam_count = 1});
+  const auto before_occupied = host.chip(0).occupied();
   const auto truth_before = [&] {
     std::vector<NextHop> hops;
     for (const auto address : random_addresses(4'000, 72)) {
-      hops.push_back(pipeline.lookup(address));
+      hops.push_back(host.lookup(address));
     }
     return hops;
   }();
@@ -198,18 +205,18 @@ TEST(BatchUpdate, AnnounceAndWithdrawOfSamePrefixInOneBatch) {
       withdraw("198.51.100.0/24"),
   };
   const auto sample =
-      pipeline.apply_batch(std::span<const UpdateMsg>(batch));
+      host.apply_batch(std::span<const UpdateMsg>(batch));
   EXPECT_EQ(sample.applied, batch.size());
   EXPECT_EQ(sample.rejected, 0u);
   EXPECT_LT(sample.merged_ops, sample.raw_ops);
 
-  EXPECT_EQ(pipeline.chip().occupied(), before_occupied);
-  EXPECT_EQ(pipeline.fib().ground_truth().lookup(
+  EXPECT_EQ(host.chip(0).occupied(), before_occupied);
+  EXPECT_EQ(host.fib().ground_truth().lookup(
                 Ipv4Address::from_octets(203, 0, 113, 5)),
             fib.lookup(Ipv4Address::from_octets(203, 0, 113, 5)));
   std::size_t i = 0;
   for (const auto address : random_addresses(4'000, 72)) {
-    ASSERT_EQ(pipeline.lookup(address), truth_before[i++])
+    ASSERT_EQ(host.lookup(address), truth_before[i++])
         << address.to_string();
   }
 }
@@ -218,17 +225,17 @@ TEST(BatchUpdate, WithdrawThenReannounceInOneBatchIsAModify) {
   trie::BinaryTrie fib;
   fib.insert(*Prefix::parse("10.0.0.0/8"), make_next_hop(1));
   fib.insert(*Prefix::parse("99.0.0.0/8"), make_next_hop(2));
-  CluePipeline pipeline(fib, PipelineConfig{});
+  system::ClueSystem host(fib, system::SystemConfig{.tcam_count = 1});
 
   const std::vector<UpdateMsg> batch = {withdraw("10.0.0.0/8"),
                                         announce("10.0.0.0/8", 5)};
   const auto sample =
-      pipeline.apply_batch(std::span<const UpdateMsg>(batch));
+      host.apply_batch(std::span<const UpdateMsg>(batch));
   EXPECT_EQ(sample.applied, 2u);
   EXPECT_LE(sample.merged_ops, sample.raw_ops);
-  EXPECT_EQ(pipeline.lookup(Ipv4Address::from_octets(10, 1, 2, 3)),
+  EXPECT_EQ(host.lookup(Ipv4Address::from_octets(10, 1, 2, 3)),
             make_next_hop(5));
-  EXPECT_EQ(pipeline.fib().ground_truth().lookup(
+  EXPECT_EQ(host.fib().ground_truth().lookup(
                 Ipv4Address::from_octets(10, 1, 2, 3)),
             make_next_hop(5));
 }
@@ -238,12 +245,12 @@ TEST(BatchUpdate, WithdrawThenReannounceInOneBatchIsAModify) {
 
 TEST(BatchUpdate, OverflowRejectsSuffixAndStaysConsistent) {
   const auto fib = make_fib(2'000, 81);
-  PipelineConfig config;
+  system::SystemConfig config{.tcam_count = 1};
   // Barely above the compressed size, so a 600-announce burst must hit
   // the ceiling partway through.
   config.tcam_capacity = onrtc::CompressedFib(fib).size() + 64;
-  CluePipeline pipeline(fib, config);
-  ASSERT_LE(pipeline.fib().size(), config.tcam_capacity);
+  system::ClueSystem host(fib, config);
+  ASSERT_LE(host.fib().size(), config.tcam_capacity);
 
   // Announce-heavy churn until the TCAM runs out of slots.
   Pcg32 rng(82);
@@ -256,24 +263,24 @@ TEST(BatchUpdate, OverflowRejectsSuffixAndStaysConsistent) {
     batch.push_back(msg);
   }
   const auto sample =
-      pipeline.apply_batch(std::span<const UpdateMsg>(batch));
+      host.apply_batch(std::span<const UpdateMsg>(batch));
   EXPECT_GT(sample.rejected, 0u) << "batch never overflowed the TCAM";
   EXPECT_EQ(sample.applied + sample.rejected, batch.size());
-  EXPECT_EQ(pipeline.updates_rejected(), sample.rejected);
-  EXPECT_LE(pipeline.chip().occupied(), config.tcam_capacity);
+  EXPECT_EQ(host.updates_rejected(), sample.rejected);
+  EXPECT_LE(host.chip(0).occupied(), config.tcam_capacity);
 
   // The committed prefix is installed, the rejected suffix is not, and
   // chip/trie agree everywhere.
-  EXPECT_EQ(pipeline.chip().occupied(), pipeline.fib().size());
+  EXPECT_EQ(host.chip(0).occupied(), host.fib().size());
   for (const auto address : random_addresses(20'000, 83)) {
-    ASSERT_EQ(pipeline.lookup(address),
-              pipeline.fib().ground_truth().lookup(address))
+    ASSERT_EQ(host.lookup(address),
+              host.fib().ground_truth().lookup(address))
         << address.to_string();
   }
   // The rejected messages form a suffix: every batch message before the
   // first rejected one is visible in the ground truth (last writer wins
   // when the random stream repeated a prefix).
-  const auto& truth = pipeline.fib().ground_truth();
+  const auto& truth = host.fib().ground_truth();
   std::vector<std::pair<Prefix, NextHop>> last_writer;
   for (std::size_t i = 0; i < sample.applied; ++i) {
     bool found = false;
@@ -292,10 +299,10 @@ TEST(BatchUpdate, OverflowRejectsSuffixAndStaysConsistent) {
     ASSERT_EQ(*stored, hop) << prefix.to_string();
   }
 
-  // The pipeline stays usable: a withdraw frees room again.
+  // The system stays usable: a withdraw frees room again.
   const std::vector<UpdateMsg> relief = {
       UpdateMsg{UpdateKind::kWithdraw, batch[0].prefix, netbase::kNoRoute}};
-  const auto after = pipeline.apply_batch(std::span<const UpdateMsg>(relief));
+  const auto after = host.apply_batch(std::span<const UpdateMsg>(relief));
   EXPECT_EQ(after.rejected, 0u);
 }
 

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "netbase/rng.hpp"
 #include "obs/metrics_registry.hpp"
 #include "workload/rib_gen.hpp"
+#include "workload/traffic_gen.hpp"
 #include "workload/update_gen.hpp"
 
 #include "test_support.hpp"
@@ -14,7 +17,10 @@
 namespace clue::system {
 namespace {
 
+using test_support::announce;
 using test_support::make_fib;
+using test_support::random_addresses;
+using test_support::withdraw;
 
 using netbase::cidr_cover;
 using netbase::make_next_hop;
@@ -209,6 +215,229 @@ TEST(ClueSystem, RuntimeStartsFromTheLiveCompressedFib) {
     EXPECT_EQ(value, static_cast<double>(system.fib().memory_bytes()));
   }
   EXPECT_TRUE(seen);
+}
+
+// ---------------------------------------------------------------------------
+// ClueSystem on one chip: the paper's whole-path update (Fig. 6)
+
+TEST(ClueSystemOneChip, TcamMirrorsCompressedTableInitially) {
+  const auto fib = make_fib(2'000, 31);
+  ClueSystem system(fib, SystemConfig{.tcam_count = 1});
+  EXPECT_EQ(system.chip(0).occupied(), system.fib().size());
+}
+
+TEST(ClueSystemOneChip, LookupMatchesGroundTruthAfterUpdates) {
+  const auto fib = make_fib(2'000, 33);
+  ClueSystem system(fib, SystemConfig{.tcam_count = 1});
+  workload::UpdateConfig update_config;
+  update_config.seed = 35;
+  workload::UpdateGenerator updates(fib, update_config);
+  Pcg32 rng(37);
+  for (int i = 0; i < 1'000; ++i) {
+    system.apply(updates.next());
+    if (i % 50 == 0) {
+      for (int probe = 0; probe < 20; ++probe) {
+        const Ipv4Address address(rng.next());
+        ASSERT_EQ(system.lookup(address),
+                  system.fib().ground_truth().lookup(address))
+            << address.to_string();
+      }
+    }
+  }
+}
+
+TEST(ClueSystemOneChip, Ttf2IsOneTcamOpPerDiffOp) {
+  const auto fib = make_fib(2'000, 39);
+  ClueSystem system(fib, SystemConfig{.tcam_count = 1});
+  workload::UpdateConfig update_config;
+  update_config.seed = 41;
+  workload::UpdateGenerator updates(fib, update_config);
+  std::size_t changed = 0;
+  for (int i = 0; i < 500; ++i) {
+    const auto message = updates.next();
+    const auto batch = system.apply_batch({&message, 1});
+    ASSERT_EQ(batch.rejected, 0u);
+    // One chip stores every region whole, so each net diff op is one
+    // TCAM operation: at most one shift (the CLUE claim).
+    EXPECT_EQ(batch.ttf.ttf2_ns / update::CostModel::kTcamOpNs,
+              static_cast<double>(batch.merged_ops))
+        << "update " << i;
+    if (batch.merged_ops > 0) ++changed;
+  }
+  EXPECT_GT(changed, 0u);
+}
+
+TEST(ClueSystemOneChip, NoopUpdateCostsNoDataPlaneTime) {
+  const auto fib = make_fib(500, 43);
+  ClueSystem system(fib, SystemConfig{.tcam_count = 1});
+  // Withdrawing a prefix that does not exist leaves the data plane alone.
+  const auto sample = system.apply(withdraw("203.0.113.0/24"));
+  EXPECT_EQ(sample.ttf2_ns, 0.0);
+  EXPECT_EQ(sample.ttf3_ns, 0.0);
+  EXPECT_GT(sample.ttf1_ns, 0.0);  // the trie check itself was timed
+}
+
+TEST(ClueSystemOneChip, InsertCostsNoDredTime) {
+  trie::BinaryTrie fib;
+  fib.insert(*Prefix::parse("10.0.0.0/8"), make_next_hop(1));
+  ClueSystem system(fib, SystemConfig{.tcam_count = 1});
+  const auto sample = system.apply(announce("99.1.0.0/16", 2));
+  EXPECT_GT(sample.ttf2_ns, 0.0);
+  EXPECT_EQ(sample.ttf3_ns, 0.0);  // inserts never touch the DReds
+}
+
+TEST(ClueSystemOneChip, WarmCachesNothing) {
+  const auto fib = make_fib(2'000, 45);
+  ClueSystem system(fib, SystemConfig{.tcam_count = 1});
+  // Chip 0 is every address's home, and the exclusion rule keeps its
+  // prefixes out of DRed 0.
+  system.warm(random_addresses(2'000, 46));
+  EXPECT_EQ(system.dred(0).size(), 0u);
+}
+
+TEST(ClueSystemOneChip, RebalanceNowNeverMigrates) {
+  const auto fib = make_fib(2'000, 47);
+  ClueSystem system(fib, SystemConfig{.tcam_count = 1});
+  Pcg32 rng(48);
+  for (int i = 0; i < 300; ++i) {
+    system.apply(UpdateMsg{UpdateKind::kAnnounce,
+                           Prefix(Ipv4Address(rng.next_below(0x20000000u)), 24),
+                           make_next_hop(1 + rng.next_below(250))});
+  }
+  EXPECT_EQ(system.rebalance_now(), 0u);
+  EXPECT_EQ(system.skew(), 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// ClueSystem's DReds, warmed
+
+/// DRed coherence: DRed i caches only shapes some other chip stores
+/// (the exclusion rule), with the hop that chip stores. Returns the
+/// first violation, or "" when there is none.
+std::string dred_violation(const ClueSystem& system) {
+  for (std::size_t i = 0; i < system.tcam_count(); ++i) {
+    const std::string dred = "DRed " + std::to_string(i) + " caches ";
+    for (const auto& cached : system.dred(i).routes()) {
+      const std::string what = dred + cached.prefix.to_string();
+      bool stored = false;
+      for (std::size_t chip = 0; chip < system.tcam_count(); ++chip) {
+        const auto slot = system.chip(chip).slot_of(cached.prefix);
+        if (!slot) continue;
+        stored = true;
+        if (chip == i) return what + ", its own chip's prefix";
+        if (system.chip(chip).read(*slot)->next_hop != cached.next_hop) {
+          return what + " with a stale hop";
+        }
+      }
+      if (!stored) return what + ", stored on no chip";
+    }
+  }
+  return "";
+}
+
+TEST(ClueSystem, DeleteErasesFromWarmDreds) {
+  trie::BinaryTrie fib;
+  fib.insert(*Prefix::parse("10.0.0.0/8"), make_next_hop(1));
+  fib.insert(*Prefix::parse("40.0.0.0/8"), make_next_hop(2));
+  fib.insert(*Prefix::parse("99.0.0.0/8"), make_next_hop(3));
+  fib.insert(*Prefix::parse("200.0.0.0/8"), make_next_hop(4));
+  ClueSystem system(fib, SystemConfig{});
+  const Prefix slash8 = *Prefix::parse("10.0.0.0/8");
+  ASSERT_TRUE(system.chip(0).slot_of(slash8).has_value());
+  system.warm({Ipv4Address::from_octets(10, 1, 2, 3),
+               Ipv4Address::from_octets(10, 4, 5, 6)});
+  // Homed at chip 0, the /8 is cached in every other DRed; withdrawing
+  // it must purge it from all of them.
+  for (std::size_t i = 1; i < system.tcam_count(); ++i) {
+    ASSERT_TRUE(system.dred(i).contains(slash8)) << "DRed " << i;
+  }
+  const auto sample = system.apply(withdraw("10.0.0.0/8"));
+  EXPECT_GT(sample.ttf3_ns, 0.0);
+  for (std::size_t i = 0; i < system.tcam_count(); ++i) {
+    EXPECT_FALSE(system.dred(i).contains(slash8)) << "DRed " << i;
+  }
+}
+
+TEST(ClueSystem, WarmRespectsExclusionRule) {
+  const auto fib = make_fib(1'000, 45);
+  ClueSystem system(fib, SystemConfig{});
+  std::vector<Prefix> prefixes;
+  for (const auto& route : system.fib().compressed().routes()) {
+    prefixes.push_back(route.prefix);
+  }
+  workload::TrafficGenerator traffic(prefixes, workload::TrafficConfig{});
+  system.warm(traffic.generate(2'000));
+  // Every DRed caches something, only stored shapes of other chips.
+  for (std::size_t i = 0; i < system.tcam_count(); ++i) {
+    EXPECT_GT(system.dred(i).size(), 0u) << "DRed " << i;
+  }
+  EXPECT_EQ(dred_violation(system), "");
+}
+
+TEST(ClueSystem, WarmCachesTheStoredPiecesOfASplitRegion) {
+  trie::BinaryTrie fib;
+  fib.insert(*Prefix::parse("10.0.0.0/8"), make_next_hop(1));
+  fib.insert(*Prefix::parse("40.0.0.0/8"), make_next_hop(2));
+  fib.insert(*Prefix::parse("99.0.0.0/8"), make_next_hop(3));
+  fib.insert(*Prefix::parse("200.0.0.0/8"), make_next_hop(4));
+  ClueSystem system(fib, SystemConfig{});
+  // 32/3 with 40/8's hop absorbs it: one compressed region across the
+  // chip 0 | chip 1 boundary, stored as a piece on each side.
+  const Prefix region = *Prefix::parse("32.0.0.0/3");
+  system.apply(UpdateMsg{UpdateKind::kAnnounce, region, make_next_hop(2)});
+  ASSERT_EQ(system.fib().compressed().lookup_route(
+                Ipv4Address::from_octets(32, 0, 0, 1))->prefix,
+            region);
+  for (std::size_t chip = 0; chip < system.tcam_count(); ++chip) {
+    ASSERT_FALSE(system.chip(chip).slot_of(region)) << "chip " << chip;
+  }
+
+  // The DReds cache the pieces either end matched, never the region the
+  // sync could not erase.
+  system.warm({region.range_low(), region.range_high()});
+  for (std::size_t i = 0; i < system.tcam_count(); ++i) {
+    EXPECT_FALSE(system.dred(i).contains(region)) << "DRed " << i;
+  }
+  EXPECT_GT(system.dred(2).size(), 0u);
+  EXPECT_EQ(dred_violation(system), "");
+  system.apply(withdraw("32.0.0.0/3"));
+  EXPECT_EQ(dred_violation(system), "");
+  for (std::size_t i = 0; i < system.tcam_count(); ++i) {
+    EXPECT_EQ(system.dred(i).size(), 0u) << "DRed " << i;
+  }
+}
+
+TEST(ClueSystem, WarmDredsKeepExclusionThroughChurnAndMigration) {
+  const auto fib = make_fib(2'000, 441);
+  SystemConfig config;
+  config.dred_capacity = 8'192;  // room for every stored shape
+  ClueSystem system(fib, config);
+  std::vector<Ipv4Address> warm;
+  for (const auto& route : system.fib().compressed().routes()) {
+    warm.push_back(route.prefix.range_low());
+  }
+  system.warm(warm);
+  ASSERT_EQ(dred_violation(system), "");
+
+  // Hot /24 churn on chip 0 trips the drift watch, so migrations hand
+  // chip 0's cached shapes to neighbours whose DReds hold them.
+  Pcg32 rng(442);
+  for (int u = 0; u < 1'000; ++u) {
+    system.apply(UpdateMsg{UpdateKind::kAnnounce,
+                           Prefix(Ipv4Address(rng.next_below(0x20000000u)), 24),
+                           make_next_hop(1 + rng.next_below(250))});
+    ASSERT_EQ(dred_violation(system), "") << "after update " << u;
+  }
+  system.rebalance_now();
+  EXPECT_EQ(dred_violation(system), "");
+
+  obs::MetricsRegistry registry;
+  system.export_metrics(registry);
+  std::uint64_t migrated = 0;
+  for (const auto& [name, value] : registry.counters()) {
+    if (name == "system.entries_migrated") migrated = value;
+  }
+  EXPECT_GT(migrated, 0u) << "the churn never migrated a shape";
 }
 
 }  // namespace

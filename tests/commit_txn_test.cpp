@@ -1,9 +1,9 @@
 // The shared commit transaction at the capacity edge: one input through
-// CluePipeline, a 2-chip ClueSystem and a 2-worker LookupRuntime must be
-// admitted, shed and installed identically — the hosts run one exact
-// admission rule — every host must reject a capacity below its initial
-// share before building anything, and the pipeline's DRed modify sync
-// must not promote the entry in LRU order.
+// a 1-chip ClueSystem, a 2-chip ClueSystem and a 2-worker LookupRuntime
+// must be admitted, shed and installed identically — the hosts run one
+// exact admission rule — every host must reject a capacity below its
+// initial share before building anything, and the system's DRed modify
+// sync must not promote the entry in LRU order.
 #include "update/group_commit.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "netbase/rng.hpp"
 #include "runtime/lookup_runtime.hpp"
 #include "system/clue_system.hpp"
-#include "update/clue_pipeline.hpp"
 
 #include "test_support.hpp"
 
@@ -55,15 +54,18 @@ constexpr std::size_t kRoutes = 8;
 constexpr std::size_t kPerChip = 4;
 
 /// The three hosts over edge_fib(), rebalancer off, each with `slack`
-/// free entries on every chip. The pipeline's single chip holds both
+/// free entries on every chip. The 1-chip system's chip holds both
 /// partitions, so its capacity is the whole table plus the same slack:
 /// every host then has the same room on the chip an input lands on.
 struct Hosts {
   explicit Hosts(std::size_t slack)
-      : pipeline(edge_fib(), PipelineConfig{.tcam_capacity = kRoutes + slack}),
+      : single(edge_fib(), single_config(slack)),
         system(edge_fib(), system_config(slack)),
         runtime(edge_fib(), runtime_config(slack)) {}
 
+  static system::SystemConfig single_config(std::size_t slack) {
+    return {.tcam_count = 1, .tcam_capacity = kRoutes + slack};
+  }
   static system::SystemConfig system_config(std::size_t slack) {
     system::SystemConfig config;
     config.tcam_count = 2;
@@ -81,7 +83,7 @@ struct Hosts {
 
   /// Applies `batch` on every host and checks they agree on it.
   void apply_batch(std::span<const UpdateMsg> batch) {
-    const auto p = pipeline.apply_batch(batch);
+    const auto p = single.apply_batch(batch);
     const auto s = system.apply_batch(batch);
     const auto r = runtime.apply_batch(batch);
     EXPECT_EQ(p.applied, s.applied);
@@ -95,10 +97,10 @@ struct Hosts {
   /// entry (chip 1's inputs never straddle the boundary), and every
   /// answer equal to the ground truth.
   void expect_identical() {
-    const auto routes = pipeline.fib().compressed().routes();
+    const auto routes = single.fib().compressed().routes();
     EXPECT_EQ(system.fib().compressed().routes(), routes);
     EXPECT_EQ(runtime.fib().compressed().routes(), routes);
-    EXPECT_EQ(pipeline.chip().entries_within(Prefix()), routes);
+    EXPECT_EQ(single.chip(0).entries_within(Prefix()), routes);
     std::vector<Route> system_entries;
     for (std::size_t i = 0; i < system.tcam_count(); ++i) {
       const auto chip = system.chip(i).entries_within(Prefix());
@@ -106,9 +108,8 @@ struct Hosts {
     }
     EXPECT_EQ(system_entries, routes);
     EXPECT_EQ(runtime.chip_occupancy(), system.chip_occupancy());
-    EXPECT_EQ(pipeline.updates_rejected(), system.updates_rejected());
-    EXPECT_EQ(pipeline.updates_rejected(),
-              runtime.metrics().updates_rejected);
+    EXPECT_EQ(single.updates_rejected(), system.updates_rejected());
+    EXPECT_EQ(single.updates_rejected(), runtime.metrics().updates_rejected);
 
     Pcg32 rng(7);
     std::vector<Ipv4Address> sweep;
@@ -118,16 +119,16 @@ struct Hosts {
     }
     for (int i = 0; i < 4'000; ++i) sweep.emplace_back(rng.next());
     const auto runtime_hops = runtime.lookup_batch(sweep);
-    const auto& truth = pipeline.fib().ground_truth();
+    const auto& truth = single.fib().ground_truth();
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       const auto expected = truth.lookup(sweep[i]);
-      ASSERT_EQ(pipeline.lookup(sweep[i]), expected) << sweep[i].to_string();
+      ASSERT_EQ(single.lookup(sweep[i]), expected) << sweep[i].to_string();
       ASSERT_EQ(system.lookup(sweep[i]), expected) << sweep[i].to_string();
       ASSERT_EQ(runtime_hops[i], expected) << sweep[i].to_string();
     }
   }
 
-  CluePipeline pipeline;
+  system::ClueSystem single;
   system::ClueSystem system;
   runtime::LookupRuntime runtime;
   BatchTtfSample last;
@@ -143,19 +144,19 @@ TEST(CommitTxn, MergingAnnounceFitsBrimFullChips) {
   hosts.apply_batch(batch);
   EXPECT_EQ(hosts.last.applied, 1u);
   EXPECT_EQ(hosts.last.rejected, 0u);
-  EXPECT_EQ(hosts.pipeline.chip().occupied(), kRoutes - 1);
-  EXPECT_EQ(hosts.pipeline.lookup(Ipv4Address::from_octets(10, 0, 0, 200)),
+  EXPECT_EQ(hosts.single.chip(0).occupied(), kRoutes - 1);
+  EXPECT_EQ(hosts.single.lookup(Ipv4Address::from_octets(10, 0, 0, 200)),
             make_next_hop(1));
   hosts.expect_identical();
 
   // apply() is apply_batch() of one: it agrees too, and throws only on a
   // real overflow (chip 0 is full again after the split below).
-  hosts.pipeline.apply(announce("10.0.0.128/25", 2));
+  hosts.single.apply(announce("10.0.0.128/25", 2));
   hosts.system.apply(announce("10.0.0.128/25", 2));
   hosts.runtime.apply(announce("10.0.0.128/25", 2));
   hosts.expect_identical();
   const auto overflow = announce("40.0.0.0/8", 9);
-  EXPECT_THROW(hosts.pipeline.apply(overflow), tcam::TcamFullError);
+  EXPECT_THROW(hosts.single.apply(overflow), tcam::TcamFullError);
   EXPECT_THROW(hosts.system.apply(overflow), tcam::TcamFullError);
   EXPECT_THROW(hosts.runtime.apply(overflow), tcam::TcamFullError);
   hosts.expect_identical();
@@ -178,7 +179,7 @@ TEST(CommitTxn, WithdrawAndAnnounceInOneBatchFitBrimFullChips) {
   hosts.apply_batch(swap);
   EXPECT_EQ(hosts.last.applied, 2u);
   EXPECT_EQ(hosts.last.rejected, 0u);
-  EXPECT_EQ(hosts.pipeline.chip().occupied(), kRoutes);
+  EXPECT_EQ(hosts.single.chip(0).occupied(), kRoutes);
   hosts.expect_identical();
 }
 
@@ -202,7 +203,7 @@ TEST(CommitTxn, OverflowShedsTheSameSuffixOnEveryHost) {
   EXPECT_GT(hosts.last.applied, 0u);
   EXPECT_GT(hosts.last.rejected, 0u) << "batch never overflowed";
   EXPECT_EQ(hosts.last.applied + hosts.last.rejected, batch.size());
-  EXPECT_LE(hosts.pipeline.chip().occupied(), kRoutes + 64);
+  EXPECT_LE(hosts.single.chip(0).occupied(), kRoutes + 64);
   hosts.expect_identical();
 }
 
@@ -224,12 +225,11 @@ void expect_rejected_up_front(Build build, std::size_t capacity,
   }
 }
 
-TEST(CommitTxn, PipelineRejectsUndersizedCapacityUpFront) {
-  expect_rejected_up_front(
-      [] {
-        CluePipeline(edge_fib(), PipelineConfig{.tcam_capacity = kRoutes - 1});
-      },
-      kRoutes - 1, kRoutes);
+TEST(CommitTxn, OneChipSystemRejectsUndersizedCapacityUpFront) {
+  auto config = Hosts::single_config(0);
+  config.tcam_capacity = kRoutes - 1;
+  expect_rejected_up_front([&] { system::ClueSystem(edge_fib(), config); },
+                           kRoutes - 1, kRoutes);
 }
 
 TEST(CommitTxn, SystemRejectsUndersizedCapacityUpFront) {
@@ -247,21 +247,23 @@ TEST(CommitTxn, RuntimeRejectsUndersizedCapacityUpFront) {
       kPerChip);
 }
 
-TEST(CommitTxn, PipelineModifySyncDoesNotPromoteDredEntry) {
+TEST(CommitTxn, SystemModifySyncDoesNotPromoteDredEntry) {
   trie::BinaryTrie fib;
   fib.insert(*Prefix::parse("10.0.0.0/8"), make_next_hop(1));
   fib.insert(*Prefix::parse("20.0.0.0/8"), make_next_hop(2));
-  CluePipeline pipeline(fib, PipelineConfig{});
-  // Homes 0 and 1: DReds 2 and 3 cache A then B.
-  pipeline.warm({Ipv4Address::from_octets(10, 1, 1, 1),
-                 Ipv4Address::from_octets(20, 1, 1, 1)});
-  const engine::DredStore& dred = pipeline.dred(2);
+  fib.insert(*Prefix::parse("30.0.0.0/8"), make_next_hop(3));
+  fib.insert(*Prefix::parse("40.0.0.0/8"), make_next_hop(4));
+  system::ClueSystem host(fib, system::SystemConfig{});
+  // One route per chip. Homes 0 and 1: DReds 2 and 3 cache A then B.
+  host.warm({Ipv4Address::from_octets(10, 1, 1, 1),
+             Ipv4Address::from_octets(20, 1, 1, 1)});
+  const engine::DredStore& dred = host.dred(2);
   const auto order = dred.contents();
   ASSERT_EQ(order, (std::vector<Prefix>{*Prefix::parse("20.0.0.0/8"),
                                         *Prefix::parse("10.0.0.0/8")}));
   const auto stats = dred.stats();
 
-  pipeline.apply(announce("10.0.0.0/8", 5));  // a modify of A
+  host.apply(announce("10.0.0.0/8", 5));  // a modify of A
 
   EXPECT_EQ(dred.contents(), order);
   EXPECT_EQ(dred.stats().insertions, stats.insertions);

@@ -9,8 +9,8 @@
 #include "netbase/rng.hpp"
 #include "onrtc/onrtc.hpp"
 #include "partition/partition.hpp"
-#include "update/clpl_pipeline.hpp"
-#include "update/clue_pipeline.hpp"
+#include "system/clpl_system.hpp"
+#include "system/clue_system.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/traffic_gen.hpp"
 #include "workload/update_gen.hpp"
@@ -232,14 +232,14 @@ TEST(PaperClaims, PrefixCachingBeatsAddressCaching) {
 }
 
 // "TTF2+TTF3 of CLUE is [a small fraction] of CLPL" — the data-plane
-// update advantage, end to end through both pipelines.
+// update advantage, end to end through both schemes on one chip each.
 TEST(PaperClaims, DataPlaneUpdateAdvantage) {
   workload::RibConfig rib_config;
   rib_config.table_size = 10'000;
   rib_config.seed = 112;
   const auto fib = workload::generate_rib(rib_config);
-  update::CluePipeline clue_pipeline(fib, update::PipelineConfig{});
-  update::ClplPipeline clpl_pipeline(fib, update::PipelineConfig{});
+  system::ClueSystem clue_system(fib, {.tcam_count = 1});
+  system::ClplSystem clpl_system(fib, {.tcam_count = 1});
   workload::UpdateConfig update_config;
   update_config.seed = 113;
   workload::UpdateGenerator clue_updates(fib, update_config);
@@ -247,8 +247,8 @@ TEST(PaperClaims, DataPlaneUpdateAdvantage) {
   double clue_dp = 0;
   double clpl_dp = 0;
   for (int i = 0; i < 2'000; ++i) {
-    clue_dp += clue_pipeline.apply(clue_updates.next()).data_plane_ns();
-    clpl_dp += clpl_pipeline.apply(clpl_updates.next()).data_plane_ns();
+    clue_dp += clue_system.apply(clue_updates.next()).data_plane_ns();
+    clpl_dp += clpl_system.apply(clpl_updates.next()).ttf.data_plane_ns();
   }
   EXPECT_LT(clue_dp, 0.3 * clpl_dp);
 }

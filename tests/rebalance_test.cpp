@@ -19,7 +19,6 @@
 #include "runtime/lookup_runtime.hpp"
 #include "system/clue_system.hpp"
 #include "tcam/updater.hpp"
-#include "update/clue_pipeline.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/update_gen.hpp"
 
@@ -546,14 +545,14 @@ TEST(RebalanceTest, SystemRejectsOverflowAndRollsBackTrie) {
 }
 
 // ---------------------------------------------------------------------------
-// Single-chip pipeline: recoverable overflow.
+// Single chip: recoverable overflow with nowhere to migrate.
 
-TEST(RebalanceTest, PipelineRejectsOverflowAndRollsBackTrie) {
+TEST(RebalanceTest, OneChipSystemRejectsOverflowAndRollsBackTrie) {
   const auto fib = make_fib(1'000, 2601);
-  clue::update::PipelineConfig config;
-  clue::update::CluePipeline sized(fib, config);  // probe the table size
-  config.tcam_capacity = sized.chip().occupied() + 2;
-  clue::update::CluePipeline pipeline(fib, config);
+  clue::system::SystemConfig config{.tcam_count = 1};
+  clue::system::ClueSystem sized(fib, config);  // probe the table size
+  config.tcam_capacity = sized.chip(0).occupied() + 2;
+  clue::system::ClueSystem system(fib, config);
 
   Pcg32 rng(2602);
   bool rejected = false;
@@ -561,32 +560,33 @@ TEST(RebalanceTest, PipelineRejectsOverflowAndRollsBackTrie) {
   for (int u = 0; u < 200 && !rejected; ++u) {
     const auto msg = hot_announce(rng, 0xFFFFFFFFu);
     try {
-      pipeline.apply(msg);
+      system.apply(msg);
     } catch (const clue::tcam::TcamFullError& error) {
       rejected = true;
       rejected_prefix = msg.prefix;
-      EXPECT_EQ(error.capacity(), pipeline.tcam_capacity());
+      EXPECT_EQ(error.capacity(), system.tcam_capacity());
     }
   }
   ASSERT_TRUE(rejected);
-  EXPECT_EQ(pipeline.updates_rejected(), 1u);
+  EXPECT_EQ(system.updates_rejected(), 1u);
   EXPECT_FALSE(
-      pipeline.fib().ground_truth().find(rejected_prefix).has_value());
+      system.fib().ground_truth().find(rejected_prefix).has_value());
 
   const auto sweep = random_addresses(10'000, 2603);
-  const auto& truth = pipeline.fib().ground_truth();
+  const auto& truth = system.fib().ground_truth();
   for (const auto address : sweep) {
-    ASSERT_EQ(pipeline.lookup(address), truth.lookup(address));
+    ASSERT_EQ(system.lookup(address), truth.lookup(address));
   }
 
   clue::obs::MetricsRegistry registry;
-  pipeline.export_metrics(registry);
+  system.export_metrics(registry);
   bool found_headroom = false;
   for (const auto& [name, value] : registry.gauges()) {
-    if (name == "pipeline.headroom_remaining") {
+    if (name == "system.headroom_remaining") {
       found_headroom = true;
-      EXPECT_GE(value, 0.0);
-      EXPECT_LE(value, 1.0);
+      EXPECT_DOUBLE_EQ(value,
+                       1.0 - static_cast<double>(system.chip(0).occupied()) /
+                                 static_cast<double>(system.tcam_capacity()));
     }
   }
   EXPECT_TRUE(found_headroom);
