@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark): the software costs behind TTF1 and
-// the offline compression pass — trie update, incremental ONRTC update,
+// the offline compression pass — trie update, incremental ONRTC update
+// (warm and cache-cold, alone and through a one-message group commit),
 // full compression, and LPM lookup throughput — plus the DRed store's
 // probe and fill costs.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "netbase/rng.hpp"
@@ -12,6 +14,7 @@
 #include "engine/dred.hpp"
 #include "onrtc/onrtc.hpp"
 #include "rrcme/rrc_me.hpp"
+#include "update/group_commit.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/traffic_gen.hpp"
 #include "workload/update_gen.hpp"
@@ -50,22 +53,82 @@ void BM_TrieUpdate_Plain(benchmark::State& state) {
 }
 BENCHMARK(BM_TrieUpdate_Plain)->Arg(100'000);
 
-void BM_TrieUpdate_IncrementalOnrtc(benchmark::State& state) {
+// Writes one byte per cache line of `buffer`, evicting that much of the
+// tries' hot paths the way a commit's lookups and flat rebuilds do
+// between messages in the runtime.
+void evict(std::vector<char>& buffer) {
+  for (std::size_t i = 0; i < buffer.size(); i += 64) ++buffer[i];
+  benchmark::ClobberMemory();
+}
+constexpr std::size_t kEvictBytes = 256 * 1024;
+
+// One ONRTC diff per message into a reused op buffer. With `cold`, 256 KiB
+// are evicted between messages, outside the timed region.
+void run_incremental_onrtc(benchmark::State& state, bool cold) {
   const auto fib = make_fib(static_cast<std::size_t>(state.range(0)));
   clue::onrtc::CompressedFib compressed(fib);
   clue::workload::UpdateConfig config;
   config.seed = 9;
   clue::workload::UpdateGenerator updates(fib, config);
+  std::vector<char> scratch(kEvictBytes);
+  std::vector<clue::onrtc::FibOp> ops;
   for (auto _ : state) {
+    if (cold) {
+      state.PauseTiming();
+      evict(scratch);
+      state.ResumeTiming();
+    }
     const auto msg = updates.next();
+    ops.clear();
     if (msg.kind == clue::workload::UpdateKind::kAnnounce) {
-      benchmark::DoNotOptimize(compressed.announce(msg.prefix, msg.next_hop));
+      benchmark::DoNotOptimize(
+          compressed.announce(msg.prefix, msg.next_hop, ops));
     } else {
-      benchmark::DoNotOptimize(compressed.withdraw(msg.prefix));
+      benchmark::DoNotOptimize(compressed.withdraw(msg.prefix, ops));
     }
   }
 }
-BENCHMARK(BM_TrieUpdate_IncrementalOnrtc)->Arg(100'000);
+
+void BM_TrieUpdate_IncrementalOnrtc(benchmark::State& state) {
+  run_incremental_onrtc(state, false);
+}
+BENCHMARK(BM_TrieUpdate_IncrementalOnrtc)->Arg(100'000)->Arg(400'000);
+
+void BM_TrieUpdate_IncrementalOnrtcCold(benchmark::State& state) {
+  run_incremental_onrtc(state, true);
+}
+BENCHMARK(BM_TrieUpdate_IncrementalOnrtcCold)->Arg(400'000);
+
+// One message per group commit, cache-cold as above: the ONRTC diff
+// through update::BatchTxn (journal, prior hop) plus admission
+// (coalescing and planning) on a one-chip host that always fits. The
+// host reports no stored shapes, so deletes and modifies plan no chip
+// work; only the control-plane side of a commit is timed.
+void BM_BatchTxn_OneMessageCold(benchmark::State& state) {
+  const auto fib = make_fib(static_cast<std::size_t>(state.range(0)));
+  clue::onrtc::CompressedFib compressed(fib);
+  clue::workload::UpdateConfig config;
+  config.seed = 9;
+  clue::workload::UpdateGenerator updates(fib, config);
+  const std::vector<clue::netbase::Ipv4Address> boundaries;
+  const clue::update::CommitHost host{
+      boundaries, std::numeric_limits<std::size_t>::max(),
+      [](std::size_t) { return std::size_t{0}; },
+      [](std::size_t, const clue::netbase::Prefix&) {
+        return std::vector<clue::netbase::Route>{};
+      },
+      {}};
+  std::vector<char> scratch(kEvictBytes);
+  for (auto _ : state) {
+    state.PauseTiming();
+    evict(scratch);
+    state.ResumeTiming();
+    const auto msg = updates.next();
+    clue::update::BatchTxn txn(compressed, {&msg, 1});
+    benchmark::DoNotOptimize(txn.admit(host));
+  }
+}
+BENCHMARK(BM_BatchTxn_OneMessageCold)->Arg(400'000);
 
 void BM_FullCompression(benchmark::State& state) {
   const auto fib = make_fib(static_cast<std::size_t>(state.range(0)));

@@ -9,7 +9,9 @@
 // TTF2/TTF3 use the same 24 ns/op hardware model as the paper, so they
 // are directly comparable; TTF1 is measured on this machine and is
 // faster in absolute terms than the paper's 2008-era host.
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "metrics_out.hpp"
 #include "stats/stats.hpp"
@@ -101,8 +103,16 @@ int main() {
   clue::workload::UpdateGenerator clpl_updates(fib, update_config);
 
   Series clue_series, clpl_series;
+  // CLUE's TTF1 per update, and whether that update grew a control
+  // trie's arena (one full-array copy inside the update).
+  std::vector<std::pair<double, bool>> clue_ttf1;
+  clue_ttf1.reserve(kUpdates);
   for (std::size_t i = 0; i < kUpdates; ++i) {
-    clue_series.add(clue_system.apply(clue_updates.next()));
+    const auto growths = clue_system.fib().trie_growths();
+    const auto sample = clue_system.apply(clue_updates.next());
+    clue_ttf1.emplace_back(sample.ttf1_ns / 1000.0,
+                           clue_system.fib().trie_growths() != growths);
+    clue_series.add(sample);
     clpl_series.add(clpl_system.apply(clpl_updates.next()).ttf);
   }
 
@@ -111,6 +121,32 @@ int main() {
 
   print_series("Figure 10", "TTF1 (trie update)", clpl_series.ttf1,
                clue_series.ttf1);
+  {
+    // Do CLUE's TTF1 maxima line up with arena growths?
+    std::size_t grew = 0;
+    double max_grew = 0;
+    double max_other = 0;
+    for (const auto& [us, growth] : clue_ttf1) {
+      grew += growth;
+      double& max = growth ? max_grew : max_other;
+      max = std::max(max, us);
+    }
+    constexpr std::size_t kSlowest = 10;
+    std::vector<std::pair<double, bool>> slowest = clue_ttf1;
+    std::partial_sort(slowest.begin(), slowest.begin() + kSlowest,
+                      slowest.end(), [](const auto& a, const auto& b) {
+                        return a.first > b.first;
+                      });
+    std::size_t slowest_grew = 0;
+    for (std::size_t i = 0; i < kSlowest; ++i) {
+      slowest_grew += slowest[i].second;
+    }
+    std::cout << "CLUE TTF1 spikes: " << grew << " of " << clue_ttf1.size()
+              << " updates grew a trie arena; " << slowest_grew << " of the "
+              << kSlowest << " slowest did; max TTF1 with growth "
+              << fixed(max_grew, 2) << " us, without " << fixed(max_other, 2)
+              << " us\n";
+  }
   print_series("Figure 11", "TTF2 (TCAM update)", clpl_series.ttf2,
                clue_series.ttf2);
   print_series("Figure 12", "TTF3 (DRed update)", clpl_series.ttf3,

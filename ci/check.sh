@@ -11,8 +11,10 @@
 # must parse, whose multi-worker runs must apply DRed fills, and whose
 # batched throughput must beat sequential), then
 # the churn-soak: the rebalancer soak test rerun at CLUE_SOAK_UPDATES
-# updates (default 500000) of sustained hot-/8 churn, plus the flat
-# image's diff differential test at CLUE_SOAK_UPDATES / 50 steps, and the
+# updates (default 500000) of sustained hot-/8 churn, plus two
+# differential tests at CLUE_SOAK_UPDATES / 50 steps (the flat image's
+# diff builds against full builds, and every ONRTC diff against the diff
+# of the full recompressions before and after it), and the
 # burst-soak: the async group-commit ingress hammered under TSan at
 # CLUE_SOAK_UPDATES bursty updates with concurrent lookups, then the
 # figures guard: bench_ttf's modeled TTF2/TTF3 columns of Figs. 10-14
@@ -165,7 +167,7 @@ run_soak() {
   configure_and_build build ""
   CLUE_SOAK_UPDATES="${CLUE_SOAK_UPDATES:-500000}" \
     ctest --test-dir build --output-on-failure \
-      -R 'RebalanceSoakTest|FlatTableTest.DiffStreamsMatchFullBuildsOfTheTrie'
+      -R 'RebalanceSoakTest|FlatTableTest.DiffStreamsMatchFullBuildsOfTheTrie|CompressedFib.EveryDiffEqualsTheFullRecompressionDiff'
 }
 
 run_burst_soak() {

@@ -6,29 +6,27 @@ namespace clue::onrtc {
 
 namespace detail {
 
-std::vector<FibOp> diff_tables(const std::vector<Route>& old_table,
-                               const std::vector<Route>& new_table) {
-  std::vector<FibOp> ops;
+void diff_tables(std::span<const Route> old_table,
+                 std::span<const Route> new_table, std::vector<FibOp>& out) {
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < old_table.size() || j < new_table.size()) {
     if (i == old_table.size()) {
-      ops.push_back(FibOp{FibOpKind::kInsert, new_table[j++]});
+      out.push_back(FibOp{FibOpKind::kInsert, new_table[j++]});
     } else if (j == new_table.size()) {
-      ops.push_back(FibOp{FibOpKind::kDelete, old_table[i++]});
+      out.push_back(FibOp{FibOpKind::kDelete, old_table[i++]});
     } else if (old_table[i].prefix == new_table[j].prefix) {
       if (old_table[i].next_hop != new_table[j].next_hop) {
-        ops.push_back(FibOp{FibOpKind::kModify, new_table[j]});
+        out.push_back(FibOp{FibOpKind::kModify, new_table[j]});
       }
       ++i;
       ++j;
     } else if (old_table[i].prefix < new_table[j].prefix) {
-      ops.push_back(FibOp{FibOpKind::kDelete, old_table[i++]});
+      out.push_back(FibOp{FibOpKind::kDelete, old_table[i++]});
     } else {
-      ops.push_back(FibOp{FibOpKind::kInsert, new_table[j++]});
+      out.push_back(FibOp{FibOpKind::kInsert, new_table[j++]});
     }
   }
-  return ops;
 }
 
 }  // namespace detail
@@ -36,96 +34,135 @@ std::vector<FibOp> diff_tables(const std::vector<Route>& old_table,
 CompressedFib::CompressedFib(const trie::BinaryTrie& ground_truth)
     : truth_(ground_truth), compressed_(compress(truth_)) {}
 
+std::optional<NextHop> CompressedFib::announce(const Prefix& prefix,
+                                               NextHop next_hop,
+                                               std::vector<FibOp>& ops) {
+  Descent path = descend(prefix);
+  if (path.prior == next_hop) return path.prior;  // duplicate announce
+  truth_.insert_along(path.truth, prefix.length(), prefix, next_hop);
+  refresh(prefix, path, ops);
+  return path.prior;
+}
+
+std::optional<NextHop> CompressedFib::withdraw(const Prefix& prefix,
+                                               std::vector<FibOp>& ops) {
+  Descent path = descend(prefix);
+  if (!path.prior) return std::nullopt;  // unknown route
+  truth_.erase_along(path.truth, prefix.length(), prefix);
+  refresh(prefix, path, ops);
+  return path.prior;
+}
+
 std::vector<FibOp> CompressedFib::announce(const Prefix& prefix,
                                            NextHop next_hop) {
-  const auto existing = truth_.find(prefix);
-  if (existing && *existing == next_hop) return {};  // duplicate announce
-  truth_.insert(prefix, next_hop);
-  return refresh(prefix);
+  std::vector<FibOp> ops;
+  announce(prefix, next_hop, ops);
+  return ops;
 }
 
 std::vector<FibOp> CompressedFib::withdraw(const Prefix& prefix) {
-  if (!truth_.erase(prefix)) return {};  // unknown route
-  return refresh(prefix);
+  std::vector<FibOp> ops;
+  withdraw(prefix, ops);
+  return ops;
 }
 
-std::vector<FibOp> CompressedFib::refresh(const Prefix& changed) {
-  // The forwarding function can only differ inside `changed`. When a
-  // strictly larger region covers it, we can avoid re-walking that whole
-  // region: its remainder decomposes into the path siblings between the
-  // region root and `changed`, each a maximal piece by construction.
-  const auto covering = compressed_.lookup_route(changed.address());
-  if (covering && covering->prefix.contains(changed) &&
-      covering->prefix != changed) {
-    return refresh_under_region(*covering, changed);
+CompressedFib::Descent CompressedFib::descend(const Prefix& changed) const {
+  // The two walks are independent pointer chases; interleaving them lets
+  // their cache misses overlap. A compressed region is a leaf (the table
+  // is disjoint), so its walk ends on the covering region by itself.
+  Descent path;
+  auto truth = truth_.root();
+  auto compressed = compressed_.root();
+  path.truth[0] = truth.index();
+  path.compressed[0] = compressed.index();
+  for (unsigned depth = 0; depth < changed.length(); ++depth) {
+    const unsigned bit = changed.bit(depth);
+    if (truth) {
+      path.inherited = truth.next_hop_or(path.inherited);
+      truth = truth.child(bit);
+    }
+    if (compressed) {
+      if (compressed.has_route()) path.covering_depth = depth;
+      compressed = compressed.child(bit);
+    }
+    path.truth[depth + 1] = truth.index();
+    path.compressed[depth + 1] = compressed.index();
   }
-  Prefix at = changed;
+  if (truth && truth.has_route()) path.prior = truth.next_hop();
+  return path;
+}
 
-  std::vector<Route> new_regions;
+void CompressedFib::refresh(const Prefix& changed, Descent& path,
+                            std::vector<FibOp>& ops) {
+  // The forwarding function can only differ inside `changed`.
+  const unsigned length = changed.length();
+  new_regions_.clear();
+  old_regions_.clear();
   const auto constant = detail::compress_subtree(
-      truth_.node_at(at), at, truth_.longest_match_above(at), new_regions);
-  if (constant) {
-    if (*constant != netbase::kNoRoute) {
+      truth_.node(path.truth[length]), changed, path.inherited, new_regions_);
+  // Every old and new region lies within the prefix at `at_depth`.
+  unsigned at_depth = length;
+  if (path.covering_depth < length) {
+    // A strictly larger region covers `changed`. Its value still holds
+    // on region \ changed, which decomposes into the siblings of the
+    // path prefixes below the region root down to `changed`. Each piece
+    // is maximal: its sibling on the path contains `changed`, whose value
+    // now differs, so no piece can merge further.
+    at_depth = path.covering_depth;
+    const Route region{
+        Prefix(changed.address(), at_depth),
+        compressed_.node(path.compressed[at_depth]).next_hop()};
+    if (constant == region.next_hop) return;  // no forwarding change
+    if (constant && *constant != netbase::kNoRoute) {
+      new_regions_.push_back(Route{changed, *constant});
+    }
+    for (Prefix walk = changed; walk.length() > at_depth;
+         walk = walk.parent()) {
+      new_regions_.push_back(Route{walk.sibling(), region.next_hop});
+    }
+    std::sort(new_regions_.begin(), new_regions_.end());
+    old_regions_.push_back(region);
+  } else {
+    if (constant && *constant != netbase::kNoRoute) {
       // The whole subtree collapsed to one value; it may now merge with
       // equal-valued sibling regions arbitrarily far up. Old compression
-      // was maximal, so a mergeable sibling is always exactly one region.
-      while (at.length() > 0 && compressed_.find(at.sibling()) == constant) {
-        at = at.parent();
+      // was maximal, so a mergeable sibling is always exactly one region,
+      // a child of the recorded compressed path.
+      while (at_depth > 0) {
+        const auto parent = compressed_.node(path.compressed[at_depth - 1]);
+        if (!parent) break;
+        const auto sibling = parent.child(changed.bit(at_depth - 1) ^ 1u);
+        if (!sibling || !sibling.has_route() ||
+            sibling.next_hop() != *constant) {
+          break;
+        }
+        --at_depth;
       }
-      new_regions.assign(1, Route{at, *constant});
+      new_regions_.push_back(
+          Route{Prefix(changed.address(), at_depth), *constant});
     }
+    compressed_.for_each_route_below(
+        compressed_.node(path.compressed[at_depth]),
+        Prefix(changed.address(), at_depth),
+        [this](const Route& route) { old_regions_.push_back(route); });
   }
 
-  return apply_diff(compressed_.routes_within(at), new_regions);
-}
-
-std::vector<FibOp> CompressedFib::refresh_under_region(const Route& region,
-                                                       const Prefix& changed) {
-  // Precondition: `region` is the (unique) compressed region strictly
-  // containing `changed`; the forwarding function outside `changed` is
-  // untouched, so the region's value still holds on region \ changed.
-  std::vector<Route> new_regions;
-  const auto constant =
-      detail::compress_subtree(truth_.node_at(changed), changed,
-                               truth_.longest_match_above(changed),
-                               new_regions);
-  if (constant && *constant == region.next_hop) {
-    return {};  // the update did not change the forwarding function
-  }
-  if (constant) {
-    new_regions.clear();
-    if (*constant != netbase::kNoRoute) {
-      new_regions.push_back(Route{changed, *constant});
+  const std::size_t first = ops.size();
+  detail::diff_tables(old_regions_, new_regions_, ops);
+  // Writes before erases: the new regions keep the path nodes down to
+  // `at_depth` alive, so only the last erase of an emptied subtree prunes
+  // above it, and each op continues from the recorded path at `at_depth`.
+  for (std::size_t k = first; k < ops.size(); ++k) {
+    if (ops[k].kind != FibOpKind::kDelete) {
+      compressed_.insert_along(path.compressed, at_depth, ops[k].route.prefix,
+                               ops[k].route.next_hop);
     }
   }
-  // region \ changed = the sibling of every path prefix between the
-  // region root (exclusive) and `changed` (inclusive). Each piece is
-  // maximal: its sibling on the path contains `changed`, whose value now
-  // differs, so no piece can merge further.
-  for (Prefix walk = changed; walk.length() > region.prefix.length();
-       walk = walk.parent()) {
-    new_regions.push_back(Route{walk.sibling(), region.next_hop});
-  }
-  std::sort(new_regions.begin(), new_regions.end());
-  return apply_diff({region}, new_regions);
-}
-
-std::vector<FibOp> CompressedFib::apply_diff(
-    const std::vector<Route>& old_regions,
-    const std::vector<Route>& new_regions) {
-  const auto ops = detail::diff_tables(old_regions, new_regions);
-  for (const auto& op : ops) {
-    switch (op.kind) {
-      case FibOpKind::kInsert:
-      case FibOpKind::kModify:
-        compressed_.insert(op.route.prefix, op.route.next_hop);
-        break;
-      case FibOpKind::kDelete:
-        compressed_.erase(op.route.prefix);
-        break;
+  for (std::size_t k = first; k < ops.size(); ++k) {
+    if (ops[k].kind == FibOpKind::kDelete) {
+      compressed_.erase_along(path.compressed, at_depth, ops[k].route.prefix);
     }
   }
-  return ops;
 }
 
 }  // namespace clue::onrtc

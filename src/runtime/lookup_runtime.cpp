@@ -95,6 +95,7 @@ LookupRuntime::LookupRuntime(TimedFib fib, const RuntimeConfig& config)
 
   fib_build_ns_ = fib.build_ns;
   trie_bytes_.store(fib_.memory_bytes(), std::memory_order_relaxed);
+  trie_growths_.store(fib_.trie_growths(), std::memory_order_relaxed);
   const auto table = fib_.compressed().routes();
   const auto partitions =
       partition::even_partition(table, config.worker_count);
@@ -859,6 +860,7 @@ update::BatchTtfSample LookupRuntime::apply_batch(
       [&] { return config_.rebalance ? rebalance_pass(&trace) : 0; }});
   trace.admit_ns = elapsed_ns(t1);
   trie_bytes_.store(fib_.memory_bytes(), std::memory_order_relaxed);
+  trie_growths_.store(fib_.trie_growths(), std::memory_order_relaxed);
   update::BatchTtfSample batch = txn.sample();
   updates_rejected_.fetch_add(batch.rejected, std::memory_order_seq_cst);
   trace.ops_raw = static_cast<std::uint32_t>(batch.raw_ops);
@@ -1080,6 +1082,8 @@ void LookupRuntime::export_metrics(obs::MetricsRegistry& registry) const {
   registry.set_gauge(
       "onrtc.trie_bytes",
       static_cast<double>(trie_bytes_.load(std::memory_order_relaxed)));
+  registry.set_counter("onrtc.trie_growths",
+                       trie_growths_.load(std::memory_order_relaxed));
   registry.add_ttf_trace("runtime.ttf", ttf_ring_.snapshot());
 }
 

@@ -577,9 +577,11 @@ class LookupRuntime {
   /// compression, or the copy of a given CompressedFib (exported as the
   /// gauge "runtime.fib_build_ns").
   double fib_build_ns_ = 0;
-  /// fib_.memory_bytes(), refreshed by each commit so export_metrics()
-  /// can run beside the control thread (gauge "onrtc.trie_bytes").
+  /// fib_.memory_bytes() and fib_.trie_growths(), refreshed by each
+  /// commit so export_metrics() can run beside the control thread (gauge
+  /// "onrtc.trie_bytes", counter "onrtc.trie_growths").
   std::atomic<std::size_t> trie_bytes_{0};
+  std::atomic<std::uint64_t> trie_growths_{0};
 
   std::mutex stop_mutex_;  // serialises the join in stop()
 };

@@ -213,6 +213,7 @@ void ClueSystem::export_metrics(obs::MetricsRegistry& registry) const {
   registry.set_counter("system.compressed_routes", fib_.compressed().size());
   registry.set_gauge("onrtc.trie_bytes",
                      static_cast<double>(fib_.memory_bytes()));
+  registry.set_counter("onrtc.trie_growths", fib_.trie_growths());
   registry.set_counter("system.tcam_entries", total_tcam_entries());
   registry.set_counter("system.tcam_count", chips_.size());
   registry.set_counter("system.tcam_capacity", tcam_capacity_);
@@ -237,13 +238,10 @@ void ClueSystem::export_metrics(obs::MetricsRegistry& registry) const {
     const std::string prefix = "system.chip" + std::to_string(i);
     registry.set_counter(prefix + ".entries", chips_[i]->size());
     const auto& stats = dreds_[i]->stats();
-    registry.set_counter(prefix + ".dred.lookups", stats.lookups);
-    registry.set_counter(prefix + ".dred.hits", stats.hits);
     registry.set_counter(prefix + ".dred.insertions", stats.insertions);
     registry.set_counter(prefix + ".dred.updates", stats.updates);
     registry.set_counter(prefix + ".dred.evictions", stats.evictions);
     registry.set_counter(prefix + ".dred.erasures", stats.erasures);
-    registry.set_gauge(prefix + ".dred.hit_rate", stats.hit_rate());
   }
 }
 

@@ -138,9 +138,12 @@ class ClueSystem {
   /// split at partition boundaries).
   std::size_t total_tcam_entries() const;
 
-  /// Fills `registry` with table sizes and per-chip DRed statistics
-  /// ("system.chip<i>.dred.*" — hits, insertions vs. updates, evictions,
-  /// erasures — the fields the EXPERIMENTS.md hit-rate tables cite).
+  /// Fills `registry` with table sizes, the control tries' bytes and
+  /// arena growths, and per-chip DRed contents statistics
+  /// ("system.chip<i>.dred.*": insertions vs. updates, evictions,
+  /// erasures). lookup() answers from the home chip and never probes a
+  /// DRed, so no DRed lookup or hit counts exist to export here; the
+  /// hit-rate figures come from runtime::LookupRuntime.
   void export_metrics(obs::MetricsRegistry& registry) const;
 
  private:

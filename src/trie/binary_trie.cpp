@@ -75,7 +75,8 @@ BinaryTrie::BinaryTrie(BinaryTrie&& other) noexcept
       root_(std::exchange(other.root_, 0)),
       free_(std::exchange(other.free_, 0)),
       route_count_(std::exchange(other.route_count_, 0)),
-      node_count_(std::exchange(other.node_count_, 0)) {
+      node_count_(std::exchange(other.node_count_, 0)),
+      growths_(std::exchange(other.growths_, 0)) {
   other.nodes_.clear();
 }
 
@@ -87,6 +88,7 @@ BinaryTrie& BinaryTrie::operator=(BinaryTrie&& other) noexcept {
     free_ = std::exchange(other.free_, 0);
     route_count_ = std::exchange(other.route_count_, 0);
     node_count_ = std::exchange(other.node_count_, 0);
+    growths_ = std::exchange(other.growths_, 0);
   }
   return *this;
 }
@@ -104,6 +106,7 @@ std::uint32_t BinaryTrie::allocate() {
     }
     if (nodes_.size() == nodes_.capacity()) {
       nodes_.reserve(nodes_.size() + nodes_.size() / 4);
+      ++growths_;
     }
     index = static_cast<std::uint32_t>(nodes_.size());
     nodes_.emplace_back();
@@ -121,48 +124,59 @@ void BinaryTrie::release(std::uint32_t index) {
 }
 
 bool BinaryTrie::insert(const Prefix& prefix, NextHop next_hop) {
-  if (root_ == 0) root_ = allocate();
-  std::uint32_t index = root_;
-  for (unsigned depth = 0; depth < prefix.length(); ++depth) {
+  Path path;
+  path[0] = root_;
+  return insert_along(path, 0, prefix, next_hop);
+}
+
+bool BinaryTrie::erase(const Prefix& prefix) {
+  Path path;
+  path[0] = root_;
+  return erase_along(path, 0, prefix);
+}
+
+bool BinaryTrie::insert_along(Path& path, unsigned known, const Prefix& prefix,
+                              NextHop next_hop) {
+  unsigned depth = known;
+  while (depth > 0 && path[depth] == 0) --depth;
+  if (path[0] == 0) path[0] = root_ = allocate();
+  for (; depth < prefix.length(); ++depth) {
     const unsigned bit = prefix.bit(depth);
-    std::uint32_t next = slot(index).child(bit);
+    std::uint32_t next = slot(path[depth]).child(bit);
     if (next == 0) {
-      next = allocate();
-      slot(index).set_child(bit, next);
+      next = allocate();  // may move the arena: index it again below
+      slot(path[depth]).set_child(bit, next);
     }
-    index = next;
+    path[depth + 1] = next;
   }
-  Node& node = slot(index);
+  Node& node = slot(path[prefix.length()]);
   const bool created = !node.has_route();
   node.set_route(next_hop);
   if (created) ++route_count_;
   return created;
 }
 
-bool BinaryTrie::erase(const Prefix& prefix) {
-  if (root_ == 0) return false;
-  // Record the path so we can prune childless, route-less nodes upward.
-  std::uint32_t path[Prefix::kMaxLength + 1];
-  std::uint32_t index = root_;
-  path[0] = index;
-  for (unsigned depth = 0; depth < prefix.length(); ++depth) {
-    index = slot(index).child(prefix.bit(depth));
-    if (index == 0) return false;
-    path[depth + 1] = index;
+bool BinaryTrie::erase_along(Path& path, unsigned known, const Prefix& prefix) {
+  if (path[known] == 0) return false;
+  for (unsigned depth = known; depth < prefix.length(); ++depth) {
+    path[depth + 1] = slot(path[depth]).child(prefix.bit(depth));
+    if (path[depth + 1] == 0) return false;
   }
-  if (!slot(index).has_route()) return false;
-  slot(index).clear_route();
+  Node& node = slot(path[prefix.length()]);
+  if (!node.has_route()) return false;
+  node.clear_route();
   --route_count_;
-  for (unsigned depth = prefix.length(); depth > 0; --depth) {
+  // Prune childless, route-less nodes upward, the root included.
+  for (unsigned depth = prefix.length();; --depth) {
     const Node& current = slot(path[depth]);
     if (current.has_route() || !current.is_leaf()) break;
-    slot(path[depth - 1]).set_child(prefix.bit(depth - 1), 0);
     release(path[depth]);
-  }
-  const Node& root = slot(root_);
-  if (root.is_leaf() && !root.has_route()) {
-    release(root_);
-    root_ = 0;
+    path[depth] = 0;
+    if (depth == 0) {
+      root_ = 0;
+      break;
+    }
+    slot(path[depth - 1]).set_child(prefix.bit(depth - 1), 0);
   }
   return true;
 }
@@ -208,8 +222,8 @@ std::vector<Route> BinaryTrie::routes() const {
 
 std::vector<Route> BinaryTrie::routes_within(const Prefix& within) const {
   std::vector<Route> out;
-  auto collect = [&out](const Route& route) { out.push_back(route); };
-  walk_routes(find_index(within), within.bits(), within.length(), collect);
+  for_each_route_below(node_at(within), within,
+                       [&out](const Route& route) { out.push_back(route); });
   return out;
 }
 

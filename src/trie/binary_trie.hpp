@@ -15,14 +15,18 @@
 // the walk-heavy algorithms. Both reserve 1/8 more slots than they
 // fill, so the first updates to a fresh copy do not reallocate; past
 // that the arena grows by a quarter at a time (one array copy, with old
-// and new arrays briefly both held).
+// and new arrays briefly both held), and growths() counts how often.
 //
 // Structural access goes through NodeRef, a (trie, index) handle: it
 // survives the arena's reallocation, but an erase may free the node it
 // names and a later insert reuse the slot, so never hold a NodeRef
-// across a mutation.
+// across a mutation. A caller that descends once and then mutates along
+// the same prefix records the descent as a Path of indices and hands it
+// to insert_along/erase_along, which continue from it instead of walking
+// down from the root again.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -76,6 +80,10 @@ class BinaryTrie {
     std::uint32_t index_ = 0;
   };
 
+  /// The nodes along one root-down path, as arena indices: entry d is
+  /// the node at depth d, 0 when there is none (and then 0 below it too).
+  using Path = std::array<std::uint32_t, Prefix::kMaxLength + 1>;
+
   BinaryTrie() = default;
 
   /// Bulk build from routes strictly ascending in Prefix (in-order)
@@ -98,6 +106,18 @@ class BinaryTrie {
   /// Removes the route for `prefix` (exact match on prefix, not LPM).
   /// Returns true when a route was removed. Prunes now-useless nodes.
   bool erase(const Prefix& prefix);
+
+  /// insert() continuing from a recorded descent: `path[0..known]` must
+  /// hold this trie's nodes along `prefix` (known <= prefix.length()).
+  /// Fills the rest of `path` down to `prefix` with the nodes it walks or
+  /// creates.
+  bool insert_along(Path& path, unsigned known, const Prefix& prefix,
+                    NextHop next_hop);
+
+  /// erase() continuing from a recorded descent, under insert_along's
+  /// contract. Pruning runs up through `path` and zeroes the entries of
+  /// the nodes it frees.
+  bool erase_along(Path& path, unsigned known, const Prefix& prefix);
 
   /// Longest-prefix-match lookup; kNoRoute when nothing matches.
   NextHop lookup(Ipv4Address address) const;
@@ -125,12 +145,24 @@ class BinaryTrie {
   /// included. O(1).
   std::size_t memory_bytes() const { return nodes_.capacity() * sizeof(Node); }
 
+  /// Times an insert found the arena full and reallocated it (one copy
+  /// of the whole array inside that insert) since this trie was built or
+  /// copied.
+  std::uint64_t growths() const { return growths_; }
+
   /// Invokes `visit(route)` for every route in in-order (address-sorted,
   /// shorter prefix before its descendants) order. `visit` must not
   /// mutate the trie.
   template <typename Visit>
   void for_each_route(Visit&& visit) const {
     walk_routes(root_, 0, 0, visit);
+  }
+
+  /// for_each_route() over the subtree of `node`, whose path spells `at`.
+  template <typename Visit>
+  void for_each_route_below(NodeRef node, const Prefix& at,
+                            Visit&& visit) const {
+    walk_routes(node.index_, at.bits(), at.length(), visit);
   }
 
   /// All routes, in in-order traversal order.
@@ -146,6 +178,10 @@ class BinaryTrie {
   /// Root node, for algorithms (ONRTC, partitioning, RRC-ME) that need
   /// structural access. Null for an empty trie.
   NodeRef root() const { return NodeRef(this, root_); }
+
+  /// The handle on arena slot `index`: a NodeRef::index() or a Path
+  /// entry taken since the last mutation.
+  NodeRef node(std::uint32_t index) const { return NodeRef(this, index); }
 
   /// The node whose path spells `prefix`, or null when no stored route
   /// lies at or below `prefix` (nodes exist only on paths to routes).
@@ -220,6 +256,7 @@ class BinaryTrie {
   std::uint32_t free_ = 0;  // free-list head, threaded through child 0
   std::size_t route_count_ = 0;
   std::size_t node_count_ = 0;
+  std::uint64_t growths_ = 0;
 };
 
 inline bool BinaryTrie::NodeRef::has_route() const {

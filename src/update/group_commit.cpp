@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "engine/indexing_logic.hpp"
 
@@ -18,22 +19,6 @@ using netbase::Prefix;
 using netbase::Route;
 using onrtc::FibOp;
 using onrtc::FibOpKind;
-
-/// Per-prefix fold state: what the table held when the burst first
-/// touched the prefix, and what it holds now.
-struct Fold {
-  Prefix prefix;
-  bool initially_present = false;
-  /// Known only when the first op was a delete (its route carries the
-  /// old hop); a first-op modify leaves it unknown.
-  bool initial_hop_known = false;
-  NextHop initial_hop{};
-  bool present = false;
-  NextHop hop{};
-  /// The old hop the most recent delete op carried, for emitting a net
-  /// delete after a modify-then-delete sequence.
-  NextHop deleted_hop{};
-};
 
 /// Expands `merged` into `plan` at the host's current boundaries and
 /// returns whether every chip's exact projected occupancy fits.
@@ -90,63 +75,72 @@ bool plan_fits(std::span<const FibOp> merged, const CommitHost& host,
 
 std::vector<FibOp> coalesce_ops(std::span<const FibOp> raw,
                                 CoalesceStats* stats) {
-  // First-touch order keeps the emitted stream deterministic (and equal
-  // to the raw stream whenever nothing coalesces).
-  std::vector<Fold> folds;
-  folds.reserve(raw.size());
-  std::unordered_map<Prefix, std::size_t> index;
-  index.reserve(raw.size());
-
-  for (const auto& op : raw) {
-    const auto [it, fresh] =
-        index.try_emplace(op.route.prefix, folds.size());
-    if (fresh) {
-      Fold fold;
-      fold.prefix = op.route.prefix;
-      // The first op tells us the initial state: an insert means the
-      // prefix was absent; a delete/modify means it was present.
-      fold.initially_present = op.kind != FibOpKind::kInsert;
-      if (op.kind == FibOpKind::kDelete) {
-        fold.initial_hop_known = true;
-        fold.initial_hop = op.route.next_hop;  // delete carries the old hop
-      }
-      folds.push_back(fold);
-    }
-    Fold& fold = folds[it->second];
-    switch (op.kind) {
-      case FibOpKind::kInsert:
-      case FibOpKind::kModify:
-        fold.present = true;
-        fold.hop = op.route.next_hop;
-        break;
-      case FibOpKind::kDelete:
-        fold.present = false;
-        fold.deleted_hop = op.route.next_hop;
-        break;
+  // order: op positions sorted by (prefix, position), so each prefix's
+  // ops form one run, in stream order. run_at[p]: where in `order` the
+  // run starts whose first op sits at position p (kNone elsewhere), so a
+  // pass over positions emits the runs in first-touch order, which keeps
+  // the stream deterministic (and equal to `raw` when nothing folds).
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  const auto n = static_cast<std::uint32_t>(raw.size());
+  std::vector<std::uint32_t> scratch(2 * std::size_t{n}, kNone);
+  const std::span<std::uint32_t> order(scratch.data(), n);
+  const std::span<std::uint32_t> run_at(scratch.data() + n, n);
+  std::iota(order.begin(), order.end(), 0u);
+  const auto prefix_at = [raw](std::uint32_t i) -> const Prefix& {
+    return raw[i].route.prefix;
+  };
+  std::sort(order.begin(), order.end(),
+            [&prefix_at](std::uint32_t a, std::uint32_t b) {
+              const auto cmp = prefix_at(a) <=> prefix_at(b);
+              return cmp != 0 ? cmp < 0 : a < b;
+            });
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (i == 0 || prefix_at(order[i]) != prefix_at(order[i - 1])) {
+      run_at[order[i]] = i;
     }
   }
 
   std::vector<FibOp> merged;
-  merged.reserve(folds.size());
-  for (const Fold& fold : folds) {
-    if (!fold.initially_present && fold.present) {
-      merged.push_back(
-          FibOp{FibOpKind::kInsert, Route{fold.prefix, fold.hop}});
-    } else if (fold.initially_present && !fold.present) {
+  for (std::uint32_t first = 0; first < n; ++first) {
+    if (run_at[first] == kNone) continue;
+    const Prefix& prefix = raw[first].route.prefix;
+    // The first op tells the initial state: an insert means the prefix
+    // was absent, a delete or modify that it was present. Only a first
+    // delete reveals the initial hop (a delete carries the old hop).
+    const FibOp& head = raw[first];
+    const bool initially_present = head.kind != FibOpKind::kInsert;
+    const bool initial_hop_known = head.kind == FibOpKind::kDelete;
+    bool present = false;
+    NextHop hop{};
+    // The old hop the most recent delete carried, for a net delete after
+    // a modify-then-delete sequence.
+    NextHop deleted_hop{};
+    for (std::uint32_t i = run_at[first];
+         i < n && prefix_at(order[i]) == prefix; ++i) {
+      const FibOp& op = raw[order[i]];
+      if (op.kind == FibOpKind::kDelete) {
+        present = false;
+        deleted_hop = op.route.next_hop;
+      } else {
+        present = true;
+        hop = op.route.next_hop;
+      }
+    }
+    if (!initially_present && present) {
+      merged.push_back(FibOp{FibOpKind::kInsert, Route{prefix, hop}});
+    } else if (initially_present && !present) {
       // Carry whichever old hop we know — consumers erase by prefix and
       // only report the hop, so either the initial or the last-deleted
       // value is faithful.
       const NextHop old_hop =
-          fold.initial_hop_known ? fold.initial_hop : fold.deleted_hop;
-      merged.push_back(
-          FibOp{FibOpKind::kDelete, Route{fold.prefix, old_hop}});
-    } else if (fold.initially_present && fold.present) {
+          initial_hop_known ? head.route.next_hop : deleted_hop;
+      merged.push_back(FibOp{FibOpKind::kDelete, Route{prefix, old_hop}});
+    } else if (initially_present && present) {
       // Present throughout: a net modify, unless we can prove the hop
       // came back to where it started (first op was a delete, so the
       // initial hop is known).
-      if (!(fold.initial_hop_known && fold.initial_hop == fold.hop)) {
-        merged.push_back(
-            FibOp{FibOpKind::kModify, Route{fold.prefix, fold.hop}});
+      if (!(initial_hop_known && head.route.next_hop == hop)) {
+        merged.push_back(FibOp{FibOpKind::kModify, Route{prefix, hop}});
       }
     }
     // initially absent && finally absent: insert+delete cancelled.
@@ -179,13 +173,17 @@ BatchTxn::BatchTxn(onrtc::CompressedFib& fib,
                    std::span<const workload::UpdateMsg> messages)
     : fib_(fib), messages_(messages) {
   const auto start = Clock::now();
-  per_msg_.reserve(messages.size());
+  // A message's diff averages a few ops; four each rarely regrows.
+  journal_.reserve(4 * messages.size());
+  offsets_.reserve(messages.size() + 1);
+  offsets_.push_back(0);
   priors_.reserve(messages.size());
   for (const auto& message : messages) {
-    priors_.push_back(fib_.ground_truth().find(message.prefix));
-    per_msg_.push_back(message.kind == workload::UpdateKind::kAnnounce
-                           ? fib_.announce(message.prefix, message.next_hop)
-                           : fib_.withdraw(message.prefix));
+    priors_.push_back(
+        message.kind == workload::UpdateKind::kAnnounce
+            ? fib_.announce(message.prefix, message.next_hop, journal_)
+            : fib_.withdraw(message.prefix, journal_));
+    offsets_.push_back(journal_.size());
   }
   sample_.ttf.ttf1_ns =
       std::chrono::duration<double, std::nano>(Clock::now() - start).count();
@@ -193,17 +191,13 @@ BatchTxn::BatchTxn(onrtc::CompressedFib& fib,
 
 const CommitPlan& BatchTxn::admit(const CommitHost& host) {
   std::size_t keep = messages_.size();
-  std::vector<FibOp> raw;
   CoalesceStats stats;
   bool rebalanced = false;
   for (;;) {
-    raw.clear();
-    for (std::size_t k = 0; k < keep; ++k) {
-      raw.insert(raw.end(), per_msg_[k].begin(), per_msg_[k].end());
-    }
     // Re-plan on every pass: a rebalance moves boundaries, which changes
     // every piece.
-    const auto merged = coalesce_ops(raw, &stats);
+    const auto merged = coalesce_ops(
+        std::span<const FibOp>(journal_).first(offsets_[keep]), &stats);
     if (plan_fits(merged, host, plan_) || keep == 0) break;
     if (!rebalanced) {
       rebalanced = true;
@@ -212,13 +206,16 @@ const CommitPlan& BatchTxn::admit(const CommitHost& host) {
       }
     }
     --keep;
+    // The rolled-back message's ops leave the journal; its inversion's
+    // ops land past the kept prefix and are dropped with them.
     const auto& message = messages_[keep];
     if (priors_[keep]) {
-      fib_.announce(message.prefix, *priors_[keep]);
+      fib_.announce(message.prefix, *priors_[keep], journal_);
     } else if (message.kind == workload::UpdateKind::kAnnounce) {
-      fib_.withdraw(message.prefix);
+      fib_.withdraw(message.prefix, journal_);
     }
     // A withdraw of an absent prefix has an empty diff: nothing to undo.
+    journal_.resize(offsets_[keep]);
   }
   sample_.applied = keep;
   sample_.rejected = messages_.size() - keep;
@@ -230,7 +227,7 @@ const CommitPlan& BatchTxn::admit(const CommitHost& host) {
 std::size_t BatchTxn::effective() const {
   std::size_t count = 0;
   for (std::size_t k = 0; k < sample_.applied; ++k) {
-    if (!per_msg_[k].empty()) ++count;
+    if (offsets_[k + 1] != offsets_[k]) ++count;
   }
   return count;
 }

@@ -4,10 +4,11 @@
 // The paper's update path (§IV, Fig. 6) is one sequence: ONRTC diff
 // (TTF1), order-free TCAM writes (TTF2), DRed sync (TTF3). BatchTxn owns
 // the part of it that does not depend on how a host stores its chips:
-// it journals every message's diff with its prior route (the rollback
-// token), coalesces the ops to the batch's net effect, expands them into
-// per-chip work, admits that work under one exact rule, and on overflow
-// runs one emergency rebalance and then rolls back the batch suffix.
+// it journals every message's diff, back to back in one flat op journal,
+// with the prior hop the diff reported (the rollback token), coalesces
+// the ops to the batch's net effect, expands them into per-chip work,
+// admits that work under one exact rule, and on overflow runs one
+// emergency rebalance and then rolls back the batch suffix.
 //
 // A BGP burst delivers many messages back to back; running each one's
 // ONRTC diff is unavoidable (TTF1), but everything downstream — TCAM
@@ -61,7 +62,9 @@ struct CoalesceStats {
 
 /// Folds `raw` (the concatenated, in-order diff ops of a burst) into the
 /// minimal per-prefix net op list, first-touch order preserved. `stats`,
-/// when non-null, receives the before/after op counts.
+/// when non-null, receives the before/after op counts. One sort of the
+/// op positions by (prefix, position) groups each prefix's ops; no hash
+/// table is built.
 std::vector<onrtc::FibOp> coalesce_ops(std::span<const onrtc::FibOp> raw,
                                        CoalesceStats* stats = nullptr);
 
@@ -144,7 +147,10 @@ class BatchTxn {
  private:
   onrtc::CompressedFib& fib_;
   std::span<const workload::UpdateMsg> messages_;
-  std::vector<std::vector<onrtc::FibOp>> per_msg_;
+  /// Every message's diff ops, back to back: message k's are
+  /// journal_[offsets_[k], offsets_[k + 1]).
+  std::vector<onrtc::FibOp> journal_;
+  std::vector<std::size_t> offsets_;
   std::vector<std::optional<netbase::NextHop>> priors_;
   BatchTtfSample sample_;
   CommitPlan plan_;

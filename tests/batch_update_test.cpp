@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <span>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -126,6 +127,112 @@ TEST(CoalesceOps, DistinctPrefixesKeepFirstTouchOrder) {
   EXPECT_EQ(merged[0].route.next_hop, make_next_hop(3));
   EXPECT_EQ(merged[1].route.prefix, *Prefix::parse("20.0.0.0/8"));
   EXPECT_EQ(merged[2].route.prefix, *Prefix::parse("30.0.0.0/8"));
+}
+
+// The per-prefix fold as a hash-map pass, kept here as the reference
+// coalesce_ops must reproduce: same merged ops, same first-touch order,
+// same stats.
+std::vector<FibOp> reference_coalesce(std::span<const FibOp> raw,
+                                      CoalesceStats& stats) {
+  struct Fold {
+    Prefix prefix;
+    bool initially_present = false;
+    bool initial_hop_known = false;
+    NextHop initial_hop{};
+    bool present = false;
+    NextHop hop{};
+    NextHop deleted_hop{};
+  };
+  std::vector<Fold> folds;
+  std::unordered_map<Prefix, std::size_t> index;
+  for (const auto& op : raw) {
+    const auto [it, fresh] = index.try_emplace(op.route.prefix, folds.size());
+    if (fresh) {
+      Fold fold;
+      fold.prefix = op.route.prefix;
+      fold.initially_present = op.kind != FibOpKind::kInsert;
+      if (op.kind == FibOpKind::kDelete) {
+        fold.initial_hop_known = true;
+        fold.initial_hop = op.route.next_hop;
+      }
+      folds.push_back(fold);
+    }
+    Fold& fold = folds[it->second];
+    if (op.kind == FibOpKind::kDelete) {
+      fold.present = false;
+      fold.deleted_hop = op.route.next_hop;
+    } else {
+      fold.present = true;
+      fold.hop = op.route.next_hop;
+    }
+  }
+  std::vector<FibOp> merged;
+  for (const Fold& fold : folds) {
+    if (!fold.initially_present && fold.present) {
+      merged.push_back(FibOp{FibOpKind::kInsert, Route{fold.prefix, fold.hop}});
+    } else if (fold.initially_present && !fold.present) {
+      merged.push_back(FibOp{
+          FibOpKind::kDelete,
+          Route{fold.prefix,
+                fold.initial_hop_known ? fold.initial_hop : fold.deleted_hop}});
+    } else if (fold.initially_present && fold.present &&
+               !(fold.initial_hop_known && fold.initial_hop == fold.hop)) {
+      merged.push_back(FibOp{FibOpKind::kModify, Route{fold.prefix, fold.hop}});
+    }
+  }
+  stats.raw_ops = raw.size();
+  stats.merged_ops = merged.size();
+  return merged;
+}
+
+// Random bursts over a small prefix pool, so prefixes repeat: half follow
+// per-prefix state (insert only when absent; modify or delete, carrying
+// the old hop, only when present), which yields insert->delete cancels,
+// delete->insert modifies and modify->delete; the other half draw kind
+// and hop freely.
+TEST(CoalesceOps, MatchesTheHashMapFoldOnRandomStreams) {
+  Pcg32 rng(71);
+  std::vector<Prefix> pool;
+  for (int i = 0; i < 24; ++i) {
+    pool.emplace_back(Ipv4Address(rng.next()), rng.next_below(33));
+  }
+  for (int burst = 0; burst < 2000; ++burst) {
+    const bool stateful = burst % 2 == 0;
+    std::vector<bool> present(pool.size());
+    std::vector<NextHop> hops(pool.size());
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      present[i] = rng.chance(0.5);
+      hops[i] = make_next_hop(1 + rng.next_below(4));
+    }
+    const std::uint32_t used = 1 + rng.next_below(
+                                       static_cast<std::uint32_t>(pool.size()));
+    std::vector<FibOp> raw;
+    const std::uint32_t length = rng.next_below(40);
+    for (std::uint32_t k = 0; k < length; ++k) {
+      const std::uint32_t i = rng.next_below(used);
+      const NextHop hop = make_next_hop(1 + rng.next_below(4));
+      if (!stateful) {
+        raw.push_back(FibOp{static_cast<FibOpKind>(rng.next_below(3)),
+                            Route{pool[i], hop}});
+      } else if (!present[i]) {
+        raw.push_back(FibOp{FibOpKind::kInsert, Route{pool[i], hop}});
+        present[i] = true;
+        hops[i] = hop;
+      } else if (rng.chance(0.5)) {
+        raw.push_back(FibOp{FibOpKind::kDelete, Route{pool[i], hops[i]}});
+        present[i] = false;
+      } else {
+        raw.push_back(FibOp{FibOpKind::kModify, Route{pool[i], hop}});
+        hops[i] = hop;
+      }
+    }
+    CoalesceStats expected_stats;
+    const auto expected = reference_coalesce(raw, expected_stats);
+    CoalesceStats stats;
+    ASSERT_EQ(coalesce_ops(raw, &stats), expected) << "burst " << burst;
+    ASSERT_EQ(stats.raw_ops, expected_stats.raw_ops) << "burst " << burst;
+    ASSERT_EQ(stats.merged_ops, expected_stats.merged_ops) << "burst " << burst;
+  }
 }
 
 // ---------------------------------------------------------------------------

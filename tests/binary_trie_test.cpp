@@ -404,6 +404,61 @@ TEST(BinaryTrie, MemoryBytesCountsTwelveByteSlots) {
   EXPECT_EQ(trie.arena_slots(), 0u);
 }
 
+TEST(BinaryTrie, GrowingPastTheSpareSlotsCountsOneGrowth) {
+  Pcg32 rng(8389);
+  const BinaryTrie bulk(random_routes(rng, 20'000));
+  EXPECT_EQ(bulk.growths(), 0u);
+  BinaryTrie trie = bulk;
+  EXPECT_EQ(trie.growths(), 0u);
+  const std::size_t spare_slots = trie.memory_bytes() / 12;
+  const std::size_t before = trie.memory_bytes();
+  // A bulk-built arena has no free slots, so each new node takes a fresh
+  // one; stop on the first insert that needs a slot past the reserve.
+  while (trie.arena_slots() <= spare_slots) {
+    ASSERT_EQ(trie.growths(), 0u);
+    trie.insert(Prefix(Ipv4Address(rng.next()), 32), make_next_hop(1));
+  }
+  EXPECT_EQ(trie.growths(), 1u);
+  EXPECT_GT(trie.memory_bytes(), before);
+  // A copy's arena is new: it starts with no growths; a move keeps them.
+  EXPECT_EQ(BinaryTrie(trie).growths(), 0u);
+  const BinaryTrie moved = std::move(trie);
+  EXPECT_EQ(moved.growths(), 1u);
+}
+
+// insert_along/erase_along continue a descent recorded to an arbitrary
+// depth; they must leave the same trie, nodes included, as insert/erase
+// from the root.
+TEST(BinaryTrie, PathContinuedUpdatesMatchRootUpdates) {
+  Pcg32 rng(8393);
+  BinaryTrie along;
+  BinaryTrie plain;
+  for (int step = 0; step < 20'000; ++step) {
+    // Prefixes crowd under one /8 so updates share and prune paths.
+    const Prefix prefix(Ipv4Address(0x0A000000u | (rng.next() & 0xFFFFFFu)),
+                        8 + rng.next_below(25));
+    BinaryTrie::Path path;
+    const unsigned known = rng.next_below(prefix.length() + 1);
+    auto node = along.root();
+    path[0] = node.index();
+    for (unsigned depth = 0; depth < known; ++depth) {
+      if (node) node = node.child(prefix.bit(depth));
+      path[depth + 1] = node.index();
+    }
+    if (rng.chance(0.55)) {
+      const NextHop hop = make_next_hop(1 + rng.next_below(4));
+      ASSERT_EQ(along.insert_along(path, known, prefix, hop),
+                plain.insert(prefix, hop));
+      ASSERT_EQ(path[prefix.length()], along.node_at(prefix).index());
+    } else {
+      ASSERT_EQ(along.erase_along(path, known, prefix), plain.erase(prefix));
+    }
+    ASSERT_EQ(along.size(), plain.size());
+    ASSERT_EQ(along.node_count(), plain.node_count()) << "step " << step;
+  }
+  EXPECT_EQ(along.routes(), plain.routes());
+}
+
 TEST(BinaryTrie, NodeRefWalksTheStructure) {
   BinaryTrie trie;
   trie.insert(p("128.0.0.0/1"), make_next_hop(1));

@@ -295,6 +295,34 @@ TEST(ClueSystemOneChip, WarmCachesNothing) {
   EXPECT_EQ(system.dred(0).size(), 0u);
 }
 
+// lookup() never probes a DRed, so the system exports DRed contents
+// counters only: a warmed system shows its fills, and no lookup, hit or
+// hit-rate figure that would always read 0.
+TEST(ClueSystem, WarmedSystemExportsDredFillsButNoHitRate) {
+  const auto fib = make_fib(5'000, 49);
+  ClueSystem system(fib, SystemConfig{});
+  ASSERT_EQ(system.tcam_count(), 4u);
+  system.warm(random_addresses(4'000, 50));
+  obs::MetricsRegistry registry;
+  system.export_metrics(registry);
+  std::uint64_t insertions = 0;
+  bool growths_seen = false;
+  for (const auto& [name, value] : registry.counters()) {
+    if (name.ends_with(".dred.insertions")) insertions += value;
+    if (name == "onrtc.trie_growths") {
+      growths_seen = true;
+      EXPECT_EQ(value, system.fib().trie_growths());
+    }
+    EXPECT_FALSE(name.ends_with(".dred.lookups")) << name;
+    EXPECT_FALSE(name.ends_with(".dred.hits")) << name;
+  }
+  EXPECT_GT(insertions, 0u);
+  EXPECT_TRUE(growths_seen);
+  for (const auto& [name, value] : registry.gauges()) {
+    EXPECT_FALSE(name.ends_with(".dred.hit_rate")) << name;
+  }
+}
+
 TEST(ClueSystemOneChip, RebalanceNowNeverMigrates) {
   const auto fib = make_fib(2'000, 47);
   ClueSystem system(fib, SystemConfig{.tcam_count = 1});

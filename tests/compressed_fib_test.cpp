@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <optional>
 
 #include "netbase/rng.hpp"
 #include "workload/rib_gen.hpp"
@@ -252,6 +254,123 @@ TEST(CompressedFib, CompressedTableIsAlwaysDisjoint) {
       fib.withdraw(prefix);
     }
     ASSERT_TRUE(fib.compressed().is_disjoint()) << "step " << step;
+  }
+}
+
+
+// Differential stream length: 3000 steps per run, or CLUE_SOAK_UPDATES /
+// 50 when that is more (ci/check.sh's soak stage). The stream is seeded,
+// so a longer run replays the default one first.
+std::size_t differential_steps() {
+  const char* env = std::getenv("CLUE_SOAK_UPDATES");
+  const long long n = env ? std::atoll(env) : 0;
+  return std::max<std::size_t>(3000, n > 0 ? static_cast<std::size_t>(n / 50)
+                                           : 0);
+}
+
+// Every message's diff is exactly the sorted diff of the full
+// recompressions before and after it, op for op and in order; the
+// reported prior hop is the truth's hop before the message; and the
+// compressed trie is compress(truth) with no stray nodes. The stream mixes
+// /0 and /32 routes, kNoRoute announces, withdraws of absent prefixes,
+// duplicate announces, same-prefix flaps, hole punches down to /32 and
+// sibling runs whose last piece merges a whole subtree, up to /0.
+TEST(CompressedFib, EveryDiffEqualsTheFullRecompressionDiff) {
+  Pcg32 rng(61);
+  CompressedFib fib;
+  std::vector<Route> before;
+  std::vector<FibOp> ops;
+  const auto hop = [&rng] { return make_next_hop(1 + rng.next_below(3)); };
+  // Addresses crowd into two /12s, so routes nest and meet as siblings.
+  const auto address = [&rng] {
+    const std::uint32_t base = rng.chance(0.5) ? 0x0A000000u : 0x0A100000u;
+    return Ipv4Address(rng.chance(0.9) ? base | (rng.next() & 0x000FFFFFu)
+                                       : rng.next());
+  };
+  const auto step = [&](bool announce, const Prefix& prefix, NextHop next_hop) {
+    const std::optional<NextHop> truth_prior = fib.ground_truth().find(prefix);
+    ops.clear();
+    const std::optional<NextHop> prior = announce
+                                             ? fib.announce(prefix, next_hop, ops)
+                                             : fib.withdraw(prefix, ops);
+    const auto after = compress(fib.ground_truth());
+    std::vector<FibOp> expected;
+    detail::diff_tables(before, after, expected);
+    ASSERT_EQ(prior, truth_prior) << prefix.to_string();
+    ASSERT_EQ(ops, expected) << prefix.to_string();
+    ASSERT_EQ(fib.compressed().routes(), after) << prefix.to_string();
+    ASSERT_EQ(fib.compressed().node_count(),
+              BinaryTrie(std::span<const Route>(after)).node_count())
+        << prefix.to_string();
+    before = after;
+  };
+
+  const std::size_t steps = differential_steps();
+  for (std::size_t done = 0; done < steps;) {
+    const std::uint32_t kind = rng.next_below(100);
+    const auto routes = fib.ground_truth().routes();
+    if (kind < 30) {  // announce anywhere, lengths /0 to /32
+      const unsigned length = rng.chance(0.1) ? (rng.chance(0.5) ? 0 : 32)
+                                               : rng.next_below(33);
+      step(true, Prefix(address(), length),
+           rng.chance(0.05) ? kNoRoute : hop());
+      ++done;
+    } else if (kind < 50) {  // withdraw a present route, or an absent one
+      const Prefix prefix =
+          routes.empty() || rng.chance(0.2)
+              ? Prefix(address(), rng.next_below(33))
+              : routes[rng.next_below(static_cast<std::uint32_t>(
+                           routes.size()))].prefix;
+      step(false, prefix, kNoRoute);
+      ++done;
+    } else if (kind < 60 && !routes.empty()) {  // duplicate, then a flap
+      const Route route = routes[rng.next_below(
+          static_cast<std::uint32_t>(routes.size()))];
+      step(true, route.prefix, route.next_hop);
+      step(true, route.prefix, hop());
+      step(true, route.prefix, route.next_hop);
+      done += 3;
+    } else if (kind < 75 && !routes.empty()) {  // punch holes to /32
+      const Route route = routes[rng.next_below(
+          static_cast<std::uint32_t>(routes.size()))];
+      const Ipv4Address inside(route.prefix.bits() |
+                               (rng.next() & ~route.prefix.mask()));
+      for (unsigned length = route.prefix.length() + 1 + rng.next_below(4);
+           length <= 32; length += 1 + rng.next_below(6)) {
+        step(true, Prefix(inside, length), hop());
+        ++done;
+      }
+      step(true, Prefix(inside, 32), hop());
+      ++done;
+    } else if (kind < 95) {  // a sibling run that merges up to `top`
+      // A run to /0 first empties the table, so its last piece cascades
+      // all the way up.
+      const unsigned top = rng.chance(0.1) ? 0 : rng.next_below(24);
+      if (top == 0) {
+        for (const Route& route : routes) {
+          step(false, route.prefix, kNoRoute);
+          ++done;
+        }
+      }
+      const Prefix root(address(), top);
+      const Ipv4Address deep(root.bits() | (rng.next() & ~root.mask()));
+      const unsigned bottom = top + 1 + rng.next_below(32 - top);
+      const NextHop shared = hop();
+      for (unsigned length = top + 1; length <= bottom; ++length) {
+        step(true, Prefix(deep, length).sibling(), shared);
+        ++done;
+      }
+      step(true, Prefix(deep, bottom), shared);
+      ++done;
+    } else {  // clear out, so the table keeps meeting the empty state
+      for (const Route& route : routes) {
+        if (rng.chance(0.5)) {
+          step(false, route.prefix, kNoRoute);
+          ++done;
+        }
+      }
+    }
+    if (HasFatalFailure()) return;
   }
 }
 

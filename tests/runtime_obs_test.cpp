@@ -324,4 +324,31 @@ TEST(LookupRuntimeTest, StartUpGaugesCoverTheControlTries) {
   }
 }
 
+// Commits that outgrow the control tries' spare slots show up as counted
+// arena growths, refreshed by each commit beside onrtc.trie_bytes.
+TEST(LookupRuntimeTest, CommitsExportTheControlTriesArenaGrowths) {
+  const auto fib = make_fib(2'000, 7503);
+  RuntimeConfig config;
+  config.worker_count = 2;
+  LookupRuntime runtime(fib, config);
+  const auto growths = [&runtime] {
+    clue::obs::MetricsRegistry registry;
+    runtime.export_metrics(registry);
+    for (const auto& [name, value] : registry.counters()) {
+      if (name == "onrtc.trie_growths") return static_cast<std::int64_t>(value);
+    }
+    return std::int64_t{-1};
+  };
+  EXPECT_EQ(growths(), 0);
+  Pcg32 rng(7504);
+  while (runtime.fib().trie_growths() == 0) {
+    runtime.apply(clue::workload::UpdateMsg{
+        clue::workload::UpdateKind::kAnnounce,
+        clue::netbase::Prefix(Ipv4Address(rng.next()), 32),
+        clue::netbase::make_next_hop(1 + rng.next_below(8))});
+  }
+  EXPECT_EQ(growths(), static_cast<std::int64_t>(runtime.fib().trie_growths()));
+  EXPECT_GT(growths(), 0);
+}
+
 }  // namespace
