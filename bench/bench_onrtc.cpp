@@ -54,7 +54,7 @@ void BM_TrieUpdate_Plain(benchmark::State& state) {
 BENCHMARK(BM_TrieUpdate_Plain)->Arg(100'000);
 
 // Writes one byte per cache line of `buffer`, evicting that much of the
-// tries' hot paths the way a commit's lookups and flat rebuilds do
+// tries' hot paths the way a commit's lookups and flat patches do
 // between messages in the runtime.
 void evict(std::vector<char>& buffer) {
   for (std::size_t i = 0; i < buffer.size(); i += 64) ++buffer[i];
@@ -114,17 +114,17 @@ void BM_BatchTxn_OneMessageCold(benchmark::State& state) {
   const clue::update::CommitHost host{
       boundaries, std::numeric_limits<std::size_t>::max(),
       [](std::size_t) { return std::size_t{0}; },
-      [](std::size_t, const clue::netbase::Prefix&) {
-        return std::vector<clue::netbase::Route>{};
-      },
+      [](std::size_t, const clue::netbase::Prefix&,
+         std::vector<clue::netbase::Route>&) {},
       {}};
+  clue::update::CommitPlan plan;
   std::vector<char> scratch(kEvictBytes);
   for (auto _ : state) {
     state.PauseTiming();
     evict(scratch);
     state.ResumeTiming();
     const auto msg = updates.next();
-    clue::update::BatchTxn txn(compressed, {&msg, 1});
+    clue::update::BatchTxn txn(compressed, {&msg, 1}, plan);
     benchmark::DoNotOptimize(txn.admit(host));
   }
 }

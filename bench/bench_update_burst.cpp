@@ -101,7 +101,9 @@ struct LookupLoad {
     thread = std::thread([this, &runtime, &addresses] {
       std::vector<double> latency;
       std::size_t at = 0;
-      while (!stop.load(std::memory_order_acquire)) {
+      // At least one batch, so the latency percentiles are never empty
+      // however quickly the update phase finishes.
+      do {
         const std::size_t n =
             std::min(kLookupChunk, addresses.size() - at);
         const std::span<const clue::netbase::Ipv4Address> chunk(
@@ -112,7 +114,7 @@ struct LookupLoad {
         }
         lookups += n;
         at = (at + n) % addresses.size();
-      }
+      } while (!stop.load(std::memory_order_acquire));
     });
   }
   void finish() {

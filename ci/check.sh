@@ -13,8 +13,11 @@
 # the churn-soak: the rebalancer soak test rerun at CLUE_SOAK_UPDATES
 # updates (default 500000) of sustained hot-/8 churn, plus two
 # differential tests at CLUE_SOAK_UPDATES / 50 steps (the flat image's
-# diff builds against full builds, and every ONRTC diff against the diff
-# of the full recompressions before and after it), and the
+# in-place patches against full builds, and every ONRTC diff against the
+# diff of the full recompressions before and after it) and the flat
+# image's concurrent-reader test at CLUE_SOAK_UPDATES / 50 patches
+# (every answer a reader sees is the pre- or post-patch answer of a
+# patch in its window), and the
 # burst-soak: the async group-commit ingress hammered under TSan at
 # CLUE_SOAK_UPDATES bursty updates with concurrent lookups, then the
 # figures guard: bench_ttf's modeled TTF2/TTF3 columns of Figs. 10-14
@@ -58,9 +61,9 @@ run_plain() {
 run_asan() {
   echo "=== stage: ASan+UBSan tier-1 ==="
   configure_and_build build-asan address
-  # The soak tests run here at soak scale, so migration-sized COW flat
-  # rebuilds (level-2 id reuse, chunks dropping back to null) get leak and
-  # use-after-free checking too.
+  # The soak tests run here at soak scale, so migration-sized flat-image
+  # patches (level-2 id reuse, chunks dropping back to null, blocks parked
+  # after their grace period) get leak and use-after-free checking too.
   CLUE_SOAK_UPDATES="${CLUE_ASAN_SOAK_UPDATES:-100000}" \
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
@@ -167,7 +170,7 @@ run_soak() {
   configure_and_build build ""
   CLUE_SOAK_UPDATES="${CLUE_SOAK_UPDATES:-500000}" \
     ctest --test-dir build --output-on-failure \
-      -R 'RebalanceSoakTest|FlatTableTest.DiffStreamsMatchFullBuildsOfTheTrie|CompressedFib.EveryDiffEqualsTheFullRecompressionDiff'
+      -R 'RebalanceSoakTest|FlatTableTest.DiffStreamsMatchFullBuildsOfTheTrie|FlatTableTest.ConcurrentReadersSeePreOrPostAnswerPerAddress|CompressedFib.EveryDiffEqualsTheFullRecompressionDiff'
 }
 
 run_burst_soak() {

@@ -16,73 +16,68 @@
 //
 // A route entry carries the stored route's *shape*, not just its hop:
 // the prefix length (6 bits) and an interned next-hop id (25 bits) into
-// a small per-table hop dictionary (a FIB has tens of distinct next
-// hops, so a FIB is a label array over a tiny alphabet). Non-overlap
-// makes Prefix(address, length) the exact stored prefix, so the image
-// answers lookup_route() on its own — the runtime publishes chip
-// versions with no trie at all. Entry 0 (id 0) is "no route".
+// a small per-table hop array (a FIB has tens of distinct next hops, so
+// a FIB is a label array over a tiny alphabet). Non-overlap makes
+// Prefix(address, length) the exact stored prefix, so the image answers
+// lookup_route() on its own. Entry 0 (id 0) is "no route".
 //
-// The image is the chip's only representation, and it is built and
-// patched the way the paper's §III-C updates a disjoint TCAM: a full
-// build paints a route list onto an empty image, and a copy-on-write
-// successor applies a diff — erase these stored shapes, then write these
-// routes. Non-overlap means the diff says exactly which slots change: an
-// erased shape's slots become no-route and a written route's slots
-// become its entry, with no cover lookup. Both run through one paint
-// path, which checks the diff as it paints (an erase must name a stored
-// shape; a write may only land on no-route slots or rewrite its own
-// prefix) and collapses the uniform level-2 blocks it touched back into
-// direct entries. Since every entry carries its length, the image also
-// answers what the control role asks of a chip: its stored-route count
-// (kept by every build, O(1)), the stored shapes within a region, and
-// ordered runs from either end.
+// The level-1 array is split into 4096-entry chunks held by pointer; a
+// null chunk means "all no-route", which keeps empty address space free.
+// A per-chunk count of non-zero slots makes "did this chunk just empty?"
+// O(1). Since every entry carries its length, the image also answers
+// what the control role asks of a chip: its stored-route count (O(1)),
+// the stored shapes within a region, and ordered runs from either end.
 //
-// Snapshots are immutable — the runtime publishes one per chip-table
-// version behind an epoch-swapped pointer — but a full repaint per BGP
-// update would move megabytes per publish. Instead the level-1 array is
-// split into 4096-entry chunks held by raw pointer: a copy-on-write
-// rebuild memcpys the 4096-slot pointer array (32 KiB, no reference
-// counts) and copies only the chunks and level-2 blocks the diff
-// touches, so rebuild cost tracks the size of the diff, not of the
-// address space. A null chunk means "all no-route", which also keeps
-// empty address space free. The hop dictionary is append-only and shared
-// the same way: a rebuild that meets a new next hop copies it once and
-// appends.
+// One image per chip, patched in place the way the paper's §III-C
+// updates a disjoint TCAM: non-overlap makes every write order-free, so
+// the image is edited while lookups keep running. A diff (erase these
+// stored shapes, then write these routes) is applied in two steps:
 //
-// Ownership is by version, not by reference count. A pointer belongs to
-// a rebuild iff it differs from its predecessor's pointer at the same
-// index (chunk index, level-2 block id, the one dictionary). When the
-// rebuild completes, the successor takes over the whole live set and the
-// predecessor keeps only what the successor replaced, so dropping a
-// retired version releases exactly what one commit replaced and dropping
-// the newest version frees its live set. Hence each image has at most
-// one successor (a second throws std::logic_error), and a predecessor
-// stays readable only while its successor lives. The runtime keeps both
-// rules: it builds each version from the active one, and its epoch
-// domain never reclaims a version before an older one.
+//   stage()  validates the diff against the live image (an erase must
+//            name a stored shape; a write may only land on no-route
+//            slots or rewrite its own prefix) and builds everything new
+//            privately: fresh chunks, level-2 blocks, a grown hop array
+//            or level-2 table. It computes each touched entry's
+//            post-diff value without writing the live image, so a throw
+//            leaves the image untouched.
+//   apply()  noexcept. Publishes the staged values with release stores.
+//            Each level-1 slot and level-2 entry whose answer changes is
+//            stored exactly once, from its pre-diff to its post-diff
+//            value — an erased region that a write re-covers never reads
+//            as no-route in between — and a chunk or level-2 block the
+//            patch leaves empty or uniform is unlinked by one store. A
+//            concurrent reader therefore sees, per address, the pre- or
+//            the post-patch answer, never a third one.
 //
-// Ownership ends in the lineage's block pool. A lineage is a full build
-// plus its COW successors (in the runtime, one chip), and every version
-// holds the lineage's BlockPool by shared_ptr. A retired version that is
-// dropped parks the blocks its successor replaced there instead of
-// freeing them, and every build takes blocks from the pool before it
-// calls new, so a steady-state commit reuses memory that is already
-// resident. The pool is bounded (BlockPool::kMaxChunks,
-// BlockPool::kMaxL2Blocks; blocks beyond the cap are freed) and frees
-// its contents when the lineage's last version goes.
+// Everything a patch unlinks (dropped chunks, collapsed level-2 blocks
+// and their ids, a superseded hop array or level-2 table) comes back as
+// a Retired bundle. Readers may still hold those blocks, so the caller
+// keeps the bundle until a grace period has passed (the runtime hands it
+// to its epoch domain); destroying it parks the blocks in the image's
+// BlockPool, where later patches take them before they call new. A patch
+// that unlinks nothing returns an empty bundle and needs no grace.
 //
-// Thread-safety: const after construction; safe to read from any number
-// of threads once publication of the owning pointer synchronises with
-// the readers (the runtime's epoch swap does).
+// The full build paints a route list through the same stage/apply path
+// into the unpublished image: every chunk and block it touches is fresh.
+//
+// Thread-safety: one writer (stage/apply/stored_within; at most one
+// staged patch at a time) and any number of concurrent readers
+// (lookup, lookup_route, prefetch). Readers use only atomic loads —
+// acquire wherever a pointer, a level-2 flag or a hop id is followed;
+// plain movs on x86-64 — and must keep every block they can reach alive
+// (the runtime's epoch pin) until the bundles of the patches they
+// overlapped are destroyed.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "netbase/prefix.hpp"
@@ -98,6 +93,8 @@ class FlatLookupTable {
   using Route = netbase::Route;
 
   class BlockPool;
+  class Retired;
+  class Patch;
 
   /// Full build from a non-overlapping route list, in any order (a
   /// prefix listed twice is a rewrite: the last hop wins). Throws
@@ -107,34 +104,31 @@ class FlatLookupTable {
   explicit FlatLookupTable(std::span<const Route> routes);
   /// Full build from the trie's routes.
   explicit FlatLookupTable(const trie::BinaryTrie& table);
-
-  /// Copy-on-write successor: `prev` with the stored shapes `erases`
-  /// removed, then the routes `writes` written. Every level-1 chunk and
-  /// level-2 block the diff does not touch is shared with `prev`. Each
-  /// erase must name a stored shape exactly, and each write may cover
-  /// only no-route slots (after the erases) or rewrite the hop of a
-  /// stored prefix; anything else throws std::invalid_argument. On
-  /// success this image owns the live set and `prev` keeps only what this
-  /// build replaced: `prev` stays readable only while this image lives.
-  /// Throws std::logic_error if `prev` already has a successor; on any
-  /// throw `prev` is left untouched and may still be succeeded.
-  FlatLookupTable(const FlatLookupTable& prev, std::span<const Prefix> erases,
-                  std::span<const Route> writes);
-
-  /// Releases what this image owns: frees its live set if it has no
-  /// successor, otherwise parks what the successor replaced in the
-  /// lineage's pool. Any version may be dropped from any thread, but a
-  /// version must not be dropped while its successor is being built.
+  /// Frees the live image. Bundles it returned stay valid (they hold the
+  /// pool) and park their blocks whenever they are destroyed.
   ~FlatLookupTable();
 
   FlatLookupTable(const FlatLookupTable&) = delete;
   FlatLookupTable& operator=(const FlatLookupTable&) = delete;
 
-  /// The hot path: 1-2 image loads plus one hop-dictionary load.
+  /// Stages the diff: the stored shapes `erases` removed, then the routes
+  /// `writes` written. Each erase must name a stored shape exactly, and
+  /// each write may cover only no-route slots (after the erases) or
+  /// rewrite the hop of a stored prefix; anything else throws
+  /// std::invalid_argument, as does std::length_error on id overflow. On
+  /// any throw the image is untouched. Throws std::logic_error if another
+  /// patch is still staged. Dropping the returned patch unapplied
+  /// discards it.
+  [[nodiscard]] Patch stage(std::span<const Prefix> erases,
+                            std::span<const Route> writes);
+
+  /// Publishes `patch` (staged on this image) to concurrent readers and
+  /// returns what it unlinked.
+  Retired apply(Patch patch) noexcept;
+
+  /// The hot path: 1-2 image loads plus one hop-array load.
   /// kNoRoute when no prefix covers `address`.
-  NextHop lookup(Ipv4Address address) const {
-    return hops_[entry(address) & kIdMask];
-  }
+  NextHop lookup(Ipv4Address address) const { return hop_of(entry(address)); }
 
   /// The stored route covering `address`, in its exact stored shape
   /// (prefix, length and hop), or nullopt. Non-overlap makes the covering
@@ -142,7 +136,7 @@ class FlatLookupTable {
   std::optional<Route> lookup_route(Ipv4Address address) const {
     const std::uint32_t e = entry(address);
     if (e == 0) return std::nullopt;
-    return Route{Prefix(address, e >> kLenShift), hops_[e & kIdMask]};
+    return Route{Prefix(address, e >> kLenShift), hop_of(e)};
   }
 
   /// Requests the level-1 entry's cache line ahead of lookup(); the
@@ -150,36 +144,48 @@ class FlatLookupTable {
   /// so the (tens of MB, cache-cold) array loads overlap.
   void prefetch(Ipv4Address address) const {
     const std::uint32_t slot = address.value() >> kL2Bits;
-    const std::uint32_t* chunk = chunks_[slot >> kChunkBits];
+    const std::uint32_t* chunk =
+        chunks_[slot >> kChunkBits].load(std::memory_order_relaxed);
     if (chunk) __builtin_prefetch(&chunk[slot & kChunkMask], 0, 1);
   }
 
   /// Stored routes (a collapsed level-2 block counts each of its tiles).
-  /// O(1): every build keeps the count.
+  /// O(1): every patch keeps the count.
   std::size_t route_count() const { return route_count_; }
 
-  /// The stored routes lying within `region`, in address order — a
-  /// trie's routes_within() (Prefix() walks the whole image). With
-  /// `limit`, only the `limit` routes nearest the region's low end — or
-  /// its high end when `from_high` — are walked and returned (still in
+  /// Appends to `out` the stored routes lying within `region`, in address
+  /// order — a trie's routes_within() (Prefix() walks the whole image).
+  /// With `limit`, only the `limit` routes nearest the region's low end —
+  /// or its high end when `from_high` — are walked and appended (still in
   /// address order), so a run at one end costs the run, not the table.
-  /// Steps by each route's length and over null chunks whole.
+  /// Steps by each route's length and over null chunks whole. Writer side:
+  /// call from the thread that stages patches (or while none is applied).
+  void stored_within(const Prefix& region, std::vector<Route>& out,
+                     std::size_t limit = SIZE_MAX,
+                     bool from_high = false) const;
+  /// The same, returned in a new vector.
   std::vector<Route> stored_within(const Prefix& region,
                                    std::size_t limit = SIZE_MAX,
-                                   bool from_high = false) const;
+                                   bool from_high = false) const {
+    std::vector<Route> out;
+    stored_within(region, out, limit, from_high);
+    return out;
+  }
 
-  /// Bytes of the image this snapshot answers from (chunks it
-  /// references, shared or not, plus level-2 blocks, the pointer arrays
-  /// and the dictionary). Blocks parked in the lineage's pool are not
-  /// counted (see BlockPool::Stats::bytes). O(1).
+  /// Bytes of the live image (chunks, level-2 blocks, the pointer arrays
+  /// and the hop dictionary). Blocks parked in the pool or held by
+  /// unreleased bundles are not counted (see BlockPool::Stats::bytes).
+  /// O(1).
   std::size_t memory_bytes() const;
   /// Allocated (non-null) level-1 chunks / live level-2 blocks. O(1).
   std::size_t chunk_count() const { return chunk_count_; }
   std::size_t l2_block_count() const { return l2_count_; }
-  /// The block pool this image's lineage shares.
+  /// The image's block pool (shared with the bundles it returned).
   std::shared_ptr<const BlockPool> pool() const { return pool_; }
 
  private:
+  struct Staging;
+
   // Entry layout: L2 flag | 6-bit prefix length | 25-bit hop id; with
   // the flag set, the low 31 bits are a level-2 block id instead.
   static constexpr std::uint32_t kL2Flag = 0x8000'0000u;
@@ -187,8 +193,7 @@ class FlatLookupTable {
   static constexpr std::uint32_t kIdMask = (1u << kLenShift) - 1;
 
   // Geometry: level-1 index bits (DIR-24-8), level-2 bits per block,
-  // and log2 of level-1 entries per copy-on-write chunk (16 KiB), so a
-  // rebuild copies 2^(kStride - kChunkBits) chunk pointers.
+  // and log2 of level-1 entries per chunk (16 KiB).
   static constexpr unsigned kStride = 24;
   static constexpr unsigned kL2Bits = 32 - kStride;
   static constexpr unsigned kChunkBits = 12;
@@ -199,139 +204,151 @@ class FlatLookupTable {
   static constexpr std::size_t kChunkCount = std::size_t{1}
                                              << (kStride - kChunkBits);
 
-  /// Interned next hops: hops[id] for id >= 1, hops[0] = kNoRoute.
-  struct HopDict {
-    std::vector<NextHop> hops{netbase::kNoRoute};
-    std::unordered_map<std::uint32_t, std::uint32_t> ids;  ///< hop -> id
-  };
+  /// Reader-side load of an image word another thread may be storing.
+  template <typename T>
+  static T load(T& word) {
+    return std::atomic_ref<T>(word).load(std::memory_order_acquire);
+  }
 
-  /// Rebuild-time state: the predecessor whose pointers this build
-  /// shares (null for a full build, which owns everything it holds), and
-  /// the predecessor's chunks and level-2 blocks this build replaced so
-  /// far — each is recorded once, when its slot stops holding it.
-  struct Builder {
-    const FlatLookupTable* prev = nullptr;
-    std::vector<std::uint32_t*> replaced_chunks;
-    std::vector<std::uint32_t*> replaced_l2;
-  };
-
-  /// The route entry (or 0) covering `address`, level 2 resolved.
+  /// The route entry (or 0) covering `address`, level 2 resolved. Every
+  /// load is acquire: a level-2 flag is followed into the block table,
+  /// and a route entry into the hop array (hop_of), which must then hold
+  /// any hop the entry's patch appended.
   std::uint32_t entry(Ipv4Address address) const {
     const std::uint32_t slot = address.value() >> kL2Bits;
-    const std::uint32_t* chunk = chunks_[slot >> kChunkBits];
+    std::uint32_t* chunk =
+        chunks_[slot >> kChunkBits].load(std::memory_order_acquire);
     if (!chunk) return 0;
-    const std::uint32_t e = chunk[slot & kChunkMask];
+    const std::uint32_t e = load(chunk[slot & kChunkMask]);
     if (!(e & kL2Flag)) return e;
-    return l2_[e & ~kL2Flag][address.value() & kL2Mask];
+    std::uint32_t* block =
+        load(l2_.load(std::memory_order_acquire)[e & ~kL2Flag]);
+    return load(block[address.value() & kL2Mask]);
+  }
+  /// The hop an entry names. Loaded only after the entry, so a reader
+  /// that sees an entry also sees the hop array that holds its id.
+  NextHop hop_of(std::uint32_t e) const {
+    return hops_.load(std::memory_order_acquire)[e & kIdMask];
   }
 
-  /// The level-1 entry of `slot` (0 under a null chunk).
-  std::uint32_t slot_entry(std::uint32_t slot) const {
-    const std::uint32_t* chunk = chunks_[slot >> kChunkBits];
-    return chunk ? chunk[slot & kChunkMask] : 0;
-  }
-
-  /// Whether this image (not its predecessor `prev`, null for a full
-  /// build) owns chunk `i` / level-2 block `id` / the dictionary: the
-  /// pointer differs from the predecessor's at the same index.
-  bool owns_chunk(std::size_t i, const FlatLookupTable* prev) const {
-    return !prev || chunks_[i] != prev->chunks_[i];
-  }
-  bool owns_l2(std::uint32_t id, const FlatLookupTable* prev) const {
-    return !prev || id >= prev->l2_.size() || l2_[id] != prev->l2_[id];
-  }
-  bool owns_dict(const FlatLookupTable* prev) const {
-    return !prev || dict_ != prev->dict_;
-  }
-  /// Frees every block and the dictionary this image holds that `prev`
-  /// does not (everything when `prev` is null).
-  void free_unshared(const FlatLookupTable* prev) noexcept;
-  /// The one paint path, for full builds and diffs alike: paint()s the
-  /// erases, then the writes. On a throw frees this build's own blocks (the
-  /// predecessor keeps owning its set) and rethrows.
-  void build(const FlatLookupTable* prev, std::span<const Prefix> erases,
-             std::span<const Route> writes);
-  /// Paints `prefix` with the route entry `value`: 0 erases the stored
-  /// shape `prefix` (throws if it is not stored); otherwise a write over
-  /// no-route slots or a rewrite of the stored `prefix` (throws if it
-  /// would overlap another stored route). A level-2 block it leaves
-  /// uniform collapses back to a direct entry.
-  void paint(const Prefix& prefix, std::uint32_t value, Builder& b);
-
-  /// Chunk writable by this rebuild; takes a block from the pool (zero
-  /// or copy) on first touch. `slot_chunk` is the chunk index.
-  std::uint32_t* writable_chunk(std::size_t slot_chunk, Builder& b);
-  /// Level-2 block of level-1 slot `slot`, writable by this rebuild: a
-  /// block the predecessor owns is copied first, and a direct entry (no
-  /// route, or a collapsed block's tile) is expanded into a new block.
-  std::uint32_t* writable_block(std::uint32_t slot, Builder& b);
-  /// Sets level-1 slots [lo, hi] to the direct value `entry`. Whole-chunk
-  /// clears to 0 drop the chunk back to null. A route `entry` may only
-  /// overwrite no-route slots or its own prefix: false (stopping midway)
-  /// when another route is in the way.
-  bool fill_direct(std::uint32_t lo, std::uint32_t hi, std::uint32_t entry,
-                   Builder& b);
-  /// Drops chunk `slot_chunk` back to null: parks it now if this build
-  /// made it, else records it as replaced.
-  void drop_chunk(std::size_t slot_chunk, Builder& b);
-  /// drop_chunk() if chunk `slot_chunk` holds no route any more.
-  void drop_if_empty(std::size_t slot_chunk, Builder& b);
-  void release_l2(std::uint32_t entry, Builder& b);
-  /// A level-2 id holding an uninitialised block from the pool.
-  std::uint32_t alloc_l2();
-  /// The route entry for `route`, interning its hop on first sight.
-  std::uint32_t encode(const Route& route, Builder& b);
-  /// Completes a build: hands the predecessor the set this build
-  /// replaced (the only write to the predecessor) and publishes the
-  /// dictionary to lookup().
-  void finish(Builder& b) noexcept;
+  /// The live level-1 entry of `slot` (0 under a null chunk); writer side.
+  std::uint32_t live_slot(std::uint32_t slot) const;
+  /// Drops the staged patch and parks its fresh blocks.
+  void discard() noexcept;
 
   /// Level 1, chunked: chunks_[slot >> kChunkBits][slot & kChunkMask].
   /// Null chunk = every slot kNoRoute.
-  std::array<std::uint32_t*, kChunkCount> chunks_{};
-  /// Level-2 blocks by id; freed slots are null and listed in l2_free_.
-  std::vector<std::uint32_t*> l2_;
-  std::vector<std::uint32_t> l2_free_;
-  /// Shared with the predecessor until a rebuild meets a new hop.
-  HopDict* dict_ = nullptr;
-  const NextHop* hops_ = nullptr;  ///< dict_->hops.data(), for lookup()
+  std::array<std::atomic<std::uint32_t*>, kChunkCount> chunks_{};
+  /// Level-2 blocks by id (l2_cap_ slots); a freed id keeps its stale
+  /// pointer, which no reader can reach any more.
+  std::atomic<std::uint32_t**> l2_{nullptr};
+  /// Interned next hops: hops[id] for id >= 1, hops[0] = kNoRoute.
+  std::atomic<NextHop*> hops_{nullptr};
+
+  // Writer-only state.
+  std::array<std::uint16_t, kChunkCount> chunk_live_{};  ///< non-zero slots
+  std::uint32_t l2_ids_ = 0;  ///< level-2 ids handed out so far
+  std::uint32_t l2_cap_ = 0;
+  std::vector<std::uint8_t> l2_live_;  ///< per id: named by a live slot
+  std::uint32_t hop_count_ = 0;
+  std::uint32_t hop_cap_ = 0;
+  std::unordered_map<std::uint32_t, std::uint32_t> hop_ids_;  ///< hop -> id
   std::size_t chunk_count_ = 0;
   std::size_t l2_count_ = 0;
   std::size_t route_count_ = 0;
-  /// The lineage's pool: made by the full build, shared by successors.
   std::shared_ptr<BlockPool> pool_;
-
-  /// Set once, by the successor's finish(): from then on this image owns
-  /// only the blocks and dictionary the successor replaced. Readers never
-  /// touch these fields.
-  struct Replaced {
-    bool has_successor = false;
-    std::vector<std::uint32_t*> chunks;
-    std::vector<std::uint32_t*> l2;
-    HopDict* dict = nullptr;
-  };
-  mutable Replaced replaced_;
+  std::unique_ptr<Staging> staging_;
 };
 
-/// Free lists of the chunks and level-2 blocks one lineage no longer
-/// references. Blocks are parked only once no version can read them: a
-/// retired version parks what its successor replaced when it is dropped
-/// (in the runtime, by epoch reclaim after the grace period), and a build
-/// parks blocks it made and discarded itself. One mutex guards the lists,
-/// because a version may be dropped on one thread while the next version
-/// is being built on another. Under AddressSanitizer a parked block is
-/// poisoned until it is taken again, so reading one still reports as a
-/// use-after-free.
+/// A staged patch: a move-only handle that FlatLookupTable::apply()
+/// consumes. Destroying it unapplied discards the patch.
+class FlatLookupTable::Patch {
+ public:
+  Patch() = default;
+  Patch(Patch&& other) noexcept : table_(other.table_) {
+    other.table_ = nullptr;
+  }
+  Patch& operator=(Patch&& other) noexcept {
+    if (this != &other) {
+      reset();
+      table_ = other.table_;
+      other.table_ = nullptr;
+    }
+    return *this;
+  }
+  ~Patch() { reset(); }
+
+ private:
+  friend class FlatLookupTable;
+  explicit Patch(FlatLookupTable* table) : table_(table) {}
+  void reset() noexcept {
+    if (table_) table_->discard();
+    table_ = nullptr;
+  }
+
+  FlatLookupTable* table_ = nullptr;
+};
+
+/// What one applied patch unlinked from the image: readers that began
+/// before the patch may still hold it. Destroying the bundle parks its
+/// chunks, level-2 blocks and level-2 ids in the pool (freeing blocks
+/// beyond the pool's caps) and frees a superseded hop array or level-2
+/// table, so destroy it only after a grace period.
+class FlatLookupTable::Retired {
+ public:
+  Retired() = default;
+  Retired(Retired&& other) noexcept { *this = std::move(other); }
+  Retired& operator=(Retired&& other) noexcept {
+    if (this != &other) {
+      release();
+      chunks_ = std::move(other.chunks_);
+      l2_blocks_ = std::move(other.l2_blocks_);
+      l2_ids_ = std::move(other.l2_ids_);
+      l2_table_ = std::exchange(other.l2_table_, nullptr);
+      hops_ = std::exchange(other.hops_, nullptr);
+      pool_ = std::move(other.pool_);
+    }
+    return *this;
+  }
+  ~Retired() { release(); }
+
+  bool empty() const {
+    return chunks_.empty() && l2_blocks_.empty() && !l2_table_ && !hops_;
+  }
+  /// Chunks plus level-2 blocks unlinked.
+  std::size_t blocks() const { return chunks_.size() + l2_blocks_.size(); }
+
+ private:
+  friend class FlatLookupTable;
+  void release() noexcept;
+
+  std::vector<std::uint32_t*> chunks_;
+  std::vector<std::uint32_t*> l2_blocks_;
+  std::vector<std::uint32_t> l2_ids_;
+  std::uint32_t** l2_table_ = nullptr;
+  NextHop* hops_ = nullptr;
+  std::shared_ptr<BlockPool> pool_;
+};
+
+/// Free lists of the chunks, level-2 blocks and level-2 ids one image no
+/// longer references. Blocks and ids are parked only once no reader can
+/// reach them: a retire bundle parks what its patch unlinked when it is
+/// destroyed (in the runtime, by epoch reclaim after the grace period),
+/// and a patch parks fresh blocks it made and never published. One mutex
+/// guards the lists, because a bundle may be destroyed on one thread
+/// while the next patch is staged on another. Under AddressSanitizer a
+/// parked block is poisoned until it is taken again, so reading one
+/// still reports as a use-after-free.
 class FlatLookupTable::BlockPool {
  public:
   /// Caps on parked blocks (1 MiB of chunks, 256 KiB of level-2 blocks);
-  /// blocks parked beyond them are freed.
+  /// blocks parked beyond them are freed. Ids are never dropped.
   static constexpr std::size_t kMaxChunks = 64;
   static constexpr std::size_t kMaxL2Blocks = 256;
 
   struct Stats {
-    std::uint64_t recycled = 0;   ///< blocks builds took from the pool
-    std::uint64_t allocated = 0;  ///< blocks builds took from new
+    std::uint64_t recycled = 0;   ///< blocks patches took from the pool
+    std::uint64_t allocated = 0;  ///< blocks patches took from new
     std::size_t bytes = 0;        ///< bytes parked now
   };
 
@@ -355,10 +372,17 @@ class FlatLookupTable::BlockPool {
   std::uint32_t* take(Shelf& shelf);
   /// Parks `blocks` (frees those beyond the cap).
   void park(Shelf& shelf, std::span<std::uint32_t* const> blocks) noexcept;
+  /// A parked level-2 id, if there is one.
+  bool take_id(std::uint32_t& id);
+  /// Parks level-2 ids; never allocates once reserve_ids() covered every
+  /// id the image has handed out.
+  void park_ids(std::span<const std::uint32_t> ids) noexcept;
+  void reserve_ids(std::size_t count);
 
   mutable std::mutex mutex_;
   Shelf chunks_;
   Shelf l2_;
+  std::vector<std::uint32_t> ids_;
   std::uint64_t recycled_ = 0;
   std::uint64_t allocated_ = 0;
 };

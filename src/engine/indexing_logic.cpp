@@ -27,9 +27,10 @@ std::size_t IndexingLogic::bucket_of(netbase::Ipv4Address address) const {
   return static_cast<std::size_t>(it - boundaries_.begin());
 }
 
-std::vector<std::pair<std::size_t, netbase::Prefix>> split_at_boundaries(
+void split_at_boundaries(
     const netbase::Prefix& prefix,
-    const std::vector<netbase::Ipv4Address>& boundaries) {
+    const std::vector<netbase::Ipv4Address>& boundaries,
+    std::vector<std::pair<std::size_t, netbase::Prefix>>& out) {
   const auto bucket_of = [&boundaries](netbase::Ipv4Address address) {
     const auto it =
         std::upper_bound(boundaries.begin(), boundaries.end(), address);
@@ -37,8 +38,10 @@ std::vector<std::pair<std::size_t, netbase::Prefix>> split_at_boundaries(
   };
   const std::size_t first = bucket_of(prefix.range_low());
   const std::size_t last = bucket_of(prefix.range_high());
-  if (first == last) return {{first, prefix}};
-  std::vector<std::pair<std::size_t, netbase::Prefix>> pieces;
+  if (first == last) {
+    out.emplace_back(first, prefix);
+    return;
+  }
   netbase::Ipv4Address low = prefix.range_low();
   for (std::size_t bucket = first; bucket <= last; ++bucket) {
     const netbase::Ipv4Address high =
@@ -46,11 +49,10 @@ std::vector<std::pair<std::size_t, netbase::Prefix>> split_at_boundaries(
                        : netbase::Ipv4Address(boundaries[bucket].value() - 1);
     if (low > high) continue;  // empty slice (boundary coincidence)
     for (const auto& piece : netbase::cidr_cover(low, high)) {
-      pieces.emplace_back(bucket, piece);
+      out.emplace_back(bucket, piece);
     }
     if (bucket != last) low = boundaries[bucket];
   }
-  return pieces;
 }
 
 }  // namespace clue::engine

@@ -36,14 +36,17 @@ class IndexingLogic {
 
 /// Splits `prefix` at the range-partition `boundaries` (ascending,
 /// buckets-1 of them; boundaries[i] is the first address of bucket
-/// i+1) into per-bucket CIDR pieces. A region that lies inside one
+/// i+1) into per-bucket CIDR pieces, appended to `out` in address order
+/// (a caller-kept buffer, so planning allocates nothing once it has
+/// grown). A region that lies inside one
 /// bucket comes back unchanged; a region spanning boundaries is cut at
 /// each one and re-decomposed into aligned blocks (netbase::cidr_cover)
 /// so every piece can live wholly on its bucket's chip. Shared by
 /// ClueSystem and runtime::LookupRuntime — the two state-accurate
 /// planes must split identically or their chips would disagree.
-std::vector<std::pair<std::size_t, netbase::Prefix>> split_at_boundaries(
+void split_at_boundaries(
     const netbase::Prefix& prefix,
-    const std::vector<netbase::Ipv4Address>& boundaries);
+    const std::vector<netbase::Ipv4Address>& boundaries,
+    std::vector<std::pair<std::size_t, netbase::Prefix>>& out);
 
 }  // namespace clue::engine

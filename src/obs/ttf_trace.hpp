@@ -26,11 +26,11 @@ namespace clue::obs {
 struct TtfTraceEntry {
   std::uint64_t seq = 0;  ///< update sequence number (1-based)
   double ttf1_ns = 0;     ///< control-plane software (trie diff) span
-  /// Chip-table span: admission + flat rebuild + publish + grace (the
+  /// Chip-table span: admission + flat-image patch + grace (the
   /// sub-spans below break it down).
   double ttf2_ns = 0;
   double ttf3_ns = 0;     ///< DRed sync broadcast + ack span
-  std::uint32_t chips_touched = 0;    ///< chip tables republished
+  std::uint32_t chips_touched = 0;    ///< chip images patched
   std::uint32_t control_msgs = 0;     ///< DRed erase/fix messages sent
   std::uint32_t queue_depth_max = 0;  ///< deepest job ring at apply() entry
   double queue_depth_mean = 0;        ///< mean job-ring depth at apply() entry
@@ -39,9 +39,10 @@ struct TtfTraceEntry {
   std::uint32_t entries_migrated = 0; ///< entries those migrations moved
   /// TTF2 sub-spans: admission (coalescing, planning against the
   /// chips' stored shapes and the capacity check, including any emergency
-  /// rebalance it ran), and — 0 when no chip republished — the affected
-  /// chips' flat-image copy-on-write rebuilds and the epoch grace barrier
-  /// that closes the commit.
+  /// rebalance it ran), and — 0 when no chip was patched — the affected
+  /// chips' flat-image patches (stage + apply) and the epoch grace
+  /// barrier that closes the commit (also 0 when no patch unlinked a
+  /// block).
   double admit_ns = 0;
   double flat_ns = 0;
   double grace_ns = 0;

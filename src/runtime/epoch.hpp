@@ -1,10 +1,11 @@
 // EpochDomain — epoch-based reclamation for read-mostly snapshots.
 //
-// The runtime publishes each chip's FIB as an immutable heap-allocated
-// version behind a single atomic pointer (RCU discipline: readers never
-// block, the writer swaps and retires). This domain answers the one
-// question that makes the swap safe: *when may the old version be
-// freed?*
+// The runtime patches each chip's flat image in place and swaps its
+// indexing logic behind a single atomic pointer (RCU discipline: readers
+// never block; the writer unlinks, then retires what it unlinked — a
+// patch's retire bundle, or the old indexing). This domain answers the
+// one question that makes the unlink safe: *when may the retired object
+// be freed?*
 //
 // Scheme (classic epoch-based reclamation):
 //   * a global epoch counter only the writer advances;

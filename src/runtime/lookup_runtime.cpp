@@ -137,18 +137,17 @@ LookupRuntime::LookupRuntime(TimedFib fib, const RuntimeConfig& config)
     // The image is painted straight from the chip's sorted, disjoint
     // bucket; it is the chip's only representation from here on.
     const auto t0 = Clock::now();
-    auto* initial = new ChipTable{
-        0, engine::FlatLookupTable(partitions.buckets[i].routes)};
+    worker->flat = std::make_unique<engine::FlatLookupTable>(
+        partitions.buckets[i].routes);
     flat_build_ns_ += elapsed_ns(t0);
-    worker->flat_bytes.store(initial->flat.memory_bytes(),
+    worker->flat_bytes.store(worker->flat->memory_bytes(),
                              std::memory_order_relaxed);
-    worker->flat_pool = initial->flat.pool();
-    worker->occupancy.store(initial->flat.route_count(),
+    worker->occupancy.store(worker->flat->route_count(),
                             std::memory_order_relaxed);
-    worker->active.store(initial, std::memory_order_seq_cst);
     workers_.push_back(std::move(worker));
   }
   stage_.resize(config.worker_count);
+  staged_.resize(config.worker_count);
   drain_scratch_.resize(kDrainBatch);
   for (std::size_t i = 0; i < config.worker_count; ++i) {
     workers_[i]->thread = std::thread([this, i] { worker_main(i); });
@@ -177,11 +176,9 @@ void LookupRuntime::stop() {
 
 LookupRuntime::~LookupRuntime() {
   stop();
-  for (auto& worker : workers_) {
-    delete worker->active.load(std::memory_order_relaxed);
-  }
   delete indexing_.load(std::memory_order_relaxed);
-  // epoch_'s destructor frees any still-retired versions.
+  // epoch_'s destructor releases any still-retired bundles into their
+  // images' pools (each bundle holds its pool).
 }
 
 // ---------------------------------------------------------------- workers
@@ -230,12 +227,18 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
   std::uint64_t dred_hits = 0;
   std::uint64_t miss_returns = 0;
   {
-    // Snapshot discipline: pin the epoch once for the whole batch, then
-    // load the pointer. The table stays alive until this guard's slot
-    // passes the retire epoch; batches are tens of jobs, so the pin never
-    // stretches a grace period meaningfully.
+    // Pin discipline: pin the epoch once for the whole batch, then read
+    // the image. Every block a concurrent patch unlinks stays alive until
+    // this guard's slot passes its retire epoch; batches are tens of
+    // jobs, so the pin never stretches a grace period meaningfully. The
+    // version is loaded before any image load: a patch bumps it only
+    // after its stores, so a fill stamped with the current version
+    // carries a post-patch route, and any older stamp is dropped as
+    // stale by the peer.
     EpochDomain::Guard guard(epoch_, w);
-    const ChipTable& table = *me.active.load(std::memory_order_seq_cst);
+    const std::uint64_t version =
+        me.published_version.load(std::memory_order_seq_cst);
+    const engine::FlatLookupTable& flat = *me.flat;
     const auto resolve = [&](const Job& job) -> Completion {
       if (job.dred_only) {
         if (const auto hop = me.dred->lookup(job.address)) {
@@ -248,14 +251,14 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
         return Completion{job.index, netbase::kNoRoute, true};
       }
       ++home_lookups;
-      const NextHop hop = table.flat.lookup(job.address);
+      const NextHop hop = flat.lookup(job.address);
       // One in every 8 hits offers the stored route to the peer DReds;
       // the flat image carries its exact shape, so the sampled hit costs
       // one more cached image read.
       if (hop != netbase::kNoRoute && dred_enabled_ &&
           (me.hits_seen++ & kFillSampleMask) == 0) {
-        if (const auto matched = table.flat.lookup_route(job.address)) {
-          fills[fill_count++] = FillMsg{*matched, table.version};
+        if (const auto matched = flat.lookup_route(job.address)) {
+          fills[fill_count++] = FillMsg{*matched, version};
         }
       }
       return Completion{job.index, hop, false};
@@ -264,7 +267,7 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
     // array is tens of MB and cache-cold per batch, so the loads overlap
     // instead of serialising one miss per job.
     for (std::size_t i = 0; i < n; ++i) {
-      if (!jobs[i].dred_only) table.flat.prefetch(jobs[i].address);
+      if (!jobs[i].dred_only) flat.prefetch(jobs[i].address);
     }
     for (std::size_t i = 0; i < n; ++i) {
       // Service-time sampling: time one in every 64 jobs so the histogram
@@ -585,26 +588,63 @@ NextHop LookupRuntime::lookup(Ipv4Address address) {
 
 // ---------------------------------------------------------------- control
 
-void LookupRuntime::publish_work(std::size_t chip,
-                                 const update::ChipWork& work,
-                                 obs::TtfTraceEntry* trace) {
-  Worker& worker = *workers_[chip];
-  // The control thread is the only writer of the active versions.
-  ChipTable* old = worker.active.load(std::memory_order_relaxed);
-  const auto t0 = Clock::now();
-  auto* next = new ChipTable{
-      old->version + 1,
-      engine::FlatLookupTable(old->flat, work.erases, work.writes)};
-  const double flat_ns = elapsed_ns(t0);
-  flat_rebuild_hist_.record(flat_ns);
-  worker.active.store(next, std::memory_order_seq_cst);
-  worker.published_version.store(next->version, std::memory_order_seq_cst);
-  worker.occupancy.store(next->flat.route_count(), std::memory_order_release);
-  worker.flat_bytes.store(next->flat.memory_bytes(),
-                          std::memory_order_relaxed);
-  epoch_.retire(old);
-  tables_published_.fetch_add(1, std::memory_order_relaxed);
-  if (trace) trace->flat_ns += flat_ns;
+std::size_t LookupRuntime::publish(std::span<const update::ChipWork> chips,
+                                   obs::TtfTraceEntry* trace) {
+  // Build, then publish: every chip stages before any applies, so a diff
+  // an image rejects leaves every chip untouched.
+  try {
+    for (std::size_t chip = 0; chip < chips.size(); ++chip) {
+      if (chips[chip].empty()) continue;
+      const auto t0 = Clock::now();
+      staged_[chip].patch = workers_[chip]->flat->stage(chips[chip].erases,
+                                                         chips[chip].writes);
+      staged_[chip].ns = elapsed_ns(t0);
+    }
+  } catch (...) {
+    for (Staged& staged : staged_) staged.patch = {};  // discards
+    throw;
+  }
+  std::size_t patched = 0;
+  bool retired = false;
+  for (std::size_t chip = 0; chip < chips.size(); ++chip) {
+    if (chips[chip].empty()) continue;
+    Worker& worker = *workers_[chip];
+    const auto t0 = Clock::now();
+    engine::FlatLookupTable::Retired unlinked =
+        worker.flat->apply(std::move(staged_[chip].patch));
+    const double flat_ns = staged_[chip].ns + elapsed_ns(t0);
+    flat_rebuild_hist_.record(flat_ns);
+    if (trace) trace->flat_ns += flat_ns;
+    // After the patch's stores: a worker that loads this version reads
+    // post-patch entries only.
+    worker.published_version.fetch_add(1, std::memory_order_seq_cst);
+    worker.occupancy.store(worker.flat->route_count(),
+                           std::memory_order_release);
+    worker.flat_bytes.store(worker.flat->memory_bytes(),
+                            std::memory_order_relaxed);
+    tables_published_.fetch_add(1, std::memory_order_relaxed);
+    if (unlinked.empty()) {
+      patches_unretired_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      retired = true;
+      flat_blocks_retired_.fetch_add(unlinked.blocks(),
+                                     std::memory_order_relaxed);
+      epoch_.retire(
+          new engine::FlatLookupTable::Retired(std::move(unlinked)));
+    }
+    ++patched;
+  }
+  // One grace barrier closes the whole publish, and only when a patch
+  // unlinked something: after it every worker has left the unlinked
+  // blocks, so the caller's reclaim parks them all. A publish of pure
+  // slot stores has nothing to wait for.
+  if (retired) {
+    const auto tg = Clock::now();
+    epoch_.synchronize();
+    grace_waits_.fetch_add(1, std::memory_order_relaxed);
+    if (trace) trace->grace_ns += elapsed_ns(tg);
+  }
+  return patched;
 }
 
 void LookupRuntime::publish_indexing() {
@@ -669,23 +709,24 @@ std::size_t LookupRuntime::migrate(const MigrationStep& step) {
   // donor's image from that end for at most the routes the run can take,
   // plus, moving left, the first kept route (the new boundary).
   const bool rightward = step.receiver == step.donor + 1;
-  const std::vector<Route> edge = active_flat(step.donor).stored_within(
+  const std::vector<Route> edge = workers_[step.donor]->flat->stored_within(
       Prefix(), std::min(step.count, receiver_free) + !rightward, rightward);
   const MigrationRun run = plan_migration_run(step, edge, receiver_free);
   if (run.count == 0) return 0;
   const std::span<const Route> migrated(edge.data() + run.first, run.count);
-  update::ChipWork gain;  // the receiver's side of the move
-  update::ChipWork loss;  // the donor's
+  // Per chip: the receiver's side of the move, then the donor's.
+  std::vector<update::ChipWork> gain(workers_.size());
+  std::vector<update::ChipWork> loss(workers_.size());
   for (const auto& route : migrated) {
-    gain.writes.push_back(route);
-    loss.erases.push_back(route.prefix);
+    gain[step.receiver].writes.push_back(route);
+    loss[step.donor].erases.push_back(route.prefix);
   }
 
-  // 1. Publish the receiver's table with the migrated routes added.
-  //    Both chips now store them, but the indexing still homes their
-  //    addresses to the donor, whose table is untouched — every lookup
+  // 1. Patch the receiver's image with the migrated routes added. Both
+  //    chips now store them, but the indexing still homes their
+  //    addresses to the donor, whose image is untouched — every lookup
   //    answer is unchanged.
-  publish_work(step.receiver, gain);
+  publish(gain);
 
   // 2. Move the shared boundary and wait out the grace period: after
   //    this, every dispatch routes migrated addresses to the receiver
@@ -704,7 +745,7 @@ std::size_t LookupRuntime::migrate(const MigrationStep& step) {
   // 4. Shrink the donor. The version bump also staleness-kills every
   //    in-flight DRed fill the donor produced for a migrated route, so
   //    none can sneak into the receiver's DRed after step 5's sweep.
-  publish_work(step.donor, loss);
+  publish(loss);
 
   // 5. Re-home DRed state: the migrated prefixes are now the receiver's
   //    *own*, so its DRed must drop them or the exclusion invariant
@@ -831,7 +872,7 @@ update::BatchTtfSample LookupRuntime::apply_batch(
   const auto t0 = Clock::now();
 
   // --- TTF1: every message's ONRTC diff, in submission order. --------
-  update::BatchTxn txn(fib_, messages);
+  update::BatchTxn txn(fib_, messages, plan_);
 
   obs::TtfTraceEntry trace;
   trace.ttf1_ns = txn.sample().ttf.ttf1_ns;
@@ -848,14 +889,15 @@ update::BatchTtfSample LookupRuntime::apply_batch(
   trace.queue_depth_mean = static_cast<double>(depth_sum) /
                            static_cast<double>(workers_.size());
 
-  // --- TTF2: coalesce, admit, rebuild + publish once per chip. --------
+  // --- TTF2: coalesce, admit, patch each chip once. ----------------
   const auto t1 = Clock::now();
-  // Admission reads the active chip images.
+  // Admission reads the chip images.
   const update::CommitPlan& plan = txn.admit(update::CommitHost{
       boundaries_, chip_capacity_,
-      [this](std::size_t chip) { return active_flat(chip).route_count(); },
-      [this](std::size_t chip, const Prefix& region) {
-        return active_flat(chip).stored_within(region);
+      [this](std::size_t chip) { return workers_[chip]->flat->route_count(); },
+      [this](std::size_t chip, const Prefix& region,
+             std::vector<Route>& out) {
+        workers_[chip]->flat->stored_within(region, out);
       },
       [&] { return config_.rebalance ? rebalance_pass(&trace) : 0; }});
   trace.admit_ns = elapsed_ns(t1);
@@ -878,29 +920,19 @@ update::BatchTtfSample LookupRuntime::apply_batch(
   // ever produced stays within the [updates_completed before submit,
   // updates_started after completion] oracle window — rejected messages
   // never bump either counter, migrations never change answers, and the
-  // single publish per chip means no *intermediate* batch state is ever
-  // observable: each chip jumps from the pre-batch to the post-batch
-  // table in one pointer swap.
+  // single patch per chip means no *intermediate* batch state is ever
+  // observable: each address of each chip moves once, from its pre-batch
+  // to its post-batch answer. (Atomicity is per address, not per chip:
+  // a lookup batch may see some addresses moved and others not yet, all
+  // within the window.)
   trace.seq = updates_started_.fetch_add(effective,
                                          std::memory_order_seq_cst) +
               effective;
-  for (std::size_t chip = 0; chip < workers_.size(); ++chip) {
-    const update::ChipWork& work = plan.chips[chip];
-    if (work.empty()) continue;
-    ++trace.chips_touched;
-    // One flat rebuild and one publish per chip however many messages
-    // touched it.
-    publish_work(chip, work, &trace);
-  }
-  // One grace barrier closes the whole batch: after it every worker has
-  // left the retired versions, so the reclaim below frees them all — the
-  // batch retires at most one version per chip however many messages it
-  // carried.
-  if (trace.chips_touched > 0) {
-    const auto tg = Clock::now();
-    epoch_.synchronize();
-    trace.grace_ns = elapsed_ns(tg);
-  }
+  // One patch per chip however many messages touched it; the grace
+  // barrier, when one is needed, closes the whole batch, so the reclaim
+  // below parks everything the batch unlinked.
+  trace.chips_touched =
+      static_cast<std::uint32_t>(publish(plan.chips, &trace));
   batch.ttf.ttf2_ns = elapsed_ns(t1);
 
   // --- TTF3: one batched DRed erase/fix sweep, wait for worker acks. --
@@ -957,7 +989,7 @@ RuntimeMetrics LookupRuntime::metrics() const {
     m.per_worker_jobs.push_back(c.get(WorkerCounter::kJobs));
     m.home_lookups += c.get(WorkerCounter::kHomeLookups);
     m.flat_bytes += worker->flat_bytes.load(std::memory_order_relaxed);
-    const auto pool = worker->flat_pool->stats();
+    const auto pool = worker->flat->pool()->stats();
     m.flat_blocks_recycled += pool.recycled;
     m.flat_blocks_allocated += pool.allocated;
     m.flat_pool_bytes += pool.bytes;
@@ -984,8 +1016,11 @@ RuntimeMetrics LookupRuntime::metrics() const {
   m.batch_publishes = batch_publishes_.load(std::memory_order_relaxed);
   m.updates_submitted = updates_submitted_.load(std::memory_order_relaxed);
   m.updates_ingested = updates_ingested_.load(std::memory_order_relaxed);
+  m.flat_blocks_retired = flat_blocks_retired_.load(std::memory_order_relaxed);
+  m.grace_waits = grace_waits_.load(std::memory_order_relaxed);
   m.tables_published = tables_published_.load(std::memory_order_relaxed);
-  m.tables_reclaimed = epoch_.reclaimed();
+  m.tables_reclaimed = epoch_.reclaimed() +
+                       patches_unretired_.load(std::memory_order_relaxed);
   m.tables_pending = epoch_.pending();
   m.rebalance_passes = rebalance_passes_.load(std::memory_order_relaxed);
   m.rebalance_steps = rebalance_steps_.load(std::memory_order_relaxed);
@@ -1019,6 +1054,8 @@ void LookupRuntime::export_metrics(obs::MetricsRegistry& registry) const {
                        m.flat_blocks_allocated);
   registry.set_gauge("runtime.flat_pool_bytes",
                      static_cast<double>(m.flat_pool_bytes));
+  registry.set_counter("runtime.flat_blocks_retired", m.flat_blocks_retired);
+  registry.set_counter("runtime.grace_waits", m.grace_waits);
   registry.set_counter("runtime.dred_lookups", m.dred_lookups);
   registry.set_counter("runtime.dred_hits", m.dred_hits);
   registry.set_counter("runtime.miss_returns", m.miss_returns);

@@ -15,13 +15,14 @@
 //                   chip for a DRed-only lookup), drains completion
 //                   rings, re-enqueues DRed misses to the home ring,
 //                   and reorders results back into submission order.
-//   control thread  apply() — runs the ONRTC diff, paints each
-//                   affected chip's diff (erased shapes, written routes)
-//                   onto a copy-on-write successor of its flat image,
-//                   publishes the image with one atomic pointer swap,
-//                   broadcasts DRed erase/fix messages, and waits for the
-//                   workers to ack them (so TTF2/TTF3 are measured end to
-//                   end). The image is each chip's only representation:
+//   control thread  apply() — runs the ONRTC diff, stages each affected
+//                   chip's diff (erased shapes, written routes) against
+//                   its flat image, then patches every staged image in
+//                   place (per address, one atomic store from the old to
+//                   the new answer), broadcasts DRed erase/fix messages,
+//                   and waits for the workers to ack them (so TTF2/TTF3
+//                   are measured end to end). The image is each chip's
+//                   only representation:
 //                   it also answers admission (route count, stored shapes
 //                   within a region), migration (the run at a chip's
 //                   edge) and occupancy.
@@ -34,16 +35,16 @@
 //                   first, then the boundary swap (epoch-
 //                   synchronized), then a donor fence and shrink — so
 //                   lookups stay correct at every intermediate epoch.
-//   chip workers    pop jobs, look up against the current flat-image
-//                   snapshot under an epoch guard, serve DRed-only
+//   chip workers    pop jobs, look up against their chip's flat image
+//                   under an epoch guard, serve DRed-only
 //                   lookups from their private DRed, exchange DRed
 //                   fills (route shapes read off the flat image) over
 //                   per-pair SPSC rings. No worker ever reads a trie.
 //
-// Snapshot/epoch invariant: a worker never dereferences a chip table
-// without pinning its epoch slot first, and the control plane never
-// frees a retired table until every slot has passed the retire epoch —
-// lookups never block on updates, updates never corrupt lookups.
+// Patch/epoch invariant: a worker never reads a chip image without
+// pinning its epoch slot first, and the control plane never parks or
+// frees a block a patch unlinked until every slot has passed the retire
+// epoch — lookups never block on updates, updates never corrupt lookups.
 //
 // All cross-thread rings are strictly single-producer single-consumer:
 //   client  -> worker i   job ring
@@ -152,12 +153,18 @@ enum class ClientCounter : std::size_t {
 struct RuntimeMetrics {
   std::uint64_t lookups_completed = 0;
   std::uint64_t home_lookups = 0;  ///< all answered from the flat images
-  std::uint64_t flat_bytes = 0;    ///< heap bytes of the active flat images
-  /// Flat-image blocks (chunks and level-2 blocks) every build so far
+  std::uint64_t flat_bytes = 0;    ///< heap bytes of the live flat images
+  /// Flat-image blocks (chunks and level-2 blocks) every patch so far
   /// took from its chip's block pool / from new; pool bytes parked now.
   std::uint64_t flat_blocks_recycled = 0;
   std::uint64_t flat_blocks_allocated = 0;
   std::uint64_t flat_pool_bytes = 0;
+  /// Blocks patches unlinked (dropped chunks, collapsed level-2 blocks),
+  /// parked after a grace period. Zero for pure slot patches.
+  std::uint64_t flat_blocks_retired = 0;
+  /// Publishes (commits and migration steps) that unlinked something and
+  /// so waited out a grace barrier; the rest skip it.
+  std::uint64_t grace_waits = 0;
   std::uint64_t dred_lookups = 0;
   std::uint64_t dred_hits = 0;
   std::uint64_t miss_returns = 0;  ///< DRed misses re-enqueued home
@@ -175,14 +182,15 @@ struct RuntimeMetrics {
   std::uint64_t batches_applied = 0;   ///< apply_batch() calls that published
   std::uint64_t batch_ops_raw = 0;     ///< diff ops entering coalescing
   std::uint64_t batch_ops_merged = 0;  ///< diff ops surviving coalescing
-  /// Chip tables published by batch commits; batch_publishes /
+  /// Chip patches published by batch commits; batch_publishes /
   /// batches_applied is the publish-amortisation ratio (affected chips
-  /// per batch — exactly one publish each).
+  /// per batch — exactly one patch each).
   std::uint64_t batch_publishes = 0;
   std::uint64_t updates_submitted = 0;  ///< accepted by submit()
   std::uint64_t updates_ingested = 0;   ///< drained by the updater thread
-  /// RCU versions published: chip tables plus indexing republishes
-  /// (each is one retire in the shared epoch domain).
+  /// Versions published: chip patches plus indexing republishes. Each
+  /// retires one bundle in the shared epoch domain, except a patch that
+  /// unlinked nothing, which counts as reclaimed at once.
   std::uint64_t tables_published = 0;
   std::uint64_t tables_reclaimed = 0;
   std::uint64_t tables_pending = 0;  ///< retired, not yet reclaimed
@@ -224,8 +232,8 @@ class LookupRuntime {
   NextHop lookup(Ipv4Address address);
 
   /// Control role. Applies one BGP update end to end: ONRTC diff
-  /// (TTF1), admission + flat-image COW rebuild from the diff + atomic
-  /// publish of affected chips (TTF2), DRed erase/fix broadcast + worker
+  /// (TTF1), admission + in-place flat-image patch of affected chips
+  /// (TTF2), DRed erase/fix broadcast + worker
   /// ack (TTF3). Returns wall-clock nanoseconds per stage; lookups
   /// proceed concurrently.
   ///
@@ -242,9 +250,10 @@ class LookupRuntime {
   /// table transition per affected chip. All ONRTC diffs run first
   /// (TTF1), the combined diff-op stream is coalesced to its net effect
   /// (insert+delete pairs cancel, modifies last-writer-win), each
-  /// affected chip's next version is built and published *once* — one
-  /// flat image rebuild and one epoch retire per chip per batch, closed
-  /// by a single grace barrier — and all DRed erase/fix
+  /// affected chip's patch is staged, and only once every chip staged is
+  /// any applied — one in-place patch per chip per batch, closed by a
+  /// single grace barrier when a patch unlinked blocks — and all DRed
+  /// erase/fix
   /// messages go out as one batched sweep per worker ring (TTF3).
   ///
   /// Admission (update::BatchTxn, shared with the serial hosts) is exact
@@ -291,7 +300,7 @@ class LookupRuntime {
   void stop();
   bool stopped() const { return stop_.load(std::memory_order_acquire); }
 
-  /// Frees retired table versions all workers have quiesced past.
+  /// Parks the blocks of retired patches all workers have quiesced past.
   std::size_t reclaim() { return epoch_.reclaim(); }
 
   /// Updates fully visible to the data plane (tables published AND
@@ -321,10 +330,10 @@ class LookupRuntime {
   /// control thread or while updates are quiescent.
   const std::vector<Ipv4Address>& boundaries() const { return boundaries_; }
   /// The routes chip `chip` stores, in address order (a walk of its
-  /// active image). Control-role state: read only from the control thread
-  /// or while updates are quiescent.
+  /// image). Control-role state: read only from the control thread or
+  /// while updates are quiescent.
   std::vector<Route> chip_routes(std::size_t chip) const {
-    return active_flat(chip).stored_within(Prefix());
+    return workers_[chip]->flat->stored_within(Prefix());
   }
   std::size_t worker_count() const { return workers_.size(); }
   const RuntimeConfig& config() const { return config_; }
@@ -383,37 +392,28 @@ class LookupRuntime {
     std::uint64_t version = 0;
   };
 
-  /// One immutable published FIB version for one chip: a version number
-  /// and the direct-index image workers answer from — hops and stored
-  /// route shapes alike. No trie: publishing costs a COW flat rebuild,
-  /// not a copy of the chip's table. Each version is its predecessor's
-  /// only successor, so reclaiming a retired version frees just the
-  /// chunks its successor replaced.
-  struct ChipTable {
-    std::uint64_t version = 0;
-    engine::FlatLookupTable flat;
-  };
-
   struct Worker {
     std::unique_ptr<SpscRing<Job>> jobs;
     std::unique_ptr<SpscRing<Completion>> completions;
     std::unique_ptr<SpscRing<ControlMsg>> control;
     /// fills[i]: ring produced by worker i, consumed by this worker.
     std::vector<std::unique_ptr<SpscRing<FillMsg>>> fills;
-    std::atomic<ChipTable*> active{nullptr};
+    /// The chip's one flat image, patched in place by the control role
+    /// and read under an epoch pin by this worker: hops and stored route
+    /// shapes alike. No trie, and no per-publish copy.
+    std::unique_ptr<engine::FlatLookupTable> flat;
+    /// Bumped by the control role after every patch's stores; a worker
+    /// loads it (before its batch's image loads) to stamp DRed fills, and
+    /// a fill older than its home chip's version is stale.
     std::atomic<std::uint64_t> published_version{0};
     std::atomic<std::uint64_t> control_applied{0};
-    /// Entries in the active version (its image's route count); written
-    /// at every publish, read by metrics/rebalance planning from any
-    /// thread.
+    /// Entries in the image (its route count); written at every publish,
+    /// read by metrics/rebalance planning from any thread.
     std::atomic<std::size_t> occupancy{0};
     std::unique_ptr<engine::DredStore> dred;
-    /// memory_bytes() of the active flat image; written by the control
-    /// role at publish, read by the metrics exporter.
+    /// memory_bytes() of the flat image; written by the control role at
+    /// publish, read by the metrics exporter.
     std::atomic<std::size_t> flat_bytes{0};
-    /// The chip's flat-image block pool (one lineage per chip), held so
-    /// the metrics exporter can read it without touching a version.
-    std::shared_ptr<const engine::FlatLookupTable::BlockPool> flat_pool;
     /// Rung by every producer into jobs, control and fills.
     Doorbell bell;
     obs::CounterBlock<WorkerCounter> counters;
@@ -459,19 +459,16 @@ class LookupRuntime {
 
   // ---- control-role internals (single control thread at a time) ----
 
-  /// The active image of chip `chip`. The control role is its only
-  /// writer, so it (or a quiescent caller) reads it without a pin.
-  const engine::FlatLookupTable& active_flat(std::size_t chip) const {
-    return workers_[chip]->active.load(std::memory_order_relaxed)->flat;
-  }
-  /// Publishes chip `chip`'s next version: a copy-on-write successor of
-  /// the active image with `work`'s erases then writes painted in, swapped
-  /// in with the old version retired, and occupancy/published_version
-  /// refreshed. Throws (publishing nothing) when `work` does not fit the
-  /// image (see FlatLookupTable). Adds the rebuild span to `trace` when
-  /// given.
-  void publish_work(std::size_t chip, const update::ChipWork& work,
-                    obs::TtfTraceEntry* trace = nullptr);
+  /// Patches every chip `chips[i]` names work for (erases, then writes):
+  /// stages all of them first, so a diff that does not fit an image
+  /// throws with no chip touched (see FlatLookupTable::stage), then
+  /// applies each, bumps its published_version and occupancy, and retires
+  /// what the patch unlinked. When any patch unlinked blocks, waits out
+  /// one grace barrier (a commit of pure slot patches skips it). Returns
+  /// the chips patched; adds the stage + apply span (flat_ns) and the
+  /// grace span to `trace` when given.
+  std::size_t publish(std::span<const update::ChipWork> chips,
+                      obs::TtfTraceEntry* trace = nullptr);
   /// Publishes a new IndexingLogic for `boundaries` and waits out a
   /// grace period so no reader still uses the old one.
   void publish_indexing();
@@ -549,7 +546,20 @@ class LookupRuntime {
   // Control-thread-private bookkeeping (how many control messages have
   // been pushed to each worker, to wait for acks).
   std::vector<std::uint64_t> control_pushed_;
+  /// Every commit's plan, cleared and refilled in place.
+  update::CommitPlan plan_;
+  /// The patch one publish() staged per chip, with its stage time
+  /// (reused).
+  struct Staged {
+    engine::FlatLookupTable::Patch patch;
+    double ns = 0;
+  };
+  std::vector<Staged> staged_;
   std::atomic<std::uint64_t> tables_published_{0};
+  /// Published patches that unlinked nothing: reclaimed on the spot.
+  std::atomic<std::uint64_t> patches_unretired_{0};
+  std::atomic<std::uint64_t> flat_blocks_retired_{0};
+  std::atomic<std::uint64_t> grace_waits_{0};
 
   // Client-role observability (single writer: the client thread).
   obs::CounterBlock<ClientCounter> client_counters_;
@@ -566,8 +576,8 @@ class LookupRuntime {
   /// Wall time of each rebalance pass (control thread is the single
   /// writer; exported as "runtime.rebalance_ns").
   obs::LatencyHistogram rebalance_hist_;
-  /// Wall time of each copy-on-write flat-image rebuild a commit or a
-  /// migration ran (control thread is the single writer; exported as
+  /// Wall time of each chip patch (stage + apply) a commit or a migration
+  /// ran (control thread is the single writer; exported as
   /// "runtime.flat_rebuild_ns").
   obs::LatencyHistogram flat_rebuild_hist_;
   /// Wall time of the constructor's full builds of every chip image

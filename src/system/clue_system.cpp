@@ -70,12 +70,14 @@ update::TtfSample ClueSystem::apply(const workload::UpdateMsg& message) {
 
 update::BatchTtfSample ClueSystem::apply_batch(
     std::span<const workload::UpdateMsg> messages) {
-  update::BatchTxn txn(fib_, messages);
+  update::BatchTxn txn(fib_, messages, plan_);
   const update::CommitPlan& plan = txn.admit(update::CommitHost{
       boundaries_, tcam_capacity_,
       [this](std::size_t chip) { return chips_[chip]->size(); },
-      [this](std::size_t chip, const Prefix& region) {
-        return chips_[chip]->chip().entries_within(region);
+      [this](std::size_t chip, const Prefix& region,
+             std::vector<Route>& out) {
+        const auto stored = chips_[chip]->chip().entries_within(region);
+        out.insert(out.end(), stored.begin(), stored.end());
       },
       [this] { return rebalance_ ? rebalance_pass() : 0; }});
   update::BatchTtfSample batch = txn.sample();

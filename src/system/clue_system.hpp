@@ -165,6 +165,7 @@ class ClueSystem {
   bool rebalance_ = true;
   std::size_t tcam_capacity_ = 0;
   std::uint64_t updates_rejected_ = 0;
+  update::CommitPlan plan_;  ///< every commit's plan, refilled in place
   std::uint64_t rebalance_passes_ = 0;
   std::uint64_t rebalance_steps_ = 0;
   std::uint64_t entries_migrated_ = 0;

@@ -25,17 +25,24 @@ using onrtc::FibOpKind;
 bool plan_fits(std::span<const FibOp> merged, const CommitHost& host,
                CommitPlan& plan) {
   const std::size_t chips = host.boundaries.size() + 1;
-  plan.chips.assign(chips, ChipWork{});
+  // Cleared, not replaced: every vector keeps its capacity.
+  plan.chips.resize(chips);
+  for (ChipWork& work : plan.chips) {
+    work.erases.clear();
+    work.writes.clear();
+  }
   plan.dred_erase.clear();
   plan.dred_fix.clear();
   // An insert's prefix is new to the compressed table, so a stored shape
   // one of its pieces coincides with belongs to a region the same plan
   // deletes: every insert piece adds exactly one entry.
-  std::vector<std::size_t> added(chips, 0);
+  std::vector<std::size_t>& added = plan.added;
+  added.assign(chips, 0);
 
   for (const auto& op : merged) {
-    const auto pieces =
-        engine::split_at_boundaries(op.route.prefix, host.boundaries);
+    auto& pieces = plan.pieces;
+    pieces.clear();
+    engine::split_at_boundaries(op.route.prefix, host.boundaries, pieces);
     if (op.kind == FibOpKind::kInsert) {
       for (const auto& [chip, piece] : pieces) {
         plan.chips[chip].writes.push_back(Route{piece, op.route.next_hop});
@@ -50,7 +57,9 @@ bool plan_fits(std::span<const FibOp> merged, const CommitHost& host,
     for (const auto& [chip, piece] : pieces) {
       if (chip == last_chip) continue;
       last_chip = chip;
-      for (const Route& stored : host.stored_within(chip, op.route.prefix)) {
+      plan.stored.clear();
+      host.stored_within(chip, op.route.prefix, plan.stored);
+      for (const Route& stored : plan.stored) {
         if (op.kind == FibOpKind::kDelete) {
           plan.chips[chip].erases.push_back(stored.prefix);
           plan.dred_erase.push_back(stored.prefix);
@@ -170,8 +179,9 @@ void require_capacity(const char* host, std::size_t capacity,
 }
 
 BatchTxn::BatchTxn(onrtc::CompressedFib& fib,
-                   std::span<const workload::UpdateMsg> messages)
-    : fib_(fib), messages_(messages) {
+                   std::span<const workload::UpdateMsg> messages,
+                   CommitPlan& plan)
+    : fib_(fib), messages_(messages), plan_(plan) {
   const auto start = Clock::now();
   // A message's diff averages a few ops; four each rarely regrows.
   journal_.reserve(4 * messages.size());

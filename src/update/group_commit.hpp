@@ -12,7 +12,7 @@
 //
 // A BGP burst delivers many messages back to back; running each one's
 // ONRTC diff is unavoidable (TTF1), but everything downstream — TCAM
-// writes, flat-chunk rebuilds, epoch publishes, DRed probes — can be
+// writes, flat-image patches, epoch publishes, DRed probes — can be
 // paid once per *net* table change instead of once per message. The
 // coalescer folds the concatenated diff-op stream of a burst into its
 // net effect per prefix:
@@ -96,9 +96,10 @@ struct CommitHost {
   const std::vector<netbase::Ipv4Address>& boundaries;
   std::size_t capacity;  ///< per chip, in entries
   std::function<std::size_t(std::size_t chip)> occupancy;
-  /// The routes stored on `chip` whose prefix lies within `region`.
-  std::function<std::vector<netbase::Route>(std::size_t chip,
-                                            const netbase::Prefix& region)>
+  /// Appends to `out` the routes stored on `chip` whose prefix lies
+  /// within `region`.
+  std::function<void(std::size_t chip, const netbase::Prefix& region,
+                     std::vector<netbase::Route>& out)>
       stored_within;
   /// Makes room before admission sheds anything; returns the number of
   /// migrations run. Empty when the host does not rebalance.
@@ -114,22 +115,30 @@ struct ChipWork {
   bool empty() const { return erases.empty() && writes.empty(); }
 };
 
-/// The admitted batch's data-plane work.
+/// The admitted batch's data-plane work. A host keeps one plan and hands
+/// it to every BatchTxn: planning clears its vectors rather than
+/// replacing them, so a steady-state commit plans without allocating.
 struct CommitPlan {
   std::vector<ChipWork> chips;  ///< indexed by chip
   /// DRed sync (§IV-C): DReds only ever cache stored shapes, so every
   /// erased shape is erased and every rewritten one fixed in place.
   std::vector<netbase::Prefix> dred_erase;
   std::vector<netbase::Route> dred_fix;
+  /// Planning scratch: one op's boundary pieces, one chip's stored
+  /// shapes within it, and the insert pieces each chip gains.
+  std::vector<std::pair<std::size_t, netbase::Prefix>> pieces;
+  std::vector<netbase::Route> stored;
+  std::vector<std::size_t> added;
 };
 
 class BatchTxn {
  public:
   /// TTF1: runs every message's ONRTC diff against `fib`, in order,
-  /// journaling the ops and prior route of each. `fib` and `messages`
-  /// must outlive the transaction.
+  /// journaling the ops and prior route of each. admit() plans into
+  /// `plan` (the host's, reused across commits). `fib`, `messages` and
+  /// `plan` must outlive the transaction.
   BatchTxn(onrtc::CompressedFib& fib,
-           std::span<const workload::UpdateMsg> messages);
+           std::span<const workload::UpdateMsg> messages, CommitPlan& plan);
 
   /// Coalesces, plans at the host's current boundaries and admits under
   /// the exact rule. On overflow, one emergency rebalance runs first;
@@ -153,7 +162,7 @@ class BatchTxn {
   std::vector<std::size_t> offsets_;
   std::vector<std::optional<netbase::NextHop>> priors_;
   BatchTtfSample sample_;
-  CommitPlan plan_;
+  CommitPlan& plan_;
 };
 
 }  // namespace clue::update

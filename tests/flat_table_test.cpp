@@ -2,22 +2,25 @@
 // agree with the authoritative BinaryTrie — next hop *and* stored route
 // shape (prefix, length, hop) — and with TcamChip's honest O(capacity)
 // search_linear scan over randomized non-overlapping tables, including
-// copy-on-write rebuilds after inserts, deletes, modifies, and simulated
-// boundary migrations — plus the version-ownership contract: one
-// successor per image, a predecessor readable while its successor lives,
-// and either drop order freeing each block exactly once (the ASan stage
-// runs this file with LeakSanitizer on) — and the lineage's block pool:
-// recycled blocks start clean, a parked block is never one a live
-// version still reads, and the pool stops at its cap — plus the diff
-// constructor's own contract: random erase/write streams checked step by
-// step against a full build from the ground-truth trie (stream length
-// scales with CLUE_SOAK_UPDATES; see ci/check.sh's soak stage), and
-// violating diffs rejected with the predecessor untouched.
+// in-place patches after inserts, deletes, modifies, and simulated
+// boundary migrations — plus the patch contract: one staged patch at a
+// time, a failed stage leaving the image untouched, every block a patch
+// unlinks parked exactly once and never while its bundle is held (the
+// ASan stage runs this file with LeakSanitizer on and parked blocks
+// poisoned) — and the image's block pool: recycled blocks start clean,
+// a parked block is never one the image still reads, and the pool stops
+// at its cap — plus random erase/write streams checked step by step
+// against a full build from the ground-truth trie (stream length scales
+// with CLUE_SOAK_UPDATES; see ci/check.sh's soak stage), and concurrent
+// readers that must see, per address, the pre- or the post-patch answer
+// of a patch in their window while a writer patches (TSan stage too).
 #include "engine/flat_table.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
@@ -27,10 +30,13 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "netbase/prefix.hpp"
 #include "netbase/rng.hpp"
+#include "runtime/epoch.hpp"
 #include "tcam/tcam_chip.hpp"
 #include "trie/binary_trie.hpp"
 
@@ -73,7 +79,7 @@ BinaryTrie make_disjoint_table(std::size_t target, std::uint64_t seed,
   return table;
 }
 
-// A diff in the successor constructor's terms.
+// A diff in stage()'s terms.
 struct Diff {
   std::vector<Prefix> erases;
   std::vector<Route> writes;
@@ -114,13 +120,18 @@ Diff diff_between(const BinaryTrie& before, const BinaryTrie& after,
   return diff;
 }
 
-// The successor of `prev` (an image of `before`) that images `after`.
-std::unique_ptr<FlatLookupTable> successor(const FlatLookupTable& prev,
-                                           const BinaryTrie& before,
-                                           const BinaryTrie& after,
-                                           const std::vector<Prefix>& dirty) {
-  const Diff diff = diff_between(before, after, dirty);
-  return std::make_unique<FlatLookupTable>(prev, diff.erases, diff.writes);
+// Stages and applies `diff` in place. Returns what the patch unlinked;
+// with no concurrent reader, dropping it at once is safe.
+FlatLookupTable::Retired patch(FlatLookupTable& flat, const Diff& diff) {
+  return flat.apply(flat.stage(diff.erases, diff.writes));
+}
+
+// Patches `flat` (an image of `before`) in place to image `after`.
+FlatLookupTable::Retired patch_to(FlatLookupTable& flat,
+                                  const BinaryTrie& before,
+                                  const BinaryTrie& after,
+                                  const std::vector<Prefix>& dirty) {
+  return patch(flat, diff_between(before, after, dirty));
 }
 
 // Probe set: every route's range edges (where paint bugs live) plus
@@ -219,10 +230,9 @@ TEST(FlatTableTest, CowRebuildTracksInsertsDeletesAndModifies) {
         dirty.push_back(victim.prefix);
       }
     }
-    auto next = successor(*flat, before, table, dirty);
-    flat = std::move(next);
+    patch_to(*flat, before, table, dirty);
 
-    // The incremental snapshot must agree with the trie and with a
+    // The patched image must agree with the trie and with a
     // from-scratch build at the edges of every dirty region and beyond.
     std::vector<Ipv4Address> probes;
     for (const auto& prefix : dirty) {
@@ -275,11 +285,10 @@ TEST(FlatTableTest, MigrationRebuildMovesRangesBetweenSnapshots) {
     receiver.insert(routes[i].prefix, routes[i].next_hop);
     migrated.push_back(routes[i].prefix);
   }
-  // Receiver publishes fat first, donor shrinks after — both rebuilds
+  // Receiver is patched fat first, donor shrinks after — both patches
   // take the migrated prefixes as their dirty set.
-  receiver_flat =
-      successor(*receiver_flat, receiver_before, receiver, migrated);
-  donor_flat = successor(*donor_flat, donor_before, donor, migrated);
+  patch_to(*receiver_flat, receiver_before, receiver, migrated);
+  patch_to(*donor_flat, donor_before, donor, migrated);
 
   expect_matches_trie(*receiver_flat, receiver,
                       probe_addresses(receiver, 4'000, 99));
@@ -337,39 +346,48 @@ TEST(FlatTableTest, DeletingLongRoutesReleasesLevel2AndChunks) {
   table.erase(c);
   table.erase(wide);
   const std::vector<Prefix> dirty{a, b, c, wide};
-  flat = successor(*flat, before, table, dirty);
-  // Uniform collapse frees the level-2 block; whole-chunk clears drop
-  // the chunks back to the null representation.
+  const auto retired = patch_to(*flat, before, table, dirty);
+  // Uniform collapse unlinks the level-2 block; emptied chunks drop back
+  // to the null representation. The bundle holds all three.
   EXPECT_EQ(flat->l2_block_count(), 0u);
   EXPECT_EQ(flat->chunk_count(), 0u);
+  EXPECT_EQ(retired.blocks(), 3u);
   expect_matches_trie(*flat, table, probe_addresses(table, 2'000, 321));
 }
 
 TEST(FlatTableTest, SharesUntouchedChunksWithPreviousSnapshot) {
   auto table = make_disjoint_table(2'000, 444);
-  const FlatLookupTable base(table);
+  FlatLookupTable flat(table);
 
-  // One surgical modify: the rebuild may copy only chunks under it.
-  const BinaryTrie old_table = table;
-  const auto routes = table.routes();
-  const Prefix touched = routes[routes.size() / 2].prefix;
-  table.insert(touched, make_next_hop(200));
-  const Diff diff = diff_between(old_table, table, {touched});
-  const FlatLookupTable next(base, diff.erases, diff.writes);
-
-  const std::size_t before = base.memory_bytes();
-  const std::size_t after = next.memory_bytes();
-  // Shared chunks are counted in both snapshots; the delta between the
-  // two must be far below one full rebuild's worth of chunks.
-  EXPECT_LT(after, before + (before / 4) + 64 * 1024);
-  expect_matches_trie(next, table, probe_addresses(table, 2'000, 555));
+  // One surgical modify per stored length: the patch stores the changed
+  // slots or level-2 entries in place, so it takes no block, unlinks
+  // nothing and leaves the image's size as it was — its cost tracks the
+  // diff, not the image.
+  const auto pool_before = flat.pool()->stats();
+  const std::size_t bytes_before = flat.memory_bytes();
+  for (const unsigned length : {16u, 24u, 28u}) {
+    const BinaryTrie old_table = table;
+    const auto routes = table.routes();
+    const auto it = std::find_if(routes.begin(), routes.end(),
+                                 [length](const Route& r) {
+                                   return r.prefix.length() >= length;
+                                 });
+    ASSERT_NE(it, routes.end());
+    table.insert(it->prefix, make_next_hop(200));
+    const auto retired = patch_to(flat, old_table, table, {it->prefix});
+    EXPECT_TRUE(retired.empty()) << "/" << it->prefix.length();
+  }
+  EXPECT_EQ(flat.pool()->stats().allocated, pool_before.allocated);
+  EXPECT_EQ(flat.memory_bytes(), bytes_before);
+  expect_matches_trie(flat, table, probe_addresses(table, 2'000, 555));
 }
 
 TEST(FlatTableTest, HighHopsAndDictionaryGrowthKeepOldSnapshotsIntact) {
   // Hops at and above 2^31 (top bit = the entries' level-2 flag bit),
-  // prefixes up to /32, and COW rebuilds that intern hops the
-  // predecessor never saw: the predecessor must keep answering from its
-  // own dictionary.
+  // prefixes up to /32, and patches that intern hops the image never
+  // saw, growing the hop array past its capacity: the image must stay
+  // exact, and every growth hands the superseded array back in the
+  // bundle (a reader may still hold it).
   Pcg32 rng(0xB16);
   const auto high_hop = [&rng] {
     return NextHop{0x8000'0000u | (rng.next() % 1'000)};
@@ -399,32 +417,52 @@ TEST(FlatTableTest, HighHopsAndDictionaryGrowthKeepOldSnapshotsIntact) {
       }
       dirty.push_back(victim.prefix);
     }
-    auto next = successor(*flat, before, table, dirty);
-    expect_matches_trie(*flat, before, probe_addresses(before, 500, round));
-    expect_matches_trie(*next, table, probe_addresses(table, 500, round));
-    flat = std::move(next);
+    patch_to(*flat, before, table, dirty);
+    expect_matches_trie(*flat, table, probe_addresses(table, 500, round));
   }
+
+  // Fifteen hops fill the first array (16 ids, id 0 = no route): the
+  // next new hop grows it, and the old array is the bundle's only item.
+  BinaryTrie small;
+  for (std::uint32_t i = 1; i <= 15; ++i) {
+    small.insert(Prefix(Ipv4Address(0x0A000000u + (i << 8)), 24),
+                 NextHop{0x8000'0000u + i});
+  }
+  FlatLookupTable full(small);
+  const BinaryTrie before = small;
+  const Prefix first(Ipv4Address(0x0A000100u), 24);
+  small.insert(first, NextHop{0xFFFF'FFFFu});
+  const auto retired = patch_to(full, before, small, {first});
+  EXPECT_FALSE(retired.empty());
+  EXPECT_EQ(retired.blocks(), 0u);
+  expect_matches_trie(full, small, probe_addresses(small, 100, 7));
 }
 
-TEST(FlatTableTest, SecondSuccessorThrowsAndBothImagesStayExact) {
+TEST(FlatTableTest, SecondStageThrowsAndTheImageStaysExact) {
   const auto before = make_disjoint_table(1'000, 515);
   auto table = before;
-  const FlatLookupTable base(before);
+  FlatLookupTable flat(before);
   const auto routes = table.routes();
   const Prefix touched = routes[routes.size() / 3].prefix;
   table.insert(touched, make_next_hop(250));
   const Diff diff = diff_between(before, table, {touched});
 
-  const FlatLookupTable next(base, diff.erases, diff.writes);
-  EXPECT_THROW(FlatLookupTable(base, diff.erases, diff.writes),
-               std::logic_error);
+  // One staged patch at a time; staging writes nothing to the image.
+  auto staged = flat.stage(diff.erases, diff.writes);
+  EXPECT_THROW((void)flat.stage(diff.erases, diff.writes), std::logic_error);
+  expect_matches_trie(flat, before, probe_addresses(before, 1'000, 616));
 
-  expect_matches_trie(base, before, probe_addresses(before, 1'000, 616));
-  expect_matches_trie(next, table, probe_addresses(table, 1'000, 717));
-  // The successor itself may still be succeeded (here by a rewrite of the
-  // same hop).
-  const FlatLookupTable after(next, {}, diff.writes);
-  expect_matches_trie(after, table, probe_addresses(table, 1'000, 818));
+  flat.apply(std::move(staged));
+  expect_matches_trie(flat, table, probe_addresses(table, 1'000, 717));
+  // A dropped patch is discarded and frees the next stage.
+  {
+    const Diff undo = diff_between(table, before, {touched});
+    auto dropped = flat.stage(undo.erases, undo.writes);
+  }
+  expect_matches_trie(flat, table, probe_addresses(table, 1'000, 818));
+  // The image may still be patched (here by a rewrite of the same hop).
+  EXPECT_TRUE(flat.apply(flat.stage({}, diff.writes)).empty());
+  expect_matches_trie(flat, table, probe_addresses(table, 1'000, 919));
 }
 
 TEST(FlatTableTest, PredecessorsStayExactAcrossDictionaryGrowthAndL2Reuse) {
@@ -432,19 +470,21 @@ TEST(FlatTableTest, PredecessorsStayExactAcrossDictionaryGrowthAndL2Reuse) {
   const Prefix a(Ipv4Address(0xC0A80100u), 26);
   const Prefix b(Ipv4Address(0xC0A80140u), 26);
   const Prefix wide(Ipv4Address(0x0B000000u), 16);
-  std::vector<BinaryTrie> tables(1);
-  tables[0].insert(a, make_next_hop(1));
-  tables[0].insert(b, make_next_hop(2));
-  tables[0].insert(wide, make_next_hop(3));
-  std::vector<std::unique_ptr<FlatLookupTable>> versions;
-  versions.push_back(std::make_unique<FlatLookupTable>(tables[0]));
+  BinaryTrie table;
+  table.insert(a, make_next_hop(1));
+  table.insert(b, make_next_hop(2));
+  table.insert(wide, make_next_hop(3));
+  FlatLookupTable flat(table);
 
-  // Each round releases the previous round's level-2 block (its /26s
-  // are erased) and allocates a fresh one in another slot — the freed
-  // id is reused — under a next hop no earlier version interned.
+  // Each round unlinks the previous round's level-2 block (its routes
+  // are erased) and expands a fresh one in another slot under a next hop
+  // the image never interned. While the rounds' bundles are held —
+  // readers that began before a patch may still read what it unlinked —
+  // no unlinked block or id is reused: every new block comes from new.
+  std::vector<FlatLookupTable::Retired> held;
   Prefix long_route = a;
   for (std::uint32_t round = 1; round <= 12; ++round) {
-    BinaryTrie table = tables.back();
+    const BinaryTrie before = table;
     std::vector<Prefix> dirty;
     for (const Prefix& gone : {long_route, b}) {
       if (table.erase(gone)) dirty.push_back(gone);
@@ -454,23 +494,27 @@ TEST(FlatTableTest, PredecessorsStayExactAcrossDictionaryGrowthAndL2Reuse) {
     dirty.push_back(long_route);
     table.insert(wide, NextHop{0xA000'0000u + round});  // modify
     dirty.push_back(wide);
-    versions.push_back(successor(*versions.back(), tables.back(), table, dirty));
-    tables.push_back(std::move(table));
-    EXPECT_EQ(versions.back()->l2_block_count(), 1u);
-
-    // Every version in the chain still answers from its own image.
-    for (std::size_t v = 0; v < versions.size(); ++v) {
-      expect_matches_trie(*versions[v], tables[v],
-                          probe_addresses(tables[v], 64, v));
-    }
+    held.push_back(patch_to(flat, before, table, dirty));
+    EXPECT_EQ(held.back().blocks(), 1u);
+    EXPECT_EQ(flat.l2_block_count(), 1u);
+    expect_matches_trie(flat, table, probe_addresses(table, 64, round));
+    EXPECT_EQ(flat.pool()->stats().recycled, 0u) << "round " << round;
   }
-}
 
-// A chain of COW versions over random churn, and the head's table.
-struct VersionChain {
-  std::vector<std::unique_ptr<FlatLookupTable>> versions;
-  BinaryTrie head_table;
-};
+  // Grace over: the twelve blocks park, and the next expansion reuses
+  // one (block and id) instead of calling new.
+  held.clear();
+  const auto parked = flat.pool()->stats();
+  EXPECT_EQ(parked.bytes, 12 * 256 * sizeof(std::uint32_t));
+  const BinaryTrie before = table;
+  table.erase(long_route);
+  const Prefix last(Ipv4Address(0xC0AA0040u), 26);
+  table.insert(last, NextHop{0xB000'0000u});
+  patch_to(flat, before, table, {long_route, last});
+  EXPECT_EQ(flat.pool()->stats().recycled, parked.recycled + 1);
+  EXPECT_EQ(flat.pool()->stats().allocated, parked.allocated);
+  expect_matches_trie(flat, table, probe_addresses(table, 64, 13));
+}
 
 // One churn step over `table`: `ops` rounds of an erase or modify of a
 // stored route plus a fresh insert of length min_len–30, so chunks drop
@@ -498,37 +542,67 @@ std::vector<Prefix> churn_step(BinaryTrie& table, Pcg32& rng, int ops,
   return dirty;
 }
 
-VersionChain make_version_chain(std::size_t length, std::uint64_t seed) {
-  Pcg32 rng(seed);
-  VersionChain chain{{}, make_disjoint_table(600, seed)};
-  BinaryTrie& table = chain.head_table;
-  auto& versions = chain.versions;
-  versions.push_back(std::make_unique<FlatLookupTable>(table));
-  while (versions.size() < length) {
-    const BinaryTrie before = table;
-    const auto dirty = churn_step(table, rng, 30, 8);
-    versions.push_back(successor(*versions.back(), before, table, dirty));
-  }
-  return chain;
-}
+TEST(FlatTableTest, RetiredBlocksAreParkedOnceAndNotBeforeTheirGracePeriod) {
+  // A /12 fills one whole chunk; three /26s make one level-2 block in a
+  // chunk of its own.
+  const Prefix wide(Ipv4Address(0x0A000000u), 12);
+  const std::vector<Prefix> quarters{Prefix(Ipv4Address(0xC0A80100u), 26),
+                                     Prefix(Ipv4Address(0xC0A80140u), 26),
+                                     Prefix(Ipv4Address(0xC0A80180u), 26)};
+  BinaryTrie table;
+  table.insert(wide, make_next_hop(1));
+  for (const Prefix& p : quarters) table.insert(p, make_next_hop(2));
+  FlatLookupTable flat(table);
+  ASSERT_EQ(flat.chunk_count(), 2u);
+  ASSERT_EQ(flat.l2_block_count(), 1u);
 
-TEST(FlatTableTest, DroppingVersionsInEitherOrderFreesEachBlockOnce) {
-  // Successor first: the head frees its live set, then each predecessor
-  // frees only what its successor replaced.
-  auto newest_first = make_version_chain(8, 901);
-  expect_matches_trie(*newest_first.versions.back(), newest_first.head_table,
-                      probe_addresses(newest_first.head_table, 1'000, 1));
-  while (!newest_first.versions.empty()) newest_first.versions.pop_back();
+  // Erasing all of it unlinks both chunks and the block: one bundle.
+  BinaryTrie before = table;
+  table.erase(wide);
+  for (const Prefix& p : quarters) table.erase(p);
+  std::vector<Prefix> dirty = quarters;
+  dirty.push_back(wide);
+  auto retired = patch_to(flat, before, table, dirty);
+  EXPECT_EQ(retired.blocks(), 3u);
+  EXPECT_EQ(flat.chunk_count(), 0u);
 
-  // Predecessor first — the runtime's order — with the head answering
-  // exactly after every drop.
-  auto oldest_first = make_version_chain(8, 902);
-  auto& versions = oldest_first.versions;
-  const auto probes = probe_addresses(oldest_first.head_table, 1'000, 2);
-  while (!versions.empty()) {
-    expect_matches_trie(*versions.back(), oldest_first.head_table, probes);
-    versions.erase(versions.begin());
+  // Held (the grace period still running): nothing is parked, and a
+  // patch that needs a chunk and a block takes them from new.
+  const auto held = flat.pool()->stats();
+  EXPECT_EQ(held.bytes, 0u);
+  before = table;
+  const Prefix fresh(Ipv4Address(0x2B000080u), 25);
+  table.insert(fresh, make_next_hop(3));
+  patch_to(flat, before, table, {fresh});
+  EXPECT_EQ(flat.pool()->stats().recycled, held.recycled);
+  EXPECT_EQ(flat.pool()->stats().allocated, held.allocated + 2);
+  EXPECT_EQ(flat.pool()->stats().bytes, 0u);
+
+  // Released: each block is parked exactly once (a second park would
+  // double the bytes, and LSan/ASan would flag the double free).
+  retired = FlatLookupTable::Retired();
+  EXPECT_EQ(flat.pool()->stats().bytes,
+            (2 * 4096 + 256) * sizeof(std::uint32_t));
+  retired = FlatLookupTable::Retired();  // an empty bundle parks nothing
+  EXPECT_EQ(flat.pool()->stats().bytes,
+            (2 * 4096 + 256) * sizeof(std::uint32_t));
+
+  // A stream whose bundles are held for four patches (the runtime's
+  // grace): the pool never holds more than the released bundles parked,
+  // and the image stays exact at every step while it recycles them.
+  Pcg32 rng(0x9A7);
+  BinaryTrie churn = make_disjoint_table(300, 0x9A8, 16);
+  FlatLookupTable image(churn);
+  std::deque<FlatLookupTable::Retired> window;
+  for (int step = 1; step <= 100; ++step) {
+    const BinaryTrie prev = churn;
+    const auto changed = churn_step(churn, rng, 6, 16);
+    window.push_back(patch_to(image, prev, churn, changed));
+    if (window.size() > 4) window.pop_front();
+    expect_matches_trie(image, churn, probe_addresses(churn, 16, step));
+    if (testing::Test::HasFatalFailure()) return;
   }
+  EXPECT_GT(image.pool()->stats().recycled, 0u);
 }
 
 // Probes every address of the /24 under `inside` plus random ones across
@@ -547,17 +621,16 @@ std::vector<Ipv4Address> chunk_probes(Ipv4Address inside, std::uint64_t seed) {
 
 TEST(FlatTableTest, RecycledBlocksReadNoRouteOutsideTheirNewRoute) {
   // A /12 fills one whole level-1 chunk (4096 /24 slots) with non-zero
-  // entries. Clearing it drops the chunk to null, and dropping the old
-  // version parks it: the pool then holds that chunk alone.
+  // entries. Clearing it unlinks the chunk, and releasing the bundle
+  // parks it: the pool then holds that chunk alone.
   const Prefix wide(Ipv4Address(0x0A000000u), 12);
   BinaryTrie table;
   table.insert(wide, make_next_hop(1));
-  auto flat = std::make_unique<FlatLookupTable>(table);
+  FlatLookupTable flat(table);
   BinaryTrie before = table;
   table.erase(wide);
-  auto next = successor(*flat, before, table, {wide});
-  flat = std::move(next);
-  const auto parked = flat->pool()->stats();
+  patch_to(flat, before, table, {wide});
+  const auto parked = flat.pool()->stats();
   EXPECT_EQ(parked.bytes, 4096 * sizeof(std::uint32_t));
 
   // A /20 in another null chunk takes the parked chunk: it must read
@@ -565,109 +638,70 @@ TEST(FlatTableTest, RecycledBlocksReadNoRouteOutsideTheirNewRoute) {
   const Prefix narrow(Ipv4Address(0x2B000000u), 20);
   before = table;
   table.insert(narrow, make_next_hop(3));
-  next = successor(*flat, before, table, {narrow});
-  flat = std::move(next);
-  EXPECT_EQ(flat->pool()->stats().recycled, parked.recycled + 1);
-  expect_matches_trie(*flat, table, chunk_probes(narrow.range_low(), 5));
+  patch_to(flat, before, table, {narrow});
+  EXPECT_EQ(flat.pool()->stats().recycled, parked.recycled + 1);
+  expect_matches_trie(flat, table, chunk_probes(narrow.range_low(), 5));
 
-  // Three /26s fill 3/4 of one level-2 block; erasing them releases it,
-  // and dropping that version parks it.
+  // Three /26s fill 3/4 of one level-2 block; erasing them unlinks it,
+  // and releasing that bundle parks it.
   const std::vector<Prefix> quarters{Prefix(Ipv4Address(0xC0A80100u), 26),
                                      Prefix(Ipv4Address(0xC0A80140u), 26),
                                      Prefix(Ipv4Address(0xC0A80180u), 26)};
   before = table;
   for (const Prefix& p : quarters) table.insert(p, make_next_hop(2));
-  next = successor(*flat, before, table, quarters);
-  flat = std::move(next);
+  patch_to(flat, before, table, quarters);
   before = table;
   for (const Prefix& p : quarters) table.erase(p);
-  next = successor(*flat, before, table, quarters);
-  flat = std::move(next);
+  patch_to(flat, before, table, quarters);
 
   // A /25 painted under a /24 dirty region takes the parked level-2
   // block: its other half must read kNoRoute, not the /26s' hop.
   const Prefix half(Ipv4Address(0x2C000100u), 25);
   before = table;
   table.insert(half, make_next_hop(4));
-  const auto pooled = flat->pool()->stats();
-  next = successor(*flat, before, table, {Prefix(half.range_low(), 24)});
-  flat = std::move(next);
-  EXPECT_EQ(flat->l2_block_count(), 1u);
-  EXPECT_GT(flat->pool()->stats().recycled, pooled.recycled);
-  expect_matches_trie(*flat, table, chunk_probes(half.range_low(), 6));
+  const auto pooled = flat.pool()->stats();
+  patch_to(flat, before, table, {Prefix(half.range_low(), 24)});
+  EXPECT_EQ(flat.l2_block_count(), 1u);
+  EXPECT_GT(flat.pool()->stats().recycled, pooled.recycled);
+  expect_matches_trie(flat, table, chunk_probes(half.range_low(), 6));
 }
 
-// A live version of a chain: checked against its trie when built, and
-// against the routes recorded then on every later step (cheaper than a
-// trie walk per probe, and the same answer).
-struct LiveVersion {
-  std::unique_ptr<FlatLookupTable> flat;
-  std::vector<Ipv4Address> probes;
-  std::vector<std::optional<clue::netbase::Route>> expected;
-};
-
-LiveVersion make_live(std::unique_ptr<FlatLookupTable> flat,
-                      const BinaryTrie& table, std::uint64_t seed) {
-  LiveVersion v{std::move(flat), probe_addresses(table, 32, seed), {}};
-  expect_matches_trie(*v.flat, table, v.probes);
-  for (const auto address : v.probes) {
-    v.expected.push_back(table.lookup_route(address));
-  }
-  return v;
-}
-
-void expect_all_live_match(const std::deque<LiveVersion>& live, int step) {
-  for (const auto& v : live) {
-    for (std::size_t i = 0; i < v.probes.size(); ++i) {
-      ASSERT_EQ(v.flat->lookup_route(v.probes[i]), v.expected[i])
-          << "step " << step << " address " << v.probes[i].to_string();
-    }
-  }
-}
-
-// Builds a 200-step chain over churn; after every step every live
-// version answers exactly. `window` > 0 drops the oldest version once
-// more than `window` are alive (the runtime's order); 0 keeps them all
-// and drops the head first at the end (the standalone order). Routes are
-// /16 or longer, so keeping all 200 versions stays small.
+// Runs 200 churn steps on one image, holding each patch's bundle for
+// `window` more steps (0: released at once), and checks after every
+// step that the image answers exactly. A block parked while the image
+// still reads it would be poisoned under ASan, and reused blocks would
+// answer wrong.
 void run_chain(std::size_t window, std::uint64_t seed) {
   Pcg32 rng(seed);
   BinaryTrie table = make_disjoint_table(150, seed + 1, 16);
-  std::deque<LiveVersion> live;
-  live.push_back(
-      make_live(std::make_unique<FlatLookupTable>(table), table, 0));
+  FlatLookupTable flat(table);
+  std::deque<FlatLookupTable::Retired> held;
   for (int step = 1; step <= 200; ++step) {
     const BinaryTrie before = table;
     const auto dirty = churn_step(table, rng, 6, 16);
-    live.push_back(make_live(successor(*live.back().flat, before, table, dirty),
-                             table, step));
-    if (window > 0 && live.size() > window) live.pop_front();
-    expect_all_live_match(live, step);
+    held.push_back(patch_to(flat, before, table, dirty));
+    while (held.size() > window) held.pop_front();
+    expect_matches_trie(flat, table, probe_addresses(table, 32, step));
     if (testing::Test::HasFatalFailure()) return;
   }
-  EXPECT_GT(live.back().flat->pool()->stats().recycled, 0u);
-  while (!live.empty()) live.pop_back();
+  EXPECT_GT(flat.pool()->stats().recycled, 0u);
 }
 
 TEST(FlatTableTest, TwoHundredStepChainNeverParksALiveBlock) {
-  // Oldest first: each dropped version parks what its successor
-  // replaced, and the next builds take those blocks.
+  // Bundles held four patches long, as the runtime's grace period does.
   run_chain(4, 1'201);
-  // Newest first: while the chain grows only blocks a build discarded
-  // itself are parked; at the end the head frees its live set and each
-  // predecessor parks its replaced set. ASan/LSan check that every block
-  // is released exactly once.
+  // Released at once: the next patch takes the blocks straight back.
   run_chain(0, 1'203);
 }
 
 TEST(FlatTableTest, MigrationSizedRebuildLeavesThePoolAtItsCap) {
   // Thousands of dirty prefixes, as when a rebalance moves a band of
-  // routes off a chip: far more chunks and level-2 blocks are replaced
+  // routes off a chip: far more chunks and level-2 blocks are unlinked
   // than the pool keeps, and the rest must be freed (LSan checks).
   auto table = make_disjoint_table(3'000, 1'301);
-  auto old = std::make_unique<FlatLookupTable>(table);
-  ASSERT_GT(old->chunk_count(), FlatLookupTable::BlockPool::kMaxChunks);
-  ASSERT_GT(old->l2_block_count(), FlatLookupTable::BlockPool::kMaxL2Blocks);
+  FlatLookupTable flat(table);
+  ASSERT_GT(flat.chunk_count(), FlatLookupTable::BlockPool::kMaxChunks);
+  ASSERT_GT(flat.l2_block_count(), FlatLookupTable::BlockPool::kMaxL2Blocks);
   std::vector<Prefix> dirty;
   BinaryTrie old_table = table;
   const auto routes = table.routes();
@@ -676,28 +710,37 @@ TEST(FlatTableTest, MigrationSizedRebuildLeavesThePoolAtItsCap) {
     table.erase(routes[i].prefix);
     dirty.push_back(routes[i].prefix);
   }
-  auto flat = successor(*old, old_table, table, dirty);
-  old.reset();
+  {
+    const auto retired = patch_to(flat, old_table, table, dirty);
+    EXPECT_GT(retired.blocks(), FlatLookupTable::BlockPool::kMaxChunks +
+                                    FlatLookupTable::BlockPool::kMaxL2Blocks);
+    EXPECT_EQ(flat.pool()->stats().bytes, 0u);  // held: nothing parked
+  }
 
   // 64 chunks of 4096 entries and 256 level-2 blocks of 256 entries.
   constexpr std::size_t kCapBytes =
       (FlatLookupTable::BlockPool::kMaxChunks * 4096 +
        FlatLookupTable::BlockPool::kMaxL2Blocks * 256) *
       sizeof(std::uint32_t);
-  EXPECT_EQ(flat->pool()->stats().bytes, kCapBytes);
-  expect_matches_trie(*flat, table, probe_addresses(table, 4'000, 1'302));
+  EXPECT_EQ(flat.pool()->stats().bytes, kCapBytes);
+  expect_matches_trie(flat, table, probe_addresses(table, 4'000, 1'302));
 
-  // The next build draws on the full pool instead of new.
-  const auto before = flat->pool()->stats();
-  const Prefix back = routes[1].prefix;
+  // The next patch draws on the full pool instead of new: a long route
+  // back into a /24 slot that is empty now needs a fresh level-2 block.
+  const auto back = std::find_if(
+      routes.begin() + 1, routes.end(), [&table](const Route& r) {
+        const Prefix slot(r.prefix.range_low(), 24);
+        return r.prefix.length() > 24 && !overlaps_any(table, slot);
+      });
+  ASSERT_NE(back, routes.end());
+  const auto before = flat.pool()->stats();
   old_table = table;
-  table.insert(back, routes[1].next_hop);
-  const Diff diff = diff_between(old_table, table, {back});
-  const FlatLookupTable next(*flat, diff.erases, diff.writes);
-  const auto after = next.pool()->stats();
+  table.insert(back->prefix, back->next_hop);
+  patch_to(flat, old_table, table, {back->prefix});
+  const auto after = flat.pool()->stats();
   EXPECT_GT(after.recycled, before.recycled);
   EXPECT_EQ(after.allocated, before.allocated);
-  expect_matches_trie(next, table, probe_addresses(table, 2'000, 1'303));
+  expect_matches_trie(flat, table, probe_addresses(table, 2'000, 1'303));
 }
 
 // ---------------------------------------------------------------------------
@@ -914,14 +957,14 @@ LongSlots long_slots(const BinaryTrie& table) {
   return slots;
 }
 
-void count_coverage(const FlatLookupTable& prev, const FlatLookupTable& next,
-                    const BinaryTrie& before, const Diff& diff,
-                    StreamCoverage& c) {
+// `prev_l2_blocks` and `prev_chunks`: the image's counts before `diff`.
+void count_coverage(std::size_t prev_l2_blocks, std::size_t prev_chunks,
+                    const FlatLookupTable& next, const BinaryTrie& before,
+                    const Diff& diff, StreamCoverage& c) {
   const std::set<Prefix> erased(diff.erases.begin(), diff.erases.end());
   const LongSlots slots = long_slots(before);
   // Every long slot that is not collapsed holds one level-2 block.
-  ASSERT_EQ(prev.l2_block_count(),
-            slots.all.size() - slots.collapsed.size());
+  ASSERT_EQ(prev_l2_blocks, slots.all.size() - slots.collapsed.size());
   const auto in_collapsed = [&](const Prefix& p) {
     return p.length() > 24 &&
            slots.collapsed.contains(p.range_low().value() >> 8);
@@ -939,7 +982,7 @@ void count_coverage(const FlatLookupTable& prev, const FlatLookupTable& next,
   c.in_place += in_place;
   c.collapsed += !slots.collapsed.empty();
   c.re_expanded += expands;
-  c.chunks_dropped += next.chunk_count() < prev.chunk_count();
+  c.chunks_dropped += next.chunk_count() < prev_chunks;
 }
 
 // Differential stream length: 250 steps per run, or CLUE_SOAK_UPDATES /
@@ -951,13 +994,12 @@ std::size_t diff_steps() {
   return std::max<std::size_t>(250, n > 0 ? n / 50 : 0);
 }
 
-// Drives `steps` random work items through the diff constructor. With
-// `oldest_first`, versions are dropped oldest first once more than four
-// are alive (the runtime's order); otherwise every 32 steps the stream
-// moves to a fresh full build of its table and drops the whole old chain
-// newest first. Every live version keeps answering as it did when built.
-void run_diff_stream(bool oldest_first, std::size_t steps,
-                     std::uint64_t seed, StreamCoverage& coverage) {
+// Drives `steps` random work items through stage()/apply() on one
+// image. With `hold`, each bundle is held for four more patches (the
+// runtime's grace period); otherwise it is released at once, and every
+// 32 steps the stream moves to a fresh full build of its table.
+void run_diff_stream(bool hold, std::size_t steps, std::uint64_t seed,
+                     StreamCoverage& coverage) {
   Pcg32 rng(seed);
   BinaryTrie table;
   while (table.size() < 300) {
@@ -966,33 +1008,27 @@ void run_diff_stream(bool oldest_first, std::size_t steps,
       table.insert(candidate, random_hop(rng));
     }
   }
-  std::deque<LiveVersion> live;
-  live.push_back(
-      make_live(std::make_unique<FlatLookupTable>(table), table, seed));
+  auto flat = std::make_unique<FlatLookupTable>(table);
+  std::deque<FlatLookupTable::Retired> held;
   for (std::size_t step = 1; step <= steps; ++step) {
     const BinaryTrie before = table;
     const Diff diff = random_work(table, rng);
-    auto next = std::make_unique<FlatLookupTable>(*live.back().flat,
-                                                  diff.erases, diff.writes);
-    count_coverage(*live.back().flat, *next, before, diff, coverage);
+    const std::size_t l2_blocks = flat->l2_block_count();
+    const std::size_t chunks = flat->chunk_count();
+    held.push_back(patch(*flat, diff));
+    count_coverage(l2_blocks, chunks, *flat, before, diff, coverage);
     if (testing::Test::HasFatalFailure()) return;
-    expect_image_equals(*next, table, diff, rng);
+    expect_image_equals(*flat, table, diff, rng);
     if (testing::Test::HasFatalFailure()) {
       ADD_FAILURE() << "step " << step << " (seed " << seed << ")";
       return;
     }
-    live.push_back(make_live(std::move(next), table, seed + step));
-    if (oldest_first) {
-      if (live.size() > 4) live.pop_front();
-    } else if (step % 32 == 0) {
-      std::deque<LiveVersion> old = std::move(live);
-      live.clear();
-      live.push_back(make_live(std::make_unique<FlatLookupTable>(table),
-                               table, seed + step));
-      while (!old.empty()) old.pop_back();
+    if (!hold) {
+      held.clear();
+      if (step % 32 == 0) flat = std::make_unique<FlatLookupTable>(table);
+    } else if (held.size() > 4) {
+      held.pop_front();
     }
-    expect_all_live_match(live, static_cast<int>(step));
-    if (testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -1015,6 +1051,163 @@ TEST(FlatTableTest, DiffStreamsMatchFullBuildsOfTheTrie) {
               coverage.chunks_dropped);
 }
 
+// A probe's answer in one table state: 0 for no route, else the stored
+// route's (length + 1) << 32 | hop — the prefix is Prefix(probe, length).
+std::uint64_t packed(const std::optional<Route>& route) {
+  if (!route) return 0;
+  return (std::uint64_t{route->prefix.length()} + 1) << 32 |
+         clue::netbase::to_index(route->next_hop);
+}
+
+TEST(FlatTableTest, ConcurrentReadersSeePreOrPostAnswerPerAddress) {
+  // The stream: random_work items (erases, then writes: /0 on an empty
+  // table, /32s, erases that punch holes in collapsed tiles, level-2
+  // expansion and collapse, chunks dropped and re-created) plus, every
+  // fourth patch, a rewrite under a hop the image never saw, so the hop
+  // array grows past its capacity while readers run.
+  Pcg32 rng(0xC0C0);
+  BinaryTrie table;
+  while (table.size() < 300) {
+    const Prefix candidate = hot_prefix(rng);
+    if (!overlaps_any(table, candidate)) {
+      table.insert(candidate, random_hop(rng));
+    }
+  }
+  const BinaryTrie initial = table;
+  const std::size_t steps = diff_steps();
+  std::vector<Diff> diffs;
+  std::uint32_t new_hop = 0xF000'0000u;
+  for (std::size_t k = 1; k <= steps; ++k) {
+    Diff diff = random_work(table, rng);
+    const auto routes = table.routes();
+    if (k % 4 == 0 && !routes.empty()) {
+      const Prefix target = routes[rng.next() % routes.size()].prefix;
+      const NextHop hop{new_hop++};
+      table.insert(target, hop);
+      diff.writes.push_back(Route{target, hop});
+    }
+    diffs.push_back(std::move(diff));
+  }
+  // Probes: random addresses in the hot /16s plus the edges of prefixes
+  // the stream touches, sampled evenly over it.
+  std::vector<Ipv4Address> probes;
+  for (int i = 0; i < 128; ++i) probes.push_back(hot_prefix(rng).range_low());
+  for (std::size_t k = 0; k < diffs.size() && probes.size() < 384;
+       k += 1 + diffs.size() / 128) {
+    for (const Prefix& p : diffs[k].erases) {
+      probes.push_back(p.range_low());
+      probes.push_back(p.range_high());
+    }
+    for (const Route& r : diffs[k].writes) {
+      probes.push_back(r.prefix.range_low());
+      probes.push_back(r.prefix.range_high());
+    }
+  }
+  // answers[k][i]: probe i's answer after k patches.
+  std::vector<std::vector<std::uint64_t>> answers;
+  table = initial;
+  const auto record = [&] {
+    answers.emplace_back();
+    for (const auto address : probes) {
+      answers.back().push_back(packed(table.lookup_route(address)));
+    }
+  };
+  record();
+  for (const Diff& diff : diffs) {
+    for (const Prefix& p : diff.erases) table.erase(p);
+    for (const Route& r : diff.writes) table.insert(r.prefix, r.next_hop);
+    record();
+  }
+
+  FlatLookupTable flat(initial);
+  clue::runtime::EpochDomain domain(2);
+  // A reader's window: patches applied before its lookup began, to
+  // patches started when it ended.
+  std::atomic<std::size_t> started{0};
+  std::atomic<std::size_t> applied{0};
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> checked{0};
+  std::atomic<std::uint64_t> overlapped{0};
+  std::atomic<std::uint64_t> wrong{0};
+  // Lookup groups each reader finished; the writer waits for both to
+  // move between patches, so every patch lands among running lookups.
+  std::array<std::atomic<std::uint64_t>, 2> progress{};
+  const auto reader = [&](std::size_t slot) {
+    std::uint64_t local_checked = 0;
+    std::uint64_t local_overlapped = 0;
+    std::uint64_t local_wrong = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      for (std::size_t base = 0; base < probes.size(); base += 32) {
+        // Pinned a few dozen lookups at a time, so the writer's reclaim
+        // parks (and later patches reuse) unlinked blocks mid-run.
+        clue::runtime::EpochDomain::Guard guard(domain, slot);
+        const std::size_t end = std::min(probes.size(), base + 32);
+        for (std::size_t i = base; i < end; ++i) {
+          const std::size_t lo = applied.load(std::memory_order_seq_cst);
+          const NextHop hop = flat.lookup(probes[i]);
+          const std::uint64_t route = packed(flat.lookup_route(probes[i]));
+          const std::size_t hi = started.load(std::memory_order_seq_cst);
+          bool hop_seen = false;
+          bool route_seen = false;
+          for (std::size_t k = lo; k <= hi; ++k) {
+            hop_seen |= static_cast<std::uint32_t>(answers[k][i]) ==
+                        clue::netbase::to_index(hop);
+            route_seen |= answers[k][i] == route;
+          }
+          local_wrong += !hop_seen || !route_seen;
+          local_overlapped += hi > lo;
+          ++local_checked;
+        }
+        progress[slot].fetch_add(1, std::memory_order_release);
+      }
+    }
+    checked.fetch_add(local_checked);
+    overlapped.fetch_add(local_overlapped);
+    wrong.fetch_add(local_wrong);
+  };
+  const auto readers_moved = [&progress] {
+    const std::uint64_t seen[2] = {progress[0].load(), progress[1].load()};
+    for (std::size_t r = 0; r < 2; ++r) {
+      while (progress[r].load(std::memory_order_acquire) == seen[r]) {
+        std::this_thread::yield();
+      }
+    }
+  };
+  std::thread first(reader, 0);
+  std::thread second(reader, 1);
+  readers_moved();
+
+  std::uint64_t retired_blocks = 0;
+  for (std::size_t k = 1; k <= diffs.size(); ++k) {
+    auto staged = flat.stage(diffs[k - 1].erases, diffs[k - 1].writes);
+    started.store(k, std::memory_order_seq_cst);
+    auto retired = flat.apply(std::move(staged));
+    applied.store(k, std::memory_order_seq_cst);
+    retired_blocks += retired.blocks();
+    if (!retired.empty()) {
+      domain.retire(new FlatLookupTable::Retired(std::move(retired)));
+    }
+    domain.reclaim();
+    readers_moved();
+  }
+  done.store(true, std::memory_order_release);
+  first.join();
+  second.join();
+
+  EXPECT_EQ(wrong.load(), 0u) << "of " << checked.load() << " lookups";
+  EXPECT_GT(retired_blocks, 0u);
+  EXPECT_GT(flat.pool()->stats().recycled, 0u);
+  table = initial;
+  for (const Diff& diff : diffs) {
+    for (const Prefix& p : diff.erases) table.erase(p);
+    for (const Route& r : diff.writes) table.insert(r.prefix, r.next_hop);
+  }
+  expect_matches_trie(flat, table, probe_addresses(table, 1'000, 3));
+  std::printf("concurrent: %zu patches, %llu lookups, %llu overlapping one\n",
+              diffs.size(), static_cast<unsigned long long>(checked.load()),
+              static_cast<unsigned long long>(overlapped.load()));
+}
+
 TEST(FlatTableTest, ViolatingDiffsThrowAndLeaveThePredecessorUntouched) {
   BinaryTrie table;
   const Prefix wide(Ipv4Address(0x0A000000u), 16);     // level-1 run
@@ -1026,9 +1219,20 @@ TEST(FlatTableTest, ViolatingDiffsThrowAndLeaveThePredecessorUntouched) {
   const Prefix half_hi(Ipv4Address(0xC0A80280u), 25);
   table.insert(half_lo, make_next_hop(3));
   table.insert(half_hi, make_next_hop(3));
-  const FlatLookupTable prev(table);
-  ASSERT_EQ(prev.l2_block_count(), 1u);  // the /25 pair collapsed
+  FlatLookupTable flat(table);
+  ASSERT_EQ(flat.l2_block_count(), 1u);  // the /25 pair collapsed
   const auto probes = probe_addresses(table, 500, 19);
+  // Everything the image answers or reports, to compare bit for bit.
+  const auto snapshot = [&flat, &probes] {
+    std::vector<std::optional<Route>> answers;
+    for (const auto address : probes) {
+      answers.push_back(flat.lookup_route(address));
+    }
+    return std::make_tuple(answers, flat.stored_within(Prefix()),
+                           flat.route_count(), flat.chunk_count(),
+                           flat.l2_block_count(), flat.memory_bytes());
+  };
+  const auto untouched = snapshot();
 
   const Route good{Prefix(Ipv4Address(0x0B000000u), 24), make_next_hop(4)};
   struct Case {
@@ -1061,31 +1265,28 @@ TEST(FlatTableTest, ViolatingDiffsThrowAndLeaveThePredecessorUntouched) {
       {"write into a collapsed tile at another length",
        {},
        {Route{Prefix(half_hi.range_low(), 26), make_next_hop(5)}}},
-      // Valid work first, so the build has copied and painted blocks
+      // Valid work first, so the stage has taken and painted blocks
       // before it meets the violation.
       {"a violation after valid work",
        {quarter, half_lo},
        {good, Route{Prefix(Ipv4Address(0x0A000000u), 12), make_next_hop(5)}}},
   };
   for (const Case& c : cases) {
-    EXPECT_THROW(FlatLookupTable(prev, c.erases, c.writes),
-                 std::invalid_argument)
+    EXPECT_THROW((void)flat.stage(c.erases, c.writes), std::invalid_argument)
         << c.what;
-    expect_matches_trie(prev, table, probes);
-    ASSERT_EQ(prev.route_count(), table.size()) << c.what;
+    ASSERT_TRUE(snapshot() == untouched) << c.what;
+    expect_matches_trie(flat, table, probes);
   }
 
-  // Still a valid predecessor: a rewrite, an erase inside the collapsed
-  // tile (re-expanding it) and an insert.
-  const FlatLookupTable next(prev, std::vector<Prefix>{half_hi},
-                             std::vector<Route>{good, {wide, make_next_hop(6)}});
-  const BinaryTrie before = table;
+  // Still patchable: a rewrite, an erase inside the collapsed tile
+  // (re-expanding it) and an insert.
+  flat.apply(flat.stage(std::vector<Prefix>{half_hi},
+                        std::vector<Route>{good, {wide, make_next_hop(6)}}));
   table.erase(half_hi);
   table.insert(good.prefix, good.next_hop);
   table.insert(wide, make_next_hop(6));
-  expect_matches_trie(next, table, probe_addresses(table, 500, 20));
-  EXPECT_EQ(next.route_count(), table.size());
-  expect_matches_trie(prev, before, probes);
+  expect_matches_trie(flat, table, probe_addresses(table, 500, 20));
+  EXPECT_EQ(flat.route_count(), table.size());
 }
 
 }  // namespace

@@ -231,8 +231,9 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
   EXPECT_TRUE(client_hist_seen);
 
   // The TTF trace retains the most recent applies, oldest first, each
-  // with non-negative stage spans; a commit that republished chips
-  // splits TTF2 into admission, flat rebuild and grace sub-spans.
+  // with non-negative stage spans; a commit that patched chips splits
+  // TTF2 into admission, flat patch and grace sub-spans — the grace span
+  // only when a patch unlinked blocks (a pure slot patch skips it).
   bool trace_seen = false;
   for (const auto& [name, entries] : registry.ttf_traces()) {
     if (name != "runtime.ttf") continue;
@@ -248,7 +249,7 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
       if (e.chips_touched > 0) {
         EXPECT_GT(e.admit_ns, 0.0);
         EXPECT_GT(e.flat_ns, 0.0);
-        EXPECT_GT(e.grace_ns, 0.0);
+        EXPECT_GE(e.grace_ns, 0.0);
         EXPECT_LE(e.admit_ns + e.flat_ns + e.grace_ns, e.ttf2_ns);
       }
     }
@@ -322,6 +323,60 @@ TEST(LookupRuntimeTest, StartUpGaugesCoverTheControlTries) {
     EXPECT_GT(trie_bytes, 0.0);
     EXPECT_GT(fib_build_ns, 0.0);
   }
+}
+
+// A commit whose patches only rewrite slots retires nothing and skips
+// the grace barrier; one that collapses a level-2 block retires it and
+// waits once. runtime.flat_blocks_retired and runtime.grace_waits tell
+// the two apart.
+TEST(LookupRuntimeTest, PureSlotPatchesSkipTheGraceBarrier) {
+  using clue::netbase::make_next_hop;
+  using clue::netbase::Prefix;
+  using clue::workload::UpdateKind;
+  using clue::workload::UpdateMsg;
+  const Prefix wide(Ipv4Address(0x0A000000u), 16);
+  const Prefix half_lo(Ipv4Address(0x0A020000u), 25);
+  const Prefix half_hi(Ipv4Address(0x0A020080u), 25);
+  clue::trie::BinaryTrie fib;
+  fib.insert(wide, make_next_hop(1));
+  fib.insert(Prefix(Ipv4Address(0x0A010000u), 16), make_next_hop(2));
+  fib.insert(half_lo, make_next_hop(4));
+  fib.insert(half_hi, make_next_hop(5));
+  RuntimeConfig config;
+  config.worker_count = 2;
+  config.rebalance = false;
+  LookupRuntime runtime(fib, config);
+  const auto counters = [&runtime] {
+    clue::obs::MetricsRegistry registry;
+    runtime.export_metrics(registry);
+    std::pair<std::uint64_t, std::uint64_t> out{~0ull, ~0ull};
+    for (const auto& [name, value] : registry.counters()) {
+      if (name == "runtime.flat_blocks_retired") out.first = value;
+      if (name == "runtime.grace_waits") out.second = value;
+    }
+    return out;
+  };
+  using Counts = std::pair<std::uint64_t, std::uint64_t>;
+  ASSERT_EQ(counters(), (Counts{0, 0}));
+
+  // Rewrite-only: the /16's slots change hop in place.
+  runtime.apply(UpdateMsg{UpdateKind::kAnnounce, wide, make_next_hop(3)});
+  EXPECT_EQ(runtime.lookup(Ipv4Address(0x0A000101u)), make_next_hop(3));
+  EXPECT_EQ(counters(), (Counts{0, 0})) << "a rewrite-only commit";
+  ASSERT_FALSE(runtime.ttf_trace().empty());
+  EXPECT_EQ(runtime.ttf_trace().back().grace_ns, 0.0);
+
+  // The /25s' hops meet: ONRTC merges them into one /24, so the level-2
+  // block collapses and is retired behind one grace barrier.
+  runtime.apply(UpdateMsg{UpdateKind::kAnnounce, half_hi, make_next_hop(4)});
+  EXPECT_EQ(runtime.lookup(Ipv4Address(0x0A0200F0u)), make_next_hop(4));
+  const Counts collapsed = counters();
+  EXPECT_GT(collapsed.first, 0u) << "runtime.flat_blocks_retired";
+  EXPECT_EQ(collapsed.second, 1u) << "runtime.grace_waits";
+  EXPECT_GT(runtime.ttf_trace().back().grace_ns, 0.0);
+  const auto m = runtime.metrics();
+  EXPECT_EQ(m.tables_pending, 0u);
+  EXPECT_EQ(m.tables_reclaimed, m.tables_published);
 }
 
 // Commits that outgrow the control tries' spare slots show up as counted
