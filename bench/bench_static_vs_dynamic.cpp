@@ -70,7 +70,7 @@ int main() {
   probe_config.cluster_locality = 0.9;
   clue::workload::TrafficGenerator probe(prefixes, probe_config);
   const auto load = clue::engine::measure_bucket_load(
-      boundaries, kBuckets, [&probe] { return probe.next(); }, 400'000);
+      boundaries, [&probe] { return probe.next(); }, 400'000);
 
   clue::engine::SlplConfig slpl_config;
   slpl_config.tcam_count = kTcams;

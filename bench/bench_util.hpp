@@ -92,9 +92,7 @@ WorstCaseSetup worst_case_setup(const std::vector<netbase::Route>& table,
   const auto partitions = partition::even_partition(table, buckets);
   auto boundaries = partition::even_partition_boundaries(table, buckets);
 
-  std::vector<std::size_t> bucket_ids(buckets);
-  for (std::size_t i = 0; i < buckets; ++i) bucket_ids[i] = i;
-  const engine::IndexingLogic probe_index(boundaries, bucket_ids);
+  const engine::IndexingLogic probe_index(boundaries);
   std::vector<std::uint64_t> load(buckets, 0);
   for (std::size_t i = 0; i < probe_packets; ++i) {
     ++load[probe_index.bucket_of(probe())];

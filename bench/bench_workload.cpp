@@ -28,12 +28,8 @@ int main() {
   const auto partitions = clue::partition::even_partition(table, kBuckets);
   const auto boundaries =
       clue::partition::even_partition_boundaries(table, kBuckets);
-  std::vector<std::size_t> identity(kBuckets);
-  std::iota(identity.begin(), identity.end(), 0u);
   // Indexing over 32 buckets (bucket == partition for this table).
-  std::vector<std::size_t> bucket_ids(kBuckets);
-  std::iota(bucket_ids.begin(), bucket_ids.end(), 0u);
-  const clue::engine::IndexingLogic indexing(boundaries, bucket_ids);
+  const clue::engine::IndexingLogic indexing(boundaries);
 
   // Zipf traffic over the routed prefixes (CAIDA-trace stand-in).
   clue::workload::TrafficConfig traffic_config;

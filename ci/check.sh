@@ -22,7 +22,9 @@
 # CLUE_SOAK_UPDATES bursty updates with concurrent lookups, then the
 # figures guard: bench_ttf's modeled TTF2/TTF3 columns of Figs. 10-14
 # (fig10_14_ttf.csv) must equal ci/golden/fig10_14_modeled.csv byte for
-# byte (TTF1 is measured wall time and is not compared), then the
+# byte (TTF1 is measured wall time and is not compared), and
+# bench_tcam_update's whole stdout must equal ci/golden/tcam_update.txt,
+# then the
 # bench-check: perfbench/check.py, which builds the benchmark of record
 # (perfbench/ compiles src/ through its own CMake project) and runs each
 # BENCHMARK.json workload on small inputs. Any data race, leak, UB,
@@ -35,7 +37,7 @@
 #   $ ci/check.sh smoke      # just the metrics-exporter smoke run
 #   $ ci/check.sh soak       # just the churn-soak
 #   $ ci/check.sh burst-soak # just the group-commit burst soak (TSan)
-#   $ ci/check.sh figures    # just the Figs. 10-14 modeled-TTF guard
+#   $ ci/check.sh figures    # just the Figs. 10-14 + §IV-B modeled guard
 #   $ ci/check.sh bench-check # just the perfbench build + self-check
 #   $ CLUE_SOAK_UPDATES=100000 ci/check.sh soak   # bounded soak
 #   $ CLUE_ASAN_SOAK_UPDATES=20000 ci/check.sh asan  # shorter ASan soak
@@ -183,7 +185,7 @@ run_burst_soak() {
 }
 
 run_figures() {
-  echo "=== stage: figures (bench_ttf modeled TTF2/TTF3 vs golden) ==="
+  echo "=== stage: figures (modeled TTF of bench_ttf, bench_tcam_update vs golden) ==="
   configure_and_build build ""
   local out
   out="$(mktemp -d)"
@@ -204,6 +206,15 @@ run_figures() {
     exit 1
   fi
   echo "figures: modeled TTF2/TTF3 match the golden"
+  # bench_tcam_update prints only modeled op counts (no wall time), so its
+  # whole stdout is deterministic: the §IV-B per-layout costs and the
+  # 4-chip systems' critical-path TTF2.
+  ./build/bench/bench_tcam_update >"$out/tcam_update.txt"
+  if ! diff -u ci/golden/tcam_update.txt "$out/tcam_update.txt"; then
+    echo "figures: bench_tcam_update output moved off the golden" >&2
+    exit 1
+  fi
+  echo "figures: bench_tcam_update matches the golden"
 }
 
 run_bench_check() {

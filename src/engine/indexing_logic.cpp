@@ -1,6 +1,7 @@
 #include "engine/indexing_logic.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace clue::engine {
@@ -19,6 +20,12 @@ IndexingLogic::IndexingLogic(std::vector<netbase::Ipv4Address> boundaries,
   if (!std::is_sorted(boundaries_.begin(), boundaries_.end())) {
     throw std::invalid_argument("IndexingLogic: boundaries must be sorted");
   }
+}
+
+IndexingLogic::IndexingLogic(std::vector<netbase::Ipv4Address> boundaries)
+    : IndexingLogic(boundaries,
+                    std::vector<std::size_t>(boundaries.size() + 1)) {
+  std::iota(bucket_to_tcam_.begin(), bucket_to_tcam_.end(), std::size_t{0});
 }
 
 std::size_t IndexingLogic::bucket_of(netbase::Ipv4Address address) const {

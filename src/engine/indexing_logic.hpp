@@ -21,6 +21,8 @@ class IndexingLogic {
   /// `bucket_to_tcam[b]` is bucket b's home chip.
   IndexingLogic(std::vector<netbase::Ipv4Address> boundaries,
                 std::vector<std::size_t> bucket_to_tcam);
+  /// Each bucket is its own chip: bucket i homes on chip i.
+  explicit IndexingLogic(std::vector<netbase::Ipv4Address> boundaries);
 
   std::size_t bucket_of(netbase::Ipv4Address address) const;
   std::size_t tcam_of(netbase::Ipv4Address address) const {

@@ -35,16 +35,15 @@ EngineSetup build_slpl_setup(const std::vector<netbase::Route>& table,
                              const std::vector<std::uint64_t>& bucket_load,
                              const SlplConfig& config);
 
-/// Convenience: measures `bucket_load` by running `probe_packets`
-/// addresses from `probe` through the bucket index.
+/// Convenience: measures `bucket_load` (one count per bucket of
+/// `boundaries`) by running `probe_packets` addresses from `probe` through
+/// the bucket index.
 template <typename AddressSource>
 std::vector<std::uint64_t> measure_bucket_load(
     const std::vector<netbase::Ipv4Address>& boundaries,
-    std::size_t buckets, AddressSource&& probe, std::size_t probe_packets) {
-  std::vector<std::size_t> identity(buckets);
-  for (std::size_t i = 0; i < buckets; ++i) identity[i] = i;
-  const IndexingLogic index(boundaries, identity);
-  std::vector<std::uint64_t> load(buckets, 0);
+    AddressSource&& probe, std::size_t probe_packets) {
+  const IndexingLogic index(boundaries);
+  std::vector<std::uint64_t> load(index.bucket_count(), 0);
   for (std::size_t i = 0; i < probe_packets; ++i) {
     ++load[index.bucket_of(probe())];
   }

@@ -47,8 +47,6 @@ constexpr std::uint64_t kFillSampleMask = 8 - 1;
 // apply_batch(), and the upper bound of its adaptive batch window.
 constexpr std::size_t kUpdateBatchMax = 256;
 constexpr double kUpdateWindowUs = 128.0;
-// Auto-sized capacity: room for a chip to grow to 2x its initial share.
-constexpr double kAutoHeadroom = 1.0;
 
 }  // namespace
 
@@ -101,22 +99,16 @@ LookupRuntime::LookupRuntime(TimedFib fib, const RuntimeConfig& config)
       partition::even_partition(table, config.worker_count);
   // Checked before anything is allocated: a throwing constructor runs no
   // destructor to free it.
-  chip_capacity_ = config.chip_capacity > 0
-                       ? config.chip_capacity
-                       : update::auto_capacity(
-                             table.size() / config.worker_count + 1,
-                             kAutoHeadroom);
-  update::require_capacity("LookupRuntime", chip_capacity_,
-                           partitions.max_bucket());
+  chip_capacity_ = update::chip_capacity("LookupRuntime",
+                                         config.chip_capacity, partitions);
 
   boundaries_ =
       partition::even_partition_boundaries(table, config.worker_count);
-  std::vector<std::size_t> identity(config.worker_count);
-  for (std::size_t i = 0; i < config.worker_count; ++i) identity[i] = i;
-  indexing_.store(new engine::IndexingLogic(boundaries_, identity),
+  indexing_.store(new engine::IndexingLogic(boundaries_),
                   std::memory_order_seq_cst);
 
   control_pushed_.assign(config.worker_count, 0);
+  chips_.reserve(config.worker_count);
   workers_.reserve(config.worker_count);
   for (std::size_t i = 0; i < config.worker_count; ++i) {
     auto worker = std::make_unique<Worker>();
@@ -137,12 +129,12 @@ LookupRuntime::LookupRuntime(TimedFib fib, const RuntimeConfig& config)
     // The image is painted straight from the chip's sorted, disjoint
     // bucket; it is the chip's only representation from here on.
     const auto t0 = Clock::now();
-    worker->flat = std::make_unique<engine::FlatLookupTable>(
-        partitions.buckets[i].routes);
+    chips_.push_back(std::make_unique<engine::FlatLookupTable>(
+        partitions.buckets[i].routes));
     flat_build_ns_ += elapsed_ns(t0);
-    worker->flat_bytes.store(worker->flat->memory_bytes(),
+    worker->flat_bytes.store(chips_[i]->memory_bytes(),
                              std::memory_order_relaxed);
-    worker->occupancy.store(worker->flat->route_count(),
+    worker->occupancy.store(chips_[i]->route_count(),
                             std::memory_order_relaxed);
     workers_.push_back(std::move(worker));
   }
@@ -238,7 +230,7 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
     EpochDomain::Guard guard(epoch_, w);
     const std::uint64_t version =
         me.published_version.load(std::memory_order_seq_cst);
-    const engine::FlatLookupTable& flat = *me.flat;
+    const engine::FlatLookupTable& flat = *chips_[w];
     const auto resolve = [&](const Job& job) -> Completion {
       if (job.dred_only) {
         if (const auto hop = me.dred->lookup(job.address)) {
@@ -596,8 +588,8 @@ std::size_t LookupRuntime::publish(std::span<const update::ChipWork> chips,
     for (std::size_t chip = 0; chip < chips.size(); ++chip) {
       if (chips[chip].empty()) continue;
       const auto t0 = Clock::now();
-      staged_[chip].patch = workers_[chip]->flat->stage(chips[chip].erases,
-                                                         chips[chip].writes);
+      staged_[chip].patch =
+          chips_[chip]->stage(chips[chip].erases, chips[chip].writes);
       staged_[chip].ns = elapsed_ns(t0);
     }
   } catch (...) {
@@ -609,19 +601,18 @@ std::size_t LookupRuntime::publish(std::span<const update::ChipWork> chips,
   for (std::size_t chip = 0; chip < chips.size(); ++chip) {
     if (chips[chip].empty()) continue;
     Worker& worker = *workers_[chip];
+    engine::FlatLookupTable& flat = *chips_[chip];
     const auto t0 = Clock::now();
     engine::FlatLookupTable::Retired unlinked =
-        worker.flat->apply(std::move(staged_[chip].patch));
+        flat.apply(std::move(staged_[chip].patch));
     const double flat_ns = staged_[chip].ns + elapsed_ns(t0);
     flat_rebuild_hist_.record(flat_ns);
     if (trace) trace->flat_ns += flat_ns;
     // After the patch's stores: a worker that loads this version reads
     // post-patch entries only.
     worker.published_version.fetch_add(1, std::memory_order_seq_cst);
-    worker.occupancy.store(worker.flat->route_count(),
-                           std::memory_order_release);
-    worker.flat_bytes.store(worker.flat->memory_bytes(),
-                            std::memory_order_relaxed);
+    worker.occupancy.store(flat.route_count(), std::memory_order_release);
+    worker.flat_bytes.store(flat.memory_bytes(), std::memory_order_relaxed);
     tables_published_.fetch_add(1, std::memory_order_relaxed);
     if (unlinked.empty()) {
       patches_unretired_.fetch_add(1, std::memory_order_relaxed);
@@ -648,9 +639,7 @@ std::size_t LookupRuntime::publish(std::span<const update::ChipWork> chips,
 }
 
 void LookupRuntime::publish_indexing() {
-  std::vector<std::size_t> identity(workers_.size());
-  for (std::size_t i = 0; i < workers_.size(); ++i) identity[i] = i;
-  auto* next = new engine::IndexingLogic(boundaries_, identity);
+  auto* next = new engine::IndexingLogic(boundaries_);
   engine::IndexingLogic* old =
       indexing_.exchange(next, std::memory_order_seq_cst);
   epoch_.retire(old);
@@ -701,19 +690,9 @@ double LookupRuntime::skew() const {
 }
 
 std::size_t LookupRuntime::migrate(const MigrationStep& step) {
-  const std::size_t receiver_occupancy =
-      workers_[step.receiver]->occupancy.load(std::memory_order_relaxed);
-  const std::size_t receiver_free =
-      chip_capacity_ - std::min(receiver_occupancy, chip_capacity_);
-  // The run sits at the donor's edge facing the receiver: walk the
-  // donor's image from that end for at most the routes the run can take,
-  // plus, moving left, the first kept route (the new boundary).
-  const bool rightward = step.receiver == step.donor + 1;
-  const std::vector<Route> edge = workers_[step.donor]->flat->stored_within(
-      Prefix(), std::min(step.count, receiver_free) + !rightward, rightward);
-  const MigrationRun run = plan_migration_run(step, edge, receiver_free);
-  if (run.count == 0) return 0;
-  const std::span<const Route> migrated(edge.data() + run.first, run.count);
+  const MigrationRun run = plan_migration_run(step, chips_, chip_capacity_);
+  if (run.routes.empty()) return 0;
+  const std::vector<Route>& migrated = run.routes;
   // Per chip: the receiver's side of the move, then the donor's.
   std::vector<update::ChipWork> gain(workers_.size());
   std::vector<update::ChipWork> loss(workers_.size());
@@ -764,7 +743,7 @@ std::size_t LookupRuntime::migrate(const MigrationStep& step) {
     wait_control_ack(step.receiver);
   }
   epoch_.reclaim();
-  return run.count;
+  return migrated.size();
 }
 
 std::size_t LookupRuntime::rebalance_pass(obs::TtfTraceEntry* trace) {
@@ -893,12 +872,7 @@ update::BatchTtfSample LookupRuntime::apply_batch(
   const auto t1 = Clock::now();
   // Admission reads the chip images.
   const update::CommitPlan& plan = txn.admit(update::CommitHost{
-      boundaries_, chip_capacity_,
-      [this](std::size_t chip) { return workers_[chip]->flat->route_count(); },
-      [this](std::size_t chip, const Prefix& region,
-             std::vector<Route>& out) {
-        workers_[chip]->flat->stored_within(region, out);
-      },
+      boundaries_, chips_, chip_capacity_,
       [&] { return config_.rebalance ? rebalance_pass(&trace) : 0; }});
   trace.admit_ns = elapsed_ns(t1);
   trie_bytes_.store(fib_.memory_bytes(), std::memory_order_relaxed);
@@ -989,10 +963,6 @@ RuntimeMetrics LookupRuntime::metrics() const {
     m.per_worker_jobs.push_back(c.get(WorkerCounter::kJobs));
     m.home_lookups += c.get(WorkerCounter::kHomeLookups);
     m.flat_bytes += worker->flat_bytes.load(std::memory_order_relaxed);
-    const auto pool = worker->flat->pool()->stats();
-    m.flat_blocks_recycled += pool.recycled;
-    m.flat_blocks_allocated += pool.allocated;
-    m.flat_pool_bytes += pool.bytes;
     m.dred_lookups += c.get(WorkerCounter::kDredLookups);
     m.dred_hits += c.get(WorkerCounter::kDredHits);
     m.miss_returns += c.get(WorkerCounter::kMissReturns);
@@ -1001,6 +971,12 @@ RuntimeMetrics LookupRuntime::metrics() const {
     m.fills_dropped_full += c.get(WorkerCounter::kFillsDroppedFull);
     m.fills_dropped_stale += c.get(WorkerCounter::kFillsDroppedStale);
     m.fills_declined += c.get(WorkerCounter::kFillsDeclined);
+  }
+  for (const auto& chip : chips_) {
+    const auto pool = chip->pool()->stats();
+    m.flat_blocks_recycled += pool.recycled;
+    m.flat_blocks_allocated += pool.allocated;
+    m.flat_pool_bytes += pool.bytes;
   }
   m.lookups_completed = client_counters_.get(ClientCounter::kLookupsCompleted);
   m.diverted = client_counters_.get(ClientCounter::kDiverted);

@@ -333,7 +333,7 @@ class LookupRuntime {
   /// image). Control-role state: read only from the control thread or
   /// while updates are quiescent.
   std::vector<Route> chip_routes(std::size_t chip) const {
-    return workers_[chip]->flat->stored_within(Prefix());
+    return chips_[chip]->stored_within(Prefix());
   }
   std::size_t worker_count() const { return workers_.size(); }
   const RuntimeConfig& config() const { return config_; }
@@ -398,10 +398,6 @@ class LookupRuntime {
     std::unique_ptr<SpscRing<ControlMsg>> control;
     /// fills[i]: ring produced by worker i, consumed by this worker.
     std::vector<std::unique_ptr<SpscRing<FillMsg>>> fills;
-    /// The chip's one flat image, patched in place by the control role
-    /// and read under an epoch pin by this worker: hops and stored route
-    /// shapes alike. No trie, and no per-publish copy.
-    std::unique_ptr<engine::FlatLookupTable> flat;
     /// Bumped by the control role after every patch's stores; a worker
     /// loads it (before its batch's image loads) to stamp DRed fills, and
     /// a fill older than its home chip's version is stale.
@@ -505,6 +501,10 @@ class LookupRuntime {
   std::vector<Ipv4Address> boundaries_;  // control-role state
   std::atomic<engine::IndexingLogic*> indexing_{nullptr};
   EpochDomain epoch_;
+  /// Each chip's one flat image (chips_[i] is worker i's), patched in
+  /// place by the control role and read under an epoch pin by its worker:
+  /// hops and stored route shapes alike. No trie, and no per-publish copy.
+  std::vector<std::unique_ptr<engine::FlatLookupTable>> chips_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stop_{false};
   bool dred_enabled_ = false;

@@ -13,22 +13,26 @@ constexpr std::size_t kMaxStepsPerPass = 64;
 
 }  // namespace
 
-MigrationRun plan_migration_run(const MigrationStep& step,
-                                std::span<const netbase::Route> donor_routes,
-                                std::size_t receiver_free) {
+MigrationRun plan_migration_run(
+    const MigrationStep& step,
+    std::span<const std::unique_ptr<engine::FlatLookupTable>> chips,
+    std::size_t capacity) {
   MigrationRun run;
   const bool rightward = step.receiver == step.donor + 1;
   run.boundary = rightward ? step.donor : step.receiver;
-  std::size_t count = std::min(step.count, donor_routes.size());
-  if (!rightward && count > 0) {
-    count = std::min(count, donor_routes.size() - 1);
+  const std::size_t occupied = chips[step.receiver]->route_count();
+  const std::size_t count =
+      std::min(step.count, capacity - std::min(occupied, capacity));
+  chips[step.donor]->stored_within(netbase::Prefix(), run.routes,
+                                   count + !rightward, rightward);
+  if (run.routes.empty()) return run;
+  if (rightward) {
+    run.new_boundary = run.routes.front().prefix.range_low();
+  } else {
+    // The walk's last route stays: the donor's range now begins at it.
+    run.new_boundary = run.routes.back().prefix.range_low();
+    run.routes.pop_back();
   }
-  count = std::min(count, receiver_free);
-  if (count == 0) return run;
-  run.count = count;
-  run.first = rightward ? donor_routes.size() - count : 0;
-  run.new_boundary = rightward ? donor_routes[run.first].prefix.range_low()
-                               : donor_routes[count].prefix.range_low();
   return run;
 }
 

@@ -10,23 +10,26 @@
 // *neighboring* chips. Because the table is non-overlapping and each
 // chip owns one contiguous address range, a migration is always "move
 // the k highest entries of chip i to chip i+1" (or the mirror) plus one
-// boundary move — every migrated entry is a plain append on the
-// receiver and a one-shift delete on the donor (§IV-B).
+// boundary move — every migrated entry is one write on the receiver and
+// one erase on the donor (§IV-B's order-free chip).
 //
 // This header is the planning side: occupancies in, one executable
-// MigrationStep out, and the pass loop that repeats plan and execute.
-// The execution protocols live with the hosts — runtime::LookupRuntime
-// runs the epoch-ordered concurrent protocol, system::ClueSystem the
-// serial one — so the same planner drives both planes and they balance
-// identically.
+// MigrationStep out, the run that step moves (read off the donor's flat
+// image, walking only its edge), and the pass loop that repeats plan and
+// execute. Both hosts hold each chip as an engine::FlatLookupTable and
+// only the execution protocols differ — runtime::LookupRuntime runs the
+// epoch-ordered concurrent one, system::ClueSystem the serial one — so
+// the two planes pick the same runs and balance identically.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "engine/flat_table.hpp"
 #include "netbase/prefix.hpp"
 
 namespace clue::runtime {
@@ -54,23 +57,26 @@ struct MigrationStep {
 /// The concrete run one MigrationStep moves, shared by both hosts'
 /// migration protocols.
 struct MigrationRun {
-  std::size_t first = 0;  ///< index of the first moved route
-  std::size_t count = 0;  ///< routes moved; 0 = nothing executable
+  /// The routes moved, in address order; empty = nothing executable.
+  std::vector<netbase::Route> routes;
   std::size_t boundary = 0;  ///< index of the shared boundary that moves
   netbase::Ipv4Address new_boundary{};  ///< that boundary's new address
 };
 
-/// Selects the boundary-adjacent run for `step` from the donor's stored
-/// routes (address-sorted): the top `count` moving right, the bottom
-/// `count` moving left. The count is clamped to what the donor holds, to
-/// keep at least one route on a leftward donor (so its upper boundary
-/// stays at a real stored address), and to `receiver_free` so every
-/// migrated entry finds a slot. The new boundary is where the receiver's
-/// range now ends or begins: the first moved route's low address moving
-/// right, the first kept route's moving left.
-MigrationRun plan_migration_run(const MigrationStep& step,
-                                std::span<const netbase::Route> donor_routes,
-                                std::size_t receiver_free);
+/// Selects the boundary-adjacent run for `step` off the donor's image in
+/// `chips`: the top `count` stored routes moving right, the bottom `count`
+/// moving left. Only that edge of the image is walked (the run, plus the
+/// first kept route moving left), so a step costs the run, not the chip.
+/// The count is clamped to what the donor holds, to keep at least one
+/// route on a leftward donor (so its upper boundary stays at a real
+/// stored address), and to the receiver's free room under `capacity`.
+/// The new boundary is where the receiver's range now ends or begins: the
+/// first moved route's low address moving right, the first kept route's
+/// moving left.
+MigrationRun plan_migration_run(
+    const MigrationStep& step,
+    std::span<const std::unique_ptr<engine::FlatLookupTable>> chips,
+    std::size_t capacity);
 
 /// max/min occupancy ratio, with empty chips counted as 1 so the ratio
 /// stays finite. 1.0 for perfectly even (or <2 chips).

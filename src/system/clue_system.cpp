@@ -8,47 +8,25 @@
 
 namespace clue::system {
 
-namespace {
-
-/// Auto-sized capacity: room for a chip to grow to 2x its initial share.
-constexpr double kAutoHeadroom = 1.0;
-
-}  // namespace
-
 ClueSystem::ClueSystem(const trie::BinaryTrie& fib,
                        const SystemConfig& config)
     : fib_(fib), rebalance_(config.rebalance) {
   const auto table = fib_.compressed().routes();
   const auto partitions =
       partition::even_partition(table, config.tcam_count);
+  tcam_capacity_ =
+      update::chip_capacity("ClueSystem", config.tcam_capacity, partitions);
   boundaries_ =
       partition::even_partition_boundaries(table, config.tcam_count);
-  refresh_indexing();
-
-  tcam_capacity_ =
-      config.tcam_capacity > 0
-          ? config.tcam_capacity
-          : update::auto_capacity(table.size() / config.tcam_count + 1,
-                                  kAutoHeadroom);
-  update::require_capacity("ClueSystem", tcam_capacity_,
-                           partitions.max_bucket());
+  indexing_ = std::make_unique<engine::IndexingLogic>(boundaries_);
   chips_.reserve(config.tcam_count);
   dreds_.reserve(config.tcam_count);
   for (std::size_t i = 0; i < config.tcam_count; ++i) {
-    chips_.push_back(std::make_unique<tcam::ClueUpdater>(tcam_capacity_));
-    for (const auto& route : partitions.buckets[i].routes) {
-      chips_[i]->insert(tcam::TcamEntry{route.prefix, route.next_hop});
-    }
+    chips_.push_back(std::make_unique<engine::FlatLookupTable>(
+        partitions.buckets[i].routes));
     dreds_.push_back(
         std::make_unique<engine::DredStore>(config.dred_capacity));
   }
-}
-
-void ClueSystem::refresh_indexing() {
-  std::vector<std::size_t> identity(boundaries_.size() + 1);
-  for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
-  indexing_ =
-      std::make_unique<engine::IndexingLogic>(boundaries_, identity);
 }
 
 std::size_t ClueSystem::chip_of(Ipv4Address address) const {
@@ -56,8 +34,7 @@ std::size_t ClueSystem::chip_of(Ipv4Address address) const {
 }
 
 NextHop ClueSystem::lookup(Ipv4Address address) {
-  const auto result = chips_[chip_of(address)]->chip().search(address);
-  return result.hit ? result.next_hop : netbase::kNoRoute;
+  return chips_[chip_of(address)]->lookup(address);
 }
 
 update::TtfSample ClueSystem::apply(const workload::UpdateMsg& message) {
@@ -72,32 +49,12 @@ update::BatchTtfSample ClueSystem::apply_batch(
     std::span<const workload::UpdateMsg> messages) {
   update::BatchTxn txn(fib_, messages, plan_);
   const update::CommitPlan& plan = txn.admit(update::CommitHost{
-      boundaries_, tcam_capacity_,
-      [this](std::size_t chip) { return chips_[chip]->size(); },
-      [this](std::size_t chip, const Prefix& region,
-             std::vector<Route>& out) {
-        const auto stored = chips_[chip]->chip().entries_within(region);
-        out.insert(out.end(), stored.begin(), stored.end());
-      },
+      boundaries_, chips_, tcam_capacity_,
       [this] { return rebalance_ ? rebalance_pass() : 0; }});
   update::BatchTtfSample batch = txn.sample();
   updates_rejected_ += batch.rejected;
-
-  // Chips update in parallel: TTF2 is the busiest chip's op count.
-  std::size_t critical_ops = 0;
-  for (std::size_t chip = 0; chip < chips_.size(); ++chip) {
-    tcam::ClueUpdater& updater = *chips_[chip];
-    std::size_t ops = 0;
-    for (const auto& prefix : plan.chips[chip].erases) {
-      ops += updater.erase(prefix);
-    }
-    for (const auto& route : plan.chips[chip].writes) {
-      ops += updater.insert(tcam::TcamEntry{route.prefix, route.next_hop});
-    }
-    critical_ops = std::max(critical_ops, ops);
-  }
   batch.ttf.ttf2_ns =
-      static_cast<double>(critical_ops) * update::CostModel::kTcamOpNs;
+      static_cast<double>(patch(plan.chips)) * update::CostModel::kTcamOpNs;
 
   // DRed sync (§IV-C): one parallel probe per synced stored shape.
   for (const auto& dred : dreds_) {
@@ -118,19 +75,36 @@ update::BatchTtfSample ClueSystem::apply_batch(
   return batch;
 }
 
+std::size_t ClueSystem::patch(std::span<const update::ChipWork> chips) {
+  // Build, then publish: a stage that throws discards the patches staged
+  // before it as `staged` unwinds.
+  std::vector<engine::FlatLookupTable::Patch> staged(chips.size());
+  std::size_t critical_ops = 0;
+  for (std::size_t chip = 0; chip < chips.size(); ++chip) {
+    if (chips[chip].empty()) continue;
+    staged[chip] = chips_[chip]->stage(chips[chip].erases, chips[chip].writes);
+    // Order-free chip (§IV-B): one write or erase per net op, chips in
+    // parallel.
+    critical_ops = std::max(
+        critical_ops, chips[chip].erases.size() + chips[chip].writes.size());
+  }
+  // No reader runs beside the serial host: what a patch unlinks parks at
+  // once, when its bundle is dropped.
+  for (std::size_t chip = 0; chip < chips.size(); ++chip) {
+    if (!chips[chip].empty()) chips_[chip]->apply(std::move(staged[chip]));
+  }
+  return critical_ops;
+}
+
 void ClueSystem::warm(const std::vector<Ipv4Address>& addresses) {
   for (const auto address : addresses) {
     const std::size_t home = chip_of(address);
-    tcam::TcamChip& chip = chips_[home]->chip();
-    const auto result = chip.search(address);
-    if (!result.hit) continue;
     // The stored shape, not the compressed region: a region split at a
     // boundary is stored as pieces, and the DRed sync erases pieces.
-    const tcam::TcamEntry& stored = *chip.read(result.slot);
+    const auto stored = chips_[home]->lookup_route(address);
+    if (!stored) continue;
     for (std::size_t i = 0; i < dreds_.size(); ++i) {
-      if (engine::dred_may_cache(i, home)) {
-        dreds_[i]->insert(Route{stored.prefix, stored.next_hop});
-      }
+      if (engine::dred_may_cache(i, home)) dreds_[i]->insert(*stored);
     }
   }
 }
@@ -138,7 +112,7 @@ void ClueSystem::warm(const std::vector<Ipv4Address>& addresses) {
 std::vector<std::size_t> ClueSystem::chip_occupancy() const {
   std::vector<std::size_t> occupancy(chips_.size());
   for (std::size_t i = 0; i < chips_.size(); ++i) {
-    occupancy[i] = chips_[i]->size();
+    occupancy[i] = chips_[i]->route_count();
   }
   return occupancy;
 }
@@ -148,26 +122,22 @@ double ClueSystem::skew() const {
 }
 
 std::size_t ClueSystem::migrate(const runtime::MigrationStep& step) {
-  auto& donor = *chips_[step.donor];
-  auto& receiver = *chips_[step.receiver];
-  // Prefix() is 0.0.0.0/0: all stored routes, address-sorted.
-  const std::vector<Route> donor_routes =
-      donor.chip().entries_within(Prefix());
-  const runtime::MigrationRun run = runtime::plan_migration_run(
-      step, donor_routes, receiver.chip().capacity() - receiver.size());
-  if (run.count == 0) return 0;
-  for (std::size_t i = run.first; i < run.first + run.count; ++i) {
-    const Route& route = donor_routes[i];
-    receiver.insert(tcam::TcamEntry{route.prefix, route.next_hop});
-    donor.erase(route.prefix);
+  const runtime::MigrationRun run =
+      runtime::plan_migration_run(step, chips_, tcam_capacity_);
+  if (run.routes.empty()) return 0;
+  std::vector<update::ChipWork> work(chips_.size());
+  for (const Route& route : run.routes) {
+    work[step.receiver].writes.push_back(route);
+    work[step.donor].erases.push_back(route.prefix);
     // Exclusion invariant: the receiver's DRed must not cache what is
     // now the receiver's own prefix. Other DReds may keep it — the
     // route itself did not change.
     dreds_[step.receiver]->erase(route.prefix);
   }
+  patch(work);
   boundaries_[run.boundary] = run.new_boundary;
-  refresh_indexing();
-  return run.count;
+  indexing_ = std::make_unique<engine::IndexingLogic>(boundaries_);
+  return run.routes.size();
 }
 
 std::size_t ClueSystem::rebalance_pass() {
@@ -191,22 +161,16 @@ std::unique_ptr<runtime::LookupRuntime> ClueSystem::runtime(
 engine::EngineSetup ClueSystem::engine_setup() const {
   engine::EngineSetup setup;
   setup.bucket_boundaries = boundaries_;
-  setup.bucket_to_tcam.resize(chips_.size());
   for (std::size_t i = 0; i < chips_.size(); ++i) {
-    setup.bucket_to_tcam[i] = i;
-  }
-  setup.tcam_routes.resize(chips_.size());
-  for (std::size_t i = 0; i < chips_.size(); ++i) {
-    for (const auto& [slot, entry] : chips_[i]->chip().entries()) {
-      setup.tcam_routes[i].push_back(Route{entry.prefix, entry.next_hop});
-    }
+    setup.bucket_to_tcam.push_back(i);
+    setup.tcam_routes.push_back(chips_[i]->stored_within(Prefix()));
   }
   return setup;
 }
 
 std::size_t ClueSystem::total_tcam_entries() const {
   std::size_t total = 0;
-  for (const auto& chip : chips_) total += chip->size();
+  for (const auto& chip : chips_) total += chip->route_count();
   return total;
 }
 
@@ -238,7 +202,7 @@ void ClueSystem::export_metrics(obs::MetricsRegistry& registry) const {
                                      static_cast<double>(tcam_capacity_));
   for (std::size_t i = 0; i < chips_.size(); ++i) {
     const std::string prefix = "system.chip" + std::to_string(i);
-    registry.set_counter(prefix + ".entries", chips_[i]->size());
+    registry.set_counter(prefix + ".entries", chips_[i]->route_count());
     const auto& stats = dreds_[i]->stats();
     registry.set_counter(prefix + ".dred.insertions", stats.insertions);
     registry.set_counter(prefix + ".dred.updates", stats.updates);

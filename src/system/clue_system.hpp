@@ -1,14 +1,16 @@
 // ClueSystem — the deployable facade over the whole paper.
 //
 // One object owning the complete forwarding plane: the incremental
-// ONRTC control plane, N slot-level TCAM chips holding the even range
-// partition of the compressed table, and the per-chip DRed stores.
-// It answers lookups straight from the chips and pushes BGP updates end
-// to end with TTF accounting — the API a linecard integration would
-// program against. (The clock-stepped ParallelEngine remains the tool
-// for throughput experiments; this class is about *state* fidelity:
-// chip contents always equal the compressed table, split at the
-// partition boundaries.)
+// ONRTC control plane, N chips holding the even range partition of the
+// compressed table, and the per-chip DRed stores. Each chip is an
+// engine::FlatLookupTable painted from its partition bucket, the same
+// chip model runtime::LookupRuntime runs, so admission and migration
+// read both hosts' chips the same way. It answers lookups straight from
+// the chips and pushes BGP updates end to end with TTF accounting — the
+// API a linecard integration would program against. (The clock-stepped
+// ParallelEngine remains the tool for throughput experiments; this class
+// is about *state* fidelity: chip contents always equal the compressed
+// table, split at the partition boundaries.)
 //
 // Boundary subtlety the paper glosses over: an update can create a
 // merged region that *spans* a partition boundary. Storing it on one
@@ -19,7 +21,9 @@
 // With tcam_count = 1 this is the paper's whole-path update on a single
 // chip (Fig. 6), the configuration Figs. 10-14 charge CLUE with:
 //   TTF1 — measured wall time of the incremental ONRTC trie update;
-//   TTF2 — TCAM operations x 24 ns (ClueUpdater: <= 1 shift per diff op);
+//   TTF2 — TCAM operations x 24 ns: a disjoint chip is order-free
+//          (§IV-B), so each net op is one write or one erase, and the
+//          chips update in parallel (the busiest chip's op count);
 //   TTF3 — DRed synchronisation: inserts need nothing, deletes/modifies
 //          are one parallel probe across all DReds per synced shape.
 #pragma once
@@ -30,6 +34,7 @@
 #include <vector>
 
 #include "engine/dred.hpp"
+#include "engine/flat_table.hpp"
 #include "engine/indexing_logic.hpp"
 #include "engine/parallel_engine.hpp"
 #include "obs/metrics_registry.hpp"
@@ -128,8 +133,8 @@ class ClueSystem {
       runtime::RuntimeConfig config = {}) const;
 
   const onrtc::CompressedFib& fib() const { return fib_; }
-  const tcam::TcamChip& chip(std::size_t i) const {
-    return chips_[i]->chip();
+  const engine::FlatLookupTable& chip(std::size_t i) const {
+    return *chips_[i];
   }
   const engine::DredStore& dred(std::size_t i) const { return *dreds_[i]; }
   std::size_t tcam_count() const { return chips_.size(); }
@@ -149,8 +154,10 @@ class ClueSystem {
  private:
   /// The chip index owning `address`.
   std::size_t chip_of(Ipv4Address address) const;
-  /// Rebuilds indexing_ from boundaries_ after a migration.
-  void refresh_indexing();
+  /// Patches every chip `chips[i]` names work for (erases, then writes):
+  /// stages all of them first, so a diff an image rejects throws with no
+  /// chip touched, then applies each. Returns the busiest chip's op count.
+  std::size_t patch(std::span<const update::ChipWork> chips);
   /// Executes one planned migration; returns entries moved.
   std::size_t migrate(const runtime::MigrationStep& step);
   /// One runtime::run_rebalance_pass over this system's chips; returns
@@ -160,7 +167,7 @@ class ClueSystem {
   onrtc::CompressedFib fib_;
   std::vector<Ipv4Address> boundaries_;  // ascending, chips-1 of them
   std::unique_ptr<engine::IndexingLogic> indexing_;
-  std::vector<std::unique_ptr<tcam::ClueUpdater>> chips_;
+  std::vector<std::unique_ptr<engine::FlatLookupTable>> chips_;
   std::vector<std::unique_ptr<engine::DredStore>> dreds_;
   bool rebalance_ = true;
   std::size_t tcam_capacity_ = 0;

@@ -24,7 +24,7 @@ using onrtc::FibOpKind;
 /// returns whether every chip's exact projected occupancy fits.
 bool plan_fits(std::span<const FibOp> merged, const CommitHost& host,
                CommitPlan& plan) {
-  const std::size_t chips = host.boundaries.size() + 1;
+  const std::size_t chips = host.chips.size();
   // Cleared, not replaced: every vector keeps its capacity.
   plan.chips.resize(chips);
   for (ChipWork& work : plan.chips) {
@@ -58,7 +58,7 @@ bool plan_fits(std::span<const FibOp> merged, const CommitHost& host,
       if (chip == last_chip) continue;
       last_chip = chip;
       plan.stored.clear();
-      host.stored_within(chip, op.route.prefix, plan.stored);
+      host.chips[chip]->stored_within(op.route.prefix, plan.stored);
       for (const Route& stored : plan.stored) {
         if (op.kind == FibOpKind::kDelete) {
           plan.chips[chip].erases.push_back(stored.prefix);
@@ -72,7 +72,7 @@ bool plan_fits(std::span<const FibOp> merged, const CommitHost& host,
     }
   }
   for (std::size_t chip = 0; chip < chips; ++chip) {
-    const std::size_t projected = host.occupancy(chip) -
+    const std::size_t projected = host.chips[chip]->route_count() -
                                   plan.chips[chip].erases.size() +
                                   added[chip];
     if (projected > host.capacity) return false;
@@ -168,14 +168,20 @@ std::size_t auto_capacity(std::size_t share, double headroom) {
          8192;
 }
 
-void require_capacity(const char* host, std::size_t capacity,
-                      std::size_t share) {
+std::size_t chip_capacity(const char* host, std::size_t requested,
+                          const partition::PartitionResult& partitions) {
+  const std::size_t even_share =
+      partitions.total_entries() / partitions.buckets.size() + 1;
+  const std::size_t capacity =
+      requested > 0 ? requested : auto_capacity(even_share, 1.0);
+  const std::size_t share = partitions.max_bucket();
   if (share > capacity) {
     throw std::invalid_argument(std::string(host) + ": capacity " +
                                 std::to_string(capacity) +
                                 " is below the initial share " +
                                 std::to_string(share));
   }
+  return capacity;
 }
 
 BatchTxn::BatchTxn(onrtc::CompressedFib& fib,

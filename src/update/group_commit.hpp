@@ -3,12 +3,13 @@
 //
 // The paper's update path (§IV, Fig. 6) is one sequence: ONRTC diff
 // (TTF1), order-free TCAM writes (TTF2), DRed sync (TTF3). BatchTxn owns
-// the part of it that does not depend on how a host stores its chips:
-// it journals every message's diff, back to back in one flat op journal,
-// with the prior hop the diff reported (the rollback token), coalesces
-// the ops to the batch's net effect, expands them into per-chip work,
-// admits that work under one exact rule, and on overflow runs one
-// emergency rebalance and then rolls back the batch suffix.
+// the part of it that does not depend on how a host publishes to its
+// chips (both hold each chip as an engine::FlatLookupTable): it journals
+// every message's diff, back to back in one flat op journal, with the
+// prior hop the diff reported (the rollback token), coalesces the ops to
+// the batch's net effect, expands them into per-chip work, admits that
+// work under one exact rule, and on overflow runs one emergency
+// rebalance and then rolls back the batch suffix.
 //
 // A BGP burst delivers many messages back to back; running each one's
 // ONRTC diff is unavoidable (TTF1), but everything downstream — TCAM
@@ -42,11 +43,14 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "engine/flat_table.hpp"
 #include "onrtc/compressed_fib.hpp"
+#include "partition/partition.hpp"
 #include "update/cost_model.hpp"
 #include "workload/update_gen.hpp"
 
@@ -83,24 +87,23 @@ struct BatchTtfSample {
 /// `headroom` (a fraction, clamped at 0) of growth room, plus 8192 slack.
 std::size_t auto_capacity(std::size_t share, double headroom);
 
-/// The up-front check every host runs before it builds a chip: throws
-/// std::invalid_argument, naming `host` and both sizes, when `capacity`
-/// cannot hold the largest initial `share` one chip must store.
-void require_capacity(const char* host, std::size_t capacity,
-                      std::size_t share);
+/// The per-chip capacity a host enforces, checked before it builds any
+/// chip: `requested`, or when 0 auto_capacity(even share + 1, 1.0), room
+/// for a chip to grow to twice its initial share. Throws
+/// std::invalid_argument, naming `host` and both sizes, when the capacity
+/// cannot hold the largest initial bucket of `partitions`.
+std::size_t chip_capacity(const char* host, std::size_t requested,
+                          const partition::PartitionResult& partitions);
 
 /// A host's data plane as the commit transaction sees it: range-
 /// partitioned chips (chip i owns the addresses from boundaries[i-1] up
-/// to boundaries[i]; a single-chip host has no boundaries).
+/// to boundaries[i]; a single-chip host has no boundaries), each held as
+/// its flat image. Admission reads each image's route count and the
+/// stored shapes within a region.
 struct CommitHost {
   const std::vector<netbase::Ipv4Address>& boundaries;
+  std::span<const std::unique_ptr<engine::FlatLookupTable>> chips;
   std::size_t capacity;  ///< per chip, in entries
-  std::function<std::size_t(std::size_t chip)> occupancy;
-  /// Appends to `out` the routes stored on `chip` whose prefix lies
-  /// within `region`.
-  std::function<void(std::size_t chip, const netbase::Prefix& region,
-                     std::vector<netbase::Route>& out)>
-      stored_within;
   /// Makes room before admission sheds anything; returns the number of
   /// migrations run. Empty when the host does not rebalance.
   std::function<std::size_t()> emergency_rebalance;

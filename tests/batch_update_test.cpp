@@ -293,7 +293,7 @@ TEST(BatchUpdate, WarmedSystemBatchMatchesSequential) {
 TEST(BatchUpdate, AnnounceAndWithdrawOfSamePrefixInOneBatch) {
   const auto fib = make_fib(2'000, 71);
   system::ClueSystem host(fib, system::SystemConfig{.tcam_count = 1});
-  const auto before_occupied = host.chip(0).occupied();
+  const auto before_occupied = host.chip(0).route_count();
   const auto truth_before = [&] {
     std::vector<NextHop> hops;
     for (const auto address : random_addresses(4'000, 72)) {
@@ -317,7 +317,7 @@ TEST(BatchUpdate, AnnounceAndWithdrawOfSamePrefixInOneBatch) {
   EXPECT_EQ(sample.rejected, 0u);
   EXPECT_LT(sample.merged_ops, sample.raw_ops);
 
-  EXPECT_EQ(host.chip(0).occupied(), before_occupied);
+  EXPECT_EQ(host.chip(0).route_count(), before_occupied);
   EXPECT_EQ(host.fib().ground_truth().lookup(
                 Ipv4Address::from_octets(203, 0, 113, 5)),
             fib.lookup(Ipv4Address::from_octets(203, 0, 113, 5)));
@@ -374,11 +374,11 @@ TEST(BatchUpdate, OverflowRejectsSuffixAndStaysConsistent) {
   EXPECT_GT(sample.rejected, 0u) << "batch never overflowed the TCAM";
   EXPECT_EQ(sample.applied + sample.rejected, batch.size());
   EXPECT_EQ(host.updates_rejected(), sample.rejected);
-  EXPECT_LE(host.chip(0).occupied(), config.tcam_capacity);
+  EXPECT_LE(host.chip(0).route_count(), config.tcam_capacity);
 
   // The committed prefix is installed, the rejected suffix is not, and
   // chip/trie agree everywhere.
-  EXPECT_EQ(host.chip(0).occupied(), host.fib().size());
+  EXPECT_EQ(host.chip(0).route_count(), host.fib().size());
   for (const auto address : random_addresses(20'000, 83)) {
     ASSERT_EQ(host.lookup(address),
               host.fib().ground_truth().lookup(address))

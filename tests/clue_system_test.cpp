@@ -223,7 +223,7 @@ TEST(ClueSystem, RuntimeStartsFromTheLiveCompressedFib) {
 TEST(ClueSystemOneChip, TcamMirrorsCompressedTableInitially) {
   const auto fib = make_fib(2'000, 31);
   ClueSystem system(fib, SystemConfig{.tcam_count = 1});
-  EXPECT_EQ(system.chip(0).occupied(), system.fib().size());
+  EXPECT_EQ(system.chip(0).route_count(), system.fib().size());
 }
 
 TEST(ClueSystemOneChip, LookupMatchesGroundTruthAfterUpdates) {
@@ -349,11 +349,12 @@ std::string dred_violation(const ClueSystem& system) {
       const std::string what = dred + cached.prefix.to_string();
       bool stored = false;
       for (std::size_t chip = 0; chip < system.tcam_count(); ++chip) {
-        const auto slot = system.chip(chip).slot_of(cached.prefix);
-        if (!slot) continue;
+        const auto shape =
+            system.chip(chip).lookup_route(cached.prefix.range_low());
+        if (!shape || shape->prefix != cached.prefix) continue;
         stored = true;
         if (chip == i) return what + ", its own chip's prefix";
-        if (system.chip(chip).read(*slot)->next_hop != cached.next_hop) {
+        if (shape->next_hop != cached.next_hop) {
           return what + " with a stale hop";
         }
       }
@@ -371,7 +372,8 @@ TEST(ClueSystem, DeleteErasesFromWarmDreds) {
   fib.insert(*Prefix::parse("200.0.0.0/8"), make_next_hop(4));
   ClueSystem system(fib, SystemConfig{});
   const Prefix slash8 = *Prefix::parse("10.0.0.0/8");
-  ASSERT_TRUE(system.chip(0).slot_of(slash8).has_value());
+  ASSERT_EQ(system.chip(0).lookup_route(slash8.range_low()),
+            (netbase::Route{slash8, make_next_hop(1)}));
   system.warm({Ipv4Address::from_octets(10, 1, 2, 3),
                Ipv4Address::from_octets(10, 4, 5, 6)});
   // Homed at chip 0, the /8 is cached in every other DRed; withdrawing
@@ -417,7 +419,8 @@ TEST(ClueSystem, WarmCachesTheStoredPiecesOfASplitRegion) {
                 Ipv4Address::from_octets(32, 0, 0, 1))->prefix,
             region);
   for (std::size_t chip = 0; chip < system.tcam_count(); ++chip) {
-    ASSERT_FALSE(system.chip(chip).slot_of(region)) << "chip " << chip;
+    const auto shape = system.chip(chip).lookup_route(region.range_low());
+    ASSERT_FALSE(shape && shape->prefix == region) << "chip " << chip;
   }
 
   // The DReds cache the pieces either end matched, never the region the

@@ -100,10 +100,10 @@ struct Hosts {
     const auto routes = single.fib().compressed().routes();
     EXPECT_EQ(system.fib().compressed().routes(), routes);
     EXPECT_EQ(runtime.fib().compressed().routes(), routes);
-    EXPECT_EQ(single.chip(0).entries_within(Prefix()), routes);
+    EXPECT_EQ(single.chip(0).stored_within(Prefix()), routes);
     std::vector<Route> system_entries;
     for (std::size_t i = 0; i < system.tcam_count(); ++i) {
-      const auto chip = system.chip(i).entries_within(Prefix());
+      const auto chip = system.chip(i).stored_within(Prefix());
       system_entries.insert(system_entries.end(), chip.begin(), chip.end());
     }
     EXPECT_EQ(system_entries, routes);
@@ -144,7 +144,7 @@ TEST(CommitTxn, MergingAnnounceFitsBrimFullChips) {
   hosts.apply_batch(batch);
   EXPECT_EQ(hosts.last.applied, 1u);
   EXPECT_EQ(hosts.last.rejected, 0u);
-  EXPECT_EQ(hosts.single.chip(0).occupied(), kRoutes - 1);
+  EXPECT_EQ(hosts.single.chip(0).route_count(), kRoutes - 1);
   EXPECT_EQ(hosts.single.lookup(Ipv4Address::from_octets(10, 0, 0, 200)),
             make_next_hop(1));
   hosts.expect_identical();
@@ -179,7 +179,7 @@ TEST(CommitTxn, WithdrawAndAnnounceInOneBatchFitBrimFullChips) {
   hosts.apply_batch(swap);
   EXPECT_EQ(hosts.last.applied, 2u);
   EXPECT_EQ(hosts.last.rejected, 0u);
-  EXPECT_EQ(hosts.single.chip(0).occupied(), kRoutes);
+  EXPECT_EQ(hosts.single.chip(0).route_count(), kRoutes);
   hosts.expect_identical();
 }
 
@@ -203,7 +203,7 @@ TEST(CommitTxn, OverflowShedsTheSameSuffixOnEveryHost) {
   EXPECT_GT(hosts.last.applied, 0u);
   EXPECT_GT(hosts.last.rejected, 0u) << "batch never overflowed";
   EXPECT_EQ(hosts.last.applied + hosts.last.rejected, batch.size());
-  EXPECT_LE(hosts.single.chip(0).occupied(), kRoutes + 64);
+  EXPECT_LE(hosts.single.chip(0).route_count(), kRoutes + 64);
   hosts.expect_identical();
 }
 

@@ -1,5 +1,6 @@
 // Online boundary rebalancer: planner unit tests, migration correctness
-// on the concurrent runtime and the serial system, overflow rejection
+// on the concurrent runtime and the serial system (and their agreement
+// on one skew), overflow rejection
 // with trie rollback on all three hosts, and the churn-soak — sustained
 // skewed updates under concurrent lookups with a windowed version
 // oracle (sized by CLUE_SOAK_UPDATES; see ci/check.sh's soak stage).
@@ -12,9 +13,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "engine/flat_table.hpp"
 #include "netbase/rng.hpp"
 #include "runtime/lookup_runtime.hpp"
 #include "system/clue_system.hpp"
@@ -34,6 +38,8 @@ using clue::netbase::make_next_hop;
 using clue::netbase::NextHop;
 using clue::netbase::Pcg32;
 using clue::netbase::Prefix;
+using clue::netbase::Route;
+using clue::engine::FlatLookupTable;
 using clue::runtime::LookupRuntime;
 using clue::runtime::MigrationStep;
 using clue::runtime::even_targets;
@@ -153,10 +159,11 @@ TEST(RebalancePlannerTest, PlanStepConvergesToEvenFromAnySkew) {
   }
 }
 
-// plan_migration_run: the run both hosts' migrate() execute.
+// plan_migration_run: the run both hosts' migrate() execute, read off the
+// donor's flat image.
 
-std::vector<clue::netbase::Route> four_routes() {
-  std::vector<clue::netbase::Route> routes;
+std::vector<Route> four_routes() {
+  std::vector<Route> routes;
   for (const char* text : {"10.0.0.0/8", "20.0.0.0/8", "30.0.0.0/8",
                            "40.0.0.0/8"}) {
     routes.push_back({*Prefix::parse(text), make_next_hop(1)});
@@ -164,12 +171,24 @@ std::vector<clue::netbase::Route> four_routes() {
   return routes;
 }
 
+/// Three chip images: `routes` on chip `donor`, the others empty.
+std::vector<std::unique_ptr<FlatLookupTable>> chips_with(
+    std::size_t donor, const std::vector<Route>& routes) {
+  std::vector<std::unique_ptr<FlatLookupTable>> chips;
+  for (std::size_t i = 0; i < 3; ++i) {
+    chips.push_back(std::make_unique<FlatLookupTable>(
+        i == donor ? std::span<const Route>(routes)
+                   : std::span<const Route>()));
+  }
+  return chips;
+}
+
 TEST(RebalancePlannerTest, MigrationRunRightwardTakesTopRoutes) {
   const auto routes = four_routes();
   const auto run = clue::runtime::plan_migration_run(
-      MigrationStep{.donor = 1, .receiver = 2, .count = 2}, routes, 100);
-  EXPECT_EQ(run.first, 2u);
-  EXPECT_EQ(run.count, 2u);
+      MigrationStep{.donor = 1, .receiver = 2, .count = 2},
+      chips_with(1, routes), 100);
+  EXPECT_EQ(run.routes, (std::vector<Route>{routes[2], routes[3]}));
   EXPECT_EQ(run.boundary, 1u);  // between donor 1 and receiver 2
   // The receiver's range now begins at the first route to cross.
   EXPECT_EQ(run.new_boundary, routes[2].prefix.range_low());
@@ -178,9 +197,9 @@ TEST(RebalancePlannerTest, MigrationRunRightwardTakesTopRoutes) {
 TEST(RebalancePlannerTest, MigrationRunLeftwardTakesBottomRoutes) {
   const auto routes = four_routes();
   const auto run = clue::runtime::plan_migration_run(
-      MigrationStep{.donor = 2, .receiver = 1, .count = 2}, routes, 100);
-  EXPECT_EQ(run.first, 0u);
-  EXPECT_EQ(run.count, 2u);
+      MigrationStep{.donor = 2, .receiver = 1, .count = 2},
+      chips_with(2, routes), 100);
+  EXPECT_EQ(run.routes, (std::vector<Route>{routes[0], routes[1]}));
   EXPECT_EQ(run.boundary, 1u);
   // The donor's range now begins at the first route that stays.
   EXPECT_EQ(run.new_boundary, routes[2].prefix.range_low());
@@ -189,34 +208,40 @@ TEST(RebalancePlannerTest, MigrationRunLeftwardTakesBottomRoutes) {
 TEST(RebalancePlannerTest, MigrationRunLeftwardDonorKeepsOneRoute) {
   const auto routes = four_routes();
   const auto run = clue::runtime::plan_migration_run(
-      MigrationStep{.donor = 1, .receiver = 0, .count = 10}, routes, 100);
-  EXPECT_EQ(run.first, 0u);
-  EXPECT_EQ(run.count, 3u);
+      MigrationStep{.donor = 1, .receiver = 0, .count = 10},
+      chips_with(1, routes), 100);
+  EXPECT_EQ(run.routes,
+            (std::vector<Route>{routes[0], routes[1], routes[2]}));
   EXPECT_EQ(run.new_boundary, routes[3].prefix.range_low());
   // A rightward donor may give everything it holds.
   const auto all = clue::runtime::plan_migration_run(
-      MigrationStep{.donor = 0, .receiver = 1, .count = 10}, routes, 100);
-  EXPECT_EQ(all.first, 0u);
-  EXPECT_EQ(all.count, 4u);
+      MigrationStep{.donor = 0, .receiver = 1, .count = 10},
+      chips_with(0, routes), 100);
+  EXPECT_EQ(all.routes, routes);
   EXPECT_EQ(all.new_boundary, routes[0].prefix.range_low());
 }
 
 TEST(RebalancePlannerTest, MigrationRunClampsToReceiverFreeCapacity) {
   const auto routes = four_routes();
-  const auto run = clue::runtime::plan_migration_run(
-      MigrationStep{.donor = 0, .receiver = 1, .count = 3}, routes, 1);
-  EXPECT_EQ(run.first, 3u);
-  EXPECT_EQ(run.count, 1u);
+  const auto chips = chips_with(0, routes);
+  const MigrationStep step{.donor = 0, .receiver = 1, .count = 3};
+  const auto run = clue::runtime::plan_migration_run(step, chips, 1);
+  EXPECT_EQ(run.routes, (std::vector<Route>{routes[3]}));
   EXPECT_EQ(run.new_boundary, routes[3].prefix.range_low());
-  EXPECT_EQ(clue::runtime::plan_migration_run(
-                MigrationStep{.donor = 0, .receiver = 1, .count = 3},
-                routes, 0)
-                .count,
-            0u);
-  EXPECT_EQ(clue::runtime::plan_migration_run(
-                MigrationStep{.donor = 1, .receiver = 0, .count = 3}, {}, 9)
-                .count,
-            0u);
+  EXPECT_TRUE(
+      clue::runtime::plan_migration_run(step, chips, 0).routes.empty());
+  // The receiver's stored routes count against its capacity.
+  std::vector<std::unique_ptr<FlatLookupTable>> split;
+  split.push_back(std::make_unique<FlatLookupTable>(
+      std::span<const Route>(routes).first(2)));
+  split.push_back(std::make_unique<FlatLookupTable>(
+      std::span<const Route>(routes).last(2)));
+  EXPECT_EQ(clue::runtime::plan_migration_run(step, split, 3).routes,
+            (std::vector<Route>{routes[1]}));
+  EXPECT_TRUE(clue::runtime::plan_migration_run(
+                  MigrationStep{.donor = 1, .receiver = 0, .count = 3},
+                  chips_with(2, routes), 9)
+                  .routes.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -513,6 +538,63 @@ TEST(RebalanceTest, SystemShedsSkewUnderHotChurnAndStaysExact) {
   EXPECT_TRUE(found_skew);
 }
 
+// Both hosts hold each chip as a flat image and pick migration runs with
+// one plan_migration_run, so the same skew must rebalance identically.
+TEST(RebalanceTest, SystemAndRuntimeMigrateIdentically) {
+  const auto fib = make_fib(8'000, 2451);
+  constexpr std::size_t kChips = 4;
+  constexpr std::size_t kCapacity = 20'000;
+  clue::system::ClueSystem system(
+      fib, clue::system::SystemConfig{.tcam_count = kChips,
+                                      .tcam_capacity = kCapacity,
+                                      .rebalance = false});
+  RuntimeConfig config;
+  config.worker_count = kChips;
+  config.chip_capacity = kCapacity;
+  config.rebalance = false;
+  LookupRuntime runtime(fib, config);
+
+  Pcg32 rng(2452);
+  for (int u = 0; u < 2'000; ++u) {
+    const UpdateMsg message = hot_announce(rng, 0x20000000u);
+    system.apply(message);
+    runtime.apply(message);
+  }
+  ASSERT_GT(system.skew(), 1.25);
+  ASSERT_EQ(runtime.chip_occupancy(), system.chip_occupancy());
+  // Warm DReds hold other chips' shapes that are about to migrate.
+  system.warm(random_addresses(20'000, 2453));
+
+  const std::size_t steps = system.rebalance_now();
+  EXPECT_GT(steps, 0u);
+  EXPECT_EQ(runtime.rebalance_now(), steps);
+  EXPECT_EQ(runtime.chip_occupancy(), system.chip_occupancy());
+  EXPECT_EQ(runtime.boundaries(), system.engine_setup().bucket_boundaries);
+  for (std::size_t chip = 0; chip < kChips; ++chip) {
+    EXPECT_EQ(system.chip(chip).stored_within(Prefix()),
+              runtime.chip_routes(chip))
+        << "chip " << chip;
+  }
+
+  // Exclusion: DRed i caches no shape chip i stores, and each cached shape
+  // is stored on some other chip with the cached hop.
+  for (std::size_t i = 0; i < kChips; ++i) {
+    for (const Route& cached : system.dred(i).routes()) {
+      std::size_t homes = 0;
+      for (std::size_t chip = 0; chip < kChips; ++chip) {
+        const auto stored =
+            system.chip(chip).lookup_route(cached.prefix.range_low());
+        if (stored != cached) continue;
+        ++homes;
+        EXPECT_NE(chip, i) << "DRed " << i << " caches its own chip's "
+                           << cached.prefix.to_string();
+      }
+      EXPECT_EQ(homes, 1u) << cached.prefix.to_string();
+    }
+  }
+  runtime.stop();
+}
+
 TEST(RebalanceTest, SystemRejectsOverflowAndRollsBackTrie) {
   const auto fib = make_fib(1'000, 2501);
   clue::system::SystemConfig config;
@@ -551,7 +633,7 @@ TEST(RebalanceTest, OneChipSystemRejectsOverflowAndRollsBackTrie) {
   const auto fib = make_fib(1'000, 2601);
   clue::system::SystemConfig config{.tcam_count = 1};
   clue::system::ClueSystem sized(fib, config);  // probe the table size
-  config.tcam_capacity = sized.chip(0).occupied() + 2;
+  config.tcam_capacity = sized.chip(0).route_count() + 2;
   clue::system::ClueSystem system(fib, config);
 
   Pcg32 rng(2602);
@@ -585,7 +667,7 @@ TEST(RebalanceTest, OneChipSystemRejectsOverflowAndRollsBackTrie) {
     if (name == "system.headroom_remaining") {
       found_headroom = true;
       EXPECT_DOUBLE_EQ(value,
-                       1.0 - static_cast<double>(system.chip(0).occupied()) /
+                       1.0 - static_cast<double>(system.chip(0).route_count()) /
                                  static_cast<double>(system.tcam_capacity()));
     }
   }

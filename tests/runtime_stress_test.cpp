@@ -590,11 +590,11 @@ TEST(LookupRuntimeTest, ParkedThreadsWakeForEveryProducer) {
 }
 
 // reclaim() is public, so a third thread may reclaim while the async
-// updater commits: each reclaimed version parks the flat blocks its
-// successor replaced in its chip's pool while the updater takes blocks
-// from that pool for the next build. Lookups run throughout, checked by
-// a windowed oracle over message counts: [messages ingested before the
-// batch, messages submitted after it].
+// updater commits: each reclaimed retire bundle parks the flat blocks one
+// in-place patch unlinked in its chip's pool while the updater takes
+// blocks from that pool for the next patch. Lookups run throughout,
+// checked by a windowed oracle over message counts: [messages ingested
+// before the batch, messages submitted after it].
 TEST(LookupRuntimeTest, ReclaimRacesAsyncCommits) {
   const auto fib = make_fib(8'000, 2121);
   RuntimeConfig config;

@@ -146,7 +146,7 @@ TEST(SlplEngine, CollapsesWhenTrafficShiftsButClueDoesNot) {
   stable.cluster_locality = 0.9;
   workload::TrafficGenerator probe(prefixes, stable);
   const auto load = measure_bucket_load(
-      boundaries, 32, [&probe] { return probe.next(); }, 100'000);
+      boundaries, [&probe] { return probe.next(); }, 100'000);
   SlplConfig slpl_config;
   slpl_config.buckets = 32;
   const auto slpl = build_slpl_setup(table, load, slpl_config);
