@@ -41,21 +41,27 @@ void BM_TrieLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_TrieLookup)->Arg(10'000)->Arg(100'000);
 
+// Manually timed, like run_incremental_onrtc below: the message
+// generator runs off the clock.
 void BM_TrieUpdate_Plain(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
   auto fib = make_fib(static_cast<std::size_t>(state.range(0)));
   clue::workload::UpdateConfig config;
   config.seed = 9;
   clue::workload::UpdateGenerator updates(fib, config);
   for (auto _ : state) {
     const auto msg = updates.next();
+    const auto start = Clock::now();
     if (msg.kind == clue::workload::UpdateKind::kAnnounce) {
       fib.insert(msg.prefix, msg.next_hop);
     } else {
       fib.erase(msg.prefix);
     }
+    state.SetIterationTime(
+        std::chrono::duration<double>(Clock::now() - start).count());
   }
 }
-BENCHMARK(BM_TrieUpdate_Plain)->Arg(100'000);
+BENCHMARK(BM_TrieUpdate_Plain)->Arg(100'000)->UseManualTime();
 
 // Writes one byte per cache line of `buffer`, evicting that much of the
 // tries' hot paths the way a commit's lookups and flat patches do
@@ -67,8 +73,11 @@ void evict(std::vector<char>& buffer) {
 constexpr std::size_t kEvictBytes = 256 * 1024;
 
 // One ONRTC diff per message into a reused op buffer. With `cold`, 256 KiB
-// are evicted between messages, outside the timed region.
+// are evicted between messages. Manually timed, like
+// BM_BatchTxn_OneMessageCold: the message generator and the eviction run
+// off the clock, so only the diff is timed.
 void run_incremental_onrtc(benchmark::State& state, bool cold) {
+  using Clock = std::chrono::steady_clock;
   const auto fib = make_fib(static_cast<std::size_t>(state.range(0)));
   clue::onrtc::CompressedFib compressed(fib);
   clue::workload::UpdateConfig config;
@@ -77,31 +86,33 @@ void run_incremental_onrtc(benchmark::State& state, bool cold) {
   std::vector<char> scratch(kEvictBytes);
   std::vector<clue::onrtc::FibOp> ops;
   for (auto _ : state) {
-    if (cold) {
-      state.PauseTiming();
-      evict(scratch);
-      state.ResumeTiming();
-    }
+    if (cold) evict(scratch);
     const auto msg = updates.next();
     ops.clear();
+    const auto start = Clock::now();
     if (msg.kind == clue::workload::UpdateKind::kAnnounce) {
       benchmark::DoNotOptimize(
           compressed.announce(msg.prefix, msg.next_hop, ops));
     } else {
       benchmark::DoNotOptimize(compressed.withdraw(msg.prefix, ops));
     }
+    state.SetIterationTime(
+        std::chrono::duration<double>(Clock::now() - start).count());
   }
 }
 
 void BM_TrieUpdate_IncrementalOnrtc(benchmark::State& state) {
   run_incremental_onrtc(state, false);
 }
-BENCHMARK(BM_TrieUpdate_IncrementalOnrtc)->Arg(100'000)->Arg(400'000);
+BENCHMARK(BM_TrieUpdate_IncrementalOnrtc)
+    ->Arg(100'000)
+    ->Arg(400'000)
+    ->UseManualTime();
 
 void BM_TrieUpdate_IncrementalOnrtcCold(benchmark::State& state) {
   run_incremental_onrtc(state, true);
 }
-BENCHMARK(BM_TrieUpdate_IncrementalOnrtcCold)->Arg(400'000);
+BENCHMARK(BM_TrieUpdate_IncrementalOnrtcCold)->Arg(400'000)->UseManualTime();
 
 // One message per group commit, cache-cold: the ONRTC diff through
 // update::BatchTxn (journal, prior hop) plus admission (coalescing and

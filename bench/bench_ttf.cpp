@@ -164,7 +164,9 @@ int main() {
             << "  TTF2+TTF3 CLUE/CLPL = " << percent(dp_ratio)
             << "   (paper: 4.29%)\n"
             << "  TTF total CLPL/CLUE = " << percent(total_ratio)
-            << "   (paper: 234%; inverted here because measured TTF1\n"
+            << "   (paper: 234%; "
+            << (total_ratio < 1.0 ? "inverted" : "narrower")
+            << " here because measured TTF1\n"
                "   dominates on this host — see EXPERIMENTS.md)\n";
   // Figure series (one row per half-hour bucket) for plotting.
   {

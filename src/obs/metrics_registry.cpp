@@ -62,6 +62,8 @@ void json_histogram(std::ostream& os, const HistogramSnapshot& h) {
   json_number(os, h.quantile_ns(0.90));
   os << ",\"p99_ns\":";
   json_number(os, h.quantile_ns(0.99));
+  os << ",\"p999_ns\":";
+  json_number(os, h.quantile_ns(0.999));
   os << ",\"buckets\":[";
   bool first = true;
   for (std::size_t b = 0; b < HistogramSnapshot::kBuckets; ++b) {
@@ -216,7 +218,9 @@ void MetricsRegistry::write_csv(std::ostream& os) const {
     os << name << ".count,histogram," << h.total << '\n';
     os << name << ".mean_ns,histogram," << h.mean_ns() << '\n';
     os << name << ".p50_ns,histogram," << h.quantile_ns(0.50) << '\n';
+    os << name << ".p90_ns,histogram," << h.quantile_ns(0.90) << '\n';
     os << name << ".p99_ns,histogram," << h.quantile_ns(0.99) << '\n';
+    os << name << ".p999_ns,histogram," << h.quantile_ns(0.999) << '\n';
   }
 }
 
@@ -229,8 +233,9 @@ void MetricsRegistry::dump(std::ostream& os) const {
   }
   for (const auto& [name, h] : histograms_) {
     os << name << ": n=" << h.total << " mean=" << h.mean_ns()
-       << "ns p50=" << h.quantile_ns(0.50) << "ns p99=" << h.quantile_ns(0.99)
-       << "ns\n";
+       << "ns p50=" << h.quantile_ns(0.50) << "ns p90=" << h.quantile_ns(0.90)
+       << "ns p99=" << h.quantile_ns(0.99)
+       << "ns p999=" << h.quantile_ns(0.999) << "ns\n";
   }
   for (const auto& [name, entries] : ttf_traces_) {
     os << name << ": " << entries.size() << " trace entries\n";

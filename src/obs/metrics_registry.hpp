@@ -6,10 +6,11 @@
 // path. Three output shapes:
 //
 //   to_json()     everything — counters, gauges, histograms (with
-//                 quantiles and non-empty buckets), TTF traces, tables —
+//                 p50/p90/p99/p999 and non-empty buckets), TTF traces,
+//                 tables —
 //                 as one machine-readable document;
 //   write_csv()   flat metric,kind,value rows (histograms flattened to
-//                 count/mean/p50/p99);
+//                 count/mean/p50/p90/p99/p999);
 //   dump()        a human-readable summary for terminals and logs.
 //
 // Tables carry a bench's figure series (the rows csv_out.hpp used to

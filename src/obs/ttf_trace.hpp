@@ -29,9 +29,11 @@ struct TtfTraceEntry {
   /// Chip-table span: admission + flat-image patch + grace (the
   /// sub-spans below break it down).
   double ttf2_ns = 0;
-  double ttf3_ns = 0;     ///< DRed sync broadcast + ack span
+  double ttf3_ns = 0;     ///< DRed sync sweep span (pushes, no ack)
   std::uint32_t chips_touched = 0;    ///< chip images patched
-  std::uint32_t control_msgs = 0;     ///< DRed erase/fix messages sent
+  /// DRed erase/fix messages sent: (workers − 1) per synced shape, since
+  /// the storing chip's own DRed is skipped.
+  std::uint32_t control_msgs = 0;
   std::uint32_t queue_depth_max = 0;  ///< deepest job ring at apply() entry
   double queue_depth_mean = 0;        ///< mean job-ring depth at apply() entry
   double rebalance_ns = 0;            ///< boundary-rebalance span (0 = none)

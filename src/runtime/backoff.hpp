@@ -4,8 +4,8 @@
 //             ack, a ring with room, a grace period): 64 pause steps,
 //             then yields.
 //   Doorbell  one per thread that waits for *other* threads' work (chip
-//             workers, the updater). Producers ring() after every
-//             successful push; the owner parks on it with C++20
+//             workers, the updater). Producers ring() after a push the
+//             owner must act on; the owner parks on it with C++20
 //             atomic::wait instead of sleeping.
 //   idle_step the owner's idle policy: spend the Backoff budget (256
 //             failed polls), then arm, poll once more, and park.

@@ -107,7 +107,6 @@ LookupRuntime::LookupRuntime(TimedFib fib, const RuntimeConfig& config)
   indexing_.store(new engine::IndexingLogic(boundaries_),
                   std::memory_order_seq_cst);
 
-  control_pushed_.assign(config.worker_count, 0);
   chips_.reserve(config.worker_count);
   workers_.reserve(config.worker_count);
   for (std::size_t i = 0; i < config.worker_count; ++i) {
@@ -157,12 +156,23 @@ void LookupRuntime::stop() {
   update_bell_.ring();
   for (auto& worker : workers_) worker->bell.ring();
   std::lock_guard<std::mutex> lock(stop_mutex_);
-  // Updater first: its in-flight apply_batch needs live workers to ack
-  // (both sides also bail on stop_, so either order terminates — this
-  // one lets a draining batch finish cleanly).
+  // Updater first: its in-flight apply_batch may migrate, which needs
+  // live workers to ack its fences (both sides also bail on stop_, so
+  // either order terminates — this one lets a draining batch finish
+  // cleanly), and it must stop pushing syncs before the drain below.
   if (updater_thread_.joinable()) updater_thread_.join();
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
+  }
+  // A worker exits once a pass finds nothing, so a sync pushed after its
+  // last drain (or held by the test hook) is still queued: apply it now
+  // that this thread is the ring's only consumer. Fences are moot.
+  for (auto& worker : workers_) {
+    ControlMsg msg;
+    while (worker->control->try_pop(msg)) {
+      if (msg.kind != ControlMsg::Kind::kFence) apply_sync(*worker, msg);
+      worker->control_applied.fetch_add(1, std::memory_order_release);
+    }
   }
 }
 
@@ -177,10 +187,12 @@ LookupRuntime::~LookupRuntime() {
 
 void LookupRuntime::worker_main(std::size_t w) {
   Worker& me = *workers_[w];
-  // Park condition: a message in any ring this worker consumes, or stop.
+  // Park condition: a message in any ring this worker consumes (and the
+  // test hook does not hold), or stop.
   const auto ready = [&] {
-    if (stop_.load(std::memory_order_acquire) || !me.jobs->empty_approx() ||
-        !me.control->empty_approx()) {
+    if (stop_.load(std::memory_order_acquire) ||
+        (!me.jobs->empty_approx() && !stalled(me, kStallJobs)) ||
+        (!me.control->empty_approx() && !stalled(me, kStallControl))) {
       return true;
     }
     for (const auto& fills : me.fills) {
@@ -192,7 +204,7 @@ void LookupRuntime::worker_main(std::size_t w) {
   for (;;) {
     bool progress = drain_control(w);
     if (dred_enabled_) progress |= drain_fills(w);
-    progress |= serve_jobs(w, kWorkerBatch) > 0;
+    if (!stalled(me, kStallJobs)) progress |= serve_jobs(w, kWorkerBatch) > 0;
     if (progress) {
       backoff.reset();
     } else if (stop_.load(std::memory_order_acquire)) {
@@ -218,6 +230,7 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
   std::uint64_t home_lookups = 0;
   std::uint64_t dred_hits = 0;
   std::uint64_t miss_returns = 0;
+  std::uint64_t sync_returns = 0;
   {
     // Pin discipline: pin the epoch once for the whole batch, then read
     // the image. Every block a concurrent patch unlinks stays alive until
@@ -230,9 +243,24 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
     EpochDomain::Guard guard(epoch_, w);
     const std::uint64_t version =
         me.published_version.load(std::memory_order_seq_cst);
+    // This thread is control_applied's only writer. A kFence drain serves
+    // jobs before it counts the fence, so a job stamped past the fence
+    // goes home too: no stamp ever waits on a drain.
+    const auto applied = static_cast<std::uint32_t>(
+        me.control_applied.load(std::memory_order_relaxed));
     const engine::FlatLookupTable& flat = *chips_[w];
     const auto resolve = [&](const Job& job) -> Completion {
       if (job.dred_only) {
+        // Sync stamp (§III-B's miss-return, reused): the job was
+        // dispatched after a DRed sweep this worker has not applied yet,
+        // so its DRed may still hold an erased or rewritten shape. Home
+        // answers instead; its image was patched before the sweep was
+        // pushed. The uint32 difference is wrap-safe.
+        if (static_cast<std::int32_t>(job.sync_stamp - applied) > 0) {
+          ++sync_returns;
+          ++miss_returns;
+          return Completion{job.index, netbase::kNoRoute, true};
+        }
         if (const auto hop = me.dred->lookup(job.address)) {
           ++dred_hits;
           return Completion{job.index, *hop, false};
@@ -286,6 +314,9 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
     if (miss_returns > 0) {
       me.counters.add(WorkerCounter::kMissReturns, miss_returns);
     }
+    if (sync_returns > 0) {
+      me.counters.add(WorkerCounter::kDredSyncReturns, sync_returns);
+    }
   }
   // Fills leave before the completions, so once a batch is answered every
   // fill it produced is already in a peer's ring.
@@ -304,7 +335,10 @@ bool LookupRuntime::drain_control(std::size_t w) {
   Worker& me = *workers_[w];
   ControlMsg msg;
   bool any = false;
-  while (me.control->try_pop(msg)) {
+  // The test hook is read once a message is seen, so a message pushed
+  // after a stall is never taken.
+  while (!me.control->empty_approx() && !stalled(me, kStallControl) &&
+         me.control->try_pop(msg)) {
     any = true;
     if (msg.kind == ControlMsg::Kind::kFence) {
       // Capacity-bounded: the jobs the fence must flush were enqueued
@@ -317,18 +351,23 @@ bool LookupRuntime::drain_control(std::size_t w) {
            served += n) {
         n = serve_jobs(w, capacity - served);
       }
-    } else if (me.dred) {
-      if (msg.kind == ControlMsg::Kind::kErase) {
-        me.dred->erase(msg.route.prefix);
-      } else {
-        // fix(): rewrite in place without promoting the entry in LRU
-        // order — a sync message is not a reuse.
-        me.dred->fix(msg.route);
-      }
+    } else {
+      apply_sync(me, msg);
     }
     me.control_applied.fetch_add(1, std::memory_order_release);
   }
   return any;
+}
+
+void LookupRuntime::apply_sync(Worker& worker, const ControlMsg& msg) {
+  if (!worker.dred) return;
+  if (msg.kind == ControlMsg::Kind::kErase) {
+    worker.dred->erase(msg.route.prefix);
+  } else {
+    // fix(): rewrite in place without promoting the entry in LRU order —
+    // a sync message is not a reuse.
+    worker.dred->fix(msg.route);
+  }
 }
 
 bool LookupRuntime::drain_fills(std::size_t w) {
@@ -413,6 +452,11 @@ bool LookupRuntime::try_divert(std::size_t home, Job job) {
       return push_jobs(home, &job, 1) == 1;
     case engine::DispatchDecision::Action::kDivert:
       job.dred_only = true;
+      // Every sweep pushed before this load is one the job must not
+      // outrun (see serve_jobs).
+      job.sync_stamp = static_cast<std::uint32_t>(
+          workers_[decision.chip]->control_pushed.value.load(
+              std::memory_order_acquire));
       if (push_jobs(decision.chip, &job, 1) == 1) {
         client_counters_.add(ClientCounter::kDiverted);
         return true;
@@ -658,22 +702,28 @@ void LookupRuntime::push_control_n(std::size_t chip, ControlMsg* msgs,
   Worker& worker = *workers_[chip];
   std::size_t pushed = 0;
   wait_until([&] {
-    const std::size_t n =
-        worker.control->try_push_n(msgs + pushed, count - pushed);
-    if (n > 0) worker.bell.ring();
-    pushed += n;
+    pushed += worker.control->try_push_n(msgs + pushed, count - pushed);
+    // Only a full ring wakes its worker: nothing waits on a DRed sweep,
+    // and whatever wakes the worker next (a job, a fill, an ack wait,
+    // stop()) finds it drains control first. So a commit never pays a
+    // parked worker's wake-up.
+    if (pushed < count) worker.bell.ring();
     return pushed == count;
   });
-  // Only what actually landed counts toward the ack target (a stopping
-  // runtime bails mid-push).
-  control_pushed_[chip] += pushed;
+  // Only what actually landed counts (a stopping runtime bails
+  // mid-push). Single writer: the control role.
+  auto& total = worker.control_pushed.value;
+  total.store(total.load(std::memory_order_relaxed) + pushed,
+              std::memory_order_release);
 }
 
 void LookupRuntime::wait_control_ack(std::size_t chip) {
   Worker& worker = *workers_[chip];
+  const std::uint64_t pushed =
+      worker.control_pushed.value.load(std::memory_order_relaxed);
+  worker.bell.ring();  // the pushes did not (push_control_n)
   wait_until([&] {
-    return worker.control_applied.load(std::memory_order_acquire) >=
-           control_pushed_[chip];
+    return worker.control_applied.load(std::memory_order_acquire) >= pushed;
   });
 }
 
@@ -909,24 +959,31 @@ update::BatchTtfSample LookupRuntime::apply_batch(
       static_cast<std::uint32_t>(publish(plan.chips, &trace));
   batch.ttf.ttf2_ns = elapsed_ns(t1);
 
-  // --- TTF3: one batched DRed erase/fix sweep, wait for worker acks. --
+  // --- TTF3: one batched DRed erase/fix sweep per worker, no ack. -----
+  // Worker i's sweep skips the shapes chip i stores: its DRed never
+  // caches them. Nothing waits for a worker to drain its sweep: a job
+  // diverted to it from here on carries a stamp past the sweep and goes
+  // home until it has (serve_jobs), and home was patched above.
   const auto t2 = Clock::now();
-  if (dred_enabled_ && !(plan.dred_erase.empty() && plan.dred_fix.empty())) {
-    std::vector<ControlMsg> broadcast;
-    broadcast.reserve(plan.dred_erase.size() + plan.dred_fix.size());
-    for (const auto& prefix : plan.dred_erase) {
-      broadcast.push_back(ControlMsg{ControlMsg::Kind::kErase,
-                                     Route{prefix, netbase::kNoRoute}});
-    }
-    for (const auto& route : plan.dred_fix) {
-      broadcast.push_back(ControlMsg{ControlMsg::Kind::kFix, route});
-    }
-    trace.control_msgs =
-        static_cast<std::uint32_t>(broadcast.size() * workers_.size());
+  if (dred_enabled_) {
+    std::size_t sent = 0;
     for (std::size_t i = 0; i < workers_.size(); ++i) {
-      push_control_n(i, broadcast.data(), broadcast.size());
+      sweep_.clear();
+      for (const auto& sync : plan.dred_erase) {
+        if (sync.chip != i) {
+          sweep_.push_back(ControlMsg{ControlMsg::Kind::kErase, sync.route});
+        }
+      }
+      for (const auto& sync : plan.dred_fix) {
+        if (sync.chip != i) {
+          sweep_.push_back(ControlMsg{ControlMsg::Kind::kFix, sync.route});
+        }
+      }
+      if (sweep_.empty()) continue;
+      push_control_n(i, sweep_.data(), sweep_.size());
+      sent += sweep_.size();
     }
-    for (std::size_t i = 0; i < workers_.size(); ++i) wait_control_ack(i);
+    trace.control_msgs = static_cast<std::uint32_t>(sent);
   }
   batch.ttf.ttf3_ns = elapsed_ns(t2);
 
@@ -966,6 +1023,7 @@ RuntimeMetrics LookupRuntime::metrics() const {
     m.dred_lookups += c.get(WorkerCounter::kDredLookups);
     m.dred_hits += c.get(WorkerCounter::kDredHits);
     m.miss_returns += c.get(WorkerCounter::kMissReturns);
+    m.dred_sync_returns += c.get(WorkerCounter::kDredSyncReturns);
     m.fills_sent += c.get(WorkerCounter::kFillsSent);
     m.fills_applied += c.get(WorkerCounter::kFillsApplied);
     m.fills_dropped_full += c.get(WorkerCounter::kFillsDroppedFull);
@@ -1035,6 +1093,7 @@ void LookupRuntime::export_metrics(obs::MetricsRegistry& registry) const {
   registry.set_counter("runtime.dred_lookups", m.dred_lookups);
   registry.set_counter("runtime.dred_hits", m.dred_hits);
   registry.set_counter("runtime.miss_returns", m.miss_returns);
+  registry.set_counter("runtime.dred_sync_returns", m.dred_sync_returns);
   registry.set_counter("runtime.diverted", m.diverted);
   registry.set_counter("runtime.backpressure_waits", m.backpressure_waits);
   registry.set_counter("runtime.client_stalls", m.client_stalls);

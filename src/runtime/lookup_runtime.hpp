@@ -12,17 +12,19 @@
 //
 //   client thread   lookup_batch() — dispatches jobs to the per-chip
 //                   job rings (home first; home full -> idlest other
-//                   chip for a DRed-only lookup), drains completion
+//                   chip for a DRed-only lookup, stamped with the DRed
+//                   syncs pushed to that chip so far), drains completion
 //                   rings, re-enqueues DRed misses to the home ring,
 //                   and reorders results back into submission order.
 //   control thread  apply() — runs the ONRTC diff, stages each affected
 //                   chip's diff (erased shapes, written routes) against
 //                   its flat image, then patches every staged image in
 //                   place (per address, one atomic store from the old to
-//                   the new answer), broadcasts DRed erase/fix messages,
-//                   and waits for the workers to ack them (so TTF2/TTF3
-//                   are measured end to end). The image is each chip's
-//                   only representation:
+//                   the new answer), and pushes the DRed erase/fix sweep
+//                   into every worker's control ring but the storing
+//                   chip's, without waiting for it to drain (diverted
+//                   jobs carry a sync stamp instead; see serve_jobs).
+//                   The image is each chip's only representation:
 //                   it also answers admission (route count, stored shapes
 //                   within a region), migration (the run at a chip's
 //                   edge) and occupancy.
@@ -37,7 +39,9 @@
 //                   lookups stay correct at every intermediate epoch.
 //   chip workers    pop jobs, look up against their chip's flat image
 //                   under an epoch guard, serve DRed-only
-//                   lookups from their private DRed, exchange DRed
+//                   lookups from their private DRed (or return them home
+//                   while a sync their stamp covers is still queued in
+//                   the control ring), exchange DRed
 //                   fills (route shapes read off the flat image) over
 //                   per-pair SPSC rings. No worker ever reads a trie.
 //
@@ -55,8 +59,12 @@
 //
 // Waiting (runtime/backoff.hpp): idle workers and the updater park on
 // their Doorbell, and the producer of every ring they consume rings it
-// after a successful push; stop() rings them all. The client and the
-// control role never park: they only wait on hand-offs they started.
+// after a successful push — except the control role, which rings a
+// worker only when its control ring is full or before waiting for its
+// ack (a parked worker's DRed sync waits for its next wake-up, which
+// drains control before anything else); stop() rings them all. The
+// client and the control role never park: they only wait on hand-offs
+// they started.
 #pragma once
 
 #include <atomic>
@@ -136,6 +144,10 @@ enum class WorkerCounter : std::size_t {
   kFillsDroppedFull,
   kFillsDroppedStale,
   kFillsDeclined,
+  /// Diverted jobs sent home because this worker had not yet applied the
+  /// DRed sync pushed before they were dispatched (a subset of
+  /// kMissReturns).
+  kDredSyncReturns,
   kCount,
 };
 
@@ -168,6 +180,9 @@ struct RuntimeMetrics {
   std::uint64_t dred_lookups = 0;
   std::uint64_t dred_hits = 0;
   std::uint64_t miss_returns = 0;  ///< DRed misses re-enqueued home
+  /// Of miss_returns: diverted jobs stamped past their worker's applied
+  /// DRed sync, sent home without reading the DRed.
+  std::uint64_t dred_sync_returns = 0;
   std::uint64_t diverted = 0;      ///< jobs sent to a non-home chip
   std::uint64_t backpressure_waits = 0;  ///< all queues full -> client spun
   std::uint64_t client_stalls = 0;   ///< spin-bound exceeded with no progress
@@ -233,9 +248,10 @@ class LookupRuntime {
 
   /// Control role. Applies one BGP update end to end: ONRTC diff
   /// (TTF1), admission + in-place flat-image patch of affected chips
-  /// (TTF2), DRed erase/fix broadcast + worker
-  /// ack (TTF3). Returns wall-clock nanoseconds per stage; lookups
-  /// proceed concurrently.
+  /// (TTF2), DRed erase/fix sweep pushed to the workers (TTF3; no ack is
+  /// awaited). Returns wall-clock nanoseconds per stage; lookups proceed
+  /// concurrently. Every lookup submitted after it returns sees the
+  /// update, DRed answers included.
   ///
   /// Admission control: an update that would push a chip past
   /// chip_capacity() first triggers an emergency rebalance; if even a
@@ -253,8 +269,8 @@ class LookupRuntime {
   /// affected chip's patch is staged, and only once every chip staged is
   /// any applied — one in-place patch per chip per batch, closed by a
   /// single grace barrier when a patch unlinked blocks — and all DRed
-  /// erase/fix
-  /// messages go out as one batched sweep per worker ring (TTF3).
+  /// erase/fix messages go out as one batched sweep per worker ring,
+  /// each skipping the shapes that worker's own chip stores (TTF3).
   ///
   /// Admission (update::BatchTxn, shared with the serial hosts) is exact
   /// and decided before any chip is touched: per chip, occupancy minus
@@ -294,20 +310,25 @@ class LookupRuntime {
   /// Stops the runtime: workers drain and exit, and any in-flight
   /// lookup_batch (even on another thread) unblocks, returning kNoRoute
   /// for addresses it never got an answer for (counted in
-  /// RuntimeMetrics::batches_aborted). Idempotent; the destructor calls
-  /// it. After stop(), lookup_batch returns immediately and apply() must
-  /// not be called.
+  /// RuntimeMetrics::batches_aborted). Once the workers are joined, any
+  /// DRed sync still queued in a control ring is applied, so dred()
+  /// shows every commit's sync. Idempotent; the destructor calls it.
+  /// After stop(), lookup_batch returns immediately and apply() must not
+  /// be called.
   void stop();
   bool stopped() const { return stop_.load(std::memory_order_acquire); }
 
   /// Parks the blocks of retired patches all workers have quiesced past.
   std::size_t reclaim() { return epoch_.reclaim(); }
 
-  /// Updates fully visible to the data plane (tables published AND
-  /// DReds synced). Monotonic; bumped at the end of apply() and, by the
-  /// number of applied messages, at the end of apply_batch() — a batch
-  /// exposes only its boundary states, so both counters move across it
-  /// without any intermediate value becoming observable.
+  /// Updates fully visible to the data plane: tables published and DRed
+  /// syncs pushed, so every lookup submitted afterwards sees them (a
+  /// diverted job whose DRed has not yet applied the sync goes home). A
+  /// DRed's contents catch up when its worker next drains its control
+  /// ring, or at stop(). Monotonic; bumped at the end of apply() and, by
+  /// the number of applied messages, at the end of apply_batch() — a
+  /// batch exposes only its boundary states, so both counters move
+  /// across it without any intermediate value becoming observable.
   std::uint64_t updates_completed() const {
     return updates_completed_.load(std::memory_order_seq_cst);
   }
@@ -357,8 +378,8 @@ class LookupRuntime {
   std::vector<obs::TtfTraceEntry> ttf_trace() const;
 
   /// Worker `i`'s DRed store, or nullptr when DRed is disabled. Workers
-  /// mutate their DReds concurrently: only read this after stop() or
-  /// while the data plane is otherwise quiescent (tests, post-mortems).
+  /// mutate their DReds concurrently: only read this after stop() (which
+  /// applies every queued sync) — tests, post-mortems.
   const engine::DredStore* dred(std::size_t worker) const {
     return workers_[worker]->dred.get();
   }
@@ -371,7 +392,13 @@ class LookupRuntime {
     Ipv4Address address{0};
     std::uint32_t index = 0;
     bool dred_only = false;
+    /// A diverted job's sync stamp: the low 32 bits of its worker's
+    /// control_pushed at dispatch. The worker reads its DRed for the job
+    /// only once it has applied that many control messages (compared
+    /// wrap-safe); until then it sends the job home.
+    std::uint32_t sync_stamp = 0;
   };
+  static_assert(sizeof(Job) == 16, "a job slot stays 16 bytes");
   struct alignas(16) Completion {
     std::uint32_t index = 0;
     NextHop hop = netbase::kNoRoute;
@@ -402,7 +429,17 @@ class LookupRuntime {
     /// loads it (before its batch's image loads) to stamp DRed fills, and
     /// a fill older than its home chip's version is stale.
     std::atomic<std::uint64_t> published_version{0};
+    /// Control messages this worker has applied (only it writes it, or
+    /// stop() once it is joined).
     std::atomic<std::uint64_t> control_applied{0};
+    /// Control messages pushed to this worker, published by the control
+    /// role after each push and loaded by the client to stamp a diverted
+    /// job. On its own line: a commit's store must not invalidate the one
+    /// holding published_version and control_applied, which the worker
+    /// reads every batch.
+    struct alignas(64) {
+      std::atomic<std::uint64_t> value{0};
+    } control_pushed;
     /// Entries in the image (its route count); written at every publish,
     /// read by metrics/rebalance planning from any thread.
     std::atomic<std::size_t> occupancy{0};
@@ -410,7 +447,9 @@ class LookupRuntime {
     /// memory_bytes() of the flat image; written by the control role at
     /// publish, read by the metrics exporter.
     std::atomic<std::size_t> flat_bytes{0};
-    /// Rung by every producer into jobs, control and fills.
+    /// Rung by the client after pushing jobs, by peers after pushing
+    /// fills, and by the control role while the control ring is full or
+    /// before it waits for an ack.
     Doorbell bell;
     obs::CounterBlock<WorkerCounter> counters;
     obs::LatencyHistogram service_hist;
@@ -419,6 +458,11 @@ class LookupRuntime {
     std::uint64_t jobs_seen = 0;
     /// Worker-private home-hit count for fill-harvest sampling.
     std::uint64_t hits_seen = 0;
+    /// Test hook: Stall bits holding this worker's control drain or job
+    /// serving (set only through LookupRuntimeTestAccess; 0 outside
+    /// tests). Beside the worker-private counts: outside tests, no other
+    /// thread writes this line.
+    std::atomic<std::uint8_t> stalled{0};
     std::thread thread;
   };
 
@@ -431,11 +475,15 @@ class LookupRuntime {
   /// The one job path, for the worker loop and the kFence drain alike:
   /// pops up to min(max, kWorkerBatch) jobs, pins the epoch once,
   /// prefetches the flat-table lines across the batch, resolves in order
-  /// (timing 1 in 64), adds the batch's counts, sends its sampled fills
-  /// and pushes every completion, waiting while the completion ring is
-  /// full. Returns the jobs served.
+  /// (timing 1 in 64; a diverted job stamped past control_applied goes
+  /// home unread), adds the batch's counts, sends its sampled fills and
+  /// pushes every completion, waiting while the completion ring is full.
+  /// Returns the jobs served.
   std::size_t serve_jobs(std::size_t w, std::size_t max);
   bool drain_control(std::size_t w);
+  /// Applies one DRed erase/fix to `worker`'s DRed (a kFence is not a
+  /// sync: the caller handles it).
+  static void apply_sync(Worker& worker, const ControlMsg& msg);
   /// Pops every peer's fill ring in batches into this worker's DRed,
   /// dropping fills older than their home chip's published version.
   bool drain_fills(std::size_t w);
@@ -469,10 +517,12 @@ class LookupRuntime {
   /// grace period so no reader still uses the old one.
   void publish_indexing();
   /// Lands `count` control messages on worker `chip` with as few
-  /// ring-cursor updates as the free space allows, ringing it after each
-  /// partial push and waiting (wait_until) while the ring is full.
+  /// ring-cursor updates as the free space allows, waiting (wait_until)
+  /// while the ring is full, then publishes the worker's new
+  /// control_pushed. Rings the worker only while the ring is full.
   void push_control_n(std::size_t chip, ControlMsg* msgs, std::size_t count);
-  /// Waits until worker `chip` acked everything pushed to it.
+  /// Rings worker `chip` and waits until it acked everything pushed to
+  /// it (migration only: a commit's DRed sweep is never waited on).
   void wait_control_ack(std::size_t chip);
   /// Executes one planned migration; returns entries moved.
   std::size_t migrate(const MigrationStep& step);
@@ -543,11 +593,10 @@ class LookupRuntime {
   std::atomic<std::uint64_t> updates_submitted_{0};
   std::atomic<std::uint64_t> updates_ingested_{0};
 
-  // Control-thread-private bookkeeping (how many control messages have
-  // been pushed to each worker, to wait for acks).
-  std::vector<std::uint64_t> control_pushed_;
   /// Every commit's plan, cleared and refilled in place.
   update::CommitPlan plan_;
+  /// One worker's DRed sweep, cleared and refilled per worker per commit.
+  std::vector<ControlMsg> sweep_;
   /// The patch one publish() staged per chip, with its stage time
   /// (reused).
   struct Staged {
@@ -594,6 +643,21 @@ class LookupRuntime {
   std::atomic<std::uint64_t> trie_growths_{0};
 
   std::mutex stop_mutex_;  // serialises the join in stop()
+
+  /// The test hook's bits (Worker::stalled): kStallControl leaves the
+  /// control ring undrained, kStallJobs the job ring unserved. No control
+  /// message pushed after a stall is applied; the job ring is checked
+  /// once per pass, so the pass under way may still serve one batch. A
+  /// stalled worker parks; the hook rings it on release.
+  enum Stall : std::uint8_t { kStallControl = 1, kStallJobs = 2 };
+  /// Whether the test hook holds `what` of `worker`.
+  static bool stalled(const Worker& worker, Stall what) {
+    return worker.stalled.load(std::memory_order_acquire) & what;
+  }
+  /// Defined by the tests only: sets and clears Worker::stalled and reads
+  /// the control counters. No config field or environment variable
+  /// reaches the hook.
+  friend struct LookupRuntimeTestAccess;
 };
 
 }  // namespace clue::runtime

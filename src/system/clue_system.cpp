@@ -56,12 +56,17 @@ update::BatchTtfSample ClueSystem::apply_batch(
   batch.ttf.ttf2_ns =
       static_cast<double>(patch(plan.chips)) * update::CostModel::kTcamOpNs;
 
-  // DRed sync (§IV-C): one parallel probe per synced stored shape.
-  for (const auto& dred : dreds_) {
-    for (const auto& prefix : plan.dred_erase) dred->erase(prefix);
+  // DRed sync (§IV-C): one parallel probe per synced stored shape, in
+  // every DRed but the storing chip's own (which never caches it).
+  for (std::size_t i = 0; i < dreds_.size(); ++i) {
+    for (const auto& sync : plan.dred_erase) {
+      if (sync.chip != i) dreds_[i]->erase(sync.route.prefix);
+    }
     // fix(): rewrite in place; a sync message must not promote the entry
     // in LRU order.
-    for (const auto& route : plan.dred_fix) dred->fix(route);
+    for (const auto& sync : plan.dred_fix) {
+      if (sync.chip != i) dreds_[i]->fix(sync.route);
+    }
   }
   batch.ttf.ttf3_ns =
       static_cast<double>(plan.dred_erase.size() + plan.dred_fix.size()) *

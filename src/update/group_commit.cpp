@@ -62,11 +62,11 @@ bool plan_fits(std::span<const FibOp> merged, const CommitHost& host,
       for (const Route& stored : plan.stored) {
         if (op.kind == FibOpKind::kDelete) {
           plan.chips[chip].erases.push_back(stored.prefix);
-          plan.dred_erase.push_back(stored.prefix);
+          plan.dred_erase.push_back(DredSync{chip, stored});
         } else {
           const Route fixed{stored.prefix, op.route.next_hop};
           plan.chips[chip].writes.push_back(fixed);
-          plan.dred_fix.push_back(fixed);
+          plan.dred_fix.push_back(DredSync{chip, fixed});
         }
       }
     }

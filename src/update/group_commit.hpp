@@ -118,15 +118,24 @@ struct ChipWork {
   bool empty() const { return erases.empty() && writes.empty(); }
 };
 
+/// One stored shape a commit syncs into the DReds, and the chip that
+/// stores it. DRed i never caches chip i's shapes (the exclusion rule),
+/// so no host sends `chip`'s own DRed the sync.
+struct DredSync {
+  std::size_t chip = 0;
+  netbase::Route route;
+};
+
 /// The admitted batch's data-plane work. A host keeps one plan and hands
 /// it to every BatchTxn: planning clears its vectors rather than
 /// replacing them, so a steady-state commit plans without allocating.
 struct CommitPlan {
   std::vector<ChipWork> chips;  ///< indexed by chip
   /// DRed sync (§IV-C): DReds only ever cache stored shapes, so every
-  /// erased shape is erased and every rewritten one fixed in place.
-  std::vector<netbase::Prefix> dred_erase;
-  std::vector<netbase::Route> dred_fix;
+  /// erased shape is erased and every rewritten one fixed in place, in
+  /// every DRed but its chip's own.
+  std::vector<DredSync> dred_erase;  ///< the stored route (old hop)
+  std::vector<DredSync> dred_fix;    ///< route carries the new hop
   /// Planning scratch: one op's boundary pieces, one chip's stored
   /// shapes within it, and the insert pieces each chip gains.
   std::vector<std::pair<std::size_t, netbase::Prefix>> pieces;

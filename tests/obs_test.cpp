@@ -235,7 +235,10 @@ TEST(MetricsRegistryTest, JsonContainsEverySection) {
   EXPECT_NE(json.find("42"), std::string::npos);
   EXPECT_NE(json.find("\"runtime.hit_rate\""), std::string::npos);
   EXPECT_NE(json.find("\"runtime.service_ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"p50_ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"p90_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"p99_ns\""), std::string::npos);
+  EXPECT_NE(json.find("\"p999_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);
   EXPECT_NE(json.find("\"runtime.ttf\""), std::string::npos);
   EXPECT_NE(json.find("\"ttf1_ns\""), std::string::npos);
@@ -286,7 +289,10 @@ TEST(MetricsRegistryTest, CsvFlattensEverything) {
   EXPECT_NE(csv.find("c,counter,5"), std::string::npos);
   EXPECT_NE(csv.find("g,gauge,"), std::string::npos);
   EXPECT_NE(csv.find("h.count,histogram,1"), std::string::npos);
+  EXPECT_NE(csv.find("h.p50_ns,histogram,"), std::string::npos);
+  EXPECT_NE(csv.find("h.p90_ns,histogram,"), std::string::npos);
   EXPECT_NE(csv.find("h.p99_ns,histogram,"), std::string::npos);
+  EXPECT_NE(csv.find("h.p999_ns,histogram,"), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, DumpMentionsAllNames) {
@@ -300,6 +306,7 @@ TEST(MetricsRegistryTest, DumpMentionsAllNames) {
   const std::string text = os.str();
   EXPECT_NE(text.find("lookups"), std::string::npos);
   EXPECT_NE(text.find("svc"), std::string::npos);
+  EXPECT_NE(text.find("p999="), std::string::npos);
 }
 
 }  // namespace

@@ -137,8 +137,9 @@ TEST(LookupRuntimeTest, NoStaleDredRouteAfterChurnQuiesces) {
   }
   control.join();
 
-  // Quiesced: updates are fully applied (apply() waits for DRed acks).
-  // One more sweep must agree exactly with the final control plane.
+  // Quiesced: updates are fully applied (a diverted job never outruns a
+  // DRed sync pushed before it). One more sweep must agree exactly with
+  // the final control plane.
   const auto& truth = runtime.fib().ground_truth();
   const auto sweep = random_addresses(20'000, 7204);
   const auto hops = runtime.lookup_batch(sweep);
@@ -205,6 +206,15 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
   EXPECT_EQ(counter("runtime.updates_applied"), runtime.updates_completed());
   EXPECT_EQ(counter("runtime.fills_declined"),
             runtime.metrics().fills_declined);
+  EXPECT_EQ(counter("runtime.dred_sync_returns"),
+            runtime.metrics().dred_sync_returns);
+  EXPECT_LE(counter("runtime.dred_sync_returns"),
+            counter("runtime.miss_returns"));
+  // The commit-latency histogram exports its tail beside the median.
+  const std::string json = registry.to_json();
+  const auto apply_at = json.find("\"runtime.batch_apply_ns\"");
+  ASSERT_NE(apply_at, std::string::npos);
+  EXPECT_NE(json.find("\"p999_ns\"", apply_at), std::string::npos);
 
   // The runtime samples one in every 64 events: each worker times the
   // first of every 64 jobs it runs (lookups, miss re-enqueues and fence

@@ -532,9 +532,9 @@ TEST(LookupRuntimeTest, ClueSystemRuntimeEntryPointAgrees) {
   }
 }
 
-// Every producer rings the thread it feeds. Before each step the runtime
-// idles long enough for every worker and the updater to park, so a
-// missed ring() hangs the step that needed it.
+// Every producer whose push a caller waits on rings the thread it feeds.
+// Before each step the runtime idles long enough for every worker and the
+// updater to park, so a missed ring() hangs the step that needed it.
 TEST(LookupRuntimeTest, ParkedThreadsWakeForEveryProducer) {
   const auto fib = make_fib(8'000, 1717);
   RuntimeConfig config;
@@ -567,7 +567,8 @@ TEST(LookupRuntimeTest, ParkedThreadsWakeForEveryProducer) {
     ASSERT_EQ(hops[i], runtime.fib().ground_truth().lookup(addresses[i]));
   }
 
-  // Control -> control rings: a withdraw sends a DRed erase sweep.
+  // Control -> control rings: a withdraw sends a DRed erase sweep. No
+  // one waits on it, so it rings no one; the fence below does wait.
   park();
   hot.kind = clue::workload::UpdateKind::kWithdraw;
   runtime.apply(hot);
