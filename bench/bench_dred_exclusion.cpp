@@ -30,7 +30,7 @@ double hit_rate(bool exclusive, std::size_t dred_size) {
   rib_config.seed = 1801;
   const auto fib = clue::workload::generate_rib(rib_config);
   const auto table = clue::onrtc::compress(fib);
-  const auto setup = clue::bench::clue_setup(table, kTcams);
+  const auto setup = clue::engine::build_clue_setup(table, kTcams);
 
   // The disjoint image as a trie, for the CLPL-mode RRC-ME calls.
   static clue::trie::BinaryTrie disjoint;

@@ -24,7 +24,7 @@ int main() {
   rib_config.seed = 2401;
   const auto fib = clue::workload::generate_rib(rib_config);
   const auto table = clue::onrtc::compress(fib);
-  const auto setup = clue::bench::clue_setup(table, kTcams);
+  const auto setup = clue::engine::build_clue_setup(table, kTcams);
   const auto hot = clue::bench::prefixes_of(setup.tcam_routes[0]);
 
   std::cout << "=== FIFO depth sweep (worst-case traffic, DRed 1024) ===\n\n";

@@ -27,7 +27,7 @@ int main() {
   rib_config.seed = 1701;
   const auto fib = clue::workload::generate_rib(rib_config);
   const auto table = clue::onrtc::compress(fib);
-  const auto clue_setup = clue::bench::clue_setup(table, kTcams);
+  const auto clue_setup = clue::engine::build_clue_setup(table, kTcams);
   const auto clpl_setup = clue::bench::clpl_setup(fib, table, kTcams);
   const auto hot = clue::bench::prefixes_of(clue_setup.tcam_routes[0]);
 

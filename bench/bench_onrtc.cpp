@@ -8,16 +8,15 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "netbase/rng.hpp"
 #include "onrtc/compressed_fib.hpp"
 #include "engine/dred.hpp"
-#include "engine/flat_table.hpp"
 #include "onrtc/onrtc.hpp"
 #include "rrcme/rrc_me.hpp"
+#include "partition/partition.hpp"
+#include "update/chip_set.hpp"
 #include "update/group_commit.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/traffic_gen.hpp"
@@ -116,9 +115,10 @@ BENCHMARK(BM_TrieUpdate_IncrementalOnrtcCold)->Arg(400'000)->UseManualTime();
 
 // One message per group commit, cache-cold: the ONRTC diff through
 // update::BatchTxn (journal, prior hop) plus admission (coalescing and
-// planning) on a one-chip host that always fits, its chip an empty flat
-// image. The image stores no shapes, so deletes and modifies plan no chip
-// work; only the control-plane side of a commit is timed. The 256 KiB
+// planning) against a one-chip update::ChipSet of unbounded capacity, its
+// chip an empty flat image. The image stores no shapes, so deletes and
+// modifies plan no chip work; only the control-plane side of a commit is
+// timed. The 256 KiB
 // eviction runs outside the manually timed span: only the transaction is
 // on the clock.
 void BM_BatchTxn_OneMessageCold(benchmark::State& state) {
@@ -128,20 +128,17 @@ void BM_BatchTxn_OneMessageCold(benchmark::State& state) {
   clue::workload::UpdateConfig config;
   config.seed = 9;
   clue::workload::UpdateGenerator updates(fib, config);
-  const std::vector<clue::netbase::Ipv4Address> boundaries;
-  std::vector<std::unique_ptr<clue::engine::FlatLookupTable>> chips;
-  chips.push_back(std::make_unique<clue::engine::FlatLookupTable>(
-      std::span<const clue::netbase::Route>()));
-  const clue::update::CommitHost host{
-      boundaries, chips, std::numeric_limits<std::size_t>::max(), {}};
-  clue::update::CommitPlan plan;
+  clue::partition::PartitionResult one_chip;
+  one_chip.buckets.resize(1);
+  clue::update::ChipSet chips(one_chip,
+                              std::numeric_limits<std::size_t>::max());
   std::vector<char> scratch(kEvictBytes);
   for (auto _ : state) {
     evict(scratch);
     const auto msg = updates.next();
     const auto start = Clock::now();
-    clue::update::BatchTxn txn(compressed, {&msg, 1}, plan);
-    benchmark::DoNotOptimize(txn.admit(host));
+    clue::update::BatchTxn txn(compressed, {&msg, 1});
+    benchmark::DoNotOptimize(txn.admit(chips));
     state.SetIterationTime(
         std::chrono::duration<double>(Clock::now() - start).count());
   }

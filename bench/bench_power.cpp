@@ -78,7 +78,7 @@ int main() {
       energy = energy_per_search(table, trace, nullptr, chips);
       total = chip.occupied();
     } else {
-      const auto setup = clue::bench::clue_setup(table, 4);
+      const auto setup = clue::engine::build_clue_setup(table, 4);
       std::vector<clue::tcam::TcamChip> chips;
       chips.reserve(4);
       for (const auto& routes : setup.tcam_routes) chips.push_back(load(routes));

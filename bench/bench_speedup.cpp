@@ -53,7 +53,7 @@ int main() {
 
   // Worst case: every packet's home is TCAM 0 — traffic drawn only from
   // TCAM 0's routes under an identity even partition.
-  const auto setup = clue::bench::clue_setup(table, kTcams);
+  const auto setup = clue::engine::build_clue_setup(table, kTcams);
   const auto clpl_setup = clue::bench::clpl_setup(fib, table, kTcams);
   const auto hot = clue::bench::prefixes_of(setup.tcam_routes[0]);
 

@@ -63,7 +63,7 @@ int main() {
   constexpr std::uint64_t kStableSeed = 2202;
   constexpr std::uint64_t kShiftedSeed = 9901;
   const auto boundaries =
-      clue::partition::even_partition_boundaries(table, kBuckets);
+      clue::partition::even_partition(table, kBuckets).boundaries;
   clue::workload::TrafficConfig probe_config;
   probe_config.seed = kStableSeed;
   probe_config.zipf_skew = 1.05;
@@ -79,7 +79,7 @@ int main() {
   const auto slpl = clue::engine::build_slpl_setup(table, load, slpl_config);
 
   // CLUE with the same redundancy budget as DRed capacity.
-  const auto clue_setup = clue::bench::clue_setup(table, kTcams);
+  const auto clue_setup = clue::engine::build_clue_setup(table, kTcams);
   const std::size_t dred_capacity =
       static_cast<std::size_t>(0.25 * static_cast<double>(table.size())) /
       kTcams;

@@ -25,7 +25,7 @@ int main() {
   rib_config.seed = 2101;
   const auto fib = clue::workload::generate_rib(rib_config);
   const auto table = clue::onrtc::compress(fib);
-  const auto setup = clue::bench::clue_setup(table, kTcams);
+  const auto setup = clue::engine::build_clue_setup(table, kTcams);
 
   std::cout << "=== Premise 1: lookup throughput under concurrent updates "
                "===\n\n";

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "engine/parallel_engine.hpp"
+#include "engine/slpl_setup.hpp"
 #include "netbase/prefix.hpp"
 #include "onrtc/onrtc.hpp"
 #include "partition/partition.hpp"
@@ -13,22 +14,6 @@
 #include "workload/rib_gen.hpp"
 
 namespace clue::bench {
-
-/// Builds a CLUE engine setup (even partition of the compressed table,
-/// identity bucket->TCAM mapping) from a ground-truth FIB.
-inline engine::EngineSetup clue_setup(const std::vector<netbase::Route>& table,
-                                      std::size_t tcams) {
-  engine::EngineSetup setup;
-  const auto partitions = partition::even_partition(table, tcams);
-  setup.tcam_routes.resize(tcams);
-  for (std::size_t i = 0; i < tcams; ++i) {
-    setup.tcam_routes[i] = partitions.buckets[i].routes;
-  }
-  setup.bucket_boundaries = partition::even_partition_boundaries(table, tcams);
-  setup.bucket_to_tcam.resize(tcams);
-  for (std::size_t i = 0; i < tcams; ++i) setup.bucket_to_tcam[i] = i;
-  return setup;
-}
 
 /// CLPL engine setup: sub-tree partition of the *uncompressed* FIB. The
 /// indexing for diverted traffic still needs range boundaries, so we use
@@ -38,7 +23,7 @@ inline engine::EngineSetup clue_setup(const std::vector<netbase::Route>& table,
 inline engine::EngineSetup clpl_setup(const trie::BinaryTrie& fib,
                                       const std::vector<netbase::Route>& table,
                                       std::size_t tcams) {
-  engine::EngineSetup setup = clue_setup(table, tcams);
+  engine::EngineSetup setup = engine::build_clue_setup(table, tcams);
   const auto partitions = partition::subtree_partition(fib, tcams);
   // Keep the homing identical to CLUE's, but store the (overlapping)
   // sub-tree buckets: every chip must answer LPM for its own range, so
@@ -89,10 +74,9 @@ WorstCaseSetup worst_case_setup(const std::vector<netbase::Route>& table,
                                 std::size_t tcams, std::size_t buckets,
                                 AddressSource&& probe,
                                 std::size_t probe_packets) {
-  const auto partitions = partition::even_partition(table, buckets);
-  auto boundaries = partition::even_partition_boundaries(table, buckets);
+  auto partitions = partition::even_partition(table, buckets);
 
-  const engine::IndexingLogic probe_index(boundaries);
+  const engine::IndexingLogic probe_index(partitions.boundaries);
   std::vector<std::uint64_t> load(buckets, 0);
   for (std::size_t i = 0; i < probe_packets; ++i) {
     ++load[probe_index.bucket_of(probe())];
@@ -104,7 +88,7 @@ WorstCaseSetup worst_case_setup(const std::vector<netbase::Route>& table,
             [&load](std::size_t a, std::size_t b) { return load[a] > load[b]; });
 
   WorstCaseSetup result;
-  result.setup.bucket_boundaries = std::move(boundaries);
+  result.setup.bucket_boundaries = std::move(partitions.boundaries);
   result.setup.bucket_to_tcam.assign(buckets, 0);
   result.setup.tcam_routes.assign(tcams, {});
   result.offered_share.assign(tcams, 0.0);

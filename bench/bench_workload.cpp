@@ -26,8 +26,7 @@ int main() {
   const auto fib = clue::workload::generate_rib(router);
   const auto table = clue::onrtc::compress(fib);
   const auto partitions = clue::partition::even_partition(table, kBuckets);
-  const auto boundaries =
-      clue::partition::even_partition_boundaries(table, kBuckets);
+  const auto& boundaries = partitions.boundaries;
   // Indexing over 32 buckets (bucket == partition for this table).
   const clue::engine::IndexingLogic indexing(boundaries);
 

@@ -4,7 +4,7 @@
 # same suite under ASan+UBSan (its soak tests at CLUE_ASAN_SOAK_UPDATES
 # updates, default 100000), then the concurrency tests (SPSC ring,
 # doorbell parking, epoch domain, runtime stress, rebalancer,
-# group-commit batches, the cross-host commit transaction,
+# group-commit batches, the chip set, the cross-host commit transaction,
 # observability counters/histograms) under TSan, then a
 # metrics-exporter smoke run
 # (bench_runtime_throughput + bench_update_burst, whose JSON exports
@@ -24,7 +24,9 @@
 # (fig10_14_ttf.csv) must equal ci/golden/fig10_14_modeled.csv byte for
 # byte (TTF1 is measured wall time and is not compared), and
 # bench_tcam_update's whole stdout must equal ci/golden/tcam_update.txt,
-# then the
+# and the router_linecard, burst_survivor and `fib_tool gen 20000 7 |
+# fib_tool simulate 4 200000` examples' stdout must equal their goldens
+# in ci/golden/ (each a seeded, clock-stepped engine run), then the
 # bench-check: perfbench/check.py, which builds the benchmark of record
 # (perfbench/ compiles src/ through its own CMake project) and runs each
 # BENCHMARK.json workload on small inputs. Any data race, leak, UB,
@@ -37,7 +39,7 @@
 #   $ ci/check.sh smoke      # just the metrics-exporter smoke run
 #   $ ci/check.sh soak       # just the churn-soak
 #   $ ci/check.sh burst-soak # just the group-commit burst soak (TSan)
-#   $ ci/check.sh figures    # just the Figs. 10-14 + §IV-B modeled guard
+#   $ ci/check.sh figures    # just the Figs. 10-14, §IV-B and examples guard
 #   $ ci/check.sh bench-check # just the perfbench build + self-check
 #   $ CLUE_SOAK_UPDATES=100000 ci/check.sh soak   # bounded soak
 #   $ CLUE_ASAN_SOAK_UPDATES=20000 ci/check.sh asan  # shorter ASan soak
@@ -79,7 +81,7 @@ run_tsan() {
   CLUE_SOAK_UPDATES="${CLUE_TSAN_SOAK_UPDATES:-5000}" \
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure \
-      -R 'SpscRingTest|DoorbellTest|EpochTest|LookupRuntimeTest|FlatTableTest|CounterBlockTest|LatencyHistogramTest|TtfTraceRingTest|RebalancePlannerTest|RebalanceTest|RebalanceSoakTest|CoalesceOps|BatchUpdate|CommitTxn|BurstSoakTest'
+      -R 'SpscRingTest|DoorbellTest|EpochTest|LookupRuntimeTest|FlatTableTest|CounterBlockTest|LatencyHistogramTest|TtfTraceRingTest|RebalancePlannerTest|RebalanceTest|RebalanceSoakTest|CoalesceOps|BatchUpdate|ChipSetTest|CommitTxn|BurstSoakTest'
 }
 
 run_smoke() {
@@ -185,7 +187,7 @@ run_burst_soak() {
 }
 
 run_figures() {
-  echo "=== stage: figures (modeled TTF of bench_ttf, bench_tcam_update vs golden) ==="
+  echo "=== stage: figures (modeled TTF of bench_ttf, bench_tcam_update, examples vs golden) ==="
   configure_and_build build ""
   local out
   out="$(mktemp -d)"
@@ -215,6 +217,20 @@ run_figures() {
     exit 1
   fi
   echo "figures: bench_tcam_update matches the golden"
+  # The examples' engine runs are seeded and clock-stepped, so their whole
+  # stdout is deterministic too.
+  ./build/examples/router_linecard >"$out/router_linecard.txt"
+  ./build/examples/burst_survivor >"$out/burst_survivor.txt"
+  ./build/examples/fib_tool gen 20000 7 |
+    ./build/examples/fib_tool simulate 4 200000 >"$out/fib_tool_simulate.txt"
+  local example
+  for example in router_linecard burst_survivor fib_tool_simulate; do
+    if ! diff -u "ci/golden/$example.txt" "$out/$example.txt"; then
+      echo "figures: $example output moved off the golden" >&2
+      exit 1
+    fi
+  done
+  echo "figures: example outputs match the goldens"
 }
 
 run_bench_check() {

@@ -13,29 +13,11 @@
 #include <iostream>
 
 #include "engine/parallel_engine.hpp"
+#include "engine/slpl_setup.hpp"
 #include "onrtc/onrtc.hpp"
-#include "partition/partition.hpp"
 #include "stats/stats.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/traffic_gen.hpp"
-
-namespace {
-
-clue::engine::EngineSetup build_setup(
-    const std::vector<clue::netbase::Route>& table, std::size_t tcams) {
-  clue::engine::EngineSetup setup;
-  const auto partitions = clue::partition::even_partition(table, tcams);
-  setup.tcam_routes.resize(tcams);
-  for (std::size_t i = 0; i < tcams; ++i) {
-    setup.tcam_routes[i] = partitions.buckets[i].routes;
-  }
-  setup.bucket_boundaries =
-      clue::partition::even_partition_boundaries(table, tcams);
-  for (std::size_t i = 0; i < tcams; ++i) setup.bucket_to_tcam.push_back(i);
-  return setup;
-}
-
-}  // namespace
 
 int main() {
   using clue::stats::fixed;
@@ -49,7 +31,7 @@ int main() {
   rib_config.seed = 600;
   const auto fib = clue::workload::generate_rib(rib_config);
   const auto table = clue::onrtc::compress(fib);
-  const auto setup = build_setup(table, kTcams);
+  const auto setup = clue::engine::build_clue_setup(table, kTcams);
 
   clue::engine::EngineConfig config;
 

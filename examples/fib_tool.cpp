@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "engine/parallel_engine.hpp"
+#include "engine/slpl_setup.hpp"
 #include "onrtc/baselines.hpp"
 #include "onrtc/compressed_fib.hpp"
 #include "onrtc/onrtc.hpp"
@@ -90,15 +91,7 @@ int cmd_simulate(int argc, char** argv) {
 
   const auto fib = clue::workload::read_rib_trie(std::cin);
   const auto table = clue::onrtc::compress(fib);
-  const auto partitions = clue::partition::even_partition(table, tcams);
-  clue::engine::EngineSetup setup;
-  setup.tcam_routes.resize(tcams);
-  for (std::size_t i = 0; i < tcams; ++i) {
-    setup.tcam_routes[i] = partitions.buckets[i].routes;
-  }
-  setup.bucket_boundaries =
-      clue::partition::even_partition_boundaries(table, tcams);
-  for (std::size_t i = 0; i < tcams; ++i) setup.bucket_to_tcam.push_back(i);
+  const auto setup = clue::engine::build_clue_setup(table, tcams);
 
   clue::engine::EngineConfig config;
   config.tcam_count = tcams;

@@ -9,8 +9,8 @@
 #include <iostream>
 
 #include "engine/parallel_engine.hpp"
+#include "engine/slpl_setup.hpp"
 #include "onrtc/onrtc.hpp"
-#include "partition/partition.hpp"
 #include "stats/stats.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/traffic_gen.hpp"
@@ -33,11 +33,8 @@ int main() {
 
   // --- Partition over 4 chips, build the engine. --------------------------
   constexpr std::size_t kTcams = 4;
-  const auto partitions = clue::partition::even_partition(table, kTcams);
-  clue::engine::EngineSetup setup;
-  setup.tcam_routes.resize(kTcams);
+  const auto setup = clue::engine::build_clue_setup(table, kTcams);
   for (std::size_t i = 0; i < kTcams; ++i) {
-    setup.tcam_routes[i] = partitions.buckets[i].routes;
     std::cout << "  TCAM " << i + 1 << ": "
               << setup.tcam_routes[i].size() << " entries, range "
               << setup.tcam_routes[i].front().prefix.range_low().to_string()
@@ -45,9 +42,6 @@ int main() {
               << setup.tcam_routes[i].back().prefix.range_high().to_string()
               << "\n";
   }
-  setup.bucket_boundaries =
-      clue::partition::even_partition_boundaries(table, kTcams);
-  for (std::size_t i = 0; i < kTcams; ++i) setup.bucket_to_tcam.push_back(i);
 
   clue::engine::EngineConfig config;  // paper defaults: FIFO 256, DRed 1024
   clue::engine::ParallelEngine engine(clue::engine::EngineMode::kClue, config,

@@ -28,23 +28,19 @@ IndexingLogic::IndexingLogic(std::vector<netbase::Ipv4Address> boundaries)
   std::iota(bucket_to_tcam_.begin(), bucket_to_tcam_.end(), std::size_t{0});
 }
 
-std::size_t IndexingLogic::bucket_of(netbase::Ipv4Address address) const {
+std::size_t bucket_index(const std::vector<netbase::Ipv4Address>& boundaries,
+                         netbase::Ipv4Address address) {
   const auto it =
-      std::upper_bound(boundaries_.begin(), boundaries_.end(), address);
-  return static_cast<std::size_t>(it - boundaries_.begin());
+      std::upper_bound(boundaries.begin(), boundaries.end(), address);
+  return static_cast<std::size_t>(it - boundaries.begin());
 }
 
 void split_at_boundaries(
     const netbase::Prefix& prefix,
     const std::vector<netbase::Ipv4Address>& boundaries,
     std::vector<std::pair<std::size_t, netbase::Prefix>>& out) {
-  const auto bucket_of = [&boundaries](netbase::Ipv4Address address) {
-    const auto it =
-        std::upper_bound(boundaries.begin(), boundaries.end(), address);
-    return static_cast<std::size_t>(it - boundaries.begin());
-  };
-  const std::size_t first = bucket_of(prefix.range_low());
-  const std::size_t last = bucket_of(prefix.range_high());
+  const std::size_t first = bucket_index(boundaries, prefix.range_low());
+  const std::size_t last = bucket_index(boundaries, prefix.range_high());
   if (first == last) {
     out.emplace_back(first, prefix);
     return;

@@ -15,6 +15,11 @@
 
 namespace clue::engine {
 
+/// The bucket of a range partition holding `address`: bucket i covers
+/// [boundaries[i-1], boundaries[i]) over ascending `boundaries`.
+std::size_t bucket_index(const std::vector<netbase::Ipv4Address>& boundaries,
+                         netbase::Ipv4Address address);
+
 class IndexingLogic {
  public:
   /// `boundaries[i]` is the first address of bucket i+1 (ascending);
@@ -24,7 +29,9 @@ class IndexingLogic {
   /// Each bucket is its own chip: bucket i homes on chip i.
   explicit IndexingLogic(std::vector<netbase::Ipv4Address> boundaries);
 
-  std::size_t bucket_of(netbase::Ipv4Address address) const;
+  std::size_t bucket_of(netbase::Ipv4Address address) const {
+    return bucket_index(boundaries_, address);
+  }
   std::size_t tcam_of(netbase::Ipv4Address address) const {
     return bucket_to_tcam_[bucket_of(address)];
   }

@@ -2,10 +2,23 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "partition/partition.hpp"
 
 namespace clue::engine {
+
+EngineSetup build_clue_setup(const std::vector<netbase::Route>& table,
+                             std::size_t tcams) {
+  auto partitions = partition::even_partition(table, tcams);
+  EngineSetup setup;
+  setup.bucket_boundaries = std::move(partitions.boundaries);
+  for (std::size_t i = 0; i < tcams; ++i) {
+    setup.tcam_routes.push_back(std::move(partitions.buckets[i].routes));
+    setup.bucket_to_tcam.push_back(i);
+  }
+  return setup;
+}
 
 EngineSetup build_slpl_setup(const std::vector<netbase::Route>& table,
                              const std::vector<std::uint64_t>& bucket_load,
@@ -20,8 +33,7 @@ EngineSetup build_slpl_setup(const std::vector<netbase::Route>& table,
   const auto partitions = partition::even_partition(table, config.buckets);
 
   EngineSetup setup;
-  setup.bucket_boundaries =
-      partition::even_partition_boundaries(table, config.buckets);
+  setup.bucket_boundaries = partitions.boundaries;
   setup.bucket_to_tcam.assign(config.buckets, 0);  // ignored in kSlpl
   setup.bucket_homes.assign(config.buckets, {});
   setup.tcam_routes.assign(config.tcam_count, {});

@@ -1,7 +1,11 @@
-// SLPL setup builder — static load balancing from long-period traffic
-// statistics (Zheng et al., the paper's §II-B baseline).
+// Engine setup builders: CLUE's even range partition, and SLPL's static
+// load balancing from long-period traffic statistics (Zheng et al., the
+// paper's §II-B baseline).
 //
-// Buckets are assigned to chips by expected load (LPT greedy), then the
+// CLUE (§III-A): the sorted, disjoint table splits into one exactly even
+// range per chip, bucket i homed on chip i.
+//
+// SLPL: buckets are assigned to chips by expected load (LPT greedy), then the
 // hottest buckets are replicated onto additional chips until a
 // replication budget (the paper quotes 25 % extra entries) is spent.
 // The resulting EngineSetup runs under EngineMode::kSlpl: dispatch may
@@ -20,6 +24,11 @@
 #include "engine/parallel_engine.hpp"
 
 namespace clue::engine {
+
+/// CLUE's setup: `table` (sorted, non-overlapping) split into `tcams` even
+/// ranges, bucket i stored on and homed to chip i.
+EngineSetup build_clue_setup(const std::vector<netbase::Route>& table,
+                             std::size_t tcams);
 
 struct SlplConfig {
   std::size_t tcam_count = 4;
@@ -42,10 +51,9 @@ template <typename AddressSource>
 std::vector<std::uint64_t> measure_bucket_load(
     const std::vector<netbase::Ipv4Address>& boundaries,
     AddressSource&& probe, std::size_t probe_packets) {
-  const IndexingLogic index(boundaries);
-  std::vector<std::uint64_t> load(index.bucket_count(), 0);
+  std::vector<std::uint64_t> load(boundaries.size() + 1, 0);
   for (std::size_t i = 0; i < probe_packets; ++i) {
-    ++load[index.bucket_of(probe())];
+    ++load[bucket_index(boundaries, probe())];
   }
   return load;
 }

@@ -28,21 +28,19 @@ std::size_t PartitionResult::total_entries() const {
 // ---------------------------------------------------------------------------
 // CLUE: even split of a sorted non-overlapping table (paper §III-A).
 
-namespace {
-
-// Per-bucket counts of an exactly even split. The normal case
-// front-loads the `extra` remainder entries. The degenerate case
-// (fewer routes than buckets) instead pushes the occupied singletons to
-// the *end*: a bucket's range is bounded above by the first address of
-// the next bucket, so a trailing empty bucket would need a boundary one
-// past the top of the address space — unrepresentable, and historically
-// faked with 255.255.255.255 which then claimed that address for an
-// empty bucket and produced duplicate boundaries (ambiguous binary
-// search). Leading empty buckets need no such sentinel: their
-// boundaries repeat the first route's range_low, so addresses below the
-// table map to empty bucket 0 and every stored route homes correctly.
+// The normal case front-loads the `extra` remainder entries. The
+// degenerate case (fewer routes than buckets) instead pushes the occupied
+// singletons to the *end*: a bucket's range is bounded above by the first
+// address of the next bucket, so a trailing empty bucket would need a
+// boundary one past the top of the address space — unrepresentable, and
+// historically faked with 255.255.255.255 which then claimed that address
+// for an empty bucket and produced duplicate boundaries (ambiguous binary
+// search). Leading empty buckets need no such sentinel: their boundaries
+// repeat the first route's range_low, so addresses below the table map to
+// empty bucket 0 and every stored route homes correctly.
 std::vector<std::size_t> even_counts(std::size_t total, std::size_t n) {
   std::vector<std::size_t> counts(n, 0);
+  if (n == 0) return counts;
   const std::size_t base = total / n;
   const std::size_t extra = total % n;
   if (base == 0) {
@@ -52,8 +50,6 @@ std::vector<std::size_t> even_counts(std::size_t total, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) counts[i] = base + (i < extra ? 1 : 0);
   return counts;
 }
-
-}  // namespace
 
 PartitionResult even_partition(const std::vector<Route>& table,
                                std::size_t n) {
@@ -69,33 +65,17 @@ PartitionResult even_partition(const std::vector<Route>& table,
         table.begin() + static_cast<std::ptrdiff_t>(cursor),
         table.begin() + static_cast<std::ptrdiff_t>(cursor + counts[i]));
     cursor += counts[i];
-  }
-  result.redundancy = 0;
-  return result;
-}
-
-std::vector<Ipv4Address> even_partition_boundaries(
-    const std::vector<Route>& table, std::size_t n) {
-  if (n == 0) {
-    throw std::invalid_argument("even_partition_boundaries: n must be > 0");
-  }
-  std::vector<Ipv4Address> boundaries;
-  boundaries.reserve(n - 1);
-  const std::vector<std::size_t> counts = even_counts(table.size(), n);
-  std::size_t cursor = 0;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    cursor += counts[i];
+    if (i + 1 == n) break;
     // First address of the next bucket. even_counts guarantees a
     // non-empty table never leaves the cursor past the end here (empty
     // buckets lead, so every bucket suffix holds at least one route);
     // an entirely empty table degenerates to address 0 everywhere,
     // homing all addresses to one (empty) bucket — harmless.
-    const Ipv4Address boundary = cursor < table.size()
-                                     ? table[cursor].prefix.range_low()
-                                     : Ipv4Address(0);
-    boundaries.push_back(boundary);
+    result.boundaries.push_back(cursor < table.size()
+                                    ? table[cursor].prefix.range_low()
+                                    : Ipv4Address(0));
   }
-  return boundaries;
+  return result;
 }
 
 // ---------------------------------------------------------------------------

@@ -44,14 +44,25 @@ struct PartitionResult {
   /// Together they cover every stored route; deepest-match over all
   /// roots is the bucket homing function. Empty for other algorithms.
   std::vector<std::vector<Prefix>> bucket_roots;
+  /// Even partition only: `boundaries[i]` is the first address of bucket
+  /// i+1, so bucket i covers [boundaries[i-1], boundaries[i]). Feeds the
+  /// engine's Indexing Logic. Empty for other algorithms.
+  std::vector<Ipv4Address> boundaries;
 
   std::size_t max_bucket() const;
   std::size_t min_bucket() const;
   std::size_t total_entries() const;
 };
 
+/// The bucket sizes of an exactly even split of `total` entries into `n`
+/// buckets: ceil/floor of total/n, or, when total < n, one entry in each
+/// of the *last* `total` buckets (the top bucket must own the top of the
+/// address space). The rebalancer's even targets are these counts.
+std::vector<std::size_t> even_counts(std::size_t total, std::size_t n);
+
 /// CLUE: `table` must be sorted, non-overlapping. Splits into `n` buckets
-/// of ceil(M/n)/floor(M/n) consecutive entries.
+/// of ceil(M/n)/floor(M/n) consecutive entries, with their n-1 range
+/// boundaries.
 PartitionResult even_partition(const std::vector<Route>& table, std::size_t n);
 
 /// CLPL sub-tree partition over a (possibly overlapping) FIB.
@@ -61,11 +72,5 @@ PartitionResult subtree_partition(const trie::BinaryTrie& fib, std::size_t n);
 /// log2(n) bits from the first 16 address bits to minimise the largest
 /// bucket, then replicates straddling prefixes.
 PartitionResult idbit_partition(const trie::BinaryTrie& fib, std::size_t n);
-
-/// The bucket boundaries of an even partition: `boundaries[i]` is the
-/// first address of bucket i+1; bucket i covers
-/// [prev boundary, boundaries[i]). Feeds the engine's Indexing Logic.
-std::vector<Ipv4Address> even_partition_boundaries(
-    const std::vector<Route>& table, std::size_t n);
 
 }  // namespace clue::partition

@@ -98,10 +98,6 @@ class EpochDomain {
   /// Retired but not yet freed.
   std::size_t pending() const;
 
-  std::uint64_t current_epoch() const {
-    return global_.load(std::memory_order_acquire);
-  }
-  std::size_t reader_slots() const { return slots_.size(); }
 
  private:
   struct alignas(64) Slot {

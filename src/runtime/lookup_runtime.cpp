@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "engine/dispatch_policy.hpp"
-#include "partition/partition.hpp"
 #include "tcam/updater.hpp"
 
 namespace clue::runtime {
@@ -15,11 +14,7 @@ namespace clue::runtime {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double elapsed_ns(Clock::time_point start) {
-  return std::chrono::duration<double, std::nano>(Clock::now() - start)
-      .count();
-}
+using update::elapsed_ns;
 
 // Batch sizes for the ring drains: large enough to amortise the cursor
 // atomics and overlap flat-table prefetches across a batch, small
@@ -81,11 +76,13 @@ LookupRuntime::LookupRuntime(TimedFib fib, const RuntimeConfig& config)
       // One slot per worker plus one for the client role, which pins the
       // IndexingLogic snapshot during each dispatch pass.
       epoch_(config.worker_count + 1),
+      // Throws on no workers or a capacity below the initial share before
+      // anything below is allocated: a throwing constructor runs no
+      // destructor.
+      chips_(update::ChipSet::even("LookupRuntime", fib_.compressed().routes(),
+                                   config.worker_count, config.chip_capacity)),
       client_slot_(config.worker_count),
       ttf_ring_(kTtfTraceDepth) {
-  if (config.worker_count == 0) {
-    throw std::invalid_argument("LookupRuntime: need at least one worker");
-  }
   if (config.fifo_depth == 0) {
     throw std::invalid_argument("LookupRuntime: fifo_depth must be positive");
   }
@@ -94,20 +91,9 @@ LookupRuntime::LookupRuntime(TimedFib fib, const RuntimeConfig& config)
   fib_build_ns_ = fib.build_ns;
   trie_bytes_.store(fib_.memory_bytes(), std::memory_order_relaxed);
   trie_growths_.store(fib_.trie_growths(), std::memory_order_relaxed);
-  const auto table = fib_.compressed().routes();
-  const auto partitions =
-      partition::even_partition(table, config.worker_count);
-  // Checked before anything is allocated: a throwing constructor runs no
-  // destructor to free it.
-  chip_capacity_ = update::chip_capacity("LookupRuntime",
-                                         config.chip_capacity, partitions);
-
-  boundaries_ =
-      partition::even_partition_boundaries(table, config.worker_count);
-  indexing_.store(new engine::IndexingLogic(boundaries_),
+  indexing_.store(new engine::IndexingLogic(chips_.boundaries()),
                   std::memory_order_seq_cst);
 
-  chips_.reserve(config.worker_count);
   workers_.reserve(config.worker_count);
   for (std::size_t i = 0; i < config.worker_count; ++i) {
     auto worker = std::make_unique<Worker>();
@@ -125,20 +111,13 @@ LookupRuntime::LookupRuntime(TimedFib fib, const RuntimeConfig& config)
       worker->dred =
           std::make_unique<engine::DredStore>(config.dred_capacity);
     }
-    // The image is painted straight from the chip's sorted, disjoint
-    // bucket; it is the chip's only representation from here on.
-    const auto t0 = Clock::now();
-    chips_.push_back(std::make_unique<engine::FlatLookupTable>(
-        partitions.buckets[i].routes));
-    flat_build_ns_ += elapsed_ns(t0);
-    worker->flat_bytes.store(chips_[i]->memory_bytes(),
+    worker->flat_bytes.store(chips_.chip(i).memory_bytes(),
                              std::memory_order_relaxed);
-    worker->occupancy.store(chips_[i]->route_count(),
+    worker->occupancy.store(chips_.chip(i).route_count(),
                             std::memory_order_relaxed);
     workers_.push_back(std::move(worker));
   }
   stage_.resize(config.worker_count);
-  staged_.resize(config.worker_count);
   drain_scratch_.resize(kDrainBatch);
   for (std::size_t i = 0; i < config.worker_count; ++i) {
     workers_[i]->thread = std::thread([this, i] { worker_main(i); });
@@ -248,7 +227,7 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
     // goes home too: no stamp ever waits on a drain.
     const auto applied = static_cast<std::uint32_t>(
         me.control_applied.load(std::memory_order_relaxed));
-    const engine::FlatLookupTable& flat = *chips_[w];
+    const engine::FlatLookupTable& flat = chips_.chip(w);
     const auto resolve = [&](const Job& job) -> Completion {
       if (job.dred_only) {
         // Sync stamp (§III-B's miss-return, reused): the job was
@@ -624,34 +603,15 @@ NextHop LookupRuntime::lookup(Ipv4Address address) {
 
 // ---------------------------------------------------------------- control
 
-std::size_t LookupRuntime::publish(std::span<const update::ChipWork> chips,
+std::size_t LookupRuntime::publish(std::span<update::StagedPatch> staged,
                                    obs::TtfTraceEntry* trace) {
-  // Build, then publish: every chip stages before any applies, so a diff
-  // an image rejects leaves every chip untouched.
-  try {
-    for (std::size_t chip = 0; chip < chips.size(); ++chip) {
-      if (chips[chip].empty()) continue;
-      const auto t0 = Clock::now();
-      staged_[chip].patch =
-          chips_[chip]->stage(chips[chip].erases, chips[chip].writes);
-      staged_[chip].ns = elapsed_ns(t0);
-    }
-  } catch (...) {
-    for (Staged& staged : staged_) staged.patch = {};  // discards
-    throw;
-  }
-  std::size_t patched = 0;
   bool retired = false;
-  for (std::size_t chip = 0; chip < chips.size(); ++chip) {
-    if (chips[chip].empty()) continue;
-    Worker& worker = *workers_[chip];
-    engine::FlatLookupTable& flat = *chips_[chip];
-    const auto t0 = Clock::now();
-    engine::FlatLookupTable::Retired unlinked =
-        flat.apply(std::move(staged_[chip].patch));
-    const double flat_ns = staged_[chip].ns + elapsed_ns(t0);
-    flat_rebuild_hist_.record(flat_ns);
-    if (trace) trace->flat_ns += flat_ns;
+  for (update::StagedPatch& patch : staged) {
+    engine::FlatLookupTable::Retired unlinked = chips_.apply(patch);
+    Worker& worker = *workers_[patch.chip];
+    const engine::FlatLookupTable& flat = chips_.chip(patch.chip);
+    flat_rebuild_hist_.record(patch.ns);
+    if (trace) trace->flat_ns += patch.ns;
     // After the patch's stores: a worker that loads this version reads
     // post-patch entries only.
     worker.published_version.fetch_add(1, std::memory_order_seq_cst);
@@ -664,10 +624,8 @@ std::size_t LookupRuntime::publish(std::span<const update::ChipWork> chips,
       retired = true;
       flat_blocks_retired_.fetch_add(unlinked.blocks(),
                                      std::memory_order_relaxed);
-      epoch_.retire(
-          new engine::FlatLookupTable::Retired(std::move(unlinked)));
+      epoch_.retire(new engine::FlatLookupTable::Retired(std::move(unlinked)));
     }
-    ++patched;
   }
   // One grace barrier closes the whole publish, and only when a patch
   // unlinked something: after it every worker has left the unlinked
@@ -679,11 +637,11 @@ std::size_t LookupRuntime::publish(std::span<const update::ChipWork> chips,
     grace_waits_.fetch_add(1, std::memory_order_relaxed);
     if (trace) trace->grace_ns += elapsed_ns(tg);
   }
-  return patched;
+  return staged.size();
 }
 
 void LookupRuntime::publish_indexing() {
-  auto* next = new engine::IndexingLogic(boundaries_);
+  auto* next = new engine::IndexingLogic(chips_.boundaries());
   engine::IndexingLogic* old =
       indexing_.exchange(next, std::memory_order_seq_cst);
   epoch_.retire(old);
@@ -736,31 +694,27 @@ std::vector<std::size_t> LookupRuntime::chip_occupancy() const {
 }
 
 double LookupRuntime::skew() const {
-  return occupancy_skew(chip_occupancy());
+  return update::occupancy_skew(chip_occupancy());
 }
 
-std::size_t LookupRuntime::migrate(const MigrationStep& step) {
-  const MigrationRun run = plan_migration_run(step, chips_, chip_capacity_);
-  if (run.routes.empty()) return 0;
-  const std::vector<Route>& migrated = run.routes;
-  // Per chip: the receiver's side of the move, then the donor's.
-  std::vector<update::ChipWork> gain(workers_.size());
-  std::vector<update::ChipWork> loss(workers_.size());
-  for (const auto& route : migrated) {
-    gain[step.receiver].writes.push_back(route);
-    loss[step.donor].erases.push_back(route.prefix);
-  }
+std::size_t LookupRuntime::migrate(const update::MigrationStep& step) {
+  // 0. Stage both sides — the receiver's gain and the donor's loss — before
+  //    either is published: from step 1 on, nothing here stages, so
+  //    nothing can throw with the migration half done.
+  update::StagedMigration staged = chips_.stage_migration(step);
+  const std::vector<Route>& migrated = staged.run.routes;
+  if (migrated.empty()) return 0;
 
   // 1. Patch the receiver's image with the migrated routes added. Both
   //    chips now store them, but the indexing still homes their
   //    addresses to the donor, whose image is untouched — every lookup
   //    answer is unchanged.
-  publish(gain);
+  publish({&staged.gain, 1});
 
   // 2. Move the shared boundary and wait out the grace period: after
   //    this, every dispatch routes migrated addresses to the receiver
   //    (whose table already answers them).
-  boundaries_[run.boundary] = run.new_boundary;
+  chips_.move_boundary(staged.run);
   publish_indexing();
 
   // 3. Fence the donor: jobs that reached its ring under the old
@@ -774,7 +728,7 @@ std::size_t LookupRuntime::migrate(const MigrationStep& step) {
   // 4. Shrink the donor. The version bump also staleness-kills every
   //    in-flight DRed fill the donor produced for a migrated route, so
   //    none can sneak into the receiver's DRed after step 5's sweep.
-  publish(loss);
+  publish({&staged.loss, 1});
 
   // 5. Re-home DRed state: the migrated prefixes are now the receiver's
   //    *own*, so its DRed must drop them or the exclusion invariant
@@ -784,12 +738,11 @@ std::size_t LookupRuntime::migrate(const MigrationStep& step) {
   if (dred_enabled_) {
     // One batched ring write for the whole erase sweep instead of one
     // cursor update per migrated route.
-    std::vector<ControlMsg> erases;
-    erases.reserve(migrated.size());
+    sweep_.clear();
     for (const auto& route : migrated) {
-      erases.push_back(ControlMsg{ControlMsg::Kind::kErase, route});
+      sweep_.push_back(ControlMsg{ControlMsg::Kind::kErase, route});
     }
-    push_control_n(step.receiver, erases.data(), erases.size());
+    push_control_n(step.receiver, sweep_.data(), sweep_.size());
     wait_control_ack(step.receiver);
   }
   epoch_.reclaim();
@@ -798,9 +751,8 @@ std::size_t LookupRuntime::migrate(const MigrationStep& step) {
 
 std::size_t LookupRuntime::rebalance_pass(obs::TtfTraceEntry* trace) {
   const auto t0 = Clock::now();
-  const RebalancePass pass = run_rebalance_pass(
-      [this] { return chip_occupancy(); },
-      [this](const MigrationStep& step) -> std::size_t {
+  const update::RebalancePass pass = update::run_rebalance_pass(
+      chips_, [this](const update::MigrationStep& step) -> std::size_t {
         return stop_.load(std::memory_order_acquire) ? 0 : migrate(step);
       });
   entries_migrated_.fetch_add(pass.entries, std::memory_order_relaxed);
@@ -890,7 +842,7 @@ update::TtfSample LookupRuntime::apply(const workload::UpdateMsg& message) {
   // same trace — plus the historical throwing contract on rejection.
   const update::BatchTtfSample batch = apply_batch({&message, 1});
   if (batch.rejected > 0) {
-    throw tcam::TcamFullError("LookupRuntime::apply", chip_capacity_);
+    throw tcam::TcamFullError("LookupRuntime::apply", chips_.capacity());
   }
   return batch.ttf;
 }
@@ -901,7 +853,7 @@ update::BatchTtfSample LookupRuntime::apply_batch(
   const auto t0 = Clock::now();
 
   // --- TTF1: every message's ONRTC diff, in submission order. --------
-  update::BatchTxn txn(fib_, messages, plan_);
+  update::BatchTxn txn(fib_, messages);
 
   obs::TtfTraceEntry trace;
   trace.ttf1_ns = txn.sample().ttf.ttf1_ns;
@@ -921,9 +873,9 @@ update::BatchTtfSample LookupRuntime::apply_batch(
   // --- TTF2: coalesce, admit, patch each chip once. ----------------
   const auto t1 = Clock::now();
   // Admission reads the chip images.
-  const update::CommitPlan& plan = txn.admit(update::CommitHost{
-      boundaries_, chips_, chip_capacity_,
-      [&] { return config_.rebalance ? rebalance_pass(&trace) : 0; }});
+  const update::CommitPlan& plan = txn.admit(chips_, [&] {
+    return config_.rebalance ? rebalance_pass(&trace) : 0;
+  });
   trace.admit_ns = elapsed_ns(t1);
   trie_bytes_.store(fib_.memory_bytes(), std::memory_order_relaxed);
   trie_growths_.store(fib_.trie_growths(), std::memory_order_relaxed);
@@ -955,8 +907,8 @@ update::BatchTtfSample LookupRuntime::apply_batch(
   // One patch per chip however many messages touched it; the grace
   // barrier, when one is needed, closes the whole batch, so the reclaim
   // below parks everything the batch unlinked.
-  trace.chips_touched =
-      static_cast<std::uint32_t>(publish(plan.chips, &trace));
+  trace.chips_touched = static_cast<std::uint32_t>(
+      publish(chips_.stage(plan.chips), &trace));
   batch.ttf.ttf2_ns = elapsed_ns(t1);
 
   // --- TTF3: one batched DRed erase/fix sweep per worker, no ack. -----
@@ -999,7 +951,7 @@ update::BatchTtfSample LookupRuntime::apply_batch(
   // changed, so re-check the watermarks and even out while the skew is
   // still small — many cheap migrations beat one giant one.
   if (config_.rebalance &&
-      should_rebalance(chip_occupancy(), chip_capacity_)) {
+      update::should_rebalance(chips_.occupancy(), chips_.capacity())) {
     rebalance_pass(&trace);
   }
 
@@ -1030,8 +982,8 @@ RuntimeMetrics LookupRuntime::metrics() const {
     m.fills_dropped_stale += c.get(WorkerCounter::kFillsDroppedStale);
     m.fills_declined += c.get(WorkerCounter::kFillsDeclined);
   }
-  for (const auto& chip : chips_) {
-    const auto pool = chip->pool()->stats();
+  for (std::size_t i = 0; i < chips_.size(); ++i) {
+    const auto pool = chips_.chip(i).pool()->stats();
     m.flat_blocks_recycled += pool.recycled;
     m.flat_blocks_allocated += pool.allocated;
     m.flat_pool_bytes += pool.bytes;
@@ -1060,7 +1012,7 @@ RuntimeMetrics LookupRuntime::metrics() const {
   m.rebalance_steps = rebalance_steps_.load(std::memory_order_relaxed);
   m.entries_migrated = entries_migrated_.load(std::memory_order_relaxed);
   m.chip_occupancy = chip_occupancy();
-  m.skew = occupancy_skew(m.chip_occupancy);
+  m.skew = update::occupancy_skew(m.chip_occupancy);
   return m;
 }
 
@@ -1123,33 +1075,28 @@ void LookupRuntime::export_metrics(obs::MetricsRegistry& registry) const {
   registry.set_counter("runtime.rebalance_passes", m.rebalance_passes);
   registry.set_counter("runtime.rebalance_steps", m.rebalance_steps);
   registry.set_counter("runtime.entries_migrated", m.entries_migrated);
-  registry.set_counter("runtime.chip_capacity", chip_capacity_);
+  registry.set_counter("runtime.chip_capacity", chips_.capacity());
   registry.set_gauge("runtime.dred_hit_rate", m.dred_hit_rate());
   registry.set_gauge("runtime.skew", m.skew);
-  std::size_t occupied_max = 0;
   for (std::size_t i = 0; i < workers_.size(); ++i) {
     const std::string prefix = "runtime.worker" + std::to_string(i);
     registry.set_counter(prefix + ".jobs", m.per_worker_jobs[i]);
     registry.set_counter(prefix + ".occupancy", m.chip_occupancy[i]);
-    occupied_max = std::max(occupied_max, m.chip_occupancy[i]);
     registry.add_histogram(prefix + ".service_ns",
                            workers_[i]->service_hist.snapshot());
   }
-  // Remaining growth headroom of the fullest chip, as a fraction of the
-  // enforced capacity — the overflow early-warning gauge.
+  // Read off the workers' published occupancy: this may run beside the
+  // control role, which alone reads the images' counts.
   registry.set_gauge(
       "runtime.headroom_remaining",
-      chip_capacity_ == 0
-          ? 0.0
-          : 1.0 - static_cast<double>(occupied_max) /
-                      static_cast<double>(chip_capacity_));
+      update::headroom_remaining(m.chip_occupancy, chips_.capacity()));
   registry.add_histogram("runtime.client.latency_ns", client_hist_.snapshot());
   registry.add_histogram("runtime.batch_apply_ns",
                          batch_apply_hist_.snapshot());
   registry.add_histogram("runtime.rebalance_ns", rebalance_hist_.snapshot());
   registry.add_histogram("runtime.flat_rebuild_ns",
                          flat_rebuild_hist_.snapshot());
-  registry.set_gauge("runtime.flat_build_ns", flat_build_ns_);
+  registry.set_gauge("runtime.flat_build_ns", chips_.build_ns());
   registry.set_gauge("runtime.fib_build_ns", fib_build_ns_);
   registry.set_gauge(
       "onrtc.trie_bytes",

@@ -16,26 +16,27 @@
 //                   syncs pushed to that chip so far), drains completion
 //                   rings, re-enqueues DRed misses to the home ring,
 //                   and reorders results back into submission order.
-//   control thread  apply() — runs the ONRTC diff, stages each affected
-//                   chip's diff (erased shapes, written routes) against
-//                   its flat image, then patches every staged image in
-//                   place (per address, one atomic store from the old to
-//                   the new answer), and pushes the DRed erase/fix sweep
+//   control thread  apply() — runs the ONRTC diff and admits it against
+//                   the chip plane, an update::ChipSet like the one
+//                   system::ClueSystem holds (boundaries, one flat image
+//                   per chip, capacity; admission, staging, migration
+//                   runs and occupancy). The set stages every affected
+//                   chip's diff before any applies; this runtime then
+//                   publishes each staged patch in place (per address,
+//                   one atomic store from the old to the new answer),
+//                   bumps its version, retires what it unlinked into the
+//                   epoch domain, and pushes the DRed erase/fix sweep
 //                   into every worker's control ring but the storing
 //                   chip's, without waiting for it to drain (diverted
 //                   jobs carry a sync stamp instead; see serve_jobs).
-//                   The image is each chip's only representation:
-//                   it also answers admission (route count, stored shapes
-//                   within a region), migration (the run at a chip's
-//                   edge) and occupancy.
 //                   It also owns the boundary rebalancer: per-chip
 //                   occupancy is re-checked after every apply(), and
 //                   when skew or headroom pressure crosses a
-//                   watermark (runtime/rebalancer.hpp), runs of
+//                   watermark (update/rebalancer.hpp), runs of
 //                   boundary-adjacent entries migrate between
-//                   neighboring chips — receiver table published
-//                   first, then the boundary swap (epoch-
-//                   synchronized), then a donor fence and shrink — so
+//                   neighboring chips — both sides staged first, then
+//                   the receiver published, the boundary swapped (epoch-
+//                   synchronized), the donor fenced and shrunk — so
 //                   lookups stay correct at every intermediate epoch.
 //   chip workers    pop jobs, look up against their chip's flat image
 //                   under an epoch guard, serve DRed-only
@@ -78,7 +79,6 @@
 #include <vector>
 
 #include "engine/dred.hpp"
-#include "engine/flat_table.hpp"
 #include "engine/indexing_logic.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
@@ -87,9 +87,9 @@
 #include "onrtc/compressed_fib.hpp"
 #include "runtime/backoff.hpp"
 #include "runtime/epoch.hpp"
-#include "runtime/rebalancer.hpp"
 #include "runtime/spsc_ring.hpp"
 #include "trie/binary_trie.hpp"
+#include "update/chip_set.hpp"
 #include "update/cost_model.hpp"
 #include "update/group_commit.hpp"
 #include "workload/update_gen.hpp"
@@ -305,7 +305,7 @@ class LookupRuntime {
   /// Current max/min chip occupancy ratio (empty chips count as 1).
   double skew() const;
   /// The enforced per-chip capacity (explicit or auto-sized).
-  std::size_t chip_capacity() const { return chip_capacity_; }
+  std::size_t chip_capacity() const { return chips_.capacity(); }
 
   /// Stops the runtime: workers drain and exit, and any in-flight
   /// lookup_batch (even on another thread) unblocks, returning kNoRoute
@@ -349,12 +349,14 @@ class LookupRuntime {
   /// Range-partition boundaries (ascending, worker_count-1 of them).
   /// Control-role state: rebalancing rewrites it, so read only from the
   /// control thread or while updates are quiescent.
-  const std::vector<Ipv4Address>& boundaries() const { return boundaries_; }
+  const std::vector<Ipv4Address>& boundaries() const {
+    return chips_.boundaries();
+  }
   /// The routes chip `chip` stores, in address order (a walk of its
   /// image). Control-role state: read only from the control thread or
   /// while updates are quiescent.
   std::vector<Route> chip_routes(std::size_t chip) const {
-    return chips_[chip]->stored_within(Prefix());
+    return chips_.chip(chip).stored_within(Prefix());
   }
   std::size_t worker_count() const { return workers_.size(); }
   const RuntimeConfig& config() const { return config_; }
@@ -441,7 +443,8 @@ class LookupRuntime {
       std::atomic<std::uint64_t> value{0};
     } control_pushed;
     /// Entries in the image (its route count); written at every publish,
-    /// read by metrics/rebalance planning from any thread.
+    /// read by chip_occupancy() and the metrics from any thread (the
+    /// control role plans rebalancing off the images themselves).
     std::atomic<std::size_t> occupancy{0};
     std::unique_ptr<engine::DredStore> dred;
     /// memory_bytes() of the flat image; written by the control role at
@@ -503,18 +506,16 @@ class LookupRuntime {
 
   // ---- control-role internals (single control thread at a time) ----
 
-  /// Patches every chip `chips[i]` names work for (erases, then writes):
-  /// stages all of them first, so a diff that does not fit an image
-  /// throws with no chip touched (see FlatLookupTable::stage), then
-  /// applies each, bumps its published_version and occupancy, and retires
-  /// what the patch unlinked. When any patch unlinked blocks, waits out
-  /// one grace barrier (a commit of pure slot patches skips it). Returns
-  /// the chips patched; adds the stage + apply span (flat_ns) and the
-  /// grace span to `trace` when given.
-  std::size_t publish(std::span<const update::ChipWork> chips,
+  /// Applies every patch in `staged` (staged by chips_, all before any is
+  /// applied), bumps each chip's published_version and occupancy, and
+  /// retires what each patch unlinked. When any patch unlinked blocks,
+  /// waits out one grace barrier (a publish of pure slot patches skips
+  /// it). Returns the chips patched; adds each chip's stage + apply span
+  /// (flat_ns) and the grace span to `trace` when given.
+  std::size_t publish(std::span<update::StagedPatch> staged,
                       obs::TtfTraceEntry* trace = nullptr);
-  /// Publishes a new IndexingLogic for `boundaries` and waits out a
-  /// grace period so no reader still uses the old one.
+  /// Publishes a new IndexingLogic for the chips' boundaries and waits out
+  /// a grace period so no reader still uses the old one.
   void publish_indexing();
   /// Lands `count` control messages on worker `chip` with as few
   /// ring-cursor updates as the free space allows, waiting (wait_until)
@@ -525,7 +526,7 @@ class LookupRuntime {
   /// it (migration only: a commit's DRed sweep is never waited on).
   void wait_control_ack(std::size_t chip);
   /// Executes one planned migration; returns entries moved.
-  std::size_t migrate(const MigrationStep& step);
+  std::size_t migrate(const update::MigrationStep& step);
   /// One run_rebalance_pass over the chips, cut short by stop(); returns
   /// steps run. Adds the pass's steps, migrated entries and wall time to
   /// `trace` when given.
@@ -548,17 +549,16 @@ class LookupRuntime {
 
   RuntimeConfig config_;
   onrtc::CompressedFib fib_;
-  std::vector<Ipv4Address> boundaries_;  // control-role state
   std::atomic<engine::IndexingLogic*> indexing_{nullptr};
   EpochDomain epoch_;
-  /// Each chip's one flat image (chips_[i] is worker i's), patched in
-  /// place by the control role and read under an epoch pin by its worker:
-  /// hops and stored route shapes alike. No trie, and no per-publish copy.
-  std::vector<std::unique_ptr<engine::FlatLookupTable>> chips_;
+  /// The chip plane: boundaries (control-role state) and each chip's one
+  /// flat image (chip i is worker i's), patched in place by the control
+  /// role and read under an epoch pin by its worker: hops and stored route
+  /// shapes alike. No trie, and no per-publish copy.
+  update::ChipSet chips_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stop_{false};
   bool dred_enabled_ = false;
-  std::size_t chip_capacity_ = 0;
   /// The client role's epoch slot (slot worker_count); pins the
   /// IndexingLogic snapshot for one dispatch pass.
   std::size_t client_slot_ = 0;
@@ -593,17 +593,9 @@ class LookupRuntime {
   std::atomic<std::uint64_t> updates_submitted_{0};
   std::atomic<std::uint64_t> updates_ingested_{0};
 
-  /// Every commit's plan, cleared and refilled in place.
-  update::CommitPlan plan_;
-  /// One worker's DRed sweep, cleared and refilled per worker per commit.
+  /// One worker's DRed sweep, cleared and refilled per worker per commit
+  /// and per migration (the receiver's erase sweep).
   std::vector<ControlMsg> sweep_;
-  /// The patch one publish() staged per chip, with its stage time
-  /// (reused).
-  struct Staged {
-    engine::FlatLookupTable::Patch patch;
-    double ns = 0;
-  };
-  std::vector<Staged> staged_;
   std::atomic<std::uint64_t> tables_published_{0};
   /// Published patches that unlinked nothing: reclaimed on the spot.
   std::atomic<std::uint64_t> patches_unretired_{0};
@@ -629,9 +621,6 @@ class LookupRuntime {
   /// ran (control thread is the single writer; exported as
   /// "runtime.flat_rebuild_ns").
   obs::LatencyHistogram flat_rebuild_hist_;
-  /// Wall time of the constructor's full builds of every chip image
-  /// (exported as the gauge "runtime.flat_build_ns").
-  double flat_build_ns_ = 0;
   /// Wall time of the constructor's CompressedFib build: the ONRTC
   /// compression, or the copy of a given CompressedFib (exported as the
   /// gauge "runtime.fib_build_ns").

@@ -12,11 +12,7 @@ namespace clue::system {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double elapsed_ns(Clock::time_point start) {
-  return std::chrono::duration<double, std::nano>(Clock::now() - start)
-      .count();
-}
+using update::elapsed_ns;
 
 }  // namespace
 

@@ -2,12 +2,15 @@
 //
 // One object owning the complete forwarding plane: the incremental
 // ONRTC control plane, N chips holding the even range partition of the
-// compressed table, and the per-chip DRed stores. Each chip is an
-// engine::FlatLookupTable painted from its partition bucket, the same
-// chip model runtime::LookupRuntime runs, so admission and migration
-// read both hosts' chips the same way. It answers lookups straight from
-// the chips and pushes BGP updates end to end with TTF accounting — the
-// API a linecard integration would program against. (The clock-stepped
+// compressed table, and the per-chip DRed stores. The chips are an
+// update::ChipSet, the same chip plane runtime::LookupRuntime runs:
+// partition, capacity, admission, staging and migration runs are that
+// set's, and lookups home by its boundaries. This class keeps only the
+// serial host's own part: modeled TTF, direct DRed sync, and patch
+// bundles dropped at once, since no reader runs beside it. It answers
+// lookups straight from the chips and pushes BGP updates end to end
+// with TTF accounting — the API a linecard integration would program
+// against. (The clock-stepped
 // ParallelEngine remains the tool for throughput experiments; this class
 // is about *state* fidelity: chip contents always equal the compressed
 // table, split at the partition boundaries.)
@@ -35,12 +38,12 @@
 
 #include "engine/dred.hpp"
 #include "engine/flat_table.hpp"
-#include "engine/indexing_logic.hpp"
 #include "engine/parallel_engine.hpp"
 #include "obs/metrics_registry.hpp"
 #include "onrtc/compressed_fib.hpp"
 #include "runtime/lookup_runtime.hpp"
 #include "tcam/updater.hpp"
+#include "update/chip_set.hpp"
 #include "update/cost_model.hpp"
 #include "update/group_commit.hpp"
 #include "workload/update_gen.hpp"
@@ -98,23 +101,26 @@ class ClueSystem {
       std::span<const workload::UpdateMsg> messages);
 
   /// Simulates lookup traffic to populate the DReds the way a running
-  /// engine would: each address's home chip is chip_of(address), and
-  /// the stored shape it matches there is cached in every DRed the
+  /// engine would: each address's home chip is the one whose range holds
+  /// it, and the stored shape it matches there is cached in every DRed the
   /// exclusion rule allows (all but the home chip's). A one-chip system
   /// therefore caches nothing.
   void warm(const std::vector<Ipv4Address>& addresses);
 
-  /// Forces one rebalance pass regardless of watermarks; returns the
-  /// number of migrations executed (0 when already even, and always 0
-  /// on one chip).
+  /// Forces one rebalance pass (update::run_rebalance_pass) regardless of
+  /// watermarks; returns the number of migrations executed (0 when
+  /// already even, and always 0 on one chip). Admission's emergency
+  /// rebalance and the post-commit drift watch run the same pass.
   std::size_t rebalance_now();
 
   /// Entries currently stored per chip.
-  std::vector<std::size_t> chip_occupancy() const;
+  std::vector<std::size_t> chip_occupancy() const {
+    return chips_.occupancy();
+  }
   /// Current max/min chip occupancy ratio (empty chips count as 1).
-  double skew() const;
+  double skew() const { return chips_.skew(); }
   /// The enforced per-chip capacity (explicit or auto-sized).
-  std::size_t tcam_capacity() const { return tcam_capacity_; }
+  std::size_t tcam_capacity() const { return chips_.capacity(); }
   /// Updates rejected with TcamFullError (after rollback).
   std::uint64_t updates_rejected() const { return updates_rejected_; }
 
@@ -134,14 +140,14 @@ class ClueSystem {
 
   const onrtc::CompressedFib& fib() const { return fib_; }
   const engine::FlatLookupTable& chip(std::size_t i) const {
-    return *chips_[i];
+    return chips_.chip(i);
   }
   const engine::DredStore& dred(std::size_t i) const { return *dreds_[i]; }
   std::size_t tcam_count() const { return chips_.size(); }
 
   /// Total entries across chips (>= fib().size() when regions had to be
   /// split at partition boundaries).
-  std::size_t total_tcam_entries() const;
+  std::size_t total_tcam_entries() const { return chips_.total_entries(); }
 
   /// Fills `registry` with table sizes, the control tries' bytes and
   /// arena growths, and per-chip DRed contents statistics
@@ -152,27 +158,16 @@ class ClueSystem {
   void export_metrics(obs::MetricsRegistry& registry) const;
 
  private:
-  /// The chip index owning `address`.
-  std::size_t chip_of(Ipv4Address address) const;
-  /// Patches every chip `chips[i]` names work for (erases, then writes):
-  /// stages all of them first, so a diff an image rejects throws with no
-  /// chip touched, then applies each. Returns the busiest chip's op count.
-  std::size_t patch(std::span<const update::ChipWork> chips);
   /// Executes one planned migration; returns entries moved.
-  std::size_t migrate(const runtime::MigrationStep& step);
-  /// One runtime::run_rebalance_pass over this system's chips; returns
-  /// steps run.
-  std::size_t rebalance_pass();
+  std::size_t migrate(const update::MigrationStep& step);
 
   onrtc::CompressedFib fib_;
-  std::vector<Ipv4Address> boundaries_;  // ascending, chips-1 of them
-  std::unique_ptr<engine::IndexingLogic> indexing_;
-  std::vector<std::unique_ptr<engine::FlatLookupTable>> chips_;
+  /// Also the indexing: lookups home by the set's boundaries, which each
+  /// migration moves in place.
+  update::ChipSet chips_;
   std::vector<std::unique_ptr<engine::DredStore>> dreds_;
   bool rebalance_ = true;
-  std::size_t tcam_capacity_ = 0;
   std::uint64_t updates_rejected_ = 0;
-  update::CommitPlan plan_;  ///< every commit's plan, refilled in place
   std::uint64_t rebalance_passes_ = 0;
   std::uint64_t rebalance_steps_ = 0;
   std::uint64_t entries_migrated_ = 0;

@@ -96,15 +96,6 @@ class TcamChip {
   /// All valid entries with their slots, ascending by slot.
   std::vector<std::pair<std::size_t, TcamEntry>> entries() const;
 
-  /// All stored routes whose prefix is contained in `within`, in address
-  /// order (answered from the match index, not a slot scan). This is how
-  /// control planes discover the *stored shapes* of a region — after a
-  /// boundary migration the shapes no longer match a fresh boundary
-  /// split, so they cannot be recomputed.
-  std::vector<Route> entries_within(const Prefix& within) const {
-    return match_index_.routes_within(within);
-  }
-
  private:
   // Memoised search() answer, valid only while `version` matches the
   // chip's. TCAM entries may overlap (the priority encoder arbitrates),

@@ -6,6 +6,8 @@
 // SRAM node visits (the trie RRC-ME walks) are charged separately.
 #pragma once
 
+#include <chrono>
+
 namespace clue::update {
 
 struct CostModel {
@@ -24,5 +26,13 @@ struct TtfSample {
   double data_plane_ns() const { return ttf2_ns + ttf3_ns; }
   double total_ns() const { return ttf1_ns + ttf2_ns + ttf3_ns; }
 };
+
+/// Measured wall time since `start`, in nanoseconds (TTF1 and the other
+/// spans measured on this host, never the modeled ones above).
+inline double elapsed_ns(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 }  // namespace clue::update

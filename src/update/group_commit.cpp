@@ -4,10 +4,9 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
-#include <stdexcept>
-#include <string>
 
 #include "engine/indexing_logic.hpp"
+#include "update/chip_set.hpp"
 
 namespace clue::update {
 
@@ -20,11 +19,11 @@ using netbase::Route;
 using onrtc::FibOp;
 using onrtc::FibOpKind;
 
-/// Expands `merged` into `plan` at the host's current boundaries and
+/// Expands `merged` into `plan` at the set's current boundaries and
 /// returns whether every chip's exact projected occupancy fits.
-bool plan_fits(std::span<const FibOp> merged, const CommitHost& host,
+bool plan_fits(std::span<const FibOp> merged, const ChipSet& set,
                CommitPlan& plan) {
-  const std::size_t chips = host.chips.size();
+  const std::size_t chips = set.size();
   // Cleared, not replaced: every vector keeps its capacity.
   plan.chips.resize(chips);
   for (ChipWork& work : plan.chips) {
@@ -42,7 +41,7 @@ bool plan_fits(std::span<const FibOp> merged, const CommitHost& host,
   for (const auto& op : merged) {
     auto& pieces = plan.pieces;
     pieces.clear();
-    engine::split_at_boundaries(op.route.prefix, host.boundaries, pieces);
+    engine::split_at_boundaries(op.route.prefix, set.boundaries(), pieces);
     if (op.kind == FibOpKind::kInsert) {
       for (const auto& [chip, piece] : pieces) {
         plan.chips[chip].writes.push_back(Route{piece, op.route.next_hop});
@@ -58,7 +57,7 @@ bool plan_fits(std::span<const FibOp> merged, const CommitHost& host,
       if (chip == last_chip) continue;
       last_chip = chip;
       plan.stored.clear();
-      host.chips[chip]->stored_within(op.route.prefix, plan.stored);
+      set.chip(chip).stored_within(op.route.prefix, plan.stored);
       for (const Route& stored : plan.stored) {
         if (op.kind == FibOpKind::kDelete) {
           plan.chips[chip].erases.push_back(stored.prefix);
@@ -72,10 +71,10 @@ bool plan_fits(std::span<const FibOp> merged, const CommitHost& host,
     }
   }
   for (std::size_t chip = 0; chip < chips; ++chip) {
-    const std::size_t projected = host.chips[chip]->route_count() -
+    const std::size_t projected = set.chip(chip).route_count() -
                                   plan.chips[chip].erases.size() +
                                   added[chip];
-    if (projected > host.capacity) return false;
+    if (projected > set.capacity()) return false;
   }
   return true;
 }
@@ -162,32 +161,9 @@ std::vector<FibOp> coalesce_ops(std::span<const FibOp> raw,
   return merged;
 }
 
-std::size_t auto_capacity(std::size_t share, double headroom) {
-  return static_cast<std::size_t>(static_cast<double>(share) *
-                                  (1.0 + std::max(headroom, 0.0))) +
-         8192;
-}
-
-std::size_t chip_capacity(const char* host, std::size_t requested,
-                          const partition::PartitionResult& partitions) {
-  const std::size_t even_share =
-      partitions.total_entries() / partitions.buckets.size() + 1;
-  const std::size_t capacity =
-      requested > 0 ? requested : auto_capacity(even_share, 1.0);
-  const std::size_t share = partitions.max_bucket();
-  if (share > capacity) {
-    throw std::invalid_argument(std::string(host) + ": capacity " +
-                                std::to_string(capacity) +
-                                " is below the initial share " +
-                                std::to_string(share));
-  }
-  return capacity;
-}
-
 BatchTxn::BatchTxn(onrtc::CompressedFib& fib,
-                   std::span<const workload::UpdateMsg> messages,
-                   CommitPlan& plan)
-    : fib_(fib), messages_(messages), plan_(plan) {
+                   std::span<const workload::UpdateMsg> messages)
+    : fib_(fib), messages_(messages) {
   const auto start = Clock::now();
   // A message's diff averages a few ops; four each rarely regrows.
   journal_.reserve(4 * messages.size());
@@ -201,11 +177,12 @@ BatchTxn::BatchTxn(onrtc::CompressedFib& fib,
             : fib_.withdraw(message.prefix, journal_));
     offsets_.push_back(journal_.size());
   }
-  sample_.ttf.ttf1_ns =
-      std::chrono::duration<double, std::nano>(Clock::now() - start).count();
+  sample_.ttf.ttf1_ns = elapsed_ns(start);
 }
 
-const CommitPlan& BatchTxn::admit(const CommitHost& host) {
+const CommitPlan& BatchTxn::admit(
+    ChipSet& chips, const std::function<std::size_t()>& emergency_rebalance) {
+  CommitPlan& plan = chips.plan();
   std::size_t keep = messages_.size();
   CoalesceStats stats;
   bool rebalanced = false;
@@ -214,12 +191,10 @@ const CommitPlan& BatchTxn::admit(const CommitHost& host) {
     // every piece.
     const auto merged = coalesce_ops(
         std::span<const FibOp>(journal_).first(offsets_[keep]), &stats);
-    if (plan_fits(merged, host, plan_) || keep == 0) break;
+    if (plan_fits(merged, chips, plan) || keep == 0) break;
     if (!rebalanced) {
       rebalanced = true;
-      if (host.emergency_rebalance && host.emergency_rebalance() > 0) {
-        continue;
-      }
+      if (emergency_rebalance && emergency_rebalance() > 0) continue;
     }
     --keep;
     // The rolled-back message's ops leave the journal; its inversion's
@@ -237,7 +212,7 @@ const CommitPlan& BatchTxn::admit(const CommitHost& host) {
   sample_.rejected = messages_.size() - keep;
   sample_.raw_ops = stats.raw_ops;
   sample_.merged_ops = stats.merged_ops;
-  return plan_;
+  return plan;
 }
 
 std::size_t BatchTxn::effective() const {

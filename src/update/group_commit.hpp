@@ -4,12 +4,13 @@
 // The paper's update path (§IV, Fig. 6) is one sequence: ONRTC diff
 // (TTF1), order-free TCAM writes (TTF2), DRed sync (TTF3). BatchTxn owns
 // the part of it that does not depend on how a host publishes to its
-// chips (both hold each chip as an engine::FlatLookupTable): it journals
-// every message's diff, back to back in one flat op journal, with the
-// prior hop the diff reported (the rollback token), coalesces the ops to
-// the batch's net effect, expands them into per-chip work, admits that
-// work under one exact rule, and on overflow runs one emergency
-// rebalance and then rolls back the batch suffix.
+// chips: it journals every message's diff, back to back in one flat op
+// journal, with the prior hop the diff reported (the rollback token),
+// coalesces the ops to the batch's net effect, expands them into per-chip
+// work against the host's update::ChipSet (update/chip_set.hpp, which
+// then stages and applies that work), admits it under one exact rule, and
+// on overflow runs the host's emergency rebalance once and then rolls
+// back the batch suffix.
 //
 // A BGP burst delivers many messages back to back; running each one's
 // ONRTC diff is unavoidable (TTF1), but everything downstream — TCAM
@@ -29,32 +30,32 @@
 // region, so the net transition (initial state -> final state) is all
 // the data plane ever needs to install.
 //
-// Inserts split at the host's current boundaries; deletes and modifies
-// expand to the chip's *stored* shapes, which after a boundary migration
-// no longer match a fresh split. The exact admission rule, per chip:
+// Inserts split at the chip set's current boundaries; deletes and
+// modifies expand to the chip's *stored* shapes, which after a boundary
+// migration no longer match a fresh split. The exact admission rule, per chip:
 //
 //   projected = occupancy − stored shapes erased + insert pieces
 //            <= capacity
 //
-// The host executes each chip's erases before its writes. The TCAM is
+// Each chip's patch erases before it writes (ChipSet::stage). The TCAM is
 // order-free (§IV-B), so every transient occupancy stays at or below
 // max(before, after): an admitted plan never meets a full chip mid-write.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "engine/flat_table.hpp"
+#include "netbase/prefix.hpp"
 #include "onrtc/compressed_fib.hpp"
-#include "partition/partition.hpp"
 #include "update/cost_model.hpp"
 #include "workload/update_gen.hpp"
 
 namespace clue::update {
+
+class ChipSet;
 
 /// How much work coalescing removed from a burst's diff stream.
 struct CoalesceStats {
@@ -83,32 +84,6 @@ struct BatchTtfSample {
   std::size_t merged_ops = 0;  ///< diff ops actually installed
 };
 
-/// Auto-sized per-chip capacity: a chip's initial `share` of entries plus
-/// `headroom` (a fraction, clamped at 0) of growth room, plus 8192 slack.
-std::size_t auto_capacity(std::size_t share, double headroom);
-
-/// The per-chip capacity a host enforces, checked before it builds any
-/// chip: `requested`, or when 0 auto_capacity(even share + 1, 1.0), room
-/// for a chip to grow to twice its initial share. Throws
-/// std::invalid_argument, naming `host` and both sizes, when the capacity
-/// cannot hold the largest initial bucket of `partitions`.
-std::size_t chip_capacity(const char* host, std::size_t requested,
-                          const partition::PartitionResult& partitions);
-
-/// A host's data plane as the commit transaction sees it: range-
-/// partitioned chips (chip i owns the addresses from boundaries[i-1] up
-/// to boundaries[i]; a single-chip host has no boundaries), each held as
-/// its flat image. Admission reads each image's route count and the
-/// stored shapes within a region.
-struct CommitHost {
-  const std::vector<netbase::Ipv4Address>& boundaries;
-  std::span<const std::unique_ptr<engine::FlatLookupTable>> chips;
-  std::size_t capacity;  ///< per chip, in entries
-  /// Makes room before admission sheds anything; returns the number of
-  /// migrations run. Empty when the host does not rebalance.
-  std::function<std::size_t()> emergency_rebalance;
-};
-
 /// One chip's share of a commit: erase `erases` first, then write
 /// `writes` (insert pieces and rewritten stored shapes).
 struct ChipWork {
@@ -126,9 +101,10 @@ struct DredSync {
   netbase::Route route;
 };
 
-/// The admitted batch's data-plane work. A host keeps one plan and hands
-/// it to every BatchTxn: planning clears its vectors rather than
-/// replacing them, so a steady-state commit plans without allocating.
+/// The admitted batch's data-plane work. Each ChipSet keeps one plan that
+/// every BatchTxn admitted against it refills: planning clears its vectors
+/// rather than replacing them, so a steady-state commit plans without
+/// allocating.
 struct CommitPlan {
   std::vector<ChipWork> chips;  ///< indexed by chip
   /// DRed sync (§IV-C): DReds only ever cache stored shapes, so every
@@ -146,18 +122,22 @@ struct CommitPlan {
 class BatchTxn {
  public:
   /// TTF1: runs every message's ONRTC diff against `fib`, in order,
-  /// journaling the ops and prior route of each. admit() plans into
-  /// `plan` (the host's, reused across commits). `fib`, `messages` and
-  /// `plan` must outlive the transaction.
+  /// journaling the ops and prior route of each. `fib` and `messages` must
+  /// outlive the transaction.
   BatchTxn(onrtc::CompressedFib& fib,
-           std::span<const workload::UpdateMsg> messages, CommitPlan& plan);
+           std::span<const workload::UpdateMsg> messages);
 
-  /// Coalesces, plans at the host's current boundaries and admits under
-  /// the exact rule. On overflow, one emergency rebalance runs first;
-  /// then messages roll back from the end of the batch, in reverse order
-  /// so each inversion sees the trie state its message saw, until the
-  /// rest fits. Returns the plan of the kept prefix; call once.
-  const CommitPlan& admit(const CommitHost& host);
+  /// Coalesces, plans into chips.plan() at the set's current boundaries
+  /// (reading each image's route count and stored shapes) and admits
+  /// under the exact rule against chips.capacity(). On overflow,
+  /// `emergency_rebalance` (empty when the host does not rebalance; it
+  /// returns the migrations it ran) runs once first; then messages roll
+  /// back from the end of the batch, in reverse order so each inversion
+  /// sees the trie state its message saw, until the rest fits. Returns the
+  /// plan of the kept prefix; call once.
+  const CommitPlan& admit(
+      ChipSet& chips,
+      const std::function<std::size_t()>& emergency_rebalance = {});
 
   /// TTF1 plus the admission and coalescing counts of admit().
   const BatchTtfSample& sample() const { return sample_; }
@@ -174,7 +154,6 @@ class BatchTxn {
   std::vector<std::size_t> offsets_;
   std::vector<std::optional<netbase::NextHop>> priors_;
   BatchTtfSample sample_;
-  CommitPlan& plan_;
 };
 
 }  // namespace clue::update

@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "engine/parallel_engine.hpp"
+#include "engine/slpl_setup.hpp"
 #include "netbase/rng.hpp"
 #include "onrtc/onrtc.hpp"
-#include "partition/partition.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -28,14 +28,7 @@ struct Fixture {
     config.seed = seed;
     fib = workload::generate_rib(config);
     table = onrtc::compress(fib);
-    const auto partitions = partition::even_partition(table, tcams);
-    setup.tcam_routes.resize(tcams);
-    for (std::size_t i = 0; i < tcams; ++i) {
-      setup.tcam_routes[i] = partitions.buckets[i].routes;
-    }
-    setup.bucket_boundaries =
-        partition::even_partition_boundaries(table, tcams);
-    for (std::size_t i = 0; i < tcams; ++i) setup.bucket_to_tcam.push_back(i);
+    setup = engine::build_clue_setup(table, tcams);
   }
 
   std::vector<Prefix> prefixes_of(std::size_t chip) const {

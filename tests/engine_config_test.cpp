@@ -6,8 +6,8 @@
 #include <tuple>
 
 #include "engine/parallel_engine.hpp"
+#include "engine/slpl_setup.hpp"
 #include "onrtc/onrtc.hpp"
-#include "partition/partition.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -18,15 +18,7 @@ using netbase::Prefix;
 
 EngineSetup make_setup(const std::vector<netbase::Route>& table,
                        std::size_t tcams) {
-  EngineSetup setup;
-  const auto partitions = partition::even_partition(table, tcams);
-  setup.tcam_routes.resize(tcams);
-  for (std::size_t i = 0; i < tcams; ++i) {
-    setup.tcam_routes[i] = partitions.buckets[i].routes;
-  }
-  setup.bucket_boundaries = partition::even_partition_boundaries(table, tcams);
-  for (std::size_t i = 0; i < tcams; ++i) setup.bucket_to_tcam.push_back(i);
-  return setup;
+  return build_clue_setup(table, tcams);
 }
 
 // (tcams, fifo_depth, service_clocks, dred_capacity)

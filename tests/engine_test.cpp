@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "engine/indexing_logic.hpp"
+#include "engine/slpl_setup.hpp"
 #include "netbase/rng.hpp"
 #include "onrtc/onrtc.hpp"
-#include "partition/partition.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -62,14 +62,7 @@ struct EngineFixture {
     config.seed = seed;
     full = workload::generate_rib(config);
     table = onrtc::compress(full);
-    const auto partitions = partition::even_partition(table, tcams);
-    setup.tcam_routes.resize(tcams);
-    for (std::size_t i = 0; i < tcams; ++i) {
-      setup.tcam_routes[i] = partitions.buckets[i].routes;
-    }
-    setup.bucket_boundaries = partition::even_partition_boundaries(table, tcams);
-    setup.bucket_to_tcam.resize(tcams);
-    for (std::size_t i = 0; i < tcams; ++i) setup.bucket_to_tcam[i] = i;
+    setup = engine::build_clue_setup(table, tcams);
   }
 };
 

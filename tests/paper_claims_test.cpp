@@ -6,6 +6,7 @@
 
 #include "engine/dred.hpp"
 #include "engine/parallel_engine.hpp"
+#include "engine/slpl_setup.hpp"
 #include "netbase/rng.hpp"
 #include "onrtc/onrtc.hpp"
 #include "partition/partition.hpp"
@@ -75,14 +76,7 @@ TEST(PaperClaims, SpeedupLawHolds) {
   rib_config.table_size = 20'000;
   rib_config.seed = 105;
   const auto table = onrtc::compress(workload::generate_rib(rib_config));
-  const auto partitions = partition::even_partition(table, 4);
-  engine::EngineSetup setup;
-  setup.tcam_routes.resize(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    setup.tcam_routes[i] = partitions.buckets[i].routes;
-  }
-  setup.bucket_boundaries = partition::even_partition_boundaries(table, 4);
-  for (std::size_t i = 0; i < 4; ++i) setup.bucket_to_tcam.push_back(i);
+  const auto setup = engine::build_clue_setup(table, 4);
 
   for (const std::size_t dred : {64, 1024}) {
     engine::EngineConfig config;
@@ -109,14 +103,7 @@ TEST(PaperClaims, DredExclusionRule) {
   rib_config.table_size = 10'000;
   rib_config.seed = 107;
   const auto table = onrtc::compress(workload::generate_rib(rib_config));
-  const auto partitions = partition::even_partition(table, 4);
-  engine::EngineSetup setup;
-  setup.tcam_routes.resize(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    setup.tcam_routes[i] = partitions.buckets[i].routes;
-  }
-  setup.bucket_boundaries = partition::even_partition_boundaries(table, 4);
-  for (std::size_t i = 0; i < 4; ++i) setup.bucket_to_tcam.push_back(i);
+  const auto setup = engine::build_clue_setup(table, 4);
   engine::EngineConfig config;
   engine::ParallelEngine engine(engine::EngineMode::kClue, config, setup);
   workload::TrafficConfig traffic_config;
@@ -139,14 +126,7 @@ TEST(PaperClaims, NoControlPlaneInteractionsInClueMode) {
   rib_config.table_size = 5'000;
   rib_config.seed = 109;
   const auto table = onrtc::compress(workload::generate_rib(rib_config));
-  const auto partitions = partition::even_partition(table, 4);
-  engine::EngineSetup setup;
-  setup.tcam_routes.resize(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    setup.tcam_routes[i] = partitions.buckets[i].routes;
-  }
-  setup.bucket_boundaries = partition::even_partition_boundaries(table, 4);
-  for (std::size_t i = 0; i < 4; ++i) setup.bucket_to_tcam.push_back(i);
+  const auto setup = engine::build_clue_setup(table, 4);
   engine::EngineConfig config;
   engine::ParallelEngine engine(engine::EngineMode::kClue, config, setup);
   workload::TrafficConfig traffic_config;

@@ -101,7 +101,7 @@ TEST(EvenPartitionBoundaries, DegenerateBoundariesSortedNoSentinel) {
   Pcg32 rng(41);
   const auto table = disjoint_table(rng, 3);
   const std::size_t n = 8;
-  const auto boundaries = even_partition_boundaries(table, n);
+  const auto boundaries = even_partition(table, n).boundaries;
   ASSERT_EQ(boundaries.size(), n - 1);
   // Non-decreasing, and never the old 255.255.255.255 sentinel.
   for (std::size_t i = 0; i + 1 < boundaries.size(); ++i) {
@@ -118,7 +118,7 @@ TEST(EvenPartitionBoundaries, DegenerateBoundariesHomeEveryRoute) {
     const auto table = disjoint_table(rng, routes);
     const std::size_t n = 8;
     const auto result = even_partition(table, n);
-    const auto boundaries = even_partition_boundaries(table, n);
+    const auto& boundaries = result.boundaries;
     for (std::size_t b = 0; b < n; ++b) {
       for (const auto& route : result.buckets[b].routes) {
         std::size_t index = 0;
@@ -138,7 +138,7 @@ TEST(EvenPartitionBoundaries, RouteEveryAddressToItsBucket) {
   const auto table = disjoint_table(rng, 800);
   const std::size_t n = 4;
   const auto result = even_partition(table, n);
-  const auto boundaries = even_partition_boundaries(table, n);
+  const auto& boundaries = result.boundaries;
   ASSERT_EQ(boundaries.size(), n - 1);
   for (std::size_t b = 0; b < n; ++b) {
     for (const auto& route : result.buckets[b].routes) {

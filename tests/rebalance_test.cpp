@@ -4,7 +4,7 @@
 // with trie rollback on all three hosts, and the churn-soak — sustained
 // skewed updates under concurrent lookups with a windowed version
 // oracle (sized by CLUE_SOAK_UPDATES; see ci/check.sh's soak stage).
-#include "runtime/rebalancer.hpp"
+#include "update/rebalancer.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,16 +13,15 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
-#include <span>
 #include <thread>
 #include <vector>
 
-#include "engine/flat_table.hpp"
 #include "netbase/rng.hpp"
+#include "partition/partition.hpp"
 #include "runtime/lookup_runtime.hpp"
 #include "system/clue_system.hpp"
 #include "tcam/updater.hpp"
+#include "update/chip_set.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/update_gen.hpp"
 
@@ -39,14 +38,14 @@ using clue::netbase::NextHop;
 using clue::netbase::Pcg32;
 using clue::netbase::Prefix;
 using clue::netbase::Route;
-using clue::engine::FlatLookupTable;
 using clue::runtime::LookupRuntime;
-using clue::runtime::MigrationStep;
-using clue::runtime::even_targets;
-using clue::runtime::occupancy_skew;
-using clue::runtime::plan_step;
-using clue::runtime::should_rebalance;
 using clue::runtime::RuntimeConfig;
+using clue::update::ChipSet;
+using clue::update::MigrationStep;
+using clue::update::even_targets;
+using clue::update::occupancy_skew;
+using clue::update::plan_step;
+using clue::update::should_rebalance;
 using clue::workload::UpdateKind;
 using clue::workload::UpdateMsg;
 
@@ -121,7 +120,7 @@ TEST(RebalancePlannerTest, ShouldRebalanceRespectsWatermarksAndSwitch) {
   EXPECT_TRUE(should_rebalance(runtime.chip_occupancy()));
   EXPECT_TRUE(should_rebalance(system.chip_occupancy()));
   EXPECT_EQ(runtime.metrics().rebalance_passes, 0u);
-  EXPECT_GT(system.skew(), clue::runtime::kSkewWatermark);
+  EXPECT_GT(system.skew(), clue::update::kSkewWatermark);
 }
 
 TEST(RebalancePlannerTest, PlanStepNulloptWhenBalanced) {
@@ -159,8 +158,8 @@ TEST(RebalancePlannerTest, PlanStepConvergesToEvenFromAnySkew) {
   }
 }
 
-// plan_migration_run: the run both hosts' migrate() execute, read off the
-// donor's flat image.
+// ChipSet::migration_run: the run both hosts' migrate() execute, read off
+// the donor's flat image.
 
 std::vector<Route> four_routes() {
   std::vector<Route> routes;
@@ -171,23 +170,29 @@ std::vector<Route> four_routes() {
   return routes;
 }
 
-/// Three chip images: `routes` on chip `donor`, the others empty.
-std::vector<std::unique_ptr<FlatLookupTable>> chips_with(
-    std::size_t donor, const std::vector<Route>& routes) {
-  std::vector<std::unique_ptr<FlatLookupTable>> chips;
-  for (std::size_t i = 0; i < 3; ++i) {
-    chips.push_back(std::make_unique<FlatLookupTable>(
-        i == donor ? std::span<const Route>(routes)
-                   : std::span<const Route>()));
-  }
-  return chips;
+/// A chip set of `buckets.size()` chips, chip i painted from buckets[i],
+/// with `capacity` entries per chip. migration_run reads only the images,
+/// so every boundary sits at 0.0.0.0.
+ChipSet chip_set(const std::vector<std::vector<Route>>& buckets,
+                 std::size_t capacity) {
+  clue::partition::PartitionResult layout;
+  for (const auto& routes : buckets) layout.buckets.push_back({routes});
+  layout.boundaries.assign(buckets.size() - 1, Ipv4Address(0));
+  return ChipSet(layout, capacity);
+}
+
+/// Three chips: `routes` on chip `donor`, the others empty.
+ChipSet chips_with(std::size_t donor, const std::vector<Route>& routes,
+                   std::size_t capacity) {
+  std::vector<std::vector<Route>> buckets(3);
+  buckets[donor] = routes;
+  return chip_set(buckets, capacity);
 }
 
 TEST(RebalancePlannerTest, MigrationRunRightwardTakesTopRoutes) {
   const auto routes = four_routes();
-  const auto run = clue::runtime::plan_migration_run(
-      MigrationStep{.donor = 1, .receiver = 2, .count = 2},
-      chips_with(1, routes), 100);
+  const auto run = chips_with(1, routes, 100).migration_run(
+      MigrationStep{.donor = 1, .receiver = 2, .count = 2});
   EXPECT_EQ(run.routes, (std::vector<Route>{routes[2], routes[3]}));
   EXPECT_EQ(run.boundary, 1u);  // between donor 1 and receiver 2
   // The receiver's range now begins at the first route to cross.
@@ -196,9 +201,8 @@ TEST(RebalancePlannerTest, MigrationRunRightwardTakesTopRoutes) {
 
 TEST(RebalancePlannerTest, MigrationRunLeftwardTakesBottomRoutes) {
   const auto routes = four_routes();
-  const auto run = clue::runtime::plan_migration_run(
-      MigrationStep{.donor = 2, .receiver = 1, .count = 2},
-      chips_with(2, routes), 100);
+  const auto run = chips_with(2, routes, 100).migration_run(
+      MigrationStep{.donor = 2, .receiver = 1, .count = 2});
   EXPECT_EQ(run.routes, (std::vector<Route>{routes[0], routes[1]}));
   EXPECT_EQ(run.boundary, 1u);
   // The donor's range now begins at the first route that stays.
@@ -207,40 +211,33 @@ TEST(RebalancePlannerTest, MigrationRunLeftwardTakesBottomRoutes) {
 
 TEST(RebalancePlannerTest, MigrationRunLeftwardDonorKeepsOneRoute) {
   const auto routes = four_routes();
-  const auto run = clue::runtime::plan_migration_run(
-      MigrationStep{.donor = 1, .receiver = 0, .count = 10},
-      chips_with(1, routes), 100);
+  const auto run = chips_with(1, routes, 100).migration_run(
+      MigrationStep{.donor = 1, .receiver = 0, .count = 10});
   EXPECT_EQ(run.routes,
             (std::vector<Route>{routes[0], routes[1], routes[2]}));
   EXPECT_EQ(run.new_boundary, routes[3].prefix.range_low());
   // A rightward donor may give everything it holds.
-  const auto all = clue::runtime::plan_migration_run(
-      MigrationStep{.donor = 0, .receiver = 1, .count = 10},
-      chips_with(0, routes), 100);
+  const auto all = chips_with(0, routes, 100).migration_run(
+      MigrationStep{.donor = 0, .receiver = 1, .count = 10});
   EXPECT_EQ(all.routes, routes);
   EXPECT_EQ(all.new_boundary, routes[0].prefix.range_low());
 }
 
 TEST(RebalancePlannerTest, MigrationRunClampsToReceiverFreeCapacity) {
   const auto routes = four_routes();
-  const auto chips = chips_with(0, routes);
   const MigrationStep step{.donor = 0, .receiver = 1, .count = 3};
-  const auto run = clue::runtime::plan_migration_run(step, chips, 1);
+  const auto run = chips_with(0, routes, 1).migration_run(step);
   EXPECT_EQ(run.routes, (std::vector<Route>{routes[3]}));
   EXPECT_EQ(run.new_boundary, routes[3].prefix.range_low());
-  EXPECT_TRUE(
-      clue::runtime::plan_migration_run(step, chips, 0).routes.empty());
+  EXPECT_TRUE(chips_with(0, routes, 0).migration_run(step).routes.empty());
   // The receiver's stored routes count against its capacity.
-  std::vector<std::unique_ptr<FlatLookupTable>> split;
-  split.push_back(std::make_unique<FlatLookupTable>(
-      std::span<const Route>(routes).first(2)));
-  split.push_back(std::make_unique<FlatLookupTable>(
-      std::span<const Route>(routes).last(2)));
-  EXPECT_EQ(clue::runtime::plan_migration_run(step, split, 3).routes,
+  const std::vector<std::vector<Route>> split{
+      {routes[0], routes[1]}, {routes[2], routes[3]}};
+  EXPECT_EQ(chip_set(split, 3).migration_run(step).routes,
             (std::vector<Route>{routes[1]}));
-  EXPECT_TRUE(clue::runtime::plan_migration_run(
-                  MigrationStep{.donor = 1, .receiver = 0, .count = 3},
-                  chips_with(2, routes), 9)
+  EXPECT_TRUE(chips_with(2, routes, 9)
+                  .migration_run(
+                      MigrationStep{.donor = 1, .receiver = 0, .count = 3})
                   .routes.empty());
 }
 
@@ -538,8 +535,8 @@ TEST(RebalanceTest, SystemShedsSkewUnderHotChurnAndStaysExact) {
   EXPECT_TRUE(found_skew);
 }
 
-// Both hosts hold each chip as a flat image and pick migration runs with
-// one plan_migration_run, so the same skew must rebalance identically.
+// Both hosts hold their chips as an update::ChipSet, which picks and stages
+// every migration run, so the same skew must rebalance identically.
 TEST(RebalanceTest, SystemAndRuntimeMigrateIdentically) {
   const auto fib = make_fib(8'000, 2451);
   constexpr std::size_t kChips = 4;

@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "netbase/rng.hpp"
-#include "runtime/rebalancer.hpp"
 #include "system/clue_system.hpp"
+#include "update/rebalancer.hpp"
 #include "workload/rib_gen.hpp"
 #include "workload/traffic_gen.hpp"
 #include "workload/update_gen.hpp"
@@ -552,7 +552,7 @@ TEST(LookupRuntimeTest, ParkedThreadsWakeForEveryProducer) {
   const std::uint32_t bound = runtime.boundaries().front().value();
   Pcg32 rng(1818);
   clue::workload::UpdateMsg hot;
-  while (runtime.skew() < clue::runtime::kSkewWatermark) {
+  while (runtime.skew() < clue::update::kSkewWatermark) {
     hot.kind = clue::workload::UpdateKind::kAnnounce;
     hot.prefix = clue::netbase::Prefix(Ipv4Address(rng.next_below(bound)), 24);
     hot.next_hop = clue::netbase::make_next_hop(1 + rng.next_below(250));

@@ -99,14 +99,7 @@ TEST(SlplSetup, ChipContentsMatchHomeAssignments) {
 
 TEST(SlplEngine, RequiresBucketHomes) {
   const auto table = test_table(711);
-  const auto partitions = partition::even_partition(table, 4);
-  EngineSetup setup;
-  setup.tcam_routes.resize(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    setup.tcam_routes[i] = partitions.buckets[i].routes;
-  }
-  setup.bucket_boundaries = partition::even_partition_boundaries(table, 4);
-  for (std::size_t i = 0; i < 4; ++i) setup.bucket_to_tcam.push_back(i);
+  const EngineSetup setup = build_clue_setup(table, 4);
   EngineConfig config;
   EXPECT_THROW(ParallelEngine(EngineMode::kSlpl, config, setup),
                std::invalid_argument);
@@ -139,7 +132,7 @@ TEST(SlplEngine, CollapsesWhenTrafficShiftsButClueDoesNot) {
   for (const auto& route : table) prefixes.push_back(route.prefix);
 
   // Train SLPL on seed A.
-  const auto boundaries = partition::even_partition_boundaries(table, 32);
+  const auto boundaries = partition::even_partition(table, 32).boundaries;
   workload::TrafficConfig stable;
   stable.seed = 716;
   stable.zipf_skew = 1.1;
@@ -164,14 +157,7 @@ TEST(SlplEngine, CollapsesWhenTrafficShiftsButClueDoesNot) {
   };
 
   // CLUE setup: plain 4-way even partition of the same table.
-  const auto partitions = partition::even_partition(table, 4);
-  EngineSetup clue_setup;
-  clue_setup.tcam_routes.resize(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    clue_setup.tcam_routes[i] = partitions.buckets[i].routes;
-  }
-  clue_setup.bucket_boundaries = partition::even_partition_boundaries(table, 4);
-  for (std::size_t i = 0; i < 4; ++i) clue_setup.bucket_to_tcam.push_back(i);
+  const EngineSetup clue_setup = build_clue_setup(table, 4);
 
   const double slpl_stable = speedup(EngineMode::kSlpl, slpl, 716);
   const double slpl_shifted = speedup(EngineMode::kSlpl, slpl, 999);
