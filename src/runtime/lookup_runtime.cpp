@@ -18,13 +18,13 @@ using update::elapsed_ns;
 
 // Batch sizes for the ring drains: large enough to amortise the cursor
 // atomics and overlap flat-table prefetches across a batch, small
-// enough to keep per-job latency and fence granularity low.
+// enough to keep per-job latency low.
 constexpr std::size_t kWorkerBatch = 32;   // jobs popped per worker pass
 constexpr std::size_t kDrainBatch = 64;    // completions popped per pass
 constexpr std::size_t kClientStage = 256;  // addresses staged per pass
 
 // Ring depths besides the home FIFO: per-worker completions, control
-// messages (DRed erase/fix, fences) and per-pair DRed fills.
+// messages (DRed erase/fix) and per-pair DRed fills.
 constexpr std::size_t kCompletionDepth = 1024;
 constexpr std::size_t kControlDepth = 4096;
 constexpr std::size_t kFillDepth = 256;
@@ -91,8 +91,8 @@ LookupRuntime::LookupRuntime(TimedFib fib, const RuntimeConfig& config)
   fib_build_ns_ = fib.build_ns;
   trie_bytes_.store(fib_.memory_bytes(), std::memory_order_relaxed);
   trie_growths_.store(fib_.trie_growths(), std::memory_order_relaxed);
-  indexing_.store(new engine::IndexingLogic(chips_.boundaries()),
-                  std::memory_order_seq_cst);
+  routing_.store(new Routing{engine::IndexingLogic(chips_.boundaries())},
+                 std::memory_order_seq_cst);
 
   workers_.reserve(config.worker_count);
   for (std::size_t i = 0; i < config.worker_count; ++i) {
@@ -135,21 +135,18 @@ void LookupRuntime::stop() {
   update_bell_.ring();
   for (auto& worker : workers_) worker->bell.ring();
   std::lock_guard<std::mutex> lock(stop_mutex_);
-  // Updater first: its in-flight apply_batch may migrate, which needs
-  // live workers to ack its fences (both sides also bail on stop_, so
-  // either order terminates — this one lets a draining batch finish
-  // cleanly), and it must stop pushing syncs before the drain below.
+  // Updater first: it must stop pushing syncs before the drain below.
   if (updater_thread_.joinable()) updater_thread_.join();
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
   }
   // A worker exits once a pass finds nothing, so a sync pushed after its
   // last drain (or held by the test hook) is still queued: apply it now
-  // that this thread is the ring's only consumer. Fences are moot.
+  // that this thread is the ring's only consumer.
   for (auto& worker : workers_) {
     ControlMsg msg;
     while (worker->control->try_pop(msg)) {
-      if (msg.kind != ControlMsg::Kind::kFence) apply_sync(*worker, msg);
+      apply_sync(*worker, msg);
       worker->control_applied.fetch_add(1, std::memory_order_release);
     }
   }
@@ -157,7 +154,7 @@ void LookupRuntime::stop() {
 
 LookupRuntime::~LookupRuntime() {
   stop();
-  delete indexing_.load(std::memory_order_relaxed);
+  delete routing_.load(std::memory_order_relaxed);
   // epoch_'s destructor releases any still-retired bundles into their
   // images' pools (each bundle holds its pool).
 }
@@ -183,7 +180,7 @@ void LookupRuntime::worker_main(std::size_t w) {
   for (;;) {
     bool progress = drain_control(w);
     if (dred_enabled_) progress |= drain_fills(w);
-    if (!stalled(me, kStallJobs)) progress |= serve_jobs(w, kWorkerBatch) > 0;
+    if (!stalled(me, kStallJobs)) progress |= serve_jobs(w) > 0;
     if (progress) {
       backoff.reset();
     } else if (stop_.load(std::memory_order_acquire)) {
@@ -194,11 +191,10 @@ void LookupRuntime::worker_main(std::size_t w) {
   }
 }
 
-std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
+std::size_t LookupRuntime::serve_jobs(std::size_t w) {
   Worker& me = *workers_[w];
   std::array<Job, kWorkerBatch> jobs;
-  const std::size_t n =
-      me.jobs->try_pop_n(jobs.data(), std::min(max, kWorkerBatch));
+  const std::size_t n = me.jobs->try_pop_n(jobs.data(), jobs.size());
   if (n == 0) return 0;
   std::array<Completion, kWorkerBatch> done;
   // The batch's sampled fills and its counts stay worker-private until
@@ -210,6 +206,7 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
   std::uint64_t dred_hits = 0;
   std::uint64_t miss_returns = 0;
   std::uint64_t sync_returns = 0;
+  std::uint64_t moved_returns = 0;
   {
     // Pin discipline: pin the epoch once for the whole batch, then read
     // the image. Every block a concurrent patch unlinks stays alive until
@@ -222,9 +219,7 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
     EpochDomain::Guard guard(epoch_, w);
     const std::uint64_t version =
         me.published_version.load(std::memory_order_seq_cst);
-    // This thread is control_applied's only writer. A kFence drain serves
-    // jobs before it counts the fence, so a job stamped past the fence
-    // goes home too: no stamp ever waits on a drain.
+    // This thread is control_applied's only writer.
     const auto applied = static_cast<std::uint32_t>(
         me.control_applied.load(std::memory_order_relaxed));
     const engine::FlatLookupTable& flat = chips_.chip(w);
@@ -251,11 +246,26 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
       }
       ++home_lookups;
       const NextHop hop = flat.lookup(job.address);
+      if (hop == netbase::kNoRoute) {
+        // Routing stamp (the same miss-return): a job homed here by a
+        // routing generation older than this chip's last shrink may ask
+        // for an address the shrink moved to a neighbour. moved_gen is
+        // stored before the shrink's release stores and loaded after the
+        // image's acquire loads, so an image read that saw the shrink
+        // sees it too; an older read answered from the unshrunk image.
+        // Sent home, the job is routed again by the current generation.
+        const bool moved =
+            static_cast<std::int32_t>(
+                me.moved_gen.load(std::memory_order_relaxed) -
+                job.sync_stamp) > 0;
+        moved_returns += moved;
+        miss_returns += moved;
+        return Completion{job.index, hop, moved};
+      }
       // One in every 8 hits offers the stored route to the peer DReds;
       // the flat image carries its exact shape, so the sampled hit costs
       // one more cached image read.
-      if (hop != netbase::kNoRoute && dred_enabled_ &&
-          (me.hits_seen++ & kFillSampleMask) == 0) {
+      if (dred_enabled_ && (me.hits_seen++ & kFillSampleMask) == 0) {
         if (const auto matched = flat.lookup_route(job.address)) {
           fills[fill_count++] = FillMsg{*matched, version};
         }
@@ -282,21 +292,17 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w, std::size_t max) {
       }
     }
   }
-  const std::uint64_t dred_lookups = n - home_lookups;
-  me.counters.add(WorkerCounter::kJobs, n);
-  if (home_lookups > 0) {
-    me.counters.add(WorkerCounter::kHomeLookups, home_lookups);
-  }
-  if (dred_lookups > 0) {
-    me.counters.add(WorkerCounter::kDredLookups, dred_lookups);
-    if (dred_hits > 0) me.counters.add(WorkerCounter::kDredHits, dred_hits);
-    if (miss_returns > 0) {
-      me.counters.add(WorkerCounter::kMissReturns, miss_returns);
-    }
-    if (sync_returns > 0) {
-      me.counters.add(WorkerCounter::kDredSyncReturns, sync_returns);
-    }
-  }
+  // Zero counts skip their atomic add.
+  const auto count = [&me](WorkerCounter counter, std::uint64_t events) {
+    if (events > 0) me.counters.add(counter, events);
+  };
+  count(WorkerCounter::kJobs, n);
+  count(WorkerCounter::kHomeLookups, home_lookups);
+  count(WorkerCounter::kDredLookups, n - home_lookups);
+  count(WorkerCounter::kDredHits, dred_hits);
+  count(WorkerCounter::kMissReturns, miss_returns);
+  count(WorkerCounter::kDredSyncReturns, sync_returns);
+  count(WorkerCounter::kMovedReturns, moved_returns);
   // Fills leave before the completions, so once a batch is answered every
   // fill it produced is already in a peer's ring.
   send_fills(w, fills.data(), fill_count);
@@ -319,20 +325,7 @@ bool LookupRuntime::drain_control(std::size_t w) {
   while (!me.control->empty_approx() && !stalled(me, kStallControl) &&
          me.control->try_pop(msg)) {
     any = true;
-    if (msg.kind == ControlMsg::Kind::kFence) {
-      // Capacity-bounded: the jobs the fence must flush were enqueued
-      // before the indexing republish and number at most one ring's worth
-      // (fifo_depth); anything pushed behind them was routed by the new
-      // indexing and is safe against any table version, so there is no
-      // need to chase the ring while the client keeps refilling it.
-      const std::size_t capacity = me.jobs->capacity();
-      for (std::size_t served = 0, n = 1; served < capacity && n > 0;
-           served += n) {
-        n = serve_jobs(w, capacity - served);
-      }
-    } else {
-      apply_sync(me, msg);
-    }
+    apply_sync(me, msg);
     me.control_applied.fetch_add(1, std::memory_order_release);
   }
   return any;
@@ -411,9 +404,9 @@ std::size_t LookupRuntime::push_jobs(std::size_t w, Job* jobs,
   return pushed;
 }
 
-bool LookupRuntime::try_submit(const engine::IndexingLogic& indexing,
-                               Job job) {
-  const std::size_t home = indexing.tcam_of(job.address);
+bool LookupRuntime::try_submit(const Routing& routing, Job job) {
+  const std::size_t home = routing.logic.tcam_of(job.address);
+  job.sync_stamp = routing.generation;
   return push_jobs(home, &job, 1) == 1 || try_divert(home, job);
 }
 
@@ -471,16 +464,18 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
   while (next < addresses.size() || outstanding > 0 || !backlog_.empty()) {
     bool progress = false;
     {
-      // Dispatch pass: pin the epoch so the IndexingLogic snapshot we
-      // route by cannot be freed under us by a concurrent rebalance.
-      // Re-read every pass — after publish_indexing's grace period the
-      // control plane may rely on no older snapshot being in use.
+      // Dispatch pass: pin the epoch so the routing snapshot we route by
+      // cannot be freed under us by a concurrent rebalance. Re-read every
+      // pass, and stamp every home job with its generation: a job routed
+      // by a snapshot a migration has since replaced comes back from the
+      // shrunk donor (serve_jobs) and is routed again here.
       EpochDomain::Guard guard(epoch_, client_slot_);
-      const engine::IndexingLogic& indexing =
-          *indexing_.load(std::memory_order_seq_cst);
-      // Returned misses first: they are the oldest jobs in flight.
+      const Routing& routing = *routing_.load(std::memory_order_seq_cst);
+      // Returned misses first: they are the oldest jobs in flight. Each
+      // is re-stamped, or a moved job would bounce forever.
       for (std::size_t i = 0; i < returns_.size();) {
-        const std::size_t home = indexing.tcam_of(returns_[i].address);
+        const std::size_t home = routing.logic.tcam_of(returns_[i].address);
+        returns_[i].sync_stamp = routing.generation;
         if (push_jobs(home, &returns_[i], 1) == 1) {
           returns_[i] = returns_.back();
           returns_.pop_back();
@@ -491,7 +486,7 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
       }
       // Then jobs every ring rejected last pass (older than fresh ones).
       for (std::size_t i = 0; i < backlog_.size();) {
-        if (try_submit(indexing, backlog_[i])) {
+        if (try_submit(routing, backlog_[i])) {
           if (latency_ns) submitted_[backlog_[i].index] = Clock::now();
           ++outstanding;
           backlog_[i] = backlog_.back();
@@ -509,9 +504,10 @@ std::vector<NextHop> LookupRuntime::lookup_batch(
         const std::size_t stage_end =
             std::min(addresses.size(), next + kClientStage);
         for (; next < stage_end; ++next) {
-          const std::size_t home = indexing.tcam_of(addresses[next]);
-          stage_[home].push_back(
-              Job{addresses[next], static_cast<std::uint32_t>(next), false});
+          const std::size_t home = routing.logic.tcam_of(addresses[next]);
+          stage_[home].push_back(Job{addresses[next],
+                                     static_cast<std::uint32_t>(next), false,
+                                     routing.generation});
         }
         for (std::size_t w = 0; w < workers_.size(); ++w) {
           auto& staged = stage_[w];
@@ -640,19 +636,20 @@ std::size_t LookupRuntime::publish(std::span<update::StagedPatch> staged,
   return staged.size();
 }
 
-void LookupRuntime::publish_indexing() {
-  auto* next = new engine::IndexingLogic(chips_.boundaries());
-  engine::IndexingLogic* old =
-      indexing_.exchange(next, std::memory_order_seq_cst);
+std::uint32_t LookupRuntime::publish_indexing() {
+  // Single writer (the control role): the relaxed load is the last store.
+  const std::uint32_t generation =
+      routing_.load(std::memory_order_relaxed)->generation + 1;
+  Routing* old = routing_.exchange(
+      new Routing{engine::IndexingLogic(chips_.boundaries()), generation},
+      std::memory_order_seq_cst);
+  // The old snapshot is freed by a later reclaim once no dispatch pass
+  // still pins it. It shares the epoch domain's reclaim accounting with
+  // chip tables, so it must count as a published version too or the
+  // reclaimed == published quiescence invariant breaks.
   epoch_.retire(old);
-  // The retired indexing shares the epoch domain's reclaim accounting
-  // with chip tables, so it must count as a published version too or
-  // the reclaimed == published quiescence invariant breaks.
   tables_published_.fetch_add(1, std::memory_order_relaxed);
-  // Grace period: once this returns, every dispatch pass routes by the
-  // new boundaries — the migration protocol can fence the donor knowing
-  // no more old-homed jobs will arrive behind the fence.
-  epoch_.synchronize();
+  return generation;
 }
 
 void LookupRuntime::push_control_n(std::size_t chip, ControlMsg* msgs,
@@ -662,8 +659,8 @@ void LookupRuntime::push_control_n(std::size_t chip, ControlMsg* msgs,
   wait_until([&] {
     pushed += worker.control->try_push_n(msgs + pushed, count - pushed);
     // Only a full ring wakes its worker: nothing waits on a DRed sweep,
-    // and whatever wakes the worker next (a job, a fill, an ack wait,
-    // stop()) finds it drains control first. So a commit never pays a
+    // and whatever wakes the worker next (a job, a fill, stop()) finds
+    // it drains control first. So a commit never pays a
     // parked worker's wake-up.
     if (pushed < count) worker.bell.ring();
     return pushed == count;
@@ -673,16 +670,6 @@ void LookupRuntime::push_control_n(std::size_t chip, ControlMsg* msgs,
   auto& total = worker.control_pushed.value;
   total.store(total.load(std::memory_order_relaxed) + pushed,
               std::memory_order_release);
-}
-
-void LookupRuntime::wait_control_ack(std::size_t chip) {
-  Worker& worker = *workers_[chip];
-  const std::uint64_t pushed =
-      worker.control_pushed.value.load(std::memory_order_relaxed);
-  worker.bell.ring();  // the pushes did not (push_control_n)
-  wait_until([&] {
-    return worker.control_applied.load(std::memory_order_acquire) >= pushed;
-  });
 }
 
 std::vector<std::size_t> LookupRuntime::chip_occupancy() const {
@@ -711,30 +698,33 @@ std::size_t LookupRuntime::migrate(const update::MigrationStep& step) {
   //    answer is unchanged.
   publish({&staged.gain, 1});
 
-  // 2. Move the shared boundary and wait out the grace period: after
-  //    this, every dispatch routes migrated addresses to the receiver
-  //    (whose table already answers them).
+  // 2. Move the shared boundary and publish it as the next routing
+  //    generation: from the client's next dispatch pass on, migrated
+  //    addresses go to the receiver (whose table already answers them).
+  //    Jobs already routed by an older generation may still reach the
+  //    donor.
   chips_.move_boundary(staged.run);
-  publish_indexing();
+  const std::uint32_t generation = publish_indexing();
 
-  // 3. Fence the donor: jobs that reached its ring under the old
-  //    indexing are answered from its still-fat table before it shrinks
-  //    (the fat table is a superset, so post-swap donor jobs drained
-  //    alongside them get identical answers).
-  ControlMsg fence{ControlMsg::Kind::kFence, Route{}};
-  push_control_n(step.donor, &fence, 1);
-  wait_control_ack(step.donor);
-
-  // 4. Shrink the donor. The version bump also staleness-kills every
-  //    in-flight DRed fill the donor produced for a migrated route, so
-  //    none can sneak into the receiver's DRed after step 5's sweep.
+  // 3. Shrink the donor, storing the generation as its moved_gen first.
+  //    A job routed before it that reads the donor's image before the
+  //    shrink gets the unshrunk answer; one that reads it after gets
+  //    kNoRoute for a migrated address, sees the stamp is older, and goes
+  //    home to be routed to the receiver (serve_jobs). The version bump
+  //    also staleness-kills every in-flight DRed fill the donor produced
+  //    for a migrated route, so none can sneak into the receiver's DRed
+  //    after step 4's sweep.
+  workers_[step.donor]->moved_gen.store(generation, std::memory_order_release);
   publish({&staged.loss, 1});
 
-  // 5. Re-home DRed state: the migrated prefixes are now the receiver's
+  // 4. Re-home DRed state: the migrated prefixes are now the receiver's
   //    *own*, so its DRed must drop them or the exclusion invariant
   //    ("DRed i never stores chip i's prefixes") dies. Other chips'
   //    DReds may keep them — the route, and thus the answer, did not
-  //    change, and they remain foreign prefixes there.
+  //    change, and they remain foreign prefixes there. Like a commit's
+  //    sweep it is pushed, not awaited: a job diverted to the receiver
+  //    from here on is stamped past it and goes home until it is applied,
+  //    and stop() applies it if it is still queued.
   if (dred_enabled_) {
     // One batched ring write for the whole erase sweep instead of one
     // cursor update per migrated route.
@@ -743,8 +733,9 @@ std::size_t LookupRuntime::migrate(const update::MigrationStep& step) {
       sweep_.push_back(ControlMsg{ControlMsg::Kind::kErase, route});
     }
     push_control_n(step.receiver, sweep_.data(), sweep_.size());
-    wait_control_ack(step.receiver);
   }
+  // Parks what the shrink unlinked (after publish's grace barrier) and
+  // frees the old routing snapshot once no dispatch pass pins it.
   epoch_.reclaim();
   return migrated.size();
 }
@@ -976,6 +967,7 @@ RuntimeMetrics LookupRuntime::metrics() const {
     m.dred_hits += c.get(WorkerCounter::kDredHits);
     m.miss_returns += c.get(WorkerCounter::kMissReturns);
     m.dred_sync_returns += c.get(WorkerCounter::kDredSyncReturns);
+    m.moved_returns += c.get(WorkerCounter::kMovedReturns);
     m.fills_sent += c.get(WorkerCounter::kFillsSent);
     m.fills_applied += c.get(WorkerCounter::kFillsApplied);
     m.fills_dropped_full += c.get(WorkerCounter::kFillsDroppedFull);
@@ -1046,6 +1038,7 @@ void LookupRuntime::export_metrics(obs::MetricsRegistry& registry) const {
   registry.set_counter("runtime.dred_hits", m.dred_hits);
   registry.set_counter("runtime.miss_returns", m.miss_returns);
   registry.set_counter("runtime.dred_sync_returns", m.dred_sync_returns);
+  registry.set_counter("runtime.moved_returns", m.moved_returns);
   registry.set_counter("runtime.diverted", m.diverted);
   registry.set_counter("runtime.backpressure_waits", m.backpressure_waits);
   registry.set_counter("runtime.client_stalls", m.client_stalls);

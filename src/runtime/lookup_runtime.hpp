@@ -11,11 +11,13 @@
 // concurrently):
 //
 //   client thread   lookup_batch() — dispatches jobs to the per-chip
-//                   job rings (home first; home full -> idlest other
-//                   chip for a DRed-only lookup, stamped with the DRed
-//                   syncs pushed to that chip so far), drains completion
-//                   rings, re-enqueues DRed misses to the home ring,
-//                   and reorders results back into submission order.
+//                   job rings (home first, stamped with the generation
+//                   of the routing snapshot that homed it; home full ->
+//                   idlest other chip for a DRed-only lookup, stamped
+//                   with the DRed syncs pushed to that chip so far),
+//                   drains completion rings, re-enqueues miss-returns to
+//                   the home ring (re-stamped), and reorders results back
+//                   into submission order.
 //   control thread  apply() — runs the ONRTC diff and admits it against
 //                   the chip plane, an update::ChipSet like the one
 //                   system::ClueSystem holds (boundaries, one flat image
@@ -35,16 +37,21 @@
 //                   watermark (update/rebalancer.hpp), runs of
 //                   boundary-adjacent entries migrate between
 //                   neighboring chips — both sides staged first, then
-//                   the receiver published, the boundary swapped (epoch-
-//                   synchronized), the donor fenced and shrunk — so
-//                   lookups stay correct at every intermediate epoch.
+//                   the receiver published, the boundary moved in a new
+//                   routing generation, and the donor shrunk — without
+//                   waiting on any worker: a job homed by an older
+//                   generation that the shrunk donor cannot answer goes
+//                   home again (see serve_jobs), so lookups stay correct
+//                   at every intermediate step.
 //   chip workers    pop jobs, look up against their chip's flat image
-//                   under an epoch guard, serve DRed-only
-//                   lookups from their private DRed (or return them home
-//                   while a sync their stamp covers is still queued in
-//                   the control ring), exchange DRed
-//                   fills (route shapes read off the flat image) over
-//                   per-pair SPSC rings. No worker ever reads a trie.
+//                   under an epoch guard (returning home a job routed
+//                   before their last shrink that the image answers
+//                   kNoRoute), serve DRed-only lookups from their private
+//                   DRed (or return them home while a sync their stamp
+//                   covers is still queued in the control ring), exchange
+//                   DRed fills (route shapes read off the flat image)
+//                   over per-pair SPSC rings. No worker ever reads a
+//                   trie.
 //
 // Patch/epoch invariant: a worker never reads a chip image without
 // pinning its epoch slot first, and the control plane never parks or
@@ -54,18 +61,20 @@
 // All cross-thread rings are strictly single-producer single-consumer:
 //   client  -> worker i   job ring
 //   worker i-> client     completion ring
-//   control -> worker i   control ring (DRed erase/fix, fences)
+//   control -> worker i   control ring (DRed erase/fix)
 //   worker i-> worker j   fill ring (DRed cache fills, i != j)
 //   submit() -> updater   update ring (async ingress only)
 //
 // Waiting (runtime/backoff.hpp): idle workers and the updater park on
 // their Doorbell, and the producer of every ring they consume rings it
 // after a successful push — except the control role, which rings a
-// worker only when its control ring is full or before waiting for its
-// ack (a parked worker's DRed sync waits for its next wake-up, which
-// drains control before anything else); stop() rings them all. The
-// client and the control role never park: they only wait on hand-offs
-// they started.
+// worker only when its control ring is full (a parked worker's DRed sync
+// waits for its next wake-up, which drains control before anything
+// else); stop() rings them all. The client and the control role never
+// park, and neither waits on a worker's progress: the client waits on
+// its own batch's completions and ring room, the control role only on
+// control-ring room and on a grace barrier after a patch unlinked
+// blocks.
 #pragma once
 
 #include <atomic>
@@ -148,6 +157,9 @@ enum class WorkerCounter : std::size_t {
   /// DRed sync pushed before they were dispatched (a subset of
   /// kMissReturns).
   kDredSyncReturns,
+  /// Home jobs routed before this worker's last shrink that its image
+  /// answered kNoRoute, sent home again (a subset of kMissReturns).
+  kMovedReturns,
   kCount,
 };
 
@@ -183,6 +195,9 @@ struct RuntimeMetrics {
   /// Of miss_returns: diverted jobs stamped past their worker's applied
   /// DRed sync, sent home without reading the DRed.
   std::uint64_t dred_sync_returns = 0;
+  /// Of miss_returns: home jobs routed before a migration shrank their
+  /// chip, which its shrunk image could not answer.
+  std::uint64_t moved_returns = 0;
   std::uint64_t diverted = 0;      ///< jobs sent to a non-home chip
   std::uint64_t backpressure_waits = 0;  ///< all queues full -> client spun
   std::uint64_t client_stalls = 0;   ///< spin-bound exceeded with no progress
@@ -344,7 +359,7 @@ class LookupRuntime {
   /// call this when no rebalance can run concurrently (tests,
   /// post-mortems) — the client role reads it under an epoch pin.
   const engine::IndexingLogic& indexing() const {
-    return *indexing_.load(std::memory_order_acquire);
+    return routing_.load(std::memory_order_acquire)->logic;
   }
   /// Range-partition boundaries (ascending, worker_count-1 of them).
   /// Control-role state: rebalancing rewrites it, so read only from the
@@ -394,10 +409,13 @@ class LookupRuntime {
     Ipv4Address address{0};
     std::uint32_t index = 0;
     bool dred_only = false;
-    /// A diverted job's sync stamp: the low 32 bits of its worker's
-    /// control_pushed at dispatch. The worker reads its DRed for the job
-    /// only once it has applied that many control messages (compared
-    /// wrap-safe); until then it sends the job home.
+    /// A home job's stamp is the generation of the routing snapshot that
+    /// homed it: a worker that shrank after that generation and answers
+    /// kNoRoute sends the job home. A diverted job's stamp is the low 32
+    /// bits of its worker's control_pushed at dispatch: the worker reads
+    /// its DRed for the job only once it has applied that many control
+    /// messages; until then it sends the job home. Both compare
+    /// wrap-safe.
     std::uint32_t sync_stamp = 0;
   };
   static_assert(sizeof(Job) == 16, "a job slot stays 16 bytes");
@@ -406,12 +424,9 @@ class LookupRuntime {
     NextHop hop = netbase::kNoRoute;
     bool miss_return = false;
   };
+  /// A DRed sync: erase an entry, or rewrite it in place.
   struct ControlMsg {
-    /// kErase/kFix sync a DRed entry; kFence makes the worker drain its
-    /// own job ring (bounded by its capacity) before acking, so the
-    /// control plane knows every job submitted under a since-retired
-    /// indexing has been answered from the still-fat donor table.
-    enum class Kind : std::uint8_t { kErase, kFix, kFence };
+    enum class Kind : std::uint8_t { kErase, kFix };
     Kind kind = Kind::kErase;
     Route route;
   };
@@ -419,6 +434,13 @@ class LookupRuntime {
   struct FillMsg {
     Route route;
     std::uint64_t version = 0;
+  };
+
+  /// What the client routes by: the indexing logic and the generation it
+  /// was published at (one per boundary move). Immutable once published.
+  struct Routing {
+    engine::IndexingLogic logic;
+    std::uint32_t generation = 0;
   };
 
   struct Worker {
@@ -451,8 +473,7 @@ class LookupRuntime {
     /// publish, read by the metrics exporter.
     std::atomic<std::size_t> flat_bytes{0};
     /// Rung by the client after pushing jobs, by peers after pushing
-    /// fills, and by the control role while the control ring is full or
-    /// before it waits for an ack.
+    /// fills, and by the control role while the control ring is full.
     Doorbell bell;
     obs::CounterBlock<WorkerCounter> counters;
     obs::LatencyHistogram service_hist;
@@ -463,9 +484,13 @@ class LookupRuntime {
     std::uint64_t hits_seen = 0;
     /// Test hook: Stall bits holding this worker's control drain or job
     /// serving (set only through LookupRuntimeTestAccess; 0 outside
-    /// tests). Beside the worker-private counts: outside tests, no other
-    /// thread writes this line.
+    /// tests).
     std::atomic<std::uint8_t> stalled{0};
+    /// The routing generation of this chip's last shrink, stored by the
+    /// control role before the shrinking patch. Beside the worker-private
+    /// counts: outside tests, no other thread writes this line but once
+    /// per migration off this chip.
+    std::atomic<std::uint32_t> moved_gen{0};
     std::thread thread;
   };
 
@@ -475,17 +500,16 @@ class LookupRuntime {
   bool wait_until(Ready&& ready);
 
   void worker_main(std::size_t w);
-  /// The one job path, for the worker loop and the kFence drain alike:
-  /// pops up to min(max, kWorkerBatch) jobs, pins the epoch once,
+  /// The one job path: pops up to kWorkerBatch jobs, pins the epoch once,
   /// prefetches the flat-table lines across the batch, resolves in order
-  /// (timing 1 in 64; a diverted job stamped past control_applied goes
-  /// home unread), adds the batch's counts, sends its sampled fills and
+  /// (timing 1 in 64; a diverted job stamped past control_applied, or a
+  /// home job stamped before moved_gen that the image answers kNoRoute,
+  /// goes home), adds the batch's counts, sends its sampled fills and
   /// pushes every completion, waiting while the completion ring is full.
   /// Returns the jobs served.
-  std::size_t serve_jobs(std::size_t w, std::size_t max);
+  std::size_t serve_jobs(std::size_t w);
   bool drain_control(std::size_t w);
-  /// Applies one DRed erase/fix to `worker`'s DRed (a kFence is not a
-  /// sync: the caller handles it).
+  /// Applies one DRed erase/fix to `worker`'s DRed.
   static void apply_sync(Worker& worker, const ControlMsg& msg);
   /// Pops every peer's fill ring in batches into this worker's DRed,
   /// dropping fills older than their home chip's published version.
@@ -497,9 +521,10 @@ class LookupRuntime {
   /// Client-side push into worker w's job ring (rings it when anything
   /// landed); returns the jobs accepted.
   std::size_t push_jobs(std::size_t w, Job* jobs, std::size_t count);
-  /// Client-side dispatch of one job; false = all queues full.
-  /// `indexing` is the epoch-pinned snapshot the caller loaded.
-  bool try_submit(const engine::IndexingLogic& indexing, Job job);
+  /// Client-side dispatch of one job, stamped with `routing`'s generation;
+  /// false = all queues full. `routing` is the epoch-pinned snapshot the
+  /// caller loaded.
+  bool try_submit(const Routing& routing, Job job);
   /// Home ring was full: §III-B fallback — retry home or divert to the
   /// idlest chip as a DRed-only job. Uses occupancy_scratch_.
   bool try_divert(std::size_t home, Job job);
@@ -514,17 +539,15 @@ class LookupRuntime {
   /// (flat_ns) and the grace span to `trace` when given.
   std::size_t publish(std::span<update::StagedPatch> staged,
                       obs::TtfTraceEntry* trace = nullptr);
-  /// Publishes a new IndexingLogic for the chips' boundaries and waits out
-  /// a grace period so no reader still uses the old one.
-  void publish_indexing();
+  /// Publishes a routing snapshot for the chips' boundaries at the next
+  /// generation, retires the old one, and returns the new generation.
+  /// Waits for nothing: a client may route one more pass by the old one.
+  std::uint32_t publish_indexing();
   /// Lands `count` control messages on worker `chip` with as few
   /// ring-cursor updates as the free space allows, waiting (wait_until)
   /// while the ring is full, then publishes the worker's new
   /// control_pushed. Rings the worker only while the ring is full.
   void push_control_n(std::size_t chip, ControlMsg* msgs, std::size_t count);
-  /// Rings worker `chip` and waits until it acked everything pushed to
-  /// it (migration only: a commit's DRed sweep is never waited on).
-  void wait_control_ack(std::size_t chip);
   /// Executes one planned migration; returns entries moved.
   std::size_t migrate(const update::MigrationStep& step);
   /// One run_rebalance_pass over the chips, cut short by stop(); returns
@@ -549,7 +572,7 @@ class LookupRuntime {
 
   RuntimeConfig config_;
   onrtc::CompressedFib fib_;
-  std::atomic<engine::IndexingLogic*> indexing_{nullptr};
+  std::atomic<Routing*> routing_{nullptr};
   EpochDomain epoch_;
   /// The chip plane: boundaries (control-role state) and each chip's one
   /// flat image (chip i is worker i's), patched in place by the control
@@ -559,8 +582,8 @@ class LookupRuntime {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stop_{false};
   bool dred_enabled_ = false;
-  /// The client role's epoch slot (slot worker_count); pins the
-  /// IndexingLogic snapshot for one dispatch pass.
+  /// The client role's epoch slot (slot worker_count); pins the routing
+  /// snapshot for one dispatch pass.
   std::size_t client_slot_ = 0;
 
   // Client-role scratch, reused across lookup_batch calls so the steady

@@ -1,6 +1,6 @@
 // Regression tests pinning down CompressedFib's covering-region fast
-// path (refresh_under_region): exact diff shapes for the hole-punch,
-// absorb, and collapse cases. The generic invariant (incremental equals
+// path (the lockstep descent's recorded covering region): exact diff
+// shapes for the hole-punch, absorb, and collapse cases. The generic invariant (incremental equals
 // rebuild) lives in compressed_fib_test.cpp; these tests assert the
 // *op-level* contract benches and TCAM accounting rely on.
 #include <gtest/gtest.h>

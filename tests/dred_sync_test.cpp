@@ -1,10 +1,12 @@
-// DRed sync without an ack round trip: apply() returns once its erase/fix
-// sweep is pushed, a diverted job stamped past its worker's applied sync
-// goes home instead of reading a stale DRed, each sweep skips the chip
-// that stores the shape, and stop() applies whatever sync is still
-// queued.
+// DRed sync and migration without an ack round trip: apply() returns
+// once its erase/fix sweep is pushed, a diverted job stamped past its
+// worker's applied sync goes home instead of reading a stale DRed, each
+// sweep skips the chip that stores the shape, stop() applies whatever
+// sync is still queued, and a migration returns while the donor still
+// holds jobs routed before it, which come home by their routing stamp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -16,6 +18,7 @@
 #include "netbase/rng.hpp"
 #include "runtime/lookup_runtime.hpp"
 #include "system/clue_system.hpp"
+#include "update/rebalancer.hpp"
 #include "workload/traffic_gen.hpp"
 #include "workload/update_gen.hpp"
 
@@ -39,6 +42,10 @@ struct LookupRuntimeTestAccess {
     worker.stalled.fetch_and(static_cast<std::uint8_t>(~what),
                              std::memory_order_acq_rel);
     worker.bell.ring();
+  }
+  /// Jobs queued in worker `w`'s job ring.
+  static std::size_t queued_jobs(const LookupRuntime& runtime, std::size_t w) {
+    return runtime.workers_[w]->jobs->size_approx();
   }
   /// Control messages pushed to worker `w` and not yet applied.
   static std::uint64_t control_backlog(const LookupRuntime& runtime,
@@ -313,6 +320,86 @@ TEST(LookupRuntimeTest, StoppedDredsAreASubsetOfTheSerialHostsDreds) {
     }
   }
   EXPECT_GT(cached, 0u);
+}
+
+// A migration waits on no worker. With the donor serving no jobs and
+// draining no control, and the receiver draining no control,
+// rebalance_now() still returns. The donor then serves jobs routed by
+// the old generation against its shrunk image: the ones it no longer
+// covers come back as miss-returns, and the receiver answers them.
+TEST(LookupRuntimeTest, MigrationReturnsWhileTheDonorHoldsOldJobs) {
+  const auto fib = make_fib(4'000, 2607);
+  RuntimeConfig config;
+  config.worker_count = 2;
+  config.rebalance = false;
+  LookupRuntime runtime(fib, config);
+  constexpr std::size_t kDonor = 0;
+  constexpr std::size_t kReceiver = 1;
+
+  // Skew the donor with hot announces; nothing rebalances them away.
+  const std::uint32_t bound = runtime.boundaries().front().value();
+  clue::netbase::Pcg32 rng(2608);
+  while (runtime.skew() < clue::update::kSkewWatermark) {
+    runtime.apply({clue::workload::UpdateKind::kAnnounce,
+                   Prefix(Ipv4Address(rng.next_below(bound)), 24),
+                   clue::netbase::make_next_hop(1 + rng.next_below(250))});
+  }
+
+  // One address per route at the donor's high end, next to the boundary:
+  // the run a migration moves to the receiver. The batch fits the home
+  // ring, so every job queues at the donor.
+  const std::vector<Route> routes = runtime.chip_routes(kDonor);
+  const std::size_t count = std::min<std::size_t>(128, routes.size());
+  ASSERT_LE(count, config.fifo_depth);
+  std::vector<Ipv4Address> batch;
+  for (std::size_t i = routes.size() - count; i < routes.size(); ++i) {
+    batch.push_back(routes[i].prefix.range_low());
+  }
+
+  Hook::stall(runtime, kDonor, Hook::kJobs | Hook::kControl);
+  Hook::stall(runtime, kReceiver, Hook::kControl);
+  const auto release = [&] {
+    Hook::release(runtime, kDonor, Hook::kJobs | Hook::kControl);
+    Hook::release(runtime, kReceiver, Hook::kControl);
+  };
+  // Let a pass under way finish before the jobs arrive.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  auto answers = std::async(std::launch::async,
+                            [&] { return runtime.lookup_batch(batch); });
+  if (!eventually([&] {
+        return Hook::queued_jobs(runtime, kDonor) == batch.size();
+      })) {
+    release();
+    answers.get();
+    FAIL() << "the batch never queued at the donor";
+  }
+
+  auto steps = std::async(std::launch::async,
+                          [&] { return runtime.rebalance_now(); });
+  if (steps.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    release();
+    steps.get();
+    answers.get();
+    FAIL() << "rebalance_now() waited for a stalled worker";
+  }
+  EXPECT_GT(steps.get(), 0u);
+  std::size_t moved = 0;
+  for (const Ipv4Address address : batch) {
+    if (runtime.indexing().tcam_of(address) == kReceiver) ++moved;
+  }
+  ASSERT_GT(moved, 0u) << "the migration moved none of the queued jobs";
+  EXPECT_EQ(Hook::queued_jobs(runtime, kDonor), batch.size());
+
+  release();
+  const std::vector<NextHop> hops = answers.get();
+  const auto& truth = runtime.fib().ground_truth();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(hops[i], truth.lookup(batch[i])) << batch[i].to_string();
+  }
+  const auto m = runtime.metrics();
+  EXPECT_GT(m.moved_returns, 0u);
+  EXPECT_LE(m.moved_returns, m.miss_returns);
 }
 
 }  // namespace

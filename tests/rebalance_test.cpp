@@ -855,8 +855,8 @@ TEST(RebalanceSoakTest, ChurnSoakKeepsSkewBoundedAndAnswersInWindow) {
 }
 
 // The home FIFO holds exactly fifo_depth jobs (5 here, not a power of
-// two), and a migration fence must drain all of them before the donor
-// shrinks.
+// two): migrations run against a full 5-slot home ring, whose jobs routed
+// before a boundary move must still be answered right.
 TEST(RebalanceSoakTest, ChurnSoakAtNonPowerOfTwoFifoDepth) {
   run_churn_soak(5);
 }

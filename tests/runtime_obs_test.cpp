@@ -210,6 +210,8 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
             runtime.metrics().dred_sync_returns);
   EXPECT_LE(counter("runtime.dred_sync_returns"),
             counter("runtime.miss_returns"));
+  EXPECT_EQ(counter("runtime.moved_returns"), runtime.metrics().moved_returns);
+  EXPECT_LE(counter("runtime.moved_returns"), counter("runtime.miss_returns"));
   // The commit-latency histogram exports its tail beside the median.
   const std::string json = registry.to_json();
   const auto apply_at = json.find("\"runtime.batch_apply_ns\"");
@@ -217,9 +219,9 @@ TEST(LookupRuntimeTest, ExportMetricsCarriesAllSections) {
   EXPECT_NE(json.find("\"p999_ns\"", apply_at), std::string::npos);
 
   // The runtime samples one in every 64 events: each worker times the
-  // first of every 64 jobs it runs (lookups, miss re-enqueues and fence
-  // drains alike), and the client records the first of every 64
-  // completion latencies.
+  // first of every 64 jobs it runs (lookups and miss re-enqueues
+  // alike), and the client records the first of every 64 completion
+  // latencies.
   const auto samples = [](std::uint64_t events) { return (events + 63) / 64; };
   const auto per_worker_jobs = runtime.metrics().per_worker_jobs;
   std::size_t service_hists = 0;

@@ -568,13 +568,15 @@ TEST(LookupRuntimeTest, ParkedThreadsWakeForEveryProducer) {
   }
 
   // Control -> control rings: a withdraw sends a DRed erase sweep. No
-  // one waits on it, so it rings no one; the fence below does wait.
+  // one waits on it, so it rings no one.
   park();
   hot.kind = clue::workload::UpdateKind::kWithdraw;
   runtime.apply(hot);
   EXPECT_GT(runtime.ttf_trace().back().control_msgs, 0u);
 
-  // Control -> the donor's fence.
+  // Control -> a migration. Its only push is the receiver's DRed erase
+  // sweep, which no one waits on either, so it returns with every worker
+  // still parked.
   park();
   EXPECT_GT(runtime.rebalance_now(), 0u);
 
