@@ -22,6 +22,18 @@ using netbase::NextHop;
 using netbase::Prefix;
 using netbase::Route;
 
+/// One DRed sync (§IV-C): a deleted stored shape is erased from a DRed, a
+/// modified one fixed in place (the route carries the new hop).
+/// update::ChipSet plans each DRed's list of them; the hosts deliver the
+/// lists as planned.
+struct DredSync {
+  enum class Kind : std::uint8_t { kErase, kFix };
+  Kind kind = Kind::kErase;
+  Route route;
+
+  friend constexpr bool operator==(const DredSync&, const DredSync&) = default;
+};
+
 // In the paper a diverted packet's DRed probe costs one TCAM search, the
 // same as a home lookup; in the runtime it sits on the diverted-lookup
 // path of every chip worker, so it is built like the flat image rather
@@ -129,6 +141,13 @@ class DredStore {
 
   /// Exact-prefix removal (routing-update synchronisation, §IV-C).
   bool erase(const Prefix& prefix);
+
+  /// Applies one sync: erase() for kErase, fix() for kFix. Returns
+  /// whether the prefix was cached.
+  bool apply(const DredSync& sync) {
+    return sync.kind == DredSync::Kind::kErase ? erase(sync.route.prefix)
+                                               : fix(sync.route);
+  }
 
   bool contains(const Prefix& prefix) const {
     return find(prefix.bits(), prefix.length()) != kNil;

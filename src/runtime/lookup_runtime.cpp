@@ -100,8 +100,10 @@ LookupRuntime::LookupRuntime(TimedFib fib, const RuntimeConfig& config)
     worker->jobs = std::make_unique<SpscRing<Job>>(config.fifo_depth);
     worker->completions =
         std::make_unique<SpscRing<Completion>>(kCompletionDepth);
-    worker->control = std::make_unique<SpscRing<ControlMsg>>(kControlDepth);
+    worker->control =
+        std::make_unique<SpscRing<engine::DredSync>>(kControlDepth);
     if (dred_enabled_) {
+      worker->fill_stamps.resize(config.worker_count);
       worker->fills.resize(config.worker_count);
       for (std::size_t peer = 0; peer < config.worker_count; ++peer) {
         if (peer == i) continue;
@@ -142,13 +144,11 @@ void LookupRuntime::stop() {
   }
   // A worker exits once a pass finds nothing, so a sync pushed after its
   // last drain (or held by the test hook) is still queued: apply it now
-  // that this thread is the ring's only consumer.
-  for (auto& worker : workers_) {
-    ControlMsg msg;
-    while (worker->control->try_pop(msg)) {
-      apply_sync(*worker, msg);
-      worker->control_applied.fetch_add(1, std::memory_order_release);
-    }
+  // that this thread is the ring's only consumer, with the hook's bits
+  // cleared.
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    workers_[w]->stalled.store(0, std::memory_order_relaxed);
+    drain_control(w);
   }
 }
 
@@ -171,6 +171,7 @@ void LookupRuntime::worker_main(std::size_t w) {
         (!me.control->empty_approx() && !stalled(me, kStallControl))) {
       return true;
     }
+    if (stalled(me, kStallFills)) return false;
     for (const auto& fills : me.fills) {
       if (fills && !fills->empty_approx()) return true;
     }
@@ -179,7 +180,9 @@ void LookupRuntime::worker_main(std::size_t w) {
   Backoff backoff;
   for (;;) {
     bool progress = drain_control(w);
-    if (dred_enabled_) progress |= drain_fills(w);
+    if (dred_enabled_ && !stalled(me, kStallFills)) {
+      progress |= drain_fills(w);
+    }
     if (!stalled(me, kStallJobs)) progress |= serve_jobs(w) > 0;
     if (progress) {
       backoff.reset();
@@ -200,7 +203,7 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w) {
   // The batch's sampled fills and its counts stay worker-private until
   // the batch is resolved: one ring push per peer and one counter add
   // per counter per batch, instead of one of each per job.
-  std::array<FillMsg, kWorkerBatch> fills;
+  std::array<Route, kWorkerBatch> fills;
   std::size_t fill_count = 0;
   std::uint64_t home_lookups = 0;
   std::uint64_t dred_hits = 0;
@@ -211,14 +214,22 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w) {
     // Pin discipline: pin the epoch once for the whole batch, then read
     // the image. Every block a concurrent patch unlinks stays alive until
     // this guard's slot passes its retire epoch; batches are tens of
-    // jobs, so the pin never stretches a grace period meaningfully. The
-    // version is loaded before any image load: a patch bumps it only
-    // after its stores, so a fill stamped with the current version
-    // carries a post-patch route, and any older stamp is dropped as
-    // stale by the peer.
+    // jobs, so the pin never stretches a grace period meaningfully.
     EpochDomain::Guard guard(epoch_, w);
-    const std::uint64_t version =
-        me.published_version.load(std::memory_order_seq_cst);
+    // Fill stamps, loaded before any image load. The control role pushes
+    // a sweep only after the patch it syncs, and publishes control_pushed
+    // only after the push, so a route read before that patch carries a
+    // stamp below the sweep: the peer either caches it before the sweep
+    // lands, which then erases or fixes it, or has applied the sweep and
+    // drops the fill (drain_fills).
+    if (dred_enabled_) {
+      for (std::size_t peer = 0; peer < workers_.size(); ++peer) {
+        if (!engine::dred_may_cache(peer, w)) continue;
+        me.fill_stamps[peer] = static_cast<std::uint32_t>(
+            workers_[peer]->control_pushed.value.load(
+                std::memory_order_acquire));
+      }
+    }
     // This thread is control_applied's only writer.
     const auto applied = static_cast<std::uint32_t>(
         me.control_applied.load(std::memory_order_relaxed));
@@ -267,7 +278,7 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w) {
       // one more cached image read.
       if (dred_enabled_ && (me.hits_seen++ & kFillSampleMask) == 0) {
         if (const auto matched = flat.lookup_route(job.address)) {
-          fills[fill_count++] = FillMsg{*matched, version};
+          fills[fill_count++] = *matched;
         }
       }
       return Completion{job.index, hop, false};
@@ -305,7 +316,7 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w) {
   count(WorkerCounter::kMovedReturns, moved_returns);
   // Fills leave before the completions, so once a batch is answered every
   // fill it produced is already in a peer's ring.
-  send_fills(w, fills.data(), fill_count);
+  send_fills(w, {fills.data(), fill_count});
   // Completions exist only for the client's in-flight batch, which
   // drains them on every pass, so this wait is bounded; stop() ends it.
   std::size_t pushed = 0;
@@ -318,33 +329,26 @@ std::size_t LookupRuntime::serve_jobs(std::size_t w) {
 
 bool LookupRuntime::drain_control(std::size_t w) {
   Worker& me = *workers_[w];
-  ControlMsg msg;
+  engine::DredSync sync;
   bool any = false;
   // The test hook is read once a message is seen, so a message pushed
-  // after a stall is never taken.
+  // after a stall is never taken. Syncs are pushed only when DRed is
+  // enabled, so a worker that pops one has a DRed.
   while (!me.control->empty_approx() && !stalled(me, kStallControl) &&
-         me.control->try_pop(msg)) {
+         me.control->try_pop(sync)) {
     any = true;
-    apply_sync(me, msg);
+    me.dred->apply(sync);
     me.control_applied.fetch_add(1, std::memory_order_release);
   }
   return any;
 }
 
-void LookupRuntime::apply_sync(Worker& worker, const ControlMsg& msg) {
-  if (!worker.dred) return;
-  if (msg.kind == ControlMsg::Kind::kErase) {
-    worker.dred->erase(msg.route.prefix);
-  } else {
-    // fix(): rewrite in place without promoting the entry in LRU order —
-    // a sync message is not a reuse.
-    worker.dred->fix(msg.route);
-  }
-}
-
 bool LookupRuntime::drain_fills(std::size_t w) {
   Worker& me = *workers_[w];
   std::array<FillMsg, kWorkerBatch> msgs;
+  // This thread is control_applied's only writer.
+  const auto synced = static_cast<std::uint32_t>(
+      me.control_applied.load(std::memory_order_relaxed));
   std::uint64_t applied = 0;
   std::uint64_t stale = 0;
   std::uint64_t declined = 0;
@@ -352,16 +356,16 @@ bool LookupRuntime::drain_fills(std::size_t w) {
     if (peer == w) continue;
     std::size_t n;
     while ((n = me.fills[peer]->try_pop_n(msgs.data(), msgs.size())) > 0) {
-      // Staleness guard: if the home chip (the ring's producer) republished
-      // since a fill was produced, the route may no longer exist (updates,
-      // or a migration that moved it off that chip) — drop rather than
-      // poison the cache (a fresh hit will re-fill). A current fill is
-      // an offer: an uncached route enters on its second one, so a route
-      // hit once does not cost this worker an eviction.
-      const std::uint64_t current =
-          workers_[peer]->published_version.load(std::memory_order_acquire);
+      // Staleness guard, the diverted job's stamp rule: once this worker
+      // has applied a control message the fill's stamp does not cover, a
+      // sync may have erased or rewritten the route since it was read
+      // (an update, or a migration that made it this chip's own) — drop
+      // rather than poison the cache (a fresh hit will re-fill). The
+      // uint32 difference is wrap-safe. A current fill is an offer: an
+      // uncached route enters on its second one, so a route hit once does
+      // not cost this worker an eviction.
       for (std::size_t i = 0; i < n; ++i) {
-        if (msgs[i].version < current) {
+        if (static_cast<std::int32_t>(synced - msgs[i].stamp) > 0) {
           ++stale;
         } else if (me.dred->offer(msgs[i].route)) {
           ++applied;
@@ -377,16 +381,20 @@ bool LookupRuntime::drain_fills(std::size_t w) {
   return applied + stale + declined > 0;
 }
 
-void LookupRuntime::send_fills(std::size_t w, FillMsg* fills,
-                               std::size_t count) {
+void LookupRuntime::send_fills(std::size_t w, std::span<const Route> routes) {
+  const std::size_t count = routes.size();
   if (count == 0) return;
   Worker& me = *workers_[w];
+  std::array<FillMsg, kWorkerBatch> fills;
   std::uint64_t sent = 0;
   std::uint64_t dropped = 0;  // best effort: a full ring's share is lost
   for (std::size_t peer = 0; peer < workers_.size(); ++peer) {
     if (!engine::dred_may_cache(peer, w)) continue;  // exclusion rule
+    for (std::size_t i = 0; i < count; ++i) {
+      fills[i] = FillMsg{routes[i], me.fill_stamps[peer]};
+    }
     const std::size_t pushed =
-        workers_[peer]->fills[w]->try_push_n(fills, count);
+        workers_[peer]->fills[w]->try_push_n(fills.data(), count);
     if (pushed > 0) workers_[peer]->bell.ring();
     sent += pushed;
     dropped += count - pushed;
@@ -608,9 +616,6 @@ std::size_t LookupRuntime::publish(std::span<update::StagedPatch> staged,
     const engine::FlatLookupTable& flat = chips_.chip(patch.chip);
     flat_rebuild_hist_.record(patch.ns);
     if (trace) trace->flat_ns += patch.ns;
-    // After the patch's stores: a worker that loads this version reads
-    // post-patch entries only.
-    worker.published_version.fetch_add(1, std::memory_order_seq_cst);
     worker.occupancy.store(flat.route_count(), std::memory_order_release);
     worker.flat_bytes.store(flat.memory_bytes(), std::memory_order_relaxed);
     tables_published_.fetch_add(1, std::memory_order_relaxed);
@@ -652,12 +657,14 @@ std::uint32_t LookupRuntime::publish_indexing() {
   return generation;
 }
 
-void LookupRuntime::push_control_n(std::size_t chip, ControlMsg* msgs,
-                                   std::size_t count) {
+void LookupRuntime::push_control_n(std::size_t chip,
+                                   std::span<const engine::DredSync> sweep) {
+  const std::size_t count = sweep.size();
+  if (count == 0) return;
   Worker& worker = *workers_[chip];
   std::size_t pushed = 0;
   wait_until([&] {
-    pushed += worker.control->try_push_n(msgs + pushed, count - pushed);
+    pushed += worker.control->try_push_n(sweep.data() + pushed, count - pushed);
     // Only a full ring wakes its worker: nothing waits on a DRed sweep,
     // and whatever wakes the worker next (a job, a fill, stop()) finds
     // it drains control first. So a commit never pays a
@@ -710,30 +717,19 @@ std::size_t LookupRuntime::migrate(const update::MigrationStep& step) {
   //    A job routed before it that reads the donor's image before the
   //    shrink gets the unshrunk answer; one that reads it after gets
   //    kNoRoute for a migrated address, sees the stamp is older, and goes
-  //    home to be routed to the receiver (serve_jobs). The version bump
-  //    also staleness-kills every in-flight DRed fill the donor produced
-  //    for a migrated route, so none can sneak into the receiver's DRed
-  //    after step 4's sweep.
+  //    home to be routed to the receiver (serve_jobs).
   workers_[step.donor]->moved_gen.store(generation, std::memory_order_release);
   publish({&staged.loss, 1});
 
-  // 4. Re-home DRed state: the migrated prefixes are now the receiver's
-  //    *own*, so its DRed must drop them or the exclusion invariant
-  //    ("DRed i never stores chip i's prefixes") dies. Other chips'
-  //    DReds may keep them — the route, and thus the answer, did not
-  //    change, and they remain foreign prefixes there. Like a commit's
-  //    sweep it is pushed, not awaited: a job diverted to the receiver
-  //    from here on is stamped past it and goes home until it is applied,
-  //    and stop() applies it if it is still queued.
-  if (dred_enabled_) {
-    // One batched ring write for the whole erase sweep instead of one
-    // cursor update per migrated route.
-    sweep_.clear();
-    for (const auto& route : migrated) {
-      sweep_.push_back(ControlMsg{ControlMsg::Kind::kErase, route});
-    }
-    push_control_n(step.receiver, sweep_.data(), sweep_.size());
-  }
+  // 4. Push the receiver's planned DRed sweep: the migrated prefixes are
+  //    now its *own*, so its DRed must drop them (DRed i never caches
+  //    chip i's prefixes). Like a commit's sweep it is pushed, not
+  //    awaited: a job diverted to the receiver from here on is stamped
+  //    past it and goes home until it is applied, and stop() applies it
+  //    if it is still queued. A fill the donor read before step 3 is
+  //    stamped below it, so the receiver either caches it before the
+  //    sweep, which erases it, or drops it.
+  if (dred_enabled_) push_control_n(step.receiver, staged.sweep);
   // Parks what the shrink unlinked (after publish's grace barrier) and
   // frees the old routing snapshot once no dispatch pass pins it.
   epoch_.reclaim();
@@ -902,29 +898,16 @@ update::BatchTtfSample LookupRuntime::apply_batch(
       publish(chips_.stage(plan.chips), &trace));
   batch.ttf.ttf2_ns = elapsed_ns(t1);
 
-  // --- TTF3: one batched DRed erase/fix sweep per worker, no ack. -----
-  // Worker i's sweep skips the shapes chip i stores: its DRed never
-  // caches them. Nothing waits for a worker to drain its sweep: a job
-  // diverted to it from here on carries a stamp past the sweep and goes
-  // home until it has (serve_jobs), and home was patched above.
+  // --- TTF3: each worker's planned DRed sweep, one push, no ack. -----
+  // Nothing waits for a worker to drain its sweep: a job diverted to it
+  // from here on carries a stamp past the sweep and goes home until it
+  // has (serve_jobs), and home was patched above.
   const auto t2 = Clock::now();
   if (dred_enabled_) {
     std::size_t sent = 0;
     for (std::size_t i = 0; i < workers_.size(); ++i) {
-      sweep_.clear();
-      for (const auto& sync : plan.dred_erase) {
-        if (sync.chip != i) {
-          sweep_.push_back(ControlMsg{ControlMsg::Kind::kErase, sync.route});
-        }
-      }
-      for (const auto& sync : plan.dred_fix) {
-        if (sync.chip != i) {
-          sweep_.push_back(ControlMsg{ControlMsg::Kind::kFix, sync.route});
-        }
-      }
-      if (sweep_.empty()) continue;
-      push_control_n(i, sweep_.data(), sweep_.size());
-      sent += sweep_.size();
+      push_control_n(i, plan.sweeps[i]);
+      sent += plan.sweeps[i].size();
     }
     trace.control_msgs = static_cast<std::uint32_t>(sent);
   }

@@ -23,14 +23,15 @@
 //                   system::ClueSystem holds (boundaries, one flat image
 //                   per chip, capacity; admission, staging, migration
 //                   runs and occupancy). The set stages every affected
-//                   chip's diff before any applies; this runtime then
-//                   publishes each staged patch in place (per address,
-//                   one atomic store from the old to the new answer),
-//                   bumps its version, retires what it unlinked into the
-//                   epoch domain, and pushes the DRed erase/fix sweep
-//                   into every worker's control ring but the storing
-//                   chip's, without waiting for it to drain (diverted
-//                   jobs carry a sync stamp instead; see serve_jobs).
+//                   chip's diff and plans each DRed's erase/fix sweep
+//                   before any applies; this runtime then publishes each
+//                   staged patch in place (per address, one atomic store
+//                   from the old to the new answer), retires what it
+//                   unlinked into the epoch domain, and pushes each
+//                   worker's sweep, as planned, into that worker's
+//                   control ring, without waiting for it to drain
+//                   (diverted jobs and DRed fills carry a sync stamp
+//                   instead; see serve_jobs).
 //                   It also owns the boundary rebalancer: per-chip
 //                   occupancy is re-checked after every apply(), and
 //                   when skew or headroom pressure crosses a
@@ -49,9 +50,11 @@
 //                   kNoRoute), serve DRed-only lookups from their private
 //                   DRed (or return them home while a sync their stamp
 //                   covers is still queued in the control ring), exchange
-//                   DRed fills (route shapes read off the flat image)
-//                   over per-pair SPSC rings. No worker ever reads a
-//                   trie.
+//                   DRed fills (route shapes read off the flat image,
+//                   stamped with the receiving peer's pushed-control
+//                   count; the peer drops a fill once it has applied
+//                   control past the stamp) over per-pair SPSC rings. No
+//                   worker ever reads a trie.
 //
 // Patch/epoch invariant: a worker never reads a chip image without
 // pinning its epoch slot first, and the control plane never parks or
@@ -205,7 +208,9 @@ struct RuntimeMetrics {
   std::uint64_t fills_sent = 0;
   std::uint64_t fills_applied = 0;        ///< cached by the peer's DRed
   std::uint64_t fills_dropped_full = 0;   ///< fill ring full (best effort)
-  std::uint64_t fills_dropped_stale = 0;  ///< home table moved on: discarded
+  /// Discarded by a peer that had applied a DRed sync pushed after the
+  /// fill's route was read (the sync may erase or rewrite it).
+  std::uint64_t fills_dropped_stale = 0;
   std::uint64_t fills_declined = 0;  ///< first offer: DRed doorkeeper said no
   std::uint64_t updates_applied = 0;
   std::uint64_t updates_rejected = 0;  ///< TcamFullError after rollback
@@ -283,9 +288,10 @@ class LookupRuntime {
   /// (insert+delete pairs cancel, modifies last-writer-win), each
   /// affected chip's patch is staged, and only once every chip staged is
   /// any applied — one in-place patch per chip per batch, closed by a
-  /// single grace barrier when a patch unlinked blocks — and all DRed
-  /// erase/fix messages go out as one batched sweep per worker ring,
-  /// each skipping the shapes that worker's own chip stores (TTF3).
+  /// single grace barrier when a patch unlinked blocks — and each
+  /// worker's DRed erase/fix sweep, as the chip set planned it (without
+  /// the shapes that worker's own chip stores), goes out as one batched
+  /// push into its control ring (TTF3).
   ///
   /// Admission (update::BatchTxn, shared with the serial hosts) is exact
   /// and decided before any chip is touched: per chip, occupancy minus
@@ -424,17 +430,16 @@ class LookupRuntime {
     NextHop hop = netbase::kNoRoute;
     bool miss_return = false;
   };
-  /// A DRed sync: erase an entry, or rewrite it in place.
-  struct ControlMsg {
-    enum class Kind : std::uint8_t { kErase, kFix };
-    Kind kind = Kind::kErase;
-    Route route;
-  };
   /// A DRed fill; its home chip is the producer of the ring it travels.
+  /// The stamp is the low 32 bits of the receiving peer's control_pushed,
+  /// loaded before the route was read: once the peer has applied more
+  /// control messages than that, the fill may predate a sync and is
+  /// dropped (wrap-safe, like a diverted job's stamp).
   struct FillMsg {
     Route route;
-    std::uint64_t version = 0;
+    std::uint32_t stamp = 0;
   };
+  static_assert(sizeof(FillMsg) == 16, "a fill slot stays 16 bytes");
 
   /// What the client routes by: the indexing logic and the generation it
   /// was published at (one per boundary move). Immutable once published.
@@ -446,21 +451,19 @@ class LookupRuntime {
   struct Worker {
     std::unique_ptr<SpscRing<Job>> jobs;
     std::unique_ptr<SpscRing<Completion>> completions;
-    std::unique_ptr<SpscRing<ControlMsg>> control;
+    /// This worker's DRed sweeps, in the order the control role planned
+    /// them.
+    std::unique_ptr<SpscRing<engine::DredSync>> control;
     /// fills[i]: ring produced by worker i, consumed by this worker.
     std::vector<std::unique_ptr<SpscRing<FillMsg>>> fills;
-    /// Bumped by the control role after every patch's stores; a worker
-    /// loads it (before its batch's image loads) to stamp DRed fills, and
-    /// a fill older than its home chip's version is stale.
-    std::atomic<std::uint64_t> published_version{0};
     /// Control messages this worker has applied (only it writes it, or
     /// stop() once it is joined).
     std::atomic<std::uint64_t> control_applied{0};
     /// Control messages pushed to this worker, published by the control
-    /// role after each push and loaded by the client to stamp a diverted
-    /// job. On its own line: a commit's store must not invalidate the one
-    /// holding published_version and control_applied, which the worker
-    /// reads every batch.
+    /// role after each push. The client loads it to stamp a diverted job,
+    /// and each peer worker to stamp its fills. On its own line: a
+    /// commit's store must not invalidate the one holding
+    /// control_applied, which the worker reads every batch.
     struct alignas(64) {
       std::atomic<std::uint64_t> value{0};
     } control_pushed;
@@ -482,9 +485,12 @@ class LookupRuntime {
     std::uint64_t jobs_seen = 0;
     /// Worker-private home-hit count for fill-harvest sampling.
     std::uint64_t hits_seen = 0;
-    /// Test hook: Stall bits holding this worker's control drain or job
-    /// serving (set only through LookupRuntimeTestAccess; 0 outside
-    /// tests).
+    /// Worker-private: fill_stamps[p] is peer p's control_pushed, loaded
+    /// at the start of the current batch to stamp its fills to p.
+    std::vector<std::uint32_t> fill_stamps;
+    /// Test hook: Stall bits holding this worker's control drain, job
+    /// serving or fill drain (set only through LookupRuntimeTestAccess; 0
+    /// outside tests).
     std::atomic<std::uint8_t> stalled{0};
     /// The routing generation of this chip's last shrink, stored by the
     /// control role before the shrinking patch. Beside the worker-private
@@ -508,15 +514,17 @@ class LookupRuntime {
   /// pushes every completion, waiting while the completion ring is full.
   /// Returns the jobs served.
   std::size_t serve_jobs(std::size_t w);
+  /// Applies every DRed sync queued in worker w's control ring that the
+  /// test hook does not hold.
   bool drain_control(std::size_t w);
-  /// Applies one DRed erase/fix to `worker`'s DRed.
-  static void apply_sync(Worker& worker, const ControlMsg& msg);
   /// Pops every peer's fill ring in batches into this worker's DRed,
-  /// dropping fills older than their home chip's published version.
+  /// dropping each fill whose stamp this worker's control_applied has
+  /// passed.
   bool drain_fills(std::size_t w);
-  /// Offers one batch's `count` fills to every peer DRed that may cache
-  /// worker w's routes: one push and one ring per peer.
-  void send_fills(std::size_t w, FillMsg* fills, std::size_t count);
+  /// Offers one batch's fills of `routes` to every peer DRed that may
+  /// cache worker w's routes, each stamped with that peer's
+  /// fill_stamps entry: one push and one ring per peer.
+  void send_fills(std::size_t w, std::span<const Route> routes);
 
   /// Client-side push into worker w's job ring (rings it when anything
   /// landed); returns the jobs accepted.
@@ -532,8 +540,8 @@ class LookupRuntime {
   // ---- control-role internals (single control thread at a time) ----
 
   /// Applies every patch in `staged` (staged by chips_, all before any is
-  /// applied), bumps each chip's published_version and occupancy, and
-  /// retires what each patch unlinked. When any patch unlinked blocks,
+  /// applied), stores each chip's occupancy, and retires what each patch
+  /// unlinked. When any patch unlinked blocks,
   /// waits out one grace barrier (a publish of pure slot patches skips
   /// it). Returns the chips patched; adds each chip's stage + apply span
   /// (flat_ns) and the grace span to `trace` when given.
@@ -543,11 +551,13 @@ class LookupRuntime {
   /// generation, retires the old one, and returns the new generation.
   /// Waits for nothing: a client may route one more pass by the old one.
   std::uint32_t publish_indexing();
-  /// Lands `count` control messages on worker `chip` with as few
+  /// Lands `sweep` on worker `chip`'s control ring with as few
   /// ring-cursor updates as the free space allows, waiting (wait_until)
   /// while the ring is full, then publishes the worker's new
-  /// control_pushed. Rings the worker only while the ring is full.
-  void push_control_n(std::size_t chip, ControlMsg* msgs, std::size_t count);
+  /// control_pushed. Rings the worker only while the ring is full; an
+  /// empty sweep touches nothing.
+  void push_control_n(std::size_t chip,
+                      std::span<const engine::DredSync> sweep);
   /// Executes one planned migration; returns entries moved.
   std::size_t migrate(const update::MigrationStep& step);
   /// One run_rebalance_pass over the chips, cut short by stop(); returns
@@ -616,9 +626,6 @@ class LookupRuntime {
   std::atomic<std::uint64_t> updates_submitted_{0};
   std::atomic<std::uint64_t> updates_ingested_{0};
 
-  /// One worker's DRed sweep, cleared and refilled per worker per commit
-  /// and per migration (the receiver's erase sweep).
-  std::vector<ControlMsg> sweep_;
   std::atomic<std::uint64_t> tables_published_{0};
   /// Published patches that unlinked nothing: reclaimed on the spot.
   std::atomic<std::uint64_t> patches_unretired_{0};
@@ -657,11 +664,17 @@ class LookupRuntime {
   std::mutex stop_mutex_;  // serialises the join in stop()
 
   /// The test hook's bits (Worker::stalled): kStallControl leaves the
-  /// control ring undrained, kStallJobs the job ring unserved. No control
-  /// message pushed after a stall is applied; the job ring is checked
-  /// once per pass, so the pass under way may still serve one batch. A
-  /// stalled worker parks; the hook rings it on release.
-  enum Stall : std::uint8_t { kStallControl = 1, kStallJobs = 2 };
+  /// control ring undrained, kStallJobs the job ring unserved, kStallFills
+  /// the fill rings undrained. No control message pushed after a stall is
+  /// applied; the job and fill rings are checked once per pass, so the
+  /// pass under way may still serve one batch or drain its fills. A
+  /// stalled worker parks; the hook rings it on release, and stop()
+  /// clears every bit before it applies the syncs still queued.
+  enum Stall : std::uint8_t {
+    kStallControl = 1,
+    kStallJobs = 2,
+    kStallFills = 4,
+  };
   /// Whether the test hook holds `what` of `worker`.
   static bool stalled(const Worker& worker, Stall what) {
     return worker.stalled.load(std::memory_order_acquire) & what;

@@ -60,7 +60,7 @@ class SpscRing {
   /// returning how many were accepted (0 when full). Partial pushes take
   /// the longest prefix that fits, so FIFO order is preserved; the
   /// cursor is bumped once per call, not per element.
-  std::size_t try_push_n(T* values, std::size_t count) {
+  std::size_t try_push_n(const T* values, std::size_t count) {
     if (count == 0) return 0;
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     std::size_t free = capacity_ - (tail - cached_head_);
@@ -71,7 +71,7 @@ class SpscRing {
     }
     const std::size_t n = count < free ? count : free;
     for (std::size_t i = 0; i < n; ++i) {
-      slots_[(tail + i) & mask_] = std::move(values[i]);
+      slots_[(tail + i) & mask_] = values[i];
     }
     tail_.store(tail + n, std::memory_order_release);
     return n;

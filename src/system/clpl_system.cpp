@@ -6,6 +6,7 @@
 
 #include "partition/partition.hpp"
 #include "rrcme/rrc_me.hpp"
+#include "update/chip_set.hpp"
 
 namespace clue::system {
 
@@ -13,6 +14,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using update::elapsed_ns;
+
+// Entries per RRC-ME cache: SystemConfig's default DRed capacity.
+constexpr std::size_t kCacheCapacity = 1024;
 
 }  // namespace
 
@@ -27,10 +31,8 @@ ClplSystem::ClplSystem(const trie::BinaryTrie& fib,
                                    static_cast<std::uint32_t>(bucket) + 1));
     }
   }
-  std::size_t capacity = config.tcam_capacity;
-  if (capacity == 0) {
-    capacity = 2 * partitions.max_bucket() + 8192;
-  }
+  const std::size_t capacity =
+      update::auto_capacity(partitions.max_bucket(), 1.0);
   chips_.reserve(config.tcam_count);
   caches_.reserve(config.tcam_count);
   for (std::size_t bucket = 0; bucket < config.tcam_count; ++bucket) {
@@ -40,7 +42,7 @@ ClplSystem::ClplSystem(const trie::BinaryTrie& fib,
       placement_[route.prefix].push_back(bucket);
     }
     caches_.push_back(
-        std::make_unique<engine::DredStore>(config.cache_capacity));
+        std::make_unique<engine::DredStore>(kCacheCapacity));
   }
   for (auto& [prefix, chips] : placement_) {
     std::sort(chips.begin(), chips.end());

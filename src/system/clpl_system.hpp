@@ -28,11 +28,11 @@
 
 namespace clue::system {
 
+/// Each chip's capacity is update::auto_capacity(largest initial bucket,
+/// 1.0): twice that bucket plus 8192 slack. Each RRC-ME cache holds 1024
+/// entries, the DRed size SystemConfig defaults to.
 struct ClplSystemConfig {
   std::size_t tcam_count = 4;
-  /// 0 = auto (2x initial chip contents + headroom).
-  std::size_t tcam_capacity = 0;
-  std::size_t cache_capacity = 1024;
 };
 
 /// Per-update impact report — the quantity CLUE's O(1) story is up

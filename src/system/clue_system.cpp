@@ -53,21 +53,13 @@ update::BatchTtfSample ClueSystem::apply_batch(
   batch.ttf.ttf2_ns =
       static_cast<double>(critical_ops) * update::CostModel::kTcamOpNs;
 
-  // DRed sync (§IV-C): one parallel probe per synced stored shape, in
-  // every DRed but the storing chip's own (which never caches it).
+  // DRed sync (§IV-C): each DRed applies its planned sweep; the model
+  // charges one parallel probe per synced shape.
   for (std::size_t i = 0; i < dreds_.size(); ++i) {
-    for (const auto& sync : plan.dred_erase) {
-      if (sync.chip != i) dreds_[i]->erase(sync.route.prefix);
-    }
-    // fix(): rewrite in place; a sync message must not promote the entry
-    // in LRU order.
-    for (const auto& sync : plan.dred_fix) {
-      if (sync.chip != i) dreds_[i]->fix(sync.route);
-    }
+    for (const engine::DredSync& sync : plan.sweeps[i]) dreds_[i]->apply(sync);
   }
   batch.ttf.ttf3_ns =
-      static_cast<double>(plan.dred_erase.size() + plan.dred_fix.size()) *
-      update::CostModel::kTcamOpNs;
+      static_cast<double>(plan.synced) * update::CostModel::kTcamOpNs;
 
   // Drift watch: even out while the skew is still small.
   if (rebalance_ &&
@@ -94,11 +86,8 @@ std::size_t ClueSystem::migrate(const update::MigrationStep& step) {
   update::StagedMigration staged = chips_.stage_migration(step);
   const std::vector<Route>& migrated = staged.run.routes;
   if (migrated.empty()) return 0;
-  // Exclusion invariant: the receiver's DRed must not cache what is now
-  // the receiver's own prefix. Other DReds may keep it — the route itself
-  // did not change.
-  for (const Route& route : migrated) {
-    dreds_[step.receiver]->erase(route.prefix);
+  for (const engine::DredSync& sync : staged.sweep) {
+    dreds_[step.receiver]->apply(sync);
   }
   chips_.apply(staged.gain);
   chips_.apply(staged.loss);

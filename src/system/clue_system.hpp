@@ -6,11 +6,11 @@
 // update::ChipSet, the same chip plane runtime::LookupRuntime runs:
 // partition, capacity, admission, staging and migration runs are that
 // set's, and lookups home by its boundaries. This class keeps only the
-// serial host's own part: modeled TTF, direct DRed sync, and patch
-// bundles dropped at once, since no reader runs beside it. It answers
-// lookups straight from the chips and pushes BGP updates end to end
-// with TTF accounting — the API a linecard integration would program
-// against. (The clock-stepped
+// serial host's own part: modeled TTF, the set's DRed sweeps applied
+// directly, and patch bundles dropped at once, since no reader runs
+// beside it. It answers lookups straight from the chips and pushes BGP
+// updates end to end with TTF accounting — the API a linecard
+// integration would program against. (The clock-stepped
 // ParallelEngine remains the tool for throughput experiments; this class
 // is about *state* fidelity: chip contents always equal the compressed
 // table, split at the partition boundaries.)

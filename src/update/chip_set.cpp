@@ -115,10 +115,13 @@ MigrationRun ChipSet::migration_run(const MigrationStep& step) const {
 }
 
 StagedMigration ChipSet::stage_migration(const MigrationStep& step) {
-  StagedMigration staged{migration_run(step), {}, {}};
+  StagedMigration staged{migration_run(step), {}, {}, {}};
   if (staged.run.routes.empty()) return staged;
   std::vector<Prefix> erased;
-  for (const Route& route : staged.run.routes) erased.push_back(route.prefix);
+  for (const Route& route : staged.run.routes) {
+    erased.push_back(route.prefix);
+    staged.sweep.push_back({engine::DredSync::Kind::kErase, route});
+  }
   staged.gain = stage_chip(step.receiver, {}, staged.run.routes);
   staged.loss = stage_chip(step.donor, erased, {});
   return staged;

@@ -17,9 +17,12 @@
 // either, so nothing in the host's migration protocol can throw from a
 // stage once its first side is live. The host then applies the staged
 // patches in its own order, moves the boundary here, and rebuilds or
-// republishes its own indexing. How an applied patch is published (the
-// runtime's version bumps and epoch retire, ClueSystem's dropping the
-// bundle at once), the indexing and the DRed sync stay the host's own.
+// republishes its own indexing. The set also plans every DRed sync, one
+// list per DRed (CommitPlan::sweeps, StagedMigration::sweep), so the
+// exclusion rule (DRed i never caches chip i's shapes, §III-C) is decided
+// here once. How an applied patch is published (the runtime's epoch
+// retire, ClueSystem's dropping the bundle at once), the indexing and the
+// delivery of each sweep stay the host's own.
 //
 // Thread-safety: one writer, the host's control role. Other threads may
 // only read chip images through chip(i) (FlatLookupTable's concurrent
@@ -31,6 +34,7 @@
 #include <span>
 #include <vector>
 
+#include "engine/dred.hpp"
 #include "engine/flat_table.hpp"
 #include "engine/indexing_logic.hpp"
 #include "netbase/prefix.hpp"
@@ -65,6 +69,10 @@ struct StagedMigration {
   MigrationRun run;  ///< empty routes: nothing executable, nothing staged
   StagedPatch gain;  ///< the receiver's: every route of the run written
   StagedPatch loss;  ///< the donor's: every route of the run erased
+  /// The receiver's DRed sync: one erase per route of the run, which is
+  /// now the receiver's own. Other DReds keep their copies: the routes
+  /// did not change.
+  std::vector<engine::DredSync> sweep;
 };
 
 /// Cache-line aligned: its first line holds the image pointers that
@@ -145,8 +153,9 @@ class alignas(64) ChipSet {
   /// moving left.
   MigrationRun migration_run(const MigrationStep& step) const;
 
-  /// Selects `step`'s run and stages both of its sides; with an empty run
-  /// nothing is staged. The boundary stays until move_boundary().
+  /// Selects `step`'s run, stages both of its sides and plans the
+  /// receiver's sweep; with an empty run nothing is staged. The boundary
+  /// stays until move_boundary().
   StagedMigration stage_migration(const MigrationStep& step);
 
   /// Moves the boundary `run` names to its new address.

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <numeric>
 
+#include "engine/dispatch_policy.hpp"
 #include "engine/indexing_logic.hpp"
 #include "update/chip_set.hpp"
 
@@ -30,8 +31,9 @@ bool plan_fits(std::span<const FibOp> merged, const ChipSet& set,
     work.erases.clear();
     work.writes.clear();
   }
-  plan.dred_erase.clear();
-  plan.dred_fix.clear();
+  plan.sweeps.resize(chips);
+  for (auto& sweep : plan.sweeps) sweep.clear();
+  plan.synced = 0;
   // An insert's prefix is new to the compressed table, so a stored shape
   // one of its pieces coincides with belongs to a region the same plan
   // deletes: every insert piece adds exactly one entry.
@@ -59,13 +61,19 @@ bool plan_fits(std::span<const FibOp> merged, const ChipSet& set,
       plan.stored.clear();
       set.chip(chip).stored_within(op.route.prefix, plan.stored);
       for (const Route& stored : plan.stored) {
+        engine::DredSync sync{engine::DredSync::Kind::kErase, stored};
         if (op.kind == FibOpKind::kDelete) {
           plan.chips[chip].erases.push_back(stored.prefix);
-          plan.dred_erase.push_back(DredSync{chip, stored});
         } else {
-          const Route fixed{stored.prefix, op.route.next_hop};
-          plan.chips[chip].writes.push_back(fixed);
-          plan.dred_fix.push_back(DredSync{chip, fixed});
+          sync = {engine::DredSync::Kind::kFix,
+                  Route{stored.prefix, op.route.next_hop}};
+          plan.chips[chip].writes.push_back(sync.route);
+        }
+        ++plan.synced;
+        for (std::size_t dred = 0; dred < chips; ++dred) {
+          if (engine::dred_may_cache(dred, chip)) {
+            plan.sweeps[dred].push_back(sync);
+          }
         }
       }
     }

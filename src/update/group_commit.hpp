@@ -48,6 +48,7 @@
 #include <span>
 #include <vector>
 
+#include "engine/dred.hpp"
 #include "netbase/prefix.hpp"
 #include "onrtc/compressed_fib.hpp"
 #include "update/cost_model.hpp"
@@ -93,14 +94,6 @@ struct ChipWork {
   bool empty() const { return erases.empty() && writes.empty(); }
 };
 
-/// One stored shape a commit syncs into the DReds, and the chip that
-/// stores it. DRed i never caches chip i's shapes (the exclusion rule),
-/// so no host sends `chip`'s own DRed the sync.
-struct DredSync {
-  std::size_t chip = 0;
-  netbase::Route route;
-};
-
 /// The admitted batch's data-plane work. Each ChipSet keeps one plan that
 /// every BatchTxn admitted against it refills: planning clears its vectors
 /// rather than replacing them, so a steady-state commit plans without
@@ -108,10 +101,14 @@ struct DredSync {
 struct CommitPlan {
   std::vector<ChipWork> chips;  ///< indexed by chip
   /// DRed sync (§IV-C): DReds only ever cache stored shapes, so every
-  /// erased shape is erased and every rewritten one fixed in place, in
-  /// every DRed but its chip's own.
-  std::vector<DredSync> dred_erase;  ///< the stored route (old hop)
-  std::vector<DredSync> dred_fix;    ///< route carries the new hop
+  /// erased shape is erased and every rewritten one fixed in place.
+  /// sweeps[i] is DRed i's list, in plan order: every synced shape whose
+  /// storing chip DRed i may cache (engine::dred_may_cache), so never chip
+  /// i's own. Hosts deliver each list as it stands.
+  std::vector<std::vector<engine::DredSync>> sweeps;
+  /// Stored shapes synced, each counted once whatever the chip count (on
+  /// one chip every sweep is empty).
+  std::size_t synced = 0;
   /// Planning scratch: one op's boundary pieces, one chip's stored
   /// shapes within it, and the insert pieces each chip gains.
   std::vector<std::pair<std::size_t, netbase::Prefix>> pieces;

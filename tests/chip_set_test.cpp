@@ -1,16 +1,19 @@
-// update::ChipSet: stage-all-or-nothing commits and staged migrations.
-// Each test reads the images back with stored_within(Prefix()) and
-// route_count(), the shapes and counts admission and migration see.
+// update::ChipSet: stage-all-or-nothing commits, staged migrations, and
+// the DRed sweeps both plan. Each test reads the images back with
+// stored_within(Prefix()) and route_count(), the shapes and counts
+// admission and migration see.
 #include "update/chip_set.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <vector>
 
 #include "onrtc/compressed_fib.hpp"
 #include "partition/partition.hpp"
+#include "workload/update_gen.hpp"
 
 #include "test_support.hpp"
 
@@ -20,8 +23,10 @@ using clue::netbase::Ipv4Address;
 using clue::netbase::make_next_hop;
 using clue::netbase::Prefix;
 using clue::netbase::Route;
+using clue::engine::DredSync;
 using clue::update::ChipSet;
 using clue::update::ChipWork;
+using clue::update::CommitPlan;
 using clue::update::MigrationStep;
 
 /// Each chip's stored routes, in chip order.
@@ -33,9 +38,12 @@ std::vector<std::vector<Route>> contents(const ChipSet& chips) {
   return out;
 }
 
+/// The 3000-route RIB the table compresses.
+clue::trie::BinaryTrie rib() { return clue::test_support::make_fib(3'000, 71); }
+
 /// A sorted, disjoint table: a compressed 3000-route FIB.
 std::vector<Route> table() {
-  const clue::onrtc::CompressedFib fib(clue::test_support::make_fib(3'000, 71));
+  const clue::onrtc::CompressedFib fib(rib());
   return fib.compressed().routes();
 }
 
@@ -104,7 +112,8 @@ TEST(ChipSetTest, DroppedStagedMigrationLeavesTheSetUnchanged) {
 }
 
 // Applied, a migration moves exactly its run from donor to receiver and
-// moves exactly the one boundary between them.
+// moves exactly the one boundary between them. Its receiver's DRed sweep
+// erases exactly the run.
 TEST(ChipSetTest, AppliedMigrationMovesItsRunAndOneBoundary) {
   for (const MigrationStep step :
        {MigrationStep{.donor = 1, .receiver = 2, .count = 40},
@@ -114,6 +123,10 @@ TEST(ChipSetTest, AppliedMigrationMovesItsRunAndOneBoundary) {
     auto staged = chips.stage_migration(step);
     const std::vector<Route> run = staged.run.routes;
     ASSERT_EQ(run.size(), step.count);
+    ASSERT_EQ(staged.sweep.size(), run.size());
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      EXPECT_EQ(staged.sweep[i], (DredSync{DredSync::Kind::kErase, run[i]}));
+    }
     chips.apply(staged.gain);
     chips.apply(staged.loss);
     std::vector<Ipv4Address> boundaries = chips.boundaries();
@@ -142,6 +155,79 @@ TEST(ChipSetTest, AppliedMigrationMovesItsRunAndOneBoundary) {
     EXPECT_EQ(after[step.receiver], receiver);
     const std::size_t other = 3 - step.donor - step.receiver;
     EXPECT_EQ(after[other], before[other]);
+  }
+}
+
+// A commit plans one DRed sweep per chip. Each deleted or modified stored
+// shape is counted once in `synced` and lands in every sweep but its
+// storing chip's: erased with its stored route, or fixed with the new
+// hop the chip's writes carry. On one chip every sweep is empty while
+// `synced` still counts the shapes.
+TEST(ChipSetTest, CommitPlanSweepsEveryDredButTheStoringChips) {
+  for (const std::size_t chip_count : {std::size_t{4}, std::size_t{1}}) {
+    clue::onrtc::CompressedFib fib(rib());
+    ChipSet chips =
+        ChipSet::even("ChipSetTest", fib.compressed().routes(), chip_count, 0);
+    clue::workload::UpdateConfig config;
+    config.seed = 72;
+    clue::workload::UpdateGenerator updates(rib(), config);
+    std::size_t synced = 0;
+    for (int round = 0; round < 50; ++round) {
+      const auto messages = updates.generate(8);
+      clue::update::BatchTxn txn(fib, messages);
+      const CommitPlan& plan = txn.admit(chips);
+      ASSERT_EQ(plan.sweeps.size(), chip_count);
+      // Each synced shape, and the DReds whose sweeps carry it.
+      std::map<Prefix, std::pair<DredSync, std::vector<std::size_t>>> shapes;
+      for (std::size_t dred = 0; dred < chip_count; ++dred) {
+        for (const DredSync& sync : plan.sweeps[dred]) {
+          auto& [first, dreds] = shapes[sync.route.prefix];
+          if (dreds.empty()) first = sync;
+          EXPECT_EQ(sync, first) << "DReds disagree on one shape's sync";
+          dreds.push_back(dred);
+        }
+      }
+      std::size_t erased = 0;
+      for (const ChipWork& work : plan.chips) erased += work.erases.size();
+      for (const auto& [prefix, entry] : shapes) {
+        const auto& [sync, dreds] = entry;
+        // The unpatched images: the storing chip is the one whose image
+        // matches the shape exactly.
+        const std::size_t home = chips.chip_of(prefix.range_low());
+        const auto stored = chips.chip(home).lookup_route(prefix.range_low());
+        ASSERT_TRUE(stored && stored->prefix == prefix) << prefix.to_string();
+        std::vector<std::size_t> expected;
+        for (std::size_t dred = 0; dred < chip_count; ++dred) {
+          if (dred != home) expected.push_back(dred);
+        }
+        EXPECT_EQ(dreds, expected) << prefix.to_string();
+        const ChipWork& work = plan.chips[home];
+        if (sync.kind == DredSync::Kind::kErase) {
+          EXPECT_EQ(sync.route, *stored);
+          EXPECT_NE(std::find(work.erases.begin(), work.erases.end(), prefix),
+                    work.erases.end());
+        } else {
+          EXPECT_NE(std::find(work.writes.begin(), work.writes.end(),
+                              sync.route),
+                    work.writes.end());
+        }
+      }
+      if (chip_count == 1) {
+        EXPECT_TRUE(plan.sweeps[0].empty());
+        EXPECT_GE(plan.synced, erased);
+      } else {
+        EXPECT_EQ(plan.synced, shapes.size());
+        // Every erased shape is synced.
+        std::size_t erase_syncs = 0;
+        for (const auto& [prefix, entry] : shapes) {
+          erase_syncs += entry.first.kind == DredSync::Kind::kErase;
+        }
+        EXPECT_EQ(erase_syncs, erased);
+      }
+      synced += plan.synced;
+      for (auto& staged : chips.stage(plan.chips)) chips.apply(staged);
+    }
+    EXPECT_GT(synced, 0u) << chip_count << " chips";
   }
 }
 

@@ -1,9 +1,10 @@
 // DRed sync and migration without an ack round trip: apply() returns
 // once its erase/fix sweep is pushed, a diverted job stamped past its
-// worker's applied sync goes home instead of reading a stale DRed, each
-// sweep skips the chip that stores the shape, stop() applies whatever
-// sync is still queued, and a migration returns while the donor still
-// holds jobs routed before it, which come home by their routing stamp.
+// worker's applied sync goes home instead of reading a stale DRed, a fill
+// read before a sync its peer has applied is dropped, each sweep skips
+// the chip that stores the shape, stop() applies whatever sync is still
+// queued, and a migration returns while the donor still holds jobs
+// routed before it, which come home by their routing stamp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,11 +27,12 @@
 
 namespace clue::runtime {
 
-/// The runtime's test hook: holds a worker's control drain or its job
-/// serving, and reads its control counters.
+/// The runtime's test hook: holds a worker's control drain, its job
+/// serving or its fill drain, and reads its control counters.
 struct LookupRuntimeTestAccess {
   static constexpr std::uint8_t kControl = LookupRuntime::kStallControl;
   static constexpr std::uint8_t kJobs = LookupRuntime::kStallJobs;
+  static constexpr std::uint8_t kFills = LookupRuntime::kStallFills;
 
   static void stall(LookupRuntime& runtime, std::size_t w,
                     std::uint8_t what) {
@@ -190,6 +192,65 @@ TEST(LookupRuntimeTest, DivertedLookupNeverOutrunsAQueuedDredSync) {
   for (const Route& route : runtime.dred(kPeer)->routes()) {
     EXPECT_NE(route.next_hop, hot) << route.prefix.to_string();
   }
+}
+
+// A fill whose route was read before a withdraw is dropped by a peer that
+// has already applied the withdraw's erase: without the stamp it would
+// be cached after the erase and serve the withdrawn hop.
+TEST(LookupRuntimeTest, StaleFillIsDroppedAfterItsSweep) {
+  const auto fib = make_fib(4'000, 2609);
+  RuntimeConfig config;
+  config.worker_count = 2;
+  config.rebalance = false;
+  LookupRuntime runtime(fib, config);
+  constexpr std::size_t kHome = 0;
+  constexpr std::size_t kPeer = 1;
+
+  // A /24 of chip 0 routed to a hop the generated RIB never uses.
+  const std::uint32_t bound = runtime.boundaries().front().value();
+  const Prefix target(Ipv4Address((bound / 2) & 0xFFFFFF00u), 24);
+  const Ipv4Address address(target.range_low().value() + 7);
+  const NextHop hot = clue::netbase::make_next_hop(60'002);
+  runtime.apply({clue::workload::UpdateKind::kAnnounce, target, hot});
+  ASSERT_EQ(runtime.indexing().tcam_of(address), kHome);
+
+  // Home hits queue fills of the target at the peer, which drains
+  // neither its fills nor its control.
+  Hook::stall(runtime, kPeer, Hook::kFills | Hook::kControl);
+  // Let a pass under way finish before the fills arrive.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (int i = 0; i < 4; ++i) {
+    for (const NextHop hop :
+         runtime.lookup_batch(std::vector<Ipv4Address>(256, address))) {
+      ASSERT_EQ(hop, hot);
+    }
+  }
+  const auto queued = runtime.metrics();
+  ASSERT_GT(queued.fills_sent, 1u);
+  ASSERT_EQ(queued.fills_applied + queued.fills_declined +
+                queued.fills_dropped_stale,
+            0u);
+
+  // The withdraw's erase reaches the peer, which applies it while the
+  // fills still wait.
+  runtime.apply({clue::workload::UpdateKind::kWithdraw, target,
+                 clue::netbase::kNoRoute});
+  ASSERT_GT(Hook::control_backlog(runtime, kPeer), 0u);
+  Hook::release(runtime, kPeer, Hook::kControl);
+  ASSERT_TRUE(eventually(
+      [&] { return Hook::control_backlog(runtime, kPeer) == 0; }));
+
+  Hook::release(runtime, kPeer, Hook::kFills);
+  ASSERT_TRUE(eventually([&] {
+    const auto m = runtime.metrics();
+    return m.fills_applied + m.fills_declined + m.fills_dropped_stale ==
+           m.fills_sent;
+  }));
+  EXPECT_GT(runtime.metrics().fills_dropped_stale, 0u);
+
+  runtime.stop();
+  EXPECT_FALSE(runtime.dred(kPeer)->contains(target))
+      << "a fill read before the withdraw was cached after its erase";
 }
 
 // Each synced shape goes to every DRed but its storing chip's: a commit

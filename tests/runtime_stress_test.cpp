@@ -503,7 +503,7 @@ TEST(LookupRuntimeTest, FillAccountingBalancesWhenQuiescent) {
             m.fills_sent);
   EXPECT_GT(m.fills_applied, 0u);
   EXPECT_GT(m.fills_declined, 0u);
-  // No commits ran, so no chip's version moved and nothing went stale.
+  // No commits ran, so no DRed sync was pushed and no fill went stale.
   EXPECT_EQ(m.fills_dropped_stale, 0u);
   for (std::size_t w = 0; w < runtime.worker_count(); ++w) {
     const auto own = runtime.chip_routes(w);
